@@ -41,6 +41,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
 from repro.sim.engine import events_run_total
+from repro.sim.gcscope import batch
 from repro.sim.shard import shard_count_from_env
 
 DEFAULT_CACHE_DIR = "~/.cache/repro-mptcp"
@@ -361,24 +362,29 @@ def run_parallel(
     perf.cache_misses = len(misses)
 
     executed: dict[int, tuple[Any, int, float]] = {}
-    pool = _make_pool(min(workers, len(misses))) if workers > 1 and len(misses) > 1 else None
-    if pool is not None:
-        try:
-            futures = {
-                index: pool.submit(_execute_point, points[index].fn, points[index].kwargs)
-                for index in misses
-            }
-            # Insertion-ordered (built from `misses` above); the merge is
-            # index-keyed, so iteration order cannot reorder results.
-            for index, future in futures.items():  # analyze: ok(DET03): index-keyed merge
-                executed[index] = future.result()
-        finally:
-            pool.shutdown(wait=True)
-        perf.workers = min(workers, len(misses))
-    else:
-        for index in misses:
-            executed[index] = _execute_point(points[index].fn, points[index].kwargs)
-        perf.workers = 1
+    if misses:
+        # Every simulation a point runs ends in a full sweep; inside the
+        # batch that sweep walks the point's own garbage, not the whole
+        # process, and pool workers fork a heap no sweep will dirty.
+        with batch():
+            pool = _make_pool(min(workers, len(misses))) if workers > 1 and len(misses) > 1 else None
+            if pool is not None:
+                try:
+                    futures = {
+                        index: pool.submit(_execute_point, points[index].fn, points[index].kwargs)
+                        for index in misses
+                    }
+                    # Insertion-ordered (built from `misses` above); the merge is
+                    # index-keyed, so iteration order cannot reorder results.
+                    for index, future in futures.items():  # analyze: ok(DET03): index-keyed merge
+                        executed[index] = future.result()
+                finally:
+                    pool.shutdown(wait=True)
+                perf.workers = min(workers, len(misses))
+            else:
+                for index in misses:
+                    executed[index] = _execute_point(points[index].fn, points[index].kwargs)
+                perf.workers = 1
 
     for index, (value, events, elapsed) in executed.items():  # analyze: ok(DET03): index-keyed merge
         values[index] = value

@@ -43,13 +43,13 @@ Design notes
 
 from __future__ import annotations
 
-import gc
 import heapq
 import sys
 import warnings
 from math import inf
 from typing import Any, Callable, Optional
 
+from repro.sim.gcscope import paused
 from repro.sim.wheel import TimerWheel
 
 # Process-wide count of events executed by every Simulator instance.
@@ -182,13 +182,6 @@ class Simulator:
         # Called after every executed event (the invariant oracle hooks
         # in here).  The None check is the only cost when detached.
         self.post_event: Optional[Callable[[Any], Any]] = None
-        # Pause the cyclic garbage collector while run() executes.  The
-        # event and segment pools keep the hot loop nearly allocation-
-        # free, so generation-0 sweeps only add pauses; refcounting
-        # still frees the acyclic tuples/views immediately, and run()
-        # restores the collector (and sweeps once) on exit.  Set False
-        # for very long runs that churn cyclic object graphs.
-        self.pause_gc: bool = True
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -295,112 +288,107 @@ class Simulator:
         pool = self._pool
         pop = heapq.heappop
         getrefcount = _getrefcount
-        paused_gc = self.pause_gc and gc.isenabled()
-        if paused_gc:
-            gc.disable()
-        try:
-            while True:
-                # Merge the wheel's cached minimum with the heap head by
-                # exact (time, seq) -- identical order to a single heap.
-                timer = wheel._min
-                if timer is None and wheel._count:
-                    timer = wheel.find_min(self.now)
-                entry: Optional[tuple] = None
-                if queue:
-                    entry = queue[0]
-                    if len(entry) == 3 and entry[2].cancelled:
-                        pop(queue)
-                        ev = entry[2]
-                        if (
-                            getrefcount is not None
-                            and len(pool) < _POOL_MAX
-                            and getrefcount(ev) == _RECYCLE_REFS
+        with paused():
+            try:
+                while True:
+                    # Merge the wheel's cached minimum with the heap head by
+                    # exact (time, seq) -- identical order to a single heap.
+                    timer = wheel._min
+                    if timer is None and wheel._count:
+                        timer = wheel.find_min(self.now)
+                    entry: Optional[tuple] = None
+                    if queue:
+                        entry = queue[0]
+                        if len(entry) == 3 and entry[2].cancelled:
+                            pop(queue)
+                            ev = entry[2]
+                            if (
+                                getrefcount is not None
+                                and len(pool) < _POOL_MAX
+                                and getrefcount(ev) == _RECYCLE_REFS
+                            ):
+                                ev.fn = None
+                                ev.a0 = None
+                                ev.a1 = None
+                                pool.append(ev)
+                            continue
+                        if timer is not None and (
+                            timer._time < entry[0]
+                            or (
+                                timer._time == entry[0]
+                                and timer._seq < entry[1]  # analyze: ok(SEQ01): event counter, never wraps
+                            )
                         ):
-                            ev.fn = None
-                            ev.a0 = None
-                            ev.a1 = None
-                            pool.append(ev)
-                        continue
-                    if timer is not None and (
-                        timer._time < entry[0]
-                        or (
-                            timer._time == entry[0]
-                            and timer._seq < entry[1]  # analyze: ok(SEQ01): event counter, never wraps
-                        )
-                    ):
-                        entry = None  # the timer fires first
-                if entry is None:
-                    if timer is None:
-                        if until is not None:
+                            entry = None  # the timer fires first
+                    if entry is None:
+                        if timer is None:
+                            if until is not None:
+                                self.now = until
+                            break
+                        if until is not None and (
+                            timer._time > until or (exclusive and timer._time == until)
+                        ):
                             self.now = until
-                        break
-                    if until is not None and (
-                        timer._time > until or (exclusive and timer._time == until)
-                    ):
-                        self.now = until
-                        break
-                    wheel.remove(timer)
-                    self.now = timer._time
-                    timer._callback()
-                    if self.post_event is not None:
-                        self.post_event(timer)
-                else:
-                    if until is not None and (
-                        entry[0] > until or (exclusive and entry[0] == until)
-                    ):
-                        self.now = until
-                        break
-                    pop(queue)
-                    self._live -= 1
-                    self.now = entry[0]
-                    if len(entry) == 5:
-                        a1 = entry[4]
-                        if a1 is _NOARG:
-                            a0 = entry[3]
-                            if a0 is _NOARG:
-                                entry[2]()
-                            else:
-                                entry[2](a0)
-                        else:
-                            entry[2](entry[3], a1)
+                            break
+                        wheel.remove(timer)
+                        self.now = timer._time
+                        timer._callback()
                         if self.post_event is not None:
-                            self.post_event(entry)
+                            self.post_event(timer)
                     else:
-                        ev = entry[2]
-                        ev._sim = None
-                        n = ev.nargs
-                        if n == 1:
-                            ev.fn(ev.a0)
-                        elif n == 0:
-                            ev.fn()
-                        elif n == 2:
-                            ev.fn(ev.a0, ev.a1)
-                        else:
-                            ev.fn(*ev.a0)
-                        if self.post_event is not None:
-                            self.post_event(ev)
-                        elif (
-                            getrefcount is not None
-                            and len(pool) < _POOL_MAX
-                            and getrefcount(ev) == _RECYCLE_REFS
+                        if until is not None and (
+                            entry[0] > until or (exclusive and entry[0] == until)
                         ):
-                            ev.fn = None
-                            ev.a0 = None
-                            ev.a1 = None
-                            pool.append(ev)
-                self._events_run += 1
-                executed += 1
-                if max_events is not None and executed >= max_events:
-                    break
-        finally:
-            self._running = False
-            if paused_gc:
-                gc.enable()
-                gc.collect()
-            # Per-process throughput counter: workers meter their own
-            # events and report them through _execute_point's return
-            # value, so a worker-side copy is the intended behaviour.
-            _EVENTS_RUN_TOTAL += executed  # analyze: ok(MUT01): per-process counter, returned by workers
+                            self.now = until
+                            break
+                        pop(queue)
+                        self._live -= 1
+                        self.now = entry[0]
+                        if len(entry) == 5:
+                            a1 = entry[4]
+                            if a1 is _NOARG:
+                                a0 = entry[3]
+                                if a0 is _NOARG:
+                                    entry[2]()
+                                else:
+                                    entry[2](a0)
+                            else:
+                                entry[2](entry[3], a1)
+                            if self.post_event is not None:
+                                self.post_event(entry)
+                        else:
+                            ev = entry[2]
+                            ev._sim = None
+                            n = ev.nargs
+                            if n == 1:
+                                ev.fn(ev.a0)
+                            elif n == 0:
+                                ev.fn()
+                            elif n == 2:
+                                ev.fn(ev.a0, ev.a1)
+                            else:
+                                ev.fn(*ev.a0)
+                            if self.post_event is not None:
+                                self.post_event(ev)
+                            elif (
+                                getrefcount is not None
+                                and len(pool) < _POOL_MAX
+                                and getrefcount(ev) == _RECYCLE_REFS
+                            ):
+                                ev.fn = None
+                                ev.a0 = None
+                                ev.a1 = None
+                                pool.append(ev)
+                    self._events_run += 1
+                    executed += 1
+                    if max_events is not None and executed >= max_events:
+                        break
+            finally:
+                self._running = False
+                # Per-process throughput counter: workers meter their own
+                # events and report them through _execute_point's return
+                # value, so a worker-side copy is the intended behaviour.
+                _EVENTS_RUN_TOTAL += executed  # analyze: ok(MUT01): per-process counter, returned by workers
         return executed
 
     def next_event_time(self) -> float:

@@ -28,7 +28,6 @@ not sharded at all — `tests/test_federation.py` pins this.
 
 from __future__ import annotations
 
-import gc
 import multiprocessing
 import os
 import time
@@ -37,6 +36,7 @@ from dataclasses import dataclass
 from math import inf
 from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
+from repro.sim.gcscope import paused
 from repro.sim.shard import Message, ShardingError, shard_count_from_env
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -80,23 +80,23 @@ def _federation_worker_main(
         group = net._shards
         assert group is not None
         group.enter_worker(shard)
-        gc.disable()  # the parent-driven windows are the whole lifetime
         sim = group.sims[shard]
         conn.send(("ready", sim.next_event_time()))
-        while True:
-            command = conn.recv()
-            kind = command[0]
-            if kind == "window":
-                _, horizon, inclusive, messages = command
-                next_time, executed, outbound = group.run_worker_window(
-                    horizon, inclusive, messages
-                )
-                conn.send(("done", next_time, executed, outbound))
-            elif kind == "collect":
-                conn.send(("result", collect(net, shard)))
-                return
-            else:  # pragma: no cover - protocol misuse
-                raise ShardingError(f"unknown federation command {kind!r}")
+        with paused():  # the parent-driven windows are the whole lifetime
+            while True:
+                command = conn.recv()
+                kind = command[0]
+                if kind == "window":
+                    _, horizon, inclusive, messages = command
+                    next_time, executed, outbound = group.run_worker_window(
+                        horizon, inclusive, messages
+                    )
+                    conn.send(("done", next_time, executed, outbound))
+                elif kind == "collect":
+                    conn.send(("result", collect(net, shard)))
+                    return
+                else:  # pragma: no cover - protocol misuse
+                    raise ShardingError(f"unknown federation command {kind!r}")
     except BaseException as error:  # recorded: shipped to the parent, which raises
         try:
             conn.send(("error", f"{type(error).__name__}: {error}\n{traceback.format_exc()}"))

@@ -44,12 +44,12 @@ positive delay (zero lookahead would deadlock the window protocol);
 
 from __future__ import annotations
 
-import gc
 import os
 from math import inf
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.sim.engine import Simulator
+from repro.sim.gcscope import paused
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.packet import Segment
@@ -132,10 +132,6 @@ class ShardGroup:
             raise ShardingError(f"shard count must be >= 1, got {count}")
         self.count = count
         self.sims = [Simulator() for _ in range(count)]
-        for sim in self.sims:
-            # The drivers pause GC once around a whole run; per-window
-            # collector churn inside Simulator.run would dominate.
-            sim.pause_gc = False
         self.boundaries: list[ShardBoundary] = []
         # Per-shard minimum outbound cut delay (merged-mode lookahead)
         # and the global minimum (windowed-mode lookahead).
@@ -156,7 +152,6 @@ class ShardGroup:
         # Set inside a forked federation worker: the one shard this
         # process executes.
         self._worker_shard = -1
-        self.pause_gc = True
         self.windows_run = 0
 
     # ------------------------------------------------------------------
@@ -209,10 +204,7 @@ class ShardGroup:
         lookahead = self._lookahead
         executed = 0
         finished = False
-        paused_gc = self.pause_gc and gc.isenabled()
-        if paused_gc:
-            gc.disable()
-        try:
+        with paused():
             while True:
                 best = -1
                 best_t = inf
@@ -250,10 +242,6 @@ class ShardGroup:
                 executed += ran
                 if max_events is not None and executed >= max_events:
                     break
-        finally:
-            if paused_gc:
-                gc.enable()
-                gc.collect()
         if finished and until is not None:
             for sim in sims:
                 if sim.now < until:
@@ -274,10 +262,7 @@ class ShardGroup:
             raise ShardingError("windowed execution needs an explicit horizon")
         sims = self.sims
         executed = 0
-        paused_gc = self.pause_gc and gc.isenabled()
-        if paused_gc:
-            gc.disable()
-        try:
+        with paused():
             while True:
                 m = min(sim.next_event_time() for sim in sims)  # analyze: ok(CPX01): one term per shard, bounded by --shards not workload
                 if m > until:
@@ -297,10 +282,6 @@ class ShardGroup:
                 self.inject(outbox)
                 if inclusive:
                     break
-        finally:
-            if paused_gc:
-                gc.enable()
-                gc.collect()
         for sim in sims:
             if sim.now < until:
                 sim.now = until
@@ -444,14 +425,6 @@ class ShardedClock:
     def post_event(self, hook: Optional[Callable[[Any], Any]]) -> None:
         for sim in self._group.sims:
             sim.post_event = hook
-
-    @property
-    def pause_gc(self) -> bool:
-        return self._group.pause_gc
-
-    @pause_gc.setter
-    def pause_gc(self, value: bool) -> None:
-        self._group.pause_gc = value
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<ShardedClock over {self._group.count} shards now={self.now:.6f}>"

@@ -13,8 +13,20 @@ from repro.mptcp.api import listen as mptcp_listen
 from repro.mptcp.connection import MPTCPConfig
 from repro.net.network import Network
 from repro.net.packet import Endpoint
+from repro.sim import gcscope
 from repro.tcp.listener import Listener
 from repro.tcp.socket import TCPConfig, TCPSocket
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _gc_batch():
+    """A test session is a loop of short runs, each ending in a full
+    sweep: freeze what collection left alive (pytest, the imported
+    packages, every test item) so those sweeps stop walking it.  Inner
+    ``batch()`` scopes — the sweep runner's — are no-ops under test."""
+    with gcscope.batch():
+        yield
+
 
 # ---------------------------------------------------------------------------
 # REPRO_ORACLE=1 runs the whole suite under the invariant oracle: every
