@@ -17,7 +17,6 @@ import time
 from pathlib import Path
 
 from repro.experiments.common import THREEG, WIFI, mptcp_variant_config, run_mptcp_bulk
-from repro.net.network import Network
 from repro.sim.engine import events_run_total
 
 from conftest import run_median_of_3
@@ -27,18 +26,6 @@ BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 DURATION = 20.0  # simulated seconds
 BUFFER_BYTES = 500 * 1024
 SEED = 4
-
-
-def test_pooling_active_on_a_bare_network():
-    # The throughput numbers below assume the event pool is live.  If a
-    # stray post_event hook (oracle, tracer) leaks into the benchmark
-    # environment, recycling silently stops and the measured rate is an
-    # allocator benchmark instead — fail loudly up front.
-    sim = Network(seed=SEED).sim
-    assert sim.pooling_active, (
-        "event recycling is disabled on a freshly built Network; "
-        "a post_event hook is attached or refcount probing is unavailable"
-    )
 
 
 def _canonical_transfer():

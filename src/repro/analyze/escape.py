@@ -43,14 +43,14 @@ point cannot see:
   name of its definer.
 
 Passing a pooled segment to ``sim.schedule``/``post`` is *not* flagged:
-the in-flight handoff through the event heap is sanctioned (the event's
-argument slot is part of the refcount baseline the recycle guard
-measures against).
+the in-flight handoff through the event heap is sanctioned (the heap
+tuple's argument slot is part of the refcount baseline the recycle
+guard measures against).
 
 Two ownership checks ride along, independent of value flow:
-``.release()`` calls outside the pool owners (net/packet.py, the
-automated site in net/node.py, sim/engine.py), and direct ``_pool``
-pokes spelled ``Segment._pool`` / ``Event._pool`` outside the owners.
+``.release()`` calls outside the pool owners (net/packet.py and the
+automated site in net/node.py), and direct ``Segment._pool`` pokes
+outside net/packet.py.
 """
 
 from __future__ import annotations
@@ -71,13 +71,9 @@ POOLED_PARAM_NAMES = frozenset({"segment"})
 BLESSED_PRODUCERS = frozenset({"copy", "to_wire"})
 
 # Files allowed to call .release() (packet.py defines it, node.py holds
-# the one automated release site, engine.py owns the Event pool).
-RELEASE_OWNER_SUFFIXES = (
-    "repro/net/packet.py",
-    "repro/net/node.py",
-    "repro/sim/engine.py",
-)
-POOL_OWNER_SUFFIXES = ("repro/net/packet.py", "repro/sim/engine.py")
+# the one automated release site).
+RELEASE_OWNER_SUFFIXES = ("repro/net/packet.py", "repro/net/node.py")
+POOL_OWNER_SUFFIXES = ("repro/net/packet.py",)
 
 # Container mutators (mirrors MUT01): pooled arguments entering one of
 # these on object state escape the call.
@@ -430,11 +426,11 @@ def _check_pool_access(rule, ctx: FileContext) -> Iterator[Finding]:
             isinstance(node, ast.Attribute)
             and node.attr == "_pool"
             and isinstance(node.value, ast.Name)
-            and node.value.id in ("Segment", "Event")
+            and node.value.id == "Segment"
         ):
             yield rule.finding(
                 ctx,
                 node,
-                f"direct {node.value.id}._pool access outside the pool "
+                "direct Segment._pool access outside the pool "
                 "owners — the free list is private to the flyweight",
             )

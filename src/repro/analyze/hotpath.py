@@ -1,6 +1,6 @@
 """HOT01 — ratcheted allocation lint for the ``Simulator.run`` closure.
 
-PR 6's flyweight work (timer wheel, event/segment pools, preparsed
+PR 6's flyweight work (timer wheel, segment pool, preparsed
 options) bought a 2.06x hot-loop win by eliminating per-event object
 churn; nothing stops a later patch from quietly reintroducing it.  This
 pass computes the call-graph closure of the simulator's inner loop and
@@ -18,9 +18,9 @@ counts *allocation sites* per function inside it:
 The hot closure is seeded from ``Simulator.run`` itself plus every
 *callback reference* handed to the scheduling API (``schedule``,
 ``schedule_at``, ``post``, ``post_at``, ``call_soon``, and ``Timer``
-constructions): whatever the event loop will invoke is hot, and the
-forward closure over the PR-4 call graph extends that to everything it
-calls.
+constructions, direct or through ``sim.timer``): whatever the event
+loop will invoke is hot, and the forward closure over the PR-4 call
+graph extends that to everything it calls.
 
 Counts are compared against a committed per-function budget
 (``src/repro/analyze/hot_budget.json``, keyed by the repo-relative
@@ -52,6 +52,7 @@ SCHEDULE_CALLBACK_ARG = {
     "post_at": 1,
     "call_soon": 0,
     "Timer": 1,
+    "timer": 0,
 }
 
 _CONTAINER_CALLS = frozenset({"list", "dict", "set"})

@@ -674,12 +674,10 @@ class Pool01PooledEscape(Rule):
         "can observe the shell rewritten under it by the next acquire.  "
         "Retention must go through segment.copy()/to_wire(); release() and "
         "the _pool free list belong to the owners (packet.py, the automated "
-        "delivery site in node.py, engine.py's Event pool, link.py's "
-        "in-flight TX queue)."
+        "delivery site in node.py, link.py's in-flight TX queue)."
     )
     allow = (
         "repro/net/packet.py",
-        "repro/sim/engine.py",
         "repro/net/link.py",
     )
     needs_project = True

@@ -53,7 +53,6 @@ import hashlib
 from typing import TYPE_CHECKING, Optional
 
 from repro.mptcp.connection import MPTCPConnection
-from repro.sim.engine import warn_pooling_disabled
 from repro.mptcp.subflow import Subflow
 from repro.net.trace import PacketTrace
 from repro.tcp.cc import NewReno
@@ -174,10 +173,6 @@ class InvariantOracle:
         oracle = cls(network, tail=tail)
         if network.sim.post_event is not None:
             raise RuntimeError("simulator already has a post_event hook")
-        # The hook keeps every executed event alive, so the engine's
-        # Event pool stops recycling while the oracle is attached.  Say
-        # so once instead of silently changing the allocation profile.
-        warn_pooling_disabled("the invariant oracle attached a post_event hook")
         network.sim.post_event = oracle._post_event
         network._oracle = oracle
         oracle._tap_new_paths()
@@ -190,7 +185,7 @@ class InvariantOracle:
     # ------------------------------------------------------------------
     # Per-event driver
     # ------------------------------------------------------------------
-    def _post_event(self, event) -> None:
+    def _post_event(self) -> None:
         self.events_checked += 1
         self._tap_new_paths()
         self._discover()

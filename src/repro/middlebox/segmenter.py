@@ -18,12 +18,14 @@ the degradation (not breakage) the paper describes.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from repro.net.options import fits_option_space
 from repro.net.packet import FIN, PSH, Endpoint, Segment
 from repro.net.path import PathElement
 from repro.net.payload import as_bytes
+from repro.sim.engine import Timer
 from repro.tcp.seq import seq_add
 
 
@@ -94,7 +96,7 @@ class SegmentCoalescer(PathElement):
         self.max_size = max_size
         self.merge_probability = merge_probability
         self.rng = rng or SeededRNG(0, name)
-        self._held: dict[tuple[Endpoint, Endpoint], tuple[Segment, int, object]] = {}
+        self._held: dict[tuple[Endpoint, Endpoint], tuple[Segment, int, Timer]] = {}
         self.merges = 0
 
     def process(self, segment: Segment, direction: int) -> list[tuple[Segment, int]]:
@@ -128,7 +130,8 @@ class SegmentCoalescer(PathElement):
                 self.merges += 1
                 return []
             self._flush_flow(key)
-        timer = self.sim.schedule(self.hold_time, self._flush_flow, key)
+        timer = Timer(self.sim, partial(self._flush_flow, key))
+        timer.start(self.hold_time)
         # The hold happens *before* delivery: the segment has not
         # reached Host.deliver yet, so the recycle refcount baseline is
         # taken after the coalescer releases it via _flush_flow.
@@ -140,6 +143,5 @@ class SegmentCoalescer(PathElement):
         if held is None:
             return
         segment, direction, timer = held
-        if timer is not None:
-            timer.cancel()
+        timer.stop()
         self.inject(segment, direction)

@@ -131,9 +131,8 @@ class Link:
             self._queued_bytes -= next_size
             tx_time = next_size * 8 / self.rate_bps
             self.stats.busy_time += tx_time
-            # post(): fire-and-forget fast path — in-flight
-            # serialisation is never cancelled, so no Event object is
-            # needed.  (_busy is already True on this path.)
+            # post(): in-flight serialisation is never cancelled, so it
+            # needs no Timer.  (_busy is already True on this path.)
             self.sim.post(tx_time, self._tx_done, next_segment, next_size)
         else:
             self._busy = False

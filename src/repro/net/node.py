@@ -198,15 +198,11 @@ class Host:
         # proof: a trace stores copies, and a middlebox hold (Reorderer
         # parks pure ACKs too) keeps the refcount baseline elevated so
         # the equality check simply declines to recycle.  A post_event
-        # hook is the one referer that observes the segment *after* this
-        # branch returns — the run loop hands it the executed event,
-        # whose argument slot still aliases the segment — so recycling
-        # must stand down while a hook is attached, exactly as the Event
-        # pool does (sim/engine.py).
+        # hook (the invariant oracle) is handed no arguments, so it can
+        # never observe the shell; recycling stays live under it.
         network = self.network
         if (
             not hooks
-            and self.sim.post_event is None
             and segment.payload_len == 0
             and segment.flags == ACK
             and network is not None

@@ -12,11 +12,11 @@ conservative lookahead synchronisation — see :mod:`repro.sim.shard`
 process per shard).
 """
 
-from repro.sim.engine import Event, Simulator, Timer, events_run_total
+from repro.sim.engine import Simulator, Timer, events_run_total
 
 # NOTE: repro.sim.shard / repro.sim.federation are intentionally not
 # imported here — repro.sim must stay import-light (and free of cycles:
 # shard boundaries deserialise repro.net segments).
 from repro.sim.rng import SeededRNG
 
-__all__ = ["Event", "Simulator", "Timer", "SeededRNG", "events_run_total"]
+__all__ = ["Simulator", "Timer", "SeededRNG", "events_run_total"]

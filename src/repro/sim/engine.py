@@ -1,51 +1,41 @@
-"""Event loop: a deterministic flyweight scheduler.
+"""Event loop: a deterministic scheduler with one way onto the clock.
 
 Design notes
 ------------
-* Events are ordered by ``(time, sequence_number)``.  The monotonically
+* All work is ordered by ``(time, sequence_number)``.  The monotonically
   increasing sequence number makes simultaneous events run in the order
   they were scheduled, which keeps runs reproducible.  Timers share the
   same counter, so wheel-managed timers and heap events interleave in
   exactly the order a single heap would produce.
-* The heap stores plain tuples, never objects with ``__lt__``:
-  ``(time, seq, event)`` for cancellable :meth:`Simulator.schedule`
-  events and ``(time, seq, fn, a0, a1)`` for the internal
-  :meth:`Simulator.post` fast path.  Seqs are unique, so comparisons
-  are decided at C speed by the first two elements and the mixed tuple
-  widths are never compared against each other.
-* :meth:`Simulator.post` is the datapath's scheduling call: no Event
-  allocation, no cancellation support, arguments inlined into the heap
-  tuple.  Use it for fire-and-forget work (link transmit/deliver);
-  anything that may need ``cancel()`` goes through ``schedule``.
-* :class:`Event` instances are pooled: when an executed (or popped
-  cancelled) event has no outside references -- checked with
-  ``sys.getrefcount`` -- it is reset and recycled for a later
-  ``schedule`` call, so steady-state scheduling allocates nothing.
-  Holding a reference (as ``Timer`` clients and tests do) is always
-  safe: an escaped event is simply never recycled.  Recycling is also
-  skipped while a ``post_event`` hook (the invariant oracle) is
-  attached, so the hook never observes a reset event.  Arguments are
-  inlined into two slots (``a0``/``a1``); the rare 3+-argument call
-  falls back to a tuple.
-* Cancellation is lazy: :meth:`Event.cancel` marks the event and the
-  main loop skips it when popped.  A live counter makes
-  :attr:`Simulator.pending` O(1), and when cancelled corpses dominate a
-  large queue it is compacted in one O(n) pass.
-* :class:`Timer` -- the restartable one-shot used by TCP
-  retransmission and delayed-ACK logic -- no longer touches the heap at
-  all.  Timers are intrusive entries on a hierarchical timer wheel
-  (:mod:`repro.sim.wheel`): ``start``/``restart``/``stop`` are O(1)
+* The heap holds one entry shape: the fire-and-forget tuple
+  ``(time, seq, fn, a0, a1)``.  Seqs are unique, so comparisons are
+  decided at C speed by the first two elements.  ``schedule``,
+  ``schedule_at``, ``call_soon``, ``post`` and ``post_at`` are five
+  spellings of one private push (:meth:`Simulator._push`), which is
+  also the one place a scheduling time is validated.  Up to two
+  positional arguments are inlined into the tuple; the rare 3+-argument
+  call rides behind a spreading trampoline in the same two slots.
+  Nothing pushed onto the heap can be cancelled and nothing is handed
+  back to the caller.
+* :class:`Timer` is the only cancellable thing -- the restartable
+  one-shot behind TCP retransmission, delayed ACKs, the coalescer's
+  hold and the memory sampler.  Timers never touch the heap: they are
+  intrusive entries on a hierarchical timer wheel
+  (:mod:`repro.sim.wheel`), so ``start``/``restart``/``stop`` are O(1)
   pointer relinks, a restart to the identical deadline is a no-op, and
-  the per-ACK restart churn leaves no corpses behind.  The run loop
-  merges the wheel's cached minimum with the heap head by
-  ``(time, seq)``.
+  a stopped timer leaves nothing behind for the loop to skip.
+* :meth:`Simulator.run` is the single dispatch body.  Each iteration
+  merges the wheel's cached minimum with the heap head by exact
+  ``(time, seq)`` and fires one of two arms: timer or tuple.
+* ``post_event`` is an argument-less hook called after every executed
+  event (the invariant oracle).  It is handed nothing, so nothing it
+  sees can alias an object a pool has taken back: flyweight recycling
+  (``Segment`` shells in ``Host.deliver``) stays live under the hook.
 """
 
 from __future__ import annotations
 
 import heapq
-import sys
-import warnings
 from math import inf
 from typing import Any, Callable, Optional
 
@@ -67,91 +57,10 @@ def events_run_total() -> int:
 # argument value, so absence needs its own marker).
 _NOARG: Any = object()
 
-# CPython-only: an event popped for execution is referenced exactly by
-# the heap tuple, the loop's local, and getrefcount's argument.  More
-# references mean someone outside the engine still holds the event, so
-# it must not be recycled.  On runtimes without getrefcount the pool
-# never recycles -- correct, just not flyweight.
-_getrefcount: Optional[Callable[[Any], int]] = getattr(sys, "getrefcount", None)
-_RECYCLE_REFS = 3
 
-# Retention contract: the free list never holds more than this many
-# Event shells, so a burst of scheduling cannot pin memory afterwards.
-_POOL_MAX = 256
-
-# One-time latch for warn_pooling_disabled(): the hint is useful exactly
-# once per process, after which it is noise.
-_POOLING_DISABLED_WARNED = False
-
-
-def warn_pooling_disabled(reason: str) -> None:
-    """Warn (once per process) that Event recycling is bypassed.
-
-    Attaching a ``post_event`` hook — the invariant oracle is the one
-    shipping client — keeps every executed event alive for the hook, so
-    the pool can never prove exclusive ownership and recycling stops.
-    That is correct but easy to miss in a benchmark; this makes it loud.
-    """
-    global _POOLING_DISABLED_WARNED
-    if _POOLING_DISABLED_WARNED:
-        return
-    _POOLING_DISABLED_WARNED = True  # analyze: ok(MUT01): once-per-process warning latch; a forked worker's copy is fine
-    warnings.warn(
-        f"Event recycling disabled: {reason}. Executed events are handed "
-        "to the post_event hook instead of the pool, so hot-path "
-        "allocation rates rise while the hook stays attached "
-        "(Simulator.pooling_active is now False).",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
-class Event:
-    """A scheduled callback.  Returned by :meth:`Simulator.schedule`."""
-
-    __slots__ = ("time", "seq", "fn", "a0", "a1", "nargs", "cancelled", "_sim")
-
-    def __init__(self, time: float, seq: int, fn: Optional[Callable[..., Any]]):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.a0: Any = None
-        self.a1: Any = None
-        self.nargs = 0
-        self.cancelled = False
-        self._sim: Optional["Simulator"] = None
-
-    @property
-    def args(self) -> tuple:
-        """The scheduled positional arguments (inlined internally)."""
-        n = self.nargs
-        if n == 0:
-            return ()
-        if n == 1:
-            return (self.a0,)
-        if n == 2:
-            return (self.a0, self.a1)
-        return self.a0  # 3+ args kept as an actual tuple
-
-    def cancel(self) -> None:
-        """Prevent the event from firing.  Safe to call more than once."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self._sim is not None:
-            self._sim._on_cancel()
-            self._sim = None
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        # Scheduling tiebreaker: a monotonically increasing Python int,
-        # not a wrapping 32-bit wire sequence number.
-        return self.seq < other.seq  # analyze: ok(SEQ01): event counter, never wraps
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = " cancelled" if self.cancelled else ""
-        return f"<Event t={self.time:.6f} fn={getattr(self.fn, '__name__', self.fn)}{state}>"
+def _spread(fn: Callable[..., Any], args: tuple) -> None:
+    """Trampoline carrying a 3+-argument call in the two heap slots."""
+    fn(*args)
 
 
 class Simulator:
@@ -159,106 +68,69 @@ class Simulator:
 
     >>> sim = Simulator()
     >>> hits = []
-    >>> _ = sim.schedule(1.0, hits.append, "a")
-    >>> _ = sim.schedule(0.5, hits.append, "b")
+    >>> sim.schedule(1.0, hits.append, "a")
+    >>> sim.schedule(0.5, hits.append, "b")
     >>> sim.run()
+    2
     >>> hits
     ['b', 'a']
     """
-
-    # Compaction: rebuild the heap once cancelled events outnumber live
-    # ones and the queue is big enough for the O(n) pass to pay off.
-    _COMPACT_MIN_SIZE = 64
 
     def __init__(self) -> None:
         self.now: float = 0.0
         self._queue: list[tuple] = []
         self._seq: int = 0
         self._events_run: int = 0
-        self._live: int = 0  # queued events that are not cancelled
-        self._running: bool = False
         self._wheel = TimerWheel()
-        self._pool: list[Event] = []
-        # Called after every executed event (the invariant oracle hooks
-        # in here).  The None check is the only cost when detached.
-        self.post_event: Optional[Callable[[Any], Any]] = None
+        # Called with no arguments after every executed event (the
+        # invariant oracle hooks in here).  The None check is the only
+        # cost when detached.
+        self.post_event: Optional[Callable[[], Any]] = None
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        return self.schedule_at(self.now + delay, fn, *args)
-
-    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at an absolute simulated time."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
+    def _push(
+        self, time: float, fn: Callable[..., Any], a0: Any = _NOARG, a1: Any = _NOARG
+    ) -> None:
+        """The one way onto the heap.  ``not time >= now`` (rather than
+        ``time < now``) also refuses NaN, which would otherwise fire and
+        poison the clock for the rest of the run."""
+        if not time >= self.now:
+            raise ValueError(f"cannot schedule at {time!r}: not at or after now={self.now!r}")
         seq = self._seq
         self._seq = seq + 1  # analyze: ok(SEQ01): event counter, never wraps
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.seq = seq
-            event.fn = fn
-            event.cancelled = False
-        else:
-            event = Event(time, seq, fn)
-        n = len(args)
-        if n == 0:
-            event.nargs = 0
-        elif n == 1:
-            event.nargs = 1
-            event.a0 = args[0]
-        elif n == 2:
-            event.nargs = 2
-            event.a0 = args[0]
-            event.a1 = args[1]
-        else:
-            event.nargs = -1
-            event.a0 = args
-        event._sim = self
-        self._live += 1
-        heapq.heappush(self._queue, (time, seq, event))
-        return event
-
-    def post(self, delay: float, fn: Callable[..., Any], a0: Any = _NOARG, a1: Any = _NOARG) -> None:
-        """Fire-and-forget fast path: schedule ``fn`` with up to two
-        positional arguments, with no :class:`Event` and therefore no
-        way to cancel.  The datapath (link transmit/deliver) lives on
-        this; it allocates nothing beyond the heap tuple itself."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        seq = self._seq
-        self._seq = seq + 1  # analyze: ok(SEQ01): event counter, never wraps
-        self._live += 1
-        heapq.heappush(self._queue, (self.now + delay, seq, fn, a0, a1))
-
-    def post_at(self, time: float, fn: Callable[..., Any], a0: Any = _NOARG, a1: Any = _NOARG) -> None:
-        """Absolute-time variant of :meth:`post`."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        seq = self._seq
-        self._seq = seq + 1  # analyze: ok(SEQ01): event counter, never wraps
-        self._live += 1
         heapq.heappush(self._queue, (time, seq, fn, a0, a1))
 
-    def _on_cancel(self) -> None:
-        """Bookkeeping for :meth:`Event.cancel`; compacts the heap when
-        cancelled corpses make up more than half of a large queue."""
-        self._live -= 1
-        queue = self._queue
-        if len(queue) >= self._COMPACT_MIN_SIZE and self._live * 2 < len(queue):
-            # In place: the run loop holds a local reference to the list.
-            queue[:] = [e for e in queue if len(e) != 3 or not e[2].cancelled]
-            heapq.heapify(queue)
+    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Schedule ``fn(*args)`` at an absolute simulated time."""
+        if len(args) > 2:
+            self._push(time, _spread, fn, args)
+        else:
+            self._push(time, fn, *args)
 
-    def call_soon(self, fn: Callable[..., Any], *args: Any) -> Event:
+    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
+        self.schedule_at(self.now + delay, fn, *args)
+
+    def call_soon(self, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at the current time, after pending events."""
-        return self.schedule_at(self.now, fn, *args)
+        self.schedule_at(self.now, fn, *args)
+
+    def post_at(self, time: float, fn: Callable[..., Any], a0: Any = _NOARG, a1: Any = _NOARG) -> None:
+        """The datapath's spelling: at most two positional arguments,
+        named rather than starred so the call builds no argument tuple."""
+        self._push(time, fn, a0, a1)
+
+    def post(self, delay: float, fn: Callable[..., Any], a0: Any = _NOARG, a1: Any = _NOARG) -> None:
+        """Relative-time variant of :meth:`post_at` (link transmit/deliver)."""
+        self._push(self.now + delay, fn, a0, a1)
+
+    def timer(self, callback: Callable[[], Any]) -> "Timer":
+        """A :class:`Timer` on this simulator.  Code handed a
+        ``Network.sim`` (which may be a ``ShardedClock``) builds its
+        timers here so they land on a real simulator either way."""
+        return Timer(self, callback)
 
     # ------------------------------------------------------------------
     # Execution
@@ -271,7 +143,9 @@ class Simulator:
     ) -> int:
         """Run events until the queue drains, ``until`` is reached, or
         ``max_events`` events have executed.  Returns the number of
-        events executed.
+        events executed.  Draining or reaching ``until`` advances the
+        clock to ``until`` (never backwards); spending ``max_events``
+        leaves it at the last event.
 
         ``exclusive=True`` makes ``until`` a strict bound: events *at*
         ``until`` stay queued (the sharded drivers use this to execute a
@@ -281,13 +155,10 @@ class Simulator:
         global _EVENTS_RUN_TOTAL
         if exclusive and until is None:
             raise ValueError("exclusive run requires an explicit until bound")
-        self._running = True
         executed = 0
         queue = self._queue
         wheel = self._wheel
-        pool = self._pool
         pop = heapq.heappop
-        getrefcount = _getrefcount
         with paused():
             try:
                 while True:
@@ -299,19 +170,6 @@ class Simulator:
                     entry: Optional[tuple] = None
                     if queue:
                         entry = queue[0]
-                        if len(entry) == 3 and entry[2].cancelled:
-                            pop(queue)
-                            ev = entry[2]
-                            if (
-                                getrefcount is not None
-                                and len(pool) < _POOL_MAX
-                                and getrefcount(ev) == _RECYCLE_REFS
-                            ):
-                                ev.fn = None
-                                ev.a0 = None
-                                ev.a1 = None
-                                pool.append(ev)
-                            continue
                         if timer is not None and (
                             timer._time < entry[0]
                             or (
@@ -320,71 +178,40 @@ class Simulator:
                             )
                         ):
                             entry = None  # the timer fires first
-                    if entry is None:
-                        if timer is None:
-                            if until is not None:
-                                self.now = until
-                            break
-                        if until is not None and (
-                            timer._time > until or (exclusive and timer._time == until)
-                        ):
-                            self.now = until
-                            break
-                        wheel.remove(timer)
-                        self.now = timer._time
-                        timer._callback()
-                        if self.post_event is not None:
-                            self.post_event(timer)
+                    if entry is not None:
+                        time = entry[0]
+                    elif timer is not None:
+                        time = timer._time
                     else:
-                        if until is not None and (
-                            entry[0] > until or (exclusive and entry[0] == until)
-                        ):
-                            self.now = until
-                            break
+                        break  # drained
+                    if until is not None and (
+                        time > until or (exclusive and time == until)
+                    ):
+                        break
+                    self.now = time
+                    if entry is None:
+                        wheel.remove(timer)
+                        timer._callback()
+                    else:
                         pop(queue)
-                        self._live -= 1
-                        self.now = entry[0]
-                        if len(entry) == 5:
-                            a1 = entry[4]
-                            if a1 is _NOARG:
-                                a0 = entry[3]
-                                if a0 is _NOARG:
-                                    entry[2]()
-                                else:
-                                    entry[2](a0)
+                        a1 = entry[4]
+                        if a1 is _NOARG:
+                            a0 = entry[3]
+                            if a0 is _NOARG:
+                                entry[2]()
                             else:
-                                entry[2](entry[3], a1)
-                            if self.post_event is not None:
-                                self.post_event(entry)
+                                entry[2](a0)
                         else:
-                            ev = entry[2]
-                            ev._sim = None
-                            n = ev.nargs
-                            if n == 1:
-                                ev.fn(ev.a0)
-                            elif n == 0:
-                                ev.fn()
-                            elif n == 2:
-                                ev.fn(ev.a0, ev.a1)
-                            else:
-                                ev.fn(*ev.a0)
-                            if self.post_event is not None:
-                                self.post_event(ev)
-                            elif (
-                                getrefcount is not None
-                                and len(pool) < _POOL_MAX
-                                and getrefcount(ev) == _RECYCLE_REFS
-                            ):
-                                ev.fn = None
-                                ev.a0 = None
-                                ev.a1 = None
-                                pool.append(ev)
-                    self._events_run += 1
+                            entry[2](entry[3], a1)
+                    if self.post_event is not None:
+                        self.post_event()
                     executed += 1
                     if max_events is not None and executed >= max_events:
-                        break
+                        return executed
+                if until is not None and until > self.now:
+                    self.now = until
             finally:
-                self._running = False
+                self._events_run += executed
                 # Per-process throughput counter: workers meter their own
                 # events and report them through _execute_point's return
                 # value, so a worker-side copy is the intended behaviour.
@@ -392,20 +219,11 @@ class Simulator:
         return executed
 
     def next_event_time(self) -> float:
-        """Time of the earliest runnable event (heap or wheel), or
-        ``math.inf`` when nothing is queued.  Pops cancelled corpses off
-        the heap head so the answer is exact; does not advance the clock.
-        The sharded drivers poll this to compute safe execution windows.
+        """Time of the earliest event (heap or wheel), or ``math.inf``
+        when nothing is queued.  Does not advance the clock.  The
+        sharded drivers poll this to compute safe execution windows.
         """
-        queue = self._queue
-        head = inf
-        while queue:
-            entry = queue[0]
-            if len(entry) == 3 and entry[2].cancelled:
-                heapq.heappop(queue)
-                continue
-            head = entry[0]
-            break
+        head = self._queue[0][0] if self._queue else inf
         wheel = self._wheel
         timer = wheel._min
         if timer is None and wheel._count:
@@ -414,86 +232,10 @@ class Simulator:
             return timer._time
         return head
 
-    def step(self) -> bool:
-        """Run a single event.  Returns False when the queue is empty."""
-        global _EVENTS_RUN_TOTAL
-        queue = self._queue
-        wheel = self._wheel
-        while True:
-            timer = wheel._min
-            if timer is None and wheel._count:
-                timer = wheel.find_min(self.now)
-            entry: Optional[tuple] = None
-            if queue:
-                entry = queue[0]
-                if len(entry) == 3 and entry[2].cancelled:
-                    heapq.heappop(queue)
-                    continue
-                if timer is not None and (
-                    timer._time < entry[0]
-                    or (
-                        timer._time == entry[0]
-                        and timer._seq < entry[1]  # analyze: ok(SEQ01): event counter, never wraps
-                    )
-                ):
-                    entry = None
-            if entry is None:
-                if timer is None:
-                    return False
-                wheel.remove(timer)
-                self.now = timer._time
-                timer._callback()
-                if self.post_event is not None:
-                    self.post_event(timer)
-            else:
-                heapq.heappop(queue)
-                self._live -= 1
-                self.now = entry[0]
-                if len(entry) == 5:
-                    a1 = entry[4]
-                    if a1 is _NOARG:
-                        a0 = entry[3]
-                        if a0 is _NOARG:
-                            entry[2]()
-                        else:
-                            entry[2](a0)
-                    else:
-                        entry[2](entry[3], a1)
-                    if self.post_event is not None:
-                        self.post_event(entry)
-                else:
-                    ev = entry[2]
-                    ev._sim = None
-                    n = ev.nargs
-                    if n == 1:
-                        ev.fn(ev.a0)
-                    elif n == 0:
-                        ev.fn()
-                    elif n == 2:
-                        ev.fn(ev.a0, ev.a1)
-                    else:
-                        ev.fn(*ev.a0)
-                    if self.post_event is not None:
-                        self.post_event(ev)
-            self._events_run += 1
-            _EVENTS_RUN_TOTAL += 1
-            return True
-
     @property
     def pending(self) -> int:
-        """Number of queued, non-cancelled events (timers included).  O(1)."""
-        return self._live + self._wheel._count
-
-    @property
-    def pooling_active(self) -> bool:
-        """True when executed events are eligible for pool recycling.
-
-        False while a ``post_event`` hook (the invariant oracle) is
-        attached, or on runtimes without ``sys.getrefcount``.
-        Benchmarks assert this so a stray hook cannot silently turn a
-        flyweight measurement into an allocation benchmark.
-        """
-        return self.post_event is None and _getrefcount is not None
+        """Number of queued events (armed timers included).  O(1)."""
+        return len(self._queue) + self._wheel._count
 
     @property
     def events_run(self) -> int:
@@ -537,8 +279,8 @@ class Timer:
         """Arm the timer; raises if it is already running."""
         if self._wlevel >= 0:
             raise RuntimeError("timer already running")
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
+        if not delay >= 0:  # also refuses NaN
+            raise ValueError(f"timer delay must be >= 0, got {delay!r}")
         sim = self._sim
         self._time = sim.now + delay
         self._seq = sim._seq
@@ -548,8 +290,8 @@ class Timer:
     def restart(self, delay: float) -> None:
         """(Re)arm the timer, dropping any pending expiry.  A restart to
         the deadline already pending is a no-op relink-free return."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
+        if not delay >= 0:  # also refuses NaN
+            raise ValueError(f"timer delay must be >= 0, got {delay!r}")
         sim = self._sim
         time = sim.now + delay
         if self._wlevel >= 0:

@@ -48,7 +48,7 @@ import os
 from math import inf
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, Timer
 from repro.sim.gcscope import paused
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -356,6 +356,7 @@ class ShardedClock:
     * scheduling targets the running shard (callbacks rescheduling
       themselves stay home); from outside a run it targets shard 0 for
       the merged/windowed drivers, or the pinned shard in a worker.
+      ``timer()`` binds the new timer to that same simulator for life.
     * assigning ``post_event`` broadcasts the hook to every shard.
     """
 
@@ -379,14 +380,14 @@ class ShardedClock:
         return group.sims[0]
 
     # -- scheduling ----------------------------------------------------
-    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any):
-        return self._target().schedule(delay, fn, *args)
+    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
+        self._target().schedule(delay, fn, *args)
 
-    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any):
-        return self._target().schedule_at(time, fn, *args)
+    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
+        self._target().schedule_at(time, fn, *args)
 
-    def call_soon(self, fn: Callable[..., Any], *args: Any):
-        return self._target().call_soon(fn, *args)  # analyze: ok(FED01): intra-shard only — _target() is the running shard's own simulator, never a cut crossing
+    def call_soon(self, fn: Callable[..., Any], *args: Any) -> None:
+        self._target().call_soon(fn, *args)  # analyze: ok(FED01): intra-shard only — _target() is the running shard's own simulator, never a cut crossing
 
     def post(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         self._target().post(delay, fn, *args)
@@ -394,15 +395,15 @@ class ShardedClock:
     def post_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         self._target().post_at(time, fn, *args)
 
+    def timer(self, callback: Callable[[], Any]) -> Timer:
+        return Timer(self._target(), callback)
+
     # -- execution -----------------------------------------------------
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         return self._group.run_merged(until=until, max_events=max_events)
 
     def next_event_time(self) -> float:
         return min(sim.next_event_time() for sim in self._group.sims)  # analyze: ok(CPX01): one term per shard, bounded by --shards not workload
-
-    def step(self) -> bool:
-        raise ShardingError("step() is not supported on a sharded network")
 
     # -- introspection -------------------------------------------------
     @property
@@ -414,15 +415,11 @@ class ShardedClock:
         return sum(sim.events_run for sim in self._group.sims)
 
     @property
-    def pooling_active(self) -> bool:
-        return all(sim.pooling_active for sim in self._group.sims)
-
-    @property
-    def post_event(self) -> Optional[Callable[[Any], Any]]:
+    def post_event(self) -> Optional[Callable[[], Any]]:
         return self._group.sims[0].post_event
 
     @post_event.setter
-    def post_event(self, hook: Optional[Callable[[Any], Any]]) -> None:
+    def post_event(self, hook: Optional[Callable[[], Any]]) -> None:
         for sim in self._group.sims:
             sim.post_event = hook
 

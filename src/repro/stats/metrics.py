@@ -72,12 +72,12 @@ class MemorySampler:
         self._last_value = 0
         self.peak = 0
         self.samples = 0
-        self._stopped = False
-        self._event = sim.schedule(0.0, self._tick)
+        # sim.timer(), not Timer(sim, ...): a sharded network hands us
+        # its ShardedClock, and the timer must live on a real simulator.
+        self._timer = sim.timer(self._tick)
+        self._timer.start(0.0)
 
     def _tick(self) -> None:
-        if self._stopped:
-            return
         value = self.probe()
         now = self.sim.now
         if self._last_time is not None:
@@ -88,12 +88,10 @@ class MemorySampler:
         self._last_value = value
         self.peak = max(self.peak, value)
         self.samples += 1
-        self._event = self.sim.schedule(self.interval, self._tick)
+        self._timer.start(self.interval)
 
     def stop(self) -> None:
-        self._stopped = True
-        if self._event is not None:
-            self._event.cancel()
+        self._timer.stop()
 
     def average(self) -> float:
         if self._elapsed <= 0:

@@ -2,11 +2,10 @@
 
 Each optimization has a behavioural contract this file pins down:
 
-* ``Simulator.pending`` is a live counter, not an O(n) scan — it must
-  agree with a brute-force count through schedule / cancel / run, and
-  double-cancel must not decrement twice;
-* the event heap compacts once cancelled events dominate (the
-  ``Timer.restart``-per-ACK churn pattern) without reordering anything;
+* ``Simulator.pending`` is O(1) -- heap length plus armed timers -- and
+  must agree with a brute-force count through schedule / Timer.stop /
+  run; stopping a timer twice, or after it fired, must not decrement
+  twice;
 * ``ReassemblyQueue.extract_in_order`` drains a 1k-block queue without
   ``pop(0)`` quadratics and returns exactly the contiguous prefix;
 * ``Segment.options_length`` is cached and the cache is invalidated by
@@ -24,57 +23,73 @@ from repro.tcp.buffer import ByteStream, ReassemblyQueue
 
 
 def brute_force_pending(sim: Simulator) -> int:
-    # Heap entries are (time, seq, event) or (time, seq, fn, a0, a1)
-    # post tuples; only Event entries can be cancelled.  Armed timers
-    # live on the wheel, not the heap.
-    live = sum(1 for e in sim._queue if len(e) != 3 or not e[2].cancelled)
-    return live + len(sim._wheel)
+    # Every heap entry is a live (time, seq, fn, a0, a1) tuple -- nothing
+    # on the heap can be cancelled.  Armed timers live on the wheel; walk
+    # its slot lists rather than trusting the wheel's own counter.
+    wheel = sim._wheel
+    heads = wheel._slots0 + wheel._slots1 + wheel._slots2 + [wheel._overflow]
+    armed = 0
+    for timer in heads:
+        while timer is not None:
+            armed += 1
+            timer = timer._wnext
+    return len(sim._queue) + armed
+
+
+def arm(sim: Simulator, delay: float) -> Timer:
+    timer = Timer(sim, lambda: None)
+    timer.start(delay)
+    return timer
 
 
 class TestPendingCounter:
     def test_matches_brute_force_through_lifecycle(self):
         sim = Simulator()
-        events = [sim.schedule(0.1 * i, lambda: None) for i in range(10)]
-        assert sim.pending == brute_force_pending(sim) == 10
-        for event in events[::2]:
-            event.cancel()
-        assert sim.pending == brute_force_pending(sim) == 5
+        timers = [arm(sim, 0.1 * i) for i in range(10)]
+        for i in range(10):
+            sim.schedule(0.1 * i, lambda: None)
+        assert sim.pending == brute_force_pending(sim) == 20
+        for timer in timers[::2]:
+            timer.stop()
+        assert sim.pending == brute_force_pending(sim) == 15
         sim.run()
         assert sim.pending == brute_force_pending(sim) == 0
 
     def test_double_cancel_decrements_once(self):
         sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
+        timer = arm(sim, 1.0)
         sim.schedule(2.0, lambda: None)
-        event.cancel()
-        event.cancel()
-        event.cancel()
-        assert sim.pending == 1
+        timer.stop()
+        timer.stop()
+        timer.stop()
+        assert sim.pending == brute_force_pending(sim) == 1
 
     def test_cancel_after_fire_is_harmless(self):
         sim = Simulator()
-        event = sim.schedule(0.5, lambda: None)
+        timer = arm(sim, 0.5)
         sim.schedule(1.0, lambda: None)
         sim.run(until=0.7)
         assert sim.pending == 1
-        event.cancel()  # already executed; must not touch the counter
-        assert sim.pending == 1
+        timer.stop()  # already fired; must not touch the counter
+        assert sim.pending == brute_force_pending(sim) == 1
 
     def test_cancel_inside_callback(self):
         sim = Simulator()
-        later = sim.schedule(2.0, lambda: None)
-        sim.schedule(1.0, later.cancel)
+        later = arm(sim, 2.0)
+        sim.schedule(1.0, later.stop)
         sim.run()
         assert sim.pending == 0
-        assert sim.now == 1.0  # the cancelled event never advanced time
+        assert sim.now == 1.0  # the stopped timer never advanced time
 
     def test_step_keeps_counter_accurate(self):
         sim = Simulator()
-        first = sim.schedule(1.0, lambda: None)
+        first = arm(sim, 1.0)
         sim.schedule(2.0, lambda: None)
-        first.cancel()
-        assert sim.step() is True  # skips the corpse, runs the live one
-        assert sim.pending == brute_force_pending(sim) == 0
+        sim.schedule(3.0, lambda: None)
+        first.stop()
+        assert sim.run(max_events=1) == 1  # the stopped timer is not an event
+        assert sim.now == 2.0
+        assert sim.pending == brute_force_pending(sim) == 1
 
     def test_timer_restart_churn_stays_consistent(self):
         sim = Simulator()
@@ -86,38 +101,6 @@ class TestPendingCounter:
         sim.run()
         assert fired == [10.0]
         assert sim.pending == 0
-
-
-class TestHeapCompaction:
-    def test_cancelled_majority_triggers_compaction(self):
-        sim = Simulator()
-        events = [sim.schedule(float(i), lambda: None) for i in range(1000)]
-        for event in events[:900]:
-            event.cancel()
-        # Far fewer than 1000 entries should physically remain queued.
-        assert len(sim._queue) <= 2 * sim.pending + 1
-        assert sim.pending == 100
-
-    def test_compaction_preserves_execution_order(self):
-        sim = Simulator()
-        ran = []
-        keep = []
-        for i in range(200):
-            event = sim.schedule(float(i), ran.append, i)
-            if i % 3 == 0:
-                keep.append(i)
-            else:
-                event.cancel()
-        sim.run()
-        assert ran == keep
-
-    def test_small_queues_not_compacted(self):
-        sim = Simulator()
-        events = [sim.schedule(float(i), lambda: None) for i in range(10)]
-        for event in events[:9]:
-            event.cancel()
-        assert len(sim._queue) == 10  # below threshold: lazy deletion only
-        assert sim.pending == 1
 
     def test_events_run_total_is_monotonic(self):
         before = events_run_total()

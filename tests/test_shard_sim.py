@@ -293,13 +293,35 @@ def test_sharded_clock_api():
     assert fired == ["a", "b"]
     assert sim.now == 2.0
     assert sim.events_run == 2
-    with pytest.raises(ShardingError):
-        sim.step()
-    assert sim.pooling_active
 
     hook_calls = []
-    sim.post_event = hook_calls.append
-    assert not sim.pooling_active  # broadcast to every shard
-    assert all(s.post_event is not None for s in net._shards.sims)
+    hook = lambda: hook_calls.append(sim.now)  # the hook takes no arguments
+    sim.post_event = hook
+    assert all(s.post_event is hook for s in net._shards.sims)  # broadcast
+    sim.schedule(0.5, lambda: None)
+    sim.run(until=3.0)
+    assert hook_calls == [2.5]
     sim.post_event = None
-    assert sim.pooling_active
+    assert all(s.post_event is None for s in net._shards.sims)
+
+
+def test_sharded_clock_timers_live_on_the_target_shard():
+    # MemorySampler(net.sim, ...) is handed the ShardedClock; its Timer
+    # must sit on a real simulator -- shard 0 when built outside a run,
+    # the running shard when built inside one -- and stay there.
+    from repro.stats.metrics import MemorySampler
+
+    net = Network(seed=1, shards=2)
+    shard0, shard1 = net._shards.sims
+    outside = MemorySampler(net.sim, lambda: 7, interval=0.25)
+    assert outside._timer._sim is shard0
+    inside = []
+    shard1.post(0.1, lambda: inside.append(MemorySampler(net.sim, lambda: 9, interval=0.25)))
+    net.sim.run(until=1.0)
+    assert inside[0]._timer._sim is shard1
+    assert (outside.samples, inside[0].samples) == (5, 4)
+    assert shard0.pending == shard1.pending == 1  # each re-armed at home
+    outside.stop()
+    inside[0].stop()
+    assert net.sim.pending == 0
+    assert net.sim.run(until=2.0) == 0

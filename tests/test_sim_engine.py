@@ -1,4 +1,11 @@
-"""The discrete-event engine: ordering, cancellation, timers, RNG."""
+"""The discrete-event engine: ordering, cancellation, timers, RNG.
+
+Heap events are fire-and-forget (every scheduling name returns None);
+the only cancellable thing is a :class:`Timer`, so the cancellation
+tests below arm and stop timers.
+"""
+
+import math
 
 import pytest
 
@@ -68,17 +75,41 @@ class TestSimulator:
     def test_cancelled_event_does_not_fire(self):
         sim = Simulator()
         fired = []
-        event = sim.schedule(1.0, fired.append, "no")
-        event.cancel()
-        sim.run()
-        assert fired == []
+        sim.schedule(0.5, fired.append, "before")
+        doomed = Timer(sim, lambda: fired.append("no"))
+        doomed.start(1.0)
+        sim.schedule(2.0, fired.append, "after")
+        doomed.stop()
+        assert sim.run() == 2  # a stopped timer is not an executed event
+        assert fired == ["before", "after"]
 
     def test_cancel_is_idempotent(self):
         sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
-        event.cancel()
-        event.cancel()
-        sim.run()
+        timer = Timer(sim, lambda: None)
+        timer.start(1.0)
+        timer.stop()
+        timer.stop()
+        assert sim.run() == 0
+        assert sim.now == 0.0  # nothing fired, so the clock never moved
+
+    def test_scheduling_names_hand_nothing_back(self):
+        sim = Simulator()
+        noop = lambda: None
+        assert sim.schedule(1.0, noop) is None
+        assert sim.schedule_at(1.0, noop) is None
+        assert sim.call_soon(noop) is None
+        assert sim.post(1.0, noop) is None
+        assert sim.post_at(1.0, noop) is None
+
+    def test_any_argument_count_is_delivered(self):
+        sim = Simulator()
+        got = []
+        for n in range(6):
+            sim.schedule(1.0, lambda *a: got.append(a), *range(n))
+        sim.call_soon(lambda *a: got.append(a), "x", "y", "z")
+        sim.post(2.0, lambda *a: got.append(a), None, None)  # None is a value
+        assert sim.run() == 8  # a 3+-argument call is still one event
+        assert got == [("x", "y", "z")] + [tuple(range(n)) for n in range(6)] + [(None, None)]
 
     def test_negative_delay_rejected(self):
         sim = Simulator()
@@ -92,6 +123,34 @@ class TestSimulator:
         with pytest.raises(ValueError):
             sim.schedule_at(1.0, lambda: None)
 
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, -math.inf])
+    @pytest.mark.parametrize(
+        "arm",
+        [
+            lambda sim, bad: sim.schedule(bad, lambda: None),
+            lambda sim, bad: sim.schedule_at(sim.now + bad, lambda: None),
+            lambda sim, bad: sim.post(bad, lambda: None),
+            lambda sim, bad: sim.post_at(sim.now + bad, lambda: None),
+            lambda sim, bad: sim.schedule(bad, lambda *a: None, 1, 2, 3),
+            lambda sim, bad: Timer(sim, lambda: None).start(bad),
+            lambda sim, bad: Timer(sim, lambda: None).restart(bad),
+            lambda sim, bad: sim.timer(lambda: None).start(bad),
+        ],
+        ids=["schedule", "schedule_at", "post", "post_at", "schedule-3args",
+             "Timer.start", "Timer.restart", "sim.timer.start"],
+    )
+    def test_every_way_onto_the_clock_refuses_nan_and_the_past(self, arm, bad):
+        # Regression: post(nan, fn) passed `delay < 0`, fired, and left
+        # sim.now == nan for the rest of the run.
+        sim = Simulator()
+        sim.run(until=3.0)
+        with pytest.raises(ValueError):
+            arm(sim, bad)
+        assert sim.pending == 0  # nothing was queued, no seq consumed
+        assert sim._seq == 0
+        sim.run()
+        assert sim.now == 3.0
+
     def test_call_soon_runs_after_pending_same_time(self):
         sim = Simulator()
         order = []
@@ -101,21 +160,47 @@ class TestSimulator:
         assert order == ["first", "second", "soon"]
 
     def test_step_runs_one_event(self):
+        # Single-stepping is run(max_events=1): one event, and the clock
+        # stays at that event rather than jumping to a horizon.
         sim = Simulator()
         fired = []
         sim.schedule(1.0, fired.append, 1)
         sim.schedule(2.0, fired.append, 2)
-        assert sim.step() is True
+        assert sim.run(max_events=1) == 1
         assert fired == [1]
-        assert sim.step() is True
-        assert sim.step() is False
+        assert sim.now == 1.0
+        assert sim.run(until=9.0, max_events=1) == 1
+        assert sim.now == 2.0  # budget spent before the horizon was reached
+        assert sim.run(max_events=1) == 0
 
     def test_pending_counts_live_events(self):
         sim = Simulator()
-        keep = sim.schedule(1.0, lambda: None)
-        drop = sim.schedule(2.0, lambda: None)
-        drop.cancel()
+        sim.schedule(1.0, lambda: None)
+        drop = Timer(sim, lambda: None)
+        drop.start(2.0)
+        assert sim.pending == 2
+        drop.stop()
         assert sim.pending == 1
+
+    def test_run_until_never_moves_the_clock_backwards(self):
+        # Regression: every `self.now = until` exit lacked the
+        # `until > now` guard, so run(until=5) after run(until=10)
+        # rewound the clock -- on a drained queue, with a later heap
+        # event pending, and with a later timer pending.
+        sim = Simulator()
+        sim.run(until=10.0)
+        sim.run(until=5.0)
+        assert sim.now == 10.0
+        sim.schedule(20.0, lambda: None)
+        sim.run(until=5.0)
+        assert sim.now == 10.0
+        sim.run()
+        timer = Timer(sim, lambda: None)
+        timer.start(20.0)
+        sim.run(until=5.0)
+        assert sim.now == 30.0
+        sim.run(until=5.0, exclusive=True)
+        assert sim.now == 30.0
 
     def test_max_events_bound(self):
         sim = Simulator()

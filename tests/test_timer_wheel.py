@@ -1,4 +1,4 @@
-"""Hierarchical timer wheel vs. the heap: differential and pool safety.
+"""Hierarchical timer wheel vs. the heap: differential order tests.
 
 The engine orders all work by ``(time, seq)``; timers live on the wheel
 while plain events live on the heap, and ``run()`` merges the two.  The
@@ -228,53 +228,39 @@ def test_restart_to_same_deadline_keeps_original_order():
 
 
 # ----------------------------------------------------------------------
-# Event pool safety
+# Timer reuse: one Timer object is stopped and re-armed for life
 # ----------------------------------------------------------------------
 
 
 def test_recycled_event_never_fires_stale_callback():
+    # A stopped-then-re-armed timer fires once, at the new deadline:
+    # the stale expiry it was recycled from is gone from the wheel.
     sim = Simulator()
     hits = []
-    event = sim.schedule(0.1, hits.append, "stale")
-    event.cancel()
-    del event  # drop the caller's reference so the corpse is poolable
-    sim.run()
+    timer = Timer(sim, lambda: hits.append(sim.now))
+    timer.start(0.1)
+    timer.stop()
+    assert sim.run() == 0
     assert hits == []
-    # Whatever the pool handed back must carry only the new callback.
-    sim.schedule(0.2, hits.append, "fresh")
+    timer.start(0.2)
     sim.run()
-    assert hits == ["fresh"]
-
-
-def test_pool_reuses_fired_events_with_fresh_state():
-    sim = Simulator()
-    hits = []
-    for _ in range(3):
-        sim.schedule(0.1, hits.append, "a")
-    sim.run()
-    assert hits == ["a", "a", "a"]
-    assert len(sim._pool) > 0  # fire-and-forget events were recycled
-    before = len(sim._pool)
-    event = sim.schedule(0.1, hits.append, "b")
-    assert len(sim._pool) == before - 1  # served from the pool
-    assert event.cancelled is False
-    sim.run()
-    assert hits == ["a", "a", "a", "b"]
+    assert hits == [0.2]
 
 
 def test_cancel_of_fired_event_does_not_poison_reuse():
-    # Holding a reference to an executed event and cancelling it late
-    # must not cancel whichever future event reuses the pooled object.
+    # Stopping a timer late, after it already fired, must not disarm
+    # or duplicate whatever it is armed for next.
     sim = Simulator()
     hits = []
-    stale = sim.schedule(0.1, hits.append, "first")
+    timer = Timer(sim, lambda: hits.append(sim.now))
+    timer.start(0.1)
     sim.run()
-    assert hits == ["first"]
-    stale.cancel()  # late cancel of an already-fired event
-    fresh = sim.schedule(0.1, hits.append, "second")
-    assert fresh.cancelled is False
+    assert hits == [0.1]
+    timer.stop()  # late stop of an already-fired timer
+    timer.start(0.1)
+    assert timer.running and sim.pending == 1
     sim.run()
-    assert hits == ["first", "second"]
+    assert hits == [0.1, 0.2]
 
 
 # ----------------------------------------------------------------------
