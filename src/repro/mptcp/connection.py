@@ -571,9 +571,6 @@ class MPTCPConnection:
     # ==================================================================
     # Send path: scheduler hooks
     # ==================================================================
-    def allocate(self, subflow: Subflow, max_bytes: int) -> Optional[tuple[bytes, list]]:
-        return self.scheduler.allocate(subflow, max_bytes)
-
     def rwnd_limit(self) -> int:
         """Highest data offset connection flow control allows (§3.3.1):
         cumulative DATA_ACK plus the advertised window."""

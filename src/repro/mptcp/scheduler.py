@@ -21,11 +21,14 @@ The scheduler serves, in priority order:
    **M1 opportunistic retransmission** — resend data from the window's
    trailing edge that a (markedly slower) *other* subflow originally
    carried.  A per-subflow cursor walks forward through that foreign
-   backlog so consecutive opportunities pipeline, each individual call
-   still touching only one segment (iterating the whole send queue in
-   software-interrupt context is what the Linux implementation
-   avoids); and **M2 penalization** — halve the cwnd and ssthresh of
-   the subflow holding the trailing edge, at most once per its RTT.
+   backlog so consecutive opportunities pipeline; and **M2
+   penalization** — halve the cwnd and ssthresh of the subflow holding
+   the trailing edge, at most once per its RTT.
+
+No call iterates the send queue (in software-interrupt context that is
+what the Linux implementation avoids): the in-flight table is a
+:class:`TxIndex`, so an edge lookup is a bisect, M1 clears a run of the
+requester's own mappings in one hop, and a DATA_ACK trims a prefix.
 
 The connection decides *which* subflow pulls first by kicking them in
 increasing smoothed-RTT order ("send on the lowest-delay link with
@@ -37,14 +40,14 @@ congestion-window space").
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
-# C-level key extraction for the inflight prune: min(map(...)) resumes
-# no generator frames, unlike a genexpr.
-_mapping_end = attrgetter("end")
+_start = attrgetter("start")
+_seq = attrgetter("seq")
 
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -59,8 +62,99 @@ class TxMapping:
     start: int  # absolute data offset
     end: int
     subflow: "Subflow"
-    sent_at: float
     reinjection: bool = False
+    # Set by TxIndex.add: allocation order, the head of this mapping's
+    # run, and (on a head) the offset just past the run.
+    seq: int = 0
+    head: Optional["TxMapping"] = field(default=None, repr=False, compare=False)
+    skip: int = 0
+
+
+class TxIndex:
+    """The in-flight mappings, sorted by ``start``.
+
+    Reinjections overlap and start mid-mapping, so start order is not
+    allocation order: ``seq`` records the latter, and :meth:`covering`
+    answers what a scan in allocation order would.  No mapping is longer
+    than ``_span``, so the candidates for offset x start in
+    ``(x - _span, x]`` — a bisect and a short look-back.  Iterating and
+    indexing sort by ``seq`` on demand (tests and diagnostics only).
+
+    A *run* is a chain of one subflow's mappings, each one's ``end``
+    covered by the next; members share the run's ``head``, whose ``skip``
+    is the offset past the chain.  Runs never go stale (ARCHITECTURE.md,
+    "CPX01", has the argument)."""
+
+    def __init__(self) -> None:
+        self._by_start: list[TxMapping] = []  # grows: mappings
+        self._span = 0
+        self._seq = 0
+
+    def __iter__(self) -> Iterator[TxMapping]:
+        return iter(sorted(self._by_start, key=_seq))
+
+    def __getitem__(self, index: int) -> TxMapping:
+        return sorted(self._by_start, key=_seq)[index]
+
+    def add(self, mapping: TxMapping) -> None:
+        by_start, start = self._by_start, mapping.start
+        self._seq = mapping.seq = self._seq + 1
+        self._span = max(self._span, mapping.end - start)
+        at = bisect_right(by_start, start, key=_start)
+        head = mapping
+        if at and by_start[at - 1].subflow is mapping.subflow:
+            # Extend the neighbouring run if it stops exactly here and
+            # nothing allocated earlier already covers this offset.
+            run = by_start[at - 1].head
+            if run.skip == start and self.covering(start) is None:
+                head = run
+        mapping.head = head
+        head.skip = mapping.end
+        by_start.insert(at, mapping)
+
+    def covering(self, offset: int) -> Optional[TxMapping]:
+        """The earliest-allocated mapping with ``start <= offset < end``."""
+        by_start = self._by_start
+        at = bisect_right(by_start, offset, key=_start)
+        floor = offset - self._span  # a start this low ends at or before offset
+        best = None
+        while at and by_start[at - 1].start > floor:
+            at -= 1
+            mapping = by_start[at]
+            if mapping.end > offset and (best is None or mapping.seq < best.seq):
+                best = mapping
+        return best
+
+    def next_foreign(self, cursor: int, subflow: "Subflow") -> tuple[int, Optional[TxMapping]]:
+        """Move ``cursor`` past the data ``subflow`` carried itself; returns
+        it with the mapping covering it there (None: nothing in flight)."""
+        while True:
+            mapping = self.covering(cursor)
+            if mapping is None or mapping.subflow is not subflow:
+                return cursor, mapping
+            cursor = mapping.head.skip
+
+    def prune(self, data_una: int) -> None:
+        """Drop mappings wholly below the cumulative DATA_ACK: they all
+        start below it, and a survivor there starts within one span."""
+        by_start = self._by_start
+        at = keep = bisect_left(by_start, data_una, key=_start)
+        floor = data_una - self._span
+        while at and by_start[at - 1].start > floor:
+            at -= 1
+            if by_start[at].end > data_una:
+                keep -= 1
+                by_start[keep] = by_start[at]
+        del by_start[:keep]
+
+    def drop_subflow(self, subflow: "Subflow") -> list[TxMapping]:
+        """Remove and return a failed subflow's mappings."""
+        dropped: list[TxMapping] = []
+        kept: list[TxMapping] = []
+        for mapping in self._by_start:  # analyze: ok(CPX01): once per subflow failure, not per segment
+            (dropped if mapping.subflow is subflow else kept).append(mapping)
+        self._by_start = kept
+        return dropped
 
 
 @dataclass
@@ -91,15 +185,12 @@ class Scheduler:
 
     def __init__(self, connection: "MPTCPConnection"):
         self.connection = connection
-        self.inflight: list[TxMapping] = []
+        self.inflight = TxIndex()  # grows: mappings
         # FIFO of mutable [start, end) ranges: consumed from the front
         # one MSS at a time, so popleft must not shift the tail.
         self.reinject_queue: deque[list[int]] = deque()  # grows: mappings
         self.batches: dict[int, Batch] = {}  # subflow_id -> Batch
         self.stats = SchedulerStats()
-        # Smallest mapping end in ``inflight`` (None when empty): lets a
-        # DATA_ACK that completes no mapping skip the prune scan.
-        self._min_inflight_end: Optional[int] = None
 
     # ------------------------------------------------------------------
     def allocate(
@@ -137,12 +228,20 @@ class Scheduler:
                 take = max_bytes if max_bytes < remaining else remaining
                 batch.cursor = start + take
                 chunk = (start, conn.send_stream.peek(start, take), take, False)
-        if chunk is None and (conn.config.enable_m1 or conn.config.enable_m2):
-            if self._rwnd_blocked():
-                self.stats.rwnd_blocked_events += 1
-                if conn.config.enable_m2:
-                    self._penalize_culprit(subflow)
-                if conn.config.enable_m1:
+        config = conn.config
+        if chunk is None and (config.enable_m1 or config.enable_m2) and self._rwnd_blocked():
+            self.stats.rwnd_blocked_events += 1
+            edge = self._trailing_edge_mapping()
+            # Both mechanisms act only on a *markedly slower* other subflow
+            # holding the window.  Near-equal paths (the symmetric links of
+            # Fig. 6c) trade the edge constantly from queueing jitter:
+            # reinjecting there only duplicates bytes already due to
+            # arrive, and throttling only hurts.
+            culprit = subflow if edge is None else edge.subflow
+            if culprit is not subflow and culprit.srtt > 1.5 * subflow.srtt:
+                if config.enable_m2:
+                    self._penalize_culprit(culprit)
+                if config.enable_m1:
                     chunk = self._opportunistic_retransmission(subflow, max_bytes)
         if chunk is None:
             return None
@@ -150,12 +249,8 @@ class Scheduler:
         start, payload, length, reinjection = chunk
         self.stats.allocations += 1
         self.stats.bytes_allocated += length
-        mapping = TxMapping(
-            start, start + length, subflow, conn.sim.now, reinjection=reinjection
-        )
-        self.inflight.append(mapping)
-        if self._min_inflight_end is None or mapping.end < self._min_inflight_end:
-            self._min_inflight_end = mapping.end
+        mapping = TxMapping(start, start + length, subflow, reinjection)
+        self.inflight.add(mapping)
         data_fin = False
         if (
             conn.data_fin_offset is not None
@@ -230,17 +325,14 @@ class Scheduler:
     def _trailing_edge_mapping(self) -> Optional[TxMapping]:
         """The in-flight mapping holding up the receive window: the one
         covering ``data_una``."""
-        conn = self.connection
-        for mapping in self.inflight:
-            if mapping.start <= conn.data_una < mapping.end:
-                return mapping
-        return None
+        return self.inflight.covering(self.connection.data_una)
 
     def _opportunistic_retransmission(
         self, subflow: "Subflow", max_bytes: int
     ) -> Optional[tuple[int, bytes, int, bool]]:
         """M1: resend un-DATA-ACKed data, originally sent on *another*
-        subflow, starting from the trailing edge of the window.
+        (markedly slower) subflow, starting from the trailing edge of
+        the window.
 
         Successive opportunities walk forward through the foreign
         backlog (tracked by a per-subflow cursor) so reinjections
@@ -249,15 +341,6 @@ class Scheduler:
         underbuffered, at the cost of duplicate transmissions (the
         goodput/throughput gap of Fig. 4(b))."""
         conn = self.connection
-        edge = self._trailing_edge_mapping()
-        if edge is None or edge.subflow is subflow:
-            return None
-        if edge.subflow.srtt <= 1.5 * subflow.srtt:
-            # The window edge is held by a path no slower than this one:
-            # reinjecting would only duplicate bytes already due to
-            # arrive (the symmetric-links case of Fig. 6c, where the
-            # mechanisms must be no-ops).
-            return None
         now = conn.sim.now
         if subflow.last_opportunistic_edge != conn.data_una:
             # The edge moved: normal progress.  Keep walking forward —
@@ -271,18 +354,11 @@ class Scheduler:
             # the edge.
             subflow.last_opportunistic_offset = conn.data_una
             subflow.last_opportunistic_time = now
-        cursor = max(subflow.last_opportunistic_offset, conn.data_una)
-        mapping = None
-        while True:
-            mapping = next(
-                (m for m in self.inflight if m.start <= cursor < m.end), None
-            )
-            if mapping is None:
-                return None
-            if mapping.subflow is subflow:
-                cursor = mapping.end  # skip data we carried ourselves
-                continue
-            break
+        cursor, mapping = self.inflight.next_foreign(
+            max(subflow.last_opportunistic_offset, conn.data_una), subflow
+        )
+        if mapping is None:
+            return None
         take = min(max_bytes, mapping.end - cursor)
         payload = conn.send_stream.peek(cursor, take)
         subflow.last_opportunistic_offset = cursor + take
@@ -290,22 +366,11 @@ class Scheduler:
         conn.stats.opportunistic_retransmissions += 1
         return (cursor, payload, take, True)
 
-    def _penalize_culprit(self, requester: "Subflow") -> None:
-        """M2: halve the cwnd of the subflow holding the trailing edge,
-        at most once per that subflow's smoothed RTT."""
+    def _penalize_culprit(self, culprit: "Subflow") -> None:
+        """M2: halve the cwnd of the (markedly slower, §4.2) subflow
+        holding the trailing edge, to reduce its RTT — at most once per
+        that subflow's smoothed RTT."""
         conn = self.connection
-        mapping = self._trailing_edge_mapping()
-        if mapping is None:
-            return
-        culprit = mapping.subflow
-        if culprit is requester:
-            return
-        if culprit.srtt <= 1.5 * requester.srtt:
-            # Penalizing aims to *reduce the RTT* of a markedly slower
-            # subflow holding the window (§4.2 M2).  Near-equal paths
-            # (Fig. 6c) trade the edge constantly from queueing jitter;
-            # throttling them would only hurt.
-            return
         now = conn.sim.now
         if now - culprit.last_penalty_at < culprit.srtt:
             return
@@ -318,29 +383,19 @@ class Scheduler:
     # Bookkeeping
     # ------------------------------------------------------------------
     def on_data_ack(self, data_una: int) -> None:
-        """Prune mappings wholly covered by the new cumulative DATA_ACK.
-        (The list is not sorted — reinjections interleave — so filter.)"""
-        min_end = self._min_inflight_end
-        if min_end is None or data_una < min_end:
-            return  # nothing completed: O(1)
-        kept = [m for m in self.inflight if m.end > data_una]
-        self.inflight = kept
-        self._min_inflight_end = min(map(_mapping_end, kept), default=None)
+        """Prune mappings wholly covered by the new cumulative DATA_ACK."""
+        self.inflight.prune(data_una)
 
     def on_subflow_failed(self, subflow: "Subflow") -> None:
         """Queue everything the dead subflow still owed for reinjection."""
-        conn = self.connection
-        ranges: list[list[int]] = []  # grows: bounded
-        for mapping in self.inflight:
-            if mapping.subflow is subflow and mapping.end > conn.data_una:
-                ranges.append([max(mapping.start, conn.data_una), mapping.end])
+        una = self.connection.data_una
+        owed = self.inflight.drop_subflow(subflow)
+        ranges = [(max(m.start, una), m.end) for m in owed if m.end > una]  # grows: bounded
         batch = self.batches.pop(subflow.subflow_id, None)
         if batch is not None and batch.remaining > 0:
-            ranges.append([batch.cursor, batch.end])
-        self.inflight = [m for m in self.inflight if m.subflow is not subflow]
-        self._min_inflight_end = min(map(_mapping_end, self.inflight), default=None)
-        for entry in sorted(ranges):
-            self._queue_reinjection(entry[0], entry[1])
+            ranges.append((batch.cursor, batch.end))
+        for start, end in sorted(ranges):
+            self._queue_reinjection(start, end)
 
     def reinject_head(self, window: Optional[int] = None) -> None:
         """Data-level RTO: requeue data from the trailing edge.

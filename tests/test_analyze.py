@@ -296,6 +296,23 @@ def test_complexity_budget_ratchet_is_tight():
     assert committed == measured
 
 
+def test_cpx01_sees_the_mapping_tables():
+    """Every MAPPINGS-class collection the CPX01 docstring names is
+    tagged in the real tree.  The scheduler's in-flight table was not
+    (neither seed table nor assignment declared it), so the scale linter
+    never saw its per-segment rescans."""
+    from repro.analyze import complexity
+    from repro.analyze.callgraph import Project
+    from repro.analyze.core import _load_contexts, iter_python_files
+
+    files = list(iter_python_files([REPO_ROOT / "src" / "repro" / "mptcp"]))
+    contexts, parse_errors = _load_contexts(files)
+    assert not parse_errors
+    tags = complexity._facts(Project(contexts)).attr_class
+    for attr in ("inflight", "_by_start", "reinject_queue", "_rx_mappings"):
+        assert tags.get(attr) == "MAPPINGS", attr
+
+
 def test_cli_exit_zero_on_clean_file(tmp_path, capsys):
     clean = tmp_path / "clean.py"
     clean.write_text("def fine():\n    return 1\n")
