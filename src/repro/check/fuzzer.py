@@ -78,6 +78,8 @@ class ScenarioOutcome:
     completed: bool = False
     received_bytes: int = 0
     tolerated: int = 0
+    # Oracle events by scope: (skipped, scoped to one host, swept).
+    scopes: tuple = (0, 0, 0)
 
     @property
     def failed(self) -> bool:
@@ -175,6 +177,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
     outcome.received_bytes = len(received)
     if oracle is not None:
         outcome.tolerated = oracle.tolerated_modifications
+        outcome.scopes = (oracle.events_skipped, oracle.events_scoped, oracle.events_swept)
     return outcome
 
 
@@ -376,13 +379,17 @@ def emit_repro(
 # Driver
 # ---------------------------------------------------------------------------
 def fuzz(
-    seeds, out_dir: str = "fuzz-failures", verbose: bool = False
+    seeds, out_dir: str = "fuzz-failures", verbose: bool = False, scopes: list | None = None
 ) -> list[tuple[int, ScenarioOutcome, str]]:
-    """Run one scenario per seed; shrink and emit a repro per failure."""
+    """Run one scenario per seed; shrink and emit a repro per failure.
+    ``scopes``, if given, accumulates every seed's ``outcome.scopes``."""
     failures: list = []
     for seed in seeds:
         spec = random_scenario(seed)
         outcome = run_scenario(spec)
+        if scopes is not None:
+            for index, count in enumerate(outcome.scopes):
+                scopes[index] += count
         if verbose:
             print(f"seed {seed}: {spec.protocol} x{len(spec.paths)} "
                   f"{spec.payload_size}B -> {outcome.describe()}")
@@ -415,8 +422,16 @@ def main(argv=None) -> int:
     parser.add_argument("--verbose", action="store_true")
     options = parser.parse_args(argv)
     seeds = _parse_seeds(options.seeds)
-    failures = fuzz(seeds, out_dir=options.out, verbose=options.verbose)
-    print(f"{len(seeds)} scenarios, {len(failures)} failures")
+    scopes = [0, 0, 0]
+    failures = fuzz(seeds, out_dir=options.out, verbose=options.verbose, scopes=scopes)
+    summary = f"{len(seeds)} scenarios, {len(failures)} failures"
+    if options.verbose and sum(scopes):
+        skipped, scoped, swept = (100.0 * n / sum(scopes) for n in scopes)
+        summary += (
+            f"; {sum(scopes)} oracle events: {skipped:.1f}% skipped (no host), "
+            f"{scoped:.1f}% scoped (one host), {swept:.1f}% swept (all)"
+        )
+    print(summary)
     return 1 if failures else 0
 
 

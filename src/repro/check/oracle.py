@@ -1,7 +1,37 @@
 """The invariant oracle: per-event validation of protocol state.
 
-After every simulator event the oracle sweeps all discovered endpoints
-and checks:
+The unit of work is the **host**.  ``Simulator.post_event`` hands the
+oracle the callable that just ran — never its arguments — and the
+oracle re-checks the endpoints of the one host that callable belongs
+to, because an event can have changed no others: hosts interact only
+through :class:`~repro.net.link.Link` events.  The owner is placed by a
+short, conservative table (:meth:`InvariantOracle._host_of`):
+
+* a ``Link`` method (``_tx_done``: serialisation) touches no socket —
+  nothing is checked, not even discovery runs;
+* ``Path._delivered_fwd`` / ``_delivered_rev`` — the ``Host`` that
+  path's ``deliver_fwd`` / ``deliver_rev`` is bound to (a shard cut's
+  ``ShardBoundary.deliver`` is the same bound method);
+* a method of an object whose ``.host`` is one of ``network.hosts``
+  (socket, subflow and connection timers, ``call_soon`` continuations,
+  path managers) — that host;
+* **anything else** — a plain function, lambda or ``partial``, the
+  3-argument trampoline, a ``PathElement`` or meter method, a
+  ``deliver_*`` a test replaced — every host, exactly the every-endpoint
+  sweep the oracle ran before it scoped.
+
+There is no switch: the full sweep is simply what an owner the table
+cannot place gets.  Three things backstop the one case scoping defers —
+a host-owned callback reaching straight into *another* host's socket
+without a packet, which nothing under ``src/`` does: a full sweep every
+:data:`AUDIT_PERIOD`-th event, a full sweep on the first event of every
+``run()`` (between runs the caller may have touched anything), and the
+explicit :meth:`~InvariantOracle.check_now` /
+:meth:`~InvariantOracle.assert_quiescent`.  Such a reach is raised at
+the victim host's next event or at most ``AUDIT_PERIOD - 1`` events
+late, instead of at the same event.
+
+On the host(s) in scope the oracle checks:
 
 * **TCP sequence-space algebra** — ``snd_una <= snd_nxt``; the
   retransmission queue is sorted, non-overlapping and below ``snd_nxt``;
@@ -38,6 +68,9 @@ and checks:
   endpoints that cannot detect it — plain TCP, or MPTCP after fallback
   or with checksums off — so those mismatches are tolerated and counted
   in :attr:`InvariantOracle.tolerated_modifications` instead of raised.
+  The logs are bounded: a running SHA-256 per direction carries the
+  close digest, so the verified prefix of both logs is dropped once it
+  passes :data:`LOG_TRIM_BYTES`.
 
 Violations raise :class:`InvariantViolation` with the last segments
 captured by a tail-mode :class:`~repro.net.trace.PacketTrace`.
@@ -54,6 +87,9 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.mptcp.connection import MPTCPConnection
 from repro.mptcp.subflow import Subflow
+from repro.net.link import Link
+from repro.net.node import Host
+from repro.net.path import Path
 from repro.net.trace import PacketTrace
 from repro.tcp.cc import NewReno
 from repro.tcp.socket import TCPSocket
@@ -61,6 +97,14 @@ from repro.tcp.state import TCPState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network
+
+# Every AUDIT_PERIOD-th event sweeps every host whatever ran: the bound
+# on how late a cross-host reach (module docstring) can be raised.
+AUDIT_PERIOD = 64
+# Verified stream-log prefix kept before it is dropped.
+LOG_TRIM_BYTES = 64 * 1024
+# _host_of's answer for an event that touched no endpoint at all.
+_NO_HOST = object()
 
 
 class InvariantViolation(AssertionError):
@@ -99,7 +143,11 @@ class _Watch:
         "send_stream",
         "captured_until",
         "sent_log",
+        "sent_base",
+        "sent_hash",
         "read_log",
+        "read_base",
+        "read_hash",
         "matched",
         "tainted",
         "peer",
@@ -114,8 +162,14 @@ class _Watch:
         self.is_mptcp = isinstance(entity, MPTCPConnection)
         self.send_stream = entity.send_stream if self.is_mptcp else entity.snd_buf
         self.captured_until = self.send_stream.head
-        self.sent_log = bytearray()  # everything the app ever wrote
-        self.read_log = bytearray()  # everything the app ever read
+        # What the app wrote / read, minus a verified prefix of
+        # ``*_base`` bytes already dropped; ``*_hash`` has seen it all.
+        self.sent_log = bytearray()
+        self.sent_base = 0
+        self.sent_hash = hashlib.sha256()
+        self.read_log = bytearray()
+        self.read_base = 0
+        self.read_hash = hashlib.sha256()
         self.matched = 0  # delivered bytes verified against the peer
         self.tainted = False  # sanctioned payload rewriting observed
         self.peer: Optional["_Watch"] = None
@@ -127,8 +181,26 @@ class _Watch:
             self.prev_rcv_nxt = entity.rcv_nxt
         self.closed_checked = False
 
+    def sent_len(self) -> int:
+        return self.sent_base + len(self.sent_log)
+
+    def read_len(self) -> int:
+        return self.read_base + len(self.read_log)
+
     def delivered_len(self) -> int:
-        return len(self.read_log) + len(self.entity._rx_ready)
+        return self.read_len() + len(self.entity._rx_ready)
+
+
+class _HostScope:
+    """One host's slice of the oracle: its live watches, the
+    registration count its last discovery saw, its rotation cursor."""
+
+    __slots__ = ("watches", "registered", "cursor")
+
+    def __init__(self):
+        self.watches: list[_Watch] = []
+        self.registered = -1
+        self.cursor = 0
 
 
 class InvariantOracle:
@@ -144,24 +216,32 @@ class InvariantOracle:
         self.network = network
         self.trace = PacketTrace(tail=tail)
         self.events_checked = 0
-        self.checks_run = 0
+        # How each of those events was scoped: no host could have
+        # changed / one host re-checked / every host swept.
+        self.events_skipped = 0
+        self.events_scoped = 0
+        self.events_swept = 0
         self.tolerated_modifications = 0
         self.stream_pairs = 0
-        self._watches: dict[int, _Watch] = {}
-        self._conn_watches: dict[int, _Watch] = {}
-        # Fully-verified watches move here so per-event sweeps stay
-        # bounded by *live* connections, not every connection ever made
-        # (a closed-loop workload would otherwise go quadratic).  The
-        # strong reference also pins the entity so its id() — our
-        # discovery key — cannot be recycled onto a new socket.
-        self._retired: dict[int, _Watch] = {}
+        # Every watch ever made, by id(entity) — the discovery key.  A
+        # fully-verified watch leaves its host's scope (so per-event work
+        # stays bounded by *live* connections, not every connection ever
+        # made) but stays here: the strong reference pins the entity so
+        # its id() cannot be recycled onto a new socket.
+        self._known: dict[int, _Watch] = {}
+        self._scopes: dict[Host, _HostScope] = {}
         self.watches_retired = 0
-        # Above this many live endpoints the per-event sweep rotates a
-        # fixed budget of them instead of checking all (see check_now).
+        # Above this many live endpoints on one host its per-event check
+        # rotates a fixed budget of them instead of all (see _check_host).
         self.full_sweep_limit = 16
-        self._everyone: list[_Watch] = []  # cached _watches + _conn_watches
-        self._dirty = False  # _everyone needs rebuilding
-        self._conn_total = -1  # registered-connection count at last discovery
+        # Events finished by completed run() calls, summed over the real
+        # simulators (one per shard) as of the last event: a different
+        # sum means a run() has exited since, i.e. this event is the
+        # first of a new one.
+        shards = network._shards
+        self._sims = [network.sim] if shards is None else shards.sims
+        self._runs_seen = -1
+        self._tap = self.trace._tap
         self._tapped_paths = 0
         self._payload_modifiers = False
 
@@ -179,24 +259,72 @@ class InvariantOracle:
         return oracle
 
     def detach(self) -> None:
-        if self.network.sim.post_event is not None:
-            self.network.sim.post_event = None
+        """Undo :meth:`attach`: the hook (if still ours), our tap on every
+        path and the ``read`` shadow on every endpoint ever watched."""
+        network = self.network
+        if network.sim.post_event == self._post_event:
+            network.sim.post_event = None
+        if getattr(network, "_oracle", None) is self:
+            network._oracle = None
+        for path in network.paths[: self._tapped_paths]:
+            if self._tap in path.taps:
+                path.taps.remove(self._tap)
+        self._tapped_paths = 0
+        for watch in self._known.values():
+            vars(watch.entity).pop("read", None)
 
     # ------------------------------------------------------------------
     # Per-event driver
     # ------------------------------------------------------------------
-    def _post_event(self) -> None:
+    def _post_event(self, fn) -> None:
+        """``fn`` is the callable the simulator just ran (or None: owner
+        withheld).  Scope the check to the host it belongs to."""
         self.events_checked += 1
+        host = None
+        runs = 0
+        for sim in self._sims:
+            runs += sim._events_run
+        if runs != self._runs_seen:
+            self._runs_seen = runs  # first event of a run(): sweep
+        elif self.events_checked % AUDIT_PERIOD:
+            host = self._host_of(fn)
+            if host is _NO_HOST:
+                self.events_skipped += 1
+                return
         self._tap_new_paths()
-        self._discover()
-        self.check_now()
+        if host is None:
+            self.events_swept += 1
+            self.check_now()
+        else:
+            self.events_scoped += 1
+            self.check_now(hosts=(host,))
+
+    def _host_of(self, fn):
+        """The resolver table (module docstring): ``_NO_HOST``, the one
+        :class:`Host` ``fn`` can have touched, or None for *cannot say*."""
+        owner = getattr(fn, "__self__", None)
+        kind = type(owner)
+        if kind is Link:
+            return _NO_HOST
+        if kind is Path:
+            if fn.__func__ is Path._delivered_fwd:
+                host = getattr(owner.deliver_fwd, "__self__", None)
+            elif fn.__func__ is Path._delivered_rev:
+                host = getattr(owner.deliver_rev, "__self__", None)
+            else:
+                return None
+        else:
+            host = getattr(owner, "host", None)
+        if isinstance(host, Host) and self.network.hosts.get(host.name) is host:
+            return host
+        return None
 
     def _tap_new_paths(self) -> None:
         paths = self.network.paths
         if len(paths) == self._tapped_paths:
             return
         for path in paths[self._tapped_paths :]:
-            path.add_tap(self.trace._tap)
+            path.add_tap(self._tap)
             for element in path.elements:
                 if getattr(element, "corrupts_payload", False) or getattr(
                     element, "rewrites_payload", False
@@ -204,39 +332,31 @@ class InvariantOracle:
                     self._payload_modifiers = True
         self._tapped_paths = len(paths)
 
-    def _discover(self) -> None:
-        # The full rescan is O(registered connections); skip it while the
-        # registration count is unchanged.  A same-event register+
-        # unregister swap could slip past the count, so force a rescan
-        # every 16th check anyway (bounded, deterministic lag).
-        total = 0
-        for host in self.network.hosts.values():
-            total += len(host._connections)
-        if total == self._conn_total and self.checks_run % 16:
+    def _discover(self, host: Host, scope: _HostScope, force: bool) -> None:
+        # The rescan is O(registered connections); skip it while the
+        # host's registration count is unchanged.  A same-event register+
+        # unregister swap could slip past the count, so every 16th event
+        # (and therefore every audit) forces one anyway: bounded,
+        # deterministic lag.
+        total = len(host._connections)
+        if total == scope.registered and not force:
             return
-        self._conn_total = total
-        for host in self.network.hosts.values():
-            for sink in host._connections.values():
-                if not isinstance(sink, TCPSocket):
-                    continue
-                key = id(sink)
-                if key in self._watches or key in self._retired:
-                    continue
-                watch = _Watch(sink)
-                self._watches[key] = watch
-                self._dirty = True
-                if not watch.is_subflow:
-                    self._wrap_read(watch)
-                    self._try_pair(watch)
-                if isinstance(sink, Subflow):
-                    conn = sink.connection
-                    ckey = id(conn)
-                    if ckey not in self._conn_watches and ckey not in self._retired:
-                        cwatch = _Watch(conn)
-                        self._conn_watches[ckey] = cwatch
-                        self._dirty = True
-                        self._wrap_read(cwatch)
-                        self._try_pair(cwatch)
+        scope.registered = total
+        for sink in host._connections.values():
+            if not isinstance(sink, TCPSocket):
+                continue
+            if id(sink) not in self._known:
+                self._watch(sink, scope)
+            if isinstance(sink, Subflow) and id(sink.connection) not in self._known:
+                self._watch(sink.connection, scope)
+
+    def _watch(self, entity, scope: _HostScope) -> None:
+        watch = _Watch(entity)
+        self._known[id(entity)] = watch
+        scope.watches.append(watch)
+        if not watch.is_subflow:
+            self._wrap_read(watch)
+            self._try_pair(watch)
 
     def _wrap_read(self, watch: _Watch) -> None:
         original = watch.entity.read
@@ -245,26 +365,30 @@ class InvariantOracle:
             data = _original(max_bytes)
             if data:
                 _watch.read_log += data
+                _watch.read_hash.update(data)
             return data
 
         watch.entity.read = read
 
     def _try_pair(self, watch: _Watch) -> None:
-        pool = self._conn_watches if watch.is_mptcp else self._watches
-        for other in pool.values():
-            if other is watch or other.peer is not None or other.is_subflow:
-                continue
-            if self._is_peer(watch.entity, other.entity):
-                watch.peer = other
-                other.peer = watch
-                self.stream_pairs += 1
-                return
+        for scope in self._scopes.values():
+            for other in scope.watches:
+                if (
+                    other is watch
+                    or other.peer is not None
+                    or other.is_subflow
+                    or other.is_mptcp is not watch.is_mptcp
+                ):
+                    continue
+                if self._is_peer(watch.entity, other.entity):
+                    watch.peer = other
+                    other.peer = watch
+                    self.stream_pairs += 1
+                    return
 
     @staticmethod
     def _is_peer(a, b) -> bool:
         if isinstance(a, MPTCPConnection):
-            if not isinstance(b, MPTCPConnection):
-                return False
             return (
                 a.remote_key is not None
                 and b.remote_key is not None
@@ -286,36 +410,43 @@ class InvariantOracle:
     # ------------------------------------------------------------------
     # Checks
     # ------------------------------------------------------------------
-    def check_now(self, full: bool = False) -> None:
-        """Run the invariants against the current state.
+    def check_now(self, full: bool = False, hosts=None) -> None:
+        """Run the invariants against the current state of ``hosts``
+        (default: every host; ``full``: ignoring the rotation budget)."""
+        force = full or not self.events_checked % 16
+        for host in self.network.hosts.values() if hosts is None else hosts:
+            scope = self._scopes.get(host)
+            if scope is None:
+                scope = self._scopes[host] = _HostScope()
+            self._discover(host, scope, force)
+            self._check_host(scope, full)
 
-        With at most :attr:`full_sweep_limit` live endpoints every
-        endpoint is checked on every event.  Past that (closed-loop
-        workloads holding hundreds of connections open) the expensive
-        per-endpoint checks rotate round-robin with a fixed per-event
-        budget: every endpoint is still checked continuously and any
-        violation still raises, at most one rotation late.  Stream
-        capture stays per-event for all endpoints regardless, so no
-        sent byte ever escapes the logs.  The rotation is driven by the
-        check counter, so detection stays deterministic per seed."""
-        self.checks_run += 1
-        if self._dirty:
-            self._everyone = list(self._watches.values()) + list(
-                self._conn_watches.values()
-            )
-            self._dirty = False
-        everyone = self._everyone
-        if full or len(everyone) <= self.full_sweep_limit:
-            targets = everyone
+    def _check_host(self, scope: _HostScope, full: bool) -> None:
+        """Check one host's live endpoints.
+
+        With at most :attr:`full_sweep_limit` of them every one is
+        checked each time.  Past that (closed-loop workloads holding
+        hundreds of connections open) the expensive per-endpoint checks
+        rotate round-robin with a fixed budget: every endpoint is still
+        checked continuously and any violation still raises, at most one
+        rotation late.  Stream capture stays per-event for all of the
+        host's endpoints regardless, so no sent byte ever escapes the
+        logs.  The cursor is per host (a shared one can alias with the
+        order hosts take turns in) and advances only with checks, so
+        detection stays deterministic per seed."""
+        watches = scope.watches
+        budget = self.full_sweep_limit
+        if full or len(watches) <= budget:
+            targets = watches
         else:
-            for watch in everyone:
+            for watch in watches:
                 if not watch.is_subflow:
                     self._capture_sent(watch)
-            budget = self.full_sweep_limit
-            start = (self.checks_run * budget) % len(everyone)
-            targets = everyone[start : start + budget]
+            start = scope.cursor % len(watches)
+            scope.cursor = start + budget
+            targets = watches[start : start + budget]
             if len(targets) < budget:
-                targets += everyone[: budget - len(targets)]
+                targets += watches[: budget - len(targets)]
         for watch in targets:
             # Pairing needs the handshake (keys / ISNs exchanged), which
             # is rarely complete at discovery — keep retrying until it
@@ -331,19 +462,11 @@ class InvariantOracle:
                     self._check_mappings(watch.entity)
                 else:
                     self._check_streams(watch)
-        self._retire_done(targets)
-
-    def _retire_done(self, watches) -> None:
-        """Drop fully-verified endpoints from the per-event sweeps."""
-        for watch in watches:
-            if not self._retirable(watch):
-                continue
-            key = id(watch.entity)
-            pool = self._conn_watches if watch.is_mptcp else self._watches
-            if pool.pop(key, None) is not None:
-                self._retired[key] = watch
-                self.watches_retired += 1
-                self._dirty = True
+        # Drop fully-verified endpoints from the per-event checks.
+        done = [watch for watch in targets if self._retirable(watch)]
+        for watch in done:
+            watches.remove(watch)
+        self.watches_retired += len(done)
 
     def _retirable(self, watch: _Watch) -> bool:
         if watch.is_subflow:
@@ -621,6 +744,7 @@ class InvariantOracle:
             )
         new = bytes(stream.peek(watch.captured_until, stream.tail - watch.captured_until))
         watch.sent_log += new
+        watch.sent_hash.update(new)
         watch.captured_until = stream.tail
 
     def _compare_delivered(self, recv: _Watch, send: _Watch) -> None:
@@ -628,32 +752,47 @@ class InvariantOracle:
         sender's application wrote, comparing only the new bytes."""
         if recv.tainted:
             return
-        reads_total = len(recv.read_log)
+        reads_total = recv.read_len()
         rx = recv.entity._rx_ready
         delivered = reads_total + len(rx)
         if delivered <= recv.matched:
             return
-        if delivered > len(send.sent_log):
+        if delivered > send.sent_len():
             self._stream_mismatch(
                 recv,
-                f"delivered {delivered} bytes but peer only sent {len(send.sent_log)}",
+                f"delivered {delivered} bytes but peer only sent {send.sent_len()}",
             )
             return
         cursor = recv.matched
+        sent, sent_base = send.sent_log, send.sent_base
         if cursor < reads_total:
-            if recv.read_log[cursor:reads_total] != send.sent_log[cursor:reads_total]:
+            read_base = recv.read_base
+            if (
+                recv.read_log[cursor - read_base : reads_total - read_base]
+                != sent[cursor - sent_base : reads_total - sent_base]
+            ):
                 self._stream_mismatch(
                     recv, f"delivered bytes [{cursor},{reads_total}) differ from sent"
                 )
                 return
             cursor = reads_total
         if cursor < delivered:
-            if rx[cursor - reads_total :] != send.sent_log[cursor:delivered]:
+            if rx[cursor - reads_total :] != sent[cursor - sent_base : delivered - sent_base]:
                 self._stream_mismatch(
                     recv, f"delivered bytes [{cursor},{delivered}) differ from sent"
                 )
                 return
         recv.matched = delivered
+        # Both logs are verified up to ``matched`` and never compared
+        # below it again: drop that prefix once it is worth a memmove.
+        drop = reads_total - recv.read_base
+        if drop > LOG_TRIM_BYTES:
+            del recv.read_log[:drop]
+            recv.read_base = reads_total
+        drop = delivered - sent_base
+        if drop > LOG_TRIM_BYTES:
+            del sent[:drop]
+            send.sent_base = delivered
 
     def _stream_mismatch(self, recv: _Watch, message: str) -> None:
         if self._modification_tolerated(recv):
@@ -689,15 +828,17 @@ class InvariantOracle:
             return
         recv.closed_checked = True
         delivered = recv.delivered_len()
-        if delivered != len(send.sent_log):
+        if delivered != send.sent_len():
             self._fail(
                 "stream-close-length",
                 self._subject(recv),
                 f"stream closed after delivering {delivered} of "
-                f"{len(send.sent_log)} sent bytes",
+                f"{send.sent_len()} sent bytes",
             )
-        ours = hashlib.sha256(recv.read_log + entity._rx_ready).hexdigest()
-        theirs = hashlib.sha256(send.sent_log).hexdigest()
+        digest = recv.read_hash.copy()
+        digest.update(entity._rx_ready)
+        ours = digest.hexdigest()
+        theirs = send.sent_hash.hexdigest()
         if ours != theirs:
             self._fail(
                 "stream-close-hash",
@@ -716,5 +857,4 @@ class InvariantOracle:
     def assert_quiescent(self) -> None:
         """Explicit end-of-run audit: one final full check."""
         self._tap_new_paths()
-        self._discover()
         self.check_now(full=True)

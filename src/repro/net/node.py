@@ -198,8 +198,9 @@ class Host:
         # proof: a trace stores copies, and a middlebox hold (Reorderer
         # parks pure ACKs too) keeps the refcount baseline elevated so
         # the equality check simply declines to recycle.  A post_event
-        # hook (the invariant oracle) is handed no arguments, so it can
-        # never observe the shell; recycling stays live under it.
+        # hook (the invariant oracle) is handed the callable that ran,
+        # never its arguments, so it can never observe the shell;
+        # recycling stays live under it.
         network = self.network
         if (
             not hooks

@@ -27,8 +27,9 @@ Design notes
 * :meth:`Simulator.run` is the single dispatch body.  Each iteration
   merges the wheel's cached minimum with the heap head by exact
   ``(time, seq)`` and fires one of two arms: timer or tuple.
-* ``post_event`` is an argument-less hook called after every executed
-  event (the invariant oracle).  It is handed nothing, so nothing it
+* ``post_event`` is a hook called after every executed event (the
+  invariant oracle).  It is handed the callable that just ran -- never
+  its arguments -- so it can tell *whose* event it was, yet nothing it
   sees can alias an object a pool has taken back: flyweight recycling
   (``Segment`` shells in ``Host.deliver``) stays live under the hook.
 """
@@ -82,10 +83,10 @@ class Simulator:
         self._seq: int = 0
         self._events_run: int = 0
         self._wheel = TimerWheel()
-        # Called with no arguments after every executed event (the
-        # invariant oracle hooks in here).  The None check is the only
-        # cost when detached.
-        self.post_event: Optional[Callable[[], Any]] = None
+        # Called after every executed event with the callable that ran,
+        # never its arguments (the invariant oracle hooks in here).  The
+        # None check is the only cost when detached.
+        self.post_event: Optional[Callable[[Callable[..., Any]], Any]] = None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -204,7 +205,7 @@ class Simulator:
                         else:
                             entry[2](entry[3], a1)
                     if self.post_event is not None:
-                        self.post_event()
+                        self.post_event(timer._callback if entry is None else entry[2])
                     executed += 1
                     if max_events is not None and executed >= max_events:
                         return executed

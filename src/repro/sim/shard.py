@@ -415,11 +415,11 @@ class ShardedClock:
         return sum(sim.events_run for sim in self._group.sims)
 
     @property
-    def post_event(self) -> Optional[Callable[[], Any]]:
+    def post_event(self) -> Optional[Callable[[Callable[..., Any]], Any]]:
         return self._group.sims[0].post_event
 
     @post_event.setter
-    def post_event(self, hook: Optional[Callable[[], Any]]) -> None:
+    def post_event(self, hook: Optional[Callable[[Callable[..., Any]], Any]]) -> None:
         for sim in self._group.sims:
             sim.post_event = hook
 

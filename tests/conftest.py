@@ -81,9 +81,10 @@ def make_multipath(
     seed: int = 1,
     paths: list[dict] | None = None,
     elements_per_path: list | None = None,
+    shards: int | None = None,
 ):
     """Dual-homed (or more) client and single-address server."""
-    net = Network(seed=seed)
+    net = Network(seed=seed, shards=shards)
     paths = paths or [
         dict(rate_bps=8e6, delay=0.01, queue_bytes=80_000),
         dict(rate_bps=2e6, delay=0.05, queue_bytes=100_000),

@@ -29,11 +29,7 @@ def ensure_oracle(net) -> InvariantOracle:
 
 def all_watches(oracle):
     """Live and retired watches (verified pairs retire out of the sweep)."""
-    return (
-        list(oracle._watches.values())
-        + list(oracle._conn_watches.values())
-        + list(oracle._retired.values())
-    )
+    return list(oracle._known.values())
 
 
 class MappingShifter(PathElement):
@@ -68,6 +64,13 @@ class MappingShifter(PathElement):
             if changed:
                 segment.options = rewritten
         return [(segment, direction)]
+
+
+def stuff_beyond_window(sock) -> None:
+    """A hostile sender ignoring the advertised window: bytes stuffed
+    into the reassembly queue beyond the receiver's announced edge — a
+    violation that persists until someone looks."""
+    sock.reassembly.insert(sock._rcv_adv_edge + 50_000, b"\xee" * 2_000)
 
 
 class TestCleanRuns:
@@ -148,8 +151,7 @@ class TestNegativeDetection:
         def stuff():
             victim = state.get("victim")
             assert victim is not None, "no accepted socket to attack"
-            beyond = victim._rcv_adv_edge + 50_000
-            victim.reassembly.insert(beyond, b"\xee" * 2_000)
+            stuff_beyond_window(victim)
 
         # Grab the accepted server socket, then attack mid-transfer.
         net.sim.schedule(0.08, stuff)
@@ -203,25 +205,32 @@ class TestRecycledShellHazard:
         post_event hook could still reach through the executed event it
         was handed; the fix made recycling stand down under a hook, so
         the oracle checked a configuration no benchmark runs.  The hook
-        is now argument-less -- nothing it is given can alias a pooled
-        shell -- so the pooled configuration is the checked one."""
+        is handed the callable that ran and nothing else -- never the
+        event's arguments, so nothing it is given can alias a pooled
+        shell -- and the pooled configuration is the checked one."""
         net, client, server = make_tcp_pair(seed=33)
         net.recycle_segments = True
         oracle = ensure_oracle(net)
         attached = net.sim.post_event
-        hook_args = set()
+        calls = []
 
         def hook(*args, **kwargs):
-            hook_args.add((args, tuple(kwargs)))
-            attached()
+            calls.append((args, kwargs))
+            attached(*args, **kwargs)
 
         net.sim.post_event = hook
         Segment._pool.clear()
         payload = random_payload(40_000, seed=33)
         result = tcp_transfer(net, client, server, payload, duration=60)
         assert bytes(result.received) == payload
-        assert hook_args == {((), ())}  # called, and only ever with nothing
-        assert oracle.events_checked > 0 and oracle.stream_pairs >= 1
+        assert len(calls) == oracle.events_checked > 0
+        for args, kwargs in calls:
+            assert len(args) == 1 and not kwargs  # the callable, nothing else
+            (fn,) = args
+            assert callable(fn)
+            assert not isinstance(fn, Segment)
+            assert not isinstance(getattr(fn, "__self__", None), Segment)
+        assert oracle.stream_pairs >= 1
         assert Segment._pool  # pure ACKs were recycled with the oracle attached
 
 
@@ -235,11 +244,47 @@ class TestLifecycle:
     def test_detach_restores_the_zero_cost_path(self):
         net, client, server = make_tcp_pair(seed=4)
         oracle = ensure_oracle(net)
+        payload = random_payload(20_000, seed=4)
+        first = tcp_transfer(net, client, server, payload, duration=30)
+        assert bytes(first.received) == payload
+        assert any(path.taps for path in net.paths)
+        assert "read" in vars(first.server)  # the oracle's logging shadow
+
         oracle.detach()
         assert net.sim.post_event is None
-        payload = random_payload(20_000, seed=4)
-        result = tcp_transfer(net, client, server, payload, duration=60)
-        assert bytes(result.received) == payload
+        assert getattr(net, "_oracle", None) is None
+        assert all(path.taps == [] for path in net.paths)
+        assert not any("read" in vars(w.entity) for w in all_watches(oracle))
+        before = (
+            oracle.events_checked,
+            len(oracle.trace),
+            [(w.read_len(), w.sent_len()) for w in all_watches(oracle)],
+        )
+        # A whole second transfer leaves a detached oracle untouched.
+        second = tcp_transfer(net, client, server, payload, duration=60, port=81)
+        assert bytes(second.received) == payload
+        assert before == (
+            oracle.events_checked,
+            len(oracle.trace),
+            [(w.read_len(), w.sent_len()) for w in all_watches(oracle)],
+        )
+        assert all(path.taps == [] for path in net.paths)
+
+        # attach -> detach -> attach: a fresh oracle takes over cleanly.
+        again = InvariantOracle.attach(net)
+        third = tcp_transfer(net, client, server, payload, duration=90, port=82)
+        assert bytes(third.received) == payload
+        assert again.events_checked > 0 and again.stream_pairs >= 1
+        assert any(w.closed_checked for w in all_watches(again))
+        assert oracle.events_checked == before[0]
+
+    def test_detach_leaves_someone_elses_hook_alone(self):
+        net, client, server = make_tcp_pair(seed=4)
+        oracle = ensure_oracle(net)
+        other = lambda fn: None
+        net.sim.post_event = other
+        oracle.detach()
+        assert net.sim.post_event is other
 
     def test_plain_network_has_no_hook(self, monkeypatch):
         # Outside REPRO_ORACLE=1 a fresh Network carries no post_event

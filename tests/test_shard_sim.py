@@ -295,12 +295,14 @@ def test_sharded_clock_api():
     assert sim.events_run == 2
 
     hook_calls = []
-    hook = lambda: hook_calls.append(sim.now)  # the hook takes no arguments
+    # The hook is handed the callable that ran, and only that.
+    hook = lambda *args, **kwargs: hook_calls.append((sim.now, args, kwargs))
     sim.post_event = hook
     assert all(s.post_event is hook for s in net._shards.sims)  # broadcast
-    sim.schedule(0.5, lambda: None)
+    tick = lambda: None
+    sim.schedule(0.5, tick)
     sim.run(until=3.0)
-    assert hook_calls == [2.5]
+    assert hook_calls == [(2.5, (tick,), {})]
     sim.post_event = None
     assert all(s.post_event is None for s in net._shards.sims)
 
