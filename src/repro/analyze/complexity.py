@@ -11,7 +11,7 @@ Every stateful collection is tagged with a **growth class** describing
 what its size is proportional to:
 
 * ``CONNECTIONS`` — one entry per connection (``Host._connections``,
-  ``Listener.accepted``): 10^3 today, 10^6 by the roadmap;
+  the token table): 10^3 today, 10^6 by the roadmap;
 * ``SUBFLOWS``    — per-subflow/address state (``_announcements``);
 * ``MAPPINGS``    — DSS-mapping bookkeeping (``_rx_mappings``,
   ``reinject_queue``, the scheduler's ``inflight``);
@@ -83,7 +83,6 @@ GROWS_COMMENT_RE = re.compile(r"#\s*grows:\s*(?P<spec>[A-Za-z0-9_=,\s]+)")
 # is a scan.
 SEED_ATTRS: dict[str, tuple[str, str]] = {
     "_connections": ("CONNECTIONS", "dict"),  # net/node.py demux table
-    "accepted": ("CONNECTIONS", "list"),  # tcp/listener.py accept queue
     "_rtx_queue": ("SEGMENTS", "list"),  # tcp/socket.py retransmit queue
     "reinject_queue": ("MAPPINGS", "list"),  # mptcp/scheduler.py
     "_rx_mappings": ("MAPPINGS", "list"),  # mptcp/subflow.py DSS table

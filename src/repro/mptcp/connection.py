@@ -34,7 +34,7 @@ from repro.tcp.buffer import ByteStream, ReassemblyQueue
 from repro.tcp.seq import SEQ_MOD, seq_add
 
 _SEQ_HALF = 1 << 31
-from repro.tcp.socket import TCPConfig
+from repro.tcp.socket import IDLE_TIMER, TCPConfig
 from repro.mptcp.coupled import CoupledGroup, LIAController
 from repro.mptcp.keys import idsn_from_key, token_from_key
 from repro.mptcp.ooo import OOOQueue, make_ooo_queue
@@ -96,6 +96,10 @@ class MPTCPConfig:
         return cfg
 
 
+def _handshake_rtt() -> float:  # a subflow's LIA rtt_seconds until it is established
+    return 0.1
+
+
 @dataclass
 class MPTCPStats:
     bytes_sent: int = 0
@@ -120,6 +124,20 @@ class MPTCPStats:
 
 class MPTCPConnection:
     """One multipath connection, presented to the app like a socket."""
+
+    __slots__ = (
+        "host", "sim", "config", "role", "name", "manager", "stats", "local_key", "local_token",
+        "remote_key", "remote_token", "local_idsn", "remote_idsn", "checksum_enabled", "subflows",
+        "_next_address_id", "_subflow_config", "cc_group", "scheduler", "send_stream", "data_una",
+        "data_nxt", "snd_buf_limit", "peer_rwnd_edge", "_close_requested", "_data_recovery_point",
+        "data_fin_offset", "_data_fin_sent", "_data_fin_acked", "rcv_data_nxt", "rcv_buf_limit",
+        "reassembly", "ooo_index", "_rx_ready", "_rx_eof", "rcv_data_adv_edge", "peer_data_fin",
+        "conn_state", "_dack_option_cache", "negotiated_version", "fallback_reason",
+        "_fallback_tx_base", "_mp_fail_pending", "remote_addresses", "local_extra_addresses",
+        "remote_primary", "_announcements", "_data_rtx_timer", "_autotune_timer", "_rx_meter",
+        "_rcv_autotuner", "_snd_autotuner", "on_established", "on_data", "on_eof", "on_close",
+        "on_error", "on_writable", "__dict__", "__weakref__",
+    )
 
     def __init__(
         self,
@@ -151,6 +169,7 @@ class MPTCPConnection:
         self.subflows: list[Subflow] = []
         self._next_address_id = 0
         self.cc_group = CoupledGroup()
+        self._subflow_config = self._build_subflow_config()  # one, shared by every subflow
         self.scheduler = Scheduler(self)
 
         # --- send side (absolute data offsets) ---------------------------
@@ -195,14 +214,14 @@ class MPTCPConnection:
 
         # --- timers ----------------------------------------------------------
         self._data_rtx_timer = Timer(self.sim, self._on_data_rto)
-        self._autotune_timer = Timer(self.sim, self._autotune_tick)
+        autotune = self.config.autotune
+        self._autotune_timer = Timer(self.sim, self._autotune_tick) if autotune else IDLE_TIMER
 
         # --- autotuning (M3) ---------------------------------------------------
-        self._rx_meter = ThroughputMeter()
-        self._tx_meter = ThroughputMeter()
+        self._rx_meter = ThroughputMeter() if autotune else None
         self._rcv_autotuner: Optional[BufferAutotuner] = None
         self._snd_autotuner: Optional[BufferAutotuner] = None
-        if self.config.autotune:
+        if autotune:
             initial = min(self.config.autotune_initial, self.config.rcv_buf)
             self._rcv_autotuner = BufferAutotuner(
                 initial,
@@ -272,29 +291,23 @@ class MPTCPConnection:
             self.host,
             self,
             kind=kind,
-            config=self._build_subflow_config(),
+            config=self._subflow_config,
             address_id=self._next_address_id,
         )
         self._next_address_id += 1
-        self.subflows.append(subflow)
-        subflow.on_error = lambda s, reason: None  # conn notified via mark_failed
+        self.subflows.append(subflow)  # its failures reach us via mark_failed
         return subflow
 
     def _build_subflow_config(self) -> TCPConfig:
         cfg = self.config.subflow_tcp_config()
         if self.config.coupled_cc:
-            group = self.cc_group
-            connection = self
+            group, sim = self.cc_group, self.sim
+
+            def now() -> float:
+                return sim.now
 
             def factory(mss: int, initial_segments: int) -> LIAController:
-                controller = LIAController(
-                    mss,
-                    initial_segments,
-                    group,
-                    rtt_seconds=lambda: 0.1,  # replaced after subflow binds
-                    now=lambda: connection.sim.now,
-                )
-                return controller
+                return LIAController(mss, initial_segments, group, _handshake_rtt, now)
 
             cfg.cc_factory = factory
         return cfg

@@ -35,7 +35,6 @@ class MPTCPManager:
         self.host = host
         self.tokens = TokenTable(host.rng.fork("mptcp-keys"))
         self._accept_callbacks: dict[int, Callable[[MPTCPConnection], None]] = {}
-        self.connections: list[MPTCPConnection] = []
 
     def notify_accept(self, connection: MPTCPConnection) -> None:
         port = (
@@ -86,7 +85,6 @@ def make_server_factory(
             # Plain TCP client (or the option was stripped): fallback
             # from the start — same connection object for the app.
             connection.enter_fallback("no MP_CAPABLE in SYN")
-        manager.connections.append(connection)
         return connection.adopt_server_syn(syn)
 
     return factory

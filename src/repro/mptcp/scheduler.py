@@ -186,9 +186,9 @@ class Scheduler:
     def __init__(self, connection: "MPTCPConnection"):
         self.connection = connection
         self.inflight = TxIndex()  # grows: mappings
-        # FIFO of mutable [start, end) ranges: consumed from the front
-        # one MSS at a time, so popleft must not shift the tail.
-        self.reinject_queue: deque[list[int]] = deque()  # grows: mappings
+        # FIFO of mutable [start, end) ranges, consumed from the front one MSS
+        # at a time (a deque: no tail shift) — () until the first reinjection.
+        self.reinject_queue: deque[list[int]] = ()  # grows: mappings
         self.batches: dict[int, Batch] = {}  # subflow_id -> Batch
         self.stats = SchedulerStats()
 
@@ -418,6 +418,7 @@ class Scheduler:
         for entry in self.reinject_queue:
             if entry[0] <= start and end <= entry[1]:
                 return  # already queued
+        self.reinject_queue = self.reinject_queue or deque()
         self.reinject_queue.append([start, end])
 
     def tx_inflight_bytes(self) -> int:

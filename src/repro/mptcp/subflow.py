@@ -86,6 +86,15 @@ class Subflow(TCPSocket):
     KIND_INITIAL = "initial"
     KIND_JOIN = "join"
 
+    __slots__ = (
+        "connection", "kind", "address_id", "subflow_id", "is_mptcp", "mptcp_confirmed", "failed",
+        "backup", "local_nonce", "remote_nonce", "join_verified", "peer_address_id", "_rx_mappings",
+        "_rx_pending", "unmapped_bytes_dropped", "checksum_failures", "last_penalty_at",
+        "last_opportunistic_offset", "last_opportunistic_edge", "last_opportunistic_time",
+        "rx_mappings_received", "_rx_first_checked", "_rx_mapless_data_run", "rx_dss_received",
+        "_rx_optionless_ack_run",
+    )
+
     def __init__(
         self,
         host: Host,

@@ -105,11 +105,12 @@ class PayloadView:
                 and self._offset == other._offset
             ):
                 return True
-            return self.memoryview() == other.memoryview()
+            # bytes, not memoryviews: one memcmp instead of an item-by-item unpack.
+            return self.tobytes() == other.tobytes()
         if isinstance(other, (bytes, bytearray, memoryview)):
             if self._length != len(other):
                 return False
-            return self.memoryview() == other
+            return self.tobytes() == other
         return NotImplemented
 
     def __ne__(self, other) -> bool:

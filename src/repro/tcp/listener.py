@@ -38,7 +38,6 @@ class Listener:
         self.config = config or TCPConfig()
         self.socket_factory = socket_factory
         self.on_accept = on_accept
-        self.accepted: list[TCPSocket] = []
         self.syns_received = 0
         host.register_listener(port, self)
         self._open = True
@@ -56,14 +55,13 @@ class Listener:
         if sock is None:
             return  # factory refused (e.g. MP_JOIN with a bad token)
         previous = sock.on_established
-        listener = self
 
         def _established(s: TCPSocket) -> None:
-            listener.accepted.append(s)
+            s.on_established = previous  # one-shot: the socket drops this closure
             if previous is not None:
                 previous(s)
-            if listener.on_accept is not None:
-                listener.on_accept(s)
+            if self.on_accept is not None:
+                self.on_accept(s)
 
         sock.on_established = _established
         sock.accept_syn(segment)

@@ -67,6 +67,7 @@ class RetransmitQueue:
 
     def popleft(self) -> "SentSegment":
         sent = self._segs[self._head]
+        self._segs[self._head] = None  # release it (and its payload) now, not at compaction
         self._head += 1
         if self._head > _COMPACT_MIN and self._head * 2 > len(self._segs):
             del self._segs[: self._head]

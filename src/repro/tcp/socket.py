@@ -53,6 +53,10 @@ from repro.tcp.seq import SEQ_MOD
 _SEQ_HALF = 1 << 31
 from repro.tcp.state import TCPState
 
+# Stands in for the rarely armed timers (persist, TIME_WAIT, autotune): never
+# running, so stop()/``_wlevel`` work; the arming site swaps in a real Timer.
+IDLE_TIMER = Timer(None, None)
+
 
 @dataclass
 class TCPConfig:
@@ -87,7 +91,7 @@ class TCPConfig:
     snd_buf_max: int = 4 * 1024 * 1024
 
 
-@dataclass
+@dataclass(slots=True)
 class SentSegment:
     """Retransmission-queue entry (absolute units, payload retained)."""
 
@@ -124,6 +128,22 @@ class SocketStats:
 
 class TCPSocket:
     """A full TCP endpoint bound to a :class:`~repro.net.node.Host`."""
+
+    # __dict__ stays empty: only the invariant oracle's ``read`` shadow ever lands in it.
+    __slots__ = (
+        "host", "sim", "config", "name", "state", "local", "remote", "stats", "mss", "cc", "rtt",
+        "iss", "snd_una", "snd_nxt", "snd_buf", "snd_buf_limit", "_fin_pending", "_fin_sent",
+        "_fin_unit_sent", "_rtx_queue", "_lost_bytes", "_sacked_bytes", "_highest_sacked",
+        "_peer_wnd_edge", "_last_window_ack", "_last_seen_window", "_dupacks", "_max_recent_flight",
+        "_recover", "_recover_kind", "_recovery_inflation", "_consecutive_rtos", "irs", "rcv_nxt",
+        "rcv_buf_limit", "reassembly", "_rx_ready", "_rx_eof", "_rcv_adv_edge",
+        "_last_advertised_window", "_peer_fin_unit", "_ack_pending", "_ts_recent",
+        "_ts_option_cache", "snd_wscale", "rcv_wscale", "ts_enabled", "sack_enabled", "_rto_timer",
+        "_delack_timer", "_persist_timer", "_time_wait_timer", "_autotune_timer",
+        "_persist_backoff", "_timing_unit", "_timing_start", "_timing_retransmitted",
+        "on_established", "on_data", "on_eof", "on_close", "on_error", "on_writable", "_registered",
+        "error", "syn_retries", "established_at", "__dict__", "__weakref__",
+    )
 
     def __init__(self, host: Host, config: Optional[TCPConfig] = None, name: str = ""):
         self.host = host
@@ -162,7 +182,6 @@ class TCPSocket:
         self._recover_kind: Optional[str] = None  # 'fast' | 'rto' | 'sack'
         self._recovery_inflation = 0
         self._consecutive_rtos = 0
-        self.total_rtos = 0
 
         # --- receive side ----------------------------------------------
         self.irs: int = 0
@@ -189,9 +208,12 @@ class TCPSocket:
         # --- timers -------------------------------------------------------
         self._rto_timer = Timer(self.sim, self._on_rto)
         self._delack_timer = Timer(self.sim, self._on_delack_timeout)
-        self._persist_timer = Timer(self.sim, self._on_persist_timeout)
-        self._time_wait_timer = Timer(self.sim, self._on_time_wait_expired)
+        # Rarely armed: the shared idle placeholder until the arming site.
+        self._persist_timer = self._time_wait_timer = self._autotune_timer = IDLE_TIMER
         self._persist_backoff = 0
+        self._timing_unit: Optional[int] = None  # Karn marker (timestamps off)
+        self._timing_start = 0.0
+        self._timing_retransmitted = False
 
         # --- app callbacks ----------------------------------------------
         self.on_established: Optional[Callable[["TCPSocket"], None]] = None
@@ -211,8 +233,8 @@ class TCPSocket:
         # *maximums* (the sysctl model of §4.2) and the effective buffers
         # start small and grow on demand: send side toward 2*cwnd, receive
         # side toward 2*(delivery rate)*srtt.
-        self._autotune_timer = Timer(self.sim, self._autotune_tick)
         if cfg.autotune:
+            self._autotune_timer = Timer(self.sim, self._autotune_tick)
             self.snd_buf_limit = min(cfg.autotune_initial, cfg.snd_buf)
             self.rcv_buf_limit = min(cfg.autotune_initial, cfg.rcv_buf)
 
@@ -483,9 +505,6 @@ class TCPSocket:
         self._rto_timer.restart(self.rtt.rto)
 
     def _send_synack(self) -> None:
-        if self.ts_enabled:
-            # echo will be filled by _make_segment via ts options below
-            pass
         options = self._base_syn_options() + self._synack_options()
         segment = self._make_segment(flags=SYN | ACK, seq_unit=0, options=options)
         if not self._rtx_queue:
@@ -924,10 +943,6 @@ class TCPSocket:
                 self.rtt.sample(self.sim.now - self._timing_start)
             self._timing_unit = None
 
-    _timing_unit: Optional[int] = None
-    _timing_start: float = 0.0
-    _timing_retransmitted: bool = False
-
     def _handle_fin_acked(self, ack_unit: int) -> None:
         if not self._fin_sent or self._fin_unit_sent is None:
             return
@@ -1234,7 +1249,6 @@ class TCPSocket:
             self._rto_timer.restart(self.rtt.rto)
             self.stats.zero_window_probes += 1
             return
-        self.total_rtos += 1
         self._consecutive_rtos += 1
         self.stats.timeouts += 1
         limit = (
@@ -1272,6 +1286,8 @@ class TCPSocket:
         )
         if blocked:
             if not self._persist_timer.running:
+                if self._persist_timer is IDLE_TIMER:
+                    self._persist_timer = Timer(self.sim, self._on_persist_timeout)
                 delay = min(60.0, self.rtt.rto * (2 ** min(self._persist_backoff, 6)))
                 self._persist_timer.start(delay)
         else:
@@ -1293,7 +1309,8 @@ class TCPSocket:
         self.state = TCPState.TIME_WAIT
         self._rto_timer.stop()
         self._persist_timer.stop()
-        self._time_wait_timer.restart(2 * self.config.msl)
+        self._time_wait_timer = Timer(self.sim, self._on_time_wait_expired)
+        self._time_wait_timer.start(2 * self.config.msl)
 
     def _on_time_wait_expired(self) -> None:
         self._destroy()

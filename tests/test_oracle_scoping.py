@@ -118,7 +118,7 @@ class TestResolverTable:
                 assert oracle._host_of(subflow.close) is host  # call_soon
         sock = TCPSocket(client)
         assert oracle._host_of(sock._rto_timer._callback) is client
-        assert oracle._host_of(sock._time_wait_timer._callback) is client
+        assert oracle._host_of(sock._on_time_wait_expired) is client  # armed lazily
 
     def test_everything_else_gets_the_full_sweep(self):
         reorderer = Reorderer(seed=1)

@@ -240,3 +240,73 @@ def test_reassembly_differential(seed):
         assert queue.block_count == reference.block_count
         assert queue.max_offset == reference.max_offset
         assert queue.sack_blocks() == reference.sack_blocks()
+
+
+# ----------------------------------------------------------------------
+# Equality: bytes-slice compare vs the plain-bytes truth
+# ----------------------------------------------------------------------
+OPERAND_TYPES = {
+    "bytes": bytes,
+    "bytearray": bytearray,
+    "memoryview": memoryview,
+    "PayloadView": as_view,
+    # A window inside a larger backing: offset != 0, not the full range.
+    "PayloadView-window": lambda raw: PayloadView(b"\x00" * 3 + raw + b"\xff" * 2, 3, len(raw)),
+}
+
+
+def _assert_eq_matches_bytes(view: PayloadView, raw: bytes) -> None:
+    """``view`` against ``raw`` in every operand type, on either side of
+    ``==`` and ``!=``, must say what the two plain ``bytes`` say."""
+    truth = view.tobytes() == raw
+    for name, build in OPERAND_TYPES.items():
+        other = build(raw)
+        assert (view == other) is truth, name
+        assert (other == view) is truth, f"reflected {name}"
+        assert (view != other) is (not truth), name
+        assert (other != view) is (not truth), f"reflected {name}"
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42, 1234])
+def test_eq_differential(seed):
+    rng = random.Random(seed)
+    for _ in range(300):
+        # A two-letter alphabet makes equal windows at unequal offsets
+        # (and near-misses) common instead of vanishingly rare.
+        backing = bytes(rng.choice(b"ab") for _ in range(rng.randint(0, 48)))
+        offset = rng.randint(0, len(backing))
+        length = rng.randint(0, len(backing) - offset)
+        view = PayloadView(backing, offset, length)
+        other_offset = rng.randint(0, len(backing))
+        other_length = length if rng.random() < 0.7 else rng.randint(0, len(backing) - other_offset)
+        other_length = min(other_length, len(backing) - other_offset)
+        # Unequal offsets over ONE backing: the identity shortcut must
+        # not fire, the contents decide.
+        sibling = PayloadView(backing, other_offset, other_length)
+        truth = backing[offset : offset + length] == backing[other_offset : other_offset + other_length]
+        assert (view == sibling) is truth and (sibling == view) is truth
+        assert (view != sibling) is (not truth)
+        _assert_eq_matches_bytes(view, sibling.tobytes())
+
+
+def test_eq_equal_length_mismatch_in_first_and_last_byte():
+    raw = bytes(range(1, 200))
+    view = PayloadView(b"\x00" + raw + b"\x00", 1, len(raw))
+    _assert_eq_matches_bytes(view, raw)  # equal
+    for position in (0, len(raw) - 1, len(raw) // 2):
+        changed = bytearray(raw)
+        changed[position] ^= 0x80
+        _assert_eq_matches_bytes(view, bytes(changed))
+    _assert_eq_matches_bytes(view, raw[:-1])  # a prefix is not equal
+    _assert_eq_matches_bytes(view, raw + b"\x00")
+    _assert_eq_matches_bytes(PayloadView(b"", 0, 0), b"")
+    # Same window, same backing: equal without looking at a byte.
+    assert view == PayloadView(view._data, 1, len(raw))
+
+
+def test_eq_with_foreign_types_is_not_implemented():
+    view = as_view(b"abc")
+    for foreign in ("abc", 3, None, [97, 98, 99], (97, 98, 99)):
+        assert view.__eq__(foreign) is NotImplemented
+        assert view.__ne__(foreign) is NotImplemented
+        assert (view == foreign) is False and (view != foreign) is True

@@ -11,9 +11,17 @@ block covers, and the queue contents after every cumulative ACK
 (including the mid-segment head trim that re-keys a lost head).
 """
 
+import gc
+import weakref
+
+from repro.net.packet import Endpoint
 from repro.sim.rng import SeededRNG
+from repro.tcp.listener import Listener
 from repro.tcp.rtx import RetransmitQueue
-from repro.tcp.socket import SentSegment
+from repro.tcp.socket import SentSegment, TCPSocket
+from repro.tcp.state import TCPState
+
+from conftest import make_tcp_pair
 
 MSS = 1448
 
@@ -167,3 +175,56 @@ def test_popleft_compaction_preserves_order():
     assert len(queue) == 50
     assert queue[0].start == 150 * MSS
     assert [s.start for s in queue] == [i * MSS for i in range(150, 200)]
+
+
+class _Payload:
+    """Stands in for a segment payload: unlike ``bytes`` and
+    ``PayloadView`` it can be weakly referenced."""
+
+
+class _AppBuffer(bytes):
+    """A ``bytes`` the collector tracks, so a live one can be found."""
+
+
+def test_popleft_releases_the_popped_segment_below_the_compaction_floor():
+    """``popleft`` only compacts past 32 dead entries; a short
+    connection never gets there, so the slot itself must be cleared or
+    every acknowledged payload stays pinned until the socket dies."""
+    queue = RetransmitQueue()
+    payloads = []
+    for index in range(8):
+        sent = make_segment(index * MSS, (index + 1) * MSS, 0.0)
+        sent.payload = _Payload()
+        payloads.append(weakref.ref(sent.payload))
+        queue.append(sent)
+    del sent
+    for _ in range(5):
+        queue.popleft()
+    assert [ref() is None for ref in payloads] == [True] * 5 + [False] * 3
+    # The cleared prefix is invisible to every reader.
+    assert len(queue) == 3 and queue[0].start == 5 * MSS and queue[-1].start == 7 * MSS
+    assert [s.start for s in queue] == [5 * MSS, 6 * MSS, 7 * MSS]
+    assert [s.start for s in queue.in_range(0, 8 * MSS)] == [5 * MSS, 6 * MSS, 7 * MSS]
+    assert list(queue.in_range(0, 5 * MSS)) == []
+    assert queue.first_lost() is None
+    for sent in queue:
+        sent.lost = True
+        queue.note_lost(sent)
+    assert queue.first_lost().start == 5 * MSS
+    queue.popleft()
+    assert queue.first_lost().start == 6 * MSS  # not the cleared slot before it
+
+
+def test_acked_payload_is_released_while_the_socket_lives():
+    """End to end: 10 KB is 7 segments — far below the compaction floor.
+    Once cumulatively ACKed, nothing in a still-open socket may keep the
+    application's buffer alive."""
+    net, client, server = make_tcp_pair(seed=5)
+    Listener(server, 80, on_accept=lambda sock: setattr(sock, "on_data", lambda s: s.read()))
+    sock = TCPSocket(client)
+    sock.on_established = lambda s: s.send(_AppBuffer(b"\xa5" * 10_000))
+    sock.connect(Endpoint(server.primary_address, 80))
+    net.run(until=5.0)
+    assert sock.state is TCPState.ESTABLISHED and sock.snd_una == 10_001
+    assert not sock._rtx_queue and sock._rtx_queue._head == 8  # SYN + 7, never compacted
+    assert not [o for o in gc.get_objects() if type(o) is _AppBuffer]
