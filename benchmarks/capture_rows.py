@@ -1,7 +1,7 @@
 """Capture deterministic experiment rows for before/after comparison.
 
 Runs every figure harness (at the smoke-test scale) plus the study
-table and dumps the rows as canonical JSON.  Two captures taken before
+table's full other-ports column and dumps the rows as canonical JSON.  Two captures taken before
 and after a performance change must be byte-identical — this is the
 conformance gate for hot-path work (the rows are pure functions of the
 seed, so any drift means the change altered simulation behaviour).
@@ -43,7 +43,7 @@ def capture() -> dict:
     out["fig8"] = fig8.run_fig8(duration=8.0).rows
     out["fig9"] = fig9.run_fig9(buffers_kb=(200,), duration=10.0).rows
     out["fig11"] = fig11.run_fig11(sizes_kb=(64,), duration=6.0).rows
-    out["study"] = table_study.run_table_study(sample=40).rows
+    out["study"] = table_study.run_table_study().rows
     return out
 
 

@@ -11,9 +11,7 @@ from conftest import run_once, show
 
 @pytest.mark.parametrize("port80", [False, True], ids=["other-ports", "port-80"])
 def test_study_table(benchmark, port80):
-    # A 40-path stratified sample keeps each column under a minute;
-    # the module's main() runs the full 142.
-    result = run_once(benchmark, run_table_study, port80=port80, sample=40)
+    result = run_once(benchmark, run_table_study, port80=port80)
     claims = check_claims(result)
     show(result, f"claims: {claims}")
     assert claims["tcp_always_works"]

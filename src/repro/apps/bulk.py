@@ -145,4 +145,5 @@ def run_bulk_transfer(
         "completed_at": receiver.completed_at if receiver else None,
         "corrupt": receiver.corrupt if receiver else True,
         "meter": meter,
+        "transport": transport,
     }

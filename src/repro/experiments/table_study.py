@@ -1,10 +1,11 @@
 """§3 — The middlebox study table and the deployability headline.
 
-Reproduces, over the synthetic 142-path population (per port column):
+Reproduces, over the enumerated 142-path population (per port column):
 
 * the behaviour-rate table (option stripping, ISN rewriting, hole
   blocking, ACK mishandling) — by construction of the population;
-* the outcome table — run over every path with the real protocol code:
+* the outcome table — run with the real protocol code over every
+  distinct path signature, weighted by how many paths share it:
 
   - plain TCP completes on 100% of paths,
   - MPTCP completes on 100% of paths (negotiating multipath where the
@@ -19,65 +20,45 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.experiments.common import ExperimentResult
-from repro.study.population import behaviour_rates, synthesize_population
-from repro.study.runner import run_study
+from repro.study.generative import paper_population
+from repro.study.scale import count_paths, simulate_signatures
 
 
 def run_table_study(
     port80: bool = False,
-    sample: Optional[int] = None,
     seed: int = 2012,
     include_strawman: bool = True,
     workers: Optional[int] = None,
 ) -> ExperimentResult:
-    """``sample`` limits the number of paths (for quick CI runs); None
-    runs the full 142."""
-    profiles = synthesize_population(port80=port80, seed=seed)
-    rates = behaviour_rates(profiles)
-    if sample is not None:
-        # Deterministic stratified-ish subsample: keep every k-th.
-        step = max(1, len(profiles) // sample)
-        profiles = profiles[::step][:sample]
-    study = run_study(profiles, include_strawman=include_strawman, workers=workers)
-    summary = study.summary()
+    population = paper_population(port80=port80, seed=seed)
+    counts = count_paths(population)
+    folded, sweep = simulate_signatures(
+        "paper2011-port80" if port80 else "paper2011",
+        counts["signatures"],
+        seed,
+        include_strawman=include_strawman,
+        workers=workers,
+    )
+    n = len(population)
     column = "port 80" if port80 else "other ports"
-    result = ExperimentResult(f"§3 middlebox study ({column}, {len(profiles)} paths)")
-    paper = {
-        "strip_syn_options": 14.0 if port80 else 6.0,
-        "isn_rewrite": 18.0 if port80 else 10.0,
-        "hole_block": 11.0 if port80 else 5.0,
-        "ack_mishandle": 33.0 if port80 else 26.0,
-    }
-    for behaviour, paper_rate in paper.items():  # analyze: ok(DET03): insertion-ordered dict, deterministic iteration
-        result.add(
-            metric=f"paths with {behaviour}",
-            paper_pct=paper_rate,
-            measured_pct=rates[behaviour],
-        )
-    result.add(metric="TCP completed", paper_pct=100.0, measured_pct=summary["tcp_completed"])
-    result.add(
-        metric="MPTCP completed", paper_pct=100.0, measured_pct=summary["mptcp_completed"]
-    )
-    result.add(
-        metric="MPTCP used multipath",
-        paper_pct=None,
-        measured_pct=summary["mptcp_used_multipath"],
-    )
-    result.add(
-        metric="MPTCP fell back to TCP",
-        paper_pct=None,
-        measured_pct=summary["mptcp_fell_back"],
-    )
+    result = ExperimentResult(f"§3 middlebox study ({column}, {n} paths)")
+    marginals, outcomes = counts["marginals"], folded["outcomes"]
+    rows = [
+        ("paths with strip_syn_options", 14.0 if port80 else 6.0, marginals["strip_syn_options"]),
+        ("paths with isn_rewrite", 18.0 if port80 else 10.0, marginals["isn_rewrite"]),
+        ("paths with hole_block", 11.0 if port80 else 5.0, marginals["hole_block"]),
+        ("paths with ack_mishandle", 33.0 if port80 else 26.0, marginals["ack_mishandle"]),
+        ("TCP completed", 100.0, outcomes["tcp_completed"]),
+        ("MPTCP completed", 100.0, outcomes["mptcp_completed"]),
+        ("MPTCP used multipath", None, outcomes["mptcp_used_multipath"]),
+        ("MPTCP fell back to TCP", None, outcomes["mptcp_fell_back"]),
+    ]
     if include_strawman:
-        result.add(
-            metric="strawman striping broken",
-            paper_pct=33.0,  # "a third of paths will break such connections"
-            measured_pct=summary["strawman_broken"],
-        )
-    result.notes["summary"] = summary
-    result.notes["behaviour_rates"] = rates
-    if study.sweep_perf is not None:
-        result.notes["sweep"] = study.sweep_perf
+        # "a third of paths will break such connections"
+        rows.append(("strawman striping broken", 33.0, n - outcomes["strawman_ok"]))
+    for metric, paper_pct, count in rows:
+        result.add(metric=metric, paper_pct=paper_pct, measured_pct=100.0 * count / n)
+    result.notes["sweep"] = sweep
     return result
 
 
@@ -93,14 +74,18 @@ def check_claims(result: ExperimentResult) -> dict[str, bool]:
     return claims
 
 
-def main() -> None:
+def main() -> int:
+    """Print both columns; exit 1 if any claim fails."""
+    failed = False
     for port80 in (False, True):
         result = run_table_study(port80=port80)
         print(result.format_table())
         for claim, ok in check_claims(result).items():  # analyze: ok(DET03): insertion-ordered dict, deterministic iteration
             print(f"  claim {claim}: {'PASS' if ok else 'FAIL'}")
+            failed = failed or not ok
         print()
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

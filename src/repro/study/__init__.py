@@ -2,12 +2,12 @@
 
 The paper validates MPTCP's design against measurements from 142 access
 networks in 24 countries.  We cannot re-run the Internet; instead
-:mod:`repro.study.population` synthesises a population of 142 paths
-whose middlebox behaviours occur at the *observed* rates (6% strip SYN
+:mod:`repro.study.generative` enumerates 142 paths per port column whose
+middlebox behaviours occur at the *observed* rates (6% strip SYN
 options — 14% on port 80; 10%/18% rewrite ISNs; 5%/11% block data after
 holes; 26%/33% mishandle ACKs for unseen data), and
-:mod:`repro.study.runner` drives the real protocol implementations over
-every path:
+:mod:`repro.study.microsim` drives the real protocol implementations
+over each path:
 
 * plain TCP          — must work on 100% of paths (the baseline),
 * MPTCP              — must *complete* on 100% of paths, negotiating
@@ -18,11 +18,11 @@ every path:
                        middleboxes break ("a third of paths will break
                        such connections").
 
-:mod:`repro.study.generative` generalises the fixed 142-path table into
-a declarative :class:`PopulationSpec` (per-AS behaviour mixes, MPTCP
-v0/v1 endpoint splits, ADD_ADDR-filtering firewalls) and
-:mod:`repro.study.scale` runs the same machinery over 10^5–10^6 sampled
-paths by deduplicating them onto distinct behaviour signatures::
+The same module generalises the fixed table into a declarative
+:class:`PopulationSpec` (per-AS behaviour mixes, MPTCP v0/v1 endpoint
+splits, ADD_ADDR-filtering firewalls), and :mod:`repro.study.scale`
+runs every population — the 142-path table included — by deduplicating
+paths onto distinct behaviour signatures::
 
     python -m repro.study.scale --paths 100000 --spec internet2021
 """
@@ -33,33 +33,18 @@ from repro.study.generative import (
     PopulationSpec,
     SampledPath,
     get_spec,
+    paper_population,
     sample_path,
     sample_population,
 )
-from repro.study.population import PathProfile, synthesize_population
-from repro.study.runner import StudyResult, run_study
-
-
-def run_scale_study(*args, **kwargs):
-    """Lazy forward to :func:`repro.study.scale.run_scale_study` — the
-    scale module stays importable as ``python -m repro.study.scale``
-    without being shadowed by a package-level import."""
-    from repro.study.scale import run_scale_study as run
-
-    return run(*args, **kwargs)
-
 
 __all__ = [
     "ASClass",
     "BehaviourMix",
-    "PathProfile",
     "PopulationSpec",
     "SampledPath",
-    "StudyResult",
     "get_spec",
-    "run_scale_study",
-    "run_study",
+    "paper_population",
     "sample_path",
     "sample_population",
-    "synthesize_population",
 ]

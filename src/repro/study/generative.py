@@ -1,26 +1,37 @@
-"""Generative middlebox population model.
+"""The middlebox path population: the paper's 142-path table and a
+generative model that scales it.
 
-The paper's measurement study covered 142 real access paths; its
-behaviour rates are baked into :mod:`repro.study.population` as fixed
-class counts.  This module generalises that table into a *generative*
-model: a :class:`PopulationSpec` declares per-AS-class behaviour rates
-and a :func:`sample_path` call draws path number ``i`` from it — so the
-same machinery that ran the 142-path study can be pushed to 10^5–10^6
-sampled paths (see :mod:`repro.study.scale`).
+The paper's measurement study covered 142 real access paths per port
+column.  Each path is a :class:`SampledPath`: a bundle of middlebox
+behaviours.  The aggregate rates are compositional — some ISN rewriting
+comes from full proxies that also strip options and block holes, some
+from standalone "randomization-improving" firewalls — so behaviour
+*classes* are mutually exclusive bundles (a "proxy" bundles option
+stripping + ISN rewriting + hole blocking + ACK correction; an
+"isn_only" firewall rewrites and nothing else), while NAT presence and
+ADD_ADDR filtering are independent per-path draws.  The marginals the
+paper tabulates fall out of the class mix:
 
-Compositionality mirrors ``population.py``: behaviour *classes* are
-mutually exclusive (a "proxy" bundles option stripping + ISN rewriting +
-hole blocking + ACK correction; an "isn_only" firewall rewrites and
-nothing else), while NAT presence and ADD_ADDR filtering are
-independent per-path draws.  The aggregate marginals the paper tabulates
-(e.g. 6% strip options from SYNs on non-web ports) fall out of the
-class mix rather than being sampled directly.
+====================================  ===========  =======
+behaviour                             other ports  port 80
+====================================  ===========  =======
+removes options from SYN                    6%        14%
+rewrites initial sequence numbers          10%        18%
+does not pass data after a hole             5%        11%
+mishandles ACK for unseen data             26%        33%
+====================================  ===========  =======
+
+:func:`paper_population` enumerates one column exactly (class counts
+out of 142).  A :class:`PopulationSpec` generalises the table into
+per-AS-class behaviour rates, and :func:`sample_path` draws path number
+``i`` from it — so the same machinery pushes to 10^5–10^6 sampled paths
+(see :mod:`repro.study.scale`).
 
 Presets:
 
 * ``paper2011`` / ``paper2011-port80`` — the paper's two measurement
   columns, expressed as rates (class counts / 142) so that large-N
-  samples converge on the same aggregates the fixed population hits
+  samples converge on the same aggregates :func:`paper_population` hits
   exactly.
 * ``internet2021`` / ``internet2022`` — mixes modelled on the follow-up
   deployment measurements a decade later (Aschenbrenner et al. 2021,
@@ -39,21 +50,48 @@ tests pin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from repro.sim.rng import SeededRNG
-from repro.study.population import _CLASS_COUNTS, NAT_FRACTION, POPULATION_SIZE, PathProfile
-
-# The mutually exclusive behaviour classes, in draw order.  Keep in sync
-# with population._CLASS_COUNTS and the application code in sample_path.
-BEHAVIOUR_CLASSES = (
-    "proxy",
-    "stripper_all",
-    "isn_only",
-    "hole_only",
-    "ack_drop",
-    "ack_correct",
+from repro.middlebox import (
+    NAT,
+    AckCoercer,
+    AddAddrFilter,
+    HoleBlocker,
+    OptionStripper,
+    SequenceRewriter,
 )
+from repro.net.path import PathElement
+from repro.sim.rng import SeededRNG
+
+# Behaviour-class counts out of 142 paths, per the study's two columns:
+# class: (count other ports, count port 80); chosen so aggregates hit
+# the paper's table: strip 9/20 (6%/14%), ISN 14/26 (10%/18%),
+# holes 7/16 (5%/11%), ack 37/47 (26%/33%).  A "proxy" matches the
+# paper's observation that most hole-blockers "seem to be proxies that
+# block new options on SYNs".  Insertion order is the draw order.
+CLASS_COUNTS = {
+    "proxy": (6, 14),  # strips options, rewrites, blocks holes, corrects acks
+    "stripper_all": (3, 6),  # strips options from every segment
+    "isn_only": (8, 12),  # standalone ISN randomizers
+    "hole_only": (1, 2),  # non-proxy hole blockers
+    "ack_drop": (16, 17),  # drop ACKs for unseen data
+    "ack_correct": (15, 16),  # "correct" them instead
+}
+POPULATION_SIZE = 142
+NAT_FRACTION = 0.45
+
+# The path flags each class sets; "clean" sets none.  Proxies
+# regenerate segments, so they strip options from every one.
+_STRIP_ALL = dict(strips_syn_options=True, strips_all_options=True)
+_CLASS_FLAGS: dict[str, dict] = {
+    "proxy": dict(_STRIP_ALL, rewrites_isn=True, blocks_holes=True, ack_mode="correct"),
+    "stripper_all": _STRIP_ALL,
+    "isn_only": dict(rewrites_isn=True),
+    "hole_only": dict(blocks_holes=True),
+    "ack_drop": dict(ack_mode="drop"),
+    "ack_correct": dict(ack_mode="correct"),
+    "clean": {},
+}
 
 
 @dataclass(frozen=True)
@@ -76,7 +114,7 @@ class BehaviourMix:
 
     def class_weights(self) -> tuple[tuple[float, str], ...]:
         """``(probability, class)`` pairs including the clean remainder."""
-        pairs = tuple((getattr(self, name), name) for name in BEHAVIOUR_CLASSES)
+        pairs = tuple((getattr(self, name), name) for name in CLASS_COUNTS)
         remainder = 1.0 - sum(weight for weight, _ in pairs)
         if remainder < -1e-9:
             raise ValueError(f"behaviour class rates sum past 1: {self}")
@@ -151,15 +189,24 @@ def _draw(rng: SeededRNG, pairs):
 
 
 @dataclass
-class SampledPath(PathProfile):
-    """A path drawn from a :class:`PopulationSpec`.
+class SampledPath:
+    """The middlebox behaviours present on one access path, plus the
+    post-2011 dimensions: ADD_ADDR filtering, endpoint version support,
+    which side is multihomed, and the secondary path's relative
+    capacity."""
 
-    Extends the study's :class:`PathProfile` with the post-2011
-    dimensions: ADD_ADDR filtering, endpoint version support, which side
-    is multihomed, and the secondary path's relative capacity.
-    """
-
+    index: int
     as_class: str = ""
+    # The signature is every field below: a path's simulated outcome is
+    # a pure function of them (plus the seed), so two paths with equal
+    # signatures are the same microsimulation — which is what lets the
+    # scale driver fold a million paths into a few hundred distinct runs.
+    strips_syn_options: bool = False
+    strips_all_options: bool = False
+    rewrites_isn: bool = False
+    blocks_holes: bool = False
+    ack_mode: str = "pass"  # 'pass' | 'drop' | 'correct'
+    has_nat: bool = False
     behaviour_class: str = "clean"
     add_addr_filtered: bool = False
     server_multihomed: bool = False
@@ -168,47 +215,67 @@ class SampledPath(PathProfile):
     rate_ratio: float = 1.0
 
     def behaviours(self) -> list[str]:
-        found = super().behaviours()
+        found: list = []
+        if self.strips_all_options:
+            found.append("strip-all-options")
+        elif self.strips_syn_options:
+            found.append("strip-syn-options")
+        if self.rewrites_isn:
+            found.append("isn-rewrite")
+        if self.blocks_holes:
+            found.append("hole-block")
+        if self.ack_mode != "pass":
+            found.append(f"ack-{self.ack_mode}")
+        if self.has_nat:
+            found.append("nat")
         if self.add_addr_filtered:
             found.append("add-addr-filter")
         return found
 
-    def build_elements(self, rng, nat_ip, include_nat=True):
-        elements = super().build_elements(rng, nat_ip, include_nat=include_nat)
-        if self.add_addr_filtered:
-            from repro.middlebox import AddAddrFilter
+    def build_elements(
+        self, rng: SeededRNG, nat_ip: str, include_nat: bool = True
+    ) -> list[PathElement]:
+        """Instantiate the actual middlebox chain for this path.
 
+        ``include_nat=False`` is used by the strawman experiment, which
+        measures breakage from sequence-space middleboxes specifically
+        (a NAT breaks the strawman trivially, for the separate §3.2
+        reason that five-tuples stop identifying connections).
+        """
+        elements: list[PathElement] = []
+        if self.has_nat and include_nat:
+            elements.append(NAT(nat_ip))
+        if self.strips_all_options:
+            elements.append(OptionStripper(syn_only=False))
+        elif self.strips_syn_options:
+            elements.append(OptionStripper(syn_only=True))
+        if self.rewrites_isn:
+            elements.append(SequenceRewriter(rng.fork(f"isn{self.index}")))
+        if self.blocks_holes:
+            elements.append(HoleBlocker())
+        if self.ack_mode != "pass":
+            elements.append(AckCoercer(mode=self.ack_mode))
+        if self.add_addr_filtered:
             elements.append(AddAddrFilter())
         return elements
 
-    # -- signatures ----------------------------------------------------
-    # A path's simulated outcome is a pure function of everything below
-    # (plus the seed): two sampled paths with equal signatures are the
-    # same microsimulation, which is what lets the scale driver fold a
-    # million paths into a few hundred distinct runs.
-
-    _SIGNATURE_FIELDS = (
-        "strips_syn_options",
-        "strips_all_options",
-        "rewrites_isn",
-        "blocks_holes",
-        "ack_mode",
-        "has_nat",
-        "behaviour_class",
-        "add_addr_filtered",
-        "server_multihomed",
-        "client_versions",
-        "server_versions",
-        "rate_ratio",
-    )
+    def set_class(self, behaviour: str) -> None:
+        """Give the path one behaviour class and the flags it implies."""
+        self.behaviour_class = behaviour
+        for name, value in _CLASS_FLAGS[behaviour].items():
+            setattr(self, name, value)
 
     def signature(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._SIGNATURE_FIELDS)
+        return tuple(getattr(self, name) for name in _SIGNATURE_FIELDS)
 
     @classmethod
     def from_signature(cls, signature: tuple, index: int = 0) -> "SampledPath":
-        values = dict(zip(cls._SIGNATURE_FIELDS, signature))
-        return cls(index=index, **values)
+        return cls(index=index, **dict(zip(_SIGNATURE_FIELDS, signature)))
+
+
+_SIGNATURE_FIELDS = tuple(
+    f.name for f in fields(SampledPath) if f.name not in ("index", "as_class")
+)
 
 
 def signature_label(signature: tuple) -> str:
@@ -229,24 +296,8 @@ def sample_path(spec: PopulationSpec, index: int, seed: int) -> SampledPath:
     as_class = _draw(rng, tuple((cls.weight, cls) for cls in spec.classes))
     mix = as_class.mix
     behaviour = _draw(rng, mix.class_weights())
-    path = SampledPath(index=index, as_class=as_class.name, behaviour_class=behaviour)
-    if behaviour == "proxy":
-        path.strips_syn_options = True
-        path.strips_all_options = True  # proxies regenerate segments
-        path.rewrites_isn = True
-        path.blocks_holes = True
-        path.ack_mode = "correct"
-    elif behaviour == "stripper_all":
-        path.strips_syn_options = True
-        path.strips_all_options = True
-    elif behaviour == "isn_only":
-        path.rewrites_isn = True
-    elif behaviour == "hole_only":
-        path.blocks_holes = True
-    elif behaviour == "ack_drop":
-        path.ack_mode = "drop"
-    elif behaviour == "ack_correct":
-        path.ack_mode = "correct"
+    path = SampledPath(index=index, as_class=as_class.name)
+    path.set_class(behaviour)
     path.has_nat = rng.chance(mix.nat)
     path.add_addr_filtered = rng.chance(mix.add_addr_filter)
     path.server_multihomed = rng.chance(spec.server_multihomed)
@@ -267,7 +318,7 @@ def sample_population(
 
 
 def _paper_mix(column: int) -> BehaviourMix:
-    rates = {name: counts[column] / POPULATION_SIZE for name, counts in _CLASS_COUNTS.items()}
+    rates = {name: counts[column] / POPULATION_SIZE for name, counts in CLASS_COUNTS.items()}
     return BehaviourMix(nat=NAT_FRACTION, **rates)
 
 
@@ -369,6 +420,27 @@ INTERNET_2022 = PopulationSpec(
 SPECS: dict[str, PopulationSpec] = {
     spec.name: spec for spec in (PAPER_2011, PAPER_2011_PORT80, INTERNET_2021, INTERNET_2022)
 }
+
+
+def paper_population(port80: bool, seed: int = 2012) -> list[SampledPath]:
+    """The 142 paths of one study column, enumerated rather than
+    sampled: each class's exact count lands on shuffled indices, then
+    every path draws its NAT independently."""
+    spec = PAPER_2011_PORT80 if port80 else PAPER_2011
+    rng = SeededRNG(seed, f"study-population-{'80' if port80 else 'other'}")
+    paths = [SampledPath(index=i, as_class=spec.classes[0].name) for i in range(POPULATION_SIZE)]
+    order = list(range(POPULATION_SIZE))
+    rng.shuffle(order)
+    start = 0
+    for behaviour, counts in CLASS_COUNTS.items():
+        end = start + counts[1 if port80 else 0]
+        for index in order[start:end]:
+            paths[index].set_class(behaviour)
+        start = end
+    # NATs are orthogonal: residential paths mostly have one.
+    for path in paths:
+        path.has_nat = rng.chance(NAT_FRACTION)
+    return paths
 
 
 def get_spec(name: str) -> PopulationSpec:

@@ -1,22 +1,26 @@
-"""Internet-scale deployment study over a generative path population.
+"""The deployment study driver: the 142-path table and internet-scale
+populations through one pipeline.
 
-Pushes the 142-path study (``repro.study.runner``) to 10^5–10^6 sampled
-paths without giving up the property that every outcome comes from the
-*real* handshake/fallback machinery running over real middlebox chains.
-Two facts make that tractable:
+Every outcome comes from the *real* handshake/fallback machinery running
+over real middlebox chains (:mod:`repro.study.microsim`).  Two facts make
+10^5–10^6 paths tractable:
 
 1. A path's simulated outcome is a pure function of its behaviour
    **signature** (which middleboxes, which endpoint versions, which
    topology) plus a seed — see :meth:`SampledPath.signature`.  A million
-   sampled paths collapse onto a few hundred distinct signatures, so the
-   driver runs one microsimulation per ``(signature, replicate)`` and
-   folds sampled multiplicities into streaming counters.
+   sampled paths collapse onto a few hundred distinct signatures, so
+   :func:`simulate_signatures` runs one microsimulation per
+   ``(signature, replicate)`` and folds multiplicities into streaming
+   counters.  The paper's 142-path table is the same step over the
+   enumerated :func:`~repro.study.generative.paper_population` (12 and 13
+   distinct signatures per column).
 2. Sampling path ``i`` is a pure function of ``(spec, i, seed)``
-   (per-index forked RNG streams), so the sample phase can be cut into
-   batches fanned over the PR-1 sweep engine — and the resulting
-   counters are independent of batch size, worker count and shard
-   layout.  Microsimulations build ordinary :class:`Network` objects,
-   which transparently honour ``REPRO_SHARDS`` (PR 7).
+   (per-index forked RNG streams), so :func:`sample_counts` cuts the
+   sample phase into batches fanned over the sweep engine
+   (:mod:`repro.experiments.runner`) — and the resulting counters are
+   independent of batch size, worker count and shard layout.
+   Microsimulations build ordinary :class:`Network` objects, which
+   transparently honour ``REPRO_SHARDS``.
 
 Counter totals feed the seeded interval estimators in
 :mod:`repro.stats.bootstrap`, so the report carries bootstrap CIs while
@@ -36,54 +40,36 @@ import time
 import zlib
 from collections import Counter
 from pathlib import Path as FsPath
-from typing import Optional
+from typing import Iterable, Optional
 
-from repro.mptcp.api import connect as mptcp_connect
-from repro.mptcp.api import listen as mptcp_listen
-from repro.mptcp.connection import MPTCPConfig
-from repro.net.network import Network
-from repro.net.packet import Endpoint
 from repro.stats.bootstrap import (
     bootstrap_histogram_mean_ci,
     bootstrap_proportion_ci,
     histogram_mean,
     wilson_interval,
 )
-from repro.stats.metrics import GoodputMeter
 from repro.study.generative import (
     SampledPath,
     get_spec,
     sample_path,
     signature_label,
 )
-from repro.study.runner import (
-    _DELAY,
-    _QUEUE,
-    _RATE,
-    _TIMEOUT,
-    _TRANSFER,
-    _run_strawman_case,
-    _run_tcp_case,
-)
+from repro.study.microsim import evaluate
 
 # ----------------------------------------------------------------------
 # Phase 1: sampling (batched, embarrassingly parallel, no simulators)
 
 
-def _sample_batch(spec_name: str, start: int, count: int, seed: int) -> dict:
-    """Sample ``count`` paths and return mergeable counters.
-
-    A pure function of its arguments: per-index RNG forks mean the same
-    index yields the same path regardless of which batch asked.
-    """
-    spec = get_spec(spec_name)
+def count_paths(paths: Iterable[SampledPath]) -> dict:
+    """Mergeable counter tables over ``paths``: behaviour marginals, AS
+    and behaviour classes, version sets, and ``"signatures"`` — the
+    ``{signature: count}`` mapping :func:`simulate_signatures` takes."""
     marginals: Counter = Counter()
     as_classes: Counter = Counter()
     behaviour_classes: Counter = Counter()
     versions: Counter = Counter()
     signatures: Counter = Counter()
-    for index in range(start, start + count):
-        path = sample_path(spec, index, seed)
+    for path in paths:
         marginals["strip_syn_options"] += path.strips_syn_options
         marginals["strip_all_options"] += path.strips_all_options
         marginals["isn_rewrite"] += path.rewrites_isn
@@ -108,6 +94,41 @@ def _sample_batch(spec_name: str, start: int, count: int, seed: int) -> dict:
     }
 
 
+def _sample_batch(spec_name: str, start: int, count: int, seed: int) -> dict:
+    """Count paths ``[start, start + count)`` — the sweep-engine unit.
+
+    A pure function of its arguments: per-index RNG forks mean the same
+    index yields the same path regardless of which batch asked.
+    """
+    spec = get_spec(spec_name)
+    return count_paths(sample_path(spec, index, seed) for index in range(start, start + count))
+
+
+def sample_counts(
+    spec_name: str, paths: int, seed: int, batch: int = 20_000, workers: Optional[int] = None
+) -> tuple[dict, dict]:
+    """Sample ``paths`` paths of a preset in ``batch``-sized sweep points:
+    the merged :func:`count_paths` tables, and the sweep's perf notes."""
+    # Imported here: the sweep engine loads multiprocessing, which
+    # importers of this module that never sweep should not pay for.
+    from repro.experiments.runner import Point, run_parallel
+
+    batch = max(1, batch)
+    sample_points = [
+        Point(
+            _sample_batch,
+            dict(spec_name=spec_name, start=start, count=min(batch, paths - start), seed=seed),
+            label=f"sample[{start}:{min(start + batch, paths)}]",
+        )
+        for start in range(0, paths, batch)
+    ]
+    sampled = run_parallel(f"scale-sample-{spec_name}", sample_points, workers=workers)
+    counts: dict = {}
+    for batch_counts in sampled.values:
+        _merge_counts(counts, batch_counts)
+    return counts, sampled.perf.as_notes()
+
+
 def _merge_counts(into: dict, batch: dict) -> None:
     for table, counts in batch.items():
         target = into.setdefault(table, {})
@@ -127,115 +148,12 @@ def _sig_seed(spec_name: str, signature: tuple, replicate: int, base_seed: int) 
     return (base_seed * 1_000_003 + digest) & 0x7FFFFFFF
 
 
-def _run_mptcp_case(path: SampledPath, seed: int) -> dict:
-    """MPTCP over the sampled topology.
-
-    Client-multihomed paths mirror the 142-path study: first subflow
-    over the profiled path, second over a clean one.  Server-multihomed
-    paths model §3.2: a single-homed (often NATted) client whose only
-    route to the server's second address is an ADD_ADDR advertisement —
-    and *both* subflows cross the client's access-network middleboxes.
-    """
-    net = Network(seed=seed)
-    secondary_rate = _RATE * path.rate_ratio
-    if path.server_multihomed:
-        client = net.add_host("client", "10.0.0.1")
-        server = net.add_host("server", "10.9.0.1", "10.9.1.1")
-        net.connect(
-            client.interface("10.0.0.1"),
-            server.interface("10.9.0.1"),
-            rate_bps=_RATE,
-            delay=_DELAY,
-            queue_bytes=_QUEUE,
-            elements=path.build_elements(net.rng.fork("mb-primary"), "99.0.0.1"),
-        )
-        net.connect(
-            client.interface("10.0.0.1"),
-            server.interface("10.9.1.1"),
-            rate_bps=secondary_rate,
-            delay=_DELAY,
-            queue_bytes=_QUEUE,
-            elements=path.build_elements(net.rng.fork("mb-secondary"), "99.0.1.1"),
-        )
-    else:
-        client = net.add_host("client", "10.0.0.1", "10.1.0.1")
-        server = net.add_host("server", "10.9.0.1")
-        net.connect(
-            client.interface("10.0.0.1"),
-            server.interface("10.9.0.1"),
-            rate_bps=_RATE,
-            delay=_DELAY,
-            queue_bytes=_QUEUE,
-            elements=path.build_elements(net.rng.fork("mb-primary"), "99.0.0.1"),
-        )
-        net.connect(
-            client.interface("10.1.0.1"),
-            server.interface("10.9.0.1"),
-            rate_bps=secondary_rate,
-            delay=_DELAY,
-            queue_bytes=_QUEUE,
-        )
-    meter = GoodputMeter(net.sim)
-    state: dict = {}
-
-    def on_accept(conn):
-        from repro.apps.bulk import BulkReceiverApp
-
-        state["rx"] = BulkReceiverApp(conn, meter, expect_bytes=_TRANSFER, verify=True)
-
-    mptcp_listen(server, 80, config=MPTCPConfig(versions=path.server_versions), on_accept=on_accept)
-    conn = mptcp_connect(
-        client, Endpoint("10.9.0.1", 80), config=MPTCPConfig(versions=path.client_versions)
-    )
-    from repro.apps.bulk import BulkSenderApp
-
-    BulkSenderApp(conn, _TRANSFER)
-    net.run(until=_TIMEOUT)
-    receiver = state.get("rx")
-    ok = receiver is not None and receiver.received >= _TRANSFER and not receiver.corrupt
-    multipath = (
-        ok
-        and not conn.fallback
-        and sum(1 for s in conn.subflows if s.established_at is not None and not s.failed) >= 2
-    )
-    return {
-        "ok": ok,
-        "multipath": multipath,
-        "fallback": conn.fallback,
-        "fallback_reason": conn.fallback_reason,
-        "negotiated_version": conn.negotiated_version,
-        "time": receiver.completed_at if ok else None,
-    }
-
-
 def _evaluate_signature(
     spec_name: str, signature: tuple, replicate: int, seed: int, include_strawman: bool
 ) -> dict:
     """All cases for one distinct signature — the sweep-engine unit."""
-    path = SampledPath.from_signature(signature)
     sim_seed = _sig_seed(spec_name, signature, replicate, seed)
-    tcp_ok, tcp_time = _run_tcp_case(path, sim_seed)
-    mptcp = _run_mptcp_case(path, sim_seed + 1)
-    outcome = {
-        "signature": signature,
-        "replicate": replicate,
-        "tcp_ok": tcp_ok,
-        "tcp_time": tcp_time,
-        "mptcp": mptcp,
-    }
-    if include_strawman:
-        completed, strawman_time = _run_strawman_case(path, sim_seed + 2)
-        broken = not completed or (
-            tcp_time is not None
-            and strawman_time is not None
-            and strawman_time > 10.0 * tcp_time
-        )
-        outcome["strawman_ok"] = not broken
-    if tcp_ok and mptcp["ok"] and tcp_time and mptcp["time"]:
-        outcome["benefit"] = tcp_time / mptcp["time"]
-    else:
-        outcome["benefit"] = None
-    return outcome
+    return evaluate(SampledPath.from_signature(signature), sim_seed, include_strawman)
 
 
 # ----------------------------------------------------------------------
@@ -258,67 +176,46 @@ def _rate_entry(count: int, total: int, seed: int, name: str) -> dict:
     }
 
 
-def run_scale_study(
+def _sorted_counts(table: dict) -> dict:
+    return {key: int(value) for key, value in sorted(table.items())}
+
+
+def simulate_signatures(
     spec_name: str,
-    paths: int,
-    seed: int = 2026,
-    batch: int = 20_000,
+    signatures: dict,
+    seed: int,
     replicates: int = 1,
     include_strawman: bool = False,
     workers: Optional[int] = None,
 ) -> tuple[dict, dict]:
-    """The full pipeline: sample → deduplicate → simulate → fold.
+    """Simulate and fold a ``{signature: count}`` mapping.
 
-    Returns ``(report, bench)``.  ``report`` is a pure function of
-    ``(spec_name, paths, seed, batch-independent inputs)`` — rendering
-    it with sorted keys gives byte-identical JSON across runs, worker
-    counts and shard layouts.  ``bench`` carries the wall-clock numbers
-    and is *not* deterministic.
+    One microsimulation per distinct ``(signature, replicate)``, each
+    outcome weighted by its share of the signature's count.  Returns the
+    folded tables — ``outcomes`` (path counts per outcome),
+    ``fallback_reasons``, ``negotiated``, ``benefit`` (histogram of TCP
+    time / MPTCP time, rounded to 0.01) and ``signatures`` (one entry per
+    signature label) — and the sweep's perf notes.
     """
     from repro.experiments.runner import Point, run_parallel
 
-    spec = get_spec(spec_name)
-    started = time.perf_counter()  # analyze: ok(DET02): wall-clock perf metering only
-
-    batch = max(1, batch)
-    sample_points = [
-        Point(
-            _sample_batch,
-            {
-                "spec_name": spec_name,
-                "start": start,
-                "count": min(batch, paths - start),
-                "seed": seed,
-            },
-            label=f"sample[{start}:{min(start + batch, paths)}]",
-        )
-        for start in range(0, paths, batch)
-    ]
-    sampled = run_parallel(f"scale-sample-{spec_name}", sample_points, workers=workers)
-    counts: dict = {}
-    for batch_counts in sampled.values:
-        _merge_counts(counts, batch_counts)
-    signatures = counts.pop("signatures", {})
-    sample_elapsed = time.perf_counter() - started  # analyze: ok(DET02): wall-clock perf metering only
-
     ordered = sorted(signatures.items(), key=lambda item: repr(item[0]))
     replicates = max(1, replicates)
-    sim_points = []
-    for sig_index, (signature, _count) in enumerate(ordered):
-        for replicate in range(replicates):
-            sim_points.append(
-                Point(
-                    _evaluate_signature,
-                    {
-                        "spec_name": spec_name,
-                        "signature": signature,
-                        "replicate": replicate,
-                        "seed": seed,
-                        "include_strawman": include_strawman,
-                    },
-                    label=f"sig{sig_index}r{replicate}",
-                )
-            )
+    sim_points = [
+        Point(
+            _evaluate_signature,
+            dict(
+                spec_name=spec_name,
+                signature=signature,
+                replicate=replicate,
+                seed=seed,
+                include_strawman=include_strawman,
+            ),
+            label=f"sig{sig_index}r{replicate}",
+        )
+        for sig_index, (signature, _count) in enumerate(ordered)
+        for replicate in range(replicates)
+    ]
     simulated = run_parallel(f"scale-sim-{spec_name}", sim_points, workers=workers)
 
     outcome_counts: Counter = Counter()
@@ -356,7 +253,46 @@ def run_scale_study(
             sig_entry["fallback"] = bool(mptcp["fallback"])
             if include_strawman:
                 sig_entry["strawman_ok"] = bool(outcome["strawman_ok"])
+    folded = {
+        "outcomes": outcome_counts,
+        "fallback_reasons": fallback_reasons,
+        "negotiated": negotiated,
+        "benefit": benefit_hist,
+        "signatures": per_signature,
+    }
+    return folded, simulated.perf.as_notes()
 
+
+def run_scale_study(
+    spec_name: str,
+    paths: int,
+    seed: int = 2026,
+    batch: int = 20_000,
+    replicates: int = 1,
+    include_strawman: bool = False,
+    workers: Optional[int] = None,
+) -> tuple[dict, dict]:
+    """The full pipeline: sample → deduplicate → simulate → fold.
+
+    Returns ``(report, bench)``.  ``report`` is a pure function of
+    ``(spec_name, paths, seed, batch-independent inputs)`` — rendering
+    it with sorted keys gives byte-identical JSON across runs, worker
+    counts and shard layouts.  ``bench`` carries the wall-clock numbers
+    and is *not* deterministic.
+    """
+    spec = get_spec(spec_name)
+    started = time.perf_counter()  # analyze: ok(DET02): wall-clock perf metering only
+    counts, sample_sweep = sample_counts(spec_name, paths, seed, batch, workers)
+    signatures = counts.pop("signatures", {})
+    sample_elapsed = time.perf_counter() - started  # analyze: ok(DET02): wall-clock perf metering only
+
+    replicates = max(1, replicates)
+    folded, sim_sweep = simulate_signatures(
+        spec_name, signatures, seed, replicates, include_strawman, workers
+    )
+    outcome_counts = folded["outcomes"]
+    benefit_hist = folded["benefit"]
+    per_signature = folded["signatures"]
     outcomes = {
         name: _rate_entry(int(outcome_counts[name]), paths, seed, name)
         for name in sorted(outcome_counts)
@@ -385,16 +321,14 @@ def run_scale_study(
         "include_strawman": include_strawman,
         "population": {
             "marginals": marginals,
-            "as_classes": {k: int(v) for k, v in sorted(counts.get("as_classes", {}).items())},
-            "behaviour_classes": {
-                k: int(v) for k, v in sorted(counts.get("behaviour_classes", {}).items())
-            },
-            "versions": {k: int(v) for k, v in sorted(counts.get("versions", {}).items())},
-            "distinct_signatures": len(ordered),
+            "as_classes": _sorted_counts(counts.get("as_classes", {})),
+            "behaviour_classes": _sorted_counts(counts.get("behaviour_classes", {})),
+            "versions": _sorted_counts(counts.get("versions", {})),
+            "distinct_signatures": len(signatures),
         },
         "outcomes": outcomes,
-        "fallback_reasons": {k: int(v) for k, v in sorted(fallback_reasons.items())},
-        "negotiated": {k: int(v) for k, v in sorted(negotiated.items())},
+        "fallback_reasons": _sorted_counts(folded["fallback_reasons"]),
+        "negotiated": _sorted_counts(folded["negotiated"]),
         "aggregation_benefit": {
             "mean": round(mean_benefit, 6) if mean_benefit is not None else None,
             "ci95": [round(benefit_ci[0], 6), round(benefit_ci[1], 6)] if benefit_ci else None,
@@ -407,13 +341,13 @@ def run_scale_study(
     bench = {
         "spec": spec.name,
         "paths": paths,
-        "microsims": len(sim_points),
-        "distinct_signatures": len(ordered),
+        "microsims": sim_sweep["points"],
+        "distinct_signatures": len(signatures),
         "sample_seconds": round(sample_elapsed, 3),
         "total_seconds": round(elapsed, 3),
         "paths_per_sec": round(paths / elapsed, 1) if elapsed > 0 else None,
-        "sample_sweep": sampled.perf.as_notes(),
-        "sim_sweep": simulated.perf.as_notes(),
+        "sample_sweep": sample_sweep,
+        "sim_sweep": sim_sweep,
     }
     return report, bench
 

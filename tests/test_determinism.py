@@ -78,12 +78,10 @@ class TestDeterminism:
         b = run_fig9(buffers_kb=(100,), duration=6.0)
         assert a.rows == b.rows
 
-    def test_study_outcomes_stable(self):
-        from repro.study import run_study, synthesize_population
+    def test_study_outcomes_stable(self, monkeypatch):
+        from repro.experiments.table_study import run_table_study
 
-        profiles = synthesize_population(port80=False)[:4]
-        a = run_study(profiles, include_strawman=False)
-        b = run_study(profiles, include_strawman=False)
-        assert [(o.tcp_ok, o.mptcp_ok, o.mptcp_fallback) for o in a.outcomes] == [
-            (o.tcp_ok, o.mptcp_ok, o.mptcp_fallback) for o in b.outcomes
-        ]
+        monkeypatch.setenv("REPRO_CACHE", "0")  # two real runs, not one replayed
+        a = run_table_study(port80=False, include_strawman=False)
+        b = run_table_study(port80=False, include_strawman=False)
+        assert a.rows == b.rows

@@ -93,15 +93,13 @@ class TestFig11:
 
 
 class TestStudyTable:
-    def test_sampled_study(self):
-        result = table_study.run_table_study(port80=False, sample=10)
+    def test_full_study(self):
+        result = table_study.run_table_study(port80=False)
         metrics = {row["metric"]: row for row in result.rows}
         assert metrics["TCP completed"]["measured_pct"] == 100.0
         assert metrics["MPTCP completed"]["measured_pct"] == 100.0
 
     def test_format_table_renders(self):
-        result = table_study.run_table_study(
-            port80=False, sample=4, include_strawman=False
-        )
+        result = table_study.run_table_study(port80=False, include_strawman=False)
         text = result.format_table()
         assert "MPTCP completed" in text

@@ -1,28 +1,57 @@
-"""The generative population model: statistical fidelity, compositional
-joints, and partition-independence of the sampled counters."""
+"""The population model: the enumerated 142-path table, the generative
+model's statistical fidelity and compositional joints, and
+partition-independence of the sampled counters."""
 
 import pytest
 
 from repro.sim.rng import SeededRNG
 from repro.stats.bootstrap import wilson_interval
 from repro.study.generative import (
+    CLASS_COUNTS,
     INTERNET_2021,
     PAPER_2011,
+    POPULATION_SIZE,
     SPECS,
     SampledPath,
     get_spec,
+    paper_population,
     sample_path,
     sample_population,
     signature_label,
 )
-from repro.study.scale import _sample_batch, _merge_counts
+from repro.study.scale import count_paths, sample_counts
 
 N = 2000
 SEED = 77
 
 
 def _counts(spec_name: str, n: int = N, seed: int = SEED) -> dict:
-    return _sample_batch(spec_name, start=0, count=n, seed=seed)
+    return count_paths(sample_population(get_spec(spec_name), n, seed))
+
+
+class TestPaperPopulation:
+    """The enumerated table the §3 study runs over."""
+
+    # (strip_syn_options, isn_rewrite, hole_block, ack_mishandle) per column
+    PAPER_PCT = {False: (6.0, 10.0, 5.0, 26.0), True: (14.0, 18.0, 11.0, 33.0)}
+    KEYS = ("strip_syn_options", "isn_rewrite", "hole_block", "ack_mishandle")
+
+    @pytest.mark.parametrize("port80", [False, True], ids=["other-ports", "port-80"])
+    def test_rates_match_paper(self, port80):
+        paths = paper_population(port80=port80)
+        assert len(paths) == POPULATION_SIZE
+        counts = count_paths(paths)
+        for key, paper_pct in zip(self.KEYS, self.PAPER_PCT[port80]):
+            measured = 100.0 * counts["marginals"][key] / POPULATION_SIZE
+            assert measured == pytest.approx(paper_pct, abs=1.0), key
+        # Enumerated, not sampled: every class count is exact.
+        for behaviour, column_counts in CLASS_COUNTS.items():
+            assert counts["behaviour_classes"][behaviour] == column_counts[port80], behaviour
+
+    def test_deterministic_per_seed(self):
+        a = paper_population(port80=False, seed=5)
+        assert a == paper_population(port80=False, seed=5)
+        assert a != paper_population(port80=False, seed=6)
 
 
 class TestMarginalRates:
@@ -94,12 +123,12 @@ class TestDeterminism:
         assert a.signature() == b.signature()
         assert a.as_class == b.as_class
 
-    def test_counters_independent_of_batch_split(self):
+    def test_counters_independent_of_batch_split(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", "0")
         whole = _counts("internet2021", n=600)
-        pieces: dict = {}
-        for start, count in ((0, 100), (100, 250), (350, 250)):
-            _merge_counts(pieces, _sample_batch("internet2021", start, count, SEED))
-        assert whole == pieces
+        for batch in (250, 17):
+            pieces, _perf = sample_counts("internet2021", 600, SEED, batch=batch, workers=1)
+            assert whole == pieces, batch
 
     def test_signature_roundtrip(self):
         for path in sample_population(INTERNET_2021, 50, SEED):
