@@ -83,6 +83,7 @@ captured by a tail-mode :class:`~repro.net.trace.PacketTrace`.
 from __future__ import annotations
 
 import hashlib
+from itertools import islice
 from typing import TYPE_CHECKING, Optional
 
 from repro.mptcp.connection import MPTCPConnection
@@ -105,6 +106,7 @@ AUDIT_PERIOD = 64
 LOG_TRIM_BYTES = 64 * 1024
 # _host_of's answer for an event that touched no endpoint at all.
 _NO_HOST = object()
+_CLOSED = TCPState.CLOSED
 
 
 class InvariantViolation(AssertionError):
@@ -291,13 +293,20 @@ class InvariantOracle:
             if host is _NO_HOST:
                 self.events_skipped += 1
                 return
-        self._tap_new_paths()
+        if len(self.network.paths) != self._tapped_paths:
+            self._tap_new_paths()
         if host is None:
             self.events_swept += 1
             self.check_now()
-        else:
-            self.events_scoped += 1
-            self.check_now(hosts=(host,))
+            return
+        # check_now() for the one host, without its loop and frame.
+        self.events_scoped += 1
+        scope = self._scopes.get(host)
+        if scope is None:
+            scope = self._scopes[host] = _HostScope()
+        if len(host._connections) != scope.registered or not self.events_checked % 16:
+            self._discover(host, scope)
+        self._check_host(scope, False)
 
     def _host_of(self, fn):
         """The resolver table (module docstring): ``_NO_HOST``, the one
@@ -321,8 +330,6 @@ class InvariantOracle:
 
     def _tap_new_paths(self) -> None:
         paths = self.network.paths
-        if len(paths) == self._tapped_paths:
-            return
         for path in paths[self._tapped_paths :]:
             path.add_tap(self._tap)
             for element in path.elements:
@@ -332,16 +339,13 @@ class InvariantOracle:
                     self._payload_modifiers = True
         self._tapped_paths = len(paths)
 
-    def _discover(self, host: Host, scope: _HostScope, force: bool) -> None:
-        # The rescan is O(registered connections); skip it while the
-        # host's registration count is unchanged.  A same-event register+
-        # unregister swap could slip past the count, so every 16th event
-        # (and therefore every audit) forces one anyway: bounded,
-        # deterministic lag.
-        total = len(host._connections)
-        if total == scope.registered and not force:
-            return
-        scope.registered = total
+    def _discover(self, host: Host, scope: _HostScope) -> None:
+        # The rescan is O(registered connections), so callers skip it
+        # while the host's registration count is unchanged.  A same-event
+        # register+unregister swap could slip past the count, so every
+        # 16th event (and therefore every audit) forces one anyway:
+        # bounded, deterministic lag.
+        scope.registered = len(host._connections)
         for sink in host._connections.values():
             if not isinstance(sink, TCPSocket):
                 continue
@@ -410,15 +414,16 @@ class InvariantOracle:
     # ------------------------------------------------------------------
     # Checks
     # ------------------------------------------------------------------
-    def check_now(self, full: bool = False, hosts=None) -> None:
-        """Run the invariants against the current state of ``hosts``
-        (default: every host; ``full``: ignoring the rotation budget)."""
+    def check_now(self, full: bool = False) -> None:
+        """Run the invariants against the current state of every host
+        (``full``: ignoring the rotation budget)."""
         force = full or not self.events_checked % 16
-        for host in self.network.hosts.values() if hosts is None else hosts:
+        for host in self.network.hosts.values():  # analyze: ok(DET03): insertion-ordered dict (add_host order), deterministic iteration
             scope = self._scopes.get(host)
             if scope is None:
                 scope = self._scopes[host] = _HostScope()
-            self._discover(host, scope, force)
+            if force or len(host._connections) != scope.registered:
+                self._discover(host, scope)
             self._check_host(scope, full)
 
     def _check_host(self, scope: _HostScope, full: bool) -> None:
@@ -440,7 +445,7 @@ class InvariantOracle:
             targets = watches
         else:
             for watch in watches:
-                if not watch.is_subflow:
+                if not watch.is_subflow and watch.send_stream.tail > watch.captured_until:
                     self._capture_sent(watch)
             start = scope.cursor % len(watches)
             scope.cursor = start + budget
@@ -448,47 +453,46 @@ class InvariantOracle:
             if len(targets) < budget:
                 targets += watches[: budget - len(targets)]
         for watch in targets:
+            if watch.is_subflow:
+                self._check_tcp(watch)
+                self._check_mappings(watch.entity)
+                continue
             # Pairing needs the handshake (keys / ISNs exchanged), which
             # is rarely complete at discovery — keep retrying until it
             # sticks.
-            if watch.peer is None and not watch.is_subflow:
+            if watch.peer is None:
                 self._try_pair(watch)
             if watch.is_mptcp:
                 self._check_connection(watch)
-                self._check_streams(watch)
             else:
                 self._check_tcp(watch)
-                if watch.is_subflow:
-                    self._check_mappings(watch.entity)
-                else:
-                    self._check_streams(watch)
-        # Drop fully-verified endpoints from the per-event checks.
-        done = [watch for watch in targets if self._retirable(watch)]
+            self._check_streams(watch)
+        # Drop fully-verified endpoints from the per-event checks.  A
+        # subflow (never stream-paired: once CLOSED its sequence space and
+        # mapping table are frozen) or an unpaired endpoint retires once
+        # closed.  A pair retires atomically: both directions close-
+        # checked (the stream digests agreed), or both endpoints fully
+        # closed (reset or tolerated-modification paths never set
+        # closed_checked).
+        done = []
+        for watch in targets:
+            entity = watch.entity
+            closed = entity.conn_state.is_closed if watch.is_mptcp else entity.state is _CLOSED
+            peer = watch.peer
+            if peer is None:
+                retire = closed
+            elif watch.closed_checked and peer.closed_checked:
+                retire = True
+            else:
+                entity = peer.entity
+                retire = closed and (
+                    entity.conn_state.is_closed if peer.is_mptcp else entity.state is _CLOSED
+                )
+            if retire:
+                done.append(watch)
         for watch in done:
             watches.remove(watch)
         self.watches_retired += len(done)
-
-    def _retirable(self, watch: _Watch) -> bool:
-        if watch.is_subflow:
-            # Subflow watches are never stream-paired; once the socket
-            # reaches CLOSED its sequence space and mapping table are
-            # frozen, so there is nothing left to check.
-            return self._entity_closed(watch.entity)
-        peer = watch.peer
-        if peer is None:
-            return self._entity_closed(watch.entity)
-        # Retire pairs atomically: both directions close-checked (the
-        # stream digests agreed), or both endpoints fully closed (reset
-        # or tolerated-modification paths never set closed_checked).
-        return (watch.closed_checked and peer.closed_checked) or (
-            self._entity_closed(watch.entity) and self._entity_closed(peer.entity)
-        )
-
-    @staticmethod
-    def _entity_closed(entity) -> bool:
-        if isinstance(entity, MPTCPConnection):
-            return entity.closed
-        return entity.state is TCPState.CLOSED
 
     def _fail(self, invariant: str, subject: str, message: str) -> None:
         raise InvariantViolation(
@@ -505,23 +509,24 @@ class InvariantOracle:
         name = sock.name
         if sock.snd_una > sock.snd_nxt:
             self._fail("tcp-snd-order", name, f"snd_una={sock.snd_una} > snd_nxt={sock.snd_nxt}")
-        prev_end = None
-        for entry in sock._rtx_queue:
-            if entry.start >= entry.end:
-                self._fail("tcp-rtx-range", name, f"empty rtx entry [{entry.start},{entry.end})")
-            if prev_end is not None and entry.start < prev_end:
-                self._fail(
-                    "tcp-rtx-order",
-                    name,
-                    f"rtx queue overlap: [{entry.start},{entry.end}) after end {prev_end}",
-                )
-            if entry.end > sock.snd_nxt:
-                self._fail(
-                    "tcp-rtx-range",
-                    name,
-                    f"rtx entry [{entry.start},{entry.end}) beyond snd_nxt={sock.snd_nxt}",
-                )
-            prev_end = entry.end
+        # The whole retransmit queue, every event.  Along a valid queue
+        # the ends strictly increase (each entry is non-empty and starts
+        # at or past the previous end), so two comparisons per entry and
+        # one of the last end against snd_nxt decide it; a queue that
+        # fails is walked again by _fail_rtx for the first violation.
+        queue = sock._rtx_queue
+        segs, head = queue._segs, queue._head
+        if head < len(segs):
+            end = segs[head].start
+            for entry in islice(segs, head, None):
+                start = entry.start
+                if start < end:
+                    self._fail_rtx(sock)
+                end = entry.end
+                if start >= end:
+                    self._fail_rtx(sock)
+            if end > sock.snd_nxt:
+                self._fail_rtx(sock)
         if not sock.state.synchronized:
             return
         if sock.rcv_nxt < watch.prev_rcv_nxt:
@@ -531,6 +536,7 @@ class InvariantOracle:
                 f"rcv_nxt retreated {watch.prev_rcv_nxt} -> {sock.rcv_nxt}",
             )
         watch.prev_rcv_nxt = sock.rcv_nxt
+        reassembly = sock.reassembly
         edge = sock._rcv_adv_edge
         if edge:
             # Subflows advertise the *shared* connection-level pool
@@ -552,18 +558,18 @@ class InvariantOracle:
                         name,
                         f"rcv_nxt={sock.rcv_nxt} beyond advertised edge {edge}",
                     )
-                if sock.reassembly.block_count:
+                if reassembly._starts:
                     # Stream offset i holds sequence unit i+1.
-                    if sock.reassembly.max_offset > edge - 1:
+                    if reassembly.max_offset > edge - 1:
                         self._fail(
                             "tcp-buffer-overrun",
                             name,
-                            f"reassembly holds offset {sock.reassembly.max_offset} "
+                            f"reassembly holds offset {reassembly.max_offset} "
                             f"beyond advertised edge {edge} (unit {edge - 1} max)",
                         )
             watch.prev_adv_edge = edge
-            if sock.reassembly.block_count:
-                first = sock.reassembly._starts[0]
+            if reassembly._starts:
+                first = reassembly._starts[0]
                 if first <= sock.rcv_nxt - 1:
                     self._fail(
                         "tcp-rx-gap",
@@ -572,7 +578,7 @@ class InvariantOracle:
                         f"(rcv_nxt={sock.rcv_nxt})",
                     )
         if not watch.is_subflow:
-            occupancy = len(sock._rx_ready) + len(sock.reassembly)
+            occupancy = len(sock._rx_ready) + reassembly.buffered_bytes
             if occupancy > sock.rcv_buf_limit:
                 self._fail(
                     "tcp-buffer-occupancy",
@@ -591,6 +597,28 @@ class InvariantOracle:
                     self._fail(
                         "cc-ssthresh-floor", name, f"ssthresh={cc.ssthresh} < 2*mss={2 * floor}"
                     )
+
+    def _fail_rtx(self, sock: TCPSocket) -> None:
+        """Raise the first violation along a retransmit queue that
+        _check_tcp's walk found broken."""
+        name = sock.name
+        prev_end = None
+        for entry in sock._rtx_queue:
+            if entry.start >= entry.end:
+                self._fail("tcp-rtx-range", name, f"empty rtx entry [{entry.start},{entry.end})")
+            if prev_end is not None and entry.start < prev_end:
+                self._fail(
+                    "tcp-rtx-order",
+                    name,
+                    f"rtx queue overlap: [{entry.start},{entry.end}) after end {prev_end}",
+                )
+            if entry.end > sock.snd_nxt:
+                self._fail(
+                    "tcp-rtx-range",
+                    name,
+                    f"rtx entry [{entry.start},{entry.end}) beyond snd_nxt={sock.snd_nxt}",
+                )
+            prev_end = entry.end
 
     # --- DSS mappings --------------------------------------------------
     def _check_mappings(self, subflow: Subflow) -> None:
@@ -614,62 +642,64 @@ class InvariantOracle:
     # --- MPTCP connection level ----------------------------------------
     def _check_connection(self, watch: _Watch) -> None:
         conn = watch.entity
-        name = f"mptcp@{conn.host.name}"
+        # This runs on every event, so the subject is formatted only on
+        # failure, by self._subject(watch).
         # DATA_FIN occupies one data offset past the stream tail.
         if conn.data_una > conn.data_nxt + 1:
             self._fail(
                 "mptcp-snd-order",
-                name,
+                self._subject(watch),
                 f"data_una={conn.data_una} > data_nxt={conn.data_nxt}+1",
             )
         if conn.data_nxt > conn.send_stream.tail + 1:
             self._fail(
                 "mptcp-snd-range",
-                name,
+                self._subject(watch),
                 f"data_nxt={conn.data_nxt} beyond stream tail {conn.send_stream.tail}+1",
             )
         if conn.rcv_data_nxt < watch.prev_rcv_nxt:
             self._fail(
                 "mptcp-rcv-monotonic",
-                name,
+                self._subject(watch),
                 f"rcv_data_nxt retreated {watch.prev_rcv_nxt} -> {conn.rcv_data_nxt}",
             )
         watch.prev_rcv_nxt = conn.rcv_data_nxt
+        reassembly = conn.reassembly
         # In fallback mode the data-level window is out of play: bytes
         # move raw under plain TCP flow control and rcv_data_adv_edge is
         # never advertised again, so its algebra only binds pre-fallback.
-        if not conn.fallback:
+        if not conn.conn_state.is_fallback:
             edge = conn.rcv_data_adv_edge
             if edge < watch.prev_adv_edge:
                 self._fail(
                     "mptcp-window-shrunk",
-                    name,
+                    self._subject(watch),
                     f"advertised data edge retracted {watch.prev_adv_edge} -> {edge}",
                 )
             watch.prev_adv_edge = edge
             if conn.rcv_data_nxt > edge + 1:
                 self._fail(
                     "mptcp-window-overrun",
-                    name,
+                    self._subject(watch),
                     f"rcv_data_nxt={conn.rcv_data_nxt} beyond advertised edge {edge}",
                 )
-        if not conn.fallback and conn.reassembly.block_count:
-            limit = max(edge, conn.rcv_data_nxt + 1)
-            if conn.reassembly.max_offset > limit:
-                self._fail(
-                    "mptcp-buffer-overrun",
-                    name,
-                    f"data reassembly holds offset {conn.reassembly.max_offset} "
-                    f"beyond window limit {limit}",
-                )
-            first = conn.reassembly._starts[0]
-            if first <= conn.rcv_data_nxt:
-                self._fail(
-                    "mptcp-data-gap",
-                    name,
-                    f"in-order data at offset {first} not delivered "
-                    f"(rcv_data_nxt={conn.rcv_data_nxt})",
-                )
+            if reassembly._starts:
+                limit = max(edge, conn.rcv_data_nxt + 1)
+                if reassembly.max_offset > limit:
+                    self._fail(
+                        "mptcp-buffer-overrun",
+                        self._subject(watch),
+                        f"data reassembly holds offset {reassembly.max_offset} "
+                        f"beyond window limit {limit}",
+                    )
+                first = reassembly._starts[0]
+                if first <= conn.rcv_data_nxt:
+                    self._fail(
+                        "mptcp-data-gap",
+                        self._subject(watch),
+                        f"in-order data at offset {first} not delivered "
+                        f"(rcv_data_nxt={conn.rcv_data_nxt})",
+                    )
         # The data-level store is strictly bounded by the shared pool:
         # the advertised edge is derived from the remaining headroom and
         # inserts truncate at it.  Subflow-level pending bytes are NOT in
@@ -678,27 +708,33 @@ class InvariantOracle:
         # copies — so total memory gets the looser worst-case bound.
         # +1: a zero-window probe unit may be accepted past a closed
         # window (deliver_chunk floors the limit at rcv_data_nxt + 1).
-        data_store = len(conn._rx_ready) + len(conn.reassembly)
+        data_store = len(conn._rx_ready) + reassembly.buffered_bytes
         if data_store > conn.rcv_buf_limit + 1:
             self._fail(
                 "mptcp-buffer-occupancy",
-                name,
+                self._subject(watch),
                 f"{data_store} data-level bytes buffered "
                 f"> rcv_buf_limit={conn.rcv_buf_limit}+1",
             )
-        live = 1 + sum(1 for s in conn.subflows if not s.failed)
-        occupancy = conn.rx_memory_bytes()
+        # The live subflows and their pending bytes in one loop: with
+        # data_store, what rx_memory_bytes() totals.
+        live = 1
+        occupancy = data_store
+        for subflow in conn.subflows:
+            if not subflow.failed:
+                live += 1
+                pending = subflow._rx_pending
+                occupancy += pending.tail - pending.head
         if occupancy > conn.rcv_buf_limit * live:
             self._fail(
                 "mptcp-memory-bound",
-                name,
+                self._subject(watch),
                 f"{occupancy} bytes held (incl. subflow pending) > "
                 f"{live}x rcv_buf_limit={conn.rcv_buf_limit}",
             )
-        group = conn.cc_group
-        alpha = group._alpha_cache
+        alpha = conn.cc_group._alpha_cache
         if alpha is not None and alpha < 0:
-            self._fail("cc-alpha", name, f"coupled alpha {alpha} < 0")
+            self._fail("cc-alpha", self._subject(watch), f"coupled alpha {alpha} < 0")
         total = 0
         active = 0
         for subflow in conn.subflows:
@@ -710,26 +746,38 @@ class InvariantOracle:
             floor = min(controller.mss, subflow.mss)
             if controller.cwnd < floor:
                 self._fail(
-                    "cc-cwnd-floor", name, f"subflow cwnd={controller.cwnd} < mss={floor}"
+                    "cc-cwnd-floor",
+                    self._subject(watch),
+                    f"subflow cwnd={controller.cwnd} < mss={floor}",
                 )
             if controller.ssthresh < 2 * floor:
                 self._fail(
                     "cc-ssthresh-floor",
-                    name,
+                    self._subject(watch),
                     f"subflow ssthresh={controller.ssthresh} < 2*mss={2 * floor}",
                 )
         if active and total < 1:
-            self._fail("cc-aggregate", name, f"aggregate cwnd {total} of active coupled group")
+            self._fail(
+                "cc-aggregate", self._subject(watch), f"aggregate cwnd {total} of active coupled group"
+            )
 
     # --- End-to-end stream equality ------------------------------------
     def _check_streams(self, watch: _Watch) -> None:
-        self._capture_sent(watch)
+        # Each step is entered only past its own first early return.
+        if watch.send_stream.tail > watch.captured_until:
+            self._capture_sent(watch)
         peer = watch.peer
         if peer is None:
             return
-        self._capture_sent(peer)
-        self._compare_delivered(watch, peer)
-        self._close_check(watch, peer)
+        if peer.send_stream.tail > peer.captured_until:
+            self._capture_sent(peer)
+        if watch.tainted:
+            return  # what _compare_delivered and _close_check do first
+        entity = watch.entity
+        if watch.read_base + len(watch.read_log) + len(entity._rx_ready) > watch.matched:
+            self._compare_delivered(watch, peer)
+        if entity._rx_eof and not watch.closed_checked:
+            self._close_check(watch, peer)
 
     def _capture_sent(self, watch: _Watch) -> None:
         stream = watch.send_stream

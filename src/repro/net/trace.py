@@ -12,7 +12,8 @@ the tool used to debug every middlebox interaction in this repository.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.net.packet import Segment, flags_repr
@@ -53,6 +54,13 @@ class TraceRecord:
         return " ".join(parts)
 
 
+def _thaw(entry: tuple) -> TraceRecord:
+    """Build the record a tail-mode header tuple stands for."""
+    time, path_name, direction, src, dst, seq, ack, flags, window, options, payload, created = entry
+    segment = Segment(src, dst, seq, ack, flags, window, list(options), payload, created)
+    return TraceRecord(time, path_name, direction, segment)
+
+
 class PacketTrace:
     """Capture segments crossing one or more paths.
 
@@ -60,15 +68,26 @@ class PacketTrace:
     head of the capture is what matters when studying a handshake).
     ``tail`` instead keeps only the *last* ``tail`` records, discarding
     the oldest — the mode the invariant oracle uses so a violation
-    report carries the packets leading up to the failure.
+    report carries the packets leading up to the failure.  It taps every
+    packet and is read only on a failure, so it keeps each packet as one
+    tuple of header fields (sharing the payload and option objects, as
+    :meth:`Segment.copy` does) and builds :attr:`records` on read.
     """
 
     def __init__(self, limit: Optional[int] = 100_000, tail: Optional[int] = None):
-        self.records: list[TraceRecord] = []
+        self._records: list[TraceRecord] = []
+        self._ring: Optional[deque[tuple]] = None if tail is None else deque(maxlen=tail)
         self.limit = limit
         self.tail = tail
         self.dropped = 0
         self._predicate: Optional[Callable[[Segment], bool]] = None
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        """The captured records, oldest first."""
+        if self._ring is None:
+            return self._records
+        return list(map(_thaw, self._ring))
 
     # ------------------------------------------------------------------
     @classmethod
@@ -95,16 +114,21 @@ class PacketTrace:
     def _tap(self, path: "Path", segment: Segment, direction: int) -> None:
         if self._predicate is not None and not self._predicate(segment):
             return
-        if self.tail is not None and len(self.records) >= self.tail:
-            # Ring-buffer mode: evict the oldest record.  Slicing every
-            # eviction would be O(n); deleting the head amortises fine
-            # for the small tails (tens to hundreds) the oracle keeps.
-            del self.records[0]
-            self.dropped += 1
-        elif self.limit is not None and len(self.records) >= self.limit:
+        ring = self._ring
+        if ring is not None:
+            # Ring-buffer mode: the deque evicts the oldest entry itself.
+            if len(ring) == ring.maxlen:
+                self.dropped += 1
+            ring.append((
+                path.sim.now, path.name, direction,
+                segment.src, segment.dst, segment.seq, segment.ack, segment.flags, segment.window,
+                tuple(segment._options), segment._payload, segment.created_at,
+            ))  # the fields _thaw unpacks, in its order
+            return
+        if self.limit is not None and len(self._records) >= self.limit:
             self.dropped += 1
             return
-        self.records.append(
+        self._records.append(
             TraceRecord(
                 time=path.sim.now,
                 path_name=path.name,
@@ -125,7 +149,7 @@ class PacketTrace:
         direction: Optional[int] = None,
     ) -> list[TraceRecord]:
         """Records matching every given criterion."""
-        out: list[str] = []
+        out: list[TraceRecord] = []
         for record in self.records:
             seg = record.segment
             if syn is not None and seg.syn != syn:
@@ -149,4 +173,4 @@ class PacketTrace:
         return "\n".join(record.format() for record in (records or self.records))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._records if self._ring is None else self._ring)

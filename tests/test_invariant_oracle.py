@@ -4,6 +4,7 @@ with hostile middleboxes and asserting the violation fires with a
 non-empty packet-trace tail, and (c) cost nothing when detached."""
 
 import dataclasses
+import types
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.mptcp.options import DSS
 from repro.net.network import Network
 from repro.net.packet import Segment
 from repro.net.path import FORWARD, PathElement
+from repro.tcp.socket import TCPSocket
 
 from conftest import (
     make_tcp_pair,
@@ -164,6 +166,68 @@ class TestNegativeDetection:
             "tcp-window-overrun",
         )
         assert len(violation.trace_tail) > 0
+
+
+class TestRetransmitQueueCorruption:
+    """The three ways a sender's retransmit queue can break, each made
+    mid-transfer by an event the socket owns (so the check is scoped to
+    its host): the oracle raises at that very event, naming the first
+    bad entry."""
+
+    def provoke(self, corrupt):
+        """Run ``corrupt(sock, queue)`` at t=0.12 on the sender of a bulk
+        transfer; it returns the expected message.  Returns the violation,
+        the sender, the expected message and the corruption time."""
+        net, client, server = make_tcp_pair(seed=6)
+        ensure_oracle(net)
+        state = {}
+
+        def fire(sock):
+            queue = sock._rtx_queue
+            assert len(queue) >= 20, "too little in flight to corrupt mid-queue"
+            state["message"] = corrupt(sock, queue)
+            state["at"] = net.sim.now
+
+        def arm():
+            sock = next(s for s in client._connections.values() if isinstance(s, TCPSocket))
+            state["sock"] = sock
+            net.sim.schedule(0.04, types.MethodType(fire, sock))
+
+        net.sim.schedule(0.08, arm)
+        with pytest.raises(InvariantViolation) as exc:
+            tcp_transfer(net, client, server, random_payload(200_000, seed=6), duration=60)
+        assert exc.value.time == state["at"] == pytest.approx(0.12)
+        assert exc.value.subject == state["sock"].name
+        return exc.value, state["message"]
+
+    def test_empty_entry(self):
+        def corrupt(sock, queue):
+            entry = queue[len(queue) // 2]
+            entry.end = entry.start
+            return f"empty rtx entry [{entry.start},{entry.start})"
+
+        violation, message = self.provoke(corrupt)
+        assert (violation.invariant, violation.message) == ("tcp-rtx-range", message)
+
+    def test_overlap_in_the_middle(self):
+        def corrupt(sock, queue):
+            middle = len(queue) // 2
+            prev_end = queue[middle - 1].end
+            entry = queue[middle]
+            entry.start = prev_end - 1
+            return f"rtx queue overlap: [{prev_end - 1},{entry.end}) after end {prev_end}"
+
+        violation, message = self.provoke(corrupt)
+        assert (violation.invariant, violation.message) == ("tcp-rtx-order", message)
+
+    def test_last_end_beyond_snd_nxt(self):
+        def corrupt(sock, queue):
+            last = queue[-1]
+            last.end = sock.snd_nxt + 1
+            return f"rtx entry [{last.start},{last.end}) beyond snd_nxt={sock.snd_nxt}"
+
+        violation, message = self.provoke(corrupt)
+        assert (violation.invariant, violation.message) == ("tcp-rtx-range", message)
 
 
 def tcp_transfer_with_capture(net, client, server, payload, capture):

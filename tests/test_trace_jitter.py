@@ -3,6 +3,9 @@
 import pytest
 
 from repro.middlebox import Duplicator, Jitter
+from repro.net.options import MSSOption, SACKPermitted, WindowScaleOption
+from repro.net.packet import ACK, FIN, SYN, Endpoint, Segment
+from repro.net.path import FORWARD
 from repro.net.trace import PacketTrace
 from repro.sim.rng import SeededRNG
 
@@ -56,6 +59,79 @@ class TestPacketTrace:
         record = trace.records[0]
         record.segment.options.clear()  # mutating the copy is harmless
         assert True
+
+
+def tap_numbered(trace, path, count, flags=ACK):
+    """Tap ``count`` pooled segments with seq 0..count-1, releasing each."""
+    for seq in range(count):
+        segment = Segment.acquire(
+            Endpoint("10.0.0.1", 5000), Endpoint("10.9.0.1", 80),
+            seq=seq, flags=flags, payload=b"abc",
+        )
+        trace._tap(path, segment, FORWARD)
+        segment.release()
+
+
+class TestTailTrace:
+    """Tail mode keeps header tuples and builds records on read: what it
+    shows must be what a copy taken at capture time would show."""
+
+    def test_record_is_frozen_at_capture(self):
+        net, client, server = make_tcp_pair()
+        path = net.paths[0]
+        trace = PacketTrace(tail=4)
+        Segment._pool.clear()  # so release() below surely pools the shell
+        segment = Segment.acquire(
+            Endpoint("10.0.0.1", 5000), Endpoint("10.9.0.1", 80),
+            seq=7, ack=9, flags=SYN | ACK, window=1000,
+            options=[MSSOption(1400), SACKPermitted()], payload=b"hello",
+        )
+        trace._tap(path, segment, FORWARD)
+        before = trace.records[-1].format()
+        assert "SYN|ACK" in before and "len=5" in before and "[MSSOption,SACKPermitted]" in before
+        segment.options.append(WindowScaleOption(7))  # in place, after capture
+        segment.options.pop(0)
+        assert trace.records[-1].format() == before
+        segment.release()
+        again = Segment.acquire(
+            Endpoint("10.0.0.2", 6000), Endpoint("10.9.0.2", 443),
+            seq=99, ack=1, flags=FIN | ACK, window=5, payload=b"other bytes",
+        )
+        assert again is segment  # the very shell the trace saw, reused
+        assert trace.records[-1].format() == before
+        again.release()
+
+    def test_ring_keeps_the_last_tail_taps(self):
+        net, client, server = make_tcp_pair()
+        path = net.paths[0]
+        trace = PacketTrace(tail=4)
+        tap_numbered(trace, path, 3)
+        assert (len(trace), trace.dropped) == (3, 0)
+        tap_numbered(trace, path, 10)
+        assert (len(trace), trace.dropped) == (4, 9)
+        assert [record.segment.seq for record in trace.records] == [6, 7, 8, 9]
+
+    def test_limit_mode_is_unchanged(self):
+        net, client, server = make_tcp_pair()
+        path = net.paths[0]
+        trace = PacketTrace(limit=3)
+        tap_numbered(trace, path, 2, flags=SYN)
+        tap_numbered(trace, path, 5)
+        assert (len(trace), trace.dropped) == (3, 4)
+        assert [r.segment.seq for r in trace.filter(syn=True)] == [0, 1]
+        assert [r.segment.seq for r in trace.filter(syn=False)] == [0]
+
+    def test_tail_and_limit_modes_record_the_same_packets(self):
+        net, client, server = make_multipath()
+        limit = PacketTrace.attach_all(net)
+        tail = PacketTrace.attach_all(net, tail=100_000)
+        mptcp_transfer(net, client, server, random_payload(30_000))
+        assert len(tail) == len(limit) > 0 and tail.dropped == limit.dropped == 0
+        assert tail.format() == limit.format()
+        for criteria in ({"syn": True}, {"fin": True}, {"payload": True}, {"direction": -1}):
+            assert [r.format() for r in tail.filter(**criteria)] == [
+                r.format() for r in limit.filter(**criteria)
+            ]
 
 
 class TestJitter:
