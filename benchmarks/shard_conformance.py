@@ -8,8 +8,7 @@ simulator, so a sharding bug that perturbs protocol state trips the
 oracle even where it happens not to change a row.
 
 Each capture runs in a child process so the environment knobs are
-applied cleanly: ``REPRO_CACHE=0`` (a cache hit must never mask a
-divergence), ``REPRO_WORKERS=1`` (row capture stays in-process).
+applied cleanly: ``REPRO_WORKERS=1`` (row capture stays in-process).
 
 Usage::
 
@@ -59,7 +58,6 @@ def _capture_to(out_path: str, oracle: bool) -> None:
 
 def _run_capture(out_path: Path, shards: int, oracle: bool) -> None:
     env = dict(os.environ)
-    env["REPRO_CACHE"] = "0"
     env["REPRO_WORKERS"] = "1"
     env.pop("REPRO_ORACLE", None)
     if shards > 1:

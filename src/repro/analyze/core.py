@@ -23,6 +23,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
+# The parse pool follows the sweep runner's ``REPRO_WORKERS`` rules.
+from repro.experiments.runner import default_workers
+
 WAIVER_RE = re.compile(r"analyze:\s*(ok|file-ok)\(\s*([A-Z0-9_]+(?:\s*,\s*[A-Z0-9_]+)*)\s*\)")
 
 
@@ -193,18 +196,6 @@ def _load_for_pool(path_str: str):
         return None, (
             f"{_display_path(path)}:{error.lineno or 0}: syntax error: {error.msg}"
         )
-
-
-def default_workers() -> int:
-    """The repo-wide ``REPRO_WORKERS`` convention (see
-    experiments/runner.py): env override, else one worker per CPU."""
-    raw = os.environ.get("REPRO_WORKERS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ValueError(f"REPRO_WORKERS must be an integer, got {raw!r}") from None
-    return os.cpu_count() or 1
 
 
 # Forking a pool costs more than parsing a handful of files.

@@ -102,9 +102,8 @@ def run_fig10(attempts: int = 2000, seed: int = 10, workers: int | None = None) 
                 _measure,
                 {"mptcp": mptcp, "preestablished": preestablished, "attempts": attempts,
                  "seed": seed, "key_pool": key_pool},
-                label=label,
             )
-            for label, mptcp, preestablished, key_pool in configurations
+            for _label, mptcp, preestablished, key_pool in configurations
         ],
         workers=workers,
     )

@@ -81,7 +81,6 @@ def run_fig3(
             Point(
                 _run_transfer,
                 {"mss": mss, "checksum": checksum, "transfer_bytes": transfer_bytes, "seed": seed},
-                label=f"mss={mss} csum={checksum}",
             )
             for mss, checksum in grid
         ],

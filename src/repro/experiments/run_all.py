@@ -23,12 +23,12 @@ def _section(title: str, body: str) -> str:
 
 
 def _perf_line(result) -> str:
-    """One line per sweep: wall clock, cache behaviour, events/sec."""
+    """One line per sweep: points, workers, wall clock, events/sec."""
     sweep = result.notes.get("sweep")
     if not sweep:
         return ""
     return (
-        f"\nsweep: {sweep['points']} points, {sweep['cache_hits']} cached, "
+        f"\nsweep: {sweep['points']} points, "
         f"{sweep['workers']} worker(s), {sweep['wall_clock_s']:.2f}s wall, "
         f"{sweep['events_per_sec']:,.0f} events/s"
     )

@@ -162,8 +162,7 @@ def collect_tallies(net: "Network", shard: int) -> list:
 
 
 def build_bench(net: "Network") -> None:
-    """The benchmark-scale builder (module-level: addressable as a
-    ``"module:qualname"`` spec by :func:`repro.experiments.runner.run_federated`)."""
+    """The benchmark-scale builder."""
     build_ring(net, BENCH_CLUSTERS, BENCH_LOCAL_CONNS, BENCH_CROSS_CONNS, BENCH_PAYLOAD_BYTES)
 
 

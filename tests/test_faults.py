@@ -74,7 +74,6 @@ class TestParallelFaultReplay:
     def test_workers_reproduce_serial_schedule_exactly(self, monkeypatch):
         """REPRO_WORKERS>1 must merge to the identical fault schedule the
         serial run produces — no cross-process nondeterminism."""
-        monkeypatch.setenv("REPRO_CACHE", "0")
         points = [Point(_faulty_run, {"seed": seed}) for seed in (11, 12, 13)]
         serial = run_parallel("faults-serial", points, workers=1)
         monkeypatch.setenv("REPRO_WORKERS", "3")

@@ -107,27 +107,14 @@ def test_cut_elements_force_inline_fallback():
     assert result.mode == "windowed-inline"
 
 
-def test_run_federated_sweep_entry():
-    from repro.experiments.runner import run_federated
+def _federated_tallies(shards):
+    result = Federation(build_small, shards=shards, collect=collect_tallies).run(HORIZON)
+    return result.mode, _flat(result), result.events, result.windows
+
+
+def test_federation_runs_as_a_sweep_point():
+    from repro.experiments.runner import Point, run_parallel
 
     direct = Federation(build_small, shards=2, collect=collect_tallies).run(HORIZON)
-    via_specs = run_federated(
-        build="repro.experiments.shard_bench:build_small",
-        until=HORIZON,
-        collect="repro.experiments.shard_bench:collect_tallies",
-        shards=2,
-    )
-    assert via_specs["mode"] == "processes"
-    assert via_specs["shards"] == 2
-    assert sorted(sum(via_specs["values"], [])) == _flat(direct)
-    assert via_specs["events"] == direct.events
-    assert via_specs["windows"] == direct.windows
-
-
-def test_resolve_spec_rejects_garbage():
-    from repro.experiments.runner import _resolve_spec
-
-    with pytest.raises(ValueError, match="module:qualname"):
-        _resolve_spec("no-colon-here")
-    with pytest.raises(ModuleNotFoundError):
-        _resolve_spec("repro.not_a_module:thing")
+    (swept,) = run_parallel("fed", [Point(_federated_tallies, {"shards": 2})], workers=1).values
+    assert swept == ("processes", _flat(direct), direct.events, direct.windows)

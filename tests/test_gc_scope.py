@@ -104,7 +104,7 @@ class TestNesting:
     def test_runner_batch_is_a_noop_inside_the_session_batch(self, spy):
         before = gc.get_freeze_count()
         assert before > 0
-        out = run_parallel("gc", [Point(_gc_state)], workers=1, cache=False)
+        out = run_parallel("gc", [Point(_gc_state)], workers=1)
         assert out.values == [(True, before)]
         assert spy.calls == []
         assert gc.get_freeze_count() == before
@@ -167,7 +167,7 @@ class TestRunner:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_points_see_a_frozen_heap(self, thawed, workers):
         points = [Point(_gc_state)] * 4
-        out = run_parallel("gc", points, workers=workers, cache=False)
+        out = run_parallel("gc", points, workers=workers)
         assert out.perf.workers == workers
         for enabled, frozen in out.values:
             assert enabled and frozen > 0
@@ -177,25 +177,14 @@ class TestRunner:
     def test_failing_point_unfreezes(self, spy, thawed, workers):
         points = [Point(_raise, {"error": RuntimeError}) for _ in range(4)]
         with pytest.raises(RuntimeError, match="unwinding"):
-            run_parallel("gc", points, workers=workers, cache=False)
+            run_parallel("gc", points, workers=workers)
         assert gc.get_freeze_count() == 0
         assert spy.calls == BATCH
-
-    def test_all_cache_hits_never_enter_the_scope(self, spy, thawed, tmp_path):
-        points = [Point(pow, {"base": 2, "exp": k}) for k in range(3)]
-        cold = run_parallel("gc", points, workers=1, cache=True, cache_dir=tmp_path)
-        assert cold.perf.cache_misses == 3
-        assert spy.calls == BATCH
-        del spy.calls[:]
-        warm = run_parallel("gc", points, workers=1, cache=True, cache_dir=tmp_path)
-        assert warm.perf.cache_hits == 3 and warm.values == cold.values
-        assert spy.calls == []
 
 
 def test_scale_study_digest_identical_across_drivers(monkeypatch):
     """Freezing moves no simulated output: serial in-process, the fork
     pool and the merged shard driver agree."""
-    monkeypatch.setenv("REPRO_CACHE", "0")
     digests = {}
     for mode, env in (
         ("serial", {"REPRO_WORKERS": "1"}),

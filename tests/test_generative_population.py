@@ -123,8 +123,7 @@ class TestDeterminism:
         assert a.signature() == b.signature()
         assert a.as_class == b.as_class
 
-    def test_counters_independent_of_batch_split(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "0")
+    def test_counters_independent_of_batch_split(self):
         whole = _counts("internet2021", n=600)
         for batch in (250, 17):
             pieces, _perf = sample_counts("internet2021", 600, SEED, batch=batch, workers=1)
@@ -144,7 +143,6 @@ class TestDriverIndependence:
     def _report(self, monkeypatch, **env):
         from repro.study.scale import run_scale_study, render_report
 
-        monkeypatch.setenv("REPRO_CACHE", "0")
         for key in ("REPRO_WORKERS", "REPRO_SHARDS"):
             monkeypatch.delenv(key, raising=False)
         for key, value in env.items():

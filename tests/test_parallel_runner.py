@@ -1,20 +1,22 @@
-"""The parallel sweep engine: determinism, caching, invalidation.
+"""The parallel sweep engine: ordering, fan-out, determinism.
 
 The hard guarantees the figure reproductions rely on:
 
 * a parallel sweep's merged output is byte-identical to the serial run
   (same seeds, same point order);
-* a warm cache returns an identical ``ExperimentResult`` without
-  re-simulating anything;
-* cache entries are keyed by the source fingerprint, so editing the
-  code orphans every stale entry at once.
+* every call executes every point — a green run means the simulator
+  ran, never that an earlier result was replayed.
 """
+
+import os
 
 import pytest
 
+from repro.analyze import core as analyze_core
 from repro.experiments import fig3, fig4
 from repro.experiments import runner as sweep_runner
-from repro.experiments.runner import Point, Sweep, run_parallel
+from repro.experiments.runner import Point, run_parallel
+from repro.sim.engine import Simulator
 
 FIG3_KWARGS = dict(mss_sweep=(1448, 8500), transfer_bytes=128 * 1024)
 FIG4_KWARGS = dict(buffers_kb=(100,), duration=4.0)
@@ -25,50 +27,64 @@ def _double(x):
 
 
 def _record_pid(x):
-    import os
-
     return (x, os.getpid())
 
 
-@pytest.fixture
-def cache_dir(tmp_path):
-    return tmp_path / "cache"
+CALLS: list = []
+
+
+def _counted_sim(x):
+    """Records that it ran and simulates a few events."""
+    CALLS.append(x)
+    sim = Simulator()
+    for delay in range(x + 1):
+        sim.schedule(float(delay), lambda: None)
+    sim.run()
+    return x
+
+
+def _answer():
+    return 42
 
 
 class TestOrderingAndParallelism:
-    def test_values_in_point_order(self, cache_dir):
-        out = run_parallel(
-            "t", [Point(_double, {"x": i}) for i in range(20)], workers=4, cache_dir=cache_dir
-        )
+    def test_values_in_point_order(self):
+        out = run_parallel("t", [Point(_double, {"x": i}) for i in range(20)], workers=4)
         assert out.values == [2 * i for i in range(20)]
 
-    def test_work_really_fans_out_to_processes(self, cache_dir):
-        import os
+    def test_empty_sweep_returns_nothing(self):
+        out = run_parallel("t", [], workers=4)
+        assert out.values == []
+        assert out.perf.points == 0 and out.perf.sim_events == 0
 
-        out = run_parallel(
-            "t", [Point(_record_pid, {"x": i}) for i in range(8)], workers=4, cache_dir=cache_dir
-        )
+    def test_workers_capped_at_point_count(self):
+        out = run_parallel("t", [Point(_record_pid, {"x": i}) for i in range(2)], workers=8)
+        assert out.perf.workers == 2
+        assert [x for x, _ in out.values] == [0, 1]
+
+    def test_point_without_kwargs(self):
+        out = run_parallel("t", [Point(_answer), Point(_answer)], workers=2)
+        assert out.values == [42, 42]
+
+    def test_no_pool_falls_back_to_serial(self, monkeypatch):
+        monkeypatch.setattr(sweep_runner, "_make_pool", lambda workers: None)
+        out = run_parallel("t", [Point(_record_pid, {"x": i}) for i in range(4)], workers=4)
+        assert out.values == [(x, os.getpid()) for x in range(4)]
+        assert out.perf.workers == 1
+
+    def test_work_really_fans_out_to_processes(self):
+        out = run_parallel("t", [Point(_record_pid, {"x": i}) for i in range(8)], workers=4)
         pids = {pid for _, pid in out.values}
         assert os.getpid() not in pids  # ran in workers, not in-process
         assert [x for x, _ in out.values] == list(range(8))
 
-    def test_workers_one_is_in_process(self, cache_dir):
-        import os
-
-        out = run_parallel(
-            "t", [Point(_record_pid, {"x": 0})], workers=1, cache_dir=cache_dir
-        )
+    def test_workers_one_is_in_process(self):
+        out = run_parallel("t", [Point(_record_pid, {"x": 0})], workers=1)
         assert out.values[0][1] == os.getpid()
         assert out.perf.workers == 1
 
 
 class TestSerialParallelEquivalence:
-    @pytest.fixture(autouse=True)
-    def cold_cache(self, monkeypatch):
-        # Disable the cache so the parallel run genuinely re-simulates
-        # in worker processes instead of replaying the serial results.
-        monkeypatch.setenv("REPRO_CACHE", "0")
-
     def test_fig3_rows_identical(self):
         serial = fig3.run_fig3(workers=1, **FIG3_KWARGS)
         parallel = fig3.run_fig3(workers=3, **FIG3_KWARGS)
@@ -81,96 +97,69 @@ class TestSerialParallelEquivalence:
         assert repr(serial.rows) == repr(parallel.rows)
 
 
-class TestCache:
-    def test_warm_cache_identical_result_and_no_resimulation(self, cache_dir, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
-        cold = fig3.run_fig3(workers=1, **FIG3_KWARGS)
-        assert cold.notes["sweep"]["cache_misses"] == len(cold.rows)
-        warm = fig3.run_fig3(workers=1, **FIG3_KWARGS)
-        assert warm.notes["sweep"]["cache_hits"] == len(warm.rows)
-        assert warm.notes["sweep"]["cache_misses"] == 0
-        assert warm.notes["sweep"]["sim_events"] == 0  # nothing re-simulated
-        assert repr(warm.rows) == repr(cold.rows)
-        assert warm.name == cold.name
+class TestEveryPointRuns:
+    def test_rerun_executes_every_point_again(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        del CALLS[:]
+        points = [Point(_counted_sim, {"x": x}) for x in range(3)]
+        first = run_parallel("rerun", points)
+        second = run_parallel("rerun", points)
+        assert CALLS == [0, 1, 2, 0, 1, 2]
+        assert first.values == second.values == [0, 1, 2]
+        assert first.perf.sim_events == second.perf.sim_events == 1 + 2 + 3
 
-    def test_different_kwargs_different_entries(self, cache_dir):
-        first = run_parallel("t", [Point(_double, {"x": 1})], workers=1, cache_dir=cache_dir)
-        second = run_parallel("t", [Point(_double, {"x": 2})], workers=1, cache_dir=cache_dir)
-        assert first.perf.cache_misses == 1 and second.perf.cache_misses == 1
-        assert second.values == [4]
+    def test_duplicate_points_each_execute(self):
+        del CALLS[:]
+        out = run_parallel("dup", [Point(_counted_sim, {"x": 2})] * 3, workers=1)
+        assert CALLS == [2, 2, 2]
+        assert out.values == [2, 2, 2]
+        assert out.perf.sim_events == 3 * 3
 
-    def test_sweep_name_partitions_the_cache(self, cache_dir):
-        run_parallel("a", [Point(_double, {"x": 1})], workers=1, cache_dir=cache_dir)
-        other = run_parallel("b", [Point(_double, {"x": 1})], workers=1, cache_dir=cache_dir)
-        assert other.perf.cache_misses == 1
+    def test_pool_rerun_counts_worker_events_both_times(self):
+        points = [Point(_counted_sim, {"x": x}) for x in range(4)]
+        runs = [run_parallel("rerun", points, workers=2) for _ in range(2)]
+        for out in runs:
+            assert out.perf.workers == 2
+            assert out.values == [0, 1, 2, 3]
+            assert out.perf.sim_events == 1 + 2 + 3 + 4
 
-    def test_cache_disabled_always_runs(self, cache_dir):
-        for _ in range(2):
-            out = run_parallel(
-                "t", [Point(_double, {"x": 3})], workers=1, cache=False, cache_dir=cache_dir
-            )
-            assert out.perf.cache_misses == 1
-        assert not cache_dir.exists()  # nothing was ever written
-
-    def test_stale_entries_invalidated_on_fingerprint_change(self, cache_dir, monkeypatch):
-        points = [Point(_double, {"x": 5})]
-        monkeypatch.setattr(sweep_runner, "code_fingerprint", lambda: "fingerprint-one")
-        first = run_parallel("t", points, workers=1, cache_dir=cache_dir)
-        again = run_parallel("t", points, workers=1, cache_dir=cache_dir)
-        assert first.perf.cache_misses == 1 and again.perf.cache_hits == 1
-        # "Edit the code": the fingerprint changes, the old entry is stale.
-        monkeypatch.setattr(sweep_runner, "code_fingerprint", lambda: "fingerprint-two")
-        after_edit = run_parallel("t", points, workers=1, cache_dir=cache_dir)
-        assert after_edit.perf.cache_misses == 1
-        assert after_edit.values == [10]
-
-    def test_fingerprint_tracks_source_content(self, tmp_path):
-        tree = tmp_path / "pkg"
-        tree.mkdir()
-        (tree / "mod.py").write_text("A = 1\n")
-        first = sweep_runner.code_fingerprint(tree)
-        assert sweep_runner.code_fingerprint(tree) == first  # memoized, stable
-        sweep_runner._fingerprint_cache.clear()
-        (tree / "mod.py").write_text("A = 2\n")
-        assert sweep_runner.code_fingerprint(tree) != first
-
-    # "garbage\n" begins with the pickle GLOBAL opcode, so unpickling
-    # it raises ValueError rather than UnpicklingError — both must be
-    # treated as a plain miss.
-    @pytest.mark.parametrize("junk", [b"not a pickle", b"garbage\n", b""])
-    def test_corrupt_entry_is_ignored(self, cache_dir, junk):
-        out = run_parallel("t", [Point(_double, {"x": 7})], workers=1, cache_dir=cache_dir)
-        assert out.perf.cache_misses == 1
-        (entry,) = list(cache_dir.rglob("*.pkl"))
-        entry.write_bytes(junk)
-        rerun = run_parallel("t", [Point(_double, {"x": 7})], workers=1, cache_dir=cache_dir)
-        assert rerun.perf.cache_misses == 1
-        assert rerun.values == [14]
-
-    def test_clear_cache(self, cache_dir):
-        run_parallel("t", [Point(_double, {"x": 9})], workers=1, cache_dir=cache_dir)
-        assert sweep_runner.clear_cache(cache_dir) == 1
-        assert list(cache_dir.rglob("*.pkl")) == []
+    def test_fig3_rerun_resimulates_identically(self):
+        first = fig3.run_fig3(workers=1, **FIG3_KWARGS)
+        second = fig3.run_fig3(workers=1, **FIG3_KWARGS)
+        assert first.notes["sweep"]["sim_events"] > 0
+        assert second.notes["sweep"]["sim_events"] == first.notes["sweep"]["sim_events"]
+        assert repr(second.rows) == repr(first.rows)
+        assert second.name == first.name
 
 
 class TestSweepAPI:
-    def test_sweep_collects_and_runs(self, cache_dir):
-        sweep = Sweep("demo", workers=1, cache=False, cache_dir=cache_dir)
-        for i in range(3):
-            sweep.add(_double, x=i)
-        out = sweep.run()
-        assert out.values == [0, 2, 4]
-        assert out.perf.points == 3
-
-    def test_perf_notes_attach(self, cache_dir):
+    def test_perf_notes_attach(self):
         from repro.experiments.common import ExperimentResult
 
-        out = run_parallel("t", [Point(_double, {"x": 1})], workers=1, cache_dir=cache_dir)
+        out = run_parallel("t", [Point(_double, {"x": 1})], workers=1)
         result = ExperimentResult("demo")
         out.attach(result)
         assert result.notes["sweep"]["points"] == 1
         assert "events_per_sec" in result.notes["sweep"]
+
+    def test_attached_notes_carry_no_cache_fields(self):
+        from repro.experiments.common import ExperimentResult
+
+        result = ExperimentResult("demo")
+        run_parallel("t", [Point(_double, {"x": 1})], workers=1).attach(result)
+        assert set(result.notes["sweep"]) == {
+            "name", "points", "workers", "wall_clock_s", "sim_events", "events_per_sec",
+        }
+
+    def test_perf_line_reports_points_and_workers_only(self):
+        from repro.experiments.common import ExperimentResult
+        from repro.experiments.run_all import _perf_line
+
+        result = ExperimentResult("demo")
+        run_parallel("t", [Point(_double, {"x": i}) for i in range(3)], workers=1).attach(result)
+        line = _perf_line(result)
+        assert "3 points, 1 worker(s)" in line
+        assert "cached" not in line
 
     def test_env_workers_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "7")
@@ -179,8 +168,20 @@ class TestSweepAPI:
         with pytest.raises(ValueError):
             sweep_runner.default_workers()
 
-    def test_env_cache_toggle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        assert not sweep_runner.cache_enabled_default()
-        monkeypatch.setenv("REPRO_CACHE", "1")
-        assert sweep_runner.cache_enabled_default()
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [("3", 3), ("0", os.cpu_count() or 1), ("-2", ValueError), ("bogus", ValueError)],
+    )
+    def test_sweeps_and_analyzer_read_workers_alike(self, monkeypatch, raw, expected):
+        monkeypatch.setenv("REPRO_WORKERS", raw)
+        for parse in (sweep_runner.default_workers, analyze_core.default_workers):
+            if expected is ValueError:
+                with pytest.raises(ValueError, match="REPRO_WORKERS"):
+                    parse()
+            else:
+                assert parse() == expected
+
+    def test_unset_workers_means_one_per_cpu(self, monkeypatch):
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        cpus = os.cpu_count() or 1
+        assert sweep_runner.default_workers() == analyze_core.default_workers() == cpus

@@ -41,7 +41,6 @@ def _run_case(name, kwargs):
 
 @pytest.mark.parametrize("name,kwargs", CASES, ids=[c[0] for c in CASES])
 def test_rows_identical_serial_vs_sharded(name, kwargs, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE", "0")  # a hit must never mask drift
     monkeypatch.setenv("REPRO_WORKERS", "1")
     monkeypatch.delenv("REPRO_SHARDS", raising=False)
     serial = _run_case(name, kwargs)
