@@ -1,10 +1,12 @@
 """Capture deterministic experiment rows for before/after comparison.
 
-Runs every figure harness (at the smoke-test scale) plus the study
-table's full other-ports column and dumps the rows as canonical JSON.  Two captures taken before
-and after a performance change must be byte-identical — this is the
-conformance gate for hot-path work (the rows are pure functions of the
-seed, so any drift means the change altered simulation behaviour).
+Runs every figure of ``repro.experiments.run_all.FIGURES`` at its smoke
+scale (``run(smoke=True)``, the tier-1 scale) and dumps the rows as
+canonical JSON, keyed by figure name (``fig6a``/``fig6b``/``fig6c`` for
+a multi-panel figure).  Two captures taken before and after a
+performance change must be byte-identical — this is the conformance gate
+for hot-path work (the rows are pure functions of the seed, so any drift
+means the change altered simulation behaviour).
 
 Usage::
 
@@ -15,35 +17,27 @@ Usage::
 from __future__ import annotations
 
 import json
+import string
 import sys
+
+# Fig. 10 times the accept path in real seconds; its rows are not
+# deterministic.
+WALL_CLOCK = ("fig10",)
 
 
 def capture() -> dict:
-    from repro.experiments import (
-        fig3,
-        fig4,
-        fig5,
-        fig6,
-        fig7,
-        fig8,
-        fig9,
-        fig11,
-        table_study,
-    )
+    from repro.experiments.run_all import FIGURES
 
-    # fig10 is the one wall-clock experiment (SYN processing latency in
-    # real seconds); its rows are not deterministic and are excluded.
     out: dict[str, object] = {}
-    out["fig3"] = fig3.run_fig3(mss_sweep=(1448, 8500), transfer_bytes=256 * 1024).rows
-    out["fig4"] = fig4.run_fig4(buffers_kb=(200,), duration=8.0).rows
-    out["fig5"] = fig5.run_fig5(buffers_kb=(200,), duration=8.0).rows
-    out["fig6a"] = fig6.run_panel_a(buffers_kb=(200,), duration=15.0).rows
-    out["fig6c"] = fig6.run_panel_c(buffers_kb=(256,), duration=6.0).rows
-    out["fig7"] = fig7.run_fig7(duration=10.0).rows
-    out["fig8"] = fig8.run_fig8(duration=8.0).rows
-    out["fig9"] = fig9.run_fig9(buffers_kb=(200,), duration=10.0).rows
-    out["fig11"] = fig11.run_fig11(sizes_kb=(64,), duration=6.0).rows
-    out["study"] = table_study.run_table_study().rows
+    for name, module in FIGURES.items():
+        if name in WALL_CLOCK:
+            continue
+        results = module.run(smoke=True)
+        if len(results) == 1:
+            out[name] = results[0].rows
+        else:
+            for panel, result in zip(string.ascii_lowercase, results):
+                out[name + panel] = result.rows
     return out
 
 

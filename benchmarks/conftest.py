@@ -1,22 +1,10 @@
 """Benchmark-suite helpers.
 
-Every benchmark runs its experiment once (``rounds=1``) — these are
-discrete-event simulations, not microbenchmarks, and the interesting
-output is the table each prints (the paper's rows), with wall-clock
-time as a bonus metric.
-
-The two *throughput* benchmarks (engine events/s, datapath bytes/s)
+The *throughput* benchmarks (engine events/s, datapath bytes/s)
 feed the CI perf-regression ratchet, so a single noisy run must not be
 able to fail the floor: :func:`run_median_of_3` executes the workload
 three times and reports the median run by the chosen metric.
 """
-
-import pytest
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """pytest-benchmark wrapper: one round, one iteration."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
 
 def run_median_of_3(benchmark, fn, metric, *args, **kwargs):
@@ -38,9 +26,3 @@ def run_median_of_3(benchmark, fn, metric, *args, **kwargs):
     record[f"{metric}_spread"] = sorted(run[metric] for run in records)
     return record
 
-
-def show(result, *extra_lines):
-    print()
-    print(result.format_table())
-    for line in extra_lines:
-        print(line)

@@ -29,8 +29,6 @@ from repro.mptcp.api import connect as mptcp_connect
 from repro.mptcp.api import listen as mptcp_listen
 from repro.net.packet import Endpoint
 
-from conftest import run_once
-
 
 SYMMETRIC = [
     PathSpec(rate_bps=50e6, rtt=0.010, buffer_seconds=0.03, name="l0"),
@@ -85,8 +83,8 @@ def test_ablation_key_pool_accept_latency(benchmark):
     from repro.experiments.fig10 import _measure
 
     def run():
-        plain = _measure(True, 0, 1500, seed=3)
-        pooled = _measure(True, 0, 1500, seed=3, key_pool=5000)
+        plain, _ = _measure(True, 0, 1500, seed=3)
+        pooled, _ = _measure(True, 0, 1500, seed=3, key_pool=5000)
         median = lambda xs: sorted(xs)[len(xs) // 2]
         return median(plain) * 1e6, median(pooled) * 1e6
 

@@ -10,7 +10,9 @@ This is the one experiment measured in real wall-clock time: it times
 our actual accept path (listener dispatch → key/token generation →
 uniqueness check → SYN/ACK construction) with the token table
 pre-populated.  Absolute microseconds are Python-not-kernel; the
-reproduction targets the ordering and the growth with table size.
+reproduction targets the ordering.  The growth with table size is
+claimed on counted work instead — token-table entries compared per
+accept — because timing noise is larger than that growth.
 """
 
 from __future__ import annotations
@@ -56,9 +58,12 @@ def _make_server(mptcp: bool, preestablished: int, seed: int, key_pool: int = 0)
 
 def _measure(
     mptcp: bool, preestablished: int, attempts: int, seed: int, key_pool: int = 0
-) -> list[float]:
-    """SYN→SYN/ACK processing times, in seconds (wall clock)."""
+) -> tuple[list[float], int]:
+    """SYN→SYN/ACK processing times, in seconds (wall clock), and the
+    token-table entries the accepts compared (counted, deterministic)."""
     net, server, listener = _make_server(mptcp, preestablished, seed, key_pool=key_pool)
+    tokens = get_manager(server).tokens if mptcp else None
+    compared_before = tokens.entries_compared if tokens else 0
     rng = net.rng.fork("syn-gen")
     delays: list[float] = []
     for attempt in range(attempts):
@@ -77,11 +82,12 @@ def _measure(
         listener.segment_arrives(syn)
         delays.append(time.perf_counter() - begin)  # analyze: ok(DET02): wall-clock SYN-processing latency is the measured quantity
         # Close immediately (the paper closes each connection before the
-        # next attempt) — drop the half-open socket.
+        # next attempt): abort the half-open connection, which for MPTCP
+        # also takes its token out of the table.
         sink = server.connection_sink(syn.dst, syn.src)
         if sink is not None:
-            sink.abort() if hasattr(sink, "abort") else None
-    return delays
+            getattr(sink, "connection", sink).abort()
+    return delays, (tokens.entries_compared - compared_before if tokens else 0)
 
 
 def run_fig10(attempts: int = 2000, seed: int = 10, workers: int | None = None) -> ExperimentResult:
@@ -108,7 +114,9 @@ def run_fig10(attempts: int = 2000, seed: int = 10, workers: int | None = None) 
         workers=workers,
     )
     pdfs: dict = {}
-    for (label, mptcp, preestablished, key_pool), delays in zip(configurations, outcome.values):
+    for (label, mptcp, preestablished, key_pool), (delays, compared) in zip(
+        configurations, outcome.values
+    ):
         delays_us = sorted(d * 1e6 for d in delays)
         histogram = Histogram(bin_width=2.0)
         for value in delays_us:
@@ -120,27 +128,25 @@ def run_fig10(attempts: int = 2000, seed: int = 10, workers: int | None = None) 
             mean_us=sum(delays_us) / len(delays_us),
             p50_us=delays_us[len(delays_us) // 2],
             p90_us=delays_us[int(0.9 * (len(delays_us) - 1))],
+            token_compares=compared / len(delays_us),
         )
     result.notes["pdfs"] = pdfs
     outcome.attach(result)
     return result
 
 
-def check_claims(result: ExperimentResult) -> dict[str, bool]:
-    median = {row["variant"]: row["p50_us"] for row in result.rows}
+def run(smoke: bool = False) -> list[ExperimentResult]:
+    return [run_fig10(attempts=300 if smoke else 2000)]
+
+
+def check_claims(results: list[ExperimentResult]) -> dict[str, bool]:
+    (result,) = results
+    rows = {row["variant"]: row for row in result.rows}
+    compares = {variant: row["token_compares"] for variant, row in rows.items()}
     return {
-        "tcp_fastest": median["tcp"] < median["mptcp"],
-        "table_growth_costs": median["mptcp"] <= median["mptcp-1000conn"] * 1.001
-        and median["mptcp-100conn"] <= median["mptcp-1000conn"] * 1.2,
+        "tcp_fastest": rows["tcp"]["p50_us"] < rows["mptcp"]["p50_us"],
+        # The uniqueness check walks a fuller table: counted, not timed.
+        "table_growth_costs": compares["mptcp"]
+        < compares["mptcp-100conn"]
+        < compares["mptcp-1000conn"],
     }
-
-
-def main() -> None:
-    result = run_fig10()
-    print(result.format_table())
-    for claim, ok in check_claims(result).items():  # analyze: ok(DET03): insertion-ordered dict, deterministic iteration
-        print(f"  claim {claim}: {'PASS' if ok else 'FAIL'}")
-
-
-if __name__ == "__main__":
-    main()

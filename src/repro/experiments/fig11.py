@@ -146,7 +146,12 @@ def run_fig11(
     return result
 
 
-def check_claims(result: ExperimentResult) -> dict[str, bool]:
+def run(smoke: bool = False) -> list[ExperimentResult]:
+    return [run_fig11(sizes_kb=(64,), duration=6.0) if smoke else run_fig11()]
+
+
+def check_claims(results: list[ExperimentResult]) -> dict[str, bool]:
+    (result,) = results
     rows = {row["size_kb"]: row for row in result.rows}
     small = min(rows)
     large = [kb for kb in rows if kb >= 100]
@@ -164,14 +169,3 @@ def check_claims(result: ExperimentResult) -> dict[str, bool]:
             rows[kb]["mptcp_rps"] >= 0.9 * rows[kb]["bonding_rps"] for kb in large
         ),
     }
-
-
-def main() -> None:
-    result = run_fig11()
-    print(result.format_table())
-    for claim, ok in check_claims(result).items():  # analyze: ok(DET03): insertion-ordered dict, deterministic iteration
-        print(f"  claim {claim}: {'PASS' if ok else 'FAIL'}")
-
-
-if __name__ == "__main__":
-    main()

@@ -73,8 +73,13 @@ def run_fig4(
     return result
 
 
-def check_claims(result: ExperimentResult) -> dict[str, bool]:
-    """The paper's qualitative claims for this figure."""
+def run(smoke: bool = False) -> list[ExperimentResult]:
+    return [run_fig4(buffers_kb=(200,), duration=8.0) if smoke else run_fig4()]
+
+
+def check_claims(results: list[ExperimentResult]) -> dict[str, bool]:
+    (result,) = results
+
     def curve(variant):
         return dict(result.series("buffer_kb", "goodput_mbps", variant=variant))
 
@@ -93,14 +98,3 @@ def check_claims(result: ExperimentResult) -> dict[str, bool]:
         # At large buffers MPTCP+M1,2 exceeds the best single path.
         "m12_aggregates_at_large_buffers": max(m12.values()) > 1.05 * max(wifi.values()),
     }
-
-
-def main() -> None:
-    result = run_fig4()
-    print(result.format_table())
-    for claim, ok in check_claims(result).items():  # analyze: ok(DET03): insertion-ordered dict, deterministic iteration
-        print(f"  claim {claim}: {'PASS' if ok else 'FAIL'}")
-
-
-if __name__ == "__main__":
-    main()

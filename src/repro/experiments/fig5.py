@@ -81,7 +81,13 @@ def run_fig5(
     return result
 
 
-def check_claims(result: ExperimentResult) -> dict[str, bool]:
+def run(smoke: bool = False) -> list[ExperimentResult]:
+    return [run_fig5(buffers_kb=(200,), duration=8.0) if smoke else run_fig5()]
+
+
+def check_claims(results: list[ExperimentResult]) -> dict[str, bool]:
+    (result,) = results
+
     def memory(variant):
         return dict(result.series("buffer_kb", "sender_memory_kb", variant=variant))
 
@@ -98,14 +104,3 @@ def check_claims(result: ExperimentResult) -> dict[str, bool]:
         # MPTCP sender memory exceeds single-path TCP's.
         "mptcp_uses_more_than_tcp": m123[big] > threeg[big],
     }
-
-
-def main() -> None:
-    result = run_fig5()
-    print(result.format_table())
-    for claim, ok in check_claims(result).items():  # analyze: ok(DET03): insertion-ordered dict, deterministic iteration
-        print(f"  claim {claim}: {'PASS' if ok else 'FAIL'}")
-
-
-if __name__ == "__main__":
-    main()

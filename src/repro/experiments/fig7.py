@@ -108,10 +108,13 @@ def _pdf(delays: list[float], bin_width: float) -> list[tuple[float, float]]:
     return pdf_from_samples(delays, bin_width)
 
 
-def check_claims(result: ExperimentResult) -> dict[str, bool]:
-    rows = {row["variant"]: row for row in result.rows if row.get("blocks")}
-    if not all(v in rows for v in ("tcp-wifi", "mptcp-regular", "mptcp-m12")):
-        return {"have_data": False}
+def run(smoke: bool = False) -> list[ExperimentResult]:
+    return [run_fig7(duration=10.0) if smoke else run_fig7()]
+
+
+def check_claims(results: list[ExperimentResult]) -> dict[str, bool]:
+    (result,) = results
+    rows = {row["variant"]: row for row in result.rows}
     return {
         "m12_avoids_regular_tail": rows["mptcp-m12"]["p95_ms"] < rows["mptcp-regular"]["p95_ms"],
         "m12_mean_below_regular": rows["mptcp-m12"]["mean_ms"] < rows["mptcp-regular"]["mean_ms"],
@@ -124,14 +127,3 @@ def check_claims(result: ExperimentResult) -> dict[str, bool]:
             rows["tcp-wifi"]["mean_ms"] > 0.8 * rows["mptcp-m12"]["mean_ms"]
         ),
     }
-
-
-def main() -> None:
-    result = run_fig7()
-    print(result.format_table())
-    for claim, ok in check_claims(result).items():  # analyze: ok(DET03): insertion-ordered dict, deterministic iteration
-        print(f"  claim {claim}: {'PASS' if ok else 'FAIL'}")
-
-
-if __name__ == "__main__":
-    main()

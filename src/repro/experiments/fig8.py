@@ -127,7 +127,15 @@ def run_fig8(
     return result
 
 
-def check_claims(result: ExperimentResult) -> dict[str, bool]:
+def run(smoke: bool = False) -> list[ExperimentResult]:
+    # Smoke scale is full scale: the claim names carry both subflow
+    # counts, and these are the rows capture_rows.py pins.
+    return [run_fig8()]
+
+
+def check_claims(results: list[ExperimentResult]) -> dict[str, bool]:
+    (result,) = results
+
     def util(subflows, algorithm):
         rows = [
             row
@@ -146,15 +154,3 @@ def check_claims(result: ExperimentResult) -> dict[str, bool]:
     # Fig. 8 CPU ordering.  EXPERIMENTS.md records the measured rates.
     claims["shortcut_hit_rate_high"] = bool(hit) and min(hit) > 0.45
     return claims
-
-
-def main() -> None:
-    result = run_fig8()
-    print(result.format_table())
-    print(f"TCP baseline: {result.notes['tcp_baseline_pct']:.1f}%")
-    for claim, ok in check_claims(result).items():  # analyze: ok(DET03): insertion-ordered dict, deterministic iteration
-        print(f"  claim {claim}: {'PASS' if ok else 'FAIL'}")
-
-
-if __name__ == "__main__":
-    main()

@@ -128,7 +128,13 @@ def run_fig9(
     return result
 
 
-def check_claims(result: ExperimentResult) -> dict[str, bool]:
+def run(smoke: bool = False) -> list[ExperimentResult]:
+    return [run_fig9(buffers_kb=(200,), duration=10.0) if smoke else run_fig9()]
+
+
+def check_claims(results: list[ExperimentResult]) -> dict[str, bool]:
+    (result,) = results
+
     def curve(variant):
         return dict(result.series("buffer_kb", "goodput_mbps", variant=variant))
 
@@ -137,7 +143,7 @@ def check_claims(result: ExperimentResult) -> dict[str, bool]:
     mptcp = curve("mptcp")
     best = {kb: max(wifi[kb], threeg[kb]) for kb in wifi}
     big = max(mptcp)
-    mid = 100 if 100 in mptcp else sorted(mptcp)[1]
+    mid = min(mptcp, key=lambda kb: abs(kb - 100))  # the swept buffer nearest 100 KB
     return {
         # "Never underperforms" in the text; the paper's own figure shows
         # the 50 KB bar a few percent below TCP, as does ours.
@@ -148,14 +154,3 @@ def check_claims(result: ExperimentResult) -> dict[str, bool]:
             row.get("subflows", 2) >= 2 for row in result.rows if row["variant"] == "mptcp"
         ),
     }
-
-
-def main() -> None:
-    result = run_fig9()
-    print(result.format_table())
-    for claim, ok in check_claims(result).items():  # analyze: ok(DET03): insertion-ordered dict, deterministic iteration
-        print(f"  claim {claim}: {'PASS' if ok else 'FAIL'}")
-
-
-if __name__ == "__main__":
-    main()

@@ -1,25 +1,39 @@
-"""Run every experiment at full scale and write a consolidated report.
+"""Run the paper's figures at full scale, report every claim, and gate.
 
 Usage::
 
-    python -m repro.experiments.run_all [report.md]
+    python -m repro.experiments.run_all [NAME ...] [--out report.md]
 
-This is the long-form counterpart to ``pytest benchmarks/``: full
-sweeps, full study population, a single Markdown report with every
-table and every claim check.
+``NAME`` is any key of :data:`FIGURES` (all of them by default).  Each
+figure's tables, scalar notes, sweep line and claims are printed as the
+figure finishes, and also written to ``--out`` as one Markdown report.
+Exits 1 if any claim is ``FAIL``.
+
+Every module in :data:`FIGURES` exposes ``run(smoke=False)`` (a list of
+``ExperimentResult``; ``smoke=True`` is the reduced tier-1 scale) and
+``check_claims(results) -> dict[str, bool]``.
 """
 
 from __future__ import annotations
 
-import sys
+import argparse
 import time
 
 from repro.experiments import fig3, fig4, fig5, fig6, fig7, fig8, fig9, fig10, fig11
 from repro.experiments import table_study
 
-
-def _section(title: str, body: str) -> str:
-    return f"## {title}\n\n```\n{body}\n```\n"
+FIGURES = {
+    "study": table_study,
+    "fig3": fig3,
+    "fig4": fig4,
+    "fig5": fig5,
+    "fig6": fig6,
+    "fig7": fig7,
+    "fig8": fig8,
+    "fig9": fig9,
+    "fig10": fig10,
+    "fig11": fig11,
+}
 
 
 def _perf_line(result) -> str:
@@ -34,105 +48,49 @@ def _perf_line(result) -> str:
     )
 
 
-def _claims_line(claims: dict) -> str:
-    return "\n".join(
-        f"  claim {name}: {'PASS' if ok else 'FAIL'}" for name, ok in claims.items()
-    )
+def _section(module, results, claims: dict[str, bool]) -> tuple[str, list[str]]:
+    """One figure's Markdown section (tables, scalar notes, sweep lines,
+    claims) and the names of its failed claims."""
+    blocks = []
+    for result in results:
+        scalars = [f"{key}: {value:.1f}" for key, value in result.notes.items() if isinstance(value, float)]
+        blocks.append("\n".join([result.format_table(), *scalars]) + _perf_line(result))
+    verdicts = [f"  claim {name}: {'PASS' if ok else 'FAIL'}" for name, ok in claims.items()]
+    body = "\n\n".join(blocks) + "\n\n" + "\n".join(verdicts)
+    failed = [name for name, ok in claims.items() if not ok]
+    return f"## {module.__doc__.splitlines()[0]}\n\n```\n{body}\n```\n", failed
 
 
-def run_all() -> str:
-    sections: list[str] = ["# Full experiment run\n"]
+def report(module) -> tuple[str, list[str]]:
+    """Run one figure at full scale: its report section and failed claims."""
+    results = module.run()
+    return _section(module, results, module.check_claims(results))
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", metavar="NAME", help=f"any of: {' '.join(FIGURES)}")
+    parser.add_argument("--out", metavar="FILE", help="also write the Markdown report here")
+    args = parser.parse_args(argv)
+    unknown = [name for name in args.names if name not in FIGURES]
+    if unknown:
+        parser.error(f"unknown figure(s): {' '.join(unknown)}")
     started = time.time()
-
-    def note(label):
-        print(f"[{time.time()-started:7.1f}s] {label}...", flush=True)
-
-    note("§3 study (both columns, full 142 paths)")
-    for port80 in (False, True):
-        result = table_study.run_table_study(port80=port80)
-        claims = table_study.check_claims(result)
-        sections.append(
-            _section(result.name, result.format_table() + _perf_line(result) + "\n" + _claims_line(claims))
-        )
-
-    note("Fig. 3")
-    result = fig3.run_fig3()
-    sections.append(
-        _section(
-            result.name,
-            result.format_table(["mss", "checksum", "goodput_gbps"])
-            + f"\njumbo penalty: {result.notes['jumbo_penalty_pct']:.1f}%"
-            + _perf_line(result),
-        )
-    )
-
-    note("Fig. 4")
-    result = fig4.run_fig4()
-    sections.append(
-        _section(result.name, result.format_table() + _perf_line(result) + "\n" + _claims_line(fig4.check_claims(result)))
-    )
-
-    note("Fig. 5")
-    result = fig5.run_fig5()
-    sections.append(
-        _section(result.name, result.format_table() + _perf_line(result) + "\n" + _claims_line(fig5.check_claims(result)))
-    )
-
-    note("Fig. 6 (three panels)")
-    panel_a, panel_b, panel_c = fig6.run_panel_a(), fig6.run_panel_b(), fig6.run_panel_c()
-    claims = fig6.check_claims(panel_a, panel_b, panel_c)
-    body = "\n\n".join(p.format_table() + _perf_line(p) for p in (panel_a, panel_b, panel_c))
-    sections.append(_section("Fig. 6 — panels a/b/c", body + "\n" + _claims_line(claims)))
-
-    note("Fig. 7")
-    result = fig7.run_fig7()
-    sections.append(
-        _section(result.name, result.format_table() + _perf_line(result) + "\n" + _claims_line(fig7.check_claims(result)))
-    )
-
-    note("Fig. 8")
-    result = fig8.run_fig8()
-    sections.append(
-        _section(
-            result.name,
-            result.format_table()
-            + f"\nTCP baseline: {result.notes['tcp_baseline_pct']:.1f}%"
-            + _perf_line(result) + "\n"
-            + _claims_line(fig8.check_claims(result)),
-        )
-    )
-
-    note("Fig. 9")
-    result = fig9.run_fig9()
-    sections.append(
-        _section(result.name, result.format_table() + _perf_line(result) + "\n" + _claims_line(fig9.check_claims(result)))
-    )
-
-    note("Fig. 10")
-    result = fig10.run_fig10()
-    sections.append(
-        _section(result.name, result.format_table() + _perf_line(result) + "\n" + _claims_line(fig10.check_claims(result)))
-    )
-
-    note("Fig. 11")
-    result = fig11.run_fig11()
-    sections.append(
-        _section(result.name, result.format_table() + _perf_line(result) + "\n" + _claims_line(fig11.check_claims(result)))
-    )
-
-    sections.append(f"\n_total wall time: {time.time()-started:.0f}s_\n")
-    return "\n".join(sections)
-
-
-def main() -> None:
-    report = run_all()
-    if len(sys.argv) > 1:
-        with open(sys.argv[1], "w") as handle:
-            handle.write(report)
-        print(f"report written to {sys.argv[1]}")
-    else:
-        print(report)
+    sections = ["# Full experiment run\n"]
+    failed: list[str] = []
+    for name in args.names or FIGURES:
+        section, failed_claims = report(FIGURES[name])
+        print(section, flush=True)
+        sections.append(section)
+        failed += [f"{name}:{claim}" for claim in failed_claims]
+    summary = f"_total wall time: {time.time() - started:.0f}s; failed claims: {' '.join(failed) or 'none'}_\n"
+    print(summary, end="")
+    sections.append(summary)
+    if args.out:
+        with open(args.out, "w") as handle:
+            handle.write("\n".join(sections))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

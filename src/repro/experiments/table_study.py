@@ -62,30 +62,18 @@ def run_table_study(
     return result
 
 
-def check_claims(result: ExperimentResult) -> dict[str, bool]:
-    by_metric = {row["metric"]: row for row in result.rows}
-    claims = {
-        "tcp_always_works": by_metric["TCP completed"]["measured_pct"] == 100.0,
-        "mptcp_always_works": by_metric["MPTCP completed"]["measured_pct"] == 100.0,
+def run(smoke: bool = False) -> list[ExperimentResult]:
+    """Both port columns; the other-ports column alone at smoke scale."""
+    return [run_table_study(port80=port80) for port80 in ((False,) if smoke else (False, True))]
+
+
+def check_claims(results: list[ExperimentResult]) -> dict[str, bool]:
+    """Each claim must hold in every column."""
+    columns = [{row["metric"]: row["measured_pct"] for row in result.rows} for result in results]
+    return {
+        "tcp_always_works": all(c["TCP completed"] == 100.0 for c in columns),
+        "mptcp_always_works": all(c["MPTCP completed"] == 100.0 for c in columns),
+        "strawman_breaks_about_a_third": all(
+            20.0 <= c["strawman striping broken"] <= 50.0 for c in columns
+        ),
     }
-    strawman = by_metric.get("strawman striping broken")
-    if strawman is not None:
-        claims["strawman_breaks_about_a_third"] = 20.0 <= strawman["measured_pct"] <= 50.0
-    return claims
-
-
-def main() -> int:
-    """Print both columns; exit 1 if any claim fails."""
-    failed = False
-    for port80 in (False, True):
-        result = run_table_study(port80=port80)
-        print(result.format_table())
-        for claim, ok in check_claims(result).items():  # analyze: ok(DET03): insertion-ordered dict, deterministic iteration
-            print(f"  claim {claim}: {'PASS' if ok else 'FAIL'}")
-            failed = failed or not ok
-        print()
-    return 1 if failed else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -79,6 +79,7 @@ class TokenTable:
         self._count = 0
         self.uniqueness_checks = 0
         self.collisions = 0
+        self.entries_compared = 0  # bucket entries ``_contains`` looked at
         self._key_pool: list[tuple[int, int]] = []
 
     def _bucket(self, token: int) -> list:
@@ -88,7 +89,13 @@ class TokenTable:
         return self._count
 
     def _contains(self, token: int) -> bool:
-        return any(entry_token == token for entry_token, _ in self._bucket(token))
+        bucket = self._bucket(token)
+        for index, (entry_token, _) in enumerate(bucket):
+            if entry_token == token:
+                self.entries_compared += index + 1
+                return True
+        self.entries_compared += len(bucket)
+        return False
 
     def generate_unique_key(self) -> tuple[int, int]:
         """Returns (key, token) whose token is unique in this table.

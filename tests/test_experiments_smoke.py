@@ -1,105 +1,139 @@
-"""Smoke tests: every figure harness runs end-to-end with reduced
-parameters and produces sensible rows.  The full-scale runs live under
-``benchmarks/``."""
+"""Smoke tests: every figure of the ``run_all`` registry runs end-to-end
+at its reduced (``smoke=True``) scale and reports the same claims as the
+full-scale run.  Whether the claims *pass* is gated at full scale by
+``python -m repro.experiments.run_all``."""
+
+import functools
 
 import pytest
 
-from repro.experiments import fig3, fig4, fig5, fig6, fig7, fig8, fig9, fig10, fig11
-from repro.experiments import table_study
+from repro.experiments import fig7, fig10, run_all, table_study
+from repro.experiments.common import ExperimentResult
+
+# The claim names each figure reports at full scale.
+FULL_SCALE_CLAIMS = {
+    "study": {"tcp_always_works", "mptcp_always_works", "strawman_breaks_about_a_third"},
+    "fig3": {"goodput_rises_with_mss", "jumbo_penalty_20_to_40pct", "small_penalty_at_1448"},
+    "fig4": {
+        "regular_dips_below_tcp_wifi",
+        "m1_beats_regular_midrange",
+        "m12_matches_tcp_wifi",
+        "m12_aggregates_at_large_buffers",
+    },
+    "fig5": {"capping_halves_memory", "tcp_wifi_lowest", "mptcp_uses_more_than_tcp"},
+    "fig6": {
+        "panel_a_big_gain_small_buffers",
+        "panel_b_regular_collapses",
+        "panel_b_m12_robust",
+        "panel_c_equal",
+    },
+    "fig7": {
+        "m12_avoids_regular_tail",
+        "m12_mean_below_regular",
+        "tcp_wifi_latency_comparable_to_m12",
+    },
+    "fig8": {
+        "shortcuts_beat_regular_2sf",
+        "tree_beats_regular_2sf",
+        "shortcuts_beat_regular_8sf",
+        "tree_beats_regular_8sf",
+        "shortcut_hit_rate_high",
+    },
+    "fig9": {
+        "mptcp_never_underperforms",
+        "mptcp_near_double_at_large_buffer",
+        "mptcp_25pct_better_at_100kb",
+        "mptcp_worked_through_nat",
+    },
+    "fig10": {"tcp_fastest", "table_growth_costs"},
+    "fig11": {
+        "small_files_favor_tcp",
+        "mptcp_doubles_tcp_large",
+        "bonding_strong_small",
+        "mptcp_matches_bonding_large",
+    },
+}
 
 
-class TestFig3:
-    def test_runs_and_shows_checksum_penalty(self):
-        result = fig3.run_fig3(mss_sweep=(1448, 8500), transfer_bytes=256 * 1024)
-        assert len(result.rows) == 4
-        assert all(row["transfer_ok"] for row in result.rows)
-        off = dict(result.series("mss", "goodput_gbps", checksum="off"))
-        on = dict(result.series("mss", "goodput_gbps", checksum="on"))
-        assert on[8500] < off[8500]  # the jumbo penalty
-        assert off[8500] > off[1448]  # amortized per-packet costs
+@functools.lru_cache(maxsize=None)
+def smoke(name: str) -> list[ExperimentResult]:
+    return run_all.FIGURES[name].run(smoke=True)
 
 
-class TestFig4:
-    def test_runs_one_buffer_point(self):
-        result = fig4.run_fig4(buffers_kb=(200,), duration=8.0)
-        variants = {row["variant"] for row in result.rows}
-        assert variants == {"tcp-wifi", "tcp-3g", "mptcp-regular", "mptcp-m1", "mptcp-m12"}
-        for row in result.rows:
-            assert row["goodput_mbps"] >= 0
+def test_every_figure_has_its_claim_names():
+    assert list(FULL_SCALE_CLAIMS) == list(run_all.FIGURES)
 
 
-class TestFig5:
-    def test_memory_accounting_rows(self):
-        result = fig5.run_fig5(buffers_kb=(200,), duration=8.0)
-        for row in result.rows:
-            assert row["sender_memory_kb"] >= 0
-            assert row["receiver_memory_kb"] >= 0
-        mptcp_rows = [r for r in result.rows if r["variant"].startswith("mptcp")]
-        assert any(r["sender_memory_kb"] > 0 for r in mptcp_rows)
+@pytest.mark.parametrize("name", list(run_all.FIGURES))
+def test_smoke_run_reports_full_scale_claims(name):
+    results = smoke(name)
+    for result in results:
+        assert result.rows
+        assert result.format_table().startswith(f"== {result.name} ==")
+    claims = run_all.FIGURES[name].check_claims(results)
+    assert set(claims) == FULL_SCALE_CLAIMS[name]
+    assert all(type(ok) is bool for ok in claims.values())
 
 
-class TestFig6:
-    def test_panel_a_gain(self):
-        result = fig6.run_panel_a(buffers_kb=(200,), duration=15.0)
-        regular = dict(result.series("buffer_kb", "goodput_mbps", variant="mptcp-regular"))
-        m12 = dict(result.series("buffer_kb", "goodput_mbps", variant="mptcp-m12"))
-        assert m12[200] > regular[200]
-
-    def test_panel_c_symmetry(self):
-        result = fig6.run_panel_c(buffers_kb=(256,), duration=6.0)
-        regular = dict(result.series("buffer_kb", "goodput_mbps", variant="mptcp-regular"))
-        m12 = dict(result.series("buffer_kb", "goodput_mbps", variant="mptcp-m12"))
-        assert m12[256] >= 0.7 * regular[256]
+def test_fig3_transfers_complete():
+    (result,) = smoke("fig3")
+    assert all(row["transfer_ok"] for row in result.rows)
 
 
-class TestFig7:
-    def test_latency_pdfs(self):
-        result = fig7.run_fig7(duration=10.0)
-        rows = {row["variant"]: row for row in result.rows if row.get("blocks")}
-        assert "mptcp-m12" in rows and "tcp-wifi" in rows
-        assert rows["mptcp-m12"]["p50_ms"] > 0
-        assert "pdfs" in result.notes
+def test_fig5_memory_accounting():
+    (result,) = smoke("fig5")
+    for row in result.rows:
+        assert row["sender_memory_kb"] >= 0
+        assert row["receiver_memory_kb"] >= 0
+    assert any(r["sender_memory_kb"] > 0 for r in result.rows if r["variant"].startswith("mptcp"))
 
 
-class TestFig8:
-    def test_algorithm_ordering(self):
-        result = fig8.run_fig8(subflow_counts=(2,), duration=3.0)
-        utils = {row["algorithm"]: row["utilization_pct"] for row in result.rows}
-        assert utils["allshortcuts"] <= utils["regular"]
-        assert result.notes["tcp_baseline_pct"] > 0
+def test_fig7_latency_pdfs():
+    (result,) = smoke("fig7")
+    assert set(result.notes["pdfs"]) == {"tcp-wifi", "tcp-3g", "mptcp-regular", "mptcp-m12"}
 
 
-class TestFig9:
-    def test_mptcp_wins_with_buffer(self):
-        result = fig9.run_fig9(buffers_kb=(100, 500), duration=12.0)
-        mptcp = dict(result.series("buffer_kb", "goodput_mbps", variant="mptcp"))
-        wifi = dict(result.series("buffer_kb", "goodput_mbps", variant="tcp-wifi"))
-        assert mptcp[500] > wifi[500]
+def test_fig7_missing_variant_raises():
+    result = ExperimentResult("fig7 without regular MPTCP")
+    for variant in ("tcp-wifi", "mptcp-m12"):
+        result.add(variant=variant, blocks=1, mean_ms=1.0, p95_ms=1.0)
+    with pytest.raises(KeyError):
+        fig7.check_claims([result])
 
 
-class TestFig10:
-    def test_setup_latency_ordering(self):
-        result = fig10.run_fig10(attempts=300)
-        medians = {row["variant"]: row["p50_us"] for row in result.rows}
-        assert medians["tcp"] < medians["mptcp"]
+def test_fig10_token_compares_are_deterministic():
+    first, second = (fig10.run_fig10(attempts=50, workers=1) for _ in range(2))
+    assert first.column("token_compares") == second.column("token_compares")
+    compares = dict(zip(first.column("variant"), first.column("token_compares")))
+    assert compares["tcp"] == 0
+    assert compares["mptcp"] < compares["mptcp-100conn"] < compares["mptcp-1000conn"]
 
 
-class TestFig11:
-    def test_crossover_shape(self):
-        result = fig11.run_fig11(sizes_kb=(4, 200), concurrency=30, duration=4.0)
-        rows = {row["size_kb"]: row for row in result.rows}
-        assert rows[4]["tcp_rps"] > rows[4]["mptcp_rps"]
-        assert rows[200]["mptcp_rps"] > 1.5 * rows[200]["tcp_rps"]
+def test_study_format_table_renders_without_strawman():
+    result = table_study.run_table_study(port80=False, include_strawman=False)
+    assert "MPTCP completed" in result.format_table()
 
 
-class TestStudyTable:
-    def test_full_study(self):
-        result = table_study.run_table_study(port80=False)
-        metrics = {row["metric"]: row for row in result.rows}
-        assert metrics["TCP completed"]["measured_pct"] == 100.0
-        assert metrics["MPTCP completed"]["measured_pct"] == 100.0
+class TestRunAllGate:
+    @pytest.fixture
+    def fake_fig3(self, monkeypatch):
+        module = run_all.FIGURES["fig3"]
+        verdicts = {"holds": True}
+        monkeypatch.setattr(module, "run", lambda smoke=False: [ExperimentResult("demo")])
+        monkeypatch.setattr(module, "check_claims", lambda results: dict(verdicts))
+        return verdicts
 
-    def test_format_table_renders(self):
-        result = table_study.run_table_study(port80=False, include_strawman=False)
-        text = result.format_table()
-        assert "MPTCP completed" in text
+    def test_exits_zero_when_every_claim_passes(self, fake_fig3, capsys):
+        assert run_all.main(["fig3"]) == 0
+        assert "claim holds: PASS" in capsys.readouterr().out
+
+    def test_exits_one_on_a_failed_claim(self, fake_fig3, tmp_path, capsys):
+        fake_fig3["broken"] = False
+        out = tmp_path / "claims.md"
+        assert run_all.main(["fig3", "--out", str(out)]) == 1
+        assert "claim broken: FAIL" in capsys.readouterr().out
+        assert "fig3:broken" in out.read_text()
+
+    def test_unknown_figure_is_a_usage_error(self):
+        with pytest.raises(SystemExit):
+            run_all.main(["fig99"])

@@ -1,7 +1,7 @@
 """The full §3 study table, both columns of 142 paths: verifies
 aggregate outcome percentages, not just per-class behaviour.
 
-The same rows `python -m repro.experiments.table_study` prints; each
+The same rows `python -m repro.experiments.run_all study` prints; each
 column is 12-13 distinct path signatures, so the whole table is a
 second's worth of microsimulations.
 """
@@ -37,7 +37,7 @@ class TestStudyColumn:
         assert fell_back == stripped
 
     def test_strawman_breakage_about_a_third(self, column):
-        claims = check_claims(column)
+        claims = check_claims([column])
         assert claims["strawman_breaks_about_a_third"]
 
     def test_multipath_plus_fallback_covers_everything(self, column):
