@@ -12,8 +12,8 @@ counts *allocation sites* per function inside it:
 * f-strings (``JoinedStr``) — build strings;
 * ``dict``/``list``/``set`` display literals and ``dict()``/``list()``/
   ``set()`` calls — container churn;
-* ``len(x.payload)`` — materialises a ``PayloadView.__len__`` call per
-  hop where the cached ``payload_len`` attribute is free.
+* ``len(x.payload)`` — enters the ``Segment.payload`` property frame
+  per hop where the cached ``payload_len`` attribute is free.
 
 The hot closure is seeded from ``Simulator.run`` itself plus every
 *callback reference* handed to the scheduling API (``schedule``,

@@ -720,9 +720,10 @@ class Hot01HotPathAllocations(Rule):
     rationale = (
         "The Simulator.run closure (everything the event loop can invoke) "
         "is the throughput-critical path; comprehensions, lambdas, "
-        "f-strings, container literals/calls and len(payload) reads inside "
-        "it are per-event churn the flyweight work eliminated.  Counts are "
-        "checked against src/repro/analyze/hot_budget.json; "
+        "f-strings and container literals/calls inside it are per-event "
+        "churn the flyweight work eliminated, and len(x.payload) pays the "
+        "Segment.payload property frame the cached payload_len does not.  "
+        "Counts are checked against src/repro/analyze/hot_budget.json; "
         "benchmarks/check_hot_budget.py ratchets the budget so it can only "
         "move down."
     )

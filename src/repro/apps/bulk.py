@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.net.payload import Buffer, PayloadView
+from repro.net.payload import Buffer
 from repro.stats.metrics import GoodputMeter
 
 _PATTERN = bytes(range(256)) * 256  # 64 KiB of repeating payload
@@ -22,18 +22,20 @@ _PATTERN = bytes(range(256)) * 256  # 64 KiB of repeating payload
 # every call — one fresh allocation per chunk sent *and* per receiver
 # verify.)
 _PATTERN_DOUBLED = _PATTERN * 2
+_PATTERN_VIEW = memoryview(_PATTERN_DOUBLED)
 
 
 def pattern_bytes(offset: int, length: int) -> Buffer:
     """Deterministic stream contents, addressable by offset.
 
-    Returns a :class:`PayloadView` over the shared module-level pattern
-    buffer whenever the requested range fits (the common case: apps send
-    and verify in <= 64 KiB chunks); only oversized requests materialize.
+    Returns a read-only ``memoryview`` slice of the shared module-level
+    pattern buffer whenever the requested range fits (the common case:
+    apps send and verify in <= 64 KiB chunks); only oversized requests
+    materialize.
     """
     start = offset % 256
     if start + length <= len(_PATTERN_DOUBLED):
-        return PayloadView(_PATTERN_DOUBLED, start, length)
+        return _PATTERN_VIEW[start : start + length]
     chunk = _PATTERN_DOUBLED[start : start + length]
     while len(chunk) < length:
         chunk += _PATTERN[: length - len(chunk)]
@@ -93,7 +95,9 @@ class BulkReceiverApp:
         data = transport.read()
         if not data:
             return
-        if self.verify and pattern_bytes(self.received, len(data)) != data:
+        # bytes against bytes: one memcmp, where a memoryview compare
+        # would unpack item by item.
+        if self.verify and bytes(pattern_bytes(self.received, len(data))) != data:
             self.corrupt = True
         self.received += len(data)
         self.meter.add(len(data))

@@ -131,8 +131,22 @@ class InvariantViolation(AssertionError):
         lines = [f"[{self.invariant}] t={self.time * 1000:.3f}ms {self.subject}: {self.message}"]
         if self.trace_tail:
             lines.append(f"--- last {len(self.trace_tail)} segments ---")
-            lines.extend(record.format() for record in self.trace_tail)
+            lines.extend(self._trace_lines())
         return "\n".join(lines)
+
+    def _trace_lines(self) -> list[str]:
+        return [
+            record if isinstance(record, str) else record.format() for record in self.trace_tail
+        ]
+
+    def __reduce__(self):
+        # A violation raised in a forked sweep worker is pickled back to
+        # the parent: carry the fields and the formatted trace lines,
+        # never the segments (memoryview payloads do not pickle).
+        return (
+            InvariantViolation,
+            (self.invariant, self.message, self.time, self.subject, self._trace_lines()),
+        )
 
 
 class _Watch:

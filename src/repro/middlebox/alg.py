@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.net.options import SACKOption
 from repro.net.packet import Endpoint, Segment
 from repro.net.path import FORWARD, PathElement
-from repro.net.payload import Buffer, as_bytes
+from repro.net.payload import Buffer
 from repro.tcp.seq import seq_add, seq_diff
 
 
@@ -73,17 +73,16 @@ class PayloadModifier(PathElement):
             if segment.payload and (
                 self.max_rewrites is None or self.rewrites < self.max_rewrites
             ):
-                index = segment.payload.find(self.pattern)
+                # Views have no find(): search a bytes copy, which is
+                # also what a rewrite builds from, so it can never reach
+                # other holders of the (possibly shared) backing.
+                original = bytes(segment.payload)
+                index = original.find(self.pattern)
                 # Only rewrite fresh data (not retransmissions) so the
                 # delta ledger stays consistent.
                 seen = self._seen.get(key)
                 fresh = seen is None or seq_diff(original_end, seen) > 0
                 if index >= 0 and fresh:
-                    # Mutation point: materialize the (possibly shared)
-                    # view before building modified content, so the
-                    # rewrite can never reach other holders of the
-                    # backing buffer.
-                    original = as_bytes(segment.payload)
                     segment.payload = (
                         original[:index]
                         + self.replacement
@@ -134,8 +133,8 @@ class RetransmissionNormalizer(PathElement):
     different content is overwritten with the original bytes.
 
     Caching and re-asserting store payload *references* (views or
-    bytes) — content comparison and re-assertion are read-only, so the
-    normalizer never materializes anything.
+    bytes); only the content comparison exports ``bytes``, so it is one
+    ``memcmp`` rather than a memoryview's item-by-item compare.
     """
 
     # Synchronous per-segment transform, no timers or clock reads.
@@ -159,7 +158,7 @@ class RetransmissionNormalizer(PathElement):
         flow_cache = self._cache.setdefault(key, {})  # analyze: ok(SHD01): forward-only payload cache, single-instance under the merged cut driver
         cached = flow_cache.get(segment.seq)
         if cached is not None and len(cached) == segment.payload_len:
-            if cached != segment.payload:
+            if bytes(cached) != bytes(segment.payload):
                 segment.payload = cached  # re-assert original content
                 self.normalized += 1
         elif self._cached_bytes + segment.payload_len <= self.cache_limit:

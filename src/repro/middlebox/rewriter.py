@@ -9,8 +9,8 @@ absolute sequence numbers (§3.3.4); a design that embedded absolute
 subflow sequence numbers would desynchronize here.
 
 The rewriter edits *headers* only — payloads pass through untouched, so
-in the zero-copy datapath it forwards :class:`~repro.net.payload
-.PayloadView` payloads by reference and never materializes.
+in the zero-copy datapath it forwards memoryview payloads by reference
+and never materializes.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ from typing import Optional
 from repro.net.options import fits_option_space
 from repro.net.packet import FIN, PSH, Endpoint, Segment
 from repro.net.path import PathElement
-from repro.net.payload import as_bytes
 from repro.sim.engine import Timer
 from repro.tcp.seq import seq_add
 
@@ -47,7 +46,7 @@ class SegmentSplitter(PathElement):
         payload = segment.payload
         offset = 0
         while offset < len(payload):
-            # A PayloadView slice is a zero-copy window: splitting never
+            # A memoryview slice is a zero-copy window: splitting never
             # duplicates payload bytes, exactly like a real TSO NIC
             # scattering one buffer across frames.
             chunk = payload[offset : offset + self.mss]
@@ -119,9 +118,7 @@ class SegmentCoalescer(PathElement):
             ):
                 # Mutation point: coalescing builds new content, so both
                 # sides materialize out of their shared backings here.
-                held_segment.payload = as_bytes(held_segment.payload) + as_bytes(
-                    segment.payload
-                )
+                held_segment.payload = b"".join((held_segment.payload, segment.payload))
                 held_segment.flags |= segment.flags & (FIN | PSH)
                 held_segment.ack = segment.ack
                 held_segment.window = segment.window

@@ -13,17 +13,16 @@ not a second pass.
 
 from __future__ import annotations
 
-from repro.net.payload import Buffer, as_memoryview
+from repro.net.payload import Buffer
 
 
 def ones_complement_sum(data: Buffer) -> int:
     """16-bit one's-complement sum of ``data`` (padded with a zero byte
     if odd length), as used by the TCP/IP checksums.
 
-    Accepts any bytes-like object or :class:`~repro.net.payload
-    .PayloadView` and folds directly over a memoryview — the hot path
-    (one call per mapped payload when DSS checksums are on) never copies
-    the payload.
+    Accepts any bytes-like object, memoryview payloads included, and
+    folds it in C — the hot path (one call per mapped payload when DSS
+    checksums are on) runs no Python frame per byte.
 
     Implementation: because ``2**16 ≡ 1 (mod 0xFFFF)``, the big-endian
     integer value of the data is congruent to the sum of its 16-bit
@@ -33,9 +32,8 @@ def ones_complement_sum(data: Buffer) -> int:
     loop yields ``0xFFFF`` there, never 0, hence the final fix-up.
     An odd length needs a zero byte appended, which is a left shift.
     """
-    mv = as_memoryview(data)
-    value = int.from_bytes(mv, "big")
-    if len(mv) & 1:
+    value = int.from_bytes(data, "big")
+    if len(data) & 1:
         value <<= 8  # zero-pad the odd tail byte
     if value == 0:
         return 0

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.net.node import Host
 from repro.net.packet import Endpoint
-from repro.net.payload import Buffer, PayloadView, as_memoryview
+from repro.net.payload import Buffer
 from repro.sim import Timer
 from repro.tcp.autotune import BufferAutotuner, ThroughputMeter
 from repro.tcp.buffer import ByteStream, ReassemblyQueue
@@ -517,8 +517,8 @@ class MPTCPConnection:
         room = self.snd_buf_limit - len(self.send_stream)
         accepted = data[:room] if room < len(data) else data
         if accepted:
-            # append() snapshots mutable inputs; bytes and PayloadViews
-            # enter the send stream without a copy.
+            # append() snapshots mutable inputs; bytes and views over
+            # bytes enter the send stream without a copy.
             self.send_stream.append(accepted)
             self.kick()
         return len(accepted)
@@ -605,7 +605,7 @@ class MPTCPConnection:
             ssn_rel = subflow.snd_nxt if subflow is not None else 0
             if length is None:
                 # Only cold callers omit it: the scheduler passes the
-                # allocation length to spare a len() of a PayloadView.
+                # allocation length it already holds.
                 length = len(payload)
             if self.checksum_enabled:
                 checksum = dss_checksum(dsn, ssn_rel, length, payload)
@@ -744,12 +744,43 @@ class MPTCPConnection:
             return
         self.stats.data_rtos += 1
         if self.data_una < self.data_nxt:
+            if self._data_recovery_point is None and self._peer_holds_unmapped_tail():
+                # Sender-side fallback instead of a reinjection: the
+                # subflow byte stream continues the data stream raw.
+                self.enter_fallback("subflow-acked tail never DATA_ACKed")
+                self.kick()
+                return
             self._data_recovery_point = self.data_nxt
             self.scheduler.reinject_head(window=32 * self.config.tcp.mss)
         if self._data_fin_sent and not self._data_fin_acked:
             self._data_fin_sent = False  # allocate() re-sends it
         self._ensure_data_rtx_timer()
         self.kick()
+
+    def _peer_holds_unmapped_tail(self) -> bool:
+        """Did the only subflow there has ever been deliver our last
+        segment, unmapped, to a peer that is waiting to fall back?
+
+        The subflow ACK covers everything sent, DATA_ACK lags by at most
+        one segment, and (the caller checks) no data-level recovery has
+        reinjected anything since: the lagging bytes were the last ones
+        on the subflow, so no later mapping reached the peer and it
+        still holds them.  A peer whose options are stripped falls back
+        at its second mapless segment (``try_rx_fallback``); a
+        reinjection at a new subflow sequence would be that second
+        segment, and the raw continuation would deliver the bytes
+        twice.  A longer lag means later mappings arrived, so the peer
+        dropped the unmapped bytes (a coalescer ate their mapping) and
+        only reinjection repairs it (§3.3.5).
+        """
+        if len(self.subflows) != 1:
+            return False
+        subflow = self.subflows[0]
+        return (
+            not subflow.failed
+            and not subflow._rtx_queue
+            and self.data_nxt - self.data_una <= subflow.mss
+        )
 
     def _close_subflows_after_fin(self) -> None:
         for subflow in self.alive_subflows():
@@ -782,9 +813,7 @@ class MPTCPConnection:
 
     def deliver_chunk(self, subflow: Subflow, offset: int, payload: Buffer) -> None:
         """In-order subflow bytes with a verified mapping land here."""
-        # len() of a PayloadView is a Python-level call; read the length
-        # slot directly — this method runs once per data segment.
-        plen = payload._length if type(payload) is PayloadView else len(payload)
+        plen = len(payload)
         end = offset + plen
         data_nxt = self.rcv_data_nxt
         if end <= data_nxt:
@@ -808,7 +837,7 @@ class MPTCPConnection:
             self.stats.in_order_chunks += 1
             self.rcv_data_nxt = end
             self.ooo_index.advance(end)
-            self._rx_ready += as_memoryview(payload)
+            self._rx_ready += payload
             self.stats.bytes_delivered += end - offset
             if self.on_data is not None:
                 self.on_data(self)
@@ -824,12 +853,12 @@ class MPTCPConnection:
             self.stats.in_order_chunks += 1
         self.reassembly.insert(offset, payload, limit=limit)
         data = self.reassembly.extract_in_order(data_nxt)
-        dlen = data._length if type(data) is PayloadView else len(data)
+        dlen = len(data)
         if dlen:
             data_nxt += dlen
             self.rcv_data_nxt = data_nxt
             self.ooo_index.advance(data_nxt)
-            self._rx_ready += as_memoryview(data)
+            self._rx_ready += data
             self.stats.bytes_delivered += dlen
             if self.on_data is not None:
                 self.on_data(self)
@@ -881,6 +910,11 @@ class MPTCPConnection:
         """Subflow-level FIN: "no more data on this subflow" — the
         connection continues on the others (§3.4).  In fallback mode the
         subflow's FIN *is* the connection's end of stream."""
+        pending = subflow._rx_pending
+        if pending.tail > pending.head and not self.fallback:
+            # No mapping can follow a FIN: let try_rx_fallback judge the
+            # bytes still waiting for one.
+            subflow._match_mappings()
         if self.fallback or not subflow.is_mptcp:
             self.notify_fallback_eof()
         self._maybe_finished()
@@ -953,13 +987,16 @@ class MPTCPConnection:
             # handshake.  The peer notices symmetrically (our ACKs carry
             # no DSS), so no explicit signal is needed.
             self.enter_fallback("MPTCP options stripped from data segments")
-        elif len(self.subflows) == 1 and subflow._rx_mapless_data_run >= 2:
+        elif len(self.subflows) == 1 and (
+            subflow._rx_mapless_data_run >= 2 or (subflow._rx_eof and not self._rx_eof)
+        ):
             # Mid-connection stripping: mappings flowed earlier, then a
             # path change ate the options.  Requiring a run of mapping-
             # less data segments separates this from a coalescer that
             # merged away one mapping (the merged segment still carries
             # its first mapping — §3.3.5 drops those bytes instead).
-            # With the only-ever subflow,
+            # A subflow FIN before DATA_FIN ends the wait early: no
+            # mapping can follow it.  With the only-ever subflow,
             # every mapped byte mapped contiguously and was delivered
             # (reassembly and index are empty), so the raw subflow
             # continuation IS the data-stream continuation.  The sender
@@ -1007,6 +1044,11 @@ class MPTCPConnection:
         """Sequential allocation with no options: the subflow IS the
         connection now."""
         if self._fallback_tx_base is None:
+            batch = self.scheduler.batches.pop(subflow.subflow_id, None)
+            if batch is not None and self.data_una <= batch.cursor < batch.end == self.data_nxt:
+                # Hand back the reserved-but-unsent rest of the batch:
+                # the raw continuation starts where the subflow stopped.
+                self.data_nxt = batch.cursor
             # Map subflow sequence units onto data offsets from here on.
             # Fallback collapses the two sequence spaces: the subflow
             # byte stream IS the data stream, so this one anchor
@@ -1034,7 +1076,7 @@ class MPTCPConnection:
         if not data:
             return
         self.rcv_data_nxt += len(data)
-        self._rx_ready += as_memoryview(data)
+        self._rx_ready += data
         self.stats.bytes_delivered += len(data)
         if self.on_data is not None:
             self.on_data(self)

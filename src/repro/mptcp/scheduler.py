@@ -199,10 +199,10 @@ class Scheduler:
     # ------------------------------------------------------------------
     def allocate(
         self, subflow: "Subflow", max_bytes: int
-    ) -> Optional[tuple[bytes, int, list]]:
+    ) -> Optional[tuple[memoryview, int, list]]:
         """Produce (payload, length, sticky_options) for one segment, or
         None.  The length rides along so downstream consumers never
-        len() the (PayloadView) payload again."""
+        len() the payload again."""
         conn = self.connection
 
         if subflow.backup and any(

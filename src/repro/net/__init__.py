@@ -6,13 +6,6 @@ options) and how it gets there (rate/delay/queue links, duplex paths with
 middlebox element chains, hosts that demultiplex to bound sockets).
 """
 
-from repro.net.payload import (
-    PayloadView,
-    as_bytes,
-    as_memoryview,
-    as_view,
-    concat,
-)
 from repro.net.packet import (
     ACK,
     FIN,
@@ -43,11 +36,6 @@ from repro.net.node import Host, Interface
 from repro.net.network import Network
 
 __all__ = [
-    "PayloadView",
-    "as_bytes",
-    "as_memoryview",
-    "as_view",
-    "concat",
     "ACK",
     "FIN",
     "PSH",

@@ -64,10 +64,9 @@ _T = TypeVar("_T", bound="TCPOption")
 class Segment:
     """One TCP segment in flight.
 
-    ``payload`` is real bytes (``bytes`` or a zero-copy
-    :class:`~repro.net.payload.PayloadView`): content-modifying
-    middleboxes genuinely change them and the DSS checksum genuinely
-    detects it.
+    ``payload`` is real bytes (``bytes`` or a zero-copy read-only
+    ``memoryview`` over ``bytes``): content-modifying middleboxes
+    genuinely change them and the DSS checksum genuinely detects it.
     """
 
     __slots__ = (
@@ -108,9 +107,10 @@ class Segment:
         self._options_len_cache: Optional[tuple[int, int]] = None
         self._payload: "Buffer" = payload
         # Cached len(payload): links, sockets and the DSS machinery read
-        # the payload length several times per hop, and len() of a
-        # zero-copy PayloadView is a Python-level call.  Senders that
-        # already know the length pass it to skip even the initial len().
+        # the payload length several times per hop, and reading it
+        # through the ``payload`` property costs a Python frame.  Senders
+        # that already know the length pass it to skip even the initial
+        # len().
         self.payload_len: int = len(payload) if payload_len is None else payload_len
         self._size_cache: Optional[tuple[int, int]] = None
         self.created_at = created_at

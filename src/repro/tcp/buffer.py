@@ -10,10 +10,11 @@
   out-of-order queue, with the paper's Regular/Tree/Shortcuts variants,
   lives in :mod:`repro.mptcp.ooo`.)
 
-Both are zero-copy: they store immutable chunks/views and hand out
-:class:`~repro.net.payload.PayloadView` windows instead of copying.
-Because chunks are immutable, a view stays valid forever — releasing or
-extracting drops *references*, never shifts bytes under a live view.
+Both are zero-copy: they store read-only ``memoryview`` chunks over
+immutable ``bytes`` and hand out slices of them instead of copying.
+Because the backings are immutable, a view stays valid forever, and it
+pins nothing resizable — releasing or extracting drops *references*,
+never shifts bytes under a live view.
 
 Both work in *absolute* (unwrapped) stream offsets; the 32-bit wrapping
 is confined to the socket's segment encode/decode boundary.
@@ -24,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Optional
 
-from repro.net.payload import Buffer, PayloadView, as_view, concat
+from repro.net.payload import Buffer, as_view
 
 
 class ByteStream:
@@ -37,7 +38,8 @@ class ByteStream:
     trims one.  ``peek`` within a single chunk — the overwhelmingly
     common case, since apps append in 64 KiB chunks and sockets peek at
     most one MSS — returns an O(1) subview; a peek straddling chunks
-    joins just the spanned pieces.
+    joins just the spanned pieces.  Every chunk is a read-only
+    ``memoryview`` over ``bytes``, so the fast path is one C slice.
 
     >>> s = ByteStream()
     >>> s.append(b"hello world")
@@ -51,7 +53,7 @@ class ByteStream:
     __slots__ = ("_chunks", "_chunk_ends", "head", "tail")
 
     def __init__(self, base: int = 0):
-        self._chunks: list[Buffer] = []  # immutable bytes / PayloadView
+        self._chunks: list[memoryview] = []  # read-only views over bytes
         self._chunk_ends: list[int] = []  # absolute end offset per chunk
         self.head = base  # absolute offset of first retained byte
         self.tail = base  # absolute offset one past the last byte
@@ -59,24 +61,25 @@ class ByteStream:
     def append(self, data: Buffer) -> int:
         """Add bytes at the tail; returns the new tail offset.
 
-        ``bytes`` and :class:`PayloadView` inputs are stored by
-        reference (zero-copy); mutable inputs are snapshotted once so
-        later caller-side mutation cannot reach into the stream.
+        A view over ``bytes`` is stored by reference and ``bytes`` is
+        wrapped in place (zero-copy); mutable input — a ``bytearray`` or
+        a view over one — is snapshotted once so later caller-side
+        mutation cannot reach into the stream.
         """
         length = len(data)
         if length == 0:
             return self.tail
-        if isinstance(data, (bytearray, memoryview)):
-            data = bytes(data)
+        if type(data) is not memoryview or type(data.obj) is not bytes:
+            data = as_view(data)
         self._chunks.append(data)
         self.tail += length
         self._chunk_ends.append(self.tail)
         return self.tail
 
-    def peek(self, offset: int, length: int) -> PayloadView:
+    def peek(self, offset: int, length: int) -> memoryview:
         """Read (without consuming) ``length`` bytes at absolute ``offset``.
 
-        Returns a :class:`PayloadView`; no payload bytes are copied
+        Returns a read-only ``memoryview``; no payload bytes are copied
         unless the range straddles append boundaries.
         """
         if offset < self.head:
@@ -93,23 +96,20 @@ class ByteStream:
         start = offset - (ends[index - 1] if index else chunk_end - len(chunk))
         if offset + length <= chunk_end:
             # Fast path (nearly every peek: apps append 64 KiB chunks,
-            # sockets peek at most one MSS): construct the subview
-            # directly rather than wrap-then-slice.
-            if type(chunk) is PayloadView:
-                return PayloadView(chunk._data, chunk._offset + start, length)
-            return PayloadView(chunk, start, length)
-        pieces: list[bytes] = []
+            # sockets peek at most one MSS).
+            return chunk[start : start + length]
+        pieces: list[memoryview] = []
         remaining = length
         while True:
             take = min(remaining, ends[index] - offset)
-            pieces.append(as_view(chunks[index])[start : start + take])
+            pieces.append(chunks[index][start : start + take])
             remaining -= take
             if not remaining:
                 break
             offset += take
             index += 1
             start = 0
-        return as_view(concat(pieces))
+        return memoryview(b"".join(pieces))
 
     def release_to(self, offset: int) -> None:
         """Free all bytes before ``offset`` (cumulative-ACK semantics).
@@ -141,7 +141,7 @@ class _Run:
 
     __slots__ = ("pieces", "length")
 
-    def __init__(self, pieces: list[Buffer], length: int):
+    def __init__(self, pieces: list[memoryview], length: int):
         self.pieces = pieces
         self.length = length
 
@@ -176,10 +176,9 @@ class ReassemblyQueue:
         receive-window right edge); bytes beyond it are discarded.
         Returns the number of genuinely new bytes stored.
         """
-        data = as_view(data)
-        # PayloadView's length slot, read once: len() of a view is a
-        # Python-level call and this method runs once per data segment.
-        length = data._length
+        if type(data) is not memoryview or type(data.obj) is not bytes:
+            data = as_view(data)
+        length = len(data)
         if limit is not None and start + length > limit:
             length = limit - start
             if length <= 0:
@@ -215,7 +214,7 @@ class ReassemblyQueue:
         # (that is what made both neighbours part of the window).
         other = overlapping[0]
         merged_start = start if start < other else other
-        pieces: list[Buffer] = []
+        pieces: list[memoryview] = []
         stored = 0
         cursor = merged_start
         for run_start in overlapping:
@@ -236,15 +235,15 @@ class ReassemblyQueue:
         self.buffered_bytes += stored
         return stored
 
-    def extract_in_order(self, next_offset: int) -> Buffer:
+    def extract_in_order(self, next_offset: int) -> memoryview:
         """Remove and return all contiguous bytes starting at ``next_offset``.
 
         Blocks entirely below ``next_offset`` (stale retransmissions) are
         discarded.  Returns a single piece untouched (zero-copy) when the
         run was delivered in one view; joins only when fragments must
-        combine.
+        combine.  Always a read-only ``memoryview``.
         """
-        pieces: list[Buffer] = []
+        pieces: list[memoryview] = []
         consumed = 0
         for start in self._starts:
             if start > next_offset:
@@ -263,7 +262,7 @@ class ReassemblyQueue:
                         skip -= len(run_pieces[kept])
                         kept += 1
                     if skip:
-                        pieces.append(as_view(run_pieces[kept])[skip:])
+                        pieces.append(run_pieces[kept][skip:])
                         kept += 1
                     pieces.extend(run_pieces[kept:])
                 else:
@@ -273,7 +272,9 @@ class ReassemblyQueue:
             # One batch delete instead of pop(0) per block: draining a
             # queue of n blocks is O(n), not O(n^2).
             del self._starts[:consumed]
-        return concat(pieces)
+        if len(pieces) == 1:
+            return pieces[0]
+        return memoryview(b"".join(pieces)) if pieces else _EMPTY_VIEW
 
     def sack_blocks(self, max_blocks: int = 3) -> list[tuple[int, int]]:
         """Up to ``max_blocks`` (start, end) runs of buffered data."""
@@ -297,4 +298,4 @@ class ReassemblyQueue:
         return self.buffered_bytes
 
 
-_EMPTY_VIEW = as_view(b"")
+_EMPTY_VIEW = memoryview(b"")

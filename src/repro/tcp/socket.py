@@ -42,7 +42,7 @@ from repro.net.options import (
     options_length,
 )
 from repro.net.packet import ACK, FIN, PSH, RST, SYN, Endpoint, Segment
-from repro.net.payload import Buffer, as_memoryview
+from repro.net.payload import Buffer
 from repro.sim import Timer
 from repro.tcp.buffer import ByteStream, ReassemblyQueue
 from repro.tcp.cc import CongestionController, NewReno
@@ -97,7 +97,7 @@ class SentSegment:
 
     start: int
     end: int
-    payload: Buffer  # bytes or a zero-copy PayloadView
+    payload: Buffer  # bytes or a zero-copy memoryview over bytes
     sticky_options: list[TCPOption]
     sent_time: float
     syn: bool = False
@@ -285,8 +285,8 @@ class TCPSocket:
         room = self.snd_buf_limit - len(self.snd_buf)
         accepted = data[:room] if room < len(data) else data
         if accepted:
-            # append() snapshots mutable inputs; bytes and PayloadViews
-            # are stored by reference — the app-to-stack copy is gone.
+            # append() snapshots mutable inputs; bytes and views over
+            # bytes are stored by reference — no app-to-stack copy.
             self.snd_buf.append(accepted)
             self._try_send()
         return len(accepted)
@@ -387,7 +387,7 @@ class TCPSocket:
 
         Returns (payload, length, sticky_options, fin) or None when
         there is nothing (more) to send right now.  The length rides
-        along so the send path never len()s the (PayloadView) payload.
+        along so the send path never has to len() the payload.
         The base implementation reads the socket's own send buffer and
         applies Nagle's algorithm.
         """
@@ -416,7 +416,7 @@ class TCPSocket:
     def _on_in_order_data(self, data: Buffer) -> None:
         """Deliver in-order bytes upwards (app for TCP, connection for a
         subflow)."""
-        self._rx_ready += as_memoryview(data)
+        self._rx_ready += data
         self.stats.bytes_delivered += len(data)
         if self.on_data is not None:
             self.on_data(self)
@@ -919,7 +919,7 @@ class TCPSocket:
             trim = ack_unit - head.start
             if head.lost:
                 self._lost_bytes -= trim
-            # O(1) when the payload is a PayloadView: the trim is a
+            # O(1) when the payload is a memoryview: the trim is a
             # re-slice of the shared backing, not a copy.
             trim_payload = min(trim, len(head.payload))
             head.payload = head.payload[trim_payload:]

@@ -14,6 +14,7 @@ from repro.apps.http import (
 from repro.net.network import Network
 from repro.net.packet import Endpoint
 from repro.net.path import FORWARD
+from repro.sim.engine import Simulator
 from repro.stats.metrics import GoodputMeter
 from repro.tcp.listener import Listener
 from repro.tcp.socket import TCPSocket
@@ -32,6 +33,46 @@ class TestPatternBytes:
     @pytest.mark.parametrize("offset", [0, 1, 255, 256, 1000, 65536, 65537])
     def test_consistent_across_boundaries(self, offset):
         assert pattern_bytes(offset, 10) == pattern_bytes(0, offset + 10)[offset:]
+
+
+class _StubTransport:
+    """Feeds BulkReceiverApp one queued read per ``on_data`` call."""
+
+    def __init__(self):
+        self.on_data = self.on_eof = None
+        self.reads = []
+
+    def read(self):
+        return self.reads.pop(0)
+
+
+class TestBulkVerify:
+    """The receiver verifies a read by comparing ``bytes`` with ``bytes``:
+    one flipped byte anywhere in a read must still count as corrupt,
+    in a one-segment read and in one past the 128 KiB pattern buffer."""
+
+    def _receive(self, chunks):
+        transport = _StubTransport()
+        app = BulkReceiverApp(transport, GoodputMeter(Simulator()), verify=True)
+        for chunk in chunks:
+            transport.reads.append(chunk)
+            transport.on_data(transport)
+        return app
+
+    @pytest.mark.parametrize("length", [1448, 200_000])
+    def test_intact_pattern_is_not_corrupt(self, length):
+        app = self._receive([bytes(pattern_bytes(0, 1000)), bytes(pattern_bytes(1000, length))])
+        assert app.received == 1000 + length
+        assert not app.corrupt
+
+    @pytest.mark.parametrize("length", [1448, 200_000])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_one_flipped_byte_is_corrupt(self, length, where):
+        data = bytearray(pattern_bytes(1000, length))
+        data[{"first": 0, "middle": length // 2, "last": length - 1}[where]] ^= 0x01
+        app = self._receive([bytes(pattern_bytes(0, 1000)), bytes(data)])
+        assert app.received == 1000 + length
+        assert app.corrupt
 
 
 class TestBulkApps:

@@ -17,7 +17,6 @@ import pytest
 
 from repro.net.options import MSSOption, SACKPermitted, TimestampsOption, options_length
 from repro.net.packet import Endpoint, Segment
-from repro.net.payload import PayloadView
 from repro.sim.engine import Simulator, Timer, events_run_total
 from repro.tcp.buffer import ByteStream, ReassemblyQueue
 
@@ -174,8 +173,8 @@ class TestByteStreamPeek:
         stream.append(b"hello world")
         view = stream.peek(6, 5)
         assert view == b"world"
-        # Zero-copy: a PayloadView over the stream's immutable chunk.
-        assert isinstance(view, PayloadView)
+        # Zero-copy: a memoryview over the stream's immutable chunk.
+        assert isinstance(view, memoryview)
         assert bytes(view) == b"world"
         with pytest.raises(TypeError):
             view[0] = 0  # views are read-only

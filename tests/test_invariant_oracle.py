@@ -4,16 +4,19 @@ with hostile middleboxes and asserting the violation fires with a
 non-empty packet-trace tail, and (c) cost nothing when detached."""
 
 import dataclasses
+import pickle
 import types
 
 import pytest
 
 from repro.check import InvariantOracle, InvariantViolation
+from repro.experiments.runner import Point, run_parallel
 from repro.mptcp.connection import MPTCPConfig
 from repro.mptcp.options import DSS
 from repro.net.network import Network
-from repro.net.packet import Segment
+from repro.net.packet import ACK, Endpoint, Segment
 from repro.net.path import FORWARD, PathElement
+from repro.net.trace import TraceRecord
 from repro.tcp.socket import TCPSocket
 
 from conftest import (
@@ -359,3 +362,44 @@ class TestLifecycle:
             pytest.skip("suite-wide oracle attaches on every Network")
         net = Network(seed=2)
         assert net.sim.post_event is None
+
+
+def _raise_violation(label: str) -> None:
+    """A sweep point failing the way an oracle-checked figure point does:
+    its trace tail holds a segment with a memoryview payload."""
+    segment = Segment(
+        Endpoint("10.0.0.1", 1000), Endpoint("10.9.0.1", 80), seq=7, flags=ACK,
+        payload=memoryview(b"__payload__")[2:9],
+    )
+    raise InvariantViolation(
+        "stream-integrity",
+        f"{label} went wrong",
+        time=1.5,
+        subject="mptcp@server",
+        trace_tail=[TraceRecord(1.5, "path-a", FORWARD, segment)],
+    )
+
+
+class TestViolationCrossesProcesses:
+    """``run_parallel`` runs figure points in forked workers, so an oracle
+    violation there is pickled back to the parent."""
+
+    def test_pickle_round_trip_keeps_fields_and_rendering(self):
+        with pytest.raises(InvariantViolation) as exc:
+            _raise_violation("point")
+        violation = exc.value
+        clone = pickle.loads(pickle.dumps(violation))
+        assert type(clone) is InvariantViolation
+        assert (clone.invariant, clone.message, clone.time, clone.subject) == (
+            "stream-integrity", "point went wrong", 1.5, "mptcp@server",
+        )
+        assert str(clone) == str(violation)
+        assert "len=7" in str(clone)  # the trace line survived, as text
+
+    def test_run_parallel_surfaces_the_violation_in_the_parent(self):
+        points = [Point(_raise_violation, {"label": label}) for label in ("first", "second")]
+        with pytest.raises(InvariantViolation) as exc:
+            run_parallel("violations", points, workers=2)
+        assert exc.value.invariant == "stream-integrity"
+        assert exc.value.message == "first went wrong"
+        assert "--- last 1 segments ---" in str(exc.value)

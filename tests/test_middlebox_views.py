@@ -1,4 +1,4 @@
-"""Payload-modifying middleboxes handed PayloadView payloads.
+"""Payload-modifying middleboxes handed memoryview payloads.
 
 Guards the materialize-on-modify boundary: every content-modifying
 middlebox (`PayloadModifier`, `SegmentSplitter`/`SegmentCoalescer`,
@@ -22,7 +22,6 @@ from repro.middlebox import (
 from repro.mptcp.checksum import dss_checksum, verify_dss_checksum
 from repro.net.packet import ACK, Endpoint, Segment
 from repro.net.path import FORWARD
-from repro.net.payload import PayloadView, as_bytes, as_view
 from repro.sim.engine import Simulator
 
 A = Endpoint("10.0.0.1", 1000)
@@ -37,7 +36,7 @@ def make_payload(content: bytes, as_a_view: bool):
     if not as_a_view:
         return content
     backing = b"\xaa" * 5 + content + b"\xbb" * 3
-    return as_view(backing)[5 : 5 + len(content)]
+    return memoryview(backing)[5 : 5 + len(content)]
 
 
 def data_segment(payload, seq: int = 100) -> Segment:
@@ -50,17 +49,17 @@ class TestChecksumBoundary:
         content = b"PORT 10,0,0,1,7,208 and trailing data"
         checksum = dss_checksum(DSN, SSN, len(content), content)
         payload = make_payload(content, as_a_view)
-        backing_before = as_bytes(payload)
+        backing_before = bytes(payload)
 
         alg = PayloadModifier(pattern=b"10,0,0,1", replacement=b"99,0,0,1")
         [(out, _)] = alg.process(data_segment(payload), FORWARD)
 
         assert alg.rewrites == 1
-        assert as_bytes(out.payload) == content.replace(b"10,0,0,1", b"99,0,0,1")
+        assert bytes(out.payload) == content.replace(b"10,0,0,1", b"99,0,0,1")
         # The rewrite is what the DSS checksum exists to catch:
         assert not verify_dss_checksum(DSN, SSN, len(content), out.payload, checksum)
         # ... and it must not have reached the shared backing.
-        assert as_bytes(payload) == backing_before == content
+        assert bytes(payload) == backing_before == content
 
     def test_payload_modifier_passthrough_keeps_checksum(self, as_a_view):
         content = b"no pattern here"
@@ -81,16 +80,16 @@ class TestChecksumBoundary:
         pieces = splitter.process(data_segment(payload), FORWARD)
 
         assert len(pieces) == 4
-        joined = b"".join(as_bytes(piece.payload) for piece, _ in pieces)
+        joined = b"".join(piece.payload for piece, _ in pieces)
         assert joined == content
         assert verify_dss_checksum(DSN, SSN, len(content), joined, checksum)
         if as_a_view:
             # Splitting is pure re-slicing: every piece still shares the
             # original backing buffer.
-            backing = payload.memoryview().obj
+            backing = payload.obj
             for piece, _ in pieces:
-                assert isinstance(piece.payload, PayloadView)
-                assert piece.payload.memoryview().obj is backing
+                assert isinstance(piece.payload, memoryview)
+                assert piece.payload.obj is backing
 
     def test_coalescer_merge_preserves_mapped_bytes(self, as_a_view):
         first = b"A" * 300
@@ -105,7 +104,7 @@ class TestChecksumBoundary:
         assert coalescer.merges == 1
 
         merged, _, _ = coalescer._held[(A, B)]
-        assert as_bytes(merged.payload) == first + second
+        assert bytes(merged.payload) == first + second
         # Both original mappings, sliced back out of the merged payload,
         # still verify — coalescing loses the *option*, not the bytes.
         assert verify_dss_checksum(DSN, SSN, 300, merged.payload[:300], checksum_first)
@@ -126,7 +125,7 @@ class TestChecksumBoundary:
         )
 
         assert normalizer.normalized == 1
-        assert as_bytes(out.payload) == original
+        assert bytes(out.payload) == original
         assert verify_dss_checksum(DSN, SSN, len(original), out.payload, checksum)
 
     def test_rewriter_is_zero_copy_passthrough(self, as_a_view):

@@ -229,3 +229,44 @@ class TestCoalescingRecovery:
         )
         result = tcp_transfer(net, client, server, payload, duration=60)
         assert bytes(result.received) == payload.replace(pattern, replacement)
+
+
+class TestForwardStripOnTheOnlySubflow:
+    """Fuzzer seed 94: from t = 0.31 s a stripper eats every MPTCP option
+    client-to-server on the only subflow; the reverse path stays intact,
+    so the receiver's MP_FAIL reaches the sender."""
+
+    SPEC = dict(
+        seed=94,
+        protocol="mptcp",
+        paths=[{"rate_bps": 1e6, "delay": 0.0656, "queue_bytes": 80_000, "loss": 0.005}],
+        elements=[[
+            "Jitter(max_jitter=0.00357, rng=SeededRNG(27104, 'jit'))",
+            "OptionStripper(syn_only=False, skip_syn=True, direction=FORWARD, active_after=0.31)",
+        ]],
+        duration=45.0,
+        checksum=True,
+    )
+
+    def _run(self, payload_size):
+        from repro.check.fuzzer import ScenarioSpec, run_scenario
+
+        outcome = run_scenario(ScenarioSpec(payload_size=payload_size, **self.SPEC))
+        assert outcome.failure is None, outcome.describe()
+        assert outcome.completed and outcome.received_bytes == payload_size
+        return outcome
+
+    def test_stripped_tail_falls_back_instead_of_reinjecting(self):
+        """Shrunk repro: the last 456-byte segment loses its DSS and the
+        receiver holds it, one mapless segment short of falling back.
+        The data-level RTO used to reinject it at a new subflow sequence,
+        stripped again: the second mapless segment, so the raw
+        continuation delivered 16,840 bytes of 16,384 sent."""
+        self._run(16_384)
+
+    def test_fallback_continues_from_the_last_byte_the_subflow_sent(self):
+        """The full scenario: the sender falls back on MP_FAIL with part
+        of a scheduler batch reserved but unsent.  Anchoring the raw
+        continuation at the reservation's end skipped those bytes, and
+        the receiver got [30118, 31566) wrong."""
+        self._run(131_072)

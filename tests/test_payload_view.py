@@ -1,94 +1,96 @@
-"""PayloadView semantics + randomized differential tests for the
-zero-copy buffers.
+"""Zero-copy pins + randomized differential tests for the payload
+buffers.
 
-The differential tests drive ``ByteStream`` and ``ReassemblyQueue``
-with seeded random workloads against naive pure-``bytes`` reference
-models and demand byte-for-byte identical outputs — the guarantee that
-the rope/view machinery is *invisible* except for speed.
+Payloads are read-only ``memoryview`` slices over immutable ``bytes``.
+The pins check *identity*, not equality: a peek inside one chunk and
+every splitter piece must share the original backing object, and
+mutable input must be snapshotted.  The differential tests drive
+``ByteStream`` and ``ReassemblyQueue`` with seeded random workloads
+against naive pure-``bytes`` reference models and demand byte-for-byte
+identical outputs — the guarantee that the rope/view machinery is
+*invisible* except for speed.
 """
 
 import random
 
 import pytest
 
-from repro.net.payload import PayloadView, as_bytes, as_memoryview, as_view, concat
+from repro.middlebox import SegmentSplitter
+from repro.net.packet import ACK, Endpoint, Segment
+from repro.net.path import FORWARD
 from repro.tcp.buffer import ByteStream, ReassemblyQueue
 
 
-class TestPayloadView:
-    def test_wraps_bytes_zero_copy(self):
-        backing = b"hello world"
-        view = as_view(backing)
-        assert view.tobytes() is backing  # full-range view returns backing
+class TestZeroCopy:
+    def test_peek_within_one_chunk_views_the_appended_bytes(self):
+        backing = bytes(range(256)) * 4
+        stream = ByteStream()
+        stream.append(backing)
+        view = stream.peek(100, 300)
+        assert type(view) is memoryview and view.readonly
+        assert view.obj is backing
+        assert view == backing[100:400]
 
-    def test_len_bool_eq(self):
-        view = as_view(b"abcdef")[2:5]
-        assert len(view) == 3
-        assert view
-        assert not as_view(b"x")[1:1]
-        assert view == b"cde"
-        assert b"cde" == view  # reflected: bytes.__eq__ defers
-        assert view != b"cdx"
-        assert view == bytearray(b"cde")
-        assert view == as_view(b"__cde__")[2:5]
+    def test_view_over_bytes_is_stored_by_reference(self):
+        backing = b"0123456789" * 10
+        stream = ByteStream()
+        stream.append(memoryview(backing)[10:60])
+        assert stream.peek(5, 20).obj is backing
 
-    def test_slicing_returns_views_sharing_backing(self):
-        backing = b"0123456789"
-        view = as_view(backing)
-        sub = view[2:8][1:4]  # nested slicing composes offsets
-        assert isinstance(sub, PayloadView)
-        assert sub == b"345"
-        assert sub.memoryview().obj is backing
+    def test_peek_across_chunks_joins_into_a_fresh_view(self):
+        stream = ByteStream()
+        stream.append(b"abc")
+        stream.append(b"def")
+        view = stream.peek(1, 4)
+        assert type(view) is memoryview and view.readonly
+        assert bytes(view) == b"bcde"
 
-    def test_negative_and_int_indexing(self):
-        view = as_view(b"abcdef")[1:5]  # bcde
-        assert view[0] == ord("b")
-        assert view[-1] == ord("e")
-        with pytest.raises(IndexError):
-            view[4]
+    @pytest.mark.parametrize(
+        "make", [bytearray, lambda raw: memoryview(bytearray(raw))], ids=["bytearray", "writable-view"]
+    )
+    def test_mutable_append_is_snapshotted(self, make):
+        source = make(b"hello world")
+        stream = ByteStream()
+        stream.append(source)
+        source[0:5] = b"XXXXX"
+        assert bytes(stream.peek(0, 11)) == b"hello world"
+        assert stream.peek(0, 11).readonly
 
-    def test_step_slice_materializes(self):
-        view = as_view(b"abcdef")
-        assert view[::2] == b"ace"
-
-    def test_find_respects_window(self):
-        # The pattern exists in the backing but outside the view: a
-        # naive delegation to backing.find would false-positive.
-        backing = b"XXneedleXX"
-        view = as_view(backing)[2:7]  # "needl"
-        assert view.find(b"needle") == -1
-        assert as_view(backing)[2:8].find(b"needle") == 0
-        assert b"eed" in as_view(backing)[2:8]
-        assert ord("n") in view
-
-    def test_concat_materializes_only_when_needed(self):
-        a = as_view(b"abc")
-        assert concat([]) == b""
-        assert concat([a]) is a  # single piece untouched
-        assert concat([a, b"def"]) == b"abcdef"
-
-    def test_add_materializes(self):
-        view = as_view(b"abcdef")[0:3]
-        assert view + b"!" == b"abc!"
-        assert b"!" + view == b"!abc"
-        assert isinstance(view + b"!", bytes)
-
-    def test_mutable_input_snapshotted(self):
-        source = bytearray(b"abc")
-        view = as_view(source)
+    def test_read_only_view_over_a_bytearray_is_snapshotted(self):
+        source = bytearray(b"abcdef")
+        stream = ByteStream()
+        stream.append(memoryview(source).toreadonly())
         source[0] = ord("X")
-        assert view == b"abc"  # immune to caller-side mutation
+        assert bytes(stream.peek(0, 6)) == b"abcdef"
 
-    def test_helpers(self):
-        view = as_view(b"_abc_")[1:4]
-        assert as_bytes(view) == b"abc"
-        assert bytes(as_memoryview(view)) == b"abc"
-        assert as_bytes(b"raw") == b"raw"
+    def test_mutable_insert_is_snapshotted(self):
+        source = bytearray(b"abcdef")
+        queue = ReassemblyQueue()
+        queue.insert(0, source)
+        source[0] = ord("X")
+        assert bytes(queue.extract_in_order(0)) == b"abcdef"
 
-    def test_views_are_read_only(self):
-        view = as_view(b"abc")
-        with pytest.raises(TypeError):
-            view[0] = 1
+    def test_single_run_extract_is_the_inserted_view(self):
+        backing = b"_payload_"
+        queue = ReassemblyQueue()
+        queue.insert(10, memoryview(backing)[1:8])
+        out = queue.extract_in_order(10)
+        assert type(out) is memoryview and out.obj is backing
+        assert out == b"payload"
+
+    def test_splitter_pieces_share_the_original_backing(self):
+        backing = bytes(range(200)) * 10
+        payload = memoryview(backing)[7:1907]
+        segment = Segment(
+            Endpoint("10.0.0.1", 1000), Endpoint("10.9.0.1", 80), seq=100, flags=ACK,
+            payload=payload,
+        )
+        pieces = SegmentSplitter(mss=512).process(segment, FORWARD)
+        assert [piece.payload_len for piece, _ in pieces] == [512, 512, 512, 364]
+        for piece, _ in pieces:
+            assert type(piece.payload) is memoryview
+            assert piece.payload.obj is backing
+        assert b"".join(piece.payload for piece, _ in pieces) == backing[7:1907]
 
 
 class BytesReferenceStream:
@@ -183,7 +185,15 @@ def test_bytestream_differential(seed):
         op = rng.random()
         if op < 0.45:
             chunk = bytes(rng.getrandbits(8) for _ in range(rng.randint(1, 200)))
-            assert stream.append(chunk) == reference.append(chunk)
+            # The real stream takes bytes, a window view or a mutable
+            # copy at random; the reference always gets plain bytes.
+            kind = rng.random()
+            given = chunk
+            if kind < 0.3:
+                given = memoryview(b"\x00" + chunk + b"\x00")[1:-1]
+            elif kind < 0.45:
+                given = bytearray(chunk)
+            assert stream.append(given) == reference.append(chunk)
         elif op < 0.85:
             if stream.tail > stream.head:
                 offset = rng.randint(stream.head, stream.tail - 1)
@@ -224,7 +234,7 @@ def test_reassembly_differential(seed):
             # Hand the real queue views at random phases to exercise the
             # view-slicing insert path; the reference gets plain bytes.
             if rng.random() < 0.5:
-                data = as_view(b"\x00" * 3 + data + b"\x00" * 2)[3 : 3 + length]
+                data = memoryview(b"\x00" * 3 + data + b"\x00" * 2)[3 : 3 + length]
             assert queue.insert(start, data, limit=limit) == reference.insert(
                 start, source[start : start + length], limit=limit
             )
@@ -240,73 +250,3 @@ def test_reassembly_differential(seed):
         assert queue.block_count == reference.block_count
         assert queue.max_offset == reference.max_offset
         assert queue.sack_blocks() == reference.sack_blocks()
-
-
-# ----------------------------------------------------------------------
-# Equality: bytes-slice compare vs the plain-bytes truth
-# ----------------------------------------------------------------------
-OPERAND_TYPES = {
-    "bytes": bytes,
-    "bytearray": bytearray,
-    "memoryview": memoryview,
-    "PayloadView": as_view,
-    # A window inside a larger backing: offset != 0, not the full range.
-    "PayloadView-window": lambda raw: PayloadView(b"\x00" * 3 + raw + b"\xff" * 2, 3, len(raw)),
-}
-
-
-def _assert_eq_matches_bytes(view: PayloadView, raw: bytes) -> None:
-    """``view`` against ``raw`` in every operand type, on either side of
-    ``==`` and ``!=``, must say what the two plain ``bytes`` say."""
-    truth = view.tobytes() == raw
-    for name, build in OPERAND_TYPES.items():
-        other = build(raw)
-        assert (view == other) is truth, name
-        assert (other == view) is truth, f"reflected {name}"
-        assert (view != other) is (not truth), name
-        assert (other != view) is (not truth), f"reflected {name}"
-
-
-@pytest.mark.parametrize("seed", [1, 7, 42, 1234])
-def test_eq_differential(seed):
-    rng = random.Random(seed)
-    for _ in range(300):
-        # A two-letter alphabet makes equal windows at unequal offsets
-        # (and near-misses) common instead of vanishingly rare.
-        backing = bytes(rng.choice(b"ab") for _ in range(rng.randint(0, 48)))
-        offset = rng.randint(0, len(backing))
-        length = rng.randint(0, len(backing) - offset)
-        view = PayloadView(backing, offset, length)
-        other_offset = rng.randint(0, len(backing))
-        other_length = length if rng.random() < 0.7 else rng.randint(0, len(backing) - other_offset)
-        other_length = min(other_length, len(backing) - other_offset)
-        # Unequal offsets over ONE backing: the identity shortcut must
-        # not fire, the contents decide.
-        sibling = PayloadView(backing, other_offset, other_length)
-        truth = backing[offset : offset + length] == backing[other_offset : other_offset + other_length]
-        assert (view == sibling) is truth and (sibling == view) is truth
-        assert (view != sibling) is (not truth)
-        _assert_eq_matches_bytes(view, sibling.tobytes())
-
-
-def test_eq_equal_length_mismatch_in_first_and_last_byte():
-    raw = bytes(range(1, 200))
-    view = PayloadView(b"\x00" + raw + b"\x00", 1, len(raw))
-    _assert_eq_matches_bytes(view, raw)  # equal
-    for position in (0, len(raw) - 1, len(raw) // 2):
-        changed = bytearray(raw)
-        changed[position] ^= 0x80
-        _assert_eq_matches_bytes(view, bytes(changed))
-    _assert_eq_matches_bytes(view, raw[:-1])  # a prefix is not equal
-    _assert_eq_matches_bytes(view, raw + b"\x00")
-    _assert_eq_matches_bytes(PayloadView(b"", 0, 0), b"")
-    # Same window, same backing: equal without looking at a byte.
-    assert view == PayloadView(view._data, 1, len(raw))
-
-
-def test_eq_with_foreign_types_is_not_implemented():
-    view = as_view(b"abc")
-    for foreign in ("abc", 3, None, [97, 98, 99], (97, 98, 99)):
-        assert view.__eq__(foreign) is NotImplemented
-        assert view.__ne__(foreign) is NotImplemented
-        assert (view == foreign) is False and (view != foreign) is True

@@ -180,8 +180,9 @@ def test_popleft_compaction_preserves_order():
 
 
 class _Payload:
-    """Stands in for a segment payload: unlike ``bytes`` and
-    ``PayloadView`` it can be weakly referenced."""
+    """Stands in for a segment payload.  ``bytes`` cannot be weakly
+    referenced; a memoryview payload can, but a bare object needs no
+    backing buffer."""
 
 
 class _AppBuffer(bytes):
