@@ -4,6 +4,13 @@ Exit codes: 0 clean, 1 unwaived findings, 2 bad invocation or
 unparseable source.  ``--out FILE`` always writes the JSON report (the
 CI lint job uploads it as an artifact on failure) regardless of the
 console ``--format``.
+
+``--budget`` checks the HOT01 and CPX01 budget files instead of running
+the rules.  The rules fail when code exceeds its budget; this fails in
+the other direction too, on an entry above its measured count (slack a
+regression could hide under) or for a function no longer measured
+(dead weight), so a budget can only ratchet down.  ``--budget --write``
+rewrites both files from the measurement; ``--out`` gets the drift.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from repro.analyze.core import Report, run_analysis
+from repro.analyze.core import Report, _load_contexts, iter_python_files, run_analysis
 from repro.analyze.rules import ALL_RULES
 
 
@@ -42,6 +49,69 @@ def _render_rules() -> str:
         if rule.allow:
             lines.append(f"       allowlist: {', '.join(rule.allow)}")
     return "\n".join(lines)
+
+
+def budget_drift(committed: dict[str, int], measured: dict[str, int]) -> dict[str, dict]:
+    """How a committed budget differs from a fresh measurement: ``slack``
+    (budget above measured), ``dead`` (no longer measured) and ``over``
+    (measured above budget), each ``{key: [committed, measured]}``.  All
+    three empty means the ratchet is tight."""
+    drift: dict[str, dict] = {"slack": {}, "dead": {}, "over": {}}
+    for key in sorted(committed.keys() | measured.keys()):
+        pair = [committed.get(key, 0), measured.get(key, 0)]
+        if key not in measured:
+            drift["dead"][key] = pair
+        elif pair[0] > pair[1]:
+            drift["slack"][key] = pair
+        elif pair[0] < pair[1]:
+            drift["over"][key] = pair
+    return drift
+
+
+def _check_budgets(paths: Sequence[str], write: bool, out: Optional[str], workers) -> int:
+    from repro.analyze import complexity, hotpath
+    from repro.analyze.callgraph import Project
+
+    contexts, parse_errors = _load_contexts(list(iter_python_files(paths)), workers=workers)
+    if parse_errors:
+        print("\n".join(parse_errors))
+        return 2
+    project = Project(contexts)
+    report: dict[str, dict] = {}
+    failures: list[str] = []
+    for code, module in (("HOT01", hotpath), ("CPX01", complexity)):
+        committed, measured = module.load_budget(), module.measure(project)
+        print(
+            f"{code} budget: {len(measured)} functions / {sum(measured.values())} "
+            f"sites measured, {len(committed)} / {sum(committed.values())} committed"
+        )
+        if write:
+            module.DEFAULT_BUDGET_PATH.write_text(
+                json.dumps(dict(sorted(measured.items())), indent=2) + "\n", encoding="utf-8"
+            )
+            print(f"wrote {module.DEFAULT_BUDGET_PATH}")
+            continue
+        drift = report[code] = budget_drift(committed, measured)
+        for key, (was, now) in drift["slack"].items():
+            failures.append(
+                f"{code} slack: {key} budgeted {was} but measures {now} — tighten with --write"
+            )
+        for key in drift["dead"]:
+            failures.append(f"{code} dead entry: {key} is no longer measured")
+        for key, (was, now) in drift["over"].items():
+            failures.append(
+                f"{code} over budget: {key} measures {now} against {was} ({code} flags the sites)"
+            )
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
+            json.dump(report, handle, indent=2)
+            handle.write("\n")
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    if failures:
+        return 1
+    print("budget ratchet: ok")
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -75,15 +145,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="parse-pool size (default: REPRO_WORKERS env, else CPU count)",
     )
     parser.add_argument(
-        "--fsm-relation",
-        metavar="FILE",
-        help="write the FSM01 extracted transition relation as JSON (CI artifact)",
+        "--budget",
+        action="store_true",
+        help="check the HOT01/CPX01 budget files: fail on slack, dead or over-budget entries",
+    )
+    parser.add_argument(
+        "--write", action="store_true", help="with --budget: rewrite both budget files"
     )
     options = parser.parse_args(argv)
 
     if options.list_rules:
         print(_render_rules())
         return 0
+    if options.budget:
+        return _check_budgets(options.paths or ["src"], options.write, options.out, options.workers)
 
     try:
         report = run_analysis(
@@ -95,13 +170,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (FileNotFoundError, KeyError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-
-    if options.fsm_relation:
-        from repro.analyze.statemachine import extract_relation
-
-        with open(options.fsm_relation, "w", encoding="utf-8") as handle:
-            json.dump(extract_relation(options.paths or ["src"]), handle, indent=2)
-            handle.write("\n")
 
     if options.out:
         with open(options.out, "w", encoding="utf-8") as handle:

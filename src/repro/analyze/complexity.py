@@ -52,7 +52,7 @@ Counts are compared against a committed per-function budget
 HOT01 budget).  A function over budget yields one finding per scan
 site.  Sites on waived lines always yield (so WVR01 sees the waiver
 live) but are excluded from the budget count and from ``measure()`` —
-``benchmarks/check_complexity_budget.py`` ratchets the committed file
+``python -m repro.analyze --budget`` ratchets the committed file
 against the measured counts, so the budget can only track the scan
 count downward.
 """
@@ -510,19 +510,6 @@ def measure(project, rule_code: str = "CPX01") -> dict[str, int]:
             key = budget_key(fid)
             counts[key] = max(counts.get(key, 0), len(sites))
     return counts
-
-
-def measure_paths(paths) -> dict[str, int]:
-    """Build a project over ``paths`` and measure it (ratchet entry)."""
-    from repro.analyze.callgraph import Project
-    from repro.analyze.core import _load_contexts, iter_python_files
-
-    files = list(iter_python_files(paths))
-    contexts, parse_errors = _load_contexts(files)
-    if parse_errors:
-        raise SyntaxError("; ".join(parse_errors))
-    project = Project(contexts)
-    return measure(project)
 
 
 def check_file(rule, ctx: FileContext, project) -> Iterator[Finding]:

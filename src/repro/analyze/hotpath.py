@@ -26,8 +26,8 @@ Counts are compared against a committed per-function budget
 (``src/repro/analyze/hot_budget.json``, keyed by the repo-relative
 function id).  A function over budget yields one finding per allocation
 site, so fixes can be line-targeted.  The budget is a ratchet:
-``benchmarks/check_hot_budget.py`` fails CI when the committed file has
-slack (budget above measured) or dead entries, so the budget can only
+``python -m repro.analyze --budget`` fails CI when the committed file
+has slack (budget above measured) or dead entries, so the budget can only
 track the hot path downward — the analyzer fails when code allocates
 *more*, the ratchet fails when the budget pretends it allocates more
 than it does.
@@ -192,19 +192,6 @@ def measure(project) -> dict[str, int]:
             key = budget_key(fid)
             counts[key] = max(counts.get(key, 0), len(sites))
     return counts
-
-
-def measure_paths(paths) -> dict[str, int]:
-    """Build a project over ``paths`` and measure it (ratchet entry)."""
-    from repro.analyze.callgraph import Project
-    from repro.analyze.core import _load_contexts, iter_python_files
-
-    files = list(iter_python_files(paths))
-    contexts, parse_errors = _load_contexts(files)
-    if parse_errors:
-        raise SyntaxError("; ".join(parse_errors))
-    project = Project(contexts)
-    return measure(project)
 
 
 def check_file(rule, ctx: FileContext, project) -> Iterator[Finding]:

@@ -1,6 +1,6 @@
 """The rule set: DET01/DET02/DET03 (determinism), SEQ01 (wrap safety),
 EXC01 (silent failure), MUT01 (worker-process state), DOM01 (SSN/DSN
-sequence-domain dataflow), FSM01 (state-machine spec conformance),
+sequence-domain dataflow), FSM01 (one writer per state machine),
 POOL01 (pooled-shell escape), SHD01 (shard purity), HOT01 (hot-path
 allocation budget), CPX01 (growth-class complexity budget), FED01
 (federation lookahead safety), WVR01 (stale waivers).
@@ -634,31 +634,30 @@ class Dom01SequenceDomains(Rule):
 
 
 # ---------------------------------------------------------------------------
-# FSM01 — protocol state-machine conformance
+# FSM01 — one writer per protocol state machine
 # ---------------------------------------------------------------------------
-class Fsm01StateMachineConformance(Rule):
+class Fsm01SingleWriter(Rule):
     code = "FSM01"
-    title = "state transitions must match the RFC spec tables"
+    title = "state-machine attributes are written only by the owner's _set_state"
     rationale = (
-        "The TCP (RFC 793) and MPTCP connection (RFC 6824) state machines "
-        "are shipped as data in repro/analyze/specs/.  Every state-enum "
-        "assignment is extracted with its guard-resolved predecessor set "
-        "and diffed against the table: spec-forbidden transitions, "
-        "required-but-unimplemented transitions, unreachable states, "
-        "UNRESOLVED assignments, and writes from outside the owning layer "
-        "are all findings."
+        "The TCP (RFC 793) and MPTCP connection (RFC 6824) machines are "
+        "transition tables in repro/tcp/state.py and repro/mptcp/state.py; "
+        "the owner's _set_state raises IllegalTransition on any edge not in "
+        "its table.  That run-time check holds only if nothing bypasses the "
+        "setter: outside the owner's _set_state and __init__, a write of the "
+        "machine attribute in the owner file, or a store of a state-enum "
+        "member into any attribute anywhere, is a finding."
     )
-    needs_project = True
 
-    def __init__(self, spec_dir=None):
+    def __init__(self, machines=None):
         from repro.analyze import statemachine
 
-        self.specs = statemachine.load_specs(spec_dir)
+        self.machines = statemachine.MACHINES if machines is None else tuple(machines)
 
     def check(self, ctx: FileContext, project) -> Iterator[Finding]:
         from repro.analyze import statemachine
 
-        yield from statemachine.check_file(self, ctx, project)
+        yield from statemachine.check_file(self, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -724,8 +723,8 @@ class Hot01HotPathAllocations(Rule):
         "churn the flyweight work eliminated, and len(x.payload) pays the "
         "Segment.payload property frame the cached payload_len does not.  "
         "Counts are checked against src/repro/analyze/hot_budget.json; "
-        "benchmarks/check_hot_budget.py ratchets the budget so it can only "
-        "move down."
+        "'python -m repro.analyze --budget' ratchets the budget so it can "
+        "only move down."
     )
     needs_project = True
 
@@ -754,7 +753,7 @@ class Cpx01GrowthComplexity(Rule):
         "unbounded class — sweeps, list membership, pop(0)/insert(0), "
         "sort/sorted, min/max/sum reductions, remove/index/count — are "
         "checked against src/repro/analyze/complexity_budget.json; "
-        "benchmarks/check_complexity_budget.py ratchets the budget so the "
+        "'python -m repro.analyze --budget' ratchets the budget so the "
         "scan count can only move down as accesses get indexed."
     )
     # The indexed retransmit structure owns its internal scans: its whole
@@ -872,7 +871,7 @@ ALL_RULES: tuple[Rule, ...] = (
     Exc01SilentExcept(),
     Mut01WorkerModuleState(),
     Dom01SequenceDomains(),
-    Fsm01StateMachineConformance(),
+    Fsm01SingleWriter(),
     Pool01PooledEscape(),
     Shd01ShardPurity(),
     Hot01HotPathAllocations(),

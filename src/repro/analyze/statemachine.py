@@ -1,724 +1,87 @@
-"""FSM01 — protocol state-machine conformance checking.
+"""FSM01 — each protocol state machine has one writer.
 
-The TCP handshake/teardown machine (RFC 793) and the MPTCP
-connection-level machine (RFC 6824: MP_CAPABLE, fallback, close) are
-shipped as declarative spec tables in ``repro/analyze/specs/*.json``.
-This pass *extracts* the transition relation the code actually
-implements — every ``self.<attr> = <Enum>.<MEMBER>`` assignment in the
-owning files, with the set of possible predecessor states resolved from
-the guarding conditions — and diffs it against the spec:
+The TCP machine (RFC 793) and the MPTCP connection machine (RFC 6824:
+MP_CAPABLE, fallback, close) are tables in ``repro/tcp/state.py`` and
+``repro/mptcp/state.py``.  The owner's ``_set_state`` checks every
+write against its table at run time and raises ``IllegalTransition``
+on a missing edge.  That check only holds if nothing bypasses the
+setter, which is what this pass proves statically: outside the owner's
+``_set_state`` and ``__init__`` (the initial state),
 
-* a transition the code performs but the spec forbids is a finding;
-* a required spec transition with no implementing assignment is a
-  finding (the unreachable-state report);
-* a state written outside the owning layer (another file, or through a
-  foreign receiver) is a finding;
-* an assignment whose value cannot be resolved to an enum member is an
-  ``UNRESOLVED`` finding — the relation must stay fully extractable.
-
-Extraction is a symbolic walk per method: the state *set* starts from
-an interprocedural entry fixpoint (⊤ for public or externally-referenced
-methods, the union of call-site sets for private helpers), narrows
-through guards (``is`` / ``==`` / ``in`` / ``not`` / ``and`` / ``or``
-and the spec-declared predicate properties such as ``synchronized`` or
-``closed``), and widens across calls by the callee's may-assign
-closure.  Over-approximation errs toward *larger* predecessor sets, so
-a false clean bill is impossible; a too-wide set at worst demands a
-tighter guard or a waiver.
+* no code in the owner file writes the machine attribute, whatever the
+  value, and
+* no code anywhere stores a member of the machine's enum into an
+  attribute — which catches a foreign layer poking ``conn.state``.
 """
 
 from __future__ import annotations
 
 import ast
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.analyze.core import FileContext, Finding
 
-SPEC_DIR = Path(__file__).parent / "specs"
-INIT = "__INIT__"  # sentinel predecessor for the __init__ declaration
+# (owner file suffix, state enum, machine attribute)
+MACHINES: tuple[tuple[str, str, str], ...] = (
+    ("repro/tcp/socket.py", "TCPState", "state"),
+    ("repro/mptcp/connection.py", "MPTCPConnState", "conn_state"),
+)
+
+# The functions allowed to write the attribute, inside the owner file.
+WRITERS = frozenset({"_set_state", "__init__"})
 
 
-@dataclass(frozen=True)
-class SpecTransition:
-    src: str  # state name or "*"
-    dst: str
-    on: str = ""
-    optional: bool = False  # spec'd but knowingly unimplemented
-
-
-@dataclass
-class MachineSpec:
-    name: str
-    enum: str
-    attr: str
-    enum_file: str
-    owner_files: tuple[str, ...]
-    initial: str
-    states: tuple[str, ...]
-    predicates: dict[str, frozenset]
-    transitions: tuple[SpecTransition, ...]
-    unimplemented_ok: frozenset
-
-    @property
-    def top(self) -> frozenset:
-        return frozenset(self.states)
-
-    def allows(self, src: str, dst: str) -> bool:
-        if src == dst:
-            return True  # self-loops are no-ops, never drift
-        for t in self.transitions:
-            if t.dst == dst and t.src in ("*", src):
-                return True
-        return False
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "MachineSpec":
-        return cls(
-            name=raw["machine"],
-            enum=raw["enum"],
-            attr=raw["attr"],
-            enum_file=raw["enum_file"],
-            owner_files=tuple(raw["owner_files"]),
-            initial=raw["initial"],
-            states=tuple(raw["states"]),
-            predicates={
-                name: frozenset(states) for name, states in raw.get("predicates", {}).items()
-            },
-            transitions=tuple(
-                SpecTransition(
-                    src=t["from"],
-                    dst=t["to"],
-                    on=t.get("on", ""),
-                    optional=bool(t.get("optional", False)),
-                )
-                for t in raw.get("transitions", [])
-            ),
-            unimplemented_ok=frozenset(raw.get("unimplemented_ok", [])),
-        )
-
-
-def load_specs(spec_dir: Optional[Path] = None) -> list[MachineSpec]:
-    directory = Path(spec_dir) if spec_dir is not None else SPEC_DIR
-    specs: list[MachineSpec] = []
-    for path in sorted(directory.glob("*.json")):
-        specs.append(MachineSpec.from_dict(json.loads(path.read_text(encoding="utf-8"))))
-    return specs
-
-
-@dataclass
-class TransitionRecord:
-    """One extracted state assignment."""
-
-    machine: str
-    posix: str
-    display: str
-    line: int
-    function: str
-    from_states: tuple[str, ...]  # sorted; (INIT,) for the initial declaration
-    to: Optional[str]  # None => UNRESOLVED
-
-    def as_dict(self) -> dict:
-        return {
-            "machine": self.machine,
-            "file": self.display,
-            "line": self.line,
-            "function": self.function,
-            "from": list(self.from_states),
-            "to": self.to if self.to is not None else "UNRESOLVED",
-        }
-
-
-# ---------------------------------------------------------------------------
-# Per-machine extraction
-# ---------------------------------------------------------------------------
-def _own_exprs(stmt: ast.stmt) -> list[ast.expr]:
-    """The expressions evaluated by this statement itself (not the ones
-    inside nested statement bodies)."""
-    out: list[ast.expr] = []
-    if isinstance(stmt, ast.Assign):
-        out.append(stmt.value)
-    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign, ast.Return)):
-        if stmt.value is not None:
-            out.append(stmt.value)
-    elif isinstance(stmt, ast.Expr):
-        out.append(stmt.value)
-    elif isinstance(stmt, (ast.If, ast.While)):
-        out.append(stmt.test)
-    elif isinstance(stmt, ast.For):
-        out.append(stmt.iter)
-    elif isinstance(stmt, ast.With):
-        out.extend(item.context_expr for item in stmt.items)
-    elif isinstance(stmt, ast.Raise):
-        if stmt.exc is not None:
-            out.append(stmt.exc)
-    elif isinstance(stmt, ast.Assert):
-        out.append(stmt.test)
-    elif isinstance(stmt, ast.Delete):
-        out.extend(stmt.targets)
-    return out
-
-
-class _Machine:
-    def __init__(self, spec: MachineSpec, contexts: list[FileContext], project):
-        self.spec = spec
-        self.contexts = contexts
-        self.project = project
-        self.records: list[TransitionRecord] = []
-        # (ctx, node, message) triples resolved into Findings by the rule
-        self.problems: list[tuple[FileContext, ast.AST, str]] = []
-
-    # -- helpers --------------------------------------------------------
-    def _owner_ctxs(self) -> list[FileContext]:
-        return [
-            ctx
-            for ctx in self.contexts
-            if any(ctx.posix.endswith(suffix) for suffix in self.spec.owner_files)
-        ]
-
-    def _member_of(self, expr: ast.expr) -> Optional[str]:
-        """Resolve an expression to an enum member name, or None."""
-        if (
-            isinstance(expr, ast.Attribute)
-            and isinstance(expr.value, ast.Name)
-            and expr.value.id == self.spec.enum
-            and expr.attr in self.spec.states
-        ):
-            return expr.attr
-        if isinstance(expr, ast.Name) and expr.id in self.spec.states:
-            return expr.id
-        return None
-
-    def _is_state_read(self, expr: ast.expr) -> bool:
-        """``self.<attr>`` (the machine variable being read)."""
-        return (
-            isinstance(expr, ast.Attribute)
-            and expr.attr == self.spec.attr
-            and isinstance(expr.value, ast.Name)
-            and expr.value.id == "self"
-        )
-
-    def _predicate_of(self, expr: ast.expr) -> Optional[frozenset]:
-        """``self.<pred>`` or ``self.<attr>.<pred>`` for a spec predicate."""
-        if not isinstance(expr, ast.Attribute) or expr.attr not in self.spec.predicates:
-            return None
-        base = expr.value
-        if isinstance(base, ast.Name) and base.id == "self":
-            return self.spec.predicates[expr.attr]
-        if (
-            isinstance(base, ast.Attribute)
-            and base.attr == self.spec.attr
-            and isinstance(base.value, ast.Name)
-            and base.value.id == "self"
-        ):
-            return self.spec.predicates[expr.attr]
-        return None
-
-    # -- guard narrowing ------------------------------------------------
-    def _narrow(self, test: ast.expr, S: frozenset) -> tuple[frozenset, frozenset]:
-        spec = self.spec
-        if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-            true, false = self._narrow(test.operand, S)
-            return false, true
-        if isinstance(test, ast.BoolOp):
-            if isinstance(test.op, ast.And):
-                true, false = S, frozenset()
-                for value in test.values:
-                    t, f = self._narrow(value, S)
-                    true &= t
-                    false |= f
-                return true, false & S
-            true, false = frozenset(), S
-            for value in test.values:
-                t, f = self._narrow(value, S)
-                true |= t
-                false &= f
-            return true & S, false
-        pred = self._predicate_of(test)
-        if pred is not None:
-            return S & pred, S - pred
-        if isinstance(test, ast.Compare) and len(test.ops) == 1:
-            left, op, right = test.left, test.ops[0], test.comparators[0]
-            if self._is_state_read(left):
-                member = self._member_of(right)
-                if member is not None and isinstance(op, (ast.Is, ast.Eq)):
-                    return S & {member}, S - {member}
-                if member is not None and isinstance(op, (ast.IsNot, ast.NotEq)):
-                    return S - {member}, S & {member}
-                if isinstance(op, (ast.In, ast.NotIn)) and isinstance(
-                    right, (ast.Tuple, ast.List, ast.Set)
-                ):
-                    members = {self._member_of(e) for e in right.elts}
-                    if None not in members:
-                        inside = frozenset(m for m in members if m is not None)
-                        if isinstance(op, ast.In):
-                            return S & inside, S - inside
-                        return S - inside, S & inside
-            # symmetric: MEMBER is self.state
-            if self._is_state_read(right):
-                member = self._member_of(left)
-                if member is not None and isinstance(op, (ast.Is, ast.Eq)):
-                    return S & {member}, S - {member}
-                if member is not None and isinstance(op, (ast.IsNot, ast.NotEq)):
-                    return S - {member}, S & {member}
-        return S, S
-
-
-# ---------------------------------------------------------------------------
-# Walking one class in one owner file
-# ---------------------------------------------------------------------------
-class _ClassWalker:
-    def __init__(self, machine: _Machine, ctx: FileContext, cls: ast.ClassDef):
-        self.machine = machine
-        self.spec = machine.spec
-        self.ctx = ctx
-        self.cls = cls
-        self.methods: dict[str, ast.FunctionDef] = {
-            n.name: n
-            for n in cls.body
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        self.may_assign = self._may_assign_fixpoint()
-        self.entry: dict[str, frozenset] = {}
-        self.entry_acc: dict[str, frozenset] = {}
-
-    # -- may-assign closure --------------------------------------------
-    def _direct_assigns(self, fn: ast.AST) -> frozenset:
-        members: set[str] = set()
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if self._is_self_attr_target(target):
-                        member = self.machine._member_of(node.value)
-                        members.add(member if member is not None else "?")
-        return frozenset(members)
-
-    def _is_self_attr_target(self, target: ast.expr) -> bool:
-        return (
-            isinstance(target, ast.Attribute)
-            and target.attr == self.spec.attr
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-        )
-
-    def _self_calls(self, fn: ast.AST) -> set[str]:
-        out: set[str] = set()
-        for node in ast.walk(fn):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "self"
-                and node.func.attr in self.methods
-            ):
-                out.add(node.func.attr)
-        return out
-
-    def _may_assign_fixpoint(self) -> dict[str, frozenset]:
-        may = {name: self._direct_assigns(fn) for name, fn in self.methods.items()}
-        calls = {name: self._self_calls(fn) for name, fn in self.methods.items()}
-        for _ in range(len(self.methods) + 1):
-            changed = False
-            for name in self.methods:
-                merged = may[name]
-                for callee in calls[name]:
-                    merged = merged | may[callee]
-                if merged != may[name]:
-                    may[name] = merged
-                    changed = True
-            if not changed:
-                break
-        return may
-
-    def _widen(self, S: frozenset, callee: str) -> frozenset:
-        effects = self.may_assign.get(callee, frozenset())
-        concrete = frozenset(m for m in effects if m != "?")
-        if "?" in effects:
-            return self.spec.top
-        return S | concrete
-
-    # -- entry sets -----------------------------------------------------
-    def _externally_reached(self) -> set[str]:
-        """Methods referenced as bare callbacks or called through a
-        non-self receiver anywhere in the scanned tree: their entry
-        state set must be ⊤."""
-        reached: set[str] = set()
-        for ctx in self.machine.contexts:
-            for node in ast.walk(ctx.tree):
-                if isinstance(node, ast.Call):
-                    continue
-                if isinstance(node, ast.Attribute) and node.attr in self.methods:
-                    base_is_self = (
-                        isinstance(node.value, ast.Name) and node.value.id == "self"
-                    )
-                    if ctx is not self.ctx or not base_is_self:
-                        reached.add(node.attr)
-        # A bare ``self._cb`` reference inside the owner class is a
-        # callback registration: the event loop may fire it in any state.
-        call_funcs = {
-            id(n.func) for n in ast.walk(self.cls) if isinstance(n, ast.Call)
-        }
-        for node in ast.walk(self.cls):
-            if (
-                isinstance(node, ast.Attribute)
-                and node.attr in self.methods
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-                and id(node) not in call_funcs
-            ):
-                reached.add(node.attr)
-        return reached
-
-    def run(self) -> None:
-        top = self.spec.top
-        external = self._externally_reached()
-        for name in self.methods:
-            if name == "__init__":
-                self.entry[name] = frozenset({INIT})
-            elif not name.startswith("_") or name in external:
-                self.entry[name] = top
-            else:
-                self.entry[name] = frozenset()
-        # Interprocedural fixpoint on private-helper entry sets.
-        for _ in range(8):
-            self.entry_acc = {name: frozenset() for name in self.methods}
-            for name, fn in self.methods.items():
-                if self.entry[name]:
-                    self._walk_body(fn.body, self.entry[name], record=False)
-            changed = False
-            for name in self.methods:
-                if name == "__init__" or self.entry[name] == top:
-                    continue
-                merged = self.entry[name] | self.entry_acc[name]
-                if not name.startswith("_"):
-                    merged = top
-                if merged != self.entry[name]:
-                    self.entry[name] = merged
-                    changed = True
-            if not changed:
-                break
-        for name in self.methods:
-            if not self.entry[name] and self._direct_assigns(self.methods[name]):
-                # assigning helper that is never visibly called: assume ⊤
-                self.entry[name] = top
-        # Final recording pass with stable entry sets.
-        for name, fn in self.methods.items():
-            if self.entry[name]:
-                self._walk_body(fn.body, self.entry[name], record=True, function=name)
-
-    # -- symbolic walk --------------------------------------------------
-    def _walk_body(
-        self,
-        stmts: list,
-        S: frozenset,
-        record: bool,
-        function: str = "",
-    ) -> tuple[frozenset, bool]:
-        """Returns (exit state set, terminated)."""
-        for stmt in stmts:
-            S, terminated = self._walk_stmt(stmt, S, record, function)
-            if terminated:
-                return S, True
-        return S, False
-
-    def _handle_calls(self, S: frozenset, exprs: list, record: bool) -> frozenset:
-        for expr in exprs:
-            for node in ast.walk(expr):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == "self"
-                    and node.func.attr in self.methods
-                ):
-                    callee = node.func.attr
-                    self.entry_acc[callee] = self.entry_acc.get(callee, frozenset()) | S
-                    S = self._widen(S, callee)
-        return S
-
-    def _body_effects(self, stmts: list) -> frozenset:
-        effects: frozenset = frozenset()
-        for stmt in stmts:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Assign):
-                    for target in node.targets:
-                        if self._is_self_attr_target(target):
-                            member = self.machine._member_of(node.value)
-                            effects |= (
-                                {member} if member is not None else self.spec.top
-                            )
-                elif (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == "self"
-                    and node.func.attr in self.methods
-                ):
-                    S2 = self._widen(frozenset(), node.func.attr)
-                    effects |= S2
-        return effects
-
-    def _walk_stmt(
-        self, stmt: ast.stmt, S: frozenset, record: bool, function: str
-    ) -> tuple[frozenset, bool]:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return S, False
-        S = self._handle_calls(S, _own_exprs(stmt), record)
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if self._is_self_attr_target(target):
-                    return self._record_assign(stmt, target, stmt.value, S, record, function), False
-            return S, False
-        if isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            if self._is_self_attr_target(stmt.target):
-                return self._record_assign(stmt, stmt.target, stmt.value, S, record, function), False
-            return S, False
-        if isinstance(stmt, (ast.Return, ast.Raise, ast.Break, ast.Continue)):
-            return S, True
-        if isinstance(stmt, ast.If):
-            S_true, S_false = self.machine._narrow(stmt.test, S)
-            body_S, body_term = self._walk_body(stmt.body, S_true, record, function)
-            else_S, else_term = self._walk_body(stmt.orelse, S_false, record, function)
-            if body_term and else_term:
-                return body_S | else_S, True
-            if body_term:
-                return else_S, False
-            if else_term:
-                return body_S, False
-            return body_S | else_S, False
-        if isinstance(stmt, (ast.While, ast.For)):
-            widened = S | self._body_effects(stmt.body)
-            self._walk_body(stmt.body, widened, record, function)
-            out, _ = self._walk_body(stmt.orelse, widened, record, function)
-            return widened | out, False
-        if isinstance(stmt, ast.With):
-            return self._walk_body(stmt.body, S, record, function)
-        if isinstance(stmt, ast.Try):
-            body_S, body_term = self._walk_body(stmt.body, S, record, function)
-            spilled = S | self._body_effects(stmt.body)
-            out = frozenset() if body_term else body_S
-            for handler in stmt.handlers:
-                h_S, h_term = self._walk_body(handler.body, spilled, record, function)
-                if not h_term:
-                    out = out | h_S
-            else_S, else_term = self._walk_body(stmt.orelse, body_S, record, function)
-            if stmt.orelse and not else_term:
-                out = out | else_S
-            final_S, final_term = self._walk_body(stmt.finalbody, out or spilled, record, function)
-            if stmt.finalbody:
-                return final_S, final_term
-            return out or spilled, False
-        return S, False
-
-    def _record_assign(
-        self,
-        stmt: ast.stmt,
-        target: ast.expr,
-        value: ast.expr,
-        S: frozenset,
-        record: bool,
-        function: str,
-    ) -> frozenset:
-        member = self.machine._member_of(value)
-        if not record:
-            return frozenset({member}) if member is not None else self.spec.top
-        spec = self.spec
-        if member is None:
-            self.machine.records.append(
-                TransitionRecord(
-                    machine=spec.name,
-                    posix=self.ctx.posix,
-                    display=self.ctx.display,
-                    line=stmt.lineno,
-                    function=f"{self.cls.name}.{function}",
-                    from_states=tuple(sorted(S)),
-                    to=None,
-                )
-            )
-            self.machine.problems.append(
-                (
-                    self.ctx,
-                    stmt,
-                    f"UNRESOLVED transition: value assigned to self.{spec.attr} "
-                    f"is not a {spec.enum} member — the relation must stay "
-                    "statically extractable",
-                )
-            )
-            return spec.top
-        self.machine.records.append(
-            TransitionRecord(
-                machine=spec.name,
-                posix=self.ctx.posix,
-                display=self.ctx.display,
-                line=stmt.lineno,
-                function=f"{self.cls.name}.{function}",
-                from_states=tuple(sorted(S)),
-                to=member,
-            )
-        )
-        if S == frozenset({INIT}):
-            if member != spec.initial:
-                self.machine.problems.append(
-                    (
-                        self.ctx,
-                        stmt,
-                        f"initial state is {member}, spec says {spec.initial}",
-                    )
-                )
-        else:
-            disallowed = sorted(s for s in S if s != INIT and not spec.allows(s, member))
-            if disallowed:
-                self.machine.problems.append(
-                    (
-                        self.ctx,
-                        stmt,
-                        f"forbidden transition {{{', '.join(disallowed)}}} -> "
-                        f"{member} (not in the {spec.name} spec table)",
-                    )
-                )
-        return frozenset({member})
-
-
-# ---------------------------------------------------------------------------
-# Whole-analysis driver
-# ---------------------------------------------------------------------------
-@dataclass
-class MachineAnalysis:
-    records: list[TransitionRecord] = field(default_factory=list)
-    problems: list[tuple[FileContext, ast.AST, str]] = field(default_factory=list)
-
-    def relation_dict(self) -> dict:
-        by_machine: dict[str, list] = {}
-        for record in self.records:
-            by_machine.setdefault(record.machine, []).append(record.as_dict())
-        return by_machine
-
-
-def analyze_machines(
-    contexts: list[FileContext], specs: list[MachineSpec]
-) -> MachineAnalysis:
-    result = MachineAnalysis()
-    for spec in specs:
-        machine = _Machine(spec, contexts, None)
-        owner_ctxs = machine._owner_ctxs()
-        for ctx in owner_ctxs:
-            for node in ctx.tree.body:
-                if isinstance(node, ast.ClassDef):
-                    walker = _ClassWalker(machine, ctx, node)
-                    if any(walker._direct_assigns(fn) for _, fn in sorted(walker.methods.items())):
-                        walker.run()
-        # Foreign writes: any assignment of this enum's members to a
-        # ``<receiver>.<attr>`` outside the owning files / owner class.
-        owner_posix = {ctx.posix for ctx in owner_ctxs}
-        for ctx in contexts:
-            for node in ast.walk(ctx.tree):
-                if not isinstance(node, ast.Assign):
-                    continue
-                for target in node.targets:
-                    if not (
-                        isinstance(target, ast.Attribute)
-                        and target.attr == spec.attr
-                    ):
-                        continue
-                    member = machine._member_of(node.value)
-                    if member is None:
-                        continue
-                    receiver_self = (
-                        isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    )
-                    if ctx.posix not in owner_posix or not receiver_self:
-                        machine.problems.append(
-                            (
-                                ctx,
-                                node,
-                                f"state {spec.enum}.{member} written outside the "
-                                f"owning layer ({', '.join(spec.owner_files)}) — "
-                                "route the change through the owner's API",
-                            )
-                        )
-        # Spec coverage: required transitions must be implemented, and
-        # every state must be reachable (or declared unimplemented_ok).
-        implemented: set[tuple[str, str]] = set()
-        reachable = {spec.initial}
-        for record in machine.records:
-            if record.to is None:
-                continue
-            reachable.add(record.to)
-            for src in record.from_states:
-                implemented.add((src, record.to))
-        enum_ctx = next(
-            (c for c in contexts if c.posix.endswith(spec.enum_file)), None
-        )
-        # Coverage only means something when the owning files were
-        # scanned too (--changed-only may hand us the enum file alone).
-        if enum_ctx is not None and owner_ctxs:
-            anchor = next(
-                (
-                    n
-                    for n in enum_ctx.tree.body
-                    if isinstance(n, ast.ClassDef) and n.name == spec.enum
-                ),
-                enum_ctx.tree,
-            )
-            for t in spec.transitions:
-                if t.optional or t.src == "*":
-                    continue
-                if (t.src, t.dst) not in implemented:
-                    machine.problems.append(
-                        (
-                            enum_ctx,
-                            anchor,
-                            f"spec transition {t.src} -> {t.dst}"
-                            + (f" ({t.on})" if t.on else "")
-                            + " has no implementing assignment",
-                        )
-                    )
-            for state in spec.states:
-                if state in reachable or state in spec.unimplemented_ok:
-                    continue
-                machine.problems.append(
-                    (
-                        enum_ctx,
-                        anchor,
-                        f"state {spec.enum}.{state} is unreachable "
-                        "(never assigned anywhere)",
-                    )
-                )
-        result.records.extend(machine.records)
-        result.problems.extend(machine.problems)
-    return result
-
-
-def check_file(rule, ctx: FileContext, project) -> Iterator[Finding]:
-    """Rule entry point: run the whole analysis once per project, then
-    yield the findings that belong to ``ctx``."""
-    if project is None:
-        return
-    cache = getattr(project, "_fsm01_cache", None)
-    if cache is None or cache[0] is not rule:
-        contexts = getattr(project, "contexts", [])
-        analysis = analyze_machines(contexts, rule.specs)
-        cache = (rule, analysis)
-        project._fsm01_cache = cache
-    analysis = cache[1]
-    for problem_ctx, node, message in analysis.problems:
-        if problem_ctx.posix == ctx.posix:
-            yield rule.finding(ctx, node, message)
-
-
-def extract_relation(paths, spec_dir: Optional[Path] = None) -> dict:
-    """Standalone extraction for the CI artifact: parse the given paths
-    and return the relation as a JSON-ready dict."""
-    from repro.analyze.core import iter_python_files, load_context
-
-    contexts: list[FileContext] = []
-    for path in iter_python_files(paths):
-        try:
-            contexts.append(load_context(path))
-        except SyntaxError:
+def _attribute_stores(tree: ast.AST, exempt: frozenset) -> Iterator[tuple[ast.stmt, ast.Attribute]]:
+    """Every ``<expr>.<name> = ...`` store (plain, annotated, augmented,
+    or inside a tuple target), skipping the bodies of functions named in
+    ``exempt``."""
+    stack: list[ast.AST] = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in exempt:
             continue
-    analysis = analyze_machines(contexts, load_specs(spec_dir))
-    return analysis.relation_dict()
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            targets = []
+        for target in targets:
+            for leaf in ast.walk(target):
+                if isinstance(leaf, ast.Attribute) and isinstance(leaf.ctx, ast.Store):
+                    yield node, leaf
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _enum_member(value: ast.AST, enum: str) -> str | None:
+    """``Enum.MEMBER`` -> ``"MEMBER"``; anything else -> None."""
+    if (
+        isinstance(value, ast.Attribute)
+        and isinstance(value.value, ast.Name)
+        and value.value.id == enum
+    ):
+        return value.attr
+    return None
+
+
+def check_file(rule, ctx: FileContext) -> Iterator[Finding]:
+    for owner, enum, attr in rule.machines:
+        is_owner = ctx.posix.endswith(owner)
+        exempt = WRITERS if is_owner else frozenset()
+        for stmt, target in _attribute_stores(ctx.tree, exempt):
+            value = getattr(stmt, "value", None)
+            member = _enum_member(value, enum) if value is not None else None
+            if is_owner and target.attr == attr:
+                yield rule.finding(
+                    ctx,
+                    stmt,
+                    f"'.{attr}' written outside _set_state — every transition "
+                    f"must go through the checked setter",
+                )
+            elif member is not None:
+                yield rule.finding(
+                    ctx,
+                    stmt,
+                    f"{enum}.{member} stored outside {owner}'s _set_state — "
+                    "route the change through the owner's API",
+                )

@@ -76,10 +76,14 @@ class ScenarioOutcome:
     spec: ScenarioSpec
     failure: BaseException | None = None
     completed: bool = False
-    received_bytes: int = 0
+    received: bytes = b""  # what the server application read, in order
     tolerated: int = 0
     # Oracle events by scope: (skipped, scoped to one host, swept).
     scopes: tuple = (0, 0, 0)
+
+    @property
+    def received_bytes(self) -> int:
+        return len(self.received)
 
     @property
     def failed(self) -> bool:
@@ -174,7 +178,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
         net.run(until=spec.duration)
     except BaseException as failure:  # noqa: BLE001 — any crash is a finding
         outcome.failure = failure
-    outcome.received_bytes = len(received)
+    outcome.received = bytes(received)
     if oracle is not None:
         outcome.tolerated = oracle.tolerated_modifications
         outcome.scopes = (oracle.events_skipped, oracle.events_scoped, oracle.events_swept)

@@ -35,13 +35,14 @@ from repro.tcp.seq import SEQ_MOD, seq_add
 
 _SEQ_HALF = 1 << 31
 from repro.tcp.socket import IDLE_TIMER, TCPConfig
+from repro.tcp.state import IllegalTransition
 from repro.mptcp.coupled import CoupledGroup, LIAController
 from repro.mptcp.keys import idsn_from_key, token_from_key
 from repro.mptcp.ooo import OOOQueue, make_ooo_queue
 from repro.mptcp.options import DSS, AddAddr, FastClose, MPTCPOption, RemoveAddr
 from repro.mptcp.checksum import dss_checksum
 from repro.mptcp.scheduler import Scheduler
-from repro.mptcp.state import MPTCPConnState
+from repro.mptcp.state import TRANSITIONS, MPTCPConnState
 from repro.mptcp.subflow import RxMapping, Subflow
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -191,8 +192,7 @@ class MPTCPConnection:
         self.peer_data_fin: Optional[int] = None
 
         # --- state ---------------------------------------------------------
-        # One enum, one writer file: the FSM01 conformance pass extracts
-        # every assignment and diffs it against the RFC 6824 spec table.
+        # The initial state; every later write goes through _set_state.
         self.conn_state = MPTCPConnState.M_INIT
         self._dack_option_cache: Optional[DSS] = None
         # Version agreed during the MP_CAPABLE exchange; None until the
@@ -255,6 +255,13 @@ class MPTCPConnection:
     @property
     def closed(self) -> bool:
         return self.conn_state.is_closed
+
+    def _set_state(self, dst: MPTCPConnState) -> None:
+        """The connection machine's only transition site: the edge must
+        be a row of :data:`repro.mptcp.state.TRANSITIONS`."""
+        if (self.conn_state, dst) not in TRANSITIONS:
+            raise IllegalTransition("mptcp", self.conn_state, dst)
+        self.conn_state = dst
 
     # ==================================================================
     # Opening
@@ -326,9 +333,9 @@ class MPTCPConnection:
             if self.conn_state is MPTCPConnState.M_FALLBACK_INIT:
                 # The handshake already dropped to TCP: the subflow comes
                 # up carrying the plain byte stream.
-                self.conn_state = MPTCPConnState.M_FALLBACK
+                self._set_state(MPTCPConnState.M_FALLBACK)
             else:
-                self.conn_state = MPTCPConnState.M_ESTABLISHED
+                self._set_state(MPTCPConnState.M_ESTABLISHED)
             if self.config.autotune:
                 self._autotune_timer.restart(0.1)
             if self.role == "server":
@@ -967,6 +974,15 @@ class MPTCPConnection:
         if not self.fallback:
             self.enter_fallback("peer sent MP_FAIL")
 
+    def rx_in_sync(self, subflow: Subflow) -> bool:
+        """No data-level hole: the reassembly queue and OOO index are
+        empty and ``subflow`` holds no mapping still waiting for its
+        bytes, so every mapped byte has been delivered and the raw
+        subflow continuation starts exactly at ``rcv_data_nxt``."""
+        return (
+            len(self.reassembly) == 0 and len(self.ooo_index) == 0 and not subflow._rx_mappings
+        )
+
     def try_rx_fallback(self, subflow: Subflow) -> bool:
         """Unmapped bytes arrived and no later mapping exists.  Falling
         back is only safe with a single subflow and no data-level holes
@@ -974,13 +990,7 @@ class MPTCPConnection:
         if self.fallback:
             return True
         single = len([s for s in self.subflows if not s.failed]) <= 1
-        holes_free = (
-            single
-            and len(self.reassembly) == 0
-            and len(self.ooo_index) == 0
-            and not subflow._rx_mappings
-        )
-        if not holes_free:
+        if not (single and self.rx_in_sync(subflow)):
             return False
         if subflow.rx_mappings_received == 0:
             # §3.1's first-data rule: options never survived past the
@@ -1028,10 +1038,10 @@ class MPTCPConnection:
             return
         if self.conn_state is MPTCPConnState.M_ESTABLISHED:
             # Mid-connection drop: checksum failure or MP_FAIL (§3.3.6).
-            self.conn_state = MPTCPConnState.M_FALLBACK
+            self._set_state(MPTCPConnState.M_FALLBACK)
         else:
             # Handshake-time drop: options never made it (§3.1).
-            self.conn_state = MPTCPConnState.M_FALLBACK_INIT
+            self._set_state(MPTCPConnState.M_FALLBACK_INIT)
         self.fallback_reason = reason
         self.stats.fallbacks += 1
         self._fallback_tx_base = None
@@ -1105,9 +1115,9 @@ class MPTCPConnection:
         if self.closed:
             return
         if self.fallback:
-            self.conn_state = MPTCPConnState.M_FALLBACK_CLOSED
+            self._set_state(MPTCPConnState.M_FALLBACK_CLOSED)
         else:
-            self.conn_state = MPTCPConnState.M_CLOSED
+            self._set_state(MPTCPConnState.M_CLOSED)
         self._data_rtx_timer.stop()
         self._autotune_timer.stop()
         self.manager.tokens.unregister(self.local_token)

@@ -3,10 +3,12 @@
 RFC 6824 does not draw a single connection state diagram the way
 RFC 793 does, but the MP_CAPABLE/MP_JOIN handshakes and the fallback
 ladder define one implicitly, and the paper's hardest deployment bugs
-(§3.1) are exactly missed transitions in it.  This enum makes that
-machine explicit — one attribute, one writer module — so the FSM01
-conformance pass can extract every transition and diff it against the
-spec table in ``repro/analyze/specs/rfc6824_mptcp.json``.
+(§3.1) are exactly missed transitions in it.  :data:`TRANSITIONS` makes
+that machine explicit: ``MPTCPConnection._set_state`` is its only
+writer after ``__init__`` and raises
+:class:`~repro.tcp.state.IllegalTransition` for any pair not in the
+table.  FSM01 (``repro.analyze``) checks statically that nothing else
+writes ``.conn_state``.
 
 The three historical booleans (``established``, ``fallback``,
 ``closed``) survive as derived read-only properties on
@@ -38,6 +40,23 @@ class MPTCPConnState(enum.Enum):
     is_fallback: bool  #: the fallback door has been passed (one-way)
     is_closed: bool
 
+
+_S = MPTCPConnState
+
+# Fallback and closure are one-way doors: no row leaves a fallback or a
+# closed state except fallback -> fallback-closed.
+TRANSITIONS = frozenset(
+    {
+        (_S.M_INIT, _S.M_ESTABLISHED),  # first subflow completes the MP_CAPABLE handshake
+        (_S.M_INIT, _S.M_FALLBACK_INIT),  # options stripped during the handshake (RFC 6824 §3.1)
+        (_S.M_INIT, _S.M_CLOSED),  # abort before establishment
+        (_S.M_FALLBACK_INIT, _S.M_FALLBACK),  # first subflow up, carrying the plain byte stream
+        (_S.M_FALLBACK_INIT, _S.M_FALLBACK_CLOSED),  # abort while falling back in the handshake
+        (_S.M_ESTABLISHED, _S.M_FALLBACK),  # DSS checksum failure / MP_FAIL (RFC 6824 §3.6)
+        (_S.M_ESTABLISHED, _S.M_CLOSED),  # DATA_FIN exchange complete / teardown
+        (_S.M_FALLBACK, _S.M_FALLBACK_CLOSED),  # subflow FIN teardown of the fallback stream
+    }
+)
 
 _ESTABLISHED = frozenset({MPTCPConnState.M_ESTABLISHED, MPTCPConnState.M_FALLBACK})
 _FALLBACK = frozenset(

@@ -445,17 +445,25 @@ class Subflow(TCPSocket):
             # stripped along with them, so without this symmetric
             # detection the sender would keep emitting mappings and
             # data-level retransmissions that the raw-continuing
-            # receiver delivers as duplicate stream bytes.
+            # receiver delivers as duplicate stream bytes.  The rule
+            # fires on whichever end sees the ACKs, the data receiver
+            # included, so it waits until the receive side is in sync:
+            # falling back with data held behind a hole, or with
+            # subflow bytes still waiting for a mapping, would deliver
+            # the raw continuation at the wrong data offset.
             for option in segment._options:
                 if isinstance(option, MPTCPOption):
                     self._rx_optionless_ack_run = 0
                     break
             else:
                 self._rx_optionless_ack_run += 1
+                pending = self._rx_pending
                 if (
                     self._rx_optionless_ack_run >= 2
                     and self.rx_dss_received > 0
                     and len(conn.subflows) == 1
+                    and pending.tail == pending.head
+                    and conn.rx_in_sync(self)
                 ):
                     conn.enter_fallback(
                         "MPTCP options stripped from ACKs mid-connection"

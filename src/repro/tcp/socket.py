@@ -51,7 +51,7 @@ from repro.tcp.rtx import RetransmitQueue
 from repro.tcp.seq import SEQ_MOD
 
 _SEQ_HALF = 1 << 31
-from repro.tcp.state import TCPState
+from repro.tcp.state import TRANSITIONS, IllegalTransition, TCPState
 
 # Stands in for the rarely armed timers (persist, TIME_WAIT, autotune): never
 # running, so stop()/``_wlevel`` work; the arming site swaps in a real Timer.
@@ -238,6 +238,13 @@ class TCPSocket:
             self.snd_buf_limit = min(cfg.autotune_initial, cfg.snd_buf)
             self.rcv_buf_limit = min(cfg.autotune_initial, cfg.rcv_buf)
 
+    def _set_state(self, dst: TCPState) -> None:
+        """The state machine's only transition site: the edge must be a
+        row of :data:`repro.tcp.state.TRANSITIONS`."""
+        if (self.state, dst) not in TRANSITIONS:
+            raise IllegalTransition("tcp", self.state, dst)
+        self.state = dst
+
     # ==================================================================
     # Public API
     # ==================================================================
@@ -257,7 +264,7 @@ class TCPSocket:
         self.host.register_connection(self.local, self.remote, self)
         self._registered = True
         self._init_isn()
-        self.state = TCPState.SYN_SENT
+        self._set_state(TCPState.SYN_SENT)
         self._send_syn()
 
     def accept_syn(self, segment: Segment) -> None:
@@ -272,7 +279,7 @@ class TCPSocket:
         self._process_peer_syn_options(segment)
         self.irs = segment.seq
         self.rcv_nxt = 1  # consume the SYN
-        self.state = TCPState.SYN_RCVD
+        self._set_state(TCPState.SYN_RCVD)
         self._send_synack()
 
     def send(self, data: bytes) -> int:
@@ -324,9 +331,9 @@ class TCPSocket:
             return
         self._fin_pending = True
         if self.state is TCPState.ESTABLISHED or self.state is TCPState.SYN_RCVD:
-            self.state = TCPState.FIN_WAIT_1
+            self._set_state(TCPState.FIN_WAIT_1)
         elif self.state is TCPState.CLOSE_WAIT:
-            self.state = TCPState.LAST_ACK
+            self._set_state(TCPState.LAST_ACK)
         elif self.state is TCPState.SYN_SENT:
             self._destroy()
             return
@@ -537,7 +544,7 @@ class TCPSocket:
         return self.stats.bytes_delivered / elapsed
 
     def _establish(self) -> None:
-        self.state = TCPState.ESTABLISHED
+        self._set_state(TCPState.ESTABLISHED)
         self.established_at = self.sim.now
         if self.config.autotune:
             self._autotune_timer.restart(0.05)
@@ -949,7 +956,7 @@ class TCPSocket:
         if ack_unit < self._fin_unit_sent:
             return
         if self.state is TCPState.FIN_WAIT_1:
-            self.state = TCPState.FIN_WAIT_2
+            self._set_state(TCPState.FIN_WAIT_2)
         elif self.state is TCPState.CLOSING:
             self._enter_time_wait()
         elif self.state is TCPState.LAST_ACK:
@@ -1002,10 +1009,10 @@ class TCPSocket:
         self.rcv_nxt += 1
         self._on_peer_fin()
         if self.state is TCPState.ESTABLISHED:
-            self.state = TCPState.CLOSE_WAIT
+            self._set_state(TCPState.CLOSE_WAIT)
         elif self.state is TCPState.FIN_WAIT_1:
             # Our FIN not yet acked: simultaneous close.
-            self.state = TCPState.CLOSING
+            self._set_state(TCPState.CLOSING)
         elif self.state is TCPState.FIN_WAIT_2:
             self._enter_time_wait()
 
@@ -1306,7 +1313,7 @@ class TCPSocket:
         self._check_persist()
 
     def _enter_time_wait(self) -> None:
-        self.state = TCPState.TIME_WAIT
+        self._set_state(TCPState.TIME_WAIT)
         self._rto_timer.stop()
         self._persist_timer.stop()
         self._time_wait_timer = Timer(self.sim, self._on_time_wait_expired)
@@ -1325,9 +1332,9 @@ class TCPSocket:
         self._destroy(error=reason)
 
     def _destroy(self, error: Optional[str] = None) -> None:
-        if self.state is TCPState.CLOSED and not self._registered:
-            return
-        self.state = TCPState.CLOSED
+        if self.state is TCPState.CLOSED:
+            return  # a socket leaves CLOSED in the call that registers it
+        self._set_state(TCPState.CLOSED)
         if error and not self.error:
             self.error = error
         for timer in (

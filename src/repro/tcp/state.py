@@ -1,4 +1,11 @@
-"""RFC 793 connection states."""
+"""RFC 793 connection states and the transitions the socket may take.
+
+:data:`TRANSITIONS` is the machine: ``TCPSocket._set_state`` is its only
+writer after ``__init__`` and raises :class:`IllegalTransition` for any
+``(state, dst)`` pair not in the table, in every run.  FSM01
+(``repro.analyze``) checks statically that nothing else writes
+``.state``.
+"""
 
 from __future__ import annotations
 
@@ -26,6 +33,43 @@ class TCPState(enum.Enum):
     can_receive_data: bool
     may_send_data: bool  #: the local application may still submit data
 
+
+class IllegalTransition(RuntimeError):
+    """A state write whose ``(src, dst)`` pair is not in the machine's
+    table.  ``args`` is ``(machine, src, dst)`` — a name and two enum
+    members — so the error pickles across a worker pipe as is; the text
+    is built only when it is printed."""
+
+    def __str__(self) -> str:
+        machine, src, dst = self.args
+        return f"{machine}: {src.name} -> {dst.name} is not in the transition table"
+
+
+_S = TCPState
+
+# RFC 793 edges the code never takes, so they are not rows: everything
+# through LISTEN (a Listener adopts each SYN into a fresh CLOSED socket),
+# simultaneous open (SYN_SENT -> SYN_RCVD) and FIN+ACK in one segment
+# (FIN_WAIT_1 -> TIME_WAIT: the ACK is processed first, via FIN_WAIT_2).
+TRANSITIONS = frozenset(
+    {
+        (_S.CLOSED, _S.SYN_SENT),  # active OPEN: send SYN
+        (_S.CLOSED, _S.SYN_RCVD),  # a Listener adopts an incoming SYN: send SYN,ACK
+        (_S.SYN_SENT, _S.ESTABLISHED),  # rcv SYN,ACK: send ACK
+        (_S.SYN_RCVD, _S.ESTABLISHED),  # rcv ACK of SYN
+        (_S.SYN_RCVD, _S.FIN_WAIT_1),  # CLOSE during the handshake: send FIN
+        (_S.ESTABLISHED, _S.FIN_WAIT_1),  # CLOSE: send FIN
+        (_S.ESTABLISHED, _S.CLOSE_WAIT),  # rcv FIN: send ACK
+        (_S.FIN_WAIT_1, _S.FIN_WAIT_2),  # rcv ACK of FIN
+        (_S.FIN_WAIT_1, _S.CLOSING),  # rcv FIN: simultaneous close
+        (_S.FIN_WAIT_2, _S.TIME_WAIT),  # rcv FIN: send ACK
+        (_S.CLOSING, _S.TIME_WAIT),  # rcv ACK of FIN
+        (_S.CLOSE_WAIT, _S.LAST_ACK),  # CLOSE: send FIN
+    }
+    # Every other entered state closes through _destroy: ABORT and RST
+    # from anywhere, LAST_ACK's ACK of FIN and TIME_WAIT's 2*MSL expiry.
+    | {(state, _S.CLOSED) for state in TCPState if state not in (_S.CLOSED, _S.LISTEN)}
+)
 
 _SYNCHRONIZED = frozenset(
     {

@@ -1,4 +1,4 @@
-"""FSM01 fixture: a door machine with a spec-forbidden transition."""
+"""FSM01 fixture: a door machine whose state has one checked writer."""
 
 import enum
 
@@ -10,33 +10,39 @@ class DoorState(enum.Enum):
     BROKEN = enum.auto()
 
 
+TRANSITIONS = frozenset(
+    {
+        (DoorState.CLOSED, DoorState.OPEN),
+        (DoorState.OPEN, DoorState.CLOSED),
+        (DoorState.CLOSED, DoorState.LOCKED),
+        (DoorState.LOCKED, DoorState.CLOSED),
+    }
+)
+
+
 class Door:
     def __init__(self):
         self.state = DoorState.CLOSED
 
-    def open(self):
-        if self.state is DoorState.CLOSED:
-            self.state = DoorState.OPEN
+    def _set_state(self, dst):
+        if (self.state, dst) not in TRANSITIONS:
+            raise RuntimeError(dst)
+        self.state = dst
 
-    def shut(self):
-        if self.state is DoorState.OPEN:
-            self.state = DoorState.CLOSED
+    def open(self):
+        self._set_state(DoorState.OPEN)
 
     def lock(self):
-        if self.state is DoorState.CLOSED:
-            self.state = DoorState.LOCKED
+        self._set_state(DoorState.LOCKED)
 
-    def unlock(self):
-        if self.state is DoorState.LOCKED:
-            self.state = DoorState.CLOSED
+    def slam(self):
+        self.state = DoorState.CLOSED  # line 39: FSM01 (bypasses _set_state)
 
-    def bad_lock(self):
-        if self.state is DoorState.OPEN:
-            self.state = DoorState.LOCKED  # line 35: FSM01 (spec forbids OPEN -> LOCKED)
+    def restore(self, saved):
+        self.state = saved  # line 42: FSM01 (any value, not only members)
 
-    def smash(self, outcome):
-        self.state = outcome  # line 38: FSM01 (UNRESOLVED)
+    def remember(self):
+        self.last, self.state = self.state, DoorState.OPEN  # line 45: FSM01
 
     def pried_open(self):
-        if self.state is DoorState.BROKEN:
-            self.state = DoorState.OPEN  # analyze: ok(FSM01): fixture waiver demo
+        self.state = DoorState.OPEN  # analyze: ok(FSM01): fixture waiver demo

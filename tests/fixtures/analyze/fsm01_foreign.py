@@ -5,3 +5,8 @@ from tests.fixtures.analyze.fsm01 import DoorState
 
 def vandalise(door):
     door.state = DoorState.BROKEN  # line 7: FSM01 (foreign-layer write)
+
+
+def inspect(door, log):
+    log.state = door.state  # not a member store: another object's .state
+    return door.state is DoorState.OPEN

@@ -14,6 +14,7 @@ import pytest
 
 from repro.analyze import run_analysis
 from repro.analyze.callgraph import Project
+from repro.analyze.cli import budget_drift
 from repro.analyze.cli import main as analyze_main
 from repro.analyze.core import (
     default_workers,
@@ -21,8 +22,7 @@ from repro.analyze.core import (
     load_context,
     parse_waivers,
 )
-from repro.analyze.rules import Fsm01StateMachineConformance
-from repro.analyze.statemachine import extract_relation
+from repro.analyze.rules import Fsm01SingleWriter
 from repro.check.fuzzer import _payload
 from repro.sim.rng import SeededRNG
 
@@ -275,25 +275,68 @@ def test_json_report_budget_summary(tmp_path, capsys):
     assert report["budget_line"] == "# analyze: budget DET01=3/1"
 
 
-def test_hot_budget_ratchet_is_tight():
+@pytest.fixture(scope="module")
+def src_project():
+    """``src/`` parsed once for the budget tests."""
+    from repro.analyze.core import _load_contexts
+
+    contexts, parse_errors = _load_contexts(list(iter_python_files([REPO_ROOT / "src"])))
+    assert not parse_errors
+    return Project(contexts)
+
+
+@pytest.fixture(scope="module")
+def src_report():
+    """One full analysis of ``src/``, shared by the meta-tests."""
+    return run_analysis([REPO_ROOT / "src"])
+
+
+def test_hot_budget_ratchet_is_tight(src_project):
     """The committed HOT01 budget must match the measured hot closure:
-    no slack entries, no dead entries (check_hot_budget.py's contract)."""
+    no slack entries, no dead entries (``--budget``'s contract)."""
     from repro.analyze import hotpath
 
-    committed = hotpath.load_budget()
-    measured = hotpath.measure_paths([REPO_ROOT / "src"])
-    assert committed == measured
+    drift = budget_drift(hotpath.load_budget(), hotpath.measure(src_project))
+    assert drift == {"slack": {}, "dead": {}, "over": {}}
 
 
-def test_complexity_budget_ratchet_is_tight():
+def test_complexity_budget_ratchet_is_tight(src_project):
     """The committed CPX01 budget must match the measured scan counts:
-    no slack entries, no dead entries (check_complexity_budget.py's
-    contract)."""
+    no slack entries, no dead entries (``--budget``'s contract)."""
     from repro.analyze import complexity
 
-    committed = complexity.load_budget()
-    measured = complexity.measure_paths([REPO_ROOT / "src"])
-    assert committed == measured
+    drift = budget_drift(complexity.load_budget(), complexity.measure(src_project))
+    assert drift == {"slack": {}, "dead": {}, "over": {}}
+
+
+def test_budget_drift_classifies_entries():
+    drift = budget_drift({"a": 2, "b": 1, "gone": 1}, {"a": 1, "b": 3, "c": 1})
+    assert drift == {
+        "slack": {"a": [2, 1]},
+        "dead": {"gone": [1, 0]},
+        "over": {"b": [1, 3], "c": [0, 1]},
+    }
+
+
+def test_cli_budget_exit_codes_and_write(tmp_path, monkeypatch, capsys):
+    from repro.analyze import complexity, hotpath
+
+    tiny = str(FIXTURES / "det01.py")  # measures nothing in either budget
+    # Against the real budgets every committed entry is dead.
+    assert analyze_main(["--budget", tiny]) == 1
+    assert "HOT01 dead entry:" in capsys.readouterr().out
+    for module in (hotpath, complexity):
+        path = tmp_path / module.BUDGET_FILENAME
+        monkeypatch.setattr(module, "DEFAULT_BUDGET_PATH", path)
+        monkeypatch.setattr(module, "load_budget", lambda: {})
+    out = tmp_path / "drift.json"
+    assert analyze_main(["--budget", "--out", str(out), tiny]) == 0
+    assert "budget ratchet: ok" in capsys.readouterr().out
+    assert json.loads(out.read_text()) == {
+        code: {"slack": {}, "dead": {}, "over": {}} for code in ("HOT01", "CPX01")
+    }
+    assert analyze_main(["--budget", "--write", tiny]) == 0
+    assert (tmp_path / hotpath.BUDGET_FILENAME).read_text() == "{}\n"
 
 
 def test_cpx01_sees_the_mapping_tables():
@@ -376,94 +419,40 @@ def test_dom01_messages_name_both_domains():
 
 
 # ---------------------------------------------------------------------------
-# FSM01: state-machine conformance against a fixture spec table
+# FSM01: one writer per state machine
 # ---------------------------------------------------------------------------
-def fsm01_report(*names: str):
-    rule = Fsm01StateMachineConformance(spec_dir=FIXTURES / "specs")
-    report = run_analysis([FIXTURES / f"{n}.py" for n in names], rules=[rule])
-    assert not report.parse_errors
-    return report
+DOOR_MACHINE = (("fixtures/analyze/fsm01.py", "DoorState", "state"),)
 
 
 def test_fsm01_door_fixture():
-    report = fsm01_report("fsm01", "fsm01_foreign")
-    # open/shut/lock/unlock follow the spec table and stay clean.
-    assert [(Path(f.path).name, f.line, f.rule) for f in report.findings if not f.waived] == [
-        ("fsm01.py", 35, "FSM01"),  # forbidden OPEN -> LOCKED
-        ("fsm01.py", 38, "FSM01"),  # UNRESOLVED assignment
-        ("fsm01_foreign.py", 7, "FSM01"),  # foreign-layer write
+    rule = Fsm01SingleWriter(machines=DOOR_MACHINE)
+    report = run_analysis(
+        [FIXTURES / "fsm01.py", FIXTURES / "fsm01_foreign.py"], rules=[rule]
+    )
+    assert not report.parse_errors
+    # __init__'s initial state, _set_state's store and the setter's
+    # callers (open, lock) stay clean.
+    assert [(Path(f.path).name, f.line) for f in report.findings if not f.waived] == [
+        ("fsm01.py", 39),  # direct write of a member, bypassing _set_state
+        ("fsm01.py", 42),  # direct write of an arbitrary value
+        ("fsm01.py", 45),  # write inside a tuple target
+        ("fsm01_foreign.py", 7),  # foreign-layer write
     ]
     assert [(Path(f.path).name, f.line) for f in report.findings if f.waived] == [
-        ("fsm01.py", 42)
+        ("fsm01.py", 48)
     ]
-    forbidden = next(f for f in report.findings if f.line == 35)
-    assert "{OPEN} -> LOCKED" in forbidden.message
+    foreign = next(f for f in report.findings if f.path.endswith("fsm01_foreign.py"))
+    assert "DoorState.BROKEN" in foreign.message
 
 
-def test_fsm01_unimplemented_spec_transition_is_reported():
-    # Without the foreign file nothing changes for coverage, but dropping
-    # the owner's lock() would orphan CLOSED -> LOCKED.  Simulate by
-    # pointing the spec at a copy with lock()/unlock() removed.
-    source = (FIXTURES / "fsm01.py").read_text()
-    pruned = source.replace(
-        """    def lock(self):
-        if self.state is DoorState.CLOSED:
-            self.state = DoorState.LOCKED
-
-    def unlock(self):
-        if self.state is DoorState.LOCKED:
-            self.state = DoorState.CLOSED
-
-""",
-        "",
-    )
-    assert pruned != source
-    target = FIXTURES / "fsm01.py"
-    import tempfile, shutil  # noqa: E401
-
-    with tempfile.TemporaryDirectory() as tmp:
-        fixdir = Path(tmp) / "fixtures" / "analyze"
-        fixdir.mkdir(parents=True)
-        (fixdir / "fsm01.py").write_text(pruned)
-        shutil.copytree(FIXTURES / "specs", fixdir / "specs")
-        rule = Fsm01StateMachineConformance(spec_dir=fixdir / "specs")
-        report = run_analysis([fixdir / "fsm01.py"], rules=[rule])
-    messages = [f.message for f in report.unwaived]
-    assert any(
-        "CLOSED -> LOCKED" in m and "no implementing assignment" in m for m in messages
-    ), messages
-    assert target.read_text() == source  # the real fixture was untouched
-
-
-def test_fsm_relation_extraction_fixture():
-    relation = extract_relation([FIXTURES / "fsm01.py"], spec_dir=FIXTURES / "specs")
-    door = relation["door"]
-    assert [(r["function"], r["from"], r["to"]) for r in door] == [
-        ("Door.__init__", ["__INIT__"], "CLOSED"),
-        ("Door.open", ["CLOSED"], "OPEN"),
-        ("Door.shut", ["OPEN"], "CLOSED"),
-        ("Door.lock", ["CLOSED"], "LOCKED"),
-        ("Door.unlock", ["LOCKED"], "CLOSED"),
-        ("Door.bad_lock", ["OPEN"], "LOCKED"),
-        ("Door.smash", ["BROKEN", "CLOSED", "LOCKED", "OPEN"], "UNRESOLVED"),
-        ("Door.pried_open", ["BROKEN"], "OPEN"),
-    ]
-
-
-def test_fsm_relation_covers_every_in_tree_state_assignment():
-    """The extracted relation must resolve every state-enum assignment in
-    the protocol sources — no UNRESOLVED rows in the shipped code."""
-    relation = extract_relation([REPO_ROOT / "src" / "repro"])
-    assert set(relation) == {"mptcp", "tcp"}
-    for records in relation.values():
-        assert records, "machine extracted no transitions"
-        for record in records:
-            assert record["to"] != "UNRESOLVED", record
-            assert record["from"], record
-    tcp_functions = {r["function"] for r in relation["tcp"]}
-    assert {"TCPSocket.__init__", "TCPSocket.connect", "TCPSocket._establish"} <= tcp_functions
-    mptcp_functions = {r["function"] for r in relation["mptcp"]}
-    assert "MPTCPConnection.enter_fallback" in mptcp_functions
+def test_fsm01_real_machines_name_their_owners():
+    """The two shipped machines: each owner file has a ``_set_state``
+    that checks the module's ``TRANSITIONS`` table."""
+    owners = {owner for owner, _, _ in Fsm01SingleWriter().machines}
+    assert owners == {"repro/tcp/socket.py", "repro/mptcp/connection.py"}
+    for owner in owners:
+        source = (REPO_ROOT / "src" / owner).read_text()
+        assert "def _set_state(" in source and "not in TRANSITIONS" in source, owner
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +471,8 @@ def test_wvr01_ignores_waivers_for_inactive_rules():
     assert locations(report, waived=False) == [(9, "WVR01")]
 
 
-def test_wvr01_repo_has_no_stale_waivers():
-    report = run_analysis([REPO_ROOT / "src"])
+def test_wvr01_repo_has_no_stale_waivers(src_report):
+    report = src_report
     stale = [f for f in report.findings if f.rule == "WVR01" and not f.waived]
     assert stale == [], "\n".join(f.format() for f in stale)
 
@@ -605,30 +594,11 @@ def test_changed_only_scans_only_dirty_files(tmp_path, monkeypatch):
     assert changed.unwaived == []
 
 
-def test_cli_fsm_relation_artifact(tmp_path, capsys):
-    out = tmp_path / "relation.json"
-    code = analyze_main(
-        [
-            "--rule",
-            "FSM01",
-            "--fsm-relation",
-            str(out),
-            str(REPO_ROOT / "src" / "repro" / "mptcp"),
-            str(REPO_ROOT / "src" / "repro" / "tcp"),
-        ]
-    )
-    assert code == 0
-    capsys.readouterr()
-    relation = json.loads(out.read_text())
-    assert {"mptcp", "tcp"} <= set(relation)
-    assert all(r["to"] != "UNRESOLVED" for rs in relation.values() for r in rs)
-
-
 # ---------------------------------------------------------------------------
 # The meta-test: the repo obeys its own linter
 # ---------------------------------------------------------------------------
-def test_repo_tree_is_clean():
-    report = run_analysis([REPO_ROOT / "src"])
+def test_repo_tree_is_clean(src_report):
+    report = src_report
     assert report.parse_errors == []
     assert report.unwaived == [], "\n".join(f.format() for f in report.unwaived)
 

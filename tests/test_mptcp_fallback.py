@@ -1,6 +1,8 @@
 """The fallback ladder (§3.1, §3.3.6): MPTCP must complete the transfer
 wherever plain TCP would."""
 
+import pytest
+
 from repro.middlebox import (
     AckCoercer,
     HoleBlocker,
@@ -270,3 +272,61 @@ class TestForwardStripOnTheOnlySubflow:
         continuation at the reservation's end skipped those bytes, and
         the receiver got [30118, 31566) wrong."""
         self._run(131_072)
+
+
+class TestOptionlessAcksOnTheDataReceiver:
+    """Fuzzer seeds 787 and 3425: a forward-only stripper eats the
+    client's options mid-connection, so the *server* (the data receiver)
+    sees option-less ACKs.  The ACK rule meant for the data sender made
+    it fall back while its data-level reassembly still held bytes behind
+    a hole, and the raw continuation landed at the wrong data offset.
+    The receiver now waits for an in-sync receive side, and these
+    transfers stall instead (completing them is still open).  What the
+    application read must be a prefix of what was sent — compared byte
+    for byte here, because with a ``Corrupter`` on the path (3425) the
+    oracle tolerated the damage as one middlebox modification."""
+
+    @pytest.mark.parametrize(
+        "seed, path, elements, payload_size, checksum",
+        [
+            (
+                787,
+                dict(rate_bps=4e6, delay=0.0055, queue_bytes=20_000, loss=0.0),
+                [
+                    "OptionStripper(syn_only=False, skip_syn=True, direction=FORWARD,"
+                    " active_after=0.44)",
+                ],
+                131_072,
+                False,
+            ),
+            (
+                3425,
+                dict(rate_bps=1e6, delay=0.0298, queue_bytes=80_000, loss=0.02),
+                [
+                    "OptionStripper(syn_only=False, skip_syn=True, direction=FORWARD,"
+                    " active_after=0.45)",
+                    "Corrupter(seed=13383, probability=0.003, active_after=1.13)",
+                ],
+                65_536,
+                True,
+            ),
+        ],
+    )
+    def test_delivered_bytes_are_a_prefix_of_the_payload(
+        self, seed, path, elements, payload_size, checksum
+    ):
+        from repro.check.fuzzer import ScenarioSpec, _payload, run_scenario
+
+        spec = ScenarioSpec(
+            seed=seed,
+            protocol="mptcp",
+            paths=[path],
+            elements=[elements],
+            payload_size=payload_size,
+            duration=10.0,
+            checksum=checksum,
+        )
+        outcome = run_scenario(spec)
+        assert outcome.failure is None, outcome.describe()
+        sent = _payload(payload_size, seed)
+        assert outcome.received == sent[: len(outcome.received)]
