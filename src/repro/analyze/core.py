@@ -86,6 +86,9 @@ class Report:
     files_scanned: int
     rules: list[str]
     elapsed_seconds: float = 0.0
+    # Wall time spent inside each rule's check and post-pass.  The
+    # shared parse and call-graph build are in elapsed_seconds only.
+    rule_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
     def unwaived(self) -> list[Finding]:
@@ -118,6 +121,7 @@ class Report:
             "clean": self.clean,
             "files_scanned": self.files_scanned,
             "elapsed_seconds": round(self.elapsed_seconds, 3),
+            "rule_seconds": {code: round(t, 4) for code, t in self.rule_seconds.items()},
             "rules": self.rules,
             "parse_errors": list(self.parse_errors),
             "budget": self.budget(),
@@ -306,8 +310,8 @@ def run_analysis(
     from repro.analyze.rules import select_rules
 
     # Wall-clock, not simulated: this measures the linter itself, and the
-    # duration lands in the JSON report for CI trend-watching.
-    started = time.perf_counter()  # analyze: ok(DET02)
+    # durations land in the JSON report for CI trend-watching.
+    started = time.perf_counter()
 
     active = list(rules) if rules is not None else select_rules(rule_codes)
 
@@ -327,17 +331,20 @@ def run_analysis(
     active_codes = {rule.code for rule in active}
     findings: list[Finding] = []
     by_ctx: dict[str, list[Finding]] = {}
+    rule_seconds = {rule.code: 0.0 for rule in active}
     for ctx in contexts:
         ctx_findings = by_ctx.setdefault(ctx.posix, [])
         for rule in active:
             if rule.allows(ctx):
                 continue
+            begin = time.perf_counter()
             for finding in rule.check(ctx, project):
                 finding = replace(
                     finding, waived=ctx.is_waived(finding.rule, finding.line)
                 )
                 findings.append(finding)
                 ctx_findings.append(finding)
+            rule_seconds[rule.code] += time.perf_counter() - begin
     # Post-pass (stale-waiver detection needs the full finding set).
     for ctx in contexts:
         for rule in active:
@@ -346,15 +353,18 @@ def run_analysis(
                 continue
             if partial_scan and getattr(rule, "full_scan_only", False):
                 continue
+            begin = time.perf_counter()
             for finding in post(ctx, by_ctx.get(ctx.posix, []), active_codes):
                 findings.append(
                     replace(finding, waived=ctx.is_waived(finding.rule, finding.line))
                 )
+            rule_seconds[rule.code] += time.perf_counter() - begin
     findings.sort()
     return Report(
         findings=findings,
         parse_errors=parse_errors,
         files_scanned=len(contexts),
         rules=[rule.code for rule in active],
-        elapsed_seconds=time.perf_counter() - started,  # analyze: ok(DET02)
+        elapsed_seconds=time.perf_counter() - started,
+        rule_seconds=rule_seconds,
     )

@@ -28,10 +28,10 @@ the contract statically, before a run exists:
   through the sanctioned codec (``Segment.to_wire`` /
   ``segment_from_wire``): appending a segment-ish object to a
   capture/outbox/inbox container, or passing one to a channel
-  ``send``/``put``, ships live object graphs (pool references,
-  callbacks) across the process boundary where they detach from the
-  parent's pools.  Complements SHD01's escape-analysis check with a
-  name-based one that also covers non-pooled segment bindings.
+  ``send``/``put``, ships live object graphs (callbacks, socket
+  references) across the process boundary where they detach from the
+  parent's state.  The check is name-based: any segment-named value
+  stored or sent there from the boundary closure is a finding.
 * **Cross-window mutable state.**  A ``shard_safe = True`` path element
   whose ``__init__`` installs a mutable container (list/dict/set/deque)
   is carrying state across barrier windows; under the merged driver the

@@ -1,8 +1,8 @@
 """HOT01 — ratcheted allocation lint for the ``Simulator.run`` closure.
 
-PR 6's flyweight work (timer wheel, segment pool, preparsed
-options) bought a 2.06x hot-loop win by eliminating per-event object
-churn; nothing stops a later patch from quietly reintroducing it.  This
+The flyweight work (timer wheel, preparsed options) bought a 2.06x
+hot-loop win by eliminating per-event object churn; nothing stops a
+later patch from quietly reintroducing it.  This
 pass computes the call-graph closure of the simulator's inner loop and
 counts *allocation sites* per function inside it:
 

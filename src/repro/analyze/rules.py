@@ -1,14 +1,15 @@
 """The rule set: DET01/DET02/DET03 (determinism), SEQ01 (wrap safety),
 EXC01 (silent failure), MUT01 (worker-process state), DOM01 (SSN/DSN
 sequence-domain dataflow), FSM01 (one writer per state machine),
-POOL01 (pooled-shell escape), SHD01 (shard purity), HOT01 (hot-path
-allocation budget), CPX01 (growth-class complexity budget), FED01
-(federation lookahead safety), WVR01 (stale waivers).
+SHD01 (shard purity), HOT01 (hot-path allocation budget), CPX01
+(growth-class complexity budget), FED01 (federation lookahead safety),
+WVR01 (stale waivers).
 
 Each rule is a small class with a ``code``, a human ``title``, a
 ``rationale`` shown by ``--list-rules``, an ``allow`` tuple of path
 suffixes that are exempt by design (the module whose *job* is to own
-the exception), and a ``check`` generator yielding
+the exception; an entry ending in ``/`` exempts a whole package), and
+a ``check`` generator yielding
 :class:`~repro.analyze.core.Finding` objects.  Waivers are applied by
 the engine, not here.
 """
@@ -32,7 +33,12 @@ class Rule:
     needs_project: bool = False
 
     def allows(self, ctx: FileContext) -> bool:
-        return any(ctx.posix.endswith(suffix) for suffix in self.allow)
+        # An entry ending in "/" exempts a whole package directory.
+        path = ctx.posix
+        return any(
+            f"/{entry}" in path if entry.endswith("/") else path.endswith(entry)
+            for entry in self.allow
+        )
 
     def check(self, ctx: FileContext, project) -> Iterator[Finding]:
         raise NotImplementedError
@@ -130,9 +136,10 @@ class Det02WallClock(Rule):
         "datetime.now() readings differ between runs and hosts, so any that "
         "leak into results break replay.  Wall-clock *display* lives in "
         "experiments/run_all.py; the CPU cost model in stats/cpu.py is "
-        "simulated time by construction."
+        "simulated time by construction; analyze/ is the linter, not "
+        "simulation code, and times its own rules."
     )
-    allow = ("repro/experiments/run_all.py", "repro/stats/cpu.py")
+    allow = ("repro/experiments/run_all.py", "repro/stats/cpu.py", "repro/analyze/")
 
     TIME_ATTRS = frozenset(
         {
@@ -661,33 +668,6 @@ class Fsm01SingleWriter(Rule):
 
 
 # ---------------------------------------------------------------------------
-# POOL01 — pooled-Segment escape/lifetime analysis
-# ---------------------------------------------------------------------------
-class Pool01PooledEscape(Rule):
-    code = "POOL01"
-    title = "pooled Segment shells must not escape the recycle point"
-    rationale = (
-        "Segment.acquire() reuses released shells and Host.deliver recycles "
-        "delivered pure ACKs (network.recycle_segments); a retained "
-        "reference — attribute store, container store, closure capture — "
-        "can observe the shell rewritten under it by the next acquire.  "
-        "Retention must go through segment.copy()/to_wire(); release() and "
-        "the _pool free list belong to the owners (packet.py, the automated "
-        "delivery site in node.py, link.py's in-flight TX queue)."
-    )
-    allow = (
-        "repro/net/packet.py",
-        "repro/net/link.py",
-    )
-    needs_project = True
-
-    def check(self, ctx: FileContext, project) -> Iterator[Finding]:
-        from repro.analyze import escape
-
-        yield from escape.check_file(self, ctx, project)
-
-
-# ---------------------------------------------------------------------------
 # SHD01 — shard-purity of shard_safe path elements
 # ---------------------------------------------------------------------------
 class Shd01ShardPurity(Rule):
@@ -697,17 +677,15 @@ class Shd01ShardPurity(Rule):
         "network.py keeps elements on a cut link only when they declare "
         "shard_safe = True; the declaration promises a pure synchronous "
         "transform (path.py).  Instance/class writes outside __init__ "
-        "(except declared shard_stats counters), non-constant shard_safe "
-        "assignments, and raw Segment objects crossing the Federation "
-        "process boundary all break sharded runs in ways the merged "
-        "conformance driver cannot always catch."
+        "(except declared shard_stats counters) and non-constant "
+        "shard_safe assignments both break sharded runs in ways the "
+        "merged conformance driver cannot always catch."
     )
-    needs_project = True
 
     def check(self, ctx: FileContext, project) -> Iterator[Finding]:
         from repro.analyze import shardsafety
 
-        yield from shardsafety.check_file(self, ctx, project)
+        yield from shardsafety.check_file(self, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -872,7 +850,6 @@ ALL_RULES: tuple[Rule, ...] = (
     Mut01WorkerModuleState(),
     Dom01SequenceDomains(),
     Fsm01SingleWriter(),
-    Pool01PooledEscape(),
     Shd01ShardPurity(),
     Hot01HotPathAllocations(),
     Cpx01GrowthComplexity(),

@@ -1,5 +1,4 @@
-"""SHD01 — shard-purity checking for ``shard_safe`` path elements and
-the federation process boundary.
+"""SHD01 — shard-purity checking for ``shard_safe`` path elements.
 
 The shard cut logic (net/network.py) keeps a path element on a cut link
 only when the element declares ``shard_safe = True``; everything else is
@@ -9,7 +8,7 @@ transform — the merged cut driver interleaves shard sub-simulators
 through it, and the planned process-per-shard cut support will clone it
 into workers, so hidden instance state silently diverges (the ns-3
 MPTCP-model papers show exactly this failure mode corrupting multipath
-results).  Three checks enforce the promise:
+results).  Two checks enforce the promise:
 
 * **Purity.**  A class declaring ``shard_safe = True`` at class level
   must not write instance or class attributes outside ``__init__``:
@@ -23,11 +22,6 @@ results).  Three checks enforce the promise:
   static check *and* the cut-time consultation — the declaration must
   be a class-level constant; runtime refinement goes through the
   ``PathElement.shard_safe_now()`` hook, which the cut logic calls.
-* **Process boundary.**  In functions reachable from the ``Federation``
-  worker entrypoints (the PR-4 worker-reachability closure), passing a
-  pooled ``Segment`` object to a pipe/queue ``send``/``put`` call ships
-  parent-process object state into a forked shard; only wire bytes
-  (``segment.to_wire()`` through the shard codec) may cross.
 """
 
 from __future__ import annotations
@@ -57,10 +51,11 @@ MUTATORS = frozenset(
     }
 )
 
+# Process-boundary vocabulary for FED01's wire-codec check.  It only
+# fires on receivers that are plausibly IPC channels; a federation
+# worker runs a whole simulator, so every Host.send/Link.send in the
+# stack is worker-reachable but in-process.
 BOUNDARY_SENDERS = frozenset({"send", "put", "put_nowait", "send_bytes"})
-# The boundary check only fires on receivers that are plausibly IPC
-# channels; a federation worker runs a whole simulator, so every
-# Host.send/Link.send in the stack is worker-reachable but in-process.
 BOUNDARY_CHANNEL_TOKENS = ("conn", "pipe", "queue", "chan")
 
 
@@ -114,12 +109,11 @@ def _methods(cls: ast.ClassDef) -> Iterator[ast.FunctionDef]:
             yield node
 
 
-def check_file(rule, ctx: FileContext, project) -> Iterator[Finding]:
+def check_file(rule, ctx: FileContext) -> Iterator[Finding]:
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.ClassDef):
             yield from _check_class(rule, ctx, node)
     yield from _check_dynamic_declarations(rule, ctx)
-    yield from _check_process_boundary(rule, ctx, project)
 
 
 def _check_class(rule, ctx: FileContext, cls: ast.ClassDef) -> Iterator[Finding]:
@@ -225,39 +219,3 @@ def _is_channel(expr: ast.expr) -> bool:
         return False
     lowered = name.lower()
     return any(token in lowered for token in BOUNDARY_CHANNEL_TOKENS)
-
-
-def _check_process_boundary(rule, ctx: FileContext, project) -> Iterator[Finding]:
-    if project is None:
-        return
-    from repro.analyze import escape
-
-    facts = escape.summary(project)
-    if facts is None:
-        return
-    for fn in ast.walk(ctx.tree):
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if not project.is_worker_reachable(fn):
-            continue
-        fid = project.fid_of(fn)
-        pooled = facts.pooled_names.get(fid, set())
-        if not pooled:
-            continue
-        for node in ast.walk(fn):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in BOUNDARY_SENDERS
-                and _is_channel(node.func.value)
-            ):
-                for arg in node.args:
-                    if facts.expr_taints(ctx.posix, arg, pooled) is not None:
-                        yield rule.finding(
-                            ctx,
-                            node,
-                            "raw Segment object crossing the shard process "
-                            "boundary — forked workers must exchange wire "
-                            "bytes (segment.to_wire() / segment_from_wire)",
-                        )
-                        break

@@ -129,10 +129,9 @@ class SegmentCoalescer(PathElement):
             self._flush_flow(key)
         timer = Timer(self.sim, partial(self._flush_flow, key))
         timer.start(self.hold_time)
-        # The hold happens *before* delivery: the segment has not
-        # reached Host.deliver yet, so the recycle refcount baseline is
-        # taken after the coalescer releases it via _flush_flow.
-        self._held[key] = (segment, direction, timer)  # analyze: ok(POOL01): pre-delivery hold, flushed before the recycle point
+        # Held until the timer or the next non-mergeable segment of the
+        # flow hands it on via _flush_flow.
+        self._held[key] = (segment, direction, timer)
         return []
 
     def _flush_flow(self, key) -> None:

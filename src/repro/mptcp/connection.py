@@ -934,8 +934,10 @@ class MPTCPConnection:
         if isinstance(subflow.cc, LIAController):
             subflow.cc.retire()
         self.scheduler.on_subflow_failed(subflow)
-        if not any(s.alive for s in self.subflows) and self.established and not self.closed:
-            if self.data_una < self.send_stream.tail or not self._rx_eof:
+        if not any(s.alive for s in self.subflows) and not self.closed:
+            # A never-established connection has nothing left to retry
+            # with; an established one dies only with data outstanding.
+            if not self.established or self.data_una < self.send_stream.tail or not self._rx_eof:
                 self._teardown(error=f"all subflows failed ({reason})")
                 return
         self._ensure_data_rtx_timer()

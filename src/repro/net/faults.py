@@ -140,10 +140,10 @@ class _Held:
     __slots__ = ("segment", "remaining", "released")
 
     def __init__(self, segment: Segment, remaining: int):
-        # Pre-delivery hold: the reorderer parks the segment before it
-        # reaches Host.deliver, and the `released` backstop stops the
-        # hold from touching the shell after it is handed on.
-        self.segment = segment  # analyze: ok(POOL01): pre-delivery hold, released before the recycle point
+        # `released` is set by whichever of the count release and the
+        # time backstop fires first, so the other never delivers the
+        # same segment a second time.
+        self.segment = segment
         self.remaining = remaining
         self.released = False
 

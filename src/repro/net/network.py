@@ -64,12 +64,6 @@ class Network:
         self.hosts: dict[str, Host] = {}
         self.paths: list[Path] = []
         self._next_shard = 0
-        # Opt-in flyweight mode: hosts return delivered pure-ACK shells
-        # to the Segment pool (see Host.deliver).  Experiment harnesses
-        # enable it; it stays off by default so tests that attach
-        # on_send/on_receive hooks and retain segment objects are never
-        # surprised by a recycled shell.
-        self.recycle_segments = False
 
     # ------------------------------------------------------------------
     def add_host(self, name: str, *addresses: str, shard: Optional[int] = None) -> Host:
@@ -89,7 +83,6 @@ class Network:
             sim = self.sim
         host = Host(sim, name, rng=self.rng.fork(f"host:{name}"))
         host.shard = shard
-        host.network = self
         for address in addresses:
             host.add_interface(address)
         self.hosts[name] = host

@@ -10,22 +10,13 @@ exact four-tuple first, then listening sockets, then a RST.
 
 from __future__ import annotations
 
-import sys
-from typing import TYPE_CHECKING, Any, Callable, Optional, Protocol
+from typing import Callable, Optional, Protocol
 
 from repro.net.packet import ACK, RST, Endpoint, Segment
 from repro.net.path import FORWARD, Path
 from repro.sim import Simulator
 from repro.sim.rng import SeededRNG
 from repro.tcp.seq import seq_add
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.network import Network
-
-# CPython-only; used to prove a delivered pure ACK gained no references
-# while the socket processed it (see Host.deliver).  Absent getrefcount,
-# segments are simply never recycled.
-_getrefcount: Optional[Callable[[Any], int]] = getattr(sys, "getrefcount", None)
 
 
 class SegmentSink(Protocol):
@@ -66,7 +57,6 @@ class Host:
         self.name = name
         self.rng = rng or SeededRNG(0, name)
         self.interfaces: list[Interface] = []
-        self.network: Optional["Network"] = None
         # Which shard this host (and therefore its sockets and local
         # links) lives on; always 0 in a serial network.  Assigned by
         # Network.add_host and read by Network.connect to decide whether
@@ -177,9 +167,8 @@ class Host:
     def deliver(self, segment: Segment) -> None:
         """Called by the attached path when a segment arrives."""
         self.segments_received += 1
-        hooks = self.on_receive
-        if hooks:
-            for hook in hooks:
+        if self.on_receive:
+            for hook in self.on_receive:
                 hook(segment)
         dst = segment.dst
         src = segment.src
@@ -188,32 +177,6 @@ class Host:
             sink = self._listeners.get(dst.port)
         if sink is None:
             self._reset_unknown(segment)
-            return
-        # Segment recycling (opt-in per network): a delivered *pure ACK*
-        # (no payload, no SYN/FIN/RST) is never queued for retransmission
-        # and nothing in the stack stores the object itself, so once the
-        # socket has processed it the shell can return to the pool.  The
-        # refcount equality proves the socket (or anything it called)
-        # kept no new reference.  Pre-existing referers are outside that
-        # proof: a trace stores copies, and a middlebox hold (Reorderer
-        # parks pure ACKs too) keeps the refcount baseline elevated so
-        # the equality check simply declines to recycle.  A post_event
-        # hook (the invariant oracle) is handed the callable that ran,
-        # never its arguments, so it can never observe the shell;
-        # recycling stays live under it.
-        network = self.network
-        if (
-            not hooks
-            and segment.payload_len == 0
-            and segment.flags == ACK
-            and network is not None
-            and network.recycle_segments
-            and _getrefcount is not None
-        ):
-            before = _getrefcount(segment)
-            sink.segment_arrives(segment)
-            if _getrefcount(segment) == before:
-                segment.release()
             return
         sink.segment_arrives(segment)
 

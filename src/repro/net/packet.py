@@ -115,66 +115,6 @@ class Segment:
         self._size_cache: Optional[tuple[int, int]] = None
         self.created_at = created_at
 
-    # ------------------------------------------------------------------
-    # Flyweight pool.  acquire() reuses a released shell instead of
-    # allocating; release() is *owner-asserted*: only call it when no
-    # other reference to the segment can exist (the refcount equality
-    # check in Host.deliver is the one automated release site).  A
-    # released segment drops its payload/options references immediately,
-    # so the pool never pins buffers.
-    # ------------------------------------------------------------------
-    _pool: list["Segment"] = []
-    _POOL_MAX = 512
-
-    @classmethod
-    def acquire(
-        cls,
-        src: Endpoint,
-        dst: Endpoint,
-        seq: int = 0,
-        ack: int = 0,
-        flags: int = 0,
-        window: int = 0,
-        options: Optional[list["TCPOption"]] = None,
-        payload: "Buffer" = b"",
-        created_at: float = 0.0,
-        payload_len: Optional[int] = None,
-    ) -> "Segment":
-        """Pooled constructor: recycle a released Segment shell if one is
-        available.  The zero-payload default (``b""``, the interned empty
-        bytes object) makes the pure-ACK path allocation-free."""
-        pool = cls._pool
-        if not pool:
-            return cls(
-                src, dst, seq, ack, flags, window, options, payload, created_at,
-                payload_len,
-            )
-        segment = pool.pop()
-        segment.src = src
-        segment.dst = dst
-        segment.seq = seq % SEQ_MOD
-        segment.ack = ack % SEQ_MOD
-        segment.flags = flags
-        segment.window = window
-        segment._options = options if options is not None else []
-        segment._options_len_cache = None
-        segment._payload = payload
-        segment.payload_len = len(payload) if payload_len is None else payload_len
-        segment._size_cache = None
-        segment.created_at = created_at
-        return segment
-
-    def release(self) -> None:
-        """Return this segment's shell to the pool (owner-asserted)."""
-        self._options = []
-        self._options_len_cache = None
-        self._payload = b""
-        self.payload_len = 0
-        self._size_cache = None
-        pool = Segment._pool
-        if len(pool) < Segment._POOL_MAX:
-            pool.append(self)
-
     @property
     def options(self) -> list["TCPOption"]:
         return self._options

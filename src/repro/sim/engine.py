@@ -29,9 +29,8 @@ Design notes
   ``(time, seq)`` and fires one of two arms: timer or tuple.
 * ``post_event`` is a hook called after every executed event (the
   invariant oracle).  It is handed the callable that just ran -- never
-  its arguments -- so it can tell *whose* event it was, yet nothing it
-  sees can alias an object a pool has taken back: flyweight recycling
-  (``Segment`` shells in ``Host.deliver``) stays live under the hook.
+  its arguments -- so it can tell *whose* event it was without ever
+  holding the segments an event carries.
 """
 
 from __future__ import annotations

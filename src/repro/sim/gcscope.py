@@ -23,9 +23,10 @@ import gc
 
 class paused:
     """Cyclic collector off for the block; on exit back on, then one
-    full sweep.  The event and segment pools keep the run loop nearly
-    allocation-free, so young-generation sweeps only add pauses while
-    refcounting still frees the acyclic tuples and views immediately.
+    full sweep.  The run loop allocates segments, event tuples and
+    payload views at a high rate but links none of them into cycles, so
+    young-generation sweeps only add pauses while refcounting frees
+    them immediately.
     A scope that finds the collector already off (an outer ``paused()``,
     or a caller's own ``gc.disable()``) does nothing."""
 

@@ -1224,9 +1224,7 @@ class TCPSocket:
             self._last_advertised_window = actual
         ack_field = self._wire_rcv_seq(self.rcv_nxt) if flags & ACK else 0
         self.stats.segments_sent += 1
-        # Pooled constructor: pure-ACK shells recycled by the receiving
-        # host come back through here without allocating.
-        return Segment.acquire(
+        return Segment(
             src=self.local,
             dst=self.remote,
             seq=self._wire_seq(seq_unit),

@@ -32,8 +32,17 @@ def _gc_batch():
 # REPRO_ORACLE=1 runs the whole suite under the invariant oracle: every
 # Network built by any test gets a per-event protocol checker attached,
 # and any violation surfaces as an InvariantViolation in that test.
+# Only "", "0" and "1" are accepted; anything else stops the session.
 # ---------------------------------------------------------------------------
-ORACLE_ENABLED = os.environ.get("REPRO_ORACLE", "") not in ("", "0")
+ORACLE_SETTING = os.environ.get("REPRO_ORACLE", "")
+ORACLE_ENABLED = ORACLE_SETTING == "1"
+
+
+def pytest_configure(config):
+    if ORACLE_SETTING not in ("", "0", "1"):
+        raise pytest.UsageError(
+            f"REPRO_ORACLE must be '', '0' or '1', got {ORACLE_SETTING!r}"
+        )
 
 
 @pytest.fixture(autouse=True)

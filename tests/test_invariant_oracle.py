@@ -4,7 +4,10 @@ with hostile middleboxes and asserting the violation fires with a
 non-empty packet-trace tail, and (c) cost nothing when detached."""
 
 import dataclasses
+import os
 import pickle
+import subprocess
+import sys
 import types
 
 import pytest
@@ -266,17 +269,12 @@ def tcp_transfer_with_capture(net, client, server, payload, capture):
     return received
 
 
-class TestRecycledShellHazard:
-    def test_recycling_stays_live_under_the_oracle(self):
-        """PR 9 found Host.deliver recycling a pure-ACK shell that the
-        post_event hook could still reach through the executed event it
-        was handed; the fix made recycling stand down under a hook, so
-        the oracle checked a configuration no benchmark runs.  The hook
-        is handed the callable that ran and nothing else -- never the
-        event's arguments, so nothing it is given can alias a pooled
-        shell -- and the pooled configuration is the checked one."""
+class TestPostEventContract:
+    def test_hook_is_handed_only_the_callable(self):
+        """The post_event hook is handed the callable that ran and
+        nothing else -- never the event's arguments -- so the oracle
+        cannot retain or alias the segments an event carries."""
         net, client, server = make_tcp_pair(seed=33)
-        net.recycle_segments = True
         oracle = ensure_oracle(net)
         attached = net.sim.post_event
         calls = []
@@ -286,7 +284,6 @@ class TestRecycledShellHazard:
             attached(*args, **kwargs)
 
         net.sim.post_event = hook
-        Segment._pool.clear()
         payload = random_payload(40_000, seed=33)
         result = tcp_transfer(net, client, server, payload, duration=60)
         assert bytes(result.received) == payload
@@ -298,7 +295,6 @@ class TestRecycledShellHazard:
             assert not isinstance(fn, Segment)
             assert not isinstance(getattr(fn, "__self__", None), Segment)
         assert oracle.stream_pairs >= 1
-        assert Segment._pool  # pure ACKs were recycled with the oracle attached
 
 
 class TestLifecycle:
@@ -362,6 +358,19 @@ class TestLifecycle:
             pytest.skip("suite-wide oracle attaches on every Network")
         net = Network(seed=2)
         assert net.sim.post_event is None
+
+    def test_garbage_repro_oracle_is_a_usage_error(self):
+        # "false" used to switch the oracle *on*: only ""/"0"/"1" parse.
+        tests_dir = os.path.dirname(os.path.abspath(__file__))
+        env = dict(os.environ, REPRO_ORACLE="false")
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+             os.path.join(tests_dir, "test_seq.py")],
+            cwd=os.path.dirname(tests_dir), env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == pytest.ExitCode.USAGE_ERROR
+        assert "REPRO_ORACLE must be '', '0' or '1', got 'false'" in done.stderr
 
 
 def _raise_violation(label: str) -> None:

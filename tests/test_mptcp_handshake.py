@@ -7,6 +7,7 @@ from repro.mptcp.api import connect, listen
 from repro.mptcp.connection import MPTCPConfig
 from repro.mptcp.keys import TokenTable, generate_key, idsn_from_key, join_hmac, token_from_key
 from repro.mptcp.options import MPCapable, MPJoin
+from repro.mptcp.state import MPTCPConnState
 from repro.net.packet import Endpoint
 from repro.sim.rng import SeededRNG
 
@@ -125,6 +126,37 @@ class TestEstablishment:
         conn = connect(client, Endpoint("10.9.0.1", 80))
         net.run(until=2.0)
         assert len(accepted) == 1
+
+
+class TestNeverEstablished:
+    """A connection whose only subflow dies before the handshake
+    completes is torn down like a plain TCP socket in the same spot:
+    one connection-level error, a closed state, no leaked token."""
+
+    def _attempt(self, blackhole: bool, port: int = 80):
+        net, client, server = make_tcp_pair(seed=5)
+        if blackhole:
+            net.paths[0].link_fwd.deliver = lambda segment: None
+        conn = connect(client, Endpoint(server.primary_address, port))
+        errors, closes = [], []
+        conn.on_error = lambda c, error: errors.append(error)
+        conn.on_close = closes.append
+        net.run(until=600)
+        return conn, errors, closes
+
+    def test_syn_retries_exhausted(self):
+        conn, errors, closes = self._attempt(blackhole=True)
+        assert conn.conn_state is MPTCPConnState.M_FALLBACK_CLOSED  # ladder dropped MP_CAPABLE
+        assert errors == ["all subflows failed (retransmission limit)"]
+        assert closes == [conn]
+        assert conn.manager.tokens._count == 0
+
+    def test_connection_refused(self):
+        conn, errors, closes = self._attempt(blackhole=False, port=81)
+        assert conn.conn_state is MPTCPConnState.M_CLOSED
+        assert errors == ["all subflows failed (connection refused)"]
+        assert closes == [conn]
+        assert conn.manager.tokens._count == 0
 
 
 class TestJoinSecurity:

@@ -62,14 +62,16 @@ class TestPacketTrace:
 
 
 def tap_numbered(trace, path, count, flags=ACK):
-    """Tap ``count`` pooled segments with seq 0..count-1, releasing each."""
+    """Tap ``count`` segments with seq 0..count-1, rewriting each in
+    place after capture (a record must not alias the live segment)."""
     for seq in range(count):
-        segment = Segment.acquire(
+        segment = Segment(
             Endpoint("10.0.0.1", 5000), Endpoint("10.9.0.1", 80),
-            seq=seq, flags=flags, payload=b"abc",
+            seq=seq, flags=flags, options=[SACKPermitted()], payload=b"abc",
         )
         trace._tap(path, segment, FORWARD)
-        segment.release()
+        segment.options.clear()
+        segment.seq = 10_000 + seq
 
 
 class TestTailTrace:
@@ -80,8 +82,7 @@ class TestTailTrace:
         net, client, server = make_tcp_pair()
         path = net.paths[0]
         trace = PacketTrace(tail=4)
-        Segment._pool.clear()  # so release() below surely pools the shell
-        segment = Segment.acquire(
+        segment = Segment(
             Endpoint("10.0.0.1", 5000), Endpoint("10.9.0.1", 80),
             seq=7, ack=9, flags=SYN | ACK, window=1000,
             options=[MSSOption(1400), SACKPermitted()], payload=b"hello",
@@ -92,14 +93,10 @@ class TestTailTrace:
         segment.options.append(WindowScaleOption(7))  # in place, after capture
         segment.options.pop(0)
         assert trace.records[-1].format() == before
-        segment.release()
-        again = Segment.acquire(
-            Endpoint("10.0.0.2", 6000), Endpoint("10.9.0.2", 443),
-            seq=99, ack=1, flags=FIN | ACK, window=5, payload=b"other bytes",
-        )
-        assert again is segment  # the very shell the trace saw, reused
+        segment.seq, segment.ack, segment.flags, segment.window = 99, 1, FIN | ACK, 5
+        segment.payload = b"other bytes"
+        segment.options.clear()
         assert trace.records[-1].format() == before
-        again.release()
 
     def test_ring_keeps_the_last_tail_taps(self):
         net, client, server = make_tcp_pair()
