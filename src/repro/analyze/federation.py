@@ -1,6 +1,6 @@
 """FED01 — static lookahead-safety for the conservative-parallel cuts.
 
-PR 7's process-per-shard federation is conservative-parallel in the
+The process-per-shard federation is conservative-parallel in the
 Chandy–Misra–Bryant sense: a barrier window of width W is only safe to
 execute without inter-shard synchronisation because every cross-shard
 message is guaranteed to arrive at least the cut's propagation delay
@@ -12,15 +12,15 @@ the contract statically, before a run exists:
 * **Cut lookahead.**  An ``add_cut(...)`` call whose delay argument is
   a non-positive constant is a finding: zero lookahead collapses the
   barrier window to nothing and deadlocks (or, worse, silently
-  reorders) the windowed driver.
+  reorders) the federation's window protocol.
 * **Zero-delay delivery paths.**  Within the forward call-graph closure
   of boundary delivery — methods of ``*Boundary*`` classes plus the
-  window entry points (``inject``, ``run_worker_window``,
+  window entry points (``run_worker_window``,
   ``_federation_worker_main``) — a relative ``schedule``/``post`` call
   with a constant non-positive delay, or any ``call_soon``, schedules
   work at the *current* instant from a cut message: events that the
   merged reference execution would interleave with the other shard's
-  same-timestamp events, and that the windowed execution cannot.
+  same-timestamp events, and that the forked window protocol cannot.
   Confined to the sharding layer (``repro/sim/`` minus the core engine,
   whose internal ``call_soon`` plumbing predates and underpins the
   contract).
@@ -32,14 +32,10 @@ the contract statically, before a run exists:
   references) across the process boundary where they detach from the
   parent's state.  The check is name-based: any segment-named value
   stored or sent there from the boundary closure is a finding.
-* **Cross-window mutable state.**  A ``shard_safe = True`` path element
-  whose ``__init__`` installs a mutable container (list/dict/set/deque)
-  is carrying state across barrier windows; under the merged driver the
-  two shards' traffic interleaves through it, under the forked driver
-  each worker gets a divergent copy.  Declared ``shard_stats`` counters
-  are the sanctioned exception (reporting merges them).  Complements
-  SHD01, which flags *writes* outside ``__init__`` but not the
-  container installed inside it.
+
+Middlebox state on a cut path needs no rule: the federation never forks
+a cut that carries elements (``ShardGroup.has_cut_elements``), and the
+merged driver touches element state in global time order.
 """
 
 from __future__ import annotations
@@ -49,18 +45,9 @@ import re
 from typing import Iterator, Optional
 
 from repro.analyze.core import FileContext, Finding
-from repro.analyze.shardsafety import (
-    BOUNDARY_SENDERS,
-    _class_flag,
-    _constant_bool,
-    _is_channel,
-    _shard_stats,
-)
 
 # Window entry points: functions that deliver cut messages into a shard.
-WINDOW_ENTRY_NAMES = frozenset(
-    {"inject", "run_worker_window", "_federation_worker_main"}
-)
+WINDOW_ENTRY_NAMES = frozenset({"run_worker_window", "_federation_worker_main"})
 # Relative scheduling API (delay is args[0]); *_at variants take absolute
 # timestamps a static pass cannot judge.
 RELATIVE_SCHEDULERS = frozenset({"schedule", "post"})
@@ -71,9 +58,12 @@ _APPENDERS = frozenset({"append", "appendleft", "extend"})
 
 SEGMENT_NAME_RE = re.compile(r"(?:^|_)seg(?:ment)?s?(?:$|_)")
 
-MUTABLE_CONTAINER_CALLS = frozenset(
-    {"list", "dict", "set", "deque", "defaultdict", "OrderedDict", "Counter"}
-)
+# Process-boundary vocabulary for the wire-codec check.  It only fires
+# on receivers that are plausibly IPC channels; a federation worker runs
+# a whole simulator, so every Host.send/Link.send in the stack is
+# worker-reachable but in-process.
+BOUNDARY_SENDERS = frozenset({"send", "put", "put_nowait", "send_bytes"})
+BOUNDARY_CHANNEL_TOKENS = ("conn", "pipe", "queue", "chan")
 
 
 def _in_fed_scope(posix: str) -> bool:
@@ -142,7 +132,10 @@ def _unwired_segment(expr: ast.expr) -> Optional[str]:
     return None
 
 
-def _container_name(expr: ast.expr) -> Optional[str]:
+def _token_name(expr: ast.expr, tokens: tuple[str, ...]) -> Optional[str]:
+    """The name of ``expr`` (a Name or Attribute) when it contains one
+    of ``tokens`` — the name-convention match for message containers
+    and IPC channels."""
     name = None
     if isinstance(expr, ast.Name):
         name = expr.id
@@ -151,14 +144,13 @@ def _container_name(expr: ast.expr) -> Optional[str]:
     if name is None:
         return None
     lowered = name.lower()
-    if any(token in lowered for token in MESSAGE_CONTAINER_TOKENS):
+    if any(token in lowered for token in tokens):
         return name
     return None
 
 
 def check_file(rule, ctx: FileContext, project) -> Iterator[Finding]:
     yield from _check_cut_delays(rule, ctx)
-    yield from _check_mutable_shard_state(rule, ctx)
     if project is None:
         return
     closure = _delivery_closure(project)
@@ -233,7 +225,7 @@ def _check_wire_codec(rule, ctx: FileContext, fn: ast.AST) -> Iterator[Finding]:
         attr = node.func.attr
         receiver = node.func.value
         if attr in _APPENDERS:
-            container = _container_name(receiver)
+            container = _token_name(receiver, MESSAGE_CONTAINER_TOKENS)
             if container is None:
                 continue
             for arg in node.args:
@@ -248,7 +240,7 @@ def _check_wire_codec(rule, ctx: FileContext, fn: ast.AST) -> Iterator[Finding]:
                         "/ segment_from_wire), not live objects",
                     )
                     break
-        elif attr in BOUNDARY_SENDERS and _is_channel(receiver):
+        elif attr in BOUNDARY_SENDERS and _token_name(receiver, BOUNDARY_CHANNEL_TOKENS):
             for arg in node.args:
                 offender = _unwired_segment(arg)
                 if offender is not None:
@@ -260,60 +252,3 @@ def _check_wire_codec(rule, ctx: FileContext, fn: ast.AST) -> Iterator[Finding]:
                         "(segment.to_wire() / segment_from_wire)",
                     )
                     break
-
-
-def _check_mutable_shard_state(rule, ctx: FileContext) -> Iterator[Finding]:
-    for cls in ast.walk(ctx.tree):
-        if not isinstance(cls, ast.ClassDef):
-            continue
-        declared = _class_flag(cls, "shard_safe")
-        if declared is None or _constant_bool(declared) is not True:
-            continue
-        stats = _shard_stats(cls)
-        init = next(
-            (
-                node
-                for node in cls.body
-                if isinstance(node, ast.FunctionDef) and node.name == "__init__"
-            ),
-            None,
-        )
-        if init is None:
-            continue
-        for node in ast.walk(init):
-            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
-                continue
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            value = node.value
-            if value is None or not _is_mutable_container(value):
-                continue
-            for target in targets:
-                if not (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
-                    continue
-                if target.attr in stats or target.attr == "shard_stats":
-                    continue
-                yield rule.finding(
-                    ctx,
-                    node,
-                    f"shard_safe class {cls.name} installs mutable container "
-                    f"'self.{target.attr}' in __init__ — state carried "
-                    "across barrier windows diverges between the merged and "
-                    "forked drivers; make the element stateless or declare "
-                    "a merged counter in shard_stats",
-                )
-
-
-def _is_mutable_container(value: ast.expr) -> bool:
-    if isinstance(
-        value, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
-    ):
-        return True
-    return (
-        isinstance(value, ast.Call)
-        and isinstance(value.func, ast.Name)
-        and value.func.id in MUTABLE_CONTAINER_CALLS
-    )

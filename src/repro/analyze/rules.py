@@ -1,9 +1,8 @@
 """The rule set: DET01/DET02/DET03 (determinism), SEQ01 (wrap safety),
 EXC01 (silent failure), MUT01 (worker-process state), DOM01 (SSN/DSN
 sequence-domain dataflow), FSM01 (one writer per state machine),
-SHD01 (shard purity), HOT01 (hot-path allocation budget), CPX01
-(growth-class complexity budget), FED01 (federation lookahead safety),
-WVR01 (stale waivers).
+HOT01 (hot-path allocation budget), CPX01 (growth-class complexity
+budget), FED01 (federation lookahead safety), WVR01 (stale waivers).
 
 Each rule is a small class with a ``code``, a human ``title``, a
 ``rationale`` shown by ``--list-rules``, an ``allow`` tuple of path
@@ -668,27 +667,6 @@ class Fsm01SingleWriter(Rule):
 
 
 # ---------------------------------------------------------------------------
-# SHD01 — shard-purity of shard_safe path elements
-# ---------------------------------------------------------------------------
-class Shd01ShardPurity(Rule):
-    code = "SHD01"
-    title = "shard_safe elements must be stateless and statically declared"
-    rationale = (
-        "network.py keeps elements on a cut link only when they declare "
-        "shard_safe = True; the declaration promises a pure synchronous "
-        "transform (path.py).  Instance/class writes outside __init__ "
-        "(except declared shard_stats counters) and non-constant "
-        "shard_safe assignments both break sharded runs in ways the "
-        "merged conformance driver cannot always catch."
-    )
-
-    def check(self, ctx: FileContext, project) -> Iterator[Finding]:
-        from repro.analyze import shardsafety
-
-        yield from shardsafety.check_file(self, ctx)
-
-
-# ---------------------------------------------------------------------------
 # HOT01 — ratcheted hot-path allocation budget
 # ---------------------------------------------------------------------------
 class Hot01HotPathAllocations(Rule):
@@ -759,12 +737,11 @@ class Fed01LookaheadSafety(Rule):
     rationale = (
         "The sharded federation is conservative-parallel: a barrier window "
         "is only safe because every cross-shard message arrives at least "
-        "one cut delay in the future.  PR 7 enforces that at runtime "
-        "(add_cut raises on delay <= 0); this pass proves it statically — "
+        "one cut delay in the future.  add_cut enforces that at runtime "
+        "(it raises on delay <= 0); this pass proves it statically — "
         "non-positive cut delays, zero-delay scheduling reachable from "
-        "boundary delivery, cross-shard payloads bypassing Segment.to_wire/"
-        "segment_from_wire, and shard_safe elements holding cross-window "
-        "mutable state are all findings."
+        "boundary delivery, and cross-shard payloads bypassing "
+        "Segment.to_wire/segment_from_wire are all findings."
     )
     needs_project = True
 
@@ -850,7 +827,6 @@ ALL_RULES: tuple[Rule, ...] = (
     Mut01WorkerModuleState(),
     Dom01SequenceDomains(),
     Fsm01SingleWriter(),
-    Shd01ShardPurity(),
     Hot01HotPathAllocations(),
     Cpx01GrowthComplexity(),
     Fed01LookaheadSafety(),

@@ -6,14 +6,15 @@ thinner *cross* path from its client to the **next** cluster's server —
 the only cut links in the sharded run.  Because every server receives
 cross traffic from exactly one neighbour, boundary messages from
 different sources never interleave at one target, which keeps the
-windowed and merged drivers trivially order-equivalent.
+forked window protocol and the merged driver trivially
+order-equivalent.
 
 Each client opens many short bulk TCP connections (most local, a few
 cross-ring), staggered by a per-shard RNG stream so the shards stay
 busy concurrently instead of in lockstep.  Servers tally received bytes
 per four-tuple; the collector returns the tallies for the servers homed
-on one shard, sorted, so serial / merged / windowed / process runs can
-be compared value-for-value.
+on one shard, sorted, so serial / merged / process runs can be
+compared value-for-value.
 
 Used by ``benchmarks/test_bench_shard.py`` (the >=1k-connection speedup
 record) and ``tests/test_federation.py`` (small scales).

@@ -54,8 +54,8 @@ class PayloadModifier(PathElement):
         self.max_rewrites = max_rewrites
         self.rewrites = 0
         # Per flow: list of (first_unshifted_seq, cumulative_delta).
-        self._deltas: dict[tuple[Endpoint, Endpoint], list[tuple[int, int]]] = {}  # analyze: ok(FED01): per-flow delta ledger, single-instance under the merged cut driver (same grounds as the SHD01 waivers below)
-        self._seen: dict[tuple[Endpoint, Endpoint], int] = {}  # analyze: ok(FED01): retransmission watermark, single-instance under the merged cut driver
+        self._deltas: dict[tuple[Endpoint, Endpoint], list[tuple[int, int]]] = {}
+        self._seen: dict[tuple[Endpoint, Endpoint], int] = {}
 
     def _flow_delta(self, key, seq: int) -> int:
         """Cumulative delta applying to a segment starting at seq."""
@@ -95,11 +95,11 @@ class PayloadModifier(PathElement):
                         # both directions through the same instance; the
                         # merged cut driver is single-process and
                         # has_cut_elements bars process-per-shard cloning.
-                        self._deltas.setdefault(key, []).append((boundary, length_change))  # analyze: ok(SHD01): per-flow delta ledger, single-instance under the merged cut driver
-                    self.rewrites += 1  # analyze: ok(SHD01): gates max_rewrites, single-instance under the merged cut driver
+                        self._deltas.setdefault(key, []).append((boundary, length_change))
+                    self.rewrites += 1
             seen = self._seen.get(key)
             if seen is None or seq_diff(original_end, seen) > 0:
-                self._seen[key] = original_end  # analyze: ok(SHD01): retransmission watermark, single-instance under the merged cut driver
+                self._seen[key] = original_end
             if delta:
                 segment.seq = seq_add(segment.seq, delta)
             return [(segment, direction)]
@@ -139,13 +139,11 @@ class RetransmissionNormalizer(PathElement):
 
     # Synchronous per-segment transform, no timers or clock reads.
     shard_safe = True
-    # Write-only counter; shards may accumulate independently.
-    shard_stats = ("normalized",)
 
     def __init__(self, cache_limit: int = 4 * 1024 * 1024, name: str = "Normalizer"):
         super().__init__(name)
         self.cache_limit = cache_limit
-        self._cache: dict[tuple[Endpoint, Endpoint], dict[int, Buffer]] = {}  # analyze: ok(FED01): forward-only payload cache, single-instance under the merged cut driver
+        self._cache: dict[tuple[Endpoint, Endpoint], dict[int, Buffer]] = {}
         self._cached_bytes = 0
         self.normalized = 0
 
@@ -155,7 +153,7 @@ class RetransmissionNormalizer(PathElement):
         key = (segment.src, segment.dst)
         # Forward-only payload cache: only FORWARD traffic touches it,
         # so one shard clock orders every access even on a cut path.
-        flow_cache = self._cache.setdefault(key, {})  # analyze: ok(SHD01): forward-only payload cache, single-instance under the merged cut driver
+        flow_cache = self._cache.setdefault(key, {})
         cached = flow_cache.get(segment.seq)
         if cached is not None and len(cached) == segment.payload_len:
             if bytes(cached) != bytes(segment.payload):
@@ -163,5 +161,5 @@ class RetransmissionNormalizer(PathElement):
                 self.normalized += 1
         elif self._cached_bytes + segment.payload_len <= self.cache_limit:
             flow_cache[segment.seq] = segment.payload
-            self._cached_bytes += segment.payload_len  # analyze: ok(SHD01): cache-limit accounting, forward-only like _cache
+            self._cached_bytes += segment.payload_len
         return [(segment, direction)]

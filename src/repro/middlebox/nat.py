@@ -21,15 +21,13 @@ class NAT(PathElement):
     # Pure synchronous rewriter: no timers, no clock reads, never
     # changes a segment's direction — legal on a cross-shard path.
     shard_safe = True
-    # Write-only counters; shards may accumulate independently.
-    shard_stats = ("translations", "dropped_unsolicited")
 
     def __init__(self, external_ip: str, base_port: int = 20000, name: str = "NAT"):
         super().__init__(name)
         self.external_ip = external_ip
         self._next_port = base_port
-        self._out: dict[tuple[Endpoint, Endpoint], int] = {}  # analyze: ok(FED01): flow table, single-instance under the merged cut driver (same grounds as the SHD01 waivers below)
-        self._back: dict[int, tuple[Endpoint, Endpoint]] = {}  # analyze: ok(FED01): flow table, single-instance under the merged cut driver
+        self._out: dict[tuple[Endpoint, Endpoint], int] = {}
+        self._back: dict[int, tuple[Endpoint, Endpoint]] = {}
         self.dropped_unsolicited = 0
         self.translations = 0
 
@@ -54,9 +52,9 @@ class NAT(PathElement):
                 # refuses process-per-shard when a cut carries elements
                 # (has_cut_elements), so the maps cannot diverge.
                 port = self._next_port
-                self._next_port += 1  # analyze: ok(SHD01): flow-table allocation, single-instance under the merged cut driver
-                self._out[key] = port  # analyze: ok(SHD01): flow-table allocation, single-instance under the merged cut driver
-                self._back[port] = key  # analyze: ok(SHD01): flow-table allocation, single-instance under the merged cut driver
+                self._next_port += 1
+                self._out[key] = port
+                self._back[port] = key
             segment.src = Endpoint(self.external_ip, port)
             self.translations += 1
             return [(segment, direction)]

@@ -25,8 +25,6 @@ from repro.sim.rng import SeededRNG
 class SequenceRewriter(PathElement):
     # Synchronous per-segment rewrite, no timers or clock reads.
     shard_safe = True
-    # Write-only counter; shards may accumulate independently.
-    shard_stats = ("rewrites",)
 
     def __init__(
         self,
@@ -37,7 +35,7 @@ class SequenceRewriter(PathElement):
         super().__init__(name)
         self.rng = rng or SeededRNG(0, name)
         self.both_directions = both_directions
-        self._deltas: dict[tuple[Endpoint, Endpoint], int] = {}  # analyze: ok(FED01): per-flow delta ledger, single-instance under the merged cut driver
+        self._deltas: dict[tuple[Endpoint, Endpoint], int] = {}
         self.rewrites = 0
 
     def _delta_for(self, a: Endpoint, b: Endpoint, create: bool) -> int | None:
@@ -48,7 +46,7 @@ class SequenceRewriter(PathElement):
             # Both directions consult the same ledger instance; the
             # merged cut driver is single-process and has_cut_elements
             # bars process-per-shard cloning.
-            self._deltas[key] = delta  # analyze: ok(SHD01): per-flow delta ledger, single-instance under the merged cut driver
+            self._deltas[key] = delta
         return delta
 
     def process(self, segment: Segment, direction: int) -> list[tuple[Segment, int]]:

@@ -30,7 +30,6 @@ class OptionStripper(PathElement):
     # reverse direction — shard_safe_now() declines cut placement for
     # those instances; the always-on form is safe.
     shard_safe = True
-    shard_stats = ("stripped",)
 
     def __init__(
         self,
@@ -88,7 +87,6 @@ class AddAddrFilter(PathElement):
 
     # Synchronous same-direction option filter: no clock, no injection.
     shard_safe = True
-    shard_stats = ("filtered",)
 
     def __init__(self, name: str = "AddAddrFilter"):
         super().__init__(name)

@@ -27,9 +27,8 @@ from repro.sim.shard import (
 
 def _element_shard_safe(element: Any) -> bool:
     """Cut-placement gate: the class-level ``shard_safe`` declaration
-    (statically checked by SHD01) refined by the instance's
-    ``shard_safe_now()`` hook — both must agree before an element may
-    straddle a shard boundary."""
+    refined by the instance's ``shard_safe_now()`` hook — both must
+    agree before an element may straddle a shard boundary."""
     if not getattr(element, "shard_safe", False):
         return False
     hook = getattr(element, "shard_safe_now", None)
@@ -46,16 +45,18 @@ class Network:
     cut links synchronised conservatively by their propagation delay
     (see :mod:`repro.sim.shard`).  ``self.sim`` is then a
     :class:`~repro.sim.shard.ShardedClock` that keeps the single-
-    simulator API working unchanged.
+    simulator API working unchanged.  A count below 1 raises
+    :class:`~repro.sim.shard.ShardingError`.
     """
 
     def __init__(self, seed: int = 1, shards: Optional[int] = None):
         if shards is None:
             shards = shard_count_from_env(default=1)
-        self.shard_count = max(1, int(shards))
+        self.shard_count = int(shards)
         self._shards: Optional[ShardGroup] = None
         self.sim: Any  # Simulator, or ShardedClock when sharded
-        if self.shard_count > 1:
+        if self.shard_count != 1:
+            # ShardGroup raises ShardingError for a count below 1.
             self._shards = ShardGroup(self.shard_count)
             self.sim = ShardedClock(self._shards)
         else:

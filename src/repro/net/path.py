@@ -35,11 +35,13 @@ class PathElement:
     # Subclasses that rewrite IP addresses (NATs) set this so the
     # topology builder installs wildcard routes for the rewritten side.
     rewrites_addresses = False
-    # True for elements that are pure synchronous same-direction
-    # transforms: no timers, no self.sim reads, no opposite-direction
-    # injection.  Only such elements may sit on a cross-shard path,
-    # where the two directions execute under different shard clocks
-    # (see Network.connect).  Conservative default: unsafe.
+    # A clock-safety declaration, not a purity one: True for
+    # synchronous same-direction transforms — no timers, no self.sim
+    # reads, no opposite-direction injection.  Only such elements may
+    # sit on a cross-shard path, where the two directions execute under
+    # different shard clocks (see Network.connect).  Per-flow state is
+    # fine: a cut carrying elements always runs under the merged
+    # driver, one instance in global time order.  Default: unsafe.
     shard_safe = False
 
     def __init__(self, name: str = ""):
@@ -61,13 +63,12 @@ class PathElement:
     def shard_safe_now(self) -> bool:
         """Runtime refinement of the class-level ``shard_safe`` promise.
 
-        The class attribute is the static declaration (what the SHD01
-        analyzer checks); this hook lets a statically-safe element
-        decline cut placement for *this instance's configuration* (e.g.
-        an OptionStripper with a future activation time needs the clock
-        and must be colocated).  Never widen: returning True when the
-        class declares False would bypass the static purity check, so
-        the base implementation anchors on the class flag.
+        The class attribute is the declaration; this hook lets a
+        clock-safe class decline cut placement for *this instance's
+        configuration* (e.g. an OptionStripper with a future activation
+        time reads the clock and must be colocated).  Never widen: the
+        cut gate requires the class flag too, so the base implementation
+        anchors on it.
         """
         return self.shard_safe
 

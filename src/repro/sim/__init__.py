@@ -8,8 +8,9 @@ exactly reproducible from its seed.
 
 Large scenarios can be partitioned across several simulators with
 conservative lookahead synchronisation — see :mod:`repro.sim.shard`
-(in-process drivers) and :mod:`repro.sim.federation` (one forked worker
-process per shard).
+(the in-process merged driver and one shard's side of the window
+protocol) and :mod:`repro.sim.federation` (one forked worker process
+per shard, or the merged driver when forking is unavailable or unsafe).
 """
 
 from repro.sim.engine import Simulator, Timer, events_run_total

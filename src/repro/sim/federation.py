@@ -22,8 +22,8 @@ coordinates them through the time-window barrier protocol of
 Only the window descriptors, wire segments and collected values cross
 the pipes, so the protocol is deterministic: the same seed, shard count
 and horizon produce byte-identical collected values whether the
-federation runs forked, inline (``serial=True`` or no ``os.fork``), or
-not sharded at all — `tests/test_federation.py` pins this.
+federation runs forked, in-process under the merged driver, or not
+sharded at all — `tests/test_federation.py` pins this.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from math import inf
 from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from repro.sim.gcscope import paused
-from repro.sim.shard import Message, ShardingError, shard_count_from_env
+from repro.sim.shard import Message, ShardingError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network
@@ -57,7 +57,7 @@ class FederationResult:
     """Outcome of one federated run."""
 
     shard_values: List[Any]
-    mode: str  # "serial" | "windowed-inline" | "processes"
+    mode: str  # "serial" | "merged" | "processes"
     shards: int
     events: int = 0
     windows: int = 0
@@ -114,10 +114,10 @@ class Federation:
     shard's results afterwards.  ``run(until)`` returns a
     :class:`FederationResult` with the collected values in shard order.
 
-    Falls back to the inline windowed driver — same protocol, same
-    results — when processes are unavailable (no ``os.fork``), unwanted
-    (``serial=True``), pointless (one shard), or unsafe (middlebox
-    elements on a cut path, whose shared state must not be forked into
+    Runs in-process instead — mode ``"serial"`` with one shard, else
+    ``"merged"`` (:meth:`ShardGroup.run_merged`, same results) — when
+    processes are unavailable (no ``os.fork``) or unsafe (middlebox
+    elements on a cut path, whose state must not be forked into
     diverging copies).
     """
 
@@ -125,16 +125,14 @@ class Federation:
         self,
         build: Builder,
         *,
-        shards: Optional[int] = None,
+        shards: int,
         seed: int = 1,
         collect: Optional[Collector] = None,
-        serial: bool = False,
     ):
         self.build = build
-        self.shards = shards if shards is not None else shard_count_from_env(default=1)
+        self.shards = shards
         self.seed = seed
         self.collect = collect if collect is not None else _default_collect
-        self.serial = serial
 
     # ------------------------------------------------------------------
     def run(self, until: float) -> FederationResult:
@@ -144,37 +142,18 @@ class Federation:
         net = Network(seed=self.seed, shards=self.shards)
         self.build(net)
         group = net._shards
-        if group is None:
+        if group is None or group.has_cut_elements or not hasattr(os, "fork"):
             events = net.sim.run(until=until)
-            return FederationResult(
-                shard_values=[self.collect(net, 0)],
-                mode="serial",
-                shards=1,
-                events=events,
-                windows=0,
-                wall_seconds=time.perf_counter() - started,  # analyze: ok(DET02): wall-clock perf metering only
-            )
-        use_processes = (
-            not self.serial
-            and hasattr(os, "fork")
-            and not group.has_cut_elements
-        )
-        if not use_processes:
-            events = group.run_windowed(until)
-            values = [self.collect(net, shard) for shard in range(group.count)]
-            return FederationResult(
-                shard_values=values,
-                mode="windowed-inline",
-                shards=group.count,
-                events=events,
-                windows=group.windows_run,
-                wall_seconds=time.perf_counter() - started,  # analyze: ok(DET02): wall-clock perf metering only
-            )
-        values, events, windows = self._run_processes(net, until)
+            values = [self.collect(net, shard) for shard in range(net.shard_count)]
+            mode = "serial" if group is None else "merged"
+            windows = 0
+        else:
+            values, events, windows = self._run_processes(net, until)
+            mode = "processes"
         return FederationResult(
             shard_values=values,
-            mode="processes",
-            shards=group.count,
+            mode=mode,
+            shards=net.shard_count,
             events=events,
             windows=windows,
             wall_seconds=time.perf_counter() - started,  # analyze: ok(DET02): wall-clock perf metering only

@@ -8,29 +8,27 @@ possible.  An event executing at time ``t`` on one shard can affect a
 neighbour no earlier than ``t + delay``, so every shard may safely run
 ahead of its neighbours by the smallest cut-link delay.
 
-Two drivers share the machinery here:
+Two drivers share the machinery here, one per purpose:
 
 * :meth:`ShardGroup.run_merged` — the in-process driver behind a
   transparent ``Network(shards=N)`` (or ``REPRO_SHARDS=N``).  It always
   executes the globally earliest shard and bounds it by
   ``min(other shards' next event, own next + lookahead)``, so events
-  still execute in global time order.  Cross-shard probes (goodput
-  meters, memory samplers) observe exactly the state a serial run would
-  — this is the mode the fig3–fig11 conformance bar runs under.  Cut
+  execute in one global time order, exactly as a serial run would.
+  Cross-shard probes (goodput meters, memory samplers) and middlebox
+  elements on a cut path see exactly the state a serial run would —
+  this is the mode the fig3–fig11 conformance bar runs under.  Cut
   deliveries round-trip through the :meth:`Segment.to_wire` codec, so
   the serialisation path is exercised even without processes.
-* :meth:`ShardGroup.run_windowed` / :meth:`ShardGroup.run_worker_window`
-  — the time-window barrier protocol used by
-  :class:`repro.sim.federation.Federation`.  All shards execute the same
-  half-open window ``[M, M + L)`` (``M`` = global minimum next-event
-  time, ``L`` = global minimum cut delay), captured boundary messages
-  are exchanged at the barrier sorted by ``(arrival, source shard,
-  message seq)``, and the final window at the horizon runs inclusively
-  (messages born there arrive strictly later, so nothing is lost).
-  ``run_windowed`` runs the protocol inline — it is the serial fallback
-  and the reference the process mode is tested against;
-  ``run_worker_window`` executes one shard's side of one window inside a
-  forked worker.
+* :meth:`ShardGroup.run_worker_window` — one shard's side of one window
+  of the time-window barrier protocol that
+  :class:`repro.sim.federation.Federation` drives across forked
+  workers.  All shards execute the same half-open window ``[M, M + L)``
+  (``M`` = global minimum next-event time, ``L`` = global minimum cut
+  delay), captured boundary messages are exchanged at the barrier
+  sorted by ``(arrival, source shard, message seq)``, and the final
+  window at the horizon runs inclusively (messages born there arrive
+  strictly later, so nothing is lost).
 
 Determinism contract: with a fixed seed, shard count and shard
 assignment, both drivers are reproducible.  Within a shard, events order
@@ -60,15 +58,22 @@ class ShardingError(RuntimeError):
 
 
 def shard_count_from_env(default: int = 1) -> int:
-    """Resolve the ``REPRO_SHARDS`` environment knob (min 1)."""
-    raw = os.environ.get("REPRO_SHARDS", "")
+    """Resolve the ``REPRO_SHARDS`` environment knob.
+
+    Unset or empty means ``default``; anything else must be an integer
+    >= 1 — ``0``, ``-1`` or garbage raise :class:`ShardingError` naming
+    the value rather than quietly running unsharded.
+    """
+    raw = os.environ.get("REPRO_SHARDS", "").strip()
     if not raw:
         return default
     try:
         value = int(raw)
     except ValueError:
-        raise ShardingError(f"REPRO_SHARDS must be an integer, got {raw!r}") from None
-    return max(1, value)
+        value = 0
+    if value < 1:
+        raise ShardingError(f"REPRO_SHARDS must be an integer >= 1, got {raw!r}")
+    return value
 
 
 class ShardBoundary:
@@ -76,8 +81,8 @@ class ShardBoundary:
 
     Installed as :attr:`Link.remote`.  Where the segment goes depends on
     the driver: merged mode posts it straight onto the target shard's
-    queue (after a wire round-trip); windowed/worker mode appends it to
-    the current capture buffer for exchange at the next barrier.
+    queue (after a wire round-trip); a federation worker appends it to
+    the capture buffer for exchange at the next barrier.
     """
 
     __slots__ = ("group", "index", "source", "target", "deliver", "delay", "name")
@@ -134,25 +139,25 @@ class ShardGroup:
         self.sims = [Simulator() for _ in range(count)]
         self.boundaries: list[ShardBoundary] = []
         # Per-shard minimum outbound cut delay (merged-mode lookahead)
-        # and the global minimum (windowed-mode lookahead).
+        # and the global minimum (the federation's window width).
         self._lookahead = [inf] * count
         self.lookahead = inf
-        # True once a cut path carries middlebox elements: fine for the
-        # in-process drivers (shared memory), a divergence hazard for
-        # forked workers, so the federation falls back to inline mode.
+        # True once a cut path carries middlebox elements.  Both
+        # directions of such an element must touch one instance in
+        # global time order, so the federation runs the merged driver
+        # in-process instead of forking divergent copies.
         self.has_cut_elements = False
         # Shard currently executing under a driver (-1 when idle); the
         # clock proxy reads it so ``network.sim.now`` is the running
         # shard's clock, exactly as in a serial run.
         self._active = -1
         # Capture buffer for boundary messages (None = merged mode's
-        # direct delivery).
+        # direct delivery; a list inside a federation worker).
         self._capture: Optional[list[Message]] = None
         self._msg_seq = [0] * count
         # Set inside a forked federation worker: the one shard this
         # process executes.
         self._worker_shard = -1
-        self.windows_run = 0
 
     # ------------------------------------------------------------------
     # Topology
@@ -249,59 +254,6 @@ class ShardGroup:
         return executed
 
     # ------------------------------------------------------------------
-    # Windowed driver (barrier protocol, inline reference)
-    # ------------------------------------------------------------------
-    def run_windowed(self, until: float) -> int:
-        """Run the time-window barrier protocol inline.
-
-        Byte-identical to the forked federation: same windows, same
-        message ordering, same per-shard event sequences.  Used as the
-        serial fallback and as the reference in conformance tests.
-        """
-        if until is None:
-            raise ShardingError("windowed execution needs an explicit horizon")
-        sims = self.sims
-        executed = 0
-        with paused():
-            while True:
-                m = min(sim.next_event_time() for sim in sims)  # analyze: ok(CPX01): one term per shard, bounded by --shards not workload
-                if m > until:
-                    break
-                inclusive = m + self.lookahead > until
-                horizon = until if inclusive else m + self.lookahead
-                outbox: list[Message] = []
-                self._capture = outbox
-                try:
-                    for index, sim in enumerate(sims):
-                        self._active = index
-                        executed += sim.run(until=horizon, exclusive=not inclusive)
-                finally:
-                    self._capture = None
-                    self._active = -1
-                self.windows_run += 1
-                self.inject(outbox)
-                if inclusive:
-                    break
-        for sim in sims:
-            if sim.now < until:
-                sim.now = until
-        return executed
-
-    def inject(self, messages: list[Message]) -> None:
-        """Deserialise captured messages onto their target shards, in
-        the canonical ``(arrival, source shard, seq)`` order."""
-        if not messages:
-            return
-        from repro.net.packet import segment_from_wire
-
-        boundaries = self.boundaries
-        sims = self.sims
-        messages.sort()
-        for arrival, _source, _seq, index, wire in messages:
-            boundary = boundaries[index]
-            sims[boundary.target].post_at(arrival, boundary.deliver, segment_from_wire(wire))
-
-    # ------------------------------------------------------------------
     # Worker-side protocol (one shard per forked process)
     # ------------------------------------------------------------------
     def enter_worker(self, shard: int) -> None:
@@ -338,7 +290,6 @@ class ShardGroup:
         assert capture is not None
         outbound = capture[:]
         capture.clear()
-        self.windows_run += 1
         return sim.next_event_time(), executed, outbound
 
 
@@ -354,8 +305,8 @@ class ShardedClock:
       (i.e. the current event's time, exactly as serial), and the
       maximum shard clock when idle.
     * scheduling targets the running shard (callbacks rescheduling
-      themselves stay home); from outside a run it targets shard 0 for
-      the merged/windowed drivers, or the pinned shard in a worker.
+      themselves stay home); from outside a run it targets shard 0, or
+      the pinned shard in a federation worker.
       ``timer()`` binds the new timer to that same simulator for life.
     * assigning ``post_event`` broadcasts the hook to every shard.
     """

@@ -2,15 +2,13 @@
 
 ``add_cut`` delays are checked everywhere; zero-delay scheduling and
 live-segment shipping are checked in the forward closure of boundary
-delivery (``*Boundary*`` methods plus the window entry points).  A
-``shard_safe`` path element may only carry declared ``shard_stats``
-counters across barrier windows.
+delivery (``*Boundary*`` methods plus the window entry points).
 """
 
 
 def build_topology(group, link):
-    group.add_cut(link, 0, 1, 0.0)  # line 12: FED01 (positional zero delay)
-    group.add_cut(link, 0, 1, delay=-0.5)  # line 13: FED01 (negative keyword)
+    group.add_cut(link, 0, 1, 0.0)  # line 10: FED01 (positional zero delay)
+    group.add_cut(link, 0, 1, delay=-0.5)  # line 11: FED01 (negative keyword)
     group.add_cut(link, 0, 1, delay=0.015)  # fine: positive lookahead
     group.add_cut(link, 0, 1, delay=compute())  # fine: not statically constant
 
@@ -26,30 +24,15 @@ class CutBoundary:
         self.outbox = []
 
     def deliver(self, segment, delay):
-        self.sim.call_soon(self.forward, segment)  # line 29: FED01 (call_soon)
-        self.sim.schedule(0, self.forward, segment)  # line 30: FED01 (zero delay)
+        self.sim.call_soon(self.forward, segment)  # line 27: FED01 (call_soon)
+        self.sim.schedule(0, self.forward, segment)  # line 28: FED01 (zero delay)
         self.sim.schedule(delay, self.forward, segment)  # fine: carried delay
         self.sim.post_at(1.5, self.forward, segment)  # fine: absolute time
 
     def forward(self, segment):
-        self.outbox.append(segment)  # line 35: FED01 (live segment, no codec)
+        self.outbox.append(segment)  # line 33: FED01 (live segment, no codec)
         self.outbox.append(segment.to_wire())  # fine: sanctioned codec
-        self.conn.send(segment)  # line 37: FED01 (live segment over channel)
+        self.conn.send(segment)  # line 35: FED01 (live segment over channel)
         self.conn.send(segment.to_wire())  # fine: wire bytes over channel
+        self.outbox.append(segment)  # analyze: ok(FED01): fixture demonstrates a waiver
 
-
-class CountingElement:
-    shard_safe = True
-    shard_stats = ("forwarded",)
-
-    def __init__(self):
-        self.forwarded = 0
-        self.history = []  # line 47: FED01 (mutable cross-window state)
-        self.flows = {}  # analyze: ok(FED01): fixture demonstrates a waiver
-
-
-class StatelessElement:
-    shard_safe = True
-
-    def __init__(self):
-        self.name = "ok"  # fine: immutable configuration only

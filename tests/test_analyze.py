@@ -83,19 +83,6 @@ def test_mut01_worker_state_fixture():
     assert locations(report, waived=True) == [(18, "MUT01")]
 
 
-def test_shd01_shard_purity_fixture():
-    report = findings_for("shd01", "SHD01")
-    # Stateful.counted is declared in shard_stats.
-    assert locations(report, waived=False) == [
-        (21, "SHD01"),
-        (22, "SHD01"),
-        (24, "SHD01"),
-        (29, "SHD01"),
-        (34, "SHD01"),
-    ]
-    assert locations(report, waived=True) == [(44, "SHD01")]
-
-
 def test_hot01_hot_loop_fixture():
     report = findings_for("hot01", "HOT01")
     # cold() allocates freely: it is never reached from Simulator.run.
@@ -159,25 +146,24 @@ def test_cpx01_class_propagates_through_return_summary():
 
 def test_fed01_lookahead_safety_fixture():
     report = findings_for("fed01", "FED01")
-    # Positive/non-constant cut delays, delay-carrying schedules,
-    # to_wire()-coded sends and StatelessElement all stay clean.
+    # Positive/non-constant cut delays, delay-carrying schedules and
+    # to_wire()-coded sends all stay clean.
     assert locations(report, waived=False) == [
-        (12, "FED01"),
-        (13, "FED01"),
-        (29, "FED01"),
-        (30, "FED01"),
+        (10, "FED01"),
+        (11, "FED01"),
+        (27, "FED01"),
+        (28, "FED01"),
+        (33, "FED01"),
         (35, "FED01"),
-        (37, "FED01"),
-        (47, "FED01"),
     ]
-    assert locations(report, waived=True) == [(48, "FED01")]
+    assert locations(report, waived=True) == [(37, "FED01")]
 
 
 def test_fed01_messages_name_the_contract():
     report = findings_for("fed01", "FED01")
-    cut = next(f for f in report.findings if f.line == 12)
+    cut = next(f for f in report.findings if f.line == 10)
     assert "lookahead" in cut.message
-    codec = next(f for f in report.findings if f.line == 35)
+    codec = next(f for f in report.findings if f.line == 33)
     assert "to_wire" in codec.message
 
 
@@ -363,7 +349,6 @@ def test_cli_list_rules(capsys):
         "MUT01",
         "DOM01",
         "FSM01",
-        "SHD01",
         "HOT01",
         "CPX01",
         "FED01",
@@ -508,7 +493,7 @@ def test_report_carries_elapsed_seconds():
 
 
 def test_json_report_times_every_selected_rule(capsys):
-    selected = ["DET02", "SHD01", "HOT01", "WVR01"]
+    selected = ["DET02", "FED01", "HOT01", "WVR01"]
     argv = [arg for code in selected for arg in ("--rule", code)]
     assert analyze_main(argv + ["--format", "json", str(FIXTURES)]) == 1
     seconds = json.loads(capsys.readouterr().out)["rule_seconds"]

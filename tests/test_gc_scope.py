@@ -89,14 +89,13 @@ class TestNesting:
         assert gc.get_freeze_count() == 0
         assert spy.calls == BATCH
 
-    @pytest.mark.parametrize("driver", ["run_merged", "run_windowed"])
-    def test_simulator_run_inside_a_shard_driver(self, spy, driver):
+    def test_simulator_run_inside_the_merged_driver(self, spy):
         group = ShardGroup(2)
         seen = []
         for shard, sim in enumerate(group.sims):
             for k in range(3):
                 sim.schedule(0.1 * k + 0.01 * shard, lambda: seen.append(gc.isenabled()))
-        assert getattr(group, driver)(until=1.0) == 6
+        assert group.run_merged(until=1.0) == 6
         assert seen == [False] * 6
         assert spy.calls == PAUSE  # one sweep for many Simulator.run calls
         assert gc.isenabled()

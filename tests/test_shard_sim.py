@@ -276,6 +276,21 @@ def test_explicit_shard_out_of_range():
         net.add_host("x", "10.0.0.1", shard=2)
 
 
+@pytest.mark.parametrize("raw", ["0", "-1", "two"])
+def test_repro_shards_below_one_or_garbage_raises(monkeypatch, raw):
+    monkeypatch.setenv("REPRO_SHARDS", raw)
+    with pytest.raises(ShardingError, match=f"got '{raw}'"):
+        shard_count_from_env()
+    with pytest.raises(ShardingError, match=f"got '{raw}'"):
+        Network(seed=1)
+
+
+@pytest.mark.parametrize("shards", [0, -1])
+def test_network_shard_count_below_one_raises(shards):
+    with pytest.raises(ShardingError, match=f"got {shards}"):
+        Network(seed=1, shards=shards)
+
+
 # ----------------------------------------------------------------------
 # ShardedClock surface
 # ----------------------------------------------------------------------
