@@ -31,8 +31,8 @@ waiver comment; a false clean bill would let nondeterminism ship.
 Two derived sets feed the rules:
 
 * :attr:`Project.schedule_tainted` — functions from which a call into
-  the :mod:`repro.sim.engine` scheduling API (``schedule``,
-  ``schedule_at``, ``call_soon``, or anything defined in
+  the :mod:`repro.sim.engine` scheduling API (a call named in
+  :data:`SCHEDULE_CALLBACK_ARG`, or anything defined in
   ``sim/engine.py``) is reachable.  Iteration order inside these
   functions can reorder events or packets.
 * :attr:`Project.worker_reachable` — the forward closure from the
@@ -40,21 +40,97 @@ Two derived sets feed the rules:
   every function handed to a ``sweep.add(fn, ...)`` call or a
   ``Point(fn=...)`` construction.  Module-level state mutated here is
   silently lost (or worse, divergent) across worker processes.
+
+The module is also the rules' shared analysis kernel: the one bounded
+summary fixpoint (:meth:`Project.fixpoint`, behind DOM01's domain
+summaries and CPX01's growth-class summaries), the per-project memo for
+derived facts (:meth:`Project.cached`), and the small AST helpers every
+rule walks with (:func:`own_nodes`, :func:`callable_ref`,
+:func:`container_kind`, the :data:`SCHEDULE_CALLBACK_ARG` table).
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 from repro.analyze.core import FileContext
 
-SCHEDULE_ATTRS = frozenset({"schedule", "schedule_at", "call_soon"})
+# The engine's scheduling API: call name -> index of the callback
+# argument.  A call to any of these seeds DET03's schedule taint, and
+# the callback it hands over seeds HOT01's event-loop closure.
+SCHEDULE_CALLBACK_ARG = {
+    "schedule": 1,
+    "schedule_at": 1,
+    "post": 1,
+    "post_at": 1,
+    "call_soon": 0,
+    "Timer": 1,
+    "timer": 0,
+}
 ENGINE_PATH_SUFFIX = "repro/sim/engine.py"
 # Process entry points for worker-reachability analysis: the sweep
 # runner's point executor and the shard federation's per-shard worker.
 WORKER_ENTRY_NAMES = frozenset({"_execute_point", "_federation_worker_main"})
+
+_KIND_PATTERNS = (
+    ("list", re.compile(r"(typing\.)?(List|list|deque|Deque)\b")),
+    ("dict", re.compile(r"(typing\.)?(Dict|dict|DefaultDict|defaultdict|Counter|OrderedDict)\b")),
+    ("set", re.compile(r"(typing\.)?(Set|set|FrozenSet|frozenset)\b")),
+)
+
+
+def own_nodes(fn: ast.AST, *, lambdas: bool = True) -> Iterator[ast.AST]:
+    """Walk a function's body without descending into nested defs or
+    classes (those are analysed as functions in their own right), nor
+    into lambdas when ``lambdas`` is false (HOT01 and CPX01 measure a
+    named lambda under its own function id, not in its definer)."""
+    stop: tuple[type, ...] = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    if not lambdas:
+        stop += (ast.Lambda,)
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, stop):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def callable_ref(expr: Optional[ast.expr]) -> Optional[str]:
+    """``name`` or ``receiver.name`` for a reference the call graph can
+    resolve (:meth:`Project._resolve_ref`); None for anything else."""
+    if isinstance(expr, ast.Name):
+        return expr.id
+    if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
+        return f"{expr.value.id}.{expr.attr}"
+    return None
+
+
+def container_kind(
+    value: Optional[ast.expr], annotation: Optional[ast.expr] = None
+) -> Optional[str]:
+    """``"list"``, ``"dict"`` or ``"set"`` when ``value`` builds that kind
+    of container (a display, a comprehension, a constructor call such as
+    ``deque()``), else when ``annotation`` names one (``list[int]``,
+    ``typing.Set``); None when neither says."""
+    if isinstance(value, (ast.List, ast.ListComp)):
+        return "list"
+    if isinstance(value, (ast.Dict, ast.DictComp)):
+        return "dict"
+    if isinstance(value, (ast.Set, ast.SetComp)):
+        return "set"
+    texts: list[str] = []
+    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
+        texts.append(value.func.id)
+    if annotation is not None:
+        texts.append(ast.unparse(annotation))
+    for text in texts:
+        for kind, pattern in _KIND_PATTERNS:
+            if pattern.match(text):
+                return kind
+    return None
 
 
 @dataclass
@@ -106,35 +182,36 @@ class _ModuleIndexer(ast.NodeVisitor):
         self.generic_visit(node)
         self.class_stack.pop()
 
-    def _visit_function(self, node) -> None:
+    def _register_function(self, node, name: str, fid_suffix: str = "") -> FunctionInfo:
+        """Register ``node`` under ``name`` and visit its body as the
+        current function."""
         qual_parts = [info.name for info in self.func_stack]
         if self.class_stack:
             qual_parts = [".".join(self.class_stack)] + qual_parts
-        qualname = ".".join(qual_parts + [node.name]) if qual_parts else node.name
+        qualname = ".".join(qual_parts + [name]) if qual_parts else name
         info = FunctionInfo(
-            fid=f"{self.ctx.posix}::{qualname}",
-            name=node.name,
+            fid=f"{self.ctx.posix}::{qualname}{fid_suffix}",
+            name=name,
             qualname=qualname,
             class_name=self.class_stack[-1] if self.class_stack else None,
             posix=self.ctx.posix,
             node=node,
         )
         self.project.register(info)
-        if self.func_stack:  # closures run on behalf of their definer
+        if self.func_stack:  # closures and callbacks run on behalf of their definer
             self.func_stack[-1].calls.append(("child", "", info.fid))
-        for decorator in node.decorator_list:
-            expr = decorator.func if isinstance(decorator, ast.Call) else decorator
-            ref = None
-            if isinstance(expr, ast.Name):
-                ref = expr.id
-            elif isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
-                ref = f"{expr.value.id}.{expr.attr}"
-            if ref is not None:
-                # The decorator receives the function and may call it.
-                self.project.decorator_refs.append((self.ctx.posix, ref, info.fid))
         self.func_stack.append(info)
         self.generic_visit(node)
         self.func_stack.pop()
+        return info
+
+    def _visit_function(self, node) -> None:
+        info = self._register_function(node, node.name)
+        for decorator in node.decorator_list:
+            ref = callable_ref(decorator.func if isinstance(decorator, ast.Call) else decorator)
+            if ref is not None:
+                # The decorator receives the function and may call it.
+                self.project.decorator_refs.append((self.ctx.posix, ref, info.fid))
 
     visit_FunctionDef = _visit_function
     visit_AsyncFunctionDef = _visit_function
@@ -159,46 +236,19 @@ class _ModuleIndexer(ast.NodeVisitor):
             and func.value.id == "functools"
         )
 
-    def _callable_ref(self, expr: ast.expr) -> Optional[str]:
-        if isinstance(expr, ast.Name):
-            return expr.id
-        if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
-            return f"{expr.value.id}.{expr.attr}"
-        return None
-
     def visit_Assign(self, node: ast.Assign) -> None:
         target = node.targets[0] if len(node.targets) == 1 else None
         if isinstance(node.value, ast.Lambda) and isinstance(target, ast.Name):
-            self._register_lambda(target.id, node.value)
+            self._register_function(node.value, target.id, f":{node.value.lineno}")
             return
         if self._is_partial(node.value) and isinstance(target, ast.Name):
             value = node.value
             assert isinstance(value, ast.Call)
             if value.args:
-                ref = self._callable_ref(value.args[0])
+                ref = callable_ref(value.args[0])
                 if ref is not None:
                     self.project.partial_aliases[(self.ctx.posix, target.id)] = ref
         self.generic_visit(node)
-
-    def _register_lambda(self, name: str, node: ast.Lambda) -> None:
-        qual_parts = [info.name for info in self.func_stack]
-        if self.class_stack:
-            qual_parts = [".".join(self.class_stack)] + qual_parts
-        qualname = ".".join(qual_parts + [name]) if qual_parts else name
-        info = FunctionInfo(
-            fid=f"{self.ctx.posix}::{qualname}:{node.lineno}",
-            name=name,
-            qualname=qualname,
-            class_name=self.class_stack[-1] if self.class_stack else None,
-            posix=self.ctx.posix,
-            node=node,
-        )
-        self.project.register(info)
-        if self.func_stack:  # runs on behalf of its definer (callback)
-            self.func_stack[-1].calls.append(("child", "", info.fid))
-        self.func_stack.append(info)
-        self.generic_visit(node)
-        self.func_stack.pop()
 
     # -- call collection ------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
@@ -241,14 +291,9 @@ class _ModuleIndexer(ast.NodeVisitor):
             # ``sweep.add(partial(fn, ...))`` fans out to fn.
             assert isinstance(target, ast.Call)
             target = target.args[0] if target.args else None
-        if isinstance(target, ast.Name):
-            self.project.worker_entry_refs.append(
-                (self.ctx.posix, dict(self.imports), target.id)
-            )
-        elif isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name):
-            self.project.worker_entry_refs.append(
-                (self.ctx.posix, dict(self.imports), f"{target.value.id}.{target.attr}")
-            )
+        ref = callable_ref(target)
+        if ref is not None:
+            self.project.worker_entry_refs.append((self.ctx.posix, dict(self.imports), ref))
 
 
 class Project:
@@ -266,6 +311,8 @@ class Project:
         self.partial_aliases: dict[tuple[str, str], str] = {}  # (posix, name) -> ref
         self.decorator_refs: list[tuple[str, str, str]] = []  # (posix, ref, decorated fid)
         self.class_bases: dict[str, set[str]] = {}  # class name -> base names
+        self.by_posix: dict[str, FileContext] = {ctx.posix: ctx for ctx in contexts}
+        self._memo: dict = {}
 
         for ctx in contexts:
             self._register_module_name(ctx)
@@ -386,15 +433,7 @@ class Project:
                     else:
                         self.callees[fid].update(self.methods_by_name.get(name, []))
                 else:  # generic attribute call
-                    target = self.module_imports.get(info.posix, {}).get(receiver)
-                    if target is not None and target[0] == "module":
-                        module_posix = self.module_by_dotted.get(target[1])
-                        if module_posix is not None:
-                            imported = self.module_functions.get((module_posix, name))
-                            if imported is not None:
-                                self.callees[fid].add(imported)
-                                continue
-                    self.callees[fid].update(self.methods_by_name.get(name, []))
+                    self.callees[fid].update(self._resolve_ref(info.posix, f"{receiver}.{name}"))
         # A project-function decorator receives — and may call — the
         # function it decorates.
         for posix, ref, decorated_fid in self.decorator_refs:
@@ -409,7 +448,7 @@ class Project:
                 seeds.add(fid)
                 continue
             for kind, _receiver, name in info.calls:
-                if kind in ("attr", "self", "name") and name in SCHEDULE_ATTRS:
+                if kind in ("attr", "self", "name") and name in SCHEDULE_CALLBACK_ARG:
                     seeds.add(fid)
                     break
         return seeds
@@ -461,14 +500,37 @@ class Project:
                     frontier.append(caller)
         return reached
 
+    # -- derived facts --------------------------------------------------
+    def cached(self, key, build: Callable[[], object]):
+        """``build()``, computed once per project under ``key``: the
+        rules' closures and summary tables are derived from the whole
+        project, then queried once per checked file."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def fixpoint(self, facts: dict, infer: Callable[[str], object], rounds: int = 3) -> dict:
+        """Complete a per-function summary table in place and return it.
+
+        ``facts`` holds the declared summaries (fid -> fact), which stay
+        fixed.  Every other function, in sorted fid order, gets
+        ``infer(fid)`` — typically read off its ``return`` expressions —
+        which may consult ``facts``, so a summary inferred earlier in a
+        round already feeds its callers.  None means "not known yet".
+        Rounds repeat until one adds nothing, at most ``rounds`` times:
+        call chains up to that depth resolve, recursion cannot loop."""
+        for _ in range(rounds):
+            changed = False
+            for fid in sorted(self.functions):
+                if fid not in facts:
+                    fact = infer(fid)
+                    if fact is not None:
+                        facts[fid] = fact
+                        changed = True
+            if not changed:
+                break
+        return facts
+
     # -- rule-facing queries --------------------------------------------
     def fid_of(self, node: ast.AST) -> Optional[str]:
         return self.by_node.get(id(node))
-
-    def is_schedule_tainted(self, node: ast.AST) -> bool:
-        fid = self.fid_of(node)
-        return fid is not None and fid in self.schedule_tainted
-
-    def is_worker_reachable(self, node: ast.AST) -> bool:
-        fid = self.fid_of(node)
-        return fid is not None and fid in self.worker_reachable

@@ -1,9 +1,9 @@
 """Command line front end: ``python -m repro.analyze [opts] paths...``
 
-Exit codes: 0 clean, 1 unwaived findings, 2 bad invocation or
-unparseable source.  ``--out FILE`` always writes the JSON report (the
-CI lint job uploads it as an artifact on failure) regardless of the
-console ``--format``.
+Exit codes: 0 clean, 1 unwaived findings, 2 bad invocation,
+unparseable source or an unreadable budget file.  ``--out FILE`` always
+writes the JSON report (the CI lint job uploads it as an artifact on
+failure) regardless of the console ``--format``.
 
 ``--budget`` checks the HOT01 and CPX01 budget files instead of running
 the rules.  The rules fail when code exceeds its budget; this fails in
@@ -20,8 +20,8 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from repro.analyze.core import Report, _load_contexts, iter_python_files, run_analysis
-from repro.analyze.rules import ALL_RULES
+from repro.analyze.core import Report, iter_python_files, load_contexts, run_analysis
+from repro.analyze.rules import ALL_RULES, BudgetError, BudgetRule
 
 
 def _render_text(report: Report, show_waived: bool) -> str:
@@ -68,28 +68,29 @@ def budget_drift(committed: dict[str, int], measured: dict[str, int]) -> dict[st
     return drift
 
 
-def _check_budgets(paths: Sequence[str], write: bool, out: Optional[str], workers) -> int:
-    from repro.analyze import complexity, hotpath
+def _check_budgets(paths: Sequence[str], write: bool, out: Optional[str]) -> int:
     from repro.analyze.callgraph import Project
 
-    contexts, parse_errors = _load_contexts(list(iter_python_files(paths)), workers=workers)
+    contexts, parse_errors = load_contexts(list(iter_python_files(paths)))
     if parse_errors:
         print("\n".join(parse_errors))
         return 2
     project = Project(contexts)
     report: dict[str, dict] = {}
     failures: list[str] = []
-    for code, module in (("HOT01", hotpath), ("CPX01", complexity)):
-        committed, measured = module.load_budget(), module.measure(project)
+    for rule in ALL_RULES:
+        if not isinstance(rule, BudgetRule):
+            continue
+        code, committed, measured = rule.code, rule.load_budget(), rule.measure(project)
         print(
             f"{code} budget: {len(measured)} functions / {sum(measured.values())} "
             f"sites measured, {len(committed)} / {sum(committed.values())} committed"
         )
         if write:
-            module.DEFAULT_BUDGET_PATH.write_text(
+            rule.budget_path.write_text(
                 json.dumps(dict(sorted(measured.items())), indent=2) + "\n", encoding="utf-8"
             )
-            print(f"wrote {module.DEFAULT_BUDGET_PATH}")
+            print(f"wrote {rule.budget_path}")
             continue
         drift = report[code] = budget_drift(committed, measured)
         for key, (was, now) in drift["slack"].items():
@@ -136,13 +137,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--changed-only",
         action="store_true",
-        help="only scan files git reports as changed/untracked (pre-commit speed)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        help="parse-pool size (default: REPRO_WORKERS env, else CPU count)",
+        help="only check files git reports as changed/untracked (the call graph spans every path)",
     )
     parser.add_argument(
         "--budget",
@@ -157,17 +152,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if options.list_rules:
         print(_render_rules())
         return 0
-    if options.budget:
-        return _check_budgets(options.paths or ["src"], options.write, options.out, options.workers)
-
     try:
+        if options.budget:
+            return _check_budgets(options.paths or ["src"], options.write, options.out)
         report = run_analysis(
             options.paths or ["src"],
             rule_codes=options.rules,
             changed_only=options.changed_only,
-            workers=options.workers,
         )
-    except (FileNotFoundError, KeyError) as error:
+    except (FileNotFoundError, KeyError, BudgetError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -1,17 +1,17 @@
 """CPX01 — growth-class complexity lint for the event-loop closure.
 
 HOT01 counts *allocations* per event; this pass counts *asymptotics*.
-ROADMAP item 5 pushes the server side toward 10^6 connections and the
-federation drives 10^6-path studies, and at those scales one O(n) scan
-per segment is the difference between the paper's figures and a hung
-run — the ns-3 MPTCP models hit exactly that wall, capping simulated
-scale on per-packet linear bookkeeping long before memory ran out.
+The federation drives 10^6-path studies, and at that scale one O(n)
+scan per segment is the difference between the paper's figures and a
+hung run — the ns-3 MPTCP models hit exactly that wall, capping
+simulated scale on per-packet linear bookkeeping long before memory ran
+out.
 
 Every stateful collection is tagged with a **growth class** describing
 what its size is proportional to:
 
 * ``CONNECTIONS`` — one entry per connection (``Host._connections``,
-  the token table): 10^3 today, 10^6 by the roadmap;
+  the token table);
 * ``SUBFLOWS``    — per-subflow/address state (``_announcements``);
 * ``MAPPINGS``    — DSS-mapping bookkeeping (``_rx_mappings``,
   ``reinject_queue``, the scheduler's ``inflight``);
@@ -21,11 +21,12 @@ what its size is proportional to:
   flagged.
 
 Tags come from three sources, in priority order: a ``# grows: <class>``
-comment on the assignment line (the grammar mirrors PR 5's
-``# domain:``; on a ``def`` line, ``# grows: return=<class>`` — or a
-bare class — declares the return value), the seed table below, and
-propagation — through simple assignments (``sims = self.sims``) and
-through call-graph return summaries iterated to a bounded fixpoint.
+comment on the assignment line (the grammar of DOM01's ``# domain:``;
+on a ``def`` line, ``# grows: return=<class>`` — or a bare class —
+declares the return value), the seed table below, and propagation —
+through simple assignments (``sims = self.sims``) and through
+call-graph return summaries iterated to the project's bounded
+fixpoint.
 
 Inside the scan scope — the HOT01 ``Simulator.run`` closure plus the
 federation worker closure, confined to the runtime datapath packages —
@@ -48,35 +49,22 @@ a scale linter is a false demand for a declaration, not a false clean
 bill).
 
 Counts are compared against a committed per-function budget
-(``src/repro/analyze/complexity_budget.json``, same key shape as the
-HOT01 budget).  A function over budget yields one finding per scan
-site.  Sites on waived lines always yield (so WVR01 sees the waiver
-live) but are excluded from the budget count and from ``measure()`` —
-``python -m repro.analyze --budget`` ratchets the committed file
-against the measured counts, so the budget can only track the scan
-count downward.
+(``src/repro/analyze/complexity_budget.json``) by
+:class:`~repro.analyze.rules.BudgetRule`, the engine HOT01 shares.
 """
 
 from __future__ import annotations
 
 import ast
-import json
-import re
-from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
-from repro.analyze.core import FileContext, Finding
-from repro.analyze.hotpath import _in_hot_scope, _own_nodes, budget_key
+from repro.analyze.callgraph import callable_ref, container_kind, own_nodes
+from repro.analyze.hotpath import in_hot_scope
 from repro.analyze.hotpath import closure as hot_closure
-
-BUDGET_FILENAME = "complexity_budget.json"
-DEFAULT_BUDGET_PATH = Path(__file__).resolve().parent / BUDGET_FILENAME
 
 GROWTH_CLASSES = ("CONNECTIONS", "SUBFLOWS", "MAPPINGS", "SEGMENTS", "BOUNDED")
 BOUNDED = "BOUNDED"
-
-# ``# grows: segments`` / ``# grows: return=mappings, peers=connections``
-GROWS_COMMENT_RE = re.compile(r"#\s*grows:\s*(?P<spec>[A-Za-z0-9_=,\s]+)")
+_CLASS_NAMES = {cls.lower(): cls for cls in GROWTH_CLASSES}
 
 # Attribute-name seed table: (growth class, container kind).  Kind
 # decides which idioms apply — dict membership is O(1), list membership
@@ -90,97 +78,20 @@ SEED_ATTRS: dict[str, tuple[str, str]] = {
     "_capture": ("SEGMENTS", "list"),  # sim/shard.py boundary messages
 }
 
-_LIST_CALLS = frozenset({"list", "deque"})
-_DICT_CALLS = frozenset({"dict", "defaultdict", "OrderedDict", "Counter"})
-_SET_CALLS = frozenset({"set", "frozenset"})
 _REDUCERS = frozenset({"min", "max", "sum", "sorted"})
 _SEARCHERS = frozenset({"remove", "index", "count"})
 _ITER_WRAPPERS = frozenset({"list", "tuple", "enumerate", "reversed", "sorted"})
-_SUMMARY_ROUNDS = 3
-
-
-def load_budget(path: Optional[Path] = None) -> dict[str, int]:
-    budget_path = DEFAULT_BUDGET_PATH if path is None else path
-    try:
-        raw = json.loads(budget_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return {}
-    return {str(key): int(value) for key, value in raw.items()}
-
-
-def _parse_spec(spec: str) -> dict[str, str]:
-    """``"segments"`` -> {"": "SEGMENTS"}; ``"return=mappings, q=bounded"``
-    -> {"return": "MAPPINGS", "q": "BOUNDED"}.  Unknown classes are
-    dropped (the grammar is advisory; a typo must not crash the lint)."""
-    result: dict[str, str] = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" in part:
-            name, _, cls = part.partition("=")
-            name = name.strip()
-        else:
-            name, cls = "", part
-        cls = cls.strip().upper()
-        if cls in GROWTH_CLASSES:
-            result[name] = cls
-    return result
-
-
-def grows_comments(source: str) -> dict[int, dict[str, str]]:
-    """Line number -> parsed ``# grows:`` spec for one file."""
-    specs: dict[int, dict[str, str]] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        match = GROWS_COMMENT_RE.search(line)
-        if match:
-            parsed = _parse_spec(match.group("spec"))
-            if parsed:
-                specs[lineno] = parsed
-    return specs
-
-
-def _kind_of_value(value: Optional[ast.expr]) -> Optional[str]:
-    if value is None:
-        return None
-    if isinstance(value, (ast.List, ast.ListComp)):
-        return "list"
-    if isinstance(value, (ast.Dict, ast.DictComp)):
-        return "dict"
-    if isinstance(value, (ast.Set, ast.SetComp)):
-        return "set"
-    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
-        name = value.func.id
-        if name in _LIST_CALLS:
-            return "list"
-        if name in _DICT_CALLS:
-            return "dict"
-        if name in _SET_CALLS:
-            return "set"
-    return None
-
-
-def _kind_of_annotation(annotation: Optional[ast.expr]) -> Optional[str]:
-    if annotation is None:
-        return None
-    text = ast.unparse(annotation)
-    if re.match(r"(typing\.)?(List|list|deque|Deque)\b", text):
-        return "list"
-    if re.match(r"(typing\.)?(Dict|dict|DefaultDict|defaultdict|Counter|OrderedDict)\b", text):
-        return "dict"
-    if re.match(r"(typing\.)?(Set|set|FrozenSet|frozenset)\b", text):
-        return "set"
-    return None
 
 
 class _Facts:
-    """Project-wide growth facts: attribute tags/kinds, per-function
-    local environments, and call-return summaries at fixpoint."""
+    """Project-wide growth facts: attribute tags/kinds, call-return
+    summaries at the project fixpoint, and per-function local
+    environments."""
 
     def __init__(self, project):
         self.project = project
         self.grows_by_file: dict[str, dict[int, dict[str, str]]] = {
-            ctx.posix: grows_comments(ctx.source) for ctx in project.contexts
+            ctx.posix: ctx.tag_specs("grows", _CLASS_NAMES) for ctx in project.contexts
         }
         self.attr_class: dict[str, str] = {
             name: cls for name, (cls, _kind) in SEED_ATTRS.items()
@@ -189,14 +100,24 @@ class _Facts:
             name: kind for name, (_cls, kind) in SEED_ATTRS.items()
         }
         self._collect_attrs()
-        # fid -> declared/inferred return class; fid -> local name maps.
-        self.summaries: dict[str, str] = {}
-        self.local_class: dict[str, dict[str, str]] = {}
-        self.local_kind: dict[str, dict[str, str]] = {}
-        self._collect_declared_summaries()
-        for _ in range(_SUMMARY_ROUNDS):
-            if not self._propagate_round():
-                break
+        # ``def f(self, peers):  # grows: peers=connections`` seeds the
+        # parameter; ``# grows: return=mappings`` declares the summary.
+        self.params: dict[str, dict[str, str]] = {}
+        declared: dict[str, str] = {}
+        for fid, info in project.functions.items():
+            if isinstance(info.node, ast.Lambda):
+                continue
+            spec = self.grows_by_file.get(info.posix, {}).get(info.node.lineno, {})
+            returns = spec.get("return", spec.get(""))
+            if returns is not None:
+                declared[fid] = returns
+            params = {name: cls for name, cls in spec.items() if name not in ("", "return")}
+            if params:
+                self.params[fid] = params
+        self.summaries = declared  # the fixpoint completes it in place
+        project.fixpoint(self.summaries, self._infer_return)
+        # Query-time environments read the final summaries.
+        self._envs: dict[str, tuple[dict[str, str], dict[str, str]]] = {}
 
     # -- attribute tags -------------------------------------------------
     def _collect_attrs(self) -> None:
@@ -206,10 +127,7 @@ class _Facts:
                 if not isinstance(node, (ast.Assign, ast.AnnAssign)):
                     continue
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                value = node.value
-                kind = _kind_of_value(value)
-                if kind is None and isinstance(node, ast.AnnAssign):
-                    kind = _kind_of_annotation(node.annotation)
+                kind = container_kind(node.value, getattr(node, "annotation", None))
                 spec = specs.get(node.lineno, {})
                 declared = spec.get("")
                 for target in targets:
@@ -225,67 +143,47 @@ class _Facts:
                     if kind is not None:
                         self.attr_kind.setdefault(target.attr, kind)
 
-    # -- call-return summaries ------------------------------------------
-    def _collect_declared_summaries(self) -> None:
-        for fid, info in self.project.functions.items():
-            node = info.node
-            if isinstance(node, ast.Lambda):
-                continue
-            spec = self.grows_by_file.get(info.posix, {}).get(node.lineno, {})
-            declared = spec.get("return", spec.get(""))
-            if declared is not None:
-                self.summaries[fid] = declared
-            # ``def f(self, peers):  # grows: peers=connections``
-            params = {
-                name: cls for name, cls in spec.items() if name not in ("", "return")
-            }
-            if params:
-                self.local_class.setdefault(fid, {}).update(params)
-
-    def _propagate_round(self) -> bool:
-        changed = False
-        for fid, info in self.project.functions.items():
-            env_class = dict(self.local_class.get(fid, {}))
-            env_kind = dict(self.local_kind.get(fid, {}))
-            specs = self.grows_by_file.get(info.posix, {})
-            # Two passes so chained local assignments settle in order-
-            # independent fashion (a = self._rtx_queue; b = a).
-            for _ in range(2):
-                for node in _own_nodes(info.node):
-                    if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+    # -- local environments and return summaries ------------------------
+    def _local_env(self, fid: str) -> tuple[dict[str, str], dict[str, str]]:
+        """Local name -> growth class and -> container kind for one
+        function, from its declared parameters and its assignments
+        (walked twice so chained assignments settle in order-independent
+        fashion: ``a = self._rtx_queue; b = a``)."""
+        info = self.project.functions[fid]
+        env_class = dict(self.params.get(fid, {}))
+        env_kind: dict[str, str] = {}
+        specs = self.grows_by_file.get(info.posix, {})
+        for _ in range(2):
+            for node in own_nodes(info.node, lambdas=False):
+                if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    continue
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                value = node.value
+                spec = specs.get(node.lineno, {})
+                cls = spec.get("") or self._class_of(value, info.posix, env_class)
+                kind = self._kind_of(value, env_kind) or container_kind(
+                    None, getattr(node, "annotation", None)
+                )
+                for target in targets:
+                    if not isinstance(target, ast.Name):
                         continue
-                    targets = (
-                        node.targets if isinstance(node, ast.Assign) else [node.target]
-                    )
-                    value = node.value
-                    spec = specs.get(node.lineno, {})
-                    cls = spec.get("") or self._class_of(value, info.posix, env_class)
-                    kind = _kind_of_value(value) or self._kind_of(value, env_kind)
-                    if kind is None and isinstance(node, ast.AnnAssign):
-                        kind = _kind_of_annotation(node.annotation)
-                    for target in targets:
-                        if not isinstance(target, ast.Name):
-                            continue
-                        named = spec.get(target.id, cls)
-                        if named is not None and env_class.get(target.id) != named:
-                            env_class[target.id] = named
-                        if kind is not None and env_kind.get(target.id) != kind:
-                            env_kind[target.id] = kind
-            if env_class != self.local_class.get(fid, {}):
-                self.local_class[fid] = env_class
-                changed = True
-            if env_kind != self.local_kind.get(fid, {}):
-                self.local_kind[fid] = env_kind
-                changed = True
-            if fid not in self.summaries:
-                inferred = self._infer_return(info, env_class)
-                if inferred is not None:
-                    self.summaries[fid] = inferred
-                    changed = True
-        return changed
+                    named = spec.get(target.id, cls)
+                    if named is not None:
+                        env_class[target.id] = named
+                    if kind is not None:
+                        env_kind[target.id] = kind
+        return env_class, env_kind
 
-    def _infer_return(self, info, env_class: dict[str, str]) -> Optional[str]:
-        for node in _own_nodes(info.node):
+    def _env(self, fid: str) -> tuple[dict[str, str], dict[str, str]]:
+        if fid not in self._envs:
+            self._envs[fid] = self._local_env(fid)
+        return self._envs[fid]
+
+    def _infer_return(self, fid: str) -> Optional[str]:
+        """The class of the first ``return`` expression that has one."""
+        env_class = self._local_env(fid)[0]
+        info = self.project.functions[fid]
+        for node in own_nodes(info.node, lambdas=False):
             if isinstance(node, ast.Return) and node.value is not None:
                 cls = self._class_of(node.value, info.posix, env_class)
                 if cls is not None:
@@ -296,21 +194,14 @@ class _Facts:
     def _class_of(
         self, expr: Optional[ast.expr], posix: str, env_class: dict[str, str]
     ) -> Optional[str]:
-        if expr is None:
-            return None
         if isinstance(expr, ast.Name):
             return env_class.get(expr.id)
         if isinstance(expr, ast.Attribute):
             return self.attr_class.get(expr.attr)
         if isinstance(expr, ast.Call):
-            ref = None
-            if isinstance(expr.func, ast.Name):
-                ref = expr.func.id
-            elif isinstance(expr.func, ast.Attribute):
-                if isinstance(expr.func.value, ast.Name):
-                    ref = f"{expr.func.value.id}.{expr.func.attr}"
-                else:
-                    ref = expr.func.attr
+            ref = callable_ref(expr.func)
+            if ref is None and isinstance(expr.func, ast.Attribute):
+                ref = expr.func.attr
             if ref is not None:
                 for fid in self.project._resolve_ref(posix, ref):
                     cls = self.summaries.get(fid)
@@ -321,19 +212,17 @@ class _Facts:
     def _kind_of(
         self, expr: Optional[ast.expr], env_kind: dict[str, str]
     ) -> Optional[str]:
-        if expr is None:
-            return None
         if isinstance(expr, ast.Name):
             return env_kind.get(expr.id)
         if isinstance(expr, ast.Attribute):
             return self.attr_kind.get(expr.attr)
-        return _kind_of_value(expr)
+        return container_kind(expr)
 
     def class_for(self, expr: ast.expr, fid: str, posix: str) -> Optional[str]:
-        return self._class_of(expr, posix, self.local_class.get(fid, {}))
+        return self._class_of(expr, posix, self._env(fid)[0])
 
     def kind_for(self, expr: ast.expr, fid: str) -> Optional[str]:
-        return self._kind_of(expr, self.local_kind.get(fid, {}))
+        return self._kind_of(expr, self._env(fid)[1])
 
     def _describe(self, expr: ast.expr) -> str:
         if isinstance(expr, ast.Name):
@@ -344,25 +233,20 @@ class _Facts:
 
 
 def _facts(project) -> _Facts:
-    cached = getattr(project, "_cpx01_facts", None)
-    if cached is None:
-        cached = _Facts(project)
-        project._cpx01_facts = cached
-    return cached
+    return project.cached("cpx-facts", lambda: _Facts(project))
 
 
 def scope(project) -> set[str]:
     """The scan scope: the HOT01 event-loop closure plus the federation
     worker closure, confined to the runtime datapath packages."""
-    cached = getattr(project, "_cpx01_scope", None)
-    if cached is None:
-        cached = set(hot_closure(project)) | {
-            fid
-            for fid in project.worker_reachable
-            if _in_hot_scope(project.functions[fid].posix)
+
+    def build() -> set[str]:
+        workers = {
+            fid for fid in project.worker_reachable if in_hot_scope(project.functions[fid].posix)
         }
-        project._cpx01_scope = cached
-    return cached
+        return hot_closure(project) | workers
+
+    return project.cached("cpx-scope", build)
 
 
 def _iter_sources(node: ast.AST) -> list[ast.expr]:
@@ -397,9 +281,10 @@ def _iter_sources(node: ast.AST) -> list[ast.expr]:
     return unwrapped
 
 
-def _scan_sites(facts: _Facts, fid: str) -> list[tuple[ast.AST, str]]:
+def scan_sites(project, fid: str) -> list[tuple[ast.AST, str]]:
     """(node, message core) per O(n) idiom in one function."""
-    info = facts.project.functions[fid]
+    facts = _facts(project)
+    info = project.functions[fid]
     posix = info.posix
     sites: list[tuple[ast.AST, str]] = []
 
@@ -425,7 +310,7 @@ def _scan_sites(facts: _Facts, fid: str) -> list[tuple[ast.AST, str]]:
                 )
             )
 
-    for node in _own_nodes(info.node):
+    for node in own_nodes(info.node, lambdas=False):
         if isinstance(node, (ast.For, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
             for source in _iter_sources(node):
                 cls = tagged(source)
@@ -481,74 +366,3 @@ def _scan_sites(facts: _Facts, fid: str) -> list[tuple[ast.AST, str]]:
 
 def _is_zero(expr: ast.expr) -> bool:
     return isinstance(expr, ast.Constant) and expr.value == 0
-
-
-def _context_by_posix(project) -> dict[str, FileContext]:
-    cached = getattr(project, "_cpx01_ctx_index", None)
-    if cached is None:
-        cached = {ctx.posix: ctx for ctx in project.contexts}
-        project._cpx01_ctx_index = cached
-    return cached
-
-
-def measure(project, rule_code: str = "CPX01") -> dict[str, int]:
-    """Unwaived scan-site counts per in-scope function (budget shape)."""
-    facts = _facts(project)
-    contexts = _context_by_posix(project)
-    counts: dict[str, int] = {}
-    for fid in scope(project):
-        info = project.functions[fid]
-        ctx = contexts.get(info.posix)
-        sites = _scan_sites(facts, fid)
-        if ctx is not None:
-            sites = [
-                pair
-                for pair in sites
-                if not ctx.is_waived(rule_code, getattr(pair[0], "lineno", 0))
-            ]
-        if sites:
-            key = budget_key(fid)
-            counts[key] = max(counts.get(key, 0), len(sites))
-    return counts
-
-
-def check_file(rule, ctx: FileContext, project) -> Iterator[Finding]:
-    if project is None:
-        return
-    facts = _facts(project)
-    in_scope = scope(project)
-    budget = rule.budget
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        fid = project.fid_of(node)
-        if fid is None or fid not in in_scope:
-            continue
-        sites = _scan_sites(facts, fid)
-        if not sites:
-            continue
-        waived = [
-            pair
-            for pair in sites
-            if ctx.is_waived(rule.code, getattr(pair[0], "lineno", 0))
-        ]
-        countable = [pair for pair in sites if pair not in waived]
-        key = budget_key(fid)
-        allowed = budget.get(key, 0)
-        label = getattr(node, "name", "<lambda>")
-        # Waived sites always yield (the engine marks them waived), so
-        # WVR01 sees each waiver suppress a real finding.
-        emit = list(waived)
-        if len(countable) > allowed:
-            emit.extend(countable)
-        emit.sort(key=lambda pair: (getattr(pair[0], "lineno", 0), pair[1]))
-        for site, message in emit:
-            yield rule.finding(
-                ctx,
-                site,
-                f"{message} in hot-path function '{label}' — "
-                f"{len(countable)} scan site(s) against a budget of "
-                f"{allowed} ({key}); index the access, declare the growth "
-                "class, or raise the committed budget with the ratchet "
-                "rationale",
-            )

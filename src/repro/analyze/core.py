@@ -1,12 +1,14 @@
 """Rule engine: file walking, waiver parsing, finding collection.
 
 A :class:`Finding` is one rule violation at one source location.  The
-engine parses every file once, extracts waiver comments with
-:mod:`tokenize` (so a ``#`` inside a string literal cannot waive
-anything), builds the cross-file :class:`~repro.analyze.callgraph.Project`
-index only when a selected rule needs it, and returns a :class:`Report`
-whose finding order is fully deterministic (sorted by path, line,
-column, rule) — the linter obeys its own contract.
+engine parses every file once and reads its comments in one
+:mod:`tokenize` pass (so a ``#`` inside a string literal is not a
+comment): waivers and the ``# domain:`` / ``# grows:`` annotations all
+come from that pass.  It builds the cross-file
+:class:`~repro.analyze.callgraph.Project` index only when a selected rule
+needs it, and returns a :class:`Report` whose finding order is fully
+deterministic (sorted by path, line, column, rule) — the linter obeys
+its own contract.
 """
 
 from __future__ import annotations
@@ -18,13 +20,9 @@ import re
 import subprocess
 import time
 import tokenize
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
-
-# The parse pool follows the sweep runner's ``REPRO_WORKERS`` rules.
-from repro.experiments.runner import default_workers
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 WAIVER_RE = re.compile(r"analyze:\s*(ok|file-ok)\(\s*([A-Z0-9_]+(?:\s*,\s*[A-Z0-9_]+)*)\s*\)")
 
@@ -57,12 +55,12 @@ class Finding:
 
 @dataclass
 class FileContext:
-    """One parsed source file plus its waiver comments."""
+    """One parsed source file, its comments and its waivers."""
 
     path: Path  # resolved absolute path
     display: str  # the path findings print (relative when possible)
-    source: str
     tree: ast.Module
+    comments: dict[int, str] = field(default_factory=dict)  # line -> comment text
     line_waivers: dict[int, set[str]] = field(default_factory=dict)
     file_waivers: set[str] = field(default_factory=set)
     file_waiver_lines: dict[str, int] = field(default_factory=dict)
@@ -75,6 +73,29 @@ class FileContext:
         if rule in self.file_waivers:
             return True
         return rule in self.line_waivers.get(line, set())
+
+    def tag_specs(self, tag: str, values: Mapping[str, str]) -> dict[int, dict[str, str]]:
+        """Line -> parsed ``# <tag>: spec`` comment.  A spec is a comma
+        list of ``value`` (keyed ``""``) or ``name=value`` parts, each
+        value looked up case-insensitively in ``values``: ``# grows:
+        segments`` -> ``{"": "SEGMENTS"}``, ``# domain: a=ssn,
+        return=dsn`` -> ``{"a": "SSN", "return": "DSN"}``.  Unknown
+        values are dropped: the grammar is advisory, and a typo must not
+        crash the lint."""
+        pattern = re.compile(rf"#\s*{tag}:\s*([A-Za-z0-9_=,\s]+)")
+        specs: dict[int, dict[str, str]] = {}
+        for lineno, text in self.comments.items():
+            match = pattern.search(text)
+            if match is None:
+                continue
+            spec: dict[str, str] = {}
+            for part in match.group(1).split(","):
+                name, _, value = part.rpartition("=")
+                if value.strip().lower() in values:
+                    spec[name.strip()] = values[value.strip().lower()]
+            if spec:
+                specs[lineno] = spec
+        return specs
 
 
 @dataclass
@@ -131,29 +152,33 @@ class Report:
         }
 
 
+def read_comments(source: str) -> dict[int, str]:
+    """Line -> comment text, from one :mod:`tokenize` pass (a ``#``
+    inside a string literal is not a comment)."""
+    try:
+        return {
+            tok.start[0]: tok.string
+            for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+            if tok.type == tokenize.COMMENT
+        }
+    except (tokenize.TokenError, IndentationError, SyntaxError):
+        # Unterminated constructs etc.: fall back to a plain line scan.
+        return {
+            number: line
+            for number, line in enumerate(source.splitlines(), start=1)
+            if "#" in line
+        }
+
+
 def parse_waivers(
-    source: str,
+    comments: Mapping[int, str],
 ) -> tuple[dict[int, set[str]], set[str], dict[str, int]]:
     """Map line -> waived rule codes, the file-wide waiver set, and the
     line each file-wide waiver first appears on (for staleness reports)."""
-    comments: list[tuple[int, str]]
-    try:
-        comments = [
-            (tok.start[0], tok.string)
-            for tok in tokenize.generate_tokens(io.StringIO(source).readline)
-            if tok.type == tokenize.COMMENT
-        ]
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        # Unterminated constructs etc.: fall back to a plain line scan.
-        comments = [
-            (number, line)
-            for number, line in enumerate(source.splitlines(), start=1)
-            if "#" in line
-        ]
     line_waivers: dict[int, set[str]] = {}
     file_waivers: set[str] = set()
     file_waiver_lines: dict[str, int] = {}
-    for lineno, text in comments:
+    for lineno, text in comments.items():
         for kind, codes in WAIVER_RE.findall(text):
             rules = {code.strip() for code in codes.split(",") if code.strip()}
             if kind == "file-ok":
@@ -178,61 +203,30 @@ def load_context(path: Path) -> FileContext:
     resolved = path.resolve()
     source = resolved.read_text(encoding="utf-8")
     tree = ast.parse(source, filename=str(resolved))
-    line_waivers, file_waivers, file_waiver_lines = parse_waivers(source)
+    comments = read_comments(source)
+    line_waivers, file_waivers, file_waiver_lines = parse_waivers(comments)
     return FileContext(
         path=resolved,
         display=_display_path(resolved),
-        source=source,
         tree=tree,
+        comments=comments,
         line_waivers=line_waivers,
         file_waivers=file_waivers,
         file_waiver_lines=file_waiver_lines,
     )
 
 
-def _load_for_pool(path_str: str):
-    """Worker-side loader: returns (context, error_line) with exactly one
-    of the two set.  Module-level so ProcessPoolExecutor can pickle it."""
-    path = Path(path_str)
-    try:
-        return load_context(path), None
-    except SyntaxError as error:
-        return None, (
-            f"{_display_path(path)}:{error.lineno or 0}: syntax error: {error.msg}"
-        )
-
-
-# Forking a pool costs more than parsing a handful of files.
-_PARALLEL_THRESHOLD = 16
-
-
-def _load_contexts(
-    files: list[Path], workers: Optional[int] = None
-) -> tuple[list[FileContext], list[str]]:
-    count = default_workers() if workers is None else max(1, workers)
+def load_contexts(files: Sequence[Path]) -> tuple[list[FileContext], list[str]]:
+    """Parse every file; unparseable ones become error lines."""
     contexts: list[FileContext] = []
     parse_errors: list[str] = []
-    if count > 1 and len(files) >= _PARALLEL_THRESHOLD:
-        try:
-            with ProcessPoolExecutor(max_workers=count) as pool:
-                chunk = max(1, len(files) // (count * 4))
-                results = list(
-                    pool.map(_load_for_pool, [str(p) for p in files], chunksize=chunk)
-                )
-            for ctx, error in results:
-                if ctx is not None:
-                    contexts.append(ctx)
-                else:
-                    parse_errors.append(error)
-            return contexts, parse_errors
-        except (OSError, PermissionError):
-            contexts, parse_errors = [], []  # no fork on this platform: serial
     for path in files:
-        ctx, error = _load_for_pool(str(path))
-        if ctx is not None:
-            contexts.append(ctx)
-        else:
-            parse_errors.append(error)
+        try:
+            contexts.append(load_context(path))
+        except SyntaxError as error:
+            parse_errors.append(
+                f"{_display_path(path)}:{error.lineno or 0}: syntax error: {error.msg}"
+            )
     return contexts, parse_errors
 
 
@@ -298,13 +292,13 @@ def run_analysis(
     rule_codes: Optional[Sequence[str]] = None,
     rules: Optional[Sequence] = None,
     changed_only: bool = False,
-    workers: Optional[int] = None,
 ) -> Report:
     """Run the selected rules (default: all) over the given paths.
 
-    ``changed_only`` keeps only files git reports as modified or
-    untracked (full scan when git is unavailable).  ``workers`` caps the
-    parse pool (default: the REPRO_WORKERS convention).
+    ``changed_only`` checks and reports only the files git reports as
+    modified or untracked (all of them when git is unavailable); the
+    call graph is still built from every file, so reachability and
+    stale-waiver verdicts match a full scan's.
     """
     from repro.analyze.callgraph import Project
     from repro.analyze.rules import select_rules
@@ -315,14 +309,12 @@ def run_analysis(
 
     active = list(rules) if rules is not None else select_rules(rule_codes)
 
-    files = list(iter_python_files(paths))
-    partial_scan = False
+    contexts, parse_errors = load_contexts(list(iter_python_files(paths)))
+    checked = contexts
     if changed_only:
         changed = git_changed_files()
         if changed is not None:
-            files = [path for path in files if path.resolve() in changed]
-            partial_scan = True
-    contexts, parse_errors = _load_contexts(files, workers=workers)
+            checked = [ctx for ctx in contexts if ctx.path in changed]
 
     project = None
     if any(rule.needs_project for rule in active):
@@ -332,7 +324,7 @@ def run_analysis(
     findings: list[Finding] = []
     by_ctx: dict[str, list[Finding]] = {}
     rule_seconds = {rule.code: 0.0 for rule in active}
-    for ctx in contexts:
+    for ctx in checked:
         ctx_findings = by_ctx.setdefault(ctx.posix, [])
         for rule in active:
             if rule.allows(ctx):
@@ -346,12 +338,10 @@ def run_analysis(
                 ctx_findings.append(finding)
             rule_seconds[rule.code] += time.perf_counter() - begin
     # Post-pass (stale-waiver detection needs the full finding set).
-    for ctx in contexts:
+    for ctx in checked:
         for rule in active:
             post = getattr(rule, "post_check", None)
             if post is None or rule.allows(ctx):
-                continue
-            if partial_scan and getattr(rule, "full_scan_only", False):
                 continue
             begin = time.perf_counter()
             for finding in post(ctx, by_ctx.get(ctx.posix, []), active_codes):
@@ -363,7 +353,7 @@ def run_analysis(
     return Report(
         findings=findings,
         parse_errors=parse_errors,
-        files_scanned=len(contexts),
+        files_scanned=len(checked),
         rules=[rule.code for rule in active],
         elapsed_seconds=time.perf_counter() - started,
         rule_seconds=rule_seconds,

@@ -90,17 +90,17 @@ def _constant_number(expr: ast.expr) -> Optional[float]:
 
 def _delivery_closure(project) -> set[str]:
     """Forward closure from boundary delivery and window entry points."""
-    cached = getattr(project, "_fed01_closure", None)
-    if cached is None:
+
+    def build() -> set[str]:
         seeds = {
             fid
             for fid, info in project.functions.items()
             if (info.class_name is not None and "Boundary" in info.class_name)
             or info.name in WINDOW_ENTRY_NAMES
         }
-        cached = project._forward_closure(seeds)
-        project._fed01_closure = cached
-    return cached
+        return project._forward_closure(seeds)
+
+    return project.cached("fed-closure", build)
 
 
 def _segment_ish(name: str) -> bool:

@@ -10,15 +10,20 @@ suffixes that are exempt by design (the module whose *job* is to own
 the exception; an entry ending in ``/`` exempts a whole package), and
 a ``check`` generator yielding
 :class:`~repro.analyze.core.Finding` objects.  Waivers are applied by
-the engine, not here.
+the engine, not here.  HOT01 and CPX01 are budget rules
+(:class:`BudgetRule`): they count sites per function against a
+committed, ratcheted budget file.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import re
+from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
+from repro.analyze.callgraph import container_kind, own_nodes
 from repro.analyze.core import FileContext, Finding
 
 # ---------------------------------------------------------------------------
@@ -52,16 +57,97 @@ class Rule:
         )
 
 
-def _own_nodes(fn: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function's body without descending into nested defs (those
-    are analysed as functions in their own right)."""
-    stack = list(ast.iter_child_nodes(fn))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
+class BudgetError(Exception):
+    """A committed budget file that is not a ``{"key": count}`` object."""
+
+
+class BudgetRule(Rule):
+    """A rule that counts sites per function against a committed budget
+    (``budget_file`` beside this module, keyed by :meth:`budget_key`).
+
+    Subclasses supply :meth:`scope` (the function ids measured) and
+    :meth:`sites` (one function's ``(node, message)`` pairs).  A function
+    over budget yields one finding per site, so fixes are line-targeted.
+    Sites on waived lines never count against the budget and always
+    yield (the engine marks them waived), so WVR01 sees each waiver
+    suppress a real finding.  ``python -m repro.analyze --budget``
+    compares :meth:`load_budget` with :meth:`measure` so the budget can
+    only ratchet down."""
+
+    needs_project = True
+    budget_file = ""
+    unit = ""  # what one site is, e.g. "scan site"
+    remedy = ""  # how to fix an over-budget function, before "or raise ..."
+
+    def __init__(self, budget_path=None):
+        self.budget_path = (
+            Path(__file__).resolve().parent / self.budget_file
+            if budget_path is None
+            else Path(budget_path)
+        )
+
+    def scope(self, project) -> set[str]:
+        raise NotImplementedError
+
+    def sites(self, project, fid: str) -> list[tuple[ast.AST, str]]:
+        raise NotImplementedError
+
+    def load_budget(self) -> dict[str, int]:
+        """The committed budget; ``{}`` when the file does not exist."""
+        try:
+            raw = json.loads(self.budget_path.read_text(encoding="utf-8"))
+            return {str(key): int(value) for key, value in raw.items()}
+        except FileNotFoundError:
+            return {}
+        except (OSError, ValueError, TypeError, AttributeError) as error:
+            raise BudgetError(
+                f"{self.budget_path}: not a {self.code} budget ({error})"
+            ) from error
+
+    @staticmethod
+    def budget_key(fid: str) -> str:
+        """Stable, machine-independent budget key for a function id."""
+        path, _, qual = fid.partition("::")
+        marker = path.find("/repro/")
+        rel = path[marker + 1 :] if marker != -1 else path.rsplit("/", 1)[-1]
+        return f"{rel}::{qual}"
+
+    def _countable(self, ctx: FileContext, sites: list) -> int:
+        return sum(not ctx.is_waived(self.code, node.lineno) for node, _ in sites)
+
+    def measure(self, project) -> dict[str, int]:
+        """Unwaived site counts per in-scope function (budget-file shape)."""
+        counts: dict[str, int] = {}
+        for fid in self.scope(project):
+            ctx = project.by_posix[project.functions[fid].posix]
+            countable = self._countable(ctx, self.sites(project, fid))
+            if countable:
+                key = self.budget_key(fid)
+                counts[key] = max(counts.get(key, 0), countable)
+        return counts
+
+    def check(self, ctx: FileContext, project) -> Iterator[Finding]:
+        budget = project.cached((self.code, self.budget_path), self.load_budget)
+        in_scope = self.scope(project)
+        for node in ast.walk(ctx.tree):
+            fid = project.fid_of(node)
+            if fid is None or fid not in in_scope:
+                continue
+            sites = self.sites(project, fid)
+            countable = self._countable(ctx, sites)
+            key = self.budget_key(fid)
+            allowed = budget.get(key, 0)
+            label = getattr(node, "name", "<lambda>")
+            for site, what in sites:
+                if countable > allowed or ctx.is_waived(self.code, site.lineno):
+                    yield self.finding(
+                        ctx,
+                        site,
+                        f"{what} in hot-path function '{label}' — {countable} "
+                        f"{self.unit}(s) against a budget of {allowed} ({key}); "
+                        f"{self.remedy} raise the committed budget with the "
+                        "ratchet rationale",
+                    )
 
 
 def _functions(tree: ast.Module) -> Iterator[ast.AST]:
@@ -202,18 +288,17 @@ class Det03UnorderedIteration(Rule):
     )
     needs_project = True
 
-    SAFE_WRAPPERS = frozenset({"sorted", "min", "max", "sum", "len", "any", "all"})
     DICT_VIEWS = frozenset({"values", "keys", "items"})
 
     def check(self, ctx: FileContext, project) -> Iterator[Finding]:
         class_sets = _class_set_attrs(ctx)
         module_sets = _set_names_in(ctx.tree.body)
         for fn in _functions(ctx.tree):
-            if project is None or not project.is_schedule_tainted(fn):
+            fid = project.fid_of(fn)
+            if fid not in project.schedule_tainted:
                 continue
-            local_sets = _set_names_in(list(_own_nodes(fn))) | module_sets
-            owner = _enclosing_class(ctx, fn)
-            attr_sets = class_sets.get(owner, set())
+            local_sets = _set_names_in(list(own_nodes(fn))) | module_sets
+            attr_sets = class_sets.get(project.functions[fid].class_name, set())
 
             def set_like(expr: ast.expr) -> Optional[str]:
                 if isinstance(expr, (ast.Set, ast.SetComp)):
@@ -232,7 +317,7 @@ class Det03UnorderedIteration(Rule):
                     return f"set 'self.{expr.attr}'"
                 return None
 
-            for node in _own_nodes(fn):
+            for node in own_nodes(fn):
                 sources: list[ast.expr] = []
                 if isinstance(node, ast.For):
                     sources.append(node.iter)
@@ -273,38 +358,11 @@ def _set_names_in(nodes: Sequence[ast.AST]) -> set[str]:
     """Names assigned/annotated as sets among the given statements."""
     names: set[str] = set()
     for node in nodes:
-        value = None
-        targets: list[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            value, targets = node.value, node.targets
-        elif isinstance(node, ast.AnnAssign) and node.target is not None:
-            targets = [node.target]
-            value = node.value
-            if _annotation_is_set(node.annotation):
-                if isinstance(node.target, ast.Name):
-                    names.add(node.target.id)
-        if value is not None and _value_is_set(value):
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if container_kind(node.value, getattr(node, "annotation", None)) == "set":
+                names.update(target.id for target in targets if isinstance(target, ast.Name))
     return names
-
-
-def _value_is_set(value: ast.expr) -> bool:
-    if isinstance(value, (ast.Set, ast.SetComp)):
-        return True
-    return (
-        isinstance(value, ast.Call)
-        and isinstance(value.func, ast.Name)
-        and value.func.id in ("set", "frozenset")
-    )
-
-
-def _annotation_is_set(annotation: Optional[ast.expr]) -> bool:
-    if annotation is None:
-        return False
-    text = ast.unparse(annotation) if hasattr(ast, "unparse") else ""
-    return bool(re.match(r"(typing\.)?(Set|FrozenSet|set|frozenset)\b", text))
 
 
 def _class_set_attrs(ctx: FileContext) -> dict[str, set[str]]:
@@ -316,35 +374,19 @@ def _class_set_attrs(ctx: FileContext) -> dict[str, set[str]]:
             continue
         attrs: set[str] = set()
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Assign) and _value_is_set(sub.value):
-                for target in sub.targets:
-                    if (
-                        isinstance(target, ast.Attribute)
+            if isinstance(sub, (ast.Assign, ast.AnnAssign)):
+                targets = sub.targets if isinstance(sub, ast.Assign) else [sub.target]
+                if container_kind(sub.value, getattr(sub, "annotation", None)) == "set":
+                    attrs.update(
+                        target.attr
+                        for target in targets
+                        if isinstance(target, ast.Attribute)
                         and isinstance(target.value, ast.Name)
                         and target.value.id == "self"
-                    ):
-                        attrs.add(target.attr)
-            elif isinstance(sub, ast.AnnAssign) and _annotation_is_set(sub.annotation):
-                target = sub.target
-                if (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
-                    attrs.add(target.attr)
+                    )
         if attrs:
             result[node.name] = attrs
     return result
-
-
-def _enclosing_class(ctx: FileContext, fn: ast.AST) -> str:
-    """Name of the class whose body (transitively) contains ``fn``."""
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.ClassDef):
-            for sub in ast.walk(node):
-                if sub is fn:
-                    return node.name
-    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -546,13 +588,13 @@ class Mut01WorkerModuleState(Rule):
     def check(self, ctx: FileContext, project) -> Iterator[Finding]:
         mutables = self._module_mutables(ctx)
         for fn in _functions(ctx.tree):
-            if project is None or not project.is_worker_reachable(fn):
+            if project.fid_of(fn) not in project.worker_reachable:
                 continue
             declared_global: set[str] = set()
-            for node in _own_nodes(fn):
+            for node in own_nodes(fn):
                 if isinstance(node, ast.Global):
                     declared_global.update(node.names)
-            for node in _own_nodes(fn):
+            for node in own_nodes(fn):
                 if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                     targets = (
                         node.targets
@@ -669,7 +711,7 @@ class Fsm01SingleWriter(Rule):
 # ---------------------------------------------------------------------------
 # HOT01 — ratcheted hot-path allocation budget
 # ---------------------------------------------------------------------------
-class Hot01HotPathAllocations(Rule):
+class Hot01HotPathAllocations(BudgetRule):
     code = "HOT01"
     title = "hot-path allocation sites stay within the committed budget"
     rationale = (
@@ -682,23 +724,25 @@ class Hot01HotPathAllocations(Rule):
         "'python -m repro.analyze --budget' ratchets the budget so it can "
         "only move down."
     )
-    needs_project = True
+    budget_file = "hot_budget.json"
+    unit = "allocation site"
+    remedy = "eliminate the allocation or"
 
-    def __init__(self, budget_path=None):
+    def scope(self, project) -> set[str]:
         from repro.analyze import hotpath
 
-        self.budget = hotpath.load_budget(budget_path)
+        return hotpath.closure(project)
 
-    def check(self, ctx: FileContext, project) -> Iterator[Finding]:
+    def sites(self, project, fid: str) -> list[tuple[ast.AST, str]]:
         from repro.analyze import hotpath
 
-        yield from hotpath.check_file(self, ctx, project)
+        return hotpath.allocation_sites(project.functions[fid].node)
 
 
 # ---------------------------------------------------------------------------
 # CPX01 — growth-class complexity budget
 # ---------------------------------------------------------------------------
-class Cpx01GrowthComplexity(Rule):
+class Cpx01GrowthComplexity(BudgetRule):
     code = "CPX01"
     title = "no per-event scans over unbounded-growth state"
     rationale = (
@@ -715,17 +759,19 @@ class Cpx01GrowthComplexity(Rule):
     # The indexed retransmit structure owns its internal scans: its whole
     # job is to confine them behind an O(log n)/O(1) interface.
     allow = ("repro/tcp/rtx.py",)
-    needs_project = True
+    budget_file = "complexity_budget.json"
+    unit = "scan site"
+    remedy = "index the access, declare the growth class, or"
 
-    def __init__(self, budget_path=None):
+    def scope(self, project) -> set[str]:
         from repro.analyze import complexity
 
-        self.budget = complexity.load_budget(budget_path)
+        return complexity.scope(project)
 
-    def check(self, ctx: FileContext, project) -> Iterator[Finding]:
+    def sites(self, project, fid: str) -> list[tuple[ast.AST, str]]:
         from repro.analyze import complexity
 
-        yield from complexity.check_file(self, ctx, project)
+        return complexity.scan_sites(project, fid)
 
 
 # ---------------------------------------------------------------------------
@@ -764,10 +810,6 @@ class Wvr01StaleWaiver(Rule):
         "violation on that line.  Only waivers for rules active in the "
         "current run are judged, so partial --rule runs never cry stale."
     )
-    # Reachability rules (DET03/MUT01) need the whole project to taint
-    # anything, so staleness is only meaningful on a full scan: the
-    # engine skips this pass under --changed-only.
-    full_scan_only = True
 
     def check(self, ctx: FileContext, project) -> Iterator[Finding]:
         return iter(())  # the engine's post-pass does the work

@@ -75,3 +75,16 @@ def main():
     sim.schedule(0.3, budgeted)
     sim.schedule(0.4, waived)
     sim.run()
+
+
+class Registry:
+    def __init__(self):
+        self.peers = ["# grows: connections"]  # a string literal, not a tag
+
+    def sweep(self):
+        for peer in self.peers:  # line 85: fine, untagged (the tag was a string)
+            pass
+
+
+def arm(sim, registry):
+    sim.schedule(0.5, registry.sweep)

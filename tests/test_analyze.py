@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -17,12 +19,13 @@ from repro.analyze.callgraph import Project
 from repro.analyze.cli import budget_drift
 from repro.analyze.cli import main as analyze_main
 from repro.analyze.core import (
-    default_workers,
     iter_python_files,
     load_context,
+    load_contexts,
     parse_waivers,
+    read_comments,
 )
-from repro.analyze.rules import Fsm01SingleWriter
+from repro.analyze.rules import BudgetError, Fsm01SingleWriter, rule_by_code
 from repro.check.fuzzer import _payload
 from repro.sim.rng import SeededRNG
 
@@ -137,6 +140,13 @@ def test_cpx01_committed_budget_tolerates_sites():
     assert {30, 31, 35, 46, 53} <= set(lines)
 
 
+def test_cpx01_grows_inside_a_string_tags_nothing():
+    report = findings_for("cpx01", "CPX01")
+    # Registry.peers is assigned a string that reads "# grows: connections";
+    # like a waiver, a tag counts only in a real comment token.
+    assert 85 not in [f.line for f in report.findings]
+
+
 def test_cpx01_class_propagates_through_return_summary():
     report = findings_for("cpx01", "CPX01")
     summary = next(f for f in report.findings if f.line == 46)
@@ -183,7 +193,7 @@ def test_rule_selection_restricts_findings():
 # ---------------------------------------------------------------------------
 def test_waiver_in_string_literal_does_not_waive():
     line_waivers, file_waivers, file_waiver_lines = parse_waivers(
-        'text = "# analyze: ok(DET01)"\nvalue = 1  # analyze: ok(SEQ01)\n'
+        read_comments('text = "# analyze: ok(DET01)"\nvalue = 1  # analyze: ok(SEQ01)\n')
     )
     assert line_waivers == {2: {"SEQ01"}}
     assert file_waivers == set()
@@ -192,7 +202,7 @@ def test_waiver_in_string_literal_does_not_waive():
 
 def test_file_ok_waiver_covers_every_line():
     line_waivers, file_waivers, file_waiver_lines = parse_waivers(
-        "x = 0\n# analyze: file-ok(SEQ01, DET03): module keeps unwrapped units\n"
+        read_comments("x = 0\n# analyze: file-ok(SEQ01, DET03): module keeps unwrapped units\n")
     )
     assert line_waivers == {}
     assert file_waivers == {"SEQ01", "DET03"}
@@ -240,9 +250,7 @@ def test_json_report_budget_summary(tmp_path, capsys):
 @pytest.fixture(scope="module")
 def src_project():
     """``src/`` parsed once for the budget tests."""
-    from repro.analyze.core import _load_contexts
-
-    contexts, parse_errors = _load_contexts(list(iter_python_files([REPO_ROOT / "src"])))
+    contexts, parse_errors = load_contexts(list(iter_python_files([REPO_ROOT / "src"])))
     assert not parse_errors
     return Project(contexts)
 
@@ -256,18 +264,16 @@ def src_report():
 def test_hot_budget_ratchet_is_tight(src_project):
     """The committed HOT01 budget must match the measured hot closure:
     no slack entries, no dead entries (``--budget``'s contract)."""
-    from repro.analyze import hotpath
-
-    drift = budget_drift(hotpath.load_budget(), hotpath.measure(src_project))
+    rule = rule_by_code("HOT01")
+    drift = budget_drift(rule.load_budget(), rule.measure(src_project))
     assert drift == {"slack": {}, "dead": {}, "over": {}}
 
 
 def test_complexity_budget_ratchet_is_tight(src_project):
     """The committed CPX01 budget must match the measured scan counts:
     no slack entries, no dead entries (``--budget``'s contract)."""
-    from repro.analyze import complexity
-
-    drift = budget_drift(complexity.load_budget(), complexity.measure(src_project))
+    rule = rule_by_code("CPX01")
+    drift = budget_drift(rule.load_budget(), rule.measure(src_project))
     assert drift == {"slack": {}, "dead": {}, "over": {}}
 
 
@@ -281,16 +287,13 @@ def test_budget_drift_classifies_entries():
 
 
 def test_cli_budget_exit_codes_and_write(tmp_path, monkeypatch, capsys):
-    from repro.analyze import complexity, hotpath
-
     tiny = str(FIXTURES / "det01.py")  # measures nothing in either budget
     # Against the real budgets every committed entry is dead.
     assert analyze_main(["--budget", tiny]) == 1
     assert "HOT01 dead entry:" in capsys.readouterr().out
-    for module in (hotpath, complexity):
-        path = tmp_path / module.BUDGET_FILENAME
-        monkeypatch.setattr(module, "DEFAULT_BUDGET_PATH", path)
-        monkeypatch.setattr(module, "load_budget", lambda: {})
+    for code in ("HOT01", "CPX01"):
+        rule = rule_by_code(code)  # a missing budget file is an empty budget
+        monkeypatch.setattr(rule, "budget_path", tmp_path / rule.budget_file)
     out = tmp_path / "drift.json"
     assert analyze_main(["--budget", "--out", str(out), tiny]) == 0
     assert "budget ratchet: ok" in capsys.readouterr().out
@@ -298,7 +301,21 @@ def test_cli_budget_exit_codes_and_write(tmp_path, monkeypatch, capsys):
         code: {"slack": {}, "dead": {}, "over": {}} for code in ("HOT01", "CPX01")
     }
     assert analyze_main(["--budget", "--write", tiny]) == 0
-    assert (tmp_path / hotpath.BUDGET_FILENAME).read_text() == "{}\n"
+    assert (tmp_path / "hot_budget.json").read_text() == "{}\n"
+
+
+def test_corrupt_budget_file_is_an_error_naming_it(tmp_path, monkeypatch, capsys):
+    corrupt = tmp_path / "hot_budget.json"
+    corrupt.write_text('{"broken": \n')
+    rule = rule_by_code("HOT01")
+    with pytest.raises(BudgetError, match="hot_budget.json"):
+        run_analysis([FIXTURES / "hot01.py"], rules=[type(rule)(budget_path=corrupt)])
+    # Not an empty budget: that would flag every hot allocation site.
+    monkeypatch.setattr(rule, "budget_path", corrupt)
+    assert analyze_main(["--rule", "HOT01", str(FIXTURES / "hot01.py")]) == 2
+    assert str(corrupt) in capsys.readouterr().err
+    assert analyze_main(["--budget", str(FIXTURES / "hot01.py")]) == 2
+    assert str(corrupt) in capsys.readouterr().err
 
 
 def test_cpx01_sees_the_mapping_tables():
@@ -307,11 +324,9 @@ def test_cpx01_sees_the_mapping_tables():
     (neither seed table nor assignment declared it), so the scale linter
     never saw its per-segment rescans."""
     from repro.analyze import complexity
-    from repro.analyze.callgraph import Project
-    from repro.analyze.core import _load_contexts, iter_python_files
 
     files = list(iter_python_files([REPO_ROOT / "src" / "repro" / "mptcp"]))
-    contexts, parse_errors = _load_contexts(files)
+    contexts, parse_errors = load_contexts(files)
     assert not parse_errors
     tags = complexity._facts(Project(contexts)).attr_class
     for attr in ("inflight", "_by_start", "reinject_queue", "_rx_mappings"):
@@ -484,7 +499,7 @@ def test_callgraph_decorator_edge(extras_project):
 
 
 # ---------------------------------------------------------------------------
-# Engine: parallel parsing, changed-only mode, wall-time reporting
+# Engine: changed-only mode, wall-time reporting
 # ---------------------------------------------------------------------------
 def test_report_carries_elapsed_seconds():
     report = findings_for("det01", "DET01")
@@ -501,48 +516,25 @@ def test_json_report_times_every_selected_rule(capsys):
     assert all(isinstance(t, float) and t >= 0 for t in seconds.values())
 
 
-def test_default_workers_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_WORKERS", "3")
-    assert default_workers() == 3
-    monkeypatch.setenv("REPRO_WORKERS", "bogus")
-    with pytest.raises(ValueError):
-        default_workers()
+_GIT_IDENTITY = {
+    "GIT_AUTHOR_NAME": "t",
+    "GIT_AUTHOR_EMAIL": "t@t",
+    "GIT_COMMITTER_NAME": "t",
+    "GIT_COMMITTER_EMAIL": "t@t",
+}
 
 
-def test_parallel_and_serial_loading_agree(monkeypatch):
-    import repro.analyze.core as core
-
-    serial = run_analysis([FIXTURES], workers=1)
-    monkeypatch.setattr(core, "_PARALLEL_THRESHOLD", 1)
-    parallel = run_analysis([FIXTURES], workers=2)
-    strip = lambda r: [f.as_dict() for f in r.findings]  # noqa: E731
-    assert strip(parallel) == strip(serial)
-    assert parallel.files_scanned == serial.files_scanned
+def _git(cwd, *argv):
+    env = {**os.environ, **_GIT_IDENTITY}
+    subprocess.run(["git", *argv], cwd=cwd, check=True, capture_output=True, env=env)
 
 
 def test_changed_only_scans_only_dirty_files(tmp_path, monkeypatch):
-    import subprocess
-
-    def git(*argv):
-        subprocess.run(
-            ["git", *argv],
-            cwd=tmp_path,
-            check=True,
-            capture_output=True,
-            env={
-                **__import__("os").environ,
-                "GIT_AUTHOR_NAME": "t",
-                "GIT_AUTHOR_EMAIL": "t@t",
-                "GIT_COMMITTER_NAME": "t",
-                "GIT_COMMITTER_EMAIL": "t@t",
-            },
-        )
-
-    git("init", "-q")
+    _git(tmp_path, "init", "-q")
     committed = tmp_path / "committed.py"
     committed.write_text("import random\n")  # DET01, but unchanged
-    git("add", "committed.py")
-    git("commit", "-qm", "seed")
+    _git(tmp_path, "add", "committed.py")
+    _git(tmp_path, "commit", "-qm", "seed")
     dirty = tmp_path / "dirty.py"
     dirty.write_text("import random\n")  # DET01, untracked
     monkeypatch.chdir(tmp_path)
@@ -553,14 +545,35 @@ def test_changed_only_scans_only_dirty_files(tmp_path, monkeypatch):
     assert changed.files_scanned == 1
     assert [Path(f.path).name for f in changed.findings] == ["dirty.py"]
 
-    # WVR01 never judges staleness on a partial scan: reachability rules
-    # cannot taint anything without the whole project in view.
+    # The call graph spans every file even on a partial scan, so WVR01
+    # judges a changed file's waivers exactly as a full scan does.
     stale = tmp_path / "stale.py"
     stale.write_text("x = 1  # analyze: ok(DET03)\n")
     full = run_analysis([tmp_path], rule_codes=["DET03", "WVR01"])
     changed = run_analysis([tmp_path], rule_codes=["DET03", "WVR01"], changed_only=True)
     assert [f.rule for f in full.unwaived] == ["WVR01"]
-    assert changed.unwaived == []
+    assert [f.rule for f in changed.unwaived] == ["WVR01"]
+
+
+def test_changed_only_sees_reachability_through_unchanged_files(tmp_path, monkeypatch):
+    # OOOQueue.advance is hot only because the committed event loop
+    # calls it; a call graph of the changed file alone misses that.
+    _git(tmp_path, "init", "-q")
+    (tmp_path / "loop.py").write_text(
+        "class Simulator:\n    def run(self):\n        self.queue.advance(0)\n"
+    )
+    _git(tmp_path, "add", "loop.py")
+    _git(tmp_path, "commit", "-qm", "seed")
+    (tmp_path / "ooo.py").write_text(
+        "class OOOQueue:\n    def advance(self, offset):\n        _probe = [offset]\n"
+    )
+    monkeypatch.chdir(tmp_path)
+
+    full = run_analysis([tmp_path], rule_codes=["HOT01"])
+    changed = run_analysis([tmp_path], rule_codes=["HOT01"], changed_only=True)
+    assert [(Path(f.path).name, f.line) for f in full.unwaived] == [("ooo.py", 3)]
+    assert [(Path(f.path).name, f.line) for f in changed.unwaived] == [("ooo.py", 3)]
+    assert changed.files_scanned == 1
 
 
 # ---------------------------------------------------------------------------

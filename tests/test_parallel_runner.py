@@ -12,7 +12,6 @@ import os
 
 import pytest
 
-from repro.analyze import core as analyze_core
 from repro.experiments import fig3, fig4
 from repro.experiments import runner as sweep_runner
 from repro.experiments.runner import Point, run_parallel
@@ -172,16 +171,15 @@ class TestSweepAPI:
         "raw, expected",
         [("3", 3), ("0", os.cpu_count() or 1), ("-2", ValueError), ("bogus", ValueError)],
     )
-    def test_sweeps_and_analyzer_read_workers_alike(self, monkeypatch, raw, expected):
+    def test_sweeps_read_workers_env(self, monkeypatch, raw, expected):
         monkeypatch.setenv("REPRO_WORKERS", raw)
-        for parse in (sweep_runner.default_workers, analyze_core.default_workers):
-            if expected is ValueError:
-                with pytest.raises(ValueError, match="REPRO_WORKERS"):
-                    parse()
-            else:
-                assert parse() == expected
+        if expected is ValueError:
+            with pytest.raises(ValueError, match="REPRO_WORKERS"):
+                sweep_runner.default_workers()
+        else:
+            assert sweep_runner.default_workers() == expected
 
     def test_unset_workers_means_one_per_cpu(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         cpus = os.cpu_count() or 1
-        assert sweep_runner.default_workers() == analyze_core.default_workers() == cpus
+        assert sweep_runner.default_workers() == cpus
