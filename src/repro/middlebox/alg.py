@@ -16,7 +16,7 @@ retransmitted payloads.
 
 from __future__ import annotations
 
-from repro.net.options import SACKOption
+from repro.middlebox.rewriter import SequenceRewriter
 from repro.net.packet import Endpoint, Segment
 from repro.net.path import FORWARD, PathElement
 from repro.net.payload import Buffer
@@ -29,8 +29,9 @@ class PayloadModifier(PathElement):
     The match is applied per segment (the model assumes the pattern
     does not straddle a segment boundary, as FTP control commands do
     not).  When lengths differ, a cumulative per-flow delta adjusts the
-    sequence numbers of everything after the edit, and reverse ACKs are
-    shifted back, keeping both endpoints consistent.
+    sequence numbers of everything after the edit, and reverse ACKs and
+    SACK edges are shifted back, each by the deltas of the edits below
+    it, keeping both endpoints consistent.
     """
 
     # The invariant oracle tolerates end-to-end stream differences for
@@ -103,29 +104,27 @@ class PayloadModifier(PathElement):
             if delta:
                 segment.seq = seq_add(segment.seq, delta)
             return [(segment, direction)]
-        # Reverse: shift ACKs back so the sender's view stays coherent.
-        key = (segment.dst, segment.src)
-        if segment.has_ack and key in self._deltas:
-            # Find the delta that applied at the *translated* ack point:
-            # invert by scanning (the ledger is short).
-            total = 0
-            for boundary, delta in self._deltas[key]:
-                if seq_diff(segment.ack, seq_add(boundary, total + delta)) >= 0:
-                    total += delta
-            if total:
-                segment.ack = seq_add(segment.ack, -total)
-                sack = segment.find_option(SACKOption)
-                if sack is not None:
-                    fixed = SACKOption(
-                        blocks=tuple(
-                            (seq_add(l, -total), seq_add(r, -total))
-                            for l, r in sack.blocks
-                        )
-                    )
-                    segment.options = [
-                        fixed if option is sack else option for option in segment.options
-                    ]
+        # Reverse: shift ACKs and SACK edges back so the sender's view
+        # stays coherent.
+        ledger = self._deltas.get((segment.dst, segment.src))
+        if ledger is not None and segment.has_ack:
+            segment.ack = _to_sender(segment.ack, ledger)
+            SequenceRewriter._fix_sack(segment, _to_sender, ledger)
         return [(segment, direction)]
+
+
+def _to_sender(seq: int, ledger: list[tuple[int, int]]) -> int:
+    """The sender-space sequence number of receiver-space ``seq``.
+
+    Inverts the forward shift by scanning (the ledger is short): an
+    edit's delta applies once ``seq`` reaches the point where that
+    edit's boundary landed in the receiver's space.
+    """
+    total = 0
+    for boundary, delta in ledger:
+        if seq_diff(seq, seq_add(boundary, total + delta)) >= 0:
+            total += delta
+    return seq_add(seq, -total)
 
 
 class RetransmissionNormalizer(PathElement):

@@ -26,7 +26,8 @@ class NAT(PathElement):
         super().__init__(name)
         self.external_ip = external_ip
         self._next_port = base_port
-        self._out: dict[tuple[Endpoint, Endpoint], int] = {}
+        # Per outbound flow, its translated source (built once per flow).
+        self._out: dict[tuple[Endpoint, Endpoint], Endpoint] = {}
         self._back: dict[int, tuple[Endpoint, Endpoint]] = {}
         self.dropped_unsolicited = 0
         self.translations = 0
@@ -38,8 +39,8 @@ class NAT(PathElement):
     def process(self, segment: Segment, direction: int) -> list[tuple[Segment, int]]:
         if direction == FORWARD:
             key = (segment.src, segment.dst)
-            port = self._out.get(key)
-            if port is None:
+            translated = self._out.get(key)
+            if translated is None:
                 if not segment.syn:
                     # Data without prior SYN: NATs rarely pass these
                     # (the strawman "no handshake on new paths" fails
@@ -53,9 +54,9 @@ class NAT(PathElement):
                 # (has_cut_elements), so the maps cannot diverge.
                 port = self._next_port
                 self._next_port += 1
-                self._out[key] = port
+                translated = self._out[key] = Endpoint(self.external_ip, port)
                 self._back[port] = key
-            segment.src = Endpoint(self.external_ip, port)
+            segment.src = translated
             self.translations += 1
             return [(segment, direction)]
         mapping = self._back.get(segment.dst.port)

@@ -15,8 +15,10 @@ and never materializes.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.net.options import SACKOption
-from repro.net.packet import Endpoint, Segment
+from repro.net.packet import ACK, Endpoint, Segment
 from repro.tcp.seq import seq_add
 from repro.net.path import FORWARD, PathElement
 from repro.sim.rng import SeededRNG
@@ -38,52 +40,51 @@ class SequenceRewriter(PathElement):
         self._deltas: dict[tuple[Endpoint, Endpoint], int] = {}
         self.rewrites = 0
 
-    def _delta_for(self, a: Endpoint, b: Endpoint, create: bool) -> int | None:
+    def _delta_for(self, a: Endpoint, b: Endpoint) -> int:
+        """The a → b flow's delta, drawn when the flow is first seen
+        (SYN or not: a mid-flow segment gets one too)."""
         key = (a, b)
         delta = self._deltas.get(key)
-        if delta is None and create:
-            delta = self.rng.getrandbits(32)
+        if delta is None:
             # Both directions consult the same ledger instance; the
             # merged cut driver is single-process and has_cut_elements
             # bars process-per-shard cloning.
-            self._deltas[key] = delta
+            delta = self._deltas[key] = self.rng.getrandbits(32)
         return delta
 
     def process(self, segment: Segment, direction: int) -> list[tuple[Segment, int]]:
         if direction == FORWARD:
-            delta = self._delta_for(segment.src, segment.dst, create=segment.syn)
-            if delta is None and not segment.syn:
-                delta = self._delta_for(segment.src, segment.dst, create=True)
-            if delta is not None:
-                segment.seq = seq_add(segment.seq, delta)
-                self.rewrites += 1
+            segment.seq = seq_add(segment.seq, self._delta_for(segment.src, segment.dst))
+            self.rewrites += 1
             if self.both_directions:
-                reverse_delta = self._deltas.get((segment.dst, segment.src))
-                if reverse_delta is not None and segment.has_ack:
-                    segment.ack = seq_add(segment.ack, -reverse_delta)
-                    self._fix_sack(segment, -reverse_delta)
+                delta = self._deltas.get((segment.dst, segment.src))
+                if delta is not None and segment.flags & ACK:
+                    segment.ack = seq_add(segment.ack, -delta)
+                    self._fix_sack(segment, seq_add, -delta)
         else:
             delta = self._deltas.get((segment.dst, segment.src))
-            if delta is not None and segment.has_ack:
+            if delta is not None and segment.flags & ACK:
                 segment.ack = seq_add(segment.ack, -delta)
-                self._fix_sack(segment, -delta)
+                self._fix_sack(segment, seq_add, -delta)
                 self.rewrites += 1
             if self.both_directions:
-                own = self._delta_for(segment.src, segment.dst, create=segment.syn)
-                if own is None:
-                    own = self._delta_for(segment.src, segment.dst, create=True)
-                segment.seq = seq_add(segment.seq, own)
+                segment.seq = seq_add(segment.seq, self._delta_for(segment.src, segment.dst))
         return [(segment, direction)]
 
     @staticmethod
-    def _fix_sack(segment: Segment, delta: int) -> None:
-        sack = segment.find_option(SACKOption)
-        if sack is None:
+    def _fix_sack(segment: Segment, shift: Callable[..., int], arg: object) -> None:
+        """Map every SACK edge of ``segment`` to ``shift(edge, arg)``; the
+        option list is rebuilt only when an edge moves.  Shared with
+        :class:`~repro.middlebox.alg.PayloadModifier`, whose shift
+        depends on the edge."""
+        options = segment.options
+        for index, sack in enumerate(options):
+            if type(sack) is SACKOption:
+                break
+        else:
             return
-        fixed = SACKOption(
-            blocks=tuple(
-                (seq_add(left, delta), seq_add(right, delta))
-                for left, right in sack.blocks
-            )
-        )
-        segment.options = [fixed if option is sack else option for option in segment.options]
+        blocks = tuple((shift(left, arg), shift(right, arg)) for left, right in sack.blocks)
+        if blocks != sack.blocks:
+            options = list(options)
+            options[index] = SACKOption(blocks)
+            segment.options = options

@@ -10,10 +10,9 @@ middlebox must drop the second mapping (§3.3.5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from repro.net.options import KIND_MPTCP, TCPOption, register_option
+from repro.net.options import KIND_MPTCP, TCPOption, _set, register_option
 
 SUBTYPE_MP_CAPABLE = 0
 SUBTYPE_MP_JOIN = 1
@@ -25,13 +24,12 @@ SUBTYPE_MP_FAIL = 6
 SUBTYPE_FASTCLOSE = 7
 
 
-@dataclass(frozen=True)
 class MPTCPOption(TCPOption):
-    """Base for all kind-30 options."""
+    """Base for all kind-30 options.  ``wire_len`` counts kind, length
+    and the subtype/flags byte (3) before the subtype body."""
 
-    @property
-    def kind(self) -> int:
-        return KIND_MPTCP
+    __slots__ = ()
+    kind = KIND_MPTCP
 
     @property
     def subtype(self) -> int:
@@ -41,15 +39,7 @@ class MPTCPOption(TCPOption):
         """kind, length, subtype|flags-nibble, then the body."""
         return bytes([KIND_MPTCP, 3 + len(body), (self.subtype << 4) | (flags & 0x0F)]) + body
 
-    def _body_len(self) -> int:
-        raise NotImplementedError
 
-    def encoded_len(self) -> int:
-        # kind + length + subtype/flags byte, then the subtype body.
-        return 3 + self._body_len()
-
-
-@dataclass(frozen=True)
 class MPCapable(MPTCPOption):
     """MP_CAPABLE: negotiates MPTCP and exchanges 64-bit keys (§3.1).
 
@@ -58,14 +48,22 @@ class MPCapable(MPTCPOption):
     checksums (needed to survive content-modifying middleboxes, §3.3.6).
     """
 
-    sender_key: int = 0
-    receiver_key: Optional[int] = None
-    checksum_required: bool = True
-    version: int = 0
+    __slots__ = ("sender_key", "receiver_key", "checksum_required", "version", "wire_len")
+    __match_args__ = __slots__[:-1]
+    subtype = SUBTYPE_MP_CAPABLE
 
-    @property
-    def subtype(self) -> int:
-        return SUBTYPE_MP_CAPABLE
+    def __init__(
+        self,
+        sender_key: int = 0,
+        receiver_key: Optional[int] = None,
+        checksum_required: bool = True,
+        version: int = 0,
+    ) -> None:
+        _set(self, "sender_key", sender_key)
+        _set(self, "receiver_key", receiver_key)
+        _set(self, "checksum_required", checksum_required)
+        _set(self, "version", version)
+        _set(self, "wire_len", 12 if receiver_key is None else 20)
 
     def encode(self) -> bytes:
         flags = 0x8 if self.checksum_required else 0x0
@@ -73,9 +71,6 @@ class MPCapable(MPTCPOption):
         if self.receiver_key is not None:
             body += self.receiver_key.to_bytes(8, "big")
         return self._frame(body, flags=self.version)
-
-    def _body_len(self) -> int:
-        return 9 + (8 if self.receiver_key is not None else 0)
 
     @staticmethod
     def decode(body: bytes, flags: int) -> "MPCapable":
@@ -90,7 +85,6 @@ class MPCapable(MPTCPOption):
         )
 
 
-@dataclass(frozen=True)
 class MPJoin(MPTCPOption):
     """MP_JOIN: adds a subflow to an existing connection (§3.2).
 
@@ -105,15 +99,25 @@ class MPJoin(MPTCPOption):
     NATs rewrite).
     """
 
-    address_id: int = 0
-    token: Optional[int] = None
-    nonce: Optional[int] = None
-    mac: Optional[int] = None
-    backup: bool = False
+    __slots__ = ("address_id", "token", "nonce", "mac", "backup", "wire_len")
+    __match_args__ = __slots__[:-1]
+    subtype = SUBTYPE_MP_JOIN
 
-    @property
-    def subtype(self) -> int:
-        return SUBTYPE_MP_JOIN
+    def __init__(
+        self,
+        address_id: int = 0,
+        token: Optional[int] = None,
+        nonce: Optional[int] = None,
+        mac: Optional[int] = None,
+        backup: bool = False,
+    ) -> None:
+        _set(self, "address_id", address_id)
+        _set(self, "token", token)
+        _set(self, "nonce", nonce)
+        _set(self, "mac", mac)
+        _set(self, "backup", backup)
+        # SYN, SYN/ACK and third-ACK forms (see encode).
+        _set(self, "wire_len", 12 if token is not None else 16 if nonce is not None else 24)
 
     def encode(self) -> bytes:
         flags = 0x1 if self.backup else 0x0
@@ -125,13 +129,6 @@ class MPJoin(MPTCPOption):
         else:  # third-ACK form: RFC 6824 carries the full 20-byte HMAC
             body += (self.mac or 0).to_bytes(20, "big")
         return self._frame(body, flags=flags)
-
-    def _body_len(self) -> int:
-        if self.token is not None:
-            return 9
-        if self.nonce is not None:
-            return 13
-        return 21
 
     @staticmethod
     def decode(body: bytes, flags: int) -> "MPJoin":
@@ -158,7 +155,6 @@ class MPJoin(MPTCPOption):
         )
 
 
-@dataclass(frozen=True)
 class DSS(MPTCPOption):
     """Data Sequence Signal: mapping, DATA_ACK and DATA_FIN (§3.3).
 
@@ -170,32 +166,37 @@ class DSS(MPTCPOption):
     so the mapping must be idempotent under duplication.
     """
 
-    data_ack: Optional[int] = None  # 32-bit cumulative data ACK
-    dsn: Optional[int] = None  # 32-bit data sequence number of mapping start
-    subflow_seq: Optional[int] = None  # relative SSN (1 = first payload byte)
-    length: int = 0  # mapping length in bytes
-    checksum: Optional[int] = None
-    data_fin: bool = False
+    __slots__ = ("data_ack", "dsn", "subflow_seq", "length", "checksum", "data_fin", "wire_len")
+    __match_args__ = __slots__[:-1]
+    subtype = SUBTYPE_DSS
 
     FLAG_DATA_ACK = 0x1
     FLAG_MAPPING = 0x2
     FLAG_DATA_FIN = 0x4
 
-    def __post_init__(self) -> None:
-        # Inline of 3 + _body_len(): one DSS is built per data segment
-        # sent, so the generic encoded_len() dispatch pair is skipped.
-        length = 4  # kind + len + subtype/flags byte + DSS flags byte
-        if self.data_ack is not None:
-            length += 4
-        if self.dsn is not None:
-            length += 10 + (2 if self.checksum is not None else 0)
-        elif self.data_fin:
-            length += 4  # placeholder dsn of a fin-only DSS
-        object.__setattr__(self, "wire_len", length)
-
-    @property
-    def subtype(self) -> int:
-        return SUBTYPE_DSS
+    def __init__(
+        self,
+        data_ack: Optional[int] = None,  # 32-bit cumulative data ACK
+        dsn: Optional[int] = None,  # 32-bit data sequence number of mapping start
+        subflow_seq: Optional[int] = None,  # relative SSN (1 = first payload byte)
+        length: int = 0,  # mapping length in bytes
+        checksum: Optional[int] = None,
+        data_fin: bool = False,
+    ) -> None:
+        # One is built per data segment sent.
+        _set(self, "data_ack", data_ack)
+        _set(self, "dsn", dsn)
+        _set(self, "subflow_seq", subflow_seq)
+        _set(self, "length", length)
+        _set(self, "checksum", checksum)
+        _set(self, "data_fin", data_fin)
+        # kind + len + subtype/flags byte + DSS flags byte, then the body.
+        wire_len = 4 if data_ack is None else 8
+        if dsn is not None:
+            wire_len += 10 if checksum is None else 12
+        elif data_fin:
+            wire_len += 4  # placeholder dsn of a fin-only DSS
+        _set(self, "wire_len", wire_len)
 
     def encode(self) -> bytes:
         flags = 0
@@ -215,16 +216,6 @@ class DSS(MPTCPOption):
             if self.dsn is None:
                 body += (0).to_bytes(4, "big")  # placeholder, fin-only DSS
         return self._frame(bytes([flags]) + body)
-
-    def _body_len(self) -> int:
-        length = 1
-        if self.data_ack is not None:
-            length += 4
-        if self.dsn is not None:
-            length += 10 + (2 if self.checksum is not None else 0)
-        elif self.data_fin:
-            length += 4  # placeholder dsn of a fin-only DSS
-        return length
 
     @staticmethod
     def decode(body: bytes, flags_nibble: int) -> "DSS":
@@ -264,28 +255,26 @@ def _decode_ipv4(raw: bytes) -> str:
     return ".".join(str(b) for b in raw)
 
 
-@dataclass(frozen=True)
 class AddAddr(MPTCPOption):
     """ADD_ADDR: the explicit address-advertisement path (§3.2) — the
     only way a NATted client learns a multihomed server's other
     addresses."""
 
-    address_id: int = 0
-    ip: str = "0.0.0.0"
-    port: Optional[int] = None
+    __slots__ = ("address_id", "ip", "port", "wire_len")
+    __match_args__ = __slots__[:-1]
+    subtype = SUBTYPE_ADD_ADDR
 
-    @property
-    def subtype(self) -> int:
-        return SUBTYPE_ADD_ADDR
+    def __init__(self, address_id: int = 0, ip: str = "0.0.0.0", port: Optional[int] = None) -> None:
+        _set(self, "address_id", address_id)
+        _set(self, "ip", ip)
+        _set(self, "port", port)
+        _set(self, "wire_len", 8 if port is None else 10)
 
     def encode(self) -> bytes:
         body = bytes([self.address_id]) + _encode_ipv4(self.ip)
         if self.port is not None:
             body += self.port.to_bytes(2, "big")
         return self._frame(body)
-
-    def _body_len(self) -> int:
-        return 5 + (2 if self.port is not None else 0)
 
     @staticmethod
     def decode(body: bytes, flags: int) -> "AddAddr":
@@ -295,90 +284,79 @@ class AddAddr(MPTCPOption):
         return AddAddr(address_id=address_id, ip=ip, port=port)
 
 
-@dataclass(frozen=True)
 class RemoveAddr(MPTCPOption):
     """REMOVE_ADDR: mobility signal that an address (and its subflows)
     is gone — the host may no longer be able to send a FIN from it
     (§3.4)."""
 
-    address_id: int = 0
+    __slots__ = __match_args__ = ("address_id",)
+    subtype = SUBTYPE_REMOVE_ADDR
+    wire_len = 4
 
-    @property
-    def subtype(self) -> int:
-        return SUBTYPE_REMOVE_ADDR
+    def __init__(self, address_id: int = 0) -> None:
+        _set(self, "address_id", address_id)
 
     def encode(self) -> bytes:
         return self._frame(bytes([self.address_id]))
-
-    def _body_len(self) -> int:
-        return 1
 
     @staticmethod
     def decode(body: bytes, flags: int) -> "RemoveAddr":
         return RemoveAddr(address_id=body[0])
 
 
-@dataclass(frozen=True)
 class MPPrio(MPTCPOption):
     """MP_PRIO: flip a subflow between normal and backup priority."""
 
-    backup: bool = False
-    address_id: Optional[int] = None
+    __slots__ = ("backup", "address_id", "wire_len")
+    __match_args__ = __slots__[:-1]
+    subtype = SUBTYPE_MP_PRIO
 
-    @property
-    def subtype(self) -> int:
-        return SUBTYPE_MP_PRIO
+    def __init__(self, backup: bool = False, address_id: Optional[int] = None) -> None:
+        _set(self, "backup", backup)
+        _set(self, "address_id", address_id)
+        _set(self, "wire_len", 3 if address_id is None else 4)
 
     def encode(self) -> bytes:
         body = bytes([self.address_id]) if self.address_id is not None else b""
         return self._frame(body, flags=0x1 if self.backup else 0x0)
-
-    def _body_len(self) -> int:
-        return 1 if self.address_id is not None else 0
 
     @staticmethod
     def decode(body: bytes, flags: int) -> "MPPrio":
         return MPPrio(backup=bool(flags & 0x1), address_id=body[0] if body else None)
 
 
-@dataclass(frozen=True)
 class MPFail(MPTCPOption):
     """MP_FAIL: DSS checksum failed; fall back to infinite mapping when
     this is the only subflow (§3.3.6)."""
 
-    dsn: int = 0
+    __slots__ = __match_args__ = ("dsn",)
+    subtype = SUBTYPE_MP_FAIL
+    wire_len = 11
 
-    @property
-    def subtype(self) -> int:
-        return SUBTYPE_MP_FAIL
+    def __init__(self, dsn: int = 0) -> None:
+        _set(self, "dsn", dsn)
 
     def encode(self) -> bytes:
         return self._frame(self.dsn.to_bytes(8, "big"))
-
-    def _body_len(self) -> int:
-        return 8
 
     @staticmethod
     def decode(body: bytes, flags: int) -> "MPFail":
         return MPFail(dsn=int.from_bytes(body[0:8], "big"))
 
 
-@dataclass(frozen=True)
 class FastClose(MPTCPOption):
     """MP_FASTCLOSE: connection-level abort (the RST analogue that RST
     itself cannot be, since a subflow RST only kills the subflow)."""
 
-    receiver_key: int = 0
+    __slots__ = __match_args__ = ("receiver_key",)
+    subtype = SUBTYPE_FASTCLOSE
+    wire_len = 11
 
-    @property
-    def subtype(self) -> int:
-        return SUBTYPE_FASTCLOSE
+    def __init__(self, receiver_key: int = 0) -> None:
+        _set(self, "receiver_key", receiver_key)
 
     def encode(self) -> bytes:
         return self._frame(self.receiver_key.to_bytes(8, "big"))
-
-    def _body_len(self) -> int:
-        return 8
 
     @staticmethod
     def decode(body: bytes, flags: int) -> "FastClose":

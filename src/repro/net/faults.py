@@ -179,21 +179,23 @@ class Reorderer(PathElement):
     def process(self, segment: Segment, direction: int) -> list[tuple[Segment, int]]:
         if direction not in self.directions:
             return [(segment, direction)]
-        due: list[tuple[Segment, int]] = []
+        # This segment, then every held one whose count ran out.
+        out = [(segment, direction)]
         held = self._held[direction]
-        for entry in held:
-            entry.remaining -= 1
-            if entry.remaining <= 0 and not entry.released:
-                entry.released = True
-                due.append((entry.segment, direction))
-        self._held[direction] = [e for e in held if not e.released]
+        if held:  # usually empty: no countdown, no list rebuild
+            for entry in held:
+                entry.remaining -= 1
+                if entry.remaining <= 0 and not entry.released:
+                    entry.released = True
+                    out.append((entry.segment, direction))
+            self._held[direction] = [e for e in held if not e.released]
         if self.rng.chance(self.probability):
             self.reordered += 1
             entry = _Held(segment, self.rng.randint(1, self.depth))
             self._held[direction].append(entry)
             self.sim.schedule(self.max_hold, self._backstop, entry, direction)
-            return due
-        return [(segment, direction)] + due
+            return out[1:]
+        return out
 
     def _backstop(self, entry: _Held, direction: int) -> None:
         if not entry.released:

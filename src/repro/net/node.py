@@ -66,10 +66,9 @@ class Host:
         # cache: interfaces are only ever added (duplicates rejected),
         # never removed or re-addressed.
         self._iface_cache: dict[str, Interface] = {}
-        # Keyed on primitive (ip, port, ip, port) tuples rather than
-        # Endpoint pairs: tuple-of-str/int hashing stays in C, while a
-        # frozen-dataclass key would run a Python __hash__ per lookup on
-        # the per-segment deliver path.
+        # Keyed on flat (ip, port, ip, port) tuples: one C-hashed tuple
+        # per lookup on the per-segment deliver path, where a pair of
+        # Endpoint tuples would hash three.
         self._connections: dict[tuple[str, int, str, int], SegmentSink] = {}
         self._listeners: dict[int, SegmentSink] = {}
         self._next_port = self.EPHEMERAL_BASE

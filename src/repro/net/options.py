@@ -13,8 +13,7 @@ registers its decoder here, keeping this layer protocol-agnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import FrozenInstanceError
 from typing import Callable, Iterable
 
 KIND_EOL = 0
@@ -28,119 +27,126 @@ KIND_MPTCP = 30
 
 _DECODERS: dict[int, Callable[[bytes], "TCPOption"]] = {}
 
+# Options refuse assignment, so constructors store their slots through
+# object's own setter.
+_set = object.__setattr__
+
 
 def register_option(kind: int, decoder: Callable[[bytes], "TCPOption"]) -> None:
     """Register a decoder for an option kind (body excludes kind+len)."""
     _DECODERS[kind] = decoder
 
 
-@dataclass(frozen=True)
 class TCPOption:
-    """Base class.  Subclasses are frozen dataclasses (safe to share).
+    """Base class: an immutable, slotted wire value (safe to share).
 
-    ``wire_len``/``wire`` are the preparsed codec.  The encoded form of
-    a frozen option can never change, so its *length* is fixed at
-    construction: ``__post_init__`` stores ``encoded_len()`` — pure
-    arithmetic on the fields, no byte building — through
-    ``object.__setattr__`` (bypassing the frozen-dataclass setattr).
+    A kind's fields are its ``__match_args__``, stored in slots by a
+    hand-written ``__init__`` through ``_set`` (no generated code: one
+    option is built per sent segment).  No instance has a ``__dict__``,
+    assignment raises, and equality, hashing and ``repr`` go by (type,
+    fields), so ``MSSOption(7) != WindowScaleOption(7)``.
+
+    ``wire_len`` is the preparsed codec: the encoded length, fixed at
+    construction.  Fixed-size kinds make it a class constant; the others
+    compute it from their fields (pure arithmetic, no byte building).
     All hot-path sizing (``Segment.size_bytes``, link serialisation,
-    middlebox option-space checks) reads that plain attribute; the
-    actual ``wire`` bytes are built lazily on first use, which on the
-    data path is never (only traces, checksum rewrites and tests
-    serialise options).  ``encoded_len`` must agree with
-    ``len(encode())``; the wire tests enforce it per option type.
+    middlebox option-space checks) reads it; the bytes themselves are
+    built by ``encode()``, which on the data path is never called (only
+    traces, checksum rewrites and the shard wire format serialise
+    options).  The wire tests enforce ``wire_len == len(encode())`` per
+    option type.
     """
 
-    # Computed in __post_init__; excluded from __init__/__eq__/__repr__
-    # so equality and construction stay purely field-based.
-    wire_len: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+    wire_len: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "wire_len", self.encoded_len())
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.__class__, self._values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # The raising __setattr__ defeats the default slot-state restore
+        # of copy and pickle: rebuild through the constructor instead.
+        return self.__class__, self._values()
 
     def encode(self) -> bytes:
         raise NotImplementedError
 
-    def encoded_len(self) -> int:
-        """Length of ``encode()`` without building it; subclasses with a
-        non-trivial layout override this with field arithmetic."""
-        return len(self.encode())
-
-    @cached_property
-    def wire(self) -> bytes:
-        """Frozen encoded form, built at most once per instance."""
-        return self.encode()
-
     @property
     def kind(self) -> int:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class NoOperation(TCPOption):
-    @property
-    def kind(self) -> int:
-        return KIND_NOP
+    __slots__ = ()
+    kind = KIND_NOP
+    wire_len = 1
 
     def encode(self) -> bytes:
         return bytes([KIND_NOP])
 
-    def encoded_len(self) -> int:
-        return 1
 
-
-@dataclass(frozen=True)
 class MSSOption(TCPOption):
-    mss: int = 1460
+    __slots__ = __match_args__ = ("mss",)
+    kind = KIND_MSS
+    wire_len = 4
 
-    @property
-    def kind(self) -> int:
-        return KIND_MSS
+    def __init__(self, mss: int = 1460) -> None:
+        _set(self, "mss", mss)
 
     def encode(self) -> bytes:
         return bytes([KIND_MSS, 4]) + self.mss.to_bytes(2, "big")
 
-    def encoded_len(self) -> int:
-        return 4
 
-
-@dataclass(frozen=True)
 class WindowScaleOption(TCPOption):
-    shift: int = 0
+    __slots__ = __match_args__ = ("shift",)
+    kind = KIND_WSCALE
+    wire_len = 3
 
-    @property
-    def kind(self) -> int:
-        return KIND_WSCALE
+    def __init__(self, shift: int = 0) -> None:
+        _set(self, "shift", shift)
 
     def encode(self) -> bytes:
         return bytes([KIND_WSCALE, 3, self.shift])
 
-    def encoded_len(self) -> int:
-        return 3
 
-
-@dataclass(frozen=True)
 class SACKPermitted(TCPOption):
-    @property
-    def kind(self) -> int:
-        return KIND_SACK_PERMITTED
+    __slots__ = ()
+    kind = KIND_SACK_PERMITTED
+    wire_len = 2
 
     def encode(self) -> bytes:
         return bytes([KIND_SACK_PERMITTED, 2])
 
-    def encoded_len(self) -> int:
-        return 2
 
-
-@dataclass(frozen=True)
 class SACKOption(TCPOption):
     """Selective acknowledgment blocks: tuples of (left, right) edges."""
 
-    blocks: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("blocks", "wire_len")
+    __match_args__ = ("blocks",)
+    kind = KIND_SACK
 
-    @property
-    def kind(self) -> int:
-        return KIND_SACK
+    def __init__(self, blocks: tuple[tuple[int, int], ...] = ()) -> None:
+        _set(self, "blocks", blocks)
+        _set(self, "wire_len", 2 + 8 * len(blocks))
 
     def encode(self) -> bytes:
         body = b"".join(
@@ -148,18 +154,16 @@ class SACKOption(TCPOption):
         )
         return bytes([KIND_SACK, 2 + len(body)]) + body
 
-    def encoded_len(self) -> int:
-        return 2 + 8 * len(self.blocks)
 
-
-@dataclass(frozen=True)
 class TimestampsOption(TCPOption):
-    tsval: int = 0
-    tsecr: int = 0
+    __slots__ = __match_args__ = ("tsval", "tsecr")
+    kind = KIND_TIMESTAMPS
+    wire_len = 10
 
-    @property
-    def kind(self) -> int:
-        return KIND_TIMESTAMPS
+    def __init__(self, tsval: int = 0, tsecr: int = 0) -> None:
+        # One is built per sent segment (modulo the socket's one-slot memo).
+        _set(self, "tsval", tsval)
+        _set(self, "tsecr", tsecr)
 
     def encode(self) -> bytes:
         return (
@@ -168,17 +172,7 @@ class TimestampsOption(TCPOption):
             + (self.tsecr & 0xFFFFFFFF).to_bytes(4, "big")
         )
 
-    def encoded_len(self) -> int:
-        return 10
 
-    def __post_init__(self) -> None:
-        # Fixed 10-byte layout: one TimestampsOption is built per sent
-        # segment (modulo the socket's one-slot memo), so skip the
-        # generic encoded_len() dispatch.
-        object.__setattr__(self, "wire_len", 10)
-
-
-@dataclass(frozen=True)
 class UnknownOption(TCPOption):
     """An option the decoder has no registered type for.
 
@@ -186,8 +180,13 @@ class UnknownOption(TCPOption):
     don't understand" behaviour the paper's §7 warns about.
     """
 
-    unknown_kind: int = 253
-    body: bytes = b""
+    __slots__ = ("unknown_kind", "body", "wire_len")
+    __match_args__ = ("unknown_kind", "body")
+
+    def __init__(self, unknown_kind: int = 253, body: bytes = b"") -> None:
+        _set(self, "unknown_kind", unknown_kind)
+        _set(self, "body", body)
+        _set(self, "wire_len", 2 + len(body))
 
     @property
     def kind(self) -> int:
@@ -195,9 +194,6 @@ class UnknownOption(TCPOption):
 
     def encode(self) -> bytes:
         return bytes([self.unknown_kind, 2 + len(self.body)]) + self.body
-
-    def encoded_len(self) -> int:
-        return 2 + len(self.body)
 
 
 def _decode_mss(body: bytes) -> TCPOption:
@@ -235,7 +231,7 @@ register_option(KIND_TIMESTAMPS, _decode_timestamps)
 
 def encode_options(options: Iterable[TCPOption]) -> bytes:
     """Encode an option list, padded with NOPs to a 4-byte boundary."""
-    blob = b"".join(option.wire for option in options)
+    blob = b"".join(option.encode() for option in options)
     remainder = len(blob) % 4
     if remainder:
         blob += b"\x01" * (4 - remainder)  # KIND_NOP padding

@@ -11,8 +11,7 @@ data-sequence mapping machinery) has to cope.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Optional, Type, TypeVar
+from typing import TYPE_CHECKING, NamedTuple, Optional, Type, TypeVar
 
 from repro.tcp.seq import seq_add
 
@@ -47,9 +46,12 @@ def flags_repr(flags: int) -> str:
     return "|".join(names) if names else "-"
 
 
-@dataclass(frozen=True, order=True)
-class Endpoint:
-    """An (ip, port) pair.  Hashable so it can key demux tables."""
+class Endpoint(NamedTuple):
+    """An (ip, port) pair that keys demux tables and flow ledgers.
+
+    A tuple, so building, hashing, equality and ordering run in C, and
+    ``Endpoint(ip, port) == (ip, port)``.
+    """
 
     ip: str
     port: int
@@ -251,7 +253,7 @@ class Segment:
     def copy(self) -> "Segment":
         """A copy sharing nothing mutable with the original.
 
-        Options are immutable dataclasses, so sharing the instances is
+        Options are immutable wire values, so sharing the instances is
         safe; the *list* is copied so adding/stripping options on the copy
         leaves the original intact.
         """

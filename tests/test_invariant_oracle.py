@@ -3,7 +3,6 @@ genuinely broken protocol states — proven here by *injecting* breakage
 with hostile middleboxes and asserting the violation fires with a
 non-empty packet-trace tail, and (c) cost nothing when detached."""
 
-import dataclasses
 import os
 import pickle
 import subprocess
@@ -63,8 +62,13 @@ class MappingShifter(PathElement):
                     and option.dsn is not None
                     and option.length > 0
                 ):
-                    option = dataclasses.replace(
-                        option, subflow_seq=option.subflow_seq + self.shift
+                    option = DSS(
+                        data_ack=option.data_ack,
+                        dsn=option.dsn,
+                        subflow_seq=option.subflow_seq + self.shift,
+                        length=option.length,
+                        checksum=option.checksum,
+                        data_fin=option.data_fin,
                     )
                     changed = True
                     self.shifted += 1

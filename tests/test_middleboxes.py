@@ -15,7 +15,7 @@ from repro.middlebox import (
     SegmentSplitter,
     SequenceRewriter,
 )
-from repro.net.options import KIND_MPTCP, MSSOption, TimestampsOption
+from repro.net.options import KIND_MPTCP, MSSOption, SACKOption, TimestampsOption
 from repro.net.packet import ACK, SYN, Endpoint, Segment
 from repro.net.path import FORWARD, REVERSE
 from repro.sim.rng import SeededRNG
@@ -43,6 +43,7 @@ class TestNAT:
         data = Segment(A, B, flags=ACK, payload=b"x")
         [(second, _)] = nat.process(data, FORWARD)
         assert first.src == second.src
+        assert first.src is second.src  # built once per flow, not per segment
 
     def test_unsolicited_inbound_dropped(self):
         """§3.2: a server cannot SYN toward a NATted client."""
@@ -83,6 +84,18 @@ class TestSequenceRewriter:
         result = tcp_transfer(net, client, server, random_payload(1000))
         assert wire_isns
         assert wire_isns[0] != result.client.iss
+
+    def test_reverse_ack_and_sack_shifted_back(self):
+        rewriter = SequenceRewriter(SeededRNG(2, "rw"))
+        [(syn, _)] = rewriter.process(Segment(A, B, flags=SYN, seq=100), FORWARD)
+        wire = syn.seq
+        assert wire != 100
+        reply = Segment(
+            B, A, flags=ACK, ack=wire + 1, options=[SACKOption(((wire + 10, wire + 20),))]
+        )
+        [(out, _)] = rewriter.process(reply, REVERSE)
+        assert out.ack == 101
+        assert out.find_option(SACKOption).blocks == ((110, 120),)
 
 
 class TestOptionStripper:
@@ -259,6 +272,22 @@ class TestPayloadModifier:
         # The receiver acks 1 + 6 = 7 (it saw 6 bytes); the sender sent 3.
         [(out, _)] = alg.process(Segment(B, A, flags=ACK, ack=7), REVERSE)
         assert out.ack == 4
+
+    def test_sack_edges_above_a_later_edit_are_shifted_back(self):
+        """Each SACK edge is mapped back on its own: a block past an edit
+        the cumulative ACK has not reached needs that edit's delta too."""
+        alg = PayloadModifier(b"AB", b"ABCDEF")
+        for seq in (1000, 1100, 1200):
+            payload = b"x" * 10 + b"AB" + b"x" * 88 if seq == 1100 else b"x" * 100
+            alg.process(Segment(A, B, seq=seq, flags=ACK, payload=payload), FORWARD)
+        sack = SACKOption(((1204, 1304),))
+        [(out, _)] = alg.process(Segment(B, A, flags=ACK, ack=1100, options=[sack]), REVERSE)
+        assert out.ack == 1100
+        assert out.find_option(SACKOption).blocks == ((1200, 1300),)
+        # Blocks below every edit keep their option: nothing is rebuilt.
+        below = SACKOption(((1050, 1100),))
+        [(out, _)] = alg.process(Segment(B, A, flags=ACK, ack=1000, options=[below]), REVERSE)
+        assert out.options[0] is below
 
     def test_retransmission_not_double_rewritten(self):
         alg = PayloadModifier(b"aaa", b"bbb")

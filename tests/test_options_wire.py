@@ -1,4 +1,10 @@
-"""TCP and MPTCP option wire encodings: round-trips, sizes, budgets."""
+"""TCP and MPTCP option wire encodings: round-trips, sizes, budgets,
+and the value-type contract every option and ``Endpoint`` keeps."""
+
+import copy
+import dataclasses
+import pickle
+import sys
 
 import pytest
 from hypothesis import given
@@ -12,6 +18,7 @@ from repro.mptcp.options import (
     MPFail,
     MPJoin,
     MPPrio,
+    MPTCPOption,
     RemoveAddr,
 )
 from repro.net.options import (
@@ -19,6 +26,7 @@ from repro.net.options import (
     NoOperation,
     SACKOption,
     SACKPermitted,
+    TCPOption,
     TimestampsOption,
     UnknownOption,
     WindowScaleOption,
@@ -27,6 +35,7 @@ from repro.net.options import (
     fits_option_space,
     options_length,
 )
+from repro.net.packet import Endpoint
 
 
 def roundtrip(options):
@@ -212,3 +221,104 @@ class TestOptionProperties:
     def test_unknown_bodies_roundtrip(self, body):
         option = UnknownOption(unknown_kind=200, body=body)
         assert roundtrip([option]) == [option]
+
+
+# ----------------------------------------------------------------------
+# Value-type tripwire: options and endpoints are shared between
+# segments, sockets and middlebox ledgers, so each is an immutable
+# slotted value compared by (type, fields).
+# ----------------------------------------------------------------------
+VALUES = [
+    NoOperation(),
+    MSSOption(1448),
+    WindowScaleOption(7),
+    SACKPermitted(),
+    SACKOption(blocks=((100, 200), (400, 500))),
+    TimestampsOption(5, 6),
+    UnknownOption(unknown_kind=99, body=b"xy"),
+    MPCapable(sender_key=1, receiver_key=2),
+    MPJoin(address_id=1, token=7, nonce=9),
+    DSS(data_ack=1, dsn=2, subflow_seq=3, length=4, checksum=5, data_fin=True),
+    AddAddr(address_id=1, ip="10.0.0.2", port=80),
+    RemoveAddr(address_id=3),
+    MPPrio(backup=True, address_id=2),
+    MPFail(dsn=11),
+    FastClose(receiver_key=12),
+    Endpoint("10.0.0.1", 80),
+]
+
+
+def _concrete_option_classes(cls=TCPOption):
+    found = set()
+    for sub in cls.__subclasses__():
+        # (A slots=True dataclass replaces its class; the discarded
+        # original may linger in __subclasses__.)
+        if getattr(sys.modules[sub.__module__], sub.__name__) is sub:
+            found |= _concrete_option_classes(sub)
+            found.add(sub)
+    return found - {MPTCPOption}
+
+
+def _fields(value):
+    return value._fields if isinstance(value, Endpoint) else value.__match_args__
+
+
+class TestValueTypes:
+    def test_every_option_class_is_covered(self):
+        assert {type(value) for value in VALUES} - {Endpoint} == _concrete_option_classes()
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda value: type(value).__name__)
+    def test_slotted_and_immutable(self, value):
+        assert not hasattr(value, "__dict__")
+        for name in _fields(value)[:1] + ("unrelated",):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda value: type(value).__name__)
+    def test_equal_and_hashed_by_type_and_fields(self, value):
+        fields = [getattr(value, name) for name in _fields(value)]
+        twin = type(value)(*fields)
+        assert twin == value and hash(twin) == hash(value) and twin is not value
+        assert {value: "x"}[twin] == "x"
+        if fields:
+            other = type(value)(*([fields[0] + fields[0]] + fields[1:]))
+            assert other != value
+
+    def test_same_fields_of_another_kind_are_unequal(self):
+        assert MSSOption(7) != WindowScaleOption(7)
+        assert RemoveAddr(3) != MPFail(3)
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda value: type(value).__name__)
+    def test_copy_and_pickle_roundtrip(self, value):
+        for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert clone == value and type(clone) is type(value)
+
+    @pytest.mark.parametrize(
+        "option", [v for v in VALUES if isinstance(v, TCPOption)], ids=lambda v: type(v).__name__
+    )
+    def test_wire_length_fixed_and_exact(self, option):
+        assert option.wire_len == len(option.encode())
+        expected = [] if isinstance(option, NoOperation) else [option]  # padding is dropped
+        assert decode_options(encode_options([option])) == expected
+
+    def test_options_run_no_generated_code(self):
+        for cls in _concrete_option_classes():
+            assert not dataclasses.is_dataclass(cls), cls
+            for method in ("__init__", "__setattr__", "__eq__", "__hash__"):
+                # Written in an options module, or object's own (C) slot.
+                code = getattr(getattr(cls, method), "__code__", None)
+                assert code is None or code.co_filename.endswith("options.py"), (cls, method)
+
+    def test_endpoint_keeps_str_order_and_key_behaviour(self):
+        endpoint = Endpoint("10.0.0.1", 80)
+        assert str(endpoint) == "10.0.0.1:80"
+        assert repr(endpoint) == "Endpoint(ip='10.0.0.1', port=80)"
+        unsorted = [Endpoint("10.0.0.2", 1), Endpoint("10.0.0.1", 90), Endpoint("10.0.0.1", 8)]
+        assert sorted(unsorted) == [unsorted[2], unsorted[1], unsorted[0]]
+        flows = {(endpoint, Endpoint("10.9.0.1", 443)): 1}
+        assert flows[(Endpoint("10.0.0.1", 80), Endpoint("10.9.0.1", 443))] == 1
+
+    def test_endpoint_equals_its_plain_tuple(self):
+        # A NamedTuple: equal (and hashed equal) to the bare pair.
+        assert Endpoint("10.0.0.1", 80) == ("10.0.0.1", 80)
+        assert hash(Endpoint("10.0.0.1", 80)) == hash(("10.0.0.1", 80))
