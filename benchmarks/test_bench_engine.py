@@ -2,8 +2,9 @@
 
 The canonical workload is a 2-subflow MPTCP bulk transfer over the
 WiFi + 3G scenario (the Fig. 4 topology): it exercises the scheduler,
-both congestion controllers, the reassembly queues and the timer wheel
-— i.e. every hot path the fast-path work targets.
+both congestion controllers, the reassembly queues and the
+retransmission / delayed-ACK timers — i.e. every hot path the fast-path
+work targets.
 
 Besides the printed summary, the run appends a machine-readable record
 to ``BENCH_engine.json`` at the repo root so successive runs can be

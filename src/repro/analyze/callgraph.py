@@ -474,13 +474,18 @@ class Project:
         return seeds
 
     # -- closures -------------------------------------------------------
-    def _forward_closure(self, seeds: set[str]) -> set[str]:
+    def _forward_closure(
+        self, seeds: set[str], keep: Optional[Callable[[str], bool]] = None
+    ) -> set[str]:
+        """Everything reachable from ``seeds``.  A callee whose file path
+        ``keep`` rejects is neither added nor expanded, so the walk stops
+        at the boundary instead of filtering afterwards."""
         reached = set(seeds)
         frontier = list(seeds)
         while frontier:
             fid = frontier.pop()
             for callee in self.callees.get(fid, ()):
-                if callee not in reached:
+                if callee not in reached and (keep is None or keep(self.functions[callee].posix)):
                     reached.add(callee)
                     frontier.append(callee)
         return reached

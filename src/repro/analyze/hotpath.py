@@ -1,8 +1,8 @@
 """HOT01 — ratcheted allocation lint for the ``Simulator.run`` closure.
 
-The flyweight work (timer wheel, preparsed options) bought a 2.06x
-hot-loop win by eliminating per-event object churn; nothing stops a
-later patch from quietly reintroducing it.  This
+The flyweight work (preparsed options, allocation-free timer restarts)
+bought a 2.06x hot-loop win by eliminating per-event object churn;
+nothing stops a later patch from quietly reintroducing it.  This
 pass computes the call-graph closure of the simulator's inner loop and
 counts *allocation sites* per function inside it:
 
@@ -21,7 +21,10 @@ The hot closure is seeded from ``Simulator.run`` itself plus every
 ``post``, ``call_soon``, ``Timer`` constructions, direct or through
 ``sim.timer``...): whatever the event loop will invoke is hot, and the
 forward closure over the project call graph extends that to everything
-it calls.
+it calls inside the runtime packages (:data:`HOT_PACKAGE_TOKENS`).  The
+walk neither adds nor expands a callee outside them, so a datapath call
+that fans out by name into the offline harness cannot re-enter the
+datapath through it.
 
 Counts are compared against a committed per-function budget
 (``src/repro/analyze/hot_budget.json``, keyed by the repo-relative
@@ -125,7 +128,7 @@ def closure(project) -> set[str]:
     def build() -> set[str]:
         return {
             fid
-            for fid in project._forward_closure(_seed_fids(project))
+            for fid in project._forward_closure(_seed_fids(project), keep=in_hot_scope)
             if in_hot_scope(project.functions[fid].posix)
         }
 

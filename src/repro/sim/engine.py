@@ -2,31 +2,25 @@
 
 Design notes
 ------------
-* All work is ordered by ``(time, sequence_number)``.  The monotonically
-  increasing sequence number makes simultaneous events run in the order
-  they were scheduled, which keeps runs reproducible.  Timers share the
-  same counter, so wheel-managed timers and heap events interleave in
-  exactly the order a single heap would produce.
-* The heap holds one entry shape: the fire-and-forget tuple
-  ``(time, seq, fn, a0, a1)``.  Seqs are unique, so comparisons are
-  decided at C speed by the first two elements.  ``schedule``,
-  ``schedule_at``, ``call_soon``, ``post`` and ``post_at`` are five
-  spellings of one private push (:meth:`Simulator._push`), which is
-  also the one place a scheduling time is validated.  Up to two
-  positional arguments are inlined into the tuple; the rare 3+-argument
-  call rides behind a spreading trampoline in the same two slots.
-  Nothing pushed onto the heap can be cancelled and nothing is handed
-  back to the caller.
-* :class:`Timer` is the only cancellable thing -- the restartable
-  one-shot behind TCP retransmission, delayed ACKs, the coalescer's
-  hold and the memory sampler.  Timers never touch the heap: they are
-  intrusive entries on a hierarchical timer wheel
-  (:mod:`repro.sim.wheel`), so ``start``/``restart``/``stop`` are O(1)
-  pointer relinks, a restart to the identical deadline is a no-op, and
-  a stopped timer leaves nothing behind for the loop to skip.
-* :meth:`Simulator.run` is the single dispatch body.  Each iteration
-  merges the wheel's cached minimum with the heap head by exact
-  ``(time, seq)`` and fires one of two arms: timer or tuple.
+* All work is ordered by ``(time, sequence_number)`` on one binary heap,
+  and :meth:`Simulator.run` pops it once per iteration.  The increasing
+  sequence number makes simultaneous events run in the order they were
+  scheduled, which keeps runs reproducible.
+* A plain event is the fire-and-forget tuple ``(time, seq, fn, a0, a1)``.
+  Seqs are unique, so comparisons are decided at C speed by the first
+  two elements.  ``schedule``, ``schedule_at``, ``call_soon``, ``post``
+  and ``post_at`` are five spellings of one private push
+  (:meth:`Simulator._push`), which is also the one place a scheduling
+  time is validated.  Up to two positional arguments are inlined into
+  the tuple; the rare 3+-argument call rides behind a spreading
+  trampoline in the same two slots.  Nothing pushed this way can be
+  cancelled and nothing is handed back to the caller.
+* :class:`~repro.sim.wheel.Timer` is the only cancellable thing -- the
+  restartable one-shot behind TCP retransmission, delayed ACKs, the
+  coalescer's hold and the memory sampler.  A timer keeps at most one
+  entry on the same heap, its *anchor*, at or before its deadline; an
+  anchor whose seq no longer matches its timer is *stale* and is never
+  counted as an event (the rule is spelled out in :mod:`repro.sim.wheel`).
 * ``post_event`` is a hook called after every executed event (the
   invariant oracle).  It is handed the callable that just ran -- never
   its arguments -- so it can tell *whose* event it was without ever
@@ -40,7 +34,7 @@ from math import inf
 from typing import Any, Callable, Optional
 
 from repro.sim.gcscope import paused
-from repro.sim.wheel import TimerWheel
+from repro.sim.wheel import _TIMER, Timer
 
 # Process-wide count of events executed by every Simulator instance.
 # The sweep runner samples it around each experiment point to report
@@ -81,7 +75,6 @@ class Simulator:
         self._queue: list[tuple] = []
         self._seq: int = 0
         self._events_run: int = 0
-        self._wheel = TimerWheel()
         # Called after every executed event with the callable that ran,
         # never its arguments (the invariant oracle hooks in here).  The
         # None check is the only cost when detached.
@@ -145,7 +138,7 @@ class Simulator:
         ``max_events`` events have executed.  Returns the number of
         events executed.  Draining or reaching ``until`` advances the
         clock to ``until`` (never backwards); spending ``max_events``
-        leaves it at the last event.
+        leaves it at the last event, and ``max_events=0`` runs nothing.
 
         ``exclusive=True`` makes ``until`` a strict bound: events *at*
         ``until`` stay queued (the sharded drivers use this to execute a
@@ -155,56 +148,45 @@ class Simulator:
         global _EVENTS_RUN_TOTAL
         if exclusive and until is None:
             raise ValueError("exclusive run requires an explicit until bound")
+        if max_events is not None and max_events <= 0:
+            if max_events < 0:
+                raise ValueError("max_events must be >= 0, got %r" % max_events)
+            return 0
         executed = 0
         queue = self._queue
-        wheel = self._wheel
         pop = heapq.heappop
         with paused():
             try:
-                while True:
-                    # Merge the wheel's cached minimum with the heap head by
-                    # exact (time, seq) -- identical order to a single heap.
-                    timer = wheel._min
-                    if timer is None and wheel._count:
-                        timer = wheel.find_min(self.now)
-                    entry: Optional[tuple] = None
-                    if queue:
-                        entry = queue[0]
-                        if timer is not None and (
-                            timer._time < entry[0]
-                            or (
-                                timer._time == entry[0]
-                                and timer._seq < entry[1]  # analyze: ok(SEQ01): event counter, never wraps
-                            )
-                        ):
-                            entry = None  # the timer fires first
-                    if entry is not None:
-                        time = entry[0]
-                    elif timer is not None:
-                        time = timer._time
-                    else:
-                        break  # drained
-                    if until is not None and (
-                        time > until or (exclusive and time == until)
-                    ):
+                while queue:
+                    entry = queue[0]
+                    time = entry[0]
+                    if until is not None and (time > until or (exclusive and time == until)):
                         break
-                    self.now = time
-                    if entry is None:
-                        wheel.remove(timer)
-                        timer._callback()
+                    pop(queue)
+                    fn = entry[2]
+                    if fn is _TIMER:
+                        timer = entry[3]
+                        if entry[1] != timer._seq:
+                            self._settle(entry)
+                            continue  # stale: not an event
+                        timer._seq = None
+                        timer._anchor = None
+                        self.now = time
+                        fn = timer._callback
+                        fn()
                     else:
-                        pop(queue)
+                        self.now = time
                         a1 = entry[4]
                         if a1 is _NOARG:
                             a0 = entry[3]
                             if a0 is _NOARG:
-                                entry[2]()
+                                fn()
                             else:
-                                entry[2](a0)
+                                fn(a0)
                         else:
-                            entry[2](entry[3], a1)
+                            fn(entry[3], a1)
                     if self.post_event is not None:
-                        self.post_event(timer._callback if entry is None else entry[2])
+                        self.post_event(fn)
                     executed += 1
                     if max_events is not None and executed >= max_events:
                         return executed
@@ -218,99 +200,41 @@ class Simulator:
                 _EVENTS_RUN_TOTAL += executed  # analyze: ok(MUT01): per-process counter, returned by workers
         return executed
 
+    def _settle(self, entry: tuple) -> None:
+        """Re-queue a popped stale anchor of a still-armed timer at the
+        timer's real ``(time, seq)``; drop any other stale entry."""
+        timer = entry[3]
+        if entry is timer._anchor:
+            if timer._seq is None:
+                timer._anchor = None
+            else:
+                anchor = timer._anchor = (timer._time, timer._seq, _TIMER, timer, None)
+                heapq.heappush(self._queue, anchor)
+
     def next_event_time(self) -> float:
-        """Time of the earliest event (heap or wheel), or ``math.inf``
-        when nothing is queued.  Does not advance the clock.  The
-        sharded drivers poll this to compute safe execution windows.
-        """
-        head = self._queue[0][0] if self._queue else inf
-        wheel = self._wheel
-        timer = wheel._min
-        if timer is None and wheel._count:
-            timer = wheel.find_min(self.now)
-        if timer is not None and timer._time < head:
-            return timer._time
-        return head
+        """Time of the earliest event, or ``math.inf`` when nothing is
+        queued; stale timer entries at the head are settled first, so a
+        re-queued timer reports its real deadline.  Does not advance the
+        clock.  The sharded drivers poll this for safe windows."""
+        queue = self._queue
+        while queue:
+            entry = queue[0]
+            if entry[2] is not _TIMER or entry[1] == entry[3]._seq:
+                return entry[0]
+            heapq.heappop(queue)
+            self._settle(entry)
+        return inf
 
     @property
     def pending(self) -> int:
-        """Number of queued events (armed timers included).  O(1)."""
-        return len(self._queue) + self._wheel._count
+        """Queued events: plain entries plus armed timers' anchors (a heap
+        walk for tests and ``ShardedClock.pending``)."""
+        return sum(
+            1
+            for entry in self._queue
+            if entry[2] is not _TIMER or (entry is entry[3]._anchor and entry[3]._seq is not None)
+        )
 
     @property
     def events_run(self) -> int:
         return self._events_run
-
-
-class Timer:
-    """A restartable one-shot timer, held on the simulator's timer wheel.
-
-    TCP-style usage: ``restart()`` on every ACK that advances the window,
-    ``stop()`` when the retransmission queue drains, and the callback fires
-    only if neither happened within the timeout.  Every operation is an
-    O(1) wheel relink; a ``restart`` to the deadline already pending is a
-    no-op.  ``_time``/``_seq``/``_w*`` are the wheel's intrusive fields.
-    """
-
-    __slots__ = (
-        "_sim",
-        "_callback",
-        "_time",
-        "_seq",
-        "_wtick",
-        "_wlevel",
-        "_wslot",
-        "_wprev",
-        "_wnext",
-    )
-
-    def __init__(self, sim: Simulator, callback: Callable[[], Any]):
-        self._sim = sim
-        self._callback = callback
-        self._time = 0.0
-        self._seq = 0
-        self._wtick = 0
-        self._wlevel = -1  # < 0 means not armed
-        self._wslot = 0
-        self._wprev: Optional["Timer"] = None
-        self._wnext: Optional["Timer"] = None
-
-    def start(self, delay: float) -> None:
-        """Arm the timer; raises if it is already running."""
-        if self._wlevel >= 0:
-            raise RuntimeError("timer already running")
-        if not delay >= 0:  # also refuses NaN
-            raise ValueError(f"timer delay must be >= 0, got {delay!r}")
-        sim = self._sim
-        self._time = sim.now + delay
-        self._seq = sim._seq
-        sim._seq += 1  # analyze: ok(SEQ01): event counter, never wraps
-        sim._wheel.insert(self)
-
-    def restart(self, delay: float) -> None:
-        """(Re)arm the timer, dropping any pending expiry.  A restart to
-        the deadline already pending is a no-op relink-free return."""
-        if not delay >= 0:  # also refuses NaN
-            raise ValueError(f"timer delay must be >= 0, got {delay!r}")
-        sim = self._sim
-        time = sim.now + delay
-        if self._wlevel >= 0:
-            if time == self._time:
-                return  # same deadline: nothing to move
-            sim._wheel.remove(self)
-        self._time = time
-        self._seq = sim._seq
-        sim._seq += 1  # analyze: ok(SEQ01): event counter, never wraps
-        sim._wheel.insert(self)
-
-    def stop(self) -> None:
-        if self._wlevel >= 0:
-            self._sim._wheel.remove(self)
-
-    @property
-    def running(self) -> bool:
-        return self._wlevel >= 0
-
-    @property
-    def expires_at(self) -> Optional[float]:
-        return self._time if self._wlevel >= 0 else None

@@ -203,8 +203,13 @@ class ShardGroup:
         directly onto the target shard as they are captured; every
         arrival is strictly later than the sending event, so the target
         — whose clock can never be ahead of the running shard — accepts
-        it without time travel.  Returns events executed.
+        it without time travel.  Returns events executed;
+        ``max_events=0`` runs nothing.
         """
+        if max_events is not None and max_events <= 0:
+            if max_events < 0:
+                raise ValueError("max_events must be >= 0, got %r" % max_events)
+            return 0
         sims = self.sims
         lookahead = self._lookahead
         executed = 0

@@ -1,354 +1,97 @@
-"""Hierarchical timer wheel: O(1) arm/disarm for restartable timers.
+"""Restartable timers that ride the simulator's one event heap.
 
-Design notes
-------------
-* Entries are :class:`repro.sim.engine.Timer` objects, linked
-  *intrusively* (``_wprev``/``_wnext`` slots) into per-slot
-  doubly-linked lists.  Arming, re-arming and disarming a timer are
-  pointer relinks -- no allocation, no heap sift, and no cancelled
-  corpse left behind for the event loop to skip later.  This is the
-  fix for the per-ACK ``Timer.restart`` churn: under the old heapq
-  scheme every RTO restart pushed a fresh event and left a lazy-cancel
-  corpse; tens of thousands per bulk transfer, of which a handful ever
-  fired.
-* Geometry: 1/1024 s resolution (``tick = int(time * 1024.0)`` -- 1024
-  is a power of two, so the scaling is exact and monotone in ``time``),
-  three levels of 256 slots.  Level 0 spans deltas < 256 ticks
-  (0.25 s), level 1 < 2**16 ticks (64 s), level 2 < 2**24 ticks
-  (~4.5 h); anything further sits in a single overflow list.  Far
-  entries *cascade* down a level as the cursor approaches them.
-* Exact keys, approximate buckets: every entry carries its exact
-  ``(_time, _seq)``; slot membership only narrows the search for the
-  earliest entry, it never decides firing order.  The conformance
-  contract with the event heap is that timers interleave with heap
-  events in exact ``(time, seq)`` order, where seqs come from the one
-  simulator-wide counter -- ``tests/test_timer_wheel.py`` holds the
-  differential gate against a reference heap.
-* The earliest entry is cached; mutations that can change it (removing
-  the cached minimum) just invalidate the cache, and the next peek
-  recomputes it from per-level occupancy bitmasks.  Each mask is one
-  256-bit int; rotating it by the cursor offset and taking the lowest
-  set bit finds the first occupied slot without scanning 256 Python
-  list cells.
-* Cursor invariant: ``_cursor`` only ever advances to ``int(now *
-  1024)`` and every pending entry has ``tick >= _cursor`` (timers are
-  never armed in the past).  Hence all level-L entries lie within one
-  wheel revolution ``[_cursor, _cursor + span_L)`` -- no two
-  generations ever share a slot, which is what makes the rotated-mask
-  lookup sound.
+The file keeps its historical name: it held a hierarchical timer wheel
+until timers moved onto the event heap, and the perf harness maps
+``sim/wheel.py`` to its ``sim.wheel`` layer, which now measures exactly
+timer arm / restart / stop.
+
+The anchor rule
+---------------
+* A timer's key is ``(_time, _seq)``: its deadline plus a fresh seq from
+  the simulator's one counter, taken on every arm, so timers and plain
+  events interleave in exact ``(time, seq)`` order.  ``_seq is None``
+  means disarmed, so ``stop()`` is one store.
+* A timer keeps at most one heap entry, its *anchor*
+  ``(time, seq, _TIMER, timer, None)``, at or before its deadline.
+  Arming pushes a new anchor only when there is none or the current one
+  is later than the new deadline, so the per-ACK RTO restart to a later
+  deadline pushes nothing.
+* An entry fires iff its seq equals the timer's.  Any other entry is
+  *stale* and is not an event: it is not counted, gets no
+  ``post_event``, does not advance ``now`` and is not charged to
+  ``max_events``.  A stale anchor of a still-armed timer is re-queued at
+  the timer's real ``(time, seq)``; an orphan (left by a restart to an
+  earlier deadline) or a stopped timer's anchor is dropped.  A stopped
+  timer's anchor thus keeps the timer, and its owner, alive until then.
+* A restart to the deadline already pending is a no-op that keeps its
+  seq, so the timer stays ahead of work armed for that instant since.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+import heapq
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
-    from repro.sim.engine import Timer
+    from repro.sim.engine import Simulator
 
-# Ticks per simulated second.  A power of two keeps float -> tick
-# conversion exact (multiplying a float by 1024.0 only changes the
-# exponent), so slot placement is a pure function of the timer's time.
-TICKS_PER_SEC = 1024.0
-
-_SLOT_BITS = 8
-_SLOTS = 1 << _SLOT_BITS  # 256 slots per level
-_SLOT_MASK = _SLOTS - 1
-_SPAN0 = _SLOTS  # level-0 window, in ticks
-_SPAN1 = 1 << (2 * _SLOT_BITS)
-_SPAN2 = 1 << (3 * _SLOT_BITS)
-_FULL_MASK = (1 << _SLOTS) - 1
-_OVERFLOW = 3  # pseudo-level for the far-future list
+# Marks a timer anchor in an event tuple's callable slot.
+_TIMER: Any = object()
 
 
-class TimerWheel:
-    """Three-level hashed timer wheel over intrusive ``Timer`` entries."""
+class Timer:
+    """A restartable one-shot timer on the simulator's event heap.
 
-    __slots__ = (
-        "_slots0",
-        "_slots1",
-        "_slots2",
-        "_overflow",
-        "_mask0",
-        "_mask1",
-        "_mask2",
-        "_cursor",
-        "_count",
-        "_min",
-    )
+    TCP-style usage: ``restart()`` on every ACK that advances the window,
+    ``stop()`` when the retransmission queue drains, and the callback fires
+    only if neither happened within the timeout.
+    """
 
-    def __init__(self) -> None:
-        self._slots0: list[Optional["Timer"]] = [None] * _SLOTS
-        self._slots1: list[Optional["Timer"]] = [None] * _SLOTS
-        self._slots2: list[Optional["Timer"]] = [None] * _SLOTS
-        self._overflow: Optional["Timer"] = None
-        self._mask0 = 0  # bit s set iff _slots0[s] is non-empty
-        self._mask1 = 0
-        self._mask2 = 0
-        self._cursor = 0  # tick of the last recompute; never exceeds now
-        self._count = 0
-        # Cached earliest entry; None means "recompute on next peek"
-        # whenever _count > 0.  Removing the cached minimum invalidates;
-        # inserting an earlier entry updates it in place.
-        self._min: Optional["Timer"] = None
+    __slots__ = ("_sim", "_callback", "_time", "_seq", "_anchor")
 
-    def __len__(self) -> int:
-        return self._count
+    def __init__(self, sim: "Simulator", callback: Callable[[], Any]):
+        self._sim = sim
+        self._callback = callback
+        self._time = 0.0
+        self._seq: Optional[int] = None  # None means not armed
+        self._anchor: Optional[tuple] = None  # this timer's heap entry
 
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-    def insert(self, t: "Timer") -> None:
-        """Link an armed timer; ``t._time``/``t._seq`` must be set."""
-        tick = int(t._time * TICKS_PER_SEC)
-        t._wtick = tick
-        if tick - self._cursor < _SPAN0:
-            # Inline of _place()'s level-0 arm: most timers (RTO
-            # restarts, delayed ACKs, link events) land within the
-            # level-0 window, and insert() runs once per (re)armed
-            # timer.  _place() stays the shared slow path (levels 1+,
-            # and relocation during cascades).
-            idx = tick & _SLOT_MASK
-            head = self._slots0[idx]
-            self._slots0[idx] = t
-            self._mask0 |= 1 << idx
-            t._wlevel = 0
-            t._wslot = idx
-            t._wprev = None
-            t._wnext = head
-            if head is not None:
-                head._wprev = t
-        else:
-            self._place(t, tick)
-        self._count += 1
-        m = self._min
-        if m is None:
-            if self._count == 1:  # wheel was empty: t is trivially earliest
-                self._min = t
-        elif t._time < m._time or (
-            t._time == m._time
-            and t._seq < m._seq  # analyze: ok(SEQ01): event counter, never wraps
-        ):
-            self._min = t
+    def _arm(self, time: float) -> None:
+        sim = self._sim
+        seq = sim._seq
+        sim._seq = seq + 1  # analyze: ok(SEQ01): event counter, never wraps
+        self._time = time
+        self._seq = seq
+        anchor = self._anchor
+        if anchor is None or anchor[0] > time:
+            anchor = self._anchor = (time, seq, _TIMER, self, None)
+            heapq.heappush(sim._queue, anchor)
 
-    def remove(self, t: "Timer") -> None:
-        """Unlink an armed timer (pointer relinks; no scan)."""
-        # Inline of _unlink(): remove() runs once per fired or cancelled
-        # timer; _unlink() remains for cascade relocation.
-        prev = t._wprev
-        nxt = t._wnext
-        if nxt is not None:
-            nxt._wprev = prev
-        if prev is not None:
-            prev._wnext = nxt
-        else:
-            level = t._wlevel
-            idx = t._wslot
-            if level == 0:
-                self._slots0[idx] = nxt
-                if nxt is None:
-                    self._mask0 &= ~(1 << idx)
-            elif level == 1:
-                self._slots1[idx] = nxt
-                if nxt is None:
-                    self._mask1 &= ~(1 << idx)
-            elif level == 2:
-                self._slots2[idx] = nxt
-                if nxt is None:
-                    self._mask2 &= ~(1 << idx)
-            else:
-                self._overflow = nxt
-        t._wprev = None
-        t._wnext = None
-        t._wlevel = -1
-        self._count -= 1
-        if t is self._min:
-            self._min = None  # recomputed lazily on the next peek
+    def start(self, delay: float) -> None:
+        """Arm the timer; raises if it is already running."""
+        if self._seq is not None:
+            raise RuntimeError("timer already running")
+        if not delay >= 0:  # also refuses NaN
+            raise ValueError(f"timer delay must be >= 0, got {delay!r}")
+        self._arm(self._sim.now + delay)
 
-    # ------------------------------------------------------------------
-    # Peek
-    # ------------------------------------------------------------------
-    def earliest(self, now: float) -> Optional["Timer"]:
-        """The pending timer with the smallest ``(time, seq)``, or None."""
-        if self._count == 0:
-            return None
-        m = self._min
-        if m is None:
-            m = self.find_min(now)
-        return m
+    def restart(self, delay: float) -> None:
+        """(Re)arm the timer, dropping any pending expiry.  A restart to
+        the deadline already pending is a no-op."""
+        if not delay >= 0:  # also refuses NaN
+            raise ValueError(f"timer delay must be >= 0, got {delay!r}")
+        time = self._sim.now + delay
+        if self._seq is not None and time == self._time:
+            return  # same deadline: keep the seq, and with it the order
+        self._arm(time)
 
-    def find_min(self, now: float) -> "Timer":
-        """Recompute the cached minimum.  Caller ensures ``_count > 0``."""
-        cursor = int(now * TICKS_PER_SEC)
-        if cursor > self._cursor:
-            self._cursor = cursor
-        else:
-            cursor = self._cursor
-        # Cascade far entries whose delta has shrunk below their level's
-        # resolution; top-down so one pass suffices.  Only the (at most
-        # two) higher-level slots overlapping the lower level's window
-        # can hold such entries -- see the cursor invariant above.
-        if self._overflow is not None:
-            self._cascade_overflow(cursor)
-        if self._mask2:
-            base = cursor >> (2 * _SLOT_BITS)
-            limit = cursor + _SPAN1
-            self._cascade(self._slots2, 2, base & _SLOT_MASK, limit)
-            self._cascade(self._slots2, 2, (base + 1) & _SLOT_MASK, limit)
-        if self._mask1:
-            base = cursor >> _SLOT_BITS
-            limit = cursor + _SPAN0
-            self._cascade(self._slots1, 1, base & _SLOT_MASK, limit)
-            self._cascade(self._slots1, 1, (base + 1) & _SLOT_MASK, limit)
+    def stop(self) -> None:
+        self._seq = None
 
-        if self._mask0:
-            best = self._slot_min(self._slots0, self._mask0, cursor)
-        elif self._mask1:
-            best = self._slot_min(self._slots1, self._mask1, cursor >> _SLOT_BITS)
-        elif self._mask2:
-            best = self._slot_min(self._slots2, self._mask2, cursor >> (2 * _SLOT_BITS))
-        else:
-            best = self._overflow_min()
-        self._min = best
-        return best
+    @property
+    def running(self) -> bool:
+        return self._seq is not None
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _place(self, t: "Timer", tick: int) -> None:
-        # Level eligibility is *slot-aligned*, not a raw delta check: a
-        # level can only address the 256 slot values starting at the
-        # cursor's own slot, so an entry `_SPAN2 - epsilon` ticks ahead
-        # may wrap onto the cursor's slot and be mistaken for the
-        # earliest pending timer.  `(tick >> shift) - (cursor >> shift)
-        # < _SLOTS` is the exact "fits without aliasing" condition.
-        cursor = self._cursor
-        if tick - cursor < _SPAN0:
-            level = 0
-            idx = tick & _SLOT_MASK
-            head = self._slots0[idx]
-            self._slots0[idx] = t
-            self._mask0 |= 1 << idx
-        elif (tick >> _SLOT_BITS) - (cursor >> _SLOT_BITS) < _SLOTS:
-            level = 1
-            idx = (tick >> _SLOT_BITS) & _SLOT_MASK
-            head = self._slots1[idx]
-            self._slots1[idx] = t
-            self._mask1 |= 1 << idx
-        elif (tick >> (2 * _SLOT_BITS)) - (cursor >> (2 * _SLOT_BITS)) < _SLOTS:
-            level = 2
-            idx = (tick >> (2 * _SLOT_BITS)) & _SLOT_MASK
-            head = self._slots2[idx]
-            self._slots2[idx] = t
-            self._mask2 |= 1 << idx
-        else:
-            level = _OVERFLOW
-            idx = 0
-            head = self._overflow
-            self._overflow = t
-        t._wlevel = level
-        t._wslot = idx
-        t._wprev = None
-        t._wnext = head
-        if head is not None:
-            head._wprev = t
-
-    def _unlink(self, t: "Timer") -> None:
-        prev = t._wprev
-        nxt = t._wnext
-        if nxt is not None:
-            nxt._wprev = prev
-        if prev is not None:
-            prev._wnext = nxt
-        else:
-            level = t._wlevel
-            idx = t._wslot
-            if level == 0:
-                self._slots0[idx] = nxt
-                if nxt is None:
-                    self._mask0 &= ~(1 << idx)
-            elif level == 1:
-                self._slots1[idx] = nxt
-                if nxt is None:
-                    self._mask1 &= ~(1 << idx)
-            elif level == 2:
-                self._slots2[idx] = nxt
-                if nxt is None:
-                    self._mask2 &= ~(1 << idx)
-            else:
-                self._overflow = nxt
-        t._wprev = None
-        t._wnext = None
-
-    def _cascade(
-        self,
-        slots: list,
-        level: int,
-        idx: int,
-        limit: int,
-    ) -> None:
-        """Move entries due before ``limit`` out of ``slots[idx]`` down a
-        level.  Times are untouched, so the cached minimum stays valid."""
-        t = slots[idx]
-        due = None
-        while t is not None:
-            if t._wtick < limit:
-                if due is None:
-                    due = [t]
-                else:
-                    due.append(t)
-            t = t._wnext
-        if due is not None:
-            for entry in due:
-                self._unlink(entry)
-                self._place(entry, entry._wtick)
-
-    def _cascade_overflow(self, cursor: int) -> None:
-        # Aligned limit (see _place): only entries the top level can
-        # address without slot aliasing may leave the overflow list.
-        limit = ((cursor >> (2 * _SLOT_BITS)) + _SLOTS) << (2 * _SLOT_BITS)
-        t = self._overflow
-        due = None
-        while t is not None:
-            if t._wtick < limit:
-                if due is None:
-                    due = [t]
-                else:
-                    due.append(t)
-            t = t._wnext
-        if due is not None:
-            for entry in due:
-                self._unlink(entry)
-                self._place(entry, entry._wtick)
-
-    def _slot_min(self, slots: list, mask: int, base: int) -> "Timer":
-        """Earliest entry of a level: rotate the occupancy mask so the
-        cursor's slot is bit 0, take the lowest set bit, then walk that
-        one slot's list for the exact ``(time, seq)`` minimum."""
-        start = base & _SLOT_MASK
-        rotated = ((mask >> start) | (mask << (_SLOTS - start))) & _FULL_MASK
-        offset = (rotated & -rotated).bit_length() - 1
-        t = slots[(start + offset) & _SLOT_MASK]
-        best = t
-        t = t._wnext
-        while t is not None:
-            if t._time < best._time or (
-                t._time == best._time
-                and t._seq < best._seq  # analyze: ok(SEQ01): event counter, never wraps
-            ):
-                best = t
-            t = t._wnext
-        return best
-
-    def _overflow_min(self) -> "Timer":
-        t = self._overflow
-        best = t
-        assert best is not None  # caller checked _count > 0 and levels empty
-        t = t._wnext
-        while t is not None:
-            if t._time < best._time or (
-                t._time == best._time
-                and t._seq < best._seq  # analyze: ok(SEQ01): event counter, never wraps
-            ):
-                best = t
-            t = t._wnext
-        return best
+    @property
+    def expires_at(self) -> Optional[float]:
+        return self._time if self._seq is not None else None

@@ -54,7 +54,7 @@ _SEQ_HALF = 1 << 31
 from repro.tcp.state import TRANSITIONS, IllegalTransition, TCPState
 
 # Stands in for the rarely armed timers (persist, TIME_WAIT, autotune): never
-# running, so stop()/``_wlevel`` work; the arming site swaps in a real Timer.
+# running, so stop()/``_seq`` work; the arming site swaps in a real Timer.
 IDLE_TIMER = Timer(None, None)
 
 
@@ -769,12 +769,12 @@ class TCPSocket:
         self._last_seen_window = window_bytes
         # _check_persist() is a no-op unless the peer window is closed,
         # a persist cycle is active, or the probe timer is armed; guard
-        # here so the per-ACK path skips the call.  (``_wlevel >= 0`` is
-        # Timer.running without the property descriptor.)
+        # here so the per-ACK path skips the call.  (``_seq is not None``
+        # is Timer.running without the property descriptor.)
         if (
             self._persist_backoff
             or self._peer_wnd_edge <= self.snd_nxt
-            or self._persist_timer._wlevel >= 0
+            or self._persist_timer._seq is not None
         ):
             self._check_persist()
         self._try_send()

@@ -2,10 +2,10 @@
 
 Each optimization has a behavioural contract this file pins down:
 
-* ``Simulator.pending`` is O(1) -- heap length plus armed timers -- and
-  must agree with a brute-force count through schedule / Timer.stop /
-  run; stopping a timer twice, or after it fired, must not decrement
-  twice;
+* ``Simulator.pending`` -- plain heap entries plus armed timers -- must
+  agree with a brute-force count through schedule / Timer.stop / run;
+  stopping a timer twice, or after it fired, must not decrement twice,
+  and an armed timer counts once however many heap entries it left;
 * ``ReassemblyQueue.extract_in_order`` drains a 1k-block queue without
   ``pop(0)`` quadratics and returns exactly the contiguous prefix;
 * ``Segment.options_length`` is cached and the cache is invalidated by
@@ -18,21 +18,23 @@ import pytest
 from repro.net.options import MSSOption, SACKPermitted, TimestampsOption, options_length
 from repro.net.packet import Endpoint, Segment
 from repro.sim.engine import Simulator, Timer, events_run_total
+from repro.sim.wheel import _TIMER
 from repro.tcp.buffer import ByteStream, ReassemblyQueue
 
 
 def brute_force_pending(sim: Simulator) -> int:
-    # Every heap entry is a live (time, seq, fn, a0, a1) tuple -- nothing
-    # on the heap can be cancelled.  Armed timers live on the wheel; walk
-    # its slot lists rather than trusting the wheel's own counter.
-    wheel = sim._wheel
-    heads = wheel._slots0 + wheel._slots1 + wheel._slots2 + [wheel._overflow]
-    armed = 0
-    for timer in heads:
-        while timer is not None:
-            armed += 1
-            timer = timer._wnext
-    return len(sim._queue) + armed
+    # Every plain heap entry is a live (time, seq, fn, a0, a1) tuple --
+    # nothing pushed that way can be cancelled.  Timer entries may be
+    # stale, so count the distinct armed timers the heap holds instead
+    # of trusting any one entry.
+    plain = 0
+    armed = set()
+    for entry in sim._queue:
+        if entry[2] is not _TIMER:
+            plain += 1
+        elif entry[3].running:
+            armed.add(id(entry[3]))
+    return plain + len(armed)
 
 
 def arm(sim: Simulator, delay: float) -> Timer:
@@ -100,6 +102,20 @@ class TestPendingCounter:
         sim.run()
         assert fired == [10.0]
         assert sim.pending == 0
+
+    def test_anchor_before_deadline_counts_once(self):
+        # start(1.0); restart(5.0) leaves one heap entry at 1.0 whose seq
+        # no longer matches the timer's: the armed timer still counts.
+        sim = Simulator()
+        timer = arm(sim, 1.0)
+        timer.restart(5.0)
+        assert sim.pending == brute_force_pending(sim) == 1
+        # restart to earlier: a second entry, still one armed timer.
+        timer.restart(0.5)
+        assert len(sim._queue) == 2
+        assert sim.pending == brute_force_pending(sim) == 1
+        timer.stop()
+        assert sim.pending == brute_force_pending(sim) == 0
 
     def test_events_run_total_is_monotonic(self):
         before = events_run_total()

@@ -322,6 +322,26 @@ def test_sharded_clock_api():
     assert all(s.post_event is None for s in net._shards.sims)
 
 
+def test_merged_run_honours_a_zero_or_negative_budget():
+    # Regression: run_merged handed a zero budget to the shard, which
+    # then fired one event, so max_events=0 returned 1.
+    net = Network(seed=1, shards=2)
+    shard0, shard1 = net._shards.sims
+    fired = []
+    shard0.schedule(0.5, fired.append, "a")
+    shard1.schedule(0.75, fired.append, "b")
+    shard0.schedule(1.0, fired.append, "c")
+    assert net.sim.run(max_events=0) == 0
+    net.run(until=2.0, max_events=0)
+    assert fired == []
+    assert net.sim.now == 0.0
+    with pytest.raises(ValueError, match="max_events"):
+        net.sim.run(max_events=-1)
+    assert net.sim.run(max_events=2) == 2
+    assert fired == ["a", "b"]
+    assert net.sim.pending == 1
+
+
 def test_sharded_clock_timers_live_on_the_target_shard():
     # MemorySampler(net.sim, ...) is handed the ShardedClock; its Timer
     # must sit on a real simulator -- shard 0 when built outside a run,

@@ -210,6 +210,27 @@ class TestSimulator:
         sim.run(max_events=3)
         assert fired == [0, 1, 2]
 
+    def test_zero_max_events_runs_nothing(self):
+        # Regression: the budget was checked only after an event ran, so
+        # max_events=0 fired the first event and returned 1.
+        sim = Simulator()
+        fired = []
+        for i in range(3):
+            sim.schedule(float(i + 1), fired.append, i)
+        assert sim.run(max_events=0) == 0
+        assert sim.run(until=5.0, max_events=0) == 0
+        assert fired == []
+        assert sim.now == 0.0
+        assert sim.events_run == 0
+        assert sim.pending == 3
+
+    def test_negative_max_events_rejected(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(ValueError, match="max_events"):
+            sim.run(max_events=-1)
+        assert sim.now == 0.0 and sim.pending == 1
+
     def test_events_run_counter(self):
         sim = Simulator()
         for i in range(4):

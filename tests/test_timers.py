@@ -1,32 +1,32 @@
-"""Hierarchical timer wheel vs. the heap: differential order tests.
+"""Timers on the event heap: differential order tests.
 
-The engine orders all work by ``(time, seq)``; timers live on the wheel
-while plain events live on the heap, and ``run()`` merges the two.  The
-tests here drive both structures from seeded random operation scripts
-and compare the observed firing order against a reference scheduler
-implemented with nothing but a sorted list — any divergence in merge
-order, cascade handling or restart semantics shows up as a sequence
-mismatch.
+The engine orders all work by ``(time, seq)`` on one heap.  A timer
+keeps at most one entry there, its *anchor*, at or before its deadline;
+an anchor that surfaces early is re-queued at the timer's real key, and
+a stale entry is never an event.  The tests here drive timers and plain
+events from seeded random operation scripts and compare the observed
+firing order against a reference scheduler implemented with nothing but
+a flat list — any divergence in ordering, anchor handling or restart
+semantics shows up as a sequence mismatch.
 """
 
+import math
 import random
 
 import pytest
 
 from repro.sim.engine import Simulator, Timer
-from repro.sim.wheel import _OVERFLOW, _SPAN2, TICKS_PER_SEC
 
-# Deadlines this far out (in seconds) exceed the top wheel level's span
-# and land on the unsorted overflow list.
-OVERFLOW_S = _SPAN2 / TICKS_PER_SEC  # 16384 s with the default geometry
+# Far-future deadlines (in seconds): beyond anything the datapath arms.
+OVERFLOW_S = 16384.0
 
 
 class ReferenceScheduler:
     """Executable model of the engine's ordering contract.
 
     Keeps every armed item in one flat list and always fires the
-    smallest ``(time, seq)`` — the semantics the wheel + heap merge must
-    be indistinguishable from.
+    smallest ``(time, seq)`` — the semantics the anchored heap must be
+    indistinguishable from.
     """
 
     def __init__(self):
@@ -106,7 +106,7 @@ def _run_real(initial, reactions):
 
     def make_timer(label):
         def callback():
-            timers[label].stop()  # fired: wheel already unlinked; stop is a no-op
+            timers[label].stop()  # fired: already disarmed; stop is a no-op
             fired.append((label, sim.now))
             for op in reactions.pop(label, ()):
                 apply_op(op)
@@ -153,14 +153,14 @@ def _run_reference(initial, reactions):
 
 def _random_script(rng):
     """A mixed schedule/start/restart/stop script with delays spanning
-    every wheel level (sub-tick to overflow) plus exact-tie times."""
+    six orders of magnitude plus exact-tie times."""
     delays = [
         0.0,
-        0.00005,  # below one wheel tick
-        rng.uniform(0.0001, 0.2),  # level 0
-        rng.uniform(0.3, 5.0),  # level 1
-        rng.uniform(10.0, 200.0),  # level 2
-        rng.uniform(300.0, 2000.0),  # overflow
+        0.00005,
+        rng.uniform(0.0001, 0.2),
+        rng.uniform(0.3, 5.0),
+        rng.uniform(10.0, 200.0),
+        rng.uniform(300.0, 2000.0),
         1.0,  # deliberate exact ties
         1.0,
     ]
@@ -176,7 +176,7 @@ def _random_script(rng):
         else:
             initial.append(("start", label, delay))
     # Wire reactions: a firing item may restart/stop/arm other items,
-    # which exercises mid-run cascades and re-inserts behind ``now``.
+    # which exercises mid-run re-queued anchors, orphans and re-arms.
     for label in rng.sample(labels, 25):
         ops = []
         for _ in range(rng.randint(1, 3)):
@@ -191,7 +191,7 @@ def _random_script(rng):
 
 
 @pytest.mark.parametrize("seed", [1, 7, 42, 1234, 99991])
-def test_wheel_matches_reference_scheduler(seed):
+def test_timers_match_reference_scheduler(seed):
     rng = random.Random(seed)
     initial, reactions = _random_script(rng)
     real = _run_real(initial, reactions)
@@ -234,7 +234,7 @@ def test_restart_to_same_deadline_keeps_original_order():
 
 def test_recycled_event_never_fires_stale_callback():
     # A stopped-then-re-armed timer fires once, at the new deadline:
-    # the stale expiry it was recycled from is gone from the wheel.
+    # the stale expiry it was recycled from never fires.
     sim = Simulator()
     hits = []
     timer = Timer(sim, lambda: hits.append(sim.now))
@@ -264,7 +264,7 @@ def test_cancel_of_fired_event_does_not_poison_reuse():
 
 
 # ----------------------------------------------------------------------
-# Overflow list (deadlines beyond the top wheel level)
+# Far-future deadlines (16,384 s and up)
 # ----------------------------------------------------------------------
 
 
@@ -273,10 +273,8 @@ def test_far_future_timer_lands_on_overflow_and_fires():
     fired = []
     timer = Timer(sim, lambda: fired.append(("timer", sim.now)))
     timer.start(OVERFLOW_S + 4000.0)
-    assert timer._wlevel == _OVERFLOW
-    assert sim._wheel._overflow is timer
     # An event armed later for the same instant must fire after the
-    # timer (arming order), even though the timer sat in overflow.
+    # timer (arming order).
     sim.schedule(OVERFLOW_S + 4000.0, lambda: fired.append(("event", sim.now)))
     sim.run()
     assert fired == [
@@ -295,74 +293,63 @@ def test_cancel_while_overflowed():
     near.start(1.0)
     doomed.start(OVERFLOW_S + 1000.0)
     survivor.start(OVERFLOW_S + 2000.0)
-    assert doomed._wlevel == _OVERFLOW and survivor._wlevel == _OVERFLOW
-    assert len(sim._wheel) == 3
-    doomed.stop()  # unlink from the middle/head of the overflow chain
+    assert sim.pending == 3
+    doomed.stop()
     assert not doomed.running
-    assert len(sim._wheel) == 2
+    assert sim.pending == 2
     sim.run()
     assert fired == ["near", "survivor"]
     assert sim.now == OVERFLOW_S + 2000.0
 
 
 def test_overflow_cascades_down_as_time_advances():
-    # A far-future timer must migrate off the overflow list once the
-    # cursor gets close enough, and still fire at the exact deadline.
+    # A far-future timer must survive intermediate work and a bounded
+    # run, and still fire at the exact deadline.
     sim = Simulator()
     fired = []
     deadline = OVERFLOW_S + 5000.0
     timer = Timer(sim, lambda: fired.append(sim.now))
     timer.start(deadline)
-    assert timer._wlevel == _OVERFLOW
-    # Intermediate work drags the cursor forward past the point where
-    # (deadline - now) fits in the top wheel level.
     sim.schedule(6000.0, lambda: None)
     sim.run(until=7000.0)
-    # earliest() may serve the cached minimum; find_min() recomputes,
-    # which is where the overflow cascade runs.
-    assert sim._wheel.find_min(sim.now) is timer
+    assert sim.next_event_time() == deadline
     assert timer.running
-    assert timer._wlevel != _OVERFLOW  # relocated onto a wheel level
-    assert sim._wheel._overflow is None
     sim.run()
     assert fired == [deadline]
 
 
 def test_restart_across_the_overflow_boundary():
-    # far -> near: the pending overflow entry is dropped and the timer
+    # far -> near: the pending far expiry is dropped and the timer
     # fires at the new near deadline.
     sim = Simulator()
     fired = []
     timer = Timer(sim, lambda: fired.append(sim.now))
     timer.start(OVERFLOW_S + 9000.0)
-    assert timer._wlevel == _OVERFLOW
     timer.restart(0.5)
-    assert timer._wlevel != _OVERFLOW
     sim.run()
     assert fired == [0.5]
 
-    # near -> far: and back out to the overflow list.
+    # near -> far: and back out again.
     fired.clear()
     timer2 = Timer(sim, lambda: fired.append(sim.now))
     timer2.start(0.25)
     timer2.restart(OVERFLOW_S + 9000.0)
-    assert timer2._wlevel == _OVERFLOW
     sim.run()
     assert fired == [sim.now]
     assert fired[0] == pytest.approx(0.5 + OVERFLOW_S + 9000.0)
 
 
 def _overflow_script(rng):
-    """Like _random_script but with deadlines straddling the overflow
-    boundary, so cascades off the far-future list happen mid-run."""
+    """Like _random_script but with deadlines straddling 16,384 s, so
+    far-future anchors and restarts across that span happen mid-run."""
     delays = [
         0.0,
-        rng.uniform(0.001, 1.0),  # level 0
-        rng.uniform(100.0, 4000.0),  # levels 1-2
-        OVERFLOW_S - rng.uniform(1.0, 50.0),  # just inside the top level
-        OVERFLOW_S + rng.uniform(1.0, 50.0),  # just past the boundary
-        rng.uniform(OVERFLOW_S * 2, OVERFLOW_S * 6),  # deep overflow
-        OVERFLOW_S + 100.0,  # deliberate exact ties in overflow
+        rng.uniform(0.001, 1.0),
+        rng.uniform(100.0, 4000.0),
+        OVERFLOW_S - rng.uniform(1.0, 50.0),  # just below 16,384 s
+        OVERFLOW_S + rng.uniform(1.0, 50.0),  # just above
+        rng.uniform(OVERFLOW_S * 2, OVERFLOW_S * 6),  # far beyond
+        OVERFLOW_S + 100.0,  # deliberate exact ties far out
         OVERFLOW_S + 100.0,
     ]
     initial = []
@@ -396,3 +383,120 @@ def test_overflow_matches_reference_scheduler(seed):
     real = _run_real(initial, reactions)
     reference = _run_reference(initial, reactions)
     assert real == reference
+
+
+# ----------------------------------------------------------------------
+# Anchors: a timer's one heap entry sits at or before its deadline
+# ----------------------------------------------------------------------
+
+
+def test_stale_anchor_is_not_an_event():
+    # An anchor that surfaces before its deadline (restart to later), and
+    # a stopped timer's anchor, are popped without counting as events:
+    # no events_run, no post_event, no clock advance, no max_events charge.
+    sim = Simulator()
+    hooked = []
+    sim.post_event = hooked.append
+    fired = []
+    moved = Timer(sim, lambda: fired.append(("moved", sim.now)))
+    moved.start(1.0)
+    moved.restart(3.0)  # anchor stays at 1.0
+    stopped = Timer(sim, lambda: fired.append(("stopped", sim.now)))
+    stopped.start(1.5)
+    stopped.stop()  # anchor stays at 1.5
+    event = lambda: fired.append(("event", sim.now))
+    sim.schedule(2.0, event)
+    assert sim.run(max_events=1) == 1
+    assert fired == [("event", 2.0)]
+    assert hooked == [event]
+    assert sim.now == 2.0
+    assert sim.events_run == 1
+    assert sim.pending == 1  # the moved timer, counted once
+
+    # Only stale entries left before the horizon: nothing runs.
+    only = Simulator()
+    idle = Timer(only, lambda: None)
+    idle.start(1.0)
+    idle.stop()
+    assert only.run(max_events=1) == 0
+    assert only.now == 0.0
+    assert only.events_run == 0
+    assert only.pending == 0
+
+
+def test_orphan_left_by_restart_to_earlier_deadline_never_fires():
+    # start(5) anchors at 5; restart(1) anchors anew at 1 and orphans the
+    # 5.0 entry; restart(5) keeps the 1.0 anchor.  The timer must fire
+    # exactly once, at 5.0, with the orphan's identical deadline dropped.
+    sim = Simulator()
+    fired = []
+    timer = Timer(sim, lambda: fired.append(sim.now))
+    timer.start(5.0)
+    timer.restart(1.0)
+    timer.restart(5.0)
+    assert sim.pending == 1
+    assert sim.run() == 1
+    assert fired == [5.0]
+
+    # Fired at the earlier deadline, then re-armed to the orphan's time
+    # from its own callback: still one firing per arm.
+    sim = Simulator()
+    fired = []
+
+    def callback():
+        fired.append(sim.now)
+        if len(fired) == 1:
+            timer.start(4.0)
+
+    timer = Timer(sim, callback)
+    timer.start(5.0)
+    timer.restart(1.0)
+    assert sim.run() == 2
+    assert fired == [1.0, 5.0]
+    assert sim.pending == 0
+
+
+def test_run_until_between_anchor_and_deadline_resumes():
+    sim = Simulator()
+    fired = []
+    timer = Timer(sim, lambda: fired.append(("timer", sim.now)))
+    timer.start(1.0)
+    timer.restart(3.0)  # anchor at 1.0, deadline 3.0
+    assert sim.run(until=2.0) == 0
+    assert sim.now == 2.0
+    assert timer.running and timer.expires_at == 3.0
+    assert sim.pending == 1
+    sim.schedule(0.5, lambda: fired.append(("event", sim.now)))
+    timer.restart(1.0)  # same deadline from the new now: a no-op
+    assert sim.run() == 2
+    assert fired == [("event", 2.5), ("timer", 3.0)]
+
+
+def test_exclusive_window_ends_at_the_deadline():
+    sim = Simulator()
+    fired = []
+    timer = Timer(sim, lambda: fired.append(sim.now))
+    timer.start(1.0)
+    timer.restart(3.0)
+    assert sim.run(until=3.0, exclusive=True) == 0
+    assert fired == []
+    assert sim.now == 3.0
+    assert timer.running
+    assert sim.run(until=3.0) == 1
+    assert fired == [3.0]
+
+
+def test_next_event_time_reports_the_requeued_deadline():
+    sim = Simulator()
+    timer = Timer(sim, lambda: None)
+    timer.start(1.0)
+    timer.restart(4.0)
+    sim.schedule(5.0, lambda: None)
+    assert sim.next_event_time() == 4.0
+    assert sim.now == 0.0
+    assert sim.pending == 2
+    timer.stop()
+    assert sim.next_event_time() == 5.0
+    assert sim.pending == 1
+    assert sim.run() == 1
+    assert sim.next_event_time() == math.inf
