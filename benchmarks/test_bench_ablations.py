@@ -16,18 +16,13 @@ decisions matter, using the same harnesses:
 
 import pytest
 
-from repro.apps.bulk import BulkSenderApp
 from repro.experiments.common import (
     THREEG,
     WIFI,
     PathSpec,
-    build_multipath_network,
     mptcp_variant_config,
-    run_mptcp_bulk,
+    run_bulk,
 )
-from repro.mptcp.api import connect as mptcp_connect
-from repro.mptcp.api import listen as mptcp_listen
-from repro.net.packet import Endpoint
 
 
 SYMMETRIC = [
@@ -40,18 +35,8 @@ def _shortcut_hit_rate(batch_segments: int) -> float:
     config = mptcp_variant_config("m12", 2 * 1024 * 1024, ooo_algorithm="shortcuts")
     config.checksum = False
     config.batch_segments = batch_segments
-    net, client, server = build_multipath_network(SYMMETRIC, seed=9)
-    state = {}
-
-    def on_accept(conn):
-        state["conn"] = conn
-        conn.on_data = lambda c: c.read()
-
-    mptcp_listen(server, 80, config=config, on_accept=on_accept)
-    conn = mptcp_connect(client, Endpoint("10.99.0.1", 80), config=config)
-    BulkSenderApp(conn, total_bytes=None)
-    net.run(until=5.0)
-    return state["conn"].ooo_index.stats.hit_rate()
+    server_conn = run_bulk(SYMMETRIC, config, 5.0, seed=9).receiver_connection
+    return server_conn.ooo_index.stats.hit_rate()
 
 
 def test_ablation_batching_drives_shortcut_hits(benchmark):
@@ -69,8 +54,8 @@ def test_ablation_coupled_vs_uncoupled_disjoint_paths(benchmark):
         coupled_cfg = mptcp_variant_config("m12", 512 * 1024)
         uncoupled_cfg = mptcp_variant_config("m12", 512 * 1024)
         uncoupled_cfg.coupled_cc = False
-        coupled = run_mptcp_bulk([WIFI, THREEG], coupled_cfg, duration=15)
-        uncoupled = run_mptcp_bulk([WIFI, THREEG], uncoupled_cfg, duration=15)
+        coupled = run_bulk([WIFI, THREEG], coupled_cfg, duration=15)
+        uncoupled = run_bulk([WIFI, THREEG], uncoupled_cfg, duration=15)
         return coupled.goodput_bps, uncoupled.goodput_bps
 
     coupled, uncoupled = benchmark.pedantic(run, rounds=1, iterations=1)

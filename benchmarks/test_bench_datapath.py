@@ -21,7 +21,7 @@ import platform
 import time
 from pathlib import Path
 
-from repro.experiments.common import THREEG, WIFI, mptcp_variant_config, run_mptcp_bulk
+from repro.experiments.common import THREEG, WIFI, mptcp_variant_config, run_bulk
 
 from conftest import run_median_of_3
 
@@ -35,7 +35,7 @@ SEED = 4
 def _bulk_run(checksum: bool) -> dict:
     config = mptcp_variant_config("m12", BUFFER_BYTES, checksum=checksum)
     started = time.perf_counter()
-    outcome = run_mptcp_bulk([WIFI, THREEG], config, DURATION, seed=SEED)
+    outcome = run_bulk([WIFI, THREEG], config, DURATION, seed=SEED)
     elapsed = time.perf_counter() - started
     received = outcome.received
     return {

@@ -17,7 +17,7 @@ import platform
 import time
 from pathlib import Path
 
-from repro.experiments.common import THREEG, WIFI, mptcp_variant_config, run_mptcp_bulk
+from repro.experiments.common import THREEG, WIFI, mptcp_variant_config, run_bulk
 from repro.sim.engine import events_run_total
 
 from conftest import run_median_of_3
@@ -33,7 +33,7 @@ def _canonical_transfer():
     config = mptcp_variant_config("m12", BUFFER_BYTES)
     before = events_run_total()
     started = time.perf_counter()
-    outcome = run_mptcp_bulk([WIFI, THREEG], config, DURATION, seed=SEED)
+    outcome = run_bulk([WIFI, THREEG], config, DURATION, seed=SEED)
     elapsed = time.perf_counter() - started
     events = events_run_total() - before
     return {

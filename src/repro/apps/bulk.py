@@ -10,7 +10,7 @@ statistics, giving Fig. 4(b)'s goodput/throughput split.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from repro.net.payload import Buffer
 from repro.stats.metrics import GoodputMeter
@@ -43,11 +43,18 @@ def pattern_bytes(offset: int, length: int) -> Buffer:
 
 
 class BulkSenderApp:
-    """Feeds ``total_bytes`` (or unbounded when None) into a transport."""
+    """Feeds a byte stream into a transport and closes it once sent.
 
-    def __init__(self, transport, total_bytes: Optional[int], chunk: int = 64 * 1024):
+    ``data`` is either the payload itself (``bytes``) or a byte count of
+    the deterministic :func:`pattern_bytes` stream (``None``: unbounded).
+    """
+
+    def __init__(
+        self, transport, data: Union[bytes, int, None], chunk: int = 64 * 1024
+    ):
         self.transport = transport
-        self.total_bytes = total_bytes
+        self.payload = data if isinstance(data, bytes) else None
+        self.total_bytes = len(data) if isinstance(data, bytes) else data
         self.chunk = chunk
         self.sent = 0
         self.done = False
@@ -61,7 +68,11 @@ class BulkSenderApp:
             want = self.chunk
             if self.total_bytes is not None:
                 want = min(want, self.total_bytes - self.sent)
-            accepted = self.transport.send(pattern_bytes(self.sent, want))
+            if self.payload is None:
+                data = pattern_bytes(self.sent, want)
+            else:
+                data = self.payload[self.sent : self.sent + want]
+            accepted = self.transport.send(data)
             if accepted == 0:
                 return
             self.sent += accepted

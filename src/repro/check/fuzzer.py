@@ -23,19 +23,15 @@ import dataclasses
 import os
 import sys
 
+from repro.apps.bulk import BulkSenderApp
 from repro.check.oracle import InvariantOracle, InvariantViolation
+from repro.experiments.common import PathSpec, build_multipath_network, open_connection
 from repro.middlebox.jitter import Duplicator, Jitter
 from repro.middlebox.stripper import OptionStripper
-from repro.mptcp.api import connect as mptcp_connect
-from repro.mptcp.api import listen as mptcp_listen
 from repro.mptcp.connection import MPTCPConfig
 from repro.net.faults import Corrupter, GilbertElliottLoss, LinkFlap, Reorderer
-from repro.net.network import Network
-from repro.net.packet import Endpoint
 from repro.net.path import FORWARD, REVERSE
 from repro.sim.rng import SeededRNG
-from repro.tcp.listener import Listener
-from repro.tcp.socket import TCPSocket
 
 # Namespace in which element constructor expressions are evaluated.  The
 # expressions come from this module's own generator (or from an emitted
@@ -108,30 +104,28 @@ def _payload(size: int, seed: int) -> bytes:
 def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
     """Build the network described by ``spec``, run the transfer under the
     invariant oracle, and report.  Deterministic: same spec, same outcome."""
-    net = Network(seed=spec.seed)
+    # Plain TCP has one interface, so it uses the first path only.
+    params = spec.paths if spec.protocol == "mptcp" else spec.paths[:1]
+    paths = [
+        PathSpec(
+            rate_bps=p["rate_bps"],
+            rtt=2 * p["delay"],
+            buffer_bytes=p.get("queue_bytes", 80_000),
+            loss=p.get("loss", 0.0),
+        )
+        for p in params
+    ]
+    elements = [
+        [eval(expr, dict(ELEMENT_NAMESPACE)) for expr in exprs]
+        for exprs in (spec.elements + [[]] * len(paths))[: len(paths)]
+    ]
+    net, client, server = build_multipath_network(
+        paths, seed=spec.seed, server_ip="10.9.0.1", elements=elements
+    )
     if net.sim.post_event is None:
         oracle = InvariantOracle.attach(net)
     else:  # test harness (REPRO_ORACLE=1) already attached one
         oracle = getattr(net, "_oracle", None)
-
-    if spec.protocol == "mptcp":
-        ips = [f"10.{i}.0.1" for i in range(len(spec.paths))]
-    else:
-        ips = ["10.0.0.1"]
-    client = net.add_host("client", *ips)
-    server = net.add_host("server", "10.9.0.1")
-    for index, params in enumerate(spec.paths[: len(ips)]):
-        exprs = spec.elements[index] if index < len(spec.elements) else []
-        elements = [eval(expr, dict(ELEMENT_NAMESPACE)) for expr in exprs]
-        net.connect(
-            client.interface(ips[index]),
-            server.interface("10.9.0.1"),
-            rate_bps=params["rate_bps"],
-            delay=params["delay"],
-            queue_bytes=params.get("queue_bytes", 80_000),
-            loss=params.get("loss", 0.0),
-            elements=elements,
-        )
 
     payload = _payload(spec.payload_size, spec.seed)
     outcome = ScenarioOutcome(spec=spec)
@@ -146,33 +140,8 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
         endpoint.on_data = on_data
         endpoint.on_eof = lambda e: e.close()
 
-    progress = {"sent": 0}
-
-    def pump(endpoint):
-        while progress["sent"] < len(payload):
-            accepted = endpoint.send(
-                payload[progress["sent"] : progress["sent"] + 65536]
-            )
-            if accepted == 0:
-                return
-            progress["sent"] += accepted
-        endpoint.close()
-
-    port = 80
-    if spec.protocol == "mptcp":
-        config = MPTCPConfig(checksum=spec.checksum)
-        mptcp_listen(server, port, config=config, on_accept=on_accept)
-        conn = mptcp_connect(
-            client, Endpoint(server.primary_address, port), config=config
-        )
-        conn.on_established = pump
-        conn.on_writable = pump
-    else:
-        Listener(server, port, on_accept=on_accept)
-        sock = TCPSocket(client)
-        sock.on_established = pump
-        sock.on_writable = pump
-        sock.connect(Endpoint(server.primary_address, port))
+    config = MPTCPConfig(checksum=spec.checksum) if spec.protocol == "mptcp" else None
+    BulkSenderApp(open_connection(client, server, config, on_accept), payload)
 
     try:
         net.run(until=spec.duration)

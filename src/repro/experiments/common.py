@@ -1,4 +1,11 @@
-"""Shared topology builders and runners for the figure reproductions.
+"""The transfer harness shared by the figure reproductions, the fuzzer
+and the tests.
+
+Every §4 experiment is one job: a client with one interface per path
+(a :class:`PathSpec`) downloads from a single-address server over TCP
+or MPTCP.  :func:`build_multipath_network` builds that topology,
+:func:`open_connection` opens TCP or MPTCP by the config's type, and
+:func:`run_bulk` is the long-download measurement on top of both.
 
 The canonical mobile scenario of §4.2 is built here once and reused by
 Figs. 4, 5 and 7:
@@ -9,17 +16,18 @@ Figs. 4, 5 and 7:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
-from repro.apps.bulk import BulkReceiverApp, BulkSenderApp
+from repro.apps.bulk import BulkSenderApp
 from repro.mptcp.api import connect as mptcp_connect
 from repro.mptcp.api import listen as mptcp_listen
-from repro.mptcp.connection import MPTCPConfig, MPTCPConnection
+from repro.mptcp.connection import MPTCPConfig
 from repro.net.link import buffer_bytes_for
 from repro.net.network import Network
+from repro.net.node import Host
 from repro.net.packet import Endpoint
+from repro.net.path import PathElement
 from repro.stats.metrics import GoodputMeter, MemorySampler
 from repro.tcp.listener import Listener
 from repro.tcp.socket import TCPConfig, TCPSocket
@@ -34,13 +42,16 @@ class PathSpec:
     buffer_seconds: Optional[float] = None  # drain time of the queue
     buffer_bytes: Optional[int] = None
     loss: float = 0.0
-    name: str = "path"
+    name: Optional[str] = None  # None: the network names it "a<->b"
 
-    def queue_bytes(self) -> int:
+    def queue_bytes(self) -> Optional[int]:
+        """The queue in bytes; None (neither buffer given) leaves the
+        link's own default."""
         if self.buffer_bytes is not None:
             return self.buffer_bytes
-        seconds = self.buffer_seconds if self.buffer_seconds is not None else 0.1
-        return buffer_bytes_for(self.rate_bps, seconds)
+        if self.buffer_seconds is None:
+            return None
+        return buffer_bytes_for(self.rate_bps, self.buffer_seconds)
 
 
 WIFI = PathSpec(rate_bps=8e6, rtt=0.020, buffer_seconds=0.080, name="wifi")
@@ -100,27 +111,62 @@ def _fmt(value) -> str:
 
 
 # ----------------------------------------------------------------------
-# Topology / run helpers
+# The transfer harness: one topology, one opener, one bulk runner
 # ----------------------------------------------------------------------
 def build_multipath_network(
-    paths: Sequence[PathSpec], seed: int = 1
-) -> tuple[Network, object, object]:
-    """A client with one interface per path, a single-address server."""
-    net = Network(seed=seed)
+    paths: Sequence[PathSpec],
+    seed: int = 1,
+    server_ip: str = "10.99.0.1",
+    elements: Optional[Sequence[Optional[Sequence[PathElement]]]] = None,
+    shards: Optional[int] = None,
+) -> tuple[Network, Host, Host]:
+    """A client with one interface ``10.{i}.0.1`` per path and a
+    single-address server; ``elements[i]`` is path i's middlebox chain."""
+    net = Network(seed=seed, shards=shards)
     client_ips = [f"10.{i}.0.1" for i in range(len(paths))]
     client = net.add_host("client", *client_ips)
-    server = net.add_host("server", "10.99.0.1")
-    for ip, spec in zip(client_ips, paths):
+    server = net.add_host("server", server_ip)
+    for index, (ip, spec) in enumerate(zip(client_ips, paths)):
         net.connect(
             client.interface(ip),
-            server.interface("10.99.0.1"),
+            server.interface(server_ip),
             rate_bps=spec.rate_bps,
             delay=spec.rtt / 2,
             queue_bytes=spec.queue_bytes(),
             loss=spec.loss,
+            elements=elements[index] if elements else None,
             name=spec.name,
         )
     return net, client, server
+
+
+def open_connection(
+    client: Host,
+    server: Host,
+    config: Union[MPTCPConfig, TCPConfig, None],
+    on_accept: Callable,
+    port: int = 80,
+    server_config: Union[MPTCPConfig, TCPConfig, None] = None,
+):
+    """Listen on ``server`` and connect ``client`` to it; returns the
+    client's transport.  Each side speaks MPTCP if its config is an
+    :class:`MPTCPConfig` and plain TCP otherwise (``server_config``
+    defaults to ``config``)."""
+    if server_config is None:
+        server_config = config
+    remote = Endpoint(server.primary_address, port)
+    if isinstance(server_config, MPTCPConfig):
+        mptcp_listen(server, port, config=server_config, on_accept=on_accept)
+    else:
+        Listener(server, port, config=server_config, on_accept=on_accept)
+    if isinstance(config, MPTCPConfig):
+        return mptcp_connect(client, remote, config=config)
+    sock = TCPSocket(client, config=config)
+    sock.connect(remote)
+    return sock
+
+
+_VARIANTS = ("regular", "m1", "m12", "m123", "m1234")
 
 
 def mptcp_variant_config(
@@ -130,7 +176,7 @@ def mptcp_variant_config(
     ooo_algorithm: str = "allshortcuts",
     mss: int = 1448,
 ) -> MPTCPConfig:
-    """Named §4.2 variants:
+    """Named §4.2 variants, each adding one mechanism to the one before:
 
     * ``regular``  — no receive-buffer mechanisms,
     * ``m1``       — opportunistic retransmission,
@@ -138,29 +184,20 @@ def mptcp_variant_config(
     * ``m123``     — + buffer autotuning,
     * ``m1234``    — + cwnd capping.
     """
-    tcp = TCPConfig(mss=mss, snd_buf=buffer_bytes, rcv_buf=buffer_bytes)
-    config = MPTCPConfig(
-        tcp=tcp,
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    level = _VARIANTS.index(variant)
+    return MPTCPConfig(
+        tcp=TCPConfig(mss=mss, snd_buf=buffer_bytes, rcv_buf=buffer_bytes),
         checksum=checksum,
         snd_buf=buffer_bytes,
         rcv_buf=buffer_bytes,
-        enable_m1=False,
-        enable_m2=False,
-        autotune=False,
-        capping=False,
+        enable_m1=level >= 1,
+        enable_m2=level >= 2,
+        autotune=level >= 3,
+        capping=level >= 4,
         ooo_algorithm=ooo_algorithm,
     )
-    if variant in ("m1", "m12", "m123", "m1234"):
-        config.enable_m1 = True
-    if variant in ("m12", "m123", "m1234"):
-        config.enable_m2 = True
-    if variant in ("m123", "m1234"):
-        config.autotune = True
-    if variant == "m1234":
-        config.capping = True
-    if variant not in ("regular", "m1", "m12", "m123", "m1234"):
-        raise ValueError(f"unknown variant {variant!r}")
-    return config
 
 
 @dataclass
@@ -176,34 +213,35 @@ class RunOutcome:
     network: Optional[Network] = None
 
 
-def run_mptcp_bulk(
+def run_bulk(
     paths: Sequence[PathSpec],
-    config: MPTCPConfig,
+    config: Union[MPTCPConfig, TCPConfig],
     duration: float,
     seed: int = 1,
     warmup: float = 2.0,
     sample_memory: bool = False,
+    elements: Optional[Sequence[Optional[Sequence[PathElement]]]] = None,
 ) -> RunOutcome:
-    """Long download over MPTCP; goodput measured after ``warmup``."""
-    net, client, server = build_multipath_network(paths, seed=seed)
+    """Long unbounded download over TCP or MPTCP (by ``config``'s type);
+    goodput and wire throughput are measured after ``warmup``."""
+    net, client, server = build_multipath_network(paths, seed=seed, elements=elements)
     meter = GoodputMeter(net.sim)
     state: dict = {}
 
-    def on_accept(conn):
-        state["server_conn"] = conn
+    def on_accept(transport):
+        state["server"] = transport
 
-        def on_data(c):
-            data = c.read()
+        def on_data(t):
+            data = t.read()
             if net.now >= warmup:
                 meter.add(len(data))
             state["received"] = state.get("received", 0) + len(data)
 
-        conn.on_data = on_data
-        conn.on_eof = lambda c: c.close()
+        transport.on_data = on_data
+        transport.on_eof = lambda t: t.close()
 
-    mptcp_listen(server, 80, config=config, on_accept=on_accept)
-    conn = mptcp_connect(client, Endpoint("10.99.0.1", 80), config=config)
-    BulkSenderApp(conn, total_bytes=None)  # unbounded
+    transport = open_connection(client, server, config, on_accept)
+    BulkSenderApp(transport, None)
     net.sim.schedule(warmup, meter.start)
 
     samplers: list = []
@@ -212,12 +250,10 @@ def run_mptcp_bulk(
             warmup,
             lambda: samplers.extend(
                 [
-                    MemorySampler(net.sim, conn.tx_memory_bytes, interval=0.05),
+                    MemorySampler(net.sim, transport.tx_memory_bytes, interval=0.05),
                     MemorySampler(
                         net.sim,
-                        lambda: state["server_conn"].rx_memory_bytes()
-                        if "server_conn" in state
-                        else 0,
+                        lambda: state["server"].rx_memory_bytes() if "server" in state else 0,
                         interval=0.05,
                     ),
                 ]
@@ -228,79 +264,11 @@ def run_mptcp_bulk(
     wire_payload = sum(p.link_fwd.stats.payload_bytes_sent for p in net.paths)
     outcome = RunOutcome(
         goodput_bps=meter.rate_bps(),
-        throughput_bps=wire_payload * 8 / max(1e-9, duration - warmup) if duration > warmup else 0,
+        throughput_bps=wire_payload * 8 / (duration - warmup) if duration > warmup else 0,
         received=state.get("received", 0),
         duration=duration,
-        connection=conn,
-        receiver_connection=state.get("server_conn"),
-        network=net,
-    )
-    if samplers:
-        outcome.tx_memory_avg = samplers[0].average()
-        outcome.rx_memory_avg = samplers[1].average()
-    return outcome
-
-
-def run_tcp_bulk(
-    path: PathSpec,
-    buffer_bytes: int,
-    duration: float,
-    seed: int = 1,
-    warmup: float = 2.0,
-    sample_memory: bool = False,
-    mss: int = 1448,
-    autotune: bool = False,
-) -> RunOutcome:
-    """Long download over plain TCP on a single path (the baselines)."""
-    net, client, server = build_multipath_network([path], seed=seed)
-    meter = GoodputMeter(net.sim)
-    config = TCPConfig(
-        mss=mss, snd_buf=buffer_bytes, rcv_buf=buffer_bytes, autotune=autotune
-    )
-    state: dict = {}
-
-    def on_accept(sock):
-        state["server_sock"] = sock
-
-        def on_data(s):
-            data = s.read()
-            if net.now >= warmup:
-                meter.add(len(data))
-            state["received"] = state.get("received", 0) + len(data)
-
-        sock.on_data = on_data
-        sock.on_eof = lambda s: s.close()
-
-    Listener(server, 80, config=config, on_accept=on_accept)
-    sock = TCPSocket(client, config=config)
-    BulkSenderApp(sock, total_bytes=None)
-    sock.connect(Endpoint("10.99.0.1", 80))
-    net.sim.schedule(warmup, meter.start)
-    samplers: list = []
-    if sample_memory:
-        net.sim.schedule(
-            warmup,
-            lambda: samplers.extend(
-                [
-                    MemorySampler(net.sim, sock.tx_memory_bytes, interval=0.05),
-                    MemorySampler(
-                        net.sim,
-                        lambda: state["server_sock"].rx_memory_bytes()
-                        if "server_sock" in state
-                        else 0,
-                        interval=0.05,
-                    ),
-                ]
-            ),
-        )
-    net.run(until=duration)
-    meter.finish()
-    outcome = RunOutcome(
-        goodput_bps=meter.rate_bps(),
-        received=state.get("received", 0),
-        duration=duration,
-        connection=sock,
-        receiver_connection=state.get("server_sock"),
+        connection=transport,
+        receiver_connection=state.get("server"),
         network=net,
     )
     if samplers:

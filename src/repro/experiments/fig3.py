@@ -17,12 +17,14 @@ rate actually achieved on the wire.
 from __future__ import annotations
 
 from repro.apps.bulk import BulkReceiverApp, BulkSenderApp
-from repro.experiments.common import ExperimentResult, PathSpec, build_multipath_network
+from repro.experiments.common import (
+    ExperimentResult,
+    PathSpec,
+    build_multipath_network,
+    open_connection,
+)
 from repro.experiments.runner import Point, run_parallel
-from repro.mptcp.api import connect as mptcp_connect
-from repro.mptcp.api import listen as mptcp_listen
 from repro.mptcp.connection import MPTCPConfig
-from repro.net.packet import Endpoint
 from repro.stats.cpu import CPUCostModel
 from repro.stats.metrics import GoodputMeter
 from repro.tcp.socket import TCPConfig
@@ -44,9 +46,7 @@ def _run_transfer(mss: int, checksum: bool, transfer_bytes: int, seed: int) -> d
         state["rx"] = BulkReceiverApp(conn, meter, expect_bytes=transfer_bytes)
         state["conn"] = conn
 
-    mptcp_listen(server, 80, config=config, on_accept=on_accept)
-    conn = mptcp_connect(client, Endpoint("10.99.0.1", 80), config=config)
-    BulkSenderApp(conn, transfer_bytes)
+    BulkSenderApp(open_connection(client, server, config, on_accept), transfer_bytes)
     net.run(until=10.0)
     receiver = state.get("rx")
     server_conn = state.get("conn")

@@ -20,23 +20,24 @@ from repro.experiments.common import (
     WIFI,
     ExperimentResult,
     mptcp_variant_config,
-    run_mptcp_bulk,
-    run_tcp_bulk,
+    run_bulk,
 )
 from repro.experiments.runner import Point, run_parallel
+from repro.tcp.socket import TCPConfig
 
 DEFAULT_BUFFERS_KB = (50, 100, 200, 300, 500, 750, 1000)
 VARIANTS = ("regular", "m1", "m12")
 
 
 def _tcp_row(path, variant: str, buffer_kb: int, duration: float, seed: int) -> dict:
-    outcome = run_tcp_bulk(path, buffer_kb * 1024, duration, seed=seed)
+    config = TCPConfig(snd_buf=buffer_kb * 1024, rcv_buf=buffer_kb * 1024)
+    outcome = run_bulk([path], config, duration, seed=seed)
     return {"buffer_kb": buffer_kb, "variant": variant, "goodput_mbps": outcome.goodput_bps / 1e6}
 
 
 def _mptcp_row(variant: str, buffer_kb: int, duration: float, seed: int) -> dict:
     config = mptcp_variant_config(variant, buffer_kb * 1024)
-    outcome = run_mptcp_bulk([WIFI, THREEG], config, duration, seed=seed)
+    outcome = run_bulk([WIFI, THREEG], config, duration, seed=seed)
     return {
         "buffer_kb": buffer_kb,
         "variant": f"mptcp-{variant}",

@@ -18,17 +18,17 @@ from repro.experiments.common import (
     WIFI,
     ExperimentResult,
     mptcp_variant_config,
-    run_mptcp_bulk,
-    run_tcp_bulk,
+    run_bulk,
 )
 from repro.experiments.runner import Point, run_parallel
+from repro.tcp.socket import TCPConfig
 
 DEFAULT_BUFFERS_KB = (100, 200, 400, 600, 800, 1200)
 
 
 def _mptcp_memory_row(label: str, variant: str, buffer_kb: int, duration: float, seed: int) -> dict:
     config = mptcp_variant_config(variant, buffer_kb * 1024)
-    outcome = run_mptcp_bulk([WIFI, THREEG], config, duration, seed=seed, sample_memory=True)
+    outcome = run_bulk([WIFI, THREEG], config, duration, seed=seed, sample_memory=True)
     return {
         "buffer_kb": buffer_kb,
         "variant": label,
@@ -39,9 +39,8 @@ def _mptcp_memory_row(label: str, variant: str, buffer_kb: int, duration: float,
 
 
 def _tcp_memory_row(label: str, path, buffer_kb: int, duration: float, seed: int) -> dict:
-    outcome = run_tcp_bulk(
-        path, buffer_kb * 1024, duration, seed=seed, sample_memory=True, autotune=True
-    )
+    config = TCPConfig(snd_buf=buffer_kb * 1024, rcv_buf=buffer_kb * 1024, autotune=True)
+    outcome = run_bulk([path], config, duration, seed=seed, sample_memory=True)
     return {
         "buffer_kb": buffer_kb,
         "variant": label,

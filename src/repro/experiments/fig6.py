@@ -22,10 +22,10 @@ from repro.experiments.common import (
     ExperimentResult,
     PathSpec,
     mptcp_variant_config,
-    run_mptcp_bulk,
-    run_tcp_bulk,
+    run_bulk,
 )
 from repro.experiments.runner import Point, run_parallel
+from repro.tcp.socket import TCPConfig
 
 # Paper: 1 Gb/s + 100 Mb/s. Scaled 10x down (see module docstring).
 FAST_WIRED = PathSpec(rate_bps=100e6, rtt=0.010, buffer_seconds=0.02, name="wired-fast")
@@ -41,13 +41,14 @@ PANEL_BC_BUFFERS_KB = (64, 128, 256, 512, 1024, 1600)
 
 
 def _tcp_goodput_row(path, variant: str, buffer_kb: int, duration: float, seed: int, warmup: float) -> dict:
-    outcome = run_tcp_bulk(path, buffer_kb * 1024, duration, seed=seed, warmup=warmup)
+    config = TCPConfig(snd_buf=buffer_kb * 1024, rcv_buf=buffer_kb * 1024)
+    outcome = run_bulk([path], config, duration, seed=seed, warmup=warmup)
     return {"buffer_kb": buffer_kb, "variant": variant, "goodput_mbps": outcome.goodput_bps / 1e6}
 
 
 def _mptcp_goodput_row(paths, variant: str, buffer_kb: int, duration: float, seed: int, warmup: float) -> dict:
     config = mptcp_variant_config(variant, buffer_kb * 1024)
-    outcome = run_mptcp_bulk(paths, config, duration, seed=seed, warmup=warmup)
+    outcome = run_bulk(paths, config, duration, seed=seed, warmup=warmup)
     return {
         "buffer_kb": buffer_kb,
         "variant": f"mptcp-{variant}",

@@ -12,8 +12,6 @@ the buffer occupied and the app paced).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.apps.blocks import BlockLatencyProbe
 from repro.experiments.common import (
     THREEG,
@@ -21,47 +19,28 @@ from repro.experiments.common import (
     ExperimentResult,
     build_multipath_network,
     mptcp_variant_config,
+    open_connection,
 )
 from repro.experiments.runner import Point, run_parallel
-from repro.mptcp.api import connect as mptcp_connect
-from repro.mptcp.api import listen as mptcp_listen
-from repro.net.packet import Endpoint
-from repro.tcp.listener import Listener
-from repro.tcp.socket import TCPConfig, TCPSocket
+from repro.tcp.socket import TCPConfig
 
 BUFFER_BYTES = 200 * 1024
 BLOCK = 8 * 1024
 
 
-def _mptcp_delays(variant: str, duration: float, seed: int) -> list[float]:
-    net, client, server = build_multipath_network([WIFI, THREEG], seed=seed)
-    config = mptcp_variant_config(variant, BUFFER_BYTES)
-    probe_holder: dict = {}
-
-    def on_accept(conn):
-        probe_holder["probe"].attach_receiver(conn)
-
-    mptcp_listen(server, 80, config=config, on_accept=on_accept)
-    conn = mptcp_connect(client, Endpoint("10.99.0.1", 80), config=config)
-    probe = BlockLatencyProbe(net.sim, conn, block_size=BLOCK)
-    probe_holder["probe"] = probe
-    net.run(until=duration)
-    return probe.delays
-
-
-def _tcp_delays(path, duration: float, seed: int) -> list[float]:
-    net, client, server = build_multipath_network([path], seed=seed)
-    config = TCPConfig(snd_buf=BUFFER_BYTES, rcv_buf=BUFFER_BYTES)
-    probe_holder: dict = {}
-
-    def on_accept(sock):
-        probe_holder["probe"].attach_receiver(sock)
-
-    Listener(server, 80, config=config, on_accept=on_accept)
-    sock = TCPSocket(client, config=config)
-    probe = BlockLatencyProbe(net.sim, sock, block_size=BLOCK)
-    probe_holder["probe"] = probe
-    sock.connect(Endpoint("10.99.0.1", 80))
+def _delays(paths, variant: str, duration: float, seed: int) -> list[float]:
+    """Block delays over ``paths``: plain TCP for ``variant == "tcp"``,
+    else the named MPTCP variant."""
+    net, client, server = build_multipath_network(paths, seed=seed)
+    if variant == "tcp":
+        config = TCPConfig(snd_buf=BUFFER_BYTES, rcv_buf=BUFFER_BYTES)
+    else:
+        config = mptcp_variant_config(variant, BUFFER_BYTES)
+    holder: dict = {}
+    transport = open_connection(
+        client, server, config, lambda t: holder["probe"].attach_receiver(t)
+    )
+    probe = holder["probe"] = BlockLatencyProbe(net.sim, transport, block_size=BLOCK)
     net.run(until=duration)
     return probe.delays
 
@@ -74,10 +53,10 @@ def run_fig7(
     outcome = run_parallel(
         "fig7",
         [
-            Point(_tcp_delays, {"path": WIFI, "duration": duration, "seed": seed}),
-            Point(_tcp_delays, {"path": THREEG, "duration": duration, "seed": seed}),
-            Point(_mptcp_delays, {"variant": "regular", "duration": duration, "seed": seed}),
-            Point(_mptcp_delays, {"variant": "m12", "duration": duration, "seed": seed}),
+            Point(_delays, {"paths": [WIFI], "variant": "tcp", "duration": duration, "seed": seed}),
+            Point(_delays, {"paths": [THREEG], "variant": "tcp", "duration": duration, "seed": seed}),
+            Point(_delays, {"paths": [WIFI, THREEG], "variant": "regular", "duration": duration, "seed": seed}),
+            Point(_delays, {"paths": [WIFI, THREEG], "variant": "m12", "duration": duration, "seed": seed}),
         ],
         workers=workers,
     )

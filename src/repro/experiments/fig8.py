@@ -16,13 +16,9 @@ subflows), because ~80% of insertions hit the per-subflow pointer.
 
 from __future__ import annotations
 
-from repro.apps.bulk import BulkSenderApp
-from repro.experiments.common import ExperimentResult, PathSpec, build_multipath_network
+from repro.experiments.common import ExperimentResult, PathSpec, run_bulk
 from repro.experiments.runner import Point, run_parallel
-from repro.mptcp.api import connect as mptcp_connect
-from repro.mptcp.api import listen as mptcp_listen
 from repro.mptcp.connection import MPTCPConfig
-from repro.net.packet import Endpoint
 from repro.stats.cpu import RECEIVER_PARAMS, CPUCostModel
 from repro.tcp.socket import TCPConfig
 
@@ -45,7 +41,6 @@ def _paths(subflows: int) -> list[PathSpec]:
 
 
 def _run(algorithm: str, subflows: int, duration: float, seed: int) -> dict:
-    net, client, server = build_multipath_network(_paths(subflows), seed=seed)
     tcp = TCPConfig(snd_buf=2 * 1024 * 1024, rcv_buf=2 * 1024 * 1024)
     config = MPTCPConfig(
         tcp=tcp,
@@ -55,17 +50,7 @@ def _run(algorithm: str, subflows: int, duration: float, seed: int) -> dict:
         ooo_algorithm=algorithm,
         max_subflows=subflows + 1,
     )
-    state: dict = {}
-
-    def on_accept(conn):
-        state["conn"] = conn
-        conn.on_data = lambda c: c.read()
-
-    mptcp_listen(server, 80, config=config, on_accept=on_accept)
-    conn = mptcp_connect(client, Endpoint("10.99.0.1", 80), config=config)
-    BulkSenderApp(conn, total_bytes=None)
-    net.run(until=duration)
-    server_conn = state["conn"]
+    server_conn = run_bulk(_paths(subflows), config, duration, seed=seed).receiver_connection
     stats = server_conn.ooo_index.stats
     packets = sum(s.stats.segments_received for s in server_conn.subflows)
     payload = server_conn.stats.bytes_delivered

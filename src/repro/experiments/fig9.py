@@ -22,82 +22,35 @@ from repro.experiments.common import (
     ExperimentResult,
     PathSpec,
     mptcp_variant_config,
-    run_mptcp_bulk,
-    run_tcp_bulk,
+    run_bulk,
 )
 from repro.experiments.runner import Point, run_parallel
 from repro.middlebox import NAT
-from repro.net.network import Network
+from repro.tcp.socket import TCPConfig
 
 WIFI_CAPPED = PathSpec(rate_bps=2e6, rtt=0.020, buffer_seconds=0.080, name="wifi-capped")
 REAL_3G = PathSpec(rate_bps=2e6, rtt=0.150, buffer_seconds=2.0, name="real-3g")
 DEFAULT_BUFFERS_KB = (50, 100, 200, 500)
 
 
-def _mptcp_with_nat(buffer_bytes: int, duration: float, seed: int):
-    """Like run_mptcp_bulk, but the 3G path crosses a NAT (the real
-    network's middleboxes must not break MPTCP, §5.1)."""
-    from repro.apps.bulk import BulkSenderApp
-    from repro.mptcp.api import connect as mptcp_connect
-    from repro.mptcp.api import listen as mptcp_listen
-    from repro.net.packet import Endpoint
-    from repro.stats.metrics import GoodputMeter
-
-    net = Network(seed=seed)
-    client = net.add_host("client", "10.0.0.1", "10.1.0.1")
-    server = net.add_host("server", "10.99.0.1")
-    net.connect(
-        client.interface("10.0.0.1"),
-        server.interface("10.99.0.1"),
-        rate_bps=WIFI_CAPPED.rate_bps,
-        delay=WIFI_CAPPED.rtt / 2,
-        queue_bytes=WIFI_CAPPED.queue_bytes(),
-        name="wifi",
-    )
-    net.connect(
-        client.interface("10.1.0.1"),
-        server.interface("10.99.0.1"),
-        rate_bps=REAL_3G.rate_bps,
-        delay=REAL_3G.rtt / 2,
-        queue_bytes=REAL_3G.queue_bytes(),
-        elements=[NAT("99.1.0.1")],
-        name="3g",
-    )
-    config = mptcp_variant_config("m12", buffer_bytes)
-    meter = GoodputMeter(net.sim)
-    warmup = 2.0
-    state: dict = {}
-
-    def on_accept(conn):
-        state["conn"] = conn
-
-        def on_data(c):
-            data = c.read()
-            if net.now >= warmup:
-                meter.add(len(data))
-
-        conn.on_data = on_data
-
-    mptcp_listen(server, 80, config=config, on_accept=on_accept)
-    conn = mptcp_connect(client, Endpoint("10.99.0.1", 80), config=config)
-    BulkSenderApp(conn, total_bytes=None)
-    net.sim.schedule(warmup, meter.start)
-    net.run(until=duration)
-    meter.finish()
-    return meter.rate_bps(), conn
-
-
 def _tcp_row(path, variant: str, buffer_kb: int, duration: float, seed: int) -> dict:
-    outcome = run_tcp_bulk(path, buffer_kb * 1024, duration, seed=seed)
+    config = TCPConfig(snd_buf=buffer_kb * 1024, rcv_buf=buffer_kb * 1024)
+    outcome = run_bulk([path], config, duration, seed=seed)
     return {"buffer_kb": buffer_kb, "variant": variant, "goodput_mbps": outcome.goodput_bps / 1e6}
 
 
 def _mptcp_nat_row(buffer_kb: int, duration: float, seed: int) -> dict:
-    mptcp_bps, conn = _mptcp_with_nat(buffer_kb * 1024, duration, seed)
+    """The 3G path crosses a NAT: the real network's middleboxes must
+    not break MPTCP (§5.1)."""
+    config = mptcp_variant_config("m12", buffer_kb * 1024)
+    outcome = run_bulk(
+        [WIFI_CAPPED, REAL_3G], config, duration, seed=seed, elements=[[], [NAT("99.1.0.1")]]
+    )
+    conn = outcome.connection
     return {
         "buffer_kb": buffer_kb,
         "variant": "mptcp",
-        "goodput_mbps": mptcp_bps / 1e6,
+        "goodput_mbps": outcome.goodput_bps / 1e6,
         "subflows": sum(1 for s in conn.subflows if not s.failed),
         "fallback": conn.fallback,
     }

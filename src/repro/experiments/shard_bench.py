@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.apps.bulk import BulkSenderApp
 from repro.net.packet import Endpoint
 from repro.tcp.listener import Listener
 from repro.tcp.socket import TCPSocket
@@ -130,18 +131,7 @@ def build_ring(
                 payload=payload,
             ):
                 sock = TCPSocket(client)
-                progress = {"sent": 0}
-
-                def pump(s):
-                    while progress["sent"] < len(payload):
-                        accepted = s.send(payload[progress["sent"] : progress["sent"] + 65536])
-                        if accepted == 0:
-                            return
-                        progress["sent"] += accepted
-                    s.close()
-
-                sock.on_established = pump
-                sock.on_writable = pump
+                BulkSenderApp(sock, payload)
                 sock.connect(Endpoint(remote_ip, PORT), local_ip=local_ip)
 
             # Schedule on the client's own shard simulator: in process

@@ -215,25 +215,6 @@ class Network:
         self.paths.append(path)
         return path
 
-    def connect_hosts(
-        self,
-        host_a: Host,
-        host_b: Host,
-        ip_a: str,
-        ip_b: str,
-        **kwargs,
-    ) -> Path:
-        """Convenience: add interfaces if missing, then connect them."""
-        try:
-            iface_a = host_a.interface(ip_a)
-        except KeyError:
-            iface_a = host_a.add_interface(ip_a)
-        try:
-            iface_b = host_b.interface(ip_b)
-        except KeyError:
-            iface_b = host_b.add_interface(ip_b)
-        return self.connect(iface_a, iface_b, **kwargs)
-
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         self.sim.run(until=until, max_events=max_events)

@@ -7,15 +7,13 @@ import random
 
 import pytest
 
+from repro.apps.bulk import BulkSenderApp
 from repro.check import InvariantOracle
-from repro.mptcp.api import connect as mptcp_connect
-from repro.mptcp.api import listen as mptcp_listen
+from repro.experiments.common import PathSpec, build_multipath_network, open_connection
 from repro.mptcp.connection import MPTCPConfig
 from repro.net.network import Network
-from repro.net.packet import Endpoint
 from repro.sim import gcscope
-from repro.tcp.listener import Listener
-from repro.tcp.socket import TCPConfig, TCPSocket
+from repro.tcp.socket import TCPConfig
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -60,6 +58,11 @@ def _oracle_everywhere(monkeypatch):
     yield
 
 
+def _spec(rate_bps: float, delay: float, queue_bytes: int | None = None, loss: float = 0.0):
+    """Unnamed: the network names it "10.i.0.1<->10.9.0.1", the loss stream's seed."""
+    return PathSpec(rate_bps=rate_bps, rtt=2 * delay, buffer_bytes=queue_bytes, loss=loss)
+
+
 def make_tcp_pair(
     seed: int = 1,
     rate_bps: float = 8e6,
@@ -71,19 +74,8 @@ def make_tcp_pair(
     server_config: TCPConfig | None = None,
 ):
     """One client, one server, one path.  Returns (net, client, server)."""
-    net = Network(seed=seed)
-    client = net.add_host("client", "10.0.0.1")
-    server = net.add_host("server", "10.9.0.1")
-    net.connect(
-        client.interface("10.0.0.1"),
-        server.interface("10.9.0.1"),
-        rate_bps=rate_bps,
-        delay=delay,
-        queue_bytes=queue_bytes,
-        loss=loss,
-        elements=elements or [],
-    )
-    return net, client, server
+    path = _spec(rate_bps, delay, queue_bytes, loss)
+    return build_multipath_network([path], seed, "10.9.0.1", [elements])
 
 
 def make_multipath(
@@ -93,22 +85,12 @@ def make_multipath(
     shards: int | None = None,
 ):
     """Dual-homed (or more) client and single-address server."""
-    net = Network(seed=seed, shards=shards)
     paths = paths or [
         dict(rate_bps=8e6, delay=0.01, queue_bytes=80_000),
         dict(rate_bps=2e6, delay=0.05, queue_bytes=100_000),
     ]
-    ips = [f"10.{i}.0.1" for i in range(len(paths))]
-    client = net.add_host("client", *ips)
-    server = net.add_host("server", "10.9.0.1")
-    for index, (ip, params) in enumerate(zip(ips, paths)):
-        extra = {}
-        if elements_per_path and elements_per_path[index]:
-            extra["elements"] = elements_per_path[index]
-        net.connect(
-            client.interface(ip), server.interface("10.9.0.1"), **params, **extra
-        )
-    return net, client, server
+    specs = [_spec(**params) for params in paths]
+    return build_multipath_network(specs, seed, "10.9.0.1", elements_per_path, shards)
 
 
 def random_payload(size: int, seed: int = 0) -> bytes:
@@ -121,10 +103,7 @@ def random_payload(size: int, seed: int = 0) -> bytes:
 class TransferResult:
     def __init__(self):
         self.received = bytearray()
-        self.client = None
-        self.server = None
-        self.completed_at = None
-        self.client_error = None
+        self.client = self.server = self.completed_at = self.client_error = None
 
 
 def tcp_transfer(
@@ -139,39 +118,9 @@ def tcp_transfer(
     reader_greedy: bool = True,
 ) -> TransferResult:
     """Full TCP transfer client->server; asserts nothing (callers do)."""
-    result = TransferResult()
-
-    def on_accept(sock):
-        result.server = sock
-        if reader_greedy:
-            def on_data(s):
-                data = s.read()
-                result.received.extend(data)
-                if len(result.received) >= len(payload) and result.completed_at is None:
-                    result.completed_at = net.now
-
-            sock.on_data = on_data
-        sock.on_eof = lambda s: s.close()
-
-    Listener(server, port, config=server_config, on_accept=on_accept)
-    sock = TCPSocket(client, config=client_config)
-    result.client = sock
-    sock.on_error = lambda s, reason: setattr(result, "client_error", reason)
-    progress = {"sent": 0}
-
-    def pump(s):
-        while progress["sent"] < len(payload):
-            accepted = s.send(payload[progress["sent"] : progress["sent"] + 65536])
-            if accepted == 0:
-                return
-            progress["sent"] += accepted
-        s.close()
-
-    sock.on_established = pump
-    sock.on_writable = pump
-    sock.connect(Endpoint(server.primary_address, port))
-    net.run(until=duration)
-    return result
+    server_config = server_config or TCPConfig()
+    args = (net, client, server, payload, duration, port)
+    return _transfer(*args, client_config, server_config, reader_greedy)
 
 
 def mptcp_transfer(
@@ -183,36 +132,27 @@ def mptcp_transfer(
     port: int = 80,
     config: MPTCPConfig | None = None,
 ) -> TransferResult:
-    result = TransferResult()
     config = config or MPTCPConfig()
+    return _transfer(net, client, server, payload, duration, port, config, config)
 
-    def on_accept(conn):
-        result.server = conn
 
-        def on_data(c):
-            data = c.read()
-            result.received.extend(data)
-            if len(result.received) >= len(payload) and result.completed_at is None:
-                result.completed_at = net.now
+def _transfer(net, client, server, payload, duration, port, config, server_config, greedy=True):
+    """The one body of both transfers: the opener picks TCP or MPTCP."""
+    result = TransferResult()
 
-        conn.on_data = on_data
-        conn.on_eof = lambda c: c.close()
+    def on_data(e):
+        result.received.extend(e.read())
+        if len(result.received) >= len(payload) and result.completed_at is None:
+            result.completed_at = net.now
 
-    mptcp_listen(server, port, config=config, on_accept=on_accept)
-    conn = mptcp_connect(client, Endpoint(server.primary_address, port), config=config)
-    result.client = conn
-    conn.on_error = lambda c, reason: setattr(result, "client_error", reason)
-    progress = {"sent": 0}
+    def on_accept(endpoint):
+        result.server = endpoint
+        if greedy:
+            endpoint.on_data = on_data
+        endpoint.on_eof = lambda e: e.close()
 
-    def pump(c):
-        while progress["sent"] < len(payload):
-            accepted = c.send(payload[progress["sent"] : progress["sent"] + 65536])
-            if accepted == 0:
-                return
-            progress["sent"] += accepted
-        c.close()
-
-    conn.on_established = pump
-    conn.on_writable = pump
+    result.client = open_connection(client, server, config, on_accept, port, server_config)
+    result.client.on_error = lambda e, reason: setattr(result, "client_error", reason)
+    BulkSenderApp(result.client, payload)
     net.run(until=duration)
     return result

@@ -30,14 +30,6 @@ class TestNetworkMisuse:
         with pytest.raises(RuntimeError):
             _ = host.primary_address
 
-    def test_connect_hosts_creates_interfaces(self):
-        net = Network(seed=1)
-        a = net.add_host("a")
-        b = net.add_host("b")
-        net.connect_hosts(a, b, "10.0.0.1", "10.1.0.1", rate_bps=1e6, delay=0.01)
-        assert a.addresses == ["10.0.0.1"]
-        assert b.addresses == ["10.1.0.1"]
-
 
 class TestConnectionMisuse:
     def test_send_on_closed_connection_raises(self):

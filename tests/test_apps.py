@@ -103,7 +103,7 @@ class TestBulkApps:
 
         Listener(server, 80, on_accept=on_accept)
         sock = TCPSocket(client)
-        app = BulkSenderApp(sock, total_bytes=None)
+        app = BulkSenderApp(sock, None)
         sock.connect(Endpoint("10.9.0.1", 80))
         net.run(until=5)
         assert not app.done

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps.bulk import BulkSenderApp
 from repro.experiments.common import (
     THREEG,
     WIFI,
@@ -9,7 +10,13 @@ from repro.experiments.common import (
     PathSpec,
     build_multipath_network,
     mptcp_variant_config,
+    open_connection,
 )
+from repro.middlebox import NAT
+from repro.mptcp.connection import MPTCPConfig, MPTCPConnection
+from repro.tcp.socket import TCPConfig, TCPSocket
+
+from conftest import random_payload
 
 
 class TestPathSpec:
@@ -38,6 +45,53 @@ class TestBuildNetwork:
         assert link.rate_bps == 2e6
         assert link.delay == pytest.approx(0.075)
         assert link.queue_bytes == 500_000
+
+    def test_unnamed_path_is_named_by_its_endpoints(self):
+        spec = PathSpec(rate_bps=8e6, rtt=0.02, buffer_bytes=80_000)
+        net, _, _ = build_multipath_network([spec], server_ip="10.9.0.1")
+        assert net.paths[0].name == "10.0.0.1<->10.9.0.1"
+
+    def test_elements_land_on_their_path_and_server_ip_is_honoured(self):
+        nat = NAT("99.1.0.1")
+        net, client, server = build_multipath_network(
+            [WIFI, THREEG], server_ip="10.7.0.1", elements=[[], [nat]]
+        )
+        assert server.addresses == ["10.7.0.1"]
+        assert client.addresses == ["10.0.0.1", "10.1.0.1"]
+        assert net.paths[0].elements == []
+        assert net.paths[1].elements == [nat]
+
+
+class TestOpenConnection:
+    @pytest.mark.parametrize(
+        "config, kind",
+        [(None, TCPSocket), (TCPConfig(), TCPSocket), (MPTCPConfig(), MPTCPConnection)],
+    )
+    def test_config_type_picks_the_transport_on_both_sides(self, config, kind):
+        net, client, server = build_multipath_network([WIFI, THREEG])
+        accepted = []
+        transport = open_connection(client, server, config, accepted.append)
+        net.run(until=1.0)
+        assert type(transport) is kind
+        assert [type(t) for t in accepted] == [kind]
+
+    def test_bytes_payload_is_delivered_exactly_and_closed_once(self):
+        payload = random_payload(200_000, seed=3)
+        net, client, server = build_multipath_network([WIFI])
+        received = bytearray()
+
+        def on_accept(sock):
+            sock.on_data = lambda s: received.extend(s.read())
+
+        transport = open_connection(client, server, TCPConfig(), on_accept)
+        closes = []
+        close = transport.close
+        transport.close = lambda: (closes.append(net.now), close())
+        app = BulkSenderApp(transport, payload)
+        net.run(until=10.0)
+        assert bytes(received) == payload
+        assert app.done and app.sent == len(payload)
+        assert len(closes) == 1
 
 
 class TestVariantConfigs:

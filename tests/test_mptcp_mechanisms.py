@@ -3,9 +3,10 @@
 from repro.experiments.common import (
     THREEG,
     WIFI,
+    build_multipath_network,
     mptcp_variant_config,
-    run_mptcp_bulk,
-    run_tcp_bulk,
+    open_connection,
+    run_bulk,
 )
 from repro.mptcp.connection import MPTCPConfig
 from repro.tcp.socket import TCPConfig
@@ -30,19 +31,19 @@ class TestM1OpportunisticRetransmission:
             PathSpec(rate_bps=4e6, rtt=0.04, buffer_seconds=0.05, name="b"),
         ]
         config = mptcp_variant_config("m12", 4 * 1024 * 1024)
-        outcome = run_mptcp_bulk(paths, config, duration=10)
+        outcome = run_bulk(paths, config, duration=10)
         assert outcome.connection.scheduler.stats.opportunistic_retransmissions == 0
 
     def test_fires_when_underbuffered(self):
         config = mptcp_variant_config("m1", 100 * 1024)
-        outcome = run_mptcp_bulk([WIFI, THREEG], config, duration=10)
+        outcome = run_bulk([WIFI, THREEG], config, duration=10)
         assert outcome.connection.scheduler.stats.opportunistic_retransmissions > 0
 
     def test_improves_goodput_when_underbuffered(self):
-        regular = run_mptcp_bulk(
+        regular = run_bulk(
             [WIFI, THREEG], mptcp_variant_config("regular", BUFFER), duration=15
         )
-        with_m1 = run_mptcp_bulk(
+        with_m1 = run_bulk(
             [WIFI, THREEG], mptcp_variant_config("m1", BUFFER), duration=15
         )
         assert with_m1.goodput_bps > regular.goodput_bps
@@ -50,14 +51,14 @@ class TestM1OpportunisticRetransmission:
     def test_wastes_capacity_throughput_exceeds_goodput(self):
         """Fig. 4(b): the goodput/throughput gap is M1's duplicate
         transmissions over 3G."""
-        outcome = run_mptcp_bulk(
+        outcome = run_bulk(
             [WIFI, THREEG], mptcp_variant_config("m1", BUFFER), duration=15
         )
         assert outcome.throughput_bps > 1.1 * outcome.goodput_bps
 
     def test_never_reinjects_own_data(self):
         config = mptcp_variant_config("m1", BUFFER)
-        outcome = run_mptcp_bulk([WIFI, THREEG], config, duration=10)
+        outcome = run_bulk([WIFI, THREEG], config, duration=10)
         scheduler = outcome.connection.scheduler
         for mapping in scheduler.inflight:
             if mapping.reinjection:
@@ -75,7 +76,7 @@ class TestM1OpportunisticRetransmission:
 class TestM2Penalization:
     def test_penalizes_slow_subflow_only(self):
         config = mptcp_variant_config("m12", BUFFER)
-        outcome = run_mptcp_bulk([WIFI, THREEG], config, duration=15)
+        outcome = run_bulk([WIFI, THREEG], config, duration=15)
         conn = outcome.connection
         assert conn.scheduler.stats.penalizations > 0
         slow = max(conn.subflows, key=lambda s: s.srtt)
@@ -85,15 +86,15 @@ class TestM2Penalization:
 
     def test_rate_limited_to_one_per_rtt(self):
         config = mptcp_variant_config("m12", BUFFER)
-        outcome = run_mptcp_bulk([WIFI, THREEG], config, duration=15)
+        outcome = run_bulk([WIFI, THREEG], config, duration=15)
         conn = outcome.connection
         slow = max(conn.subflows, key=lambda s: s.srtt)
         # Upper bound: one penalty per slow-subflow RTT of runtime.
         assert conn.scheduler.stats.penalizations <= 15 / max(slow.rtt.min_rtt or 0.1, 0.1) + 5
 
     def test_m12_beats_m1_alone(self):
-        m1 = run_mptcp_bulk([WIFI, THREEG], mptcp_variant_config("m1", BUFFER), duration=15)
-        m12 = run_mptcp_bulk([WIFI, THREEG], mptcp_variant_config("m12", BUFFER), duration=15)
+        m1 = run_bulk([WIFI, THREEG], mptcp_variant_config("m1", BUFFER), duration=15)
+        m12 = run_bulk([WIFI, THREEG], mptcp_variant_config("m12", BUFFER), duration=15)
         # Goodput at least comparable and waste reduced.
         assert m12.goodput_bps >= 0.9 * m1.goodput_bps
         waste_m1 = m1.throughput_bps - m1.goodput_bps
@@ -104,7 +105,7 @@ class TestM2Penalization:
 class TestM3Autotuning:
     def test_buffer_grows_on_demand(self):
         config = mptcp_variant_config("m123", 1024 * 1024)
-        outcome = run_mptcp_bulk([WIFI, THREEG], config, duration=15)
+        outcome = run_bulk([WIFI, THREEG], config, duration=15)
         conn = outcome.connection
         assert conn._rcv_autotuner is not None
         # It started small and grew (server side grows the rcv buffer;
@@ -112,10 +113,10 @@ class TestM3Autotuning:
         assert conn.snd_buf_limit > config.autotune_initial
 
     def test_autotuned_connection_still_performs(self):
-        fixed = run_mptcp_bulk(
+        fixed = run_bulk(
             [WIFI, THREEG], mptcp_variant_config("m12", 1024 * 1024), duration=15
         )
-        tuned = run_mptcp_bulk(
+        tuned = run_bulk(
             [WIFI, THREEG], mptcp_variant_config("m123", 1024 * 1024), duration=15
         )
         assert tuned.goodput_bps >= 0.7 * fixed.goodput_bps
@@ -123,13 +124,13 @@ class TestM3Autotuning:
 
 class TestM4Capping:
     def test_capping_reduces_memory(self):
-        uncapped = run_mptcp_bulk(
+        uncapped = run_bulk(
             [WIFI, THREEG],
             mptcp_variant_config("m123", 1024 * 1024),
             duration=15,
             sample_memory=True,
         )
-        capped = run_mptcp_bulk(
+        capped = run_bulk(
             [WIFI, THREEG],
             mptcp_variant_config("m1234", 1024 * 1024),
             duration=15,
@@ -138,7 +139,7 @@ class TestM4Capping:
         assert capped.tx_memory_avg < uncapped.tx_memory_avg
 
     def test_capping_limits_queue_rtt_inflation(self):
-        capped = run_mptcp_bulk(
+        capped = run_bulk(
             [WIFI, THREEG], mptcp_variant_config("m1234", 1024 * 1024), duration=15
         )
         conn = capped.connection
@@ -149,14 +150,12 @@ class TestM4Capping:
     def test_capping_on_plain_tcp_keeps_goodput(self):
         """M4 is FreeBSD's inflight limiter: it must not cost goodput on
         a single well-buffered path."""
-        plain = run_tcp_bulk(THREEG, 1024 * 1024, duration=15)
+        plain = run_bulk(
+            [THREEG], TCPConfig(snd_buf=1024 * 1024, rcv_buf=1024 * 1024), duration=15
+        )
         capped_cfg = TCPConfig(
             snd_buf=1024 * 1024, rcv_buf=1024 * 1024, cwnd_capping=True
         )
-        from repro.experiments.common import build_multipath_network
-        from repro.net.packet import Endpoint
-        from repro.tcp.listener import Listener
-        from repro.tcp.socket import TCPSocket
         from repro.apps.bulk import BulkSenderApp
         from repro.stats.metrics import GoodputMeter
 
@@ -166,10 +165,7 @@ class TestM4Capping:
         def on_accept(sock):
             sock.on_data = lambda s: meter.add(len(s.read()))
 
-        Listener(server, 80, config=capped_cfg, on_accept=on_accept)
-        sock = TCPSocket(client, config=capped_cfg)
-        BulkSenderApp(sock, None)
-        sock.connect(Endpoint("10.99.0.1", 80))
+        BulkSenderApp(open_connection(client, server, capped_cfg, on_accept), None)
         net.run(until=15)
         meter.finish()
         assert meter.rate_bps() > 0.85 * plain.goodput_bps
