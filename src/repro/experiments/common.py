@@ -205,12 +205,10 @@ class RunOutcome:
     goodput_bps: float = 0.0
     throughput_bps: float = 0.0  # wire payload incl. retransmissions
     received: int = 0
-    duration: float = 0.0
     tx_memory_avg: float = 0.0
     rx_memory_avg: float = 0.0
     connection: Optional[object] = None
     receiver_connection: Optional[object] = None
-    network: Optional[Network] = None
 
 
 def run_bulk(
@@ -266,10 +264,8 @@ def run_bulk(
         goodput_bps=meter.rate_bps(),
         throughput_bps=wire_payload * 8 / (duration - warmup) if duration > warmup else 0,
         received=state.get("received", 0),
-        duration=duration,
         connection=transport,
         receiver_connection=state.get("server"),
-        network=net,
     )
     if samplers:
         outcome.tx_memory_avg = samplers[0].average()

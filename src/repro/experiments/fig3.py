@@ -44,16 +44,14 @@ def _run_transfer(mss: int, checksum: bool, transfer_bytes: int, seed: int) -> d
 
     def on_accept(conn):
         state["rx"] = BulkReceiverApp(conn, meter, expect_bytes=transfer_bytes)
-        state["conn"] = conn
 
     BulkSenderApp(open_connection(client, server, config, on_accept), transfer_bytes)
     net.run(until=10.0)
     receiver = state.get("rx")
-    server_conn = state.get("conn")
     return {
         "received": receiver.received if receiver else 0,
         "wire_efficiency": _wire_efficiency(net),
-        "checksums_verified": server_conn.stats.checksums_verified if server_conn else 0,
+        "checksums_verified": receiver.transport.stats.checksums_verified if receiver else 0,
     }
 
 

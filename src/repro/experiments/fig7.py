@@ -29,8 +29,7 @@ BLOCK = 8 * 1024
 
 
 def _delays(paths, variant: str, duration: float, seed: int) -> list[float]:
-    """Block delays over ``paths``: plain TCP for ``variant == "tcp"``,
-    else the named MPTCP variant."""
+    """Block delays over ``paths`` by plain TCP (``variant == "tcp"``) or an MPTCP variant."""
     net, client, server = build_multipath_network(paths, seed=seed)
     if variant == "tcp":
         config = TCPConfig(snd_buf=BUFFER_BYTES, rcv_buf=BUFFER_BYTES)
