@@ -238,9 +238,16 @@ def run_bulk(
         transport.on_data = on_data
         transport.on_eof = lambda t: t.close()
 
+    def wire_payload() -> int:
+        return sum(p.link_fwd.stats.payload_bytes_sent for p in net.paths)
+
+    def start_meters():
+        meter.start()
+        state["wire_base"] = wire_payload()
+
     transport = open_connection(client, server, config, on_accept)
     BulkSenderApp(transport, None)
-    net.sim.schedule(warmup, meter.start)
+    net.sim.schedule(warmup, start_meters)
 
     samplers: list = []
     if sample_memory:
@@ -259,10 +266,10 @@ def run_bulk(
         )
     net.run(until=duration)
     meter.finish()
-    wire_payload = sum(p.link_fwd.stats.payload_bytes_sent for p in net.paths)
+    wire_bytes = wire_payload() - state.get("wire_base", 0)
     outcome = RunOutcome(
         goodput_bps=meter.rate_bps(),
-        throughput_bps=wire_payload * 8 / (duration - warmup) if duration > warmup else 0,
+        throughput_bps=wire_bytes * 8 / (duration - warmup) if duration > warmup else 0,
         received=state.get("received", 0),
         connection=transport,
         receiver_connection=state.get("server"),

@@ -81,19 +81,30 @@ def run(smoke: bool = False) -> list[ExperimentResult]:
 def check_claims(results: list[ExperimentResult]) -> dict[str, bool]:
     (result,) = results
 
-    def curve(variant):
-        return dict(result.series("buffer_kb", "goodput_mbps", variant=variant))
+    def curve(variant, y="goodput_mbps"):
+        return dict(result.series("buffer_kb", y, variant=variant))
+
+    def waste(variant):  # wire throughput minus goodput: the duplicates
+        throughput = curve(variant, "throughput_mbps")
+        return {kb: throughput[kb] - goodput for kb, goodput in curve(variant).items()}
 
     wifi = curve("tcp-wifi")
     regular = curve("mptcp-regular")
     m1 = curve("mptcp-m1")
     m12 = curve("mptcp-m12")
     mid = [kb for kb in wifi if 150 <= kb <= 600]
+    m1_waste, m12_waste = waste("mptcp-m1"), waste("mptcp-m12")
     return {
         # (a) regular MPTCP underperforms TCP/WiFi in the mid-range.
         "regular_dips_below_tcp_wifi": any(regular[kb] < 0.8 * wifi[kb] for kb in mid),
         # (b) M1 recovers most of TCP/WiFi's rate where regular dips.
         "m1_beats_regular_midrange": sum(m1[kb] for kb in mid) > sum(regular[kb] for kb in mid),
+        # (b) ... by reinjecting onto 3G: it wastes about the 3G rate ...
+        "m1_wastes_about_the_3g_rate": all(
+            m1_waste[kb] >= 0.5 * THREEG.rate_bps / 1e6 for kb in mid
+        ),
+        # (c) ... and penalization (M2) removes the waste.
+        "m12_removes_the_waste": all(m12_waste[kb] < 0.25 * m1_waste[kb] for kb in mid),
         # (c) M1+M2 matches or beats TCP/WiFi nearly everywhere.
         "m12_matches_tcp_wifi": all(m12[kb] >= 0.8 * wifi[kb] for kb in wifi),
         # At large buffers MPTCP+M1,2 exceeds the best single path.

@@ -19,6 +19,8 @@ FULL_SCALE_CLAIMS = {
         "m1_beats_regular_midrange",
         "m12_matches_tcp_wifi",
         "m12_aggregates_at_large_buffers",
+        "m1_wastes_about_the_3g_rate",
+        "m12_removes_the_waste",
     },
     "fig5": {"capping_halves_memory", "tcp_wifi_lowest", "mptcp_uses_more_than_tcp"},
     "fig6": {

@@ -56,6 +56,14 @@ class TestM1OpportunisticRetransmission:
         )
         assert outcome.throughput_bps > 1.1 * outcome.goodput_bps
 
+    def test_wire_throughput_fits_the_links(self):
+        """Throughput counts only the bytes sent after warm-up, over the
+        same window as goodput: it cannot exceed the summed path rates."""
+        outcome = run_bulk(
+            [WIFI, THREEG], mptcp_variant_config("m1", BUFFER), duration=8, seed=4
+        )
+        assert outcome.throughput_bps <= WIFI.rate_bps + THREEG.rate_bps
+
     def test_never_reinjects_own_data(self):
         config = mptcp_variant_config("m1", BUFFER)
         outcome = run_bulk([WIFI, THREEG], config, duration=10)
