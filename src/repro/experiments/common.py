@@ -149,18 +149,16 @@ def open_connection(
     server_config: Union[MPTCPConfig, TCPConfig, None] = None,
 ):
     """Listen on ``server`` and connect ``client`` to it; returns the
-    client's transport.  Each side speaks MPTCP if its config is an
-    :class:`MPTCPConfig` and plain TCP otherwise (``server_config``
-    defaults to ``config``)."""
+    client's transport.  An :class:`MPTCPConfig` opens MPTCP, a
+    :class:`TCPConfig` or None plain TCP; ``server_config`` (default:
+    ``config``) configures the listening side."""
     if server_config is None:
         server_config = config
     remote = Endpoint(server.primary_address, port)
-    if isinstance(server_config, MPTCPConfig):
-        mptcp_listen(server, port, config=server_config, on_accept=on_accept)
-    else:
-        Listener(server, port, config=server_config, on_accept=on_accept)
     if isinstance(config, MPTCPConfig):
+        mptcp_listen(server, port, config=server_config, on_accept=on_accept)
         return mptcp_connect(client, remote, config=config)
+    Listener(server, port, config=server_config, on_accept=on_accept)
     sock = TCPSocket(client, config=config)
     sock.connect(remote)
     return sock
