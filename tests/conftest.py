@@ -118,9 +118,8 @@ def tcp_transfer(
     reader_greedy: bool = True,
 ) -> TransferResult:
     """Full TCP transfer client->server; asserts nothing (callers do)."""
-    server_config = server_config or TCPConfig()
-    args = (net, client, server, payload, duration, port)
-    return _transfer(*args, client_config, server_config, reader_greedy)
+    return _transfer(net, client, server, payload, duration, port,
+                     client_config, server_config or TCPConfig(), reader_greedy)
 
 
 def mptcp_transfer(
