@@ -23,6 +23,7 @@ _PATTERN = bytes(range(256)) * 256  # 64 KiB of repeating payload
 # verify.)
 _PATTERN_DOUBLED = _PATTERN * 2
 _PATTERN_VIEW = memoryview(_PATTERN_DOUBLED)
+_CHUNK = 64 * 1024  # bytes per send() call: one zero-copy pattern view
 
 
 def pattern_bytes(offset: int, length: int) -> Buffer:
@@ -49,13 +50,10 @@ class BulkSenderApp:
     the deterministic :func:`pattern_bytes` stream (``None``: unbounded).
     """
 
-    def __init__(
-        self, transport, data: Union[bytes, int, None], chunk: int = 64 * 1024
-    ):
+    def __init__(self, transport, data: Union[bytes, int, None]):
         self.transport = transport
         self.payload = data if isinstance(data, bytes) else None
         self.total_bytes = len(data) if isinstance(data, bytes) else data
-        self.chunk = chunk
         self.sent = 0
         self.done = False
         transport.on_established = self._pump
@@ -65,7 +63,7 @@ class BulkSenderApp:
         if self.done:
             return
         while self.total_bytes is None or self.sent < self.total_bytes:
-            want = self.chunk
+            want = _CHUNK
             if self.total_bytes is not None:
                 want = min(want, self.total_bytes - self.sent)
             if self.payload is None:
@@ -88,13 +86,11 @@ class BulkReceiverApp:
         transport,
         meter: GoodputMeter,
         expect_bytes: Optional[int] = None,
-        on_complete: Optional[Callable[[], None]] = None,
         verify: bool = False,
     ):
         self.transport = transport
         self.meter = meter
         self.expect_bytes = expect_bytes
-        self.on_complete = on_complete
         self.verify = verify
         self.received = 0
         self.corrupt = False
@@ -123,8 +119,6 @@ class BulkReceiverApp:
         if self.completed_at is None:
             self.completed_at = self.transport.sim.now if hasattr(self.transport, "sim") else None
             self.meter.finish()
-            if self.on_complete is not None:
-                self.on_complete()
 
 
 def run_bulk_transfer(

@@ -21,6 +21,7 @@ from repro.apps.bulk import pattern_bytes
 from repro.sim import Simulator
 
 REQUEST_TERMINATOR = b"\r\n\r\n"
+DEFAULT_SIZE = 64 * 1024  # body size served when the request names none
 
 
 def build_request(size: int) -> bytes:
@@ -65,7 +66,7 @@ class _ServerConnection:
                 return max(0, int(path.split("size=", 1)[1]))
         except (IndexError, ValueError):
             pass
-        return self.app.default_size
+        return DEFAULT_SIZE
 
     def _send_response(self, size: int) -> None:
         transport = self.transport
@@ -98,8 +99,7 @@ class HTTPServerApp:
     transport whose callbacks hold it.
     """
 
-    def __init__(self, default_size: int = 64 * 1024):
-        self.default_size = default_size
+    def __init__(self):
         self.requests_served = 0
 
     def on_accept(self, transport) -> None:

@@ -172,7 +172,6 @@ def mptcp_variant_config(
     buffer_bytes: int,
     checksum: bool = False,
     ooo_algorithm: str = "allshortcuts",
-    mss: int = 1448,
 ) -> MPTCPConfig:
     """Named §4.2 variants, each adding one mechanism to the one before:
 
@@ -186,7 +185,7 @@ def mptcp_variant_config(
         raise ValueError(f"unknown variant {variant!r}")
     level = _VARIANTS.index(variant)
     return MPTCPConfig(
-        tcp=TCPConfig(mss=mss, snd_buf=buffer_bytes, rcv_buf=buffer_bytes),
+        tcp=TCPConfig(snd_buf=buffer_bytes, rcv_buf=buffer_bytes),
         checksum=checksum,
         snd_buf=buffer_bytes,
         rcv_buf=buffer_bytes,

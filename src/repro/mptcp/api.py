@@ -48,21 +48,16 @@ def listen(
     port: int,
     config: Optional[MPTCPConfig] = None,
     on_accept: Optional[Callable[[MPTCPConnection], None]] = None,
-    advertise_addresses: Optional[list[str]] = None,
 ) -> Listener:
     """Listen for MPTCP (and plain TCP) connections on ``port``.
 
-    ``advertise_addresses`` are sent to clients via ADD_ADDR after the
-    handshake (default: the host's non-primary addresses) — the §3.2
-    mechanism that lets NATted clients reach a multihomed server's
-    other interfaces.
+    The host's non-primary addresses are sent to clients via ADD_ADDR
+    after the handshake — the §3.2 mechanism that lets NATted clients
+    reach a multihomed server's other interfaces.
     """
     config = config or MPTCPConfig()
-    if advertise_addresses is None:
-        advertise_addresses = [
-            ip for ip in host.addresses if ip != host.primary_address
-        ]
+    advertised = [ip for ip in host.addresses if ip != host.primary_address]
     manager = get_manager(host)
     manager.register_accept_callback(port, on_accept)
-    factory = make_server_factory(host, config, extra_addresses=advertise_addresses)
+    factory = make_server_factory(host, config, extra_addresses=advertised)
     return Listener(host, port, config=config.subflow_tcp_config(), socket_factory=factory)

@@ -29,8 +29,9 @@ from repro.net.node import Host
 from repro.net.packet import Endpoint
 from repro.net.payload import Buffer
 from repro.sim import Timer
-from repro.tcp.autotune import BufferAutotuner, ThroughputMeter
+from repro.tcp.autotune import AUTOTUNE_INITIAL, BufferAutotuner, ThroughputMeter
 from repro.tcp.buffer import ByteStream, ReassemblyQueue
+from repro.tcp.cc import INITIAL_CWND_SEGMENTS
 from repro.tcp.seq import SEQ_MOD, seq_add
 
 _SEQ_HALF = 1 << 31
@@ -48,6 +49,9 @@ from repro.mptcp.subflow import RxMapping, Subflow
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mptcp.manager import MPTCPManager
 
+# Floor of the data-level retransmission timer (§3.3.5), in seconds.
+DATA_RTO_MIN = 1.0
+
 
 @dataclass
 class MPTCPConfig:
@@ -56,7 +60,6 @@ class MPTCPConfig:
     tcp: TCPConfig = field(default_factory=TCPConfig)
     # Protocol
     checksum: bool = True  # DSS checksums (disable in datacenters, §3.3.6)
-    syn_retries_drop_mptcp: int = 2  # retry plain TCP after N SYN losses
     # Supported MPTCP versions, in no particular order; the initiator
     # offers max(versions) in its MP_CAPABLE and the listener answers
     # with the highest version both sides share — no common version
@@ -70,7 +73,6 @@ class MPTCPConfig:
     enable_m1: bool = True  # opportunistic retransmission
     enable_m2: bool = True  # penalizing slow subflows
     autotune: bool = False  # M3: grow buffers as needed
-    autotune_initial: int = 64 * 1024
     capping: bool = False  # M4: cap cwnd at ~1 BDP of queueing
     # Congestion control
     coupled_cc: bool = True  # LIA [23]; False = uncoupled NewReno
@@ -81,11 +83,8 @@ class MPTCPConfig:
     # hit rate).
     batch_segments: int = 64
     # Path management
-    add_addr: bool = True
     max_subflows: int = 8
     subflow_max_retries: int = 5  # consecutive RTOs before a subflow fails
-    # Data-level retransmission
-    data_rto_min: float = 1.0
 
     def subflow_tcp_config(self) -> TCPConfig:
         cfg = dataclasses.replace(self.tcp)
@@ -218,14 +217,14 @@ class MPTCPConnection:
         self._rcv_autotuner: Optional[BufferAutotuner] = None
         self._snd_autotuner: Optional[BufferAutotuner] = None
         if autotune:
-            initial = min(self.config.autotune_initial, self.config.rcv_buf)
+            initial = min(AUTOTUNE_INITIAL, self.config.rcv_buf)
             self._rcv_autotuner = BufferAutotuner(
                 initial,
                 self.config.rcv_buf,
                 self._measure_rx,
                 self._apply_rcv_buf,
             )
-            initial_snd = min(self.config.autotune_initial, self.config.snd_buf)
+            initial_snd = min(AUTOTUNE_INITIAL, self.config.snd_buf)
             self._snd_autotuner = BufferAutotuner(
                 initial_snd,
                 self.config.snd_buf,
@@ -307,8 +306,8 @@ class MPTCPConnection:
             cfg.cc_factory = self._new_lia
         return cfg
 
-    def _new_lia(self, mss: int, initial_segments: int) -> LIAController:
-        return LIAController(mss, initial_segments, self.cc_group, self.sim)
+    def _new_lia(self, mss: int) -> LIAController:
+        return LIAController(mss, INITIAL_CWND_SEGMENTS, self.cc_group, self.sim)
 
     def on_subflow_established(self, subflow: Subflow) -> None:
         if self.config.coupled_cc and isinstance(subflow.cc, LIAController):
@@ -348,7 +347,7 @@ class MPTCPConnection:
                 self.sim.call_soon(self.maybe_open_subflows)
             # Server: advertise additional addresses (ADD_ADDR, §3.2 —
             # NATs mean the server can rarely SYN toward the client).
-            if not self.fallback and self.config.add_addr:
+            if not self.fallback:
                 for ip in self.local_extra_addresses:
                     self.announce_address(ip)
         self.kick()
@@ -394,10 +393,10 @@ class MPTCPConnection:
                 subflow.connect(Endpoint(remote_ip, port), local_ip=local_ip)
                 used.add((local_ip, remote_ip))
 
-    def announce_address(self, ip: str, port: Optional[int] = None) -> None:
+    def announce_address(self, ip: str) -> None:
         address_id = self._next_address_id
         self._next_address_id += 1
-        option = AddAddr(address_id=address_id, ip=ip, port=port)
+        option = AddAddr(address_id=address_id, ip=ip)
         self._announcements.append((option, set()))
         self._prompt_announcements()
 
@@ -735,8 +734,8 @@ class MPTCPConnection:
                     if slowest is None or r > slowest:
                         slowest = r
             rto = 2 * (slowest if slowest is not None else 1.0)
-            if rto < self.config.data_rto_min:
-                rto = self.config.data_rto_min
+            if rto < DATA_RTO_MIN:
+                rto = DATA_RTO_MIN
             self._data_rtx_timer.restart(rto)
         else:
             self._data_rtx_timer.stop()

@@ -60,6 +60,9 @@ _ssn_start = attrgetter("ssn_start")
 # it inherits is never written — one shared empty stream stands in for it.
 _NO_SEND_BUFFER = ByteStream()
 
+# SYN losses after which the initial subflow retries as plain TCP (§3.1).
+SYN_RETRIES_DROP_MPTCP = 2
+
 
 @dataclass(slots=True)
 class RxMapping:
@@ -169,7 +172,7 @@ class Subflow(TCPSocket):
         if self.kind == self.KIND_INITIAL:
             # After repeated SYN losses, retry without MP_CAPABLE: the
             # option itself may be what a middlebox objects to (§3.1).
-            if self.syn_retries >= conn.config.syn_retries_drop_mptcp:
+            if self.syn_retries >= SYN_RETRIES_DROP_MPTCP:
                 conn.enter_fallback("MP_CAPABLE dropped after SYN retransmissions")
                 return []
             return [
@@ -647,11 +650,6 @@ class Subflow(TCPSocket):
                 return
             j += 1
         raise ValueError("mapping not in table")
-
-    def rx_pending_bytes(self) -> int:
-        """Unmatched in-order subflow bytes (count against the shared
-        receive pool)."""
-        return len(self._rx_pending)
 
     # ==================================================================
     # Lifecycle

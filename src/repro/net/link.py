@@ -103,14 +103,6 @@ class Link:
             self.stats.busy_time += tx_time
             self.sim.post(tx_time, self._tx_done, segment, size)
 
-    @property
-    def queued_bytes(self) -> int:
-        return self._queued_bytes
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
     def tx_time(self, segment: Segment) -> float:
         return segment.size_bytes * 8 / self.rate_bps
 

@@ -237,9 +237,6 @@ class Segment:
                 return option
         return None
 
-    def find_options(self, option_type: Type[_T]) -> list[_T]:
-        return [option for option in self.options if isinstance(option, option_type)]
-
     def remove_options(self, option_type: Type["TCPOption"]) -> int:
         """Strip all options of a type; returns how many were removed."""
         kept = [option for option in self.options if not isinstance(option, option_type)]

@@ -24,6 +24,9 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+# Where an autotuned buffer starts, capped by the configured maximum.
+AUTOTUNE_INITIAL = 64 * 1024
+
 
 class BufferAutotuner:
     """Grow an effective buffer toward a configured maximum.
@@ -39,7 +42,6 @@ class BufferAutotuner:
         maximum: int,
         measure: Callable[[], Optional[tuple[float, float]]],
         apply: Callable[[int], None],
-        factor: float = 2.0,
     ):
         if initial <= 0 or maximum < initial:
             raise ValueError("need 0 < initial <= maximum")
@@ -47,7 +49,6 @@ class BufferAutotuner:
         self.maximum = maximum
         self.measure = measure
         self.apply = apply
-        self.factor = factor
         self.grow_events = 0
         apply(initial)
 
@@ -59,7 +60,7 @@ class BufferAutotuner:
         throughput, rtt_max = sample
         if throughput <= 0 or rtt_max <= 0:
             return self.effective
-        needed = int(self.factor * throughput * rtt_max)
+        needed = int(2 * throughput * rtt_max)  # the paper's 2 · Σ throughput · RTT_max
         if needed > self.effective:
             self.effective = min(self.maximum, needed)
             self.grow_events += 1

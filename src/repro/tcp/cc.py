@@ -12,13 +12,16 @@ from __future__ import annotations
 
 from typing import Optional
 
+# RFC 6928's initial window, in segments.
+INITIAL_CWND_SEGMENTS = 10
+
 
 class CongestionController:
     """Interface between a TCP socket and its congestion-control law."""
 
     __slots__ = ("mss", "cwnd", "ssthresh", "in_slow_start_count", "loss_events", "timeouts")
 
-    def __init__(self, mss: int, initial_cwnd_segments: int = 10):
+    def __init__(self, mss: int, initial_cwnd_segments: int = INITIAL_CWND_SEGMENTS):
         self.mss = mss
         self.cwnd = initial_cwnd_segments * mss
         self.ssthresh = 1 << 30  # "infinite" until the first loss event

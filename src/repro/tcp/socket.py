@@ -28,7 +28,7 @@ and overrides a small, explicit surface:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.net.node import Host
@@ -44,6 +44,7 @@ from repro.net.options import (
 from repro.net.packet import ACK, FIN, PSH, RST, SYN, Endpoint, Segment
 from repro.net.payload import Buffer
 from repro.sim import Timer
+from repro.tcp.autotune import AUTOTUNE_INITIAL
 from repro.tcp.buffer import ByteStream, ReassemblyQueue
 from repro.tcp.cc import CongestionController, NewReno
 from repro.tcp.rtt import RTTEstimator
@@ -57,6 +58,9 @@ from repro.tcp.state import TRANSITIONS, IllegalTransition, TCPState
 # running, so stop()/``_seq`` work; the arming site swaps in a real Timer.
 IDLE_TIMER = Timer(None, None)
 
+DELAYED_ACK_TIMEOUT = 0.04  # seconds a lone in-order segment waits for its ACK
+MSL = 0.5  # maximum segment lifetime; TIME_WAIT lasts 2 * MSL
+
 
 @dataclass(slots=True)
 class TCPConfig:
@@ -66,29 +70,17 @@ class TCPConfig:
     mss: int = 1448
     snd_buf: int = 256 * 1024
     rcv_buf: int = 256 * 1024
-    initial_cwnd_segments: int = 10
-    initial_rto: float = 1.0
-    min_rto: float = 0.2
-    max_rto: float = 60.0
     delayed_ack: bool = True
-    delayed_ack_timeout: float = 0.04
     timestamps: bool = True
     window_scale: int = 10
-    sack: bool = True
     nagle: bool = True
-    msl: float = 0.5
     max_syn_retries: int = 6
     max_retries: int = 15
-    cc_factory: Callable[[int, int], CongestionController] = field(
-        default=lambda mss, iw: NewReno(mss, iw)
-    )
+    cc_factory: Callable[[int], CongestionController] = NewReno
     # Mechanism M4 (§4.2): cap cwnd when smoothed RTT is twice the base RTT.
     cwnd_capping: bool = False
     # Receive/send buffer autotuning (mechanism M3); see repro.tcp.autotune.
     autotune: bool = False
-    autotune_initial: int = 64 * 1024
-    rcv_buf_max: int = 4 * 1024 * 1024
-    snd_buf_max: int = 4 * 1024 * 1024
 
 
 @dataclass(slots=True)
@@ -157,8 +149,8 @@ class TCPSocket:
 
         cfg = self.config
         self.mss = cfg.mss  # effective MSS, clamped by peer's MSS option
-        self.cc: CongestionController = cfg.cc_factory(cfg.mss, cfg.initial_cwnd_segments)
-        self.rtt = RTTEstimator(cfg.initial_rto, cfg.min_rto, cfg.max_rto)
+        self.cc: CongestionController = cfg.cc_factory(cfg.mss)
+        self.rtt = RTTEstimator()
 
         # --- send side (absolute units; 0 = SYN) -----------------------
         self.iss: int = 0
@@ -235,8 +227,8 @@ class TCPSocket:
         # side toward 2*(delivery rate)*srtt.
         if cfg.autotune:
             self._autotune_timer = Timer(self.sim, self._autotune_tick)
-            self.snd_buf_limit = min(cfg.autotune_initial, cfg.snd_buf)
-            self.rcv_buf_limit = min(cfg.autotune_initial, cfg.rcv_buf)
+            self.snd_buf_limit = min(AUTOTUNE_INITIAL, cfg.snd_buf)
+            self.rcv_buf_limit = min(AUTOTUNE_INITIAL, cfg.rcv_buf)
 
     def _set_state(self, dst: TCPState) -> None:
         """The state machine's only transition site: the edge must be a
@@ -481,8 +473,7 @@ class TCPSocket:
             options.append(WindowScaleOption(cfg.window_scale))
         if cfg.timestamps:
             options.append(TimestampsOption(tsval=self._tsval(), tsecr=0))
-        if cfg.sack:
-            options.append(SACKPermitted())
+        options.append(SACKPermitted())
         return options
 
     def _negotiate_from_syn(self, segment: Segment, passive: bool) -> None:
@@ -497,7 +488,7 @@ class TCPSocket:
         if ts is not None and self.config.timestamps:
             self.ts_enabled = True
             self._ts_recent = ts.tsval
-        if segment.find_option(SACKPermitted) is not None and self.config.sack:
+        if segment.find_option(SACKPermitted) is not None:
             self.sack_enabled = True
 
     def _send_syn(self) -> None:
@@ -1024,7 +1015,7 @@ class TCPSocket:
         if immediate or not self.config.delayed_ack or self._ack_pending >= 2:
             self._send_ack(force=True)
         elif not self._delack_timer.running:
-            self._delack_timer.start(self.config.delayed_ack_timeout)
+            self._delack_timer.start(DELAYED_ACK_TIMEOUT)
 
     def _on_delack_timeout(self) -> None:
         if self._ack_pending:
@@ -1315,7 +1306,7 @@ class TCPSocket:
         self._rto_timer.stop()
         self._persist_timer.stop()
         self._time_wait_timer = Timer(self.sim, self._on_time_wait_expired)
-        self._time_wait_timer.start(2 * self.config.msl)
+        self._time_wait_timer.start(2 * MSL)
 
     def _on_time_wait_expired(self) -> None:
         self._destroy()

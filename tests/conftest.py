@@ -70,8 +70,6 @@ def make_tcp_pair(
     queue_bytes: int | None = 60_000,
     loss: float = 0.0,
     elements=None,
-    client_config: TCPConfig | None = None,
-    server_config: TCPConfig | None = None,
 ):
     """One client, one server, one path.  Returns (net, client, server)."""
     path = _spec(rate_bps, delay, queue_bytes, loss)
@@ -115,11 +113,10 @@ def tcp_transfer(
     port: int = 80,
     client_config: TCPConfig | None = None,
     server_config: TCPConfig | None = None,
-    reader_greedy: bool = True,
 ) -> TransferResult:
     """Full TCP transfer client->server; asserts nothing (callers do)."""
     return _transfer(net, client, server, payload, duration, port,
-                     client_config, server_config or TCPConfig(), reader_greedy)
+                     client_config, server_config or TCPConfig())
 
 
 def mptcp_transfer(
@@ -135,7 +132,7 @@ def mptcp_transfer(
     return _transfer(net, client, server, payload, duration, port, config, config)
 
 
-def _transfer(net, client, server, payload, duration, port, config, server_config, greedy=True):
+def _transfer(net, client, server, payload, duration, port, config, server_config):
     """The one body of both transfers: the opener picks TCP or MPTCP."""
     result = TransferResult()
 
@@ -146,8 +143,7 @@ def _transfer(net, client, server, payload, duration, port, config, server_confi
 
     def on_accept(endpoint):
         result.server = endpoint
-        if greedy:
-            endpoint.on_data = on_data
+        endpoint.on_data = on_data
         endpoint.on_eof = lambda e: e.close()
 
     result.client = open_connection(client, server, config, on_accept, port, server_config)

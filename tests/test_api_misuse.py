@@ -1,12 +1,18 @@
 """API misuse and edge conditions: the library should fail loudly and
 early, never corrupt state silently."""
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.mptcp.api import connect, listen
 from repro.mptcp.connection import MPTCPConfig, MPTCPConnection
 from repro.net.network import Network
 from repro.net.packet import Endpoint
+from repro.tcp.socket import TCPConfig
 
 from conftest import make_multipath, random_payload
 
@@ -132,3 +138,34 @@ class TestListenerConfig:
         for subflow in conn.subflows:
             assert subflow.srtt > 0
             assert subflow.stats.segments_sent > 0
+
+
+class TestConfigFieldsAreRead:
+    """A config field nothing reads is a knob that does nothing: every
+    field of the two transport configs must be read as an attribute
+    somewhere in ``repro``.  The field declarations themselves do not
+    count; a config method that reads a field (``subflow_tcp_config``)
+    does."""
+
+    CONFIGS = (TCPConfig, MPTCPConfig)
+
+    def _attributes_read(self) -> set[str]:
+        names = {config.__name__ for config in self.CONFIGS}
+        read: set[str] = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            pending: list[ast.AST] = [ast.parse(path.read_text())]
+            while pending:
+                node = pending.pop()
+                if isinstance(node, ast.ClassDef) and node.name in names:
+                    pending.extend(s for s in node.body if not isinstance(s, ast.AnnAssign))
+                    continue
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                pending.extend(ast.iter_child_nodes(node))
+        return read
+
+    @pytest.mark.parametrize("config_class", CONFIGS)
+    def test_every_field_is_read(self, config_class):
+        read = self._attributes_read()
+        unread = [f.name for f in dataclasses.fields(config_class) if f.name not in read]
+        assert unread == []

@@ -104,9 +104,8 @@ class TestHandshakeFallback:
                 return [(segment, direction)]
 
         net, client, server = single_path_net([SynWithMPTCPDropper()])
-        config = MPTCPConfig(syn_retries_drop_mptcp=2)
         payload = random_payload(60_000)
-        result = mptcp_transfer(net, client, server, payload, duration=120, config=config)
+        result = mptcp_transfer(net, client, server, payload, duration=120)
         assert bytes(result.received) == payload
         assert result.client.fallback
 

@@ -1,5 +1,7 @@
 """The receive-buffer mechanisms M1–M4 (§4.2)."""
 
+import pytest
+
 from repro.experiments.common import (
     THREEG,
     WIFI,
@@ -8,8 +10,10 @@ from repro.experiments.common import (
     open_connection,
     run_bulk,
 )
-from repro.mptcp.connection import MPTCPConfig
-from repro.tcp.socket import TCPConfig
+from repro.mptcp.connection import MPTCPConfig, MPTCPConnection
+from repro.net.network import Network
+from repro.tcp.autotune import AUTOTUNE_INITIAL
+from repro.tcp.socket import TCPConfig, TCPSocket
 
 from conftest import make_multipath, mptcp_transfer, random_payload
 
@@ -118,7 +122,18 @@ class TestM3Autotuning:
         assert conn._rcv_autotuner is not None
         # It started small and grew (server side grows the rcv buffer;
         # client side grows its send buffer).
-        assert conn.snd_buf_limit > config.autotune_initial
+        assert conn.snd_buf_limit > AUTOTUNE_INITIAL
+
+    @pytest.mark.parametrize("maximum", [256 * 1024, 4 * 1024 * 1024])
+    def test_tcp_and_mptcp_both_start_at_64k(self, maximum):
+        host = Network().add_host("h", "10.0.0.1")
+        sock = TCPSocket(host, TCPConfig(snd_buf=maximum, rcv_buf=maximum, autotune=True))
+        conn = MPTCPConnection(
+            host, MPTCPConfig(snd_buf=maximum, rcv_buf=maximum, autotune=True), role="client"
+        )
+        for endpoint in (sock, conn):
+            assert endpoint.snd_buf_limit == 64 * 1024
+            assert endpoint.rcv_buf_limit == 64 * 1024
 
     def test_autotuned_connection_still_performs(self):
         fixed = run_bulk(

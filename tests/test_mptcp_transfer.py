@@ -3,7 +3,7 @@ memory accounting, teardown (§3.3, §3.4)."""
 
 import pytest
 
-from repro.mptcp.connection import MPTCPConfig
+from repro.mptcp.connection import MPTCPConfig, MPTCPConnection
 from repro.tcp.socket import TCPConfig
 
 from conftest import make_multipath, mptcp_transfer, random_payload
@@ -118,6 +118,36 @@ class TestDataAckSemantics:
         net, client, server = make_multipath()
         result = mptcp_transfer(net, client, server, random_payload(400_000))
         assert result.server.rx_memory_bytes() == 0
+
+
+class TestDataRetransmissionTimer:
+    def test_never_restarts_below_one_second(self, monkeypatch):
+        """§3.3.5's last-resort timer outwaits the subflows: 2 x the
+        slowest subflow RTO, but never less than 1 s — even when every
+        subflow's RTO sits at TCP's 0.2 s floor."""
+        samples = []  # (armed delay, live subflows' RTOs)
+        original = MPTCPConnection._ensure_data_rtx_timer
+
+        def recording(conn):
+            original(conn)
+            expires = conn._data_rtx_timer.expires_at
+            if expires is not None:
+                rtos = [s.rtt.rto for s in conn.subflows if not s.failed and s.state.may_send_data]
+                samples.append((expires - conn.sim.now, rtos))
+
+        monkeypatch.setattr(MPTCPConnection, "_ensure_data_rtx_timer", recording)
+        paths = [
+            dict(rate_bps=8e6, delay=0.001, queue_bytes=20_000),
+            dict(rate_bps=8e6, delay=0.002, queue_bytes=20_000),
+        ]
+        net, client, server = make_multipath(paths=paths)
+        payload = random_payload(400_000)
+        result = mptcp_transfer(net, client, server, payload)
+        assert bytes(result.received) == payload
+        at_floor = [delay for delay, rtos in samples if rtos and max(rtos) == 0.2]
+        assert at_floor  # 2 x 0.2 s would be 0.4 s without the 1 s floor
+        assert all(delay == pytest.approx(1.0) for delay in at_floor)
+        assert min(delay for delay, _ in samples) >= 1.0 - 1e-9
 
 
 class TestTeardown:

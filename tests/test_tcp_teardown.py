@@ -2,7 +2,7 @@
 
 from repro.net.packet import Endpoint
 from repro.tcp.listener import Listener
-from repro.tcp.socket import TCPConfig, TCPSocket
+from repro.tcp.socket import MSL, TCPConfig, TCPSocket
 from repro.tcp.state import TCPState
 
 from conftest import make_tcp_pair, random_payload, tcp_transfer
@@ -53,7 +53,7 @@ class TestActiveClose:
         peer.on_eof = lambda s: s.close()
         net.run(until=1.3)
         assert sock.state is TCPState.TIME_WAIT
-        net.run(until=1.3 + 2 * sock.config.msl + 0.1)
+        net.run(until=1.3 + 2 * MSL + 0.1)
         assert sock.state is TCPState.CLOSED
 
     def test_close_flushes_pending_data_before_fin(self):
