@@ -25,7 +25,13 @@ import sys
 
 from repro.apps.bulk import BulkSenderApp
 from repro.check.oracle import InvariantOracle, InvariantViolation
-from repro.experiments.common import PathSpec, build_multipath_network, open_connection
+from repro.experiments.common import (
+    PathSpec,
+    build_multipath_network,
+    client_ends,
+    open_client,
+    open_listener,
+)
 from repro.middlebox.jitter import Duplicator, Jitter
 from repro.middlebox.stripper import OptionStripper
 from repro.mptcp.connection import MPTCPConfig
@@ -120,7 +126,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
         for exprs in (spec.elements + [[]] * len(paths))[: len(paths)]
     ]
     net, client, server = build_multipath_network(
-        paths, seed=spec.seed, server_ip="10.9.0.1", elements=elements
+        paths, seed=spec.seed, ends=client_ends(len(paths), "10.9.0.1"), elements=elements
     )
     if net.sim.post_event is None:
         oracle = InvariantOracle.attach(net)
@@ -141,7 +147,8 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
         endpoint.on_eof = lambda e: e.close()
 
     config = MPTCPConfig(checksum=spec.checksum) if spec.protocol == "mptcp" else None
-    BulkSenderApp(open_connection(client, server, config, on_accept), payload)
+    open_listener(server, config, on_accept)
+    BulkSenderApp(open_client(client, server, config), payload)
 
     try:
         net.run(until=spec.duration)

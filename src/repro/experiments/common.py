@@ -1,11 +1,12 @@
 """The transfer harness shared by the figure reproductions, the fuzzer
 and the tests.
 
-Every §4 experiment is one job: a client with one interface per path
-(a :class:`PathSpec`) downloads from a single-address server over TCP
-or MPTCP.  :func:`build_multipath_network` builds that topology,
-:func:`open_connection` opens TCP or MPTCP by the config's type, and
-:func:`run_bulk` is the long-download measurement on top of both.
+Every experiment is one job: a client and a server joined by one link
+per path (a :class:`PathSpec`), TCP or MPTCP on top.
+:func:`build_multipath_network` builds that topology,
+:func:`open_listener` and :func:`open_client` open TCP or MPTCP by the
+config's type, and :func:`run_bulk` is the long-download measurement on
+top of them.
 
 The canonical mobile scenario of §4.2 is built here once and reused by
 Figs. 4, 5 and 7:
@@ -113,22 +114,32 @@ def _fmt(value) -> str:
 # ----------------------------------------------------------------------
 # The transfer harness: one topology, one opener, one bulk runner
 # ----------------------------------------------------------------------
+def client_ends(count: int, server_ip: str = "10.99.0.1") -> list[tuple[str, str]]:
+    """``(10.{i}.0.1, server_ip)`` per path: one client interface per
+    path, all to one server address."""
+    return [(f"10.{i}.0.1", server_ip) for i in range(count)]
+
+
 def build_multipath_network(
     paths: Sequence[PathSpec],
     seed: int = 1,
-    server_ip: str = "10.99.0.1",
+    ends: Optional[Sequence[tuple[str, str]]] = None,
     elements: Optional[Sequence[Optional[Sequence[PathElement]]]] = None,
     shards: Optional[int] = None,
 ) -> tuple[Network, Host, Host]:
-    """A client with one interface ``10.{i}.0.1`` per path and a
-    single-address server; ``elements[i]`` is path i's middlebox chain."""
+    """A client and a server joined by one link per path: path i runs
+    between the addresses ``ends[i] == (client_ip, server_ip)`` (default
+    :func:`client_ends`) and carries the middlebox chain ``elements[i]``.
+    Each host's addresses are its ends in first-use order, so an address
+    shared by several paths is one interface."""
     net = Network(seed=seed, shards=shards)
-    client_ips = [f"10.{i}.0.1" for i in range(len(paths))]
-    client = net.add_host("client", *client_ips)
-    server = net.add_host("server", server_ip)
-    for index, (ip, spec) in enumerate(zip(client_ips, paths)):
+    if ends is None:
+        ends = client_ends(len(paths))
+    client = net.add_host("client", *dict.fromkeys(client_ip for client_ip, _ in ends))
+    server = net.add_host("server", *dict.fromkeys(server_ip for _, server_ip in ends))
+    for index, ((client_ip, server_ip), spec) in enumerate(zip(ends, paths)):
         net.connect(
-            client.interface(ip),
+            client.interface(client_ip),
             server.interface(server_ip),
             rate_bps=spec.rate_bps,
             delay=spec.rtt / 2,
@@ -140,25 +151,27 @@ def build_multipath_network(
     return net, client, server
 
 
-def open_connection(
-    client: Host,
+def open_listener(
     server: Host,
     config: Union[MPTCPConfig, TCPConfig, None],
-    on_accept: Callable,
+    on_accept: Optional[Callable],
     port: int = 80,
-    server_config: Union[MPTCPConfig, TCPConfig, None] = None,
+) -> Listener:
+    """Listen on ``server``: MPTCP for an :class:`MPTCPConfig`, plain TCP
+    for a :class:`TCPConfig` or None."""
+    if isinstance(config, MPTCPConfig):
+        return mptcp_listen(server, port, config=config, on_accept=on_accept)
+    return Listener(server, port, config=config, on_accept=on_accept)
+
+
+def open_client(
+    client: Host, server: Host, config: Union[MPTCPConfig, TCPConfig, None], port: int = 80
 ):
-    """Listen on ``server`` and connect ``client`` to it; returns the
-    client's transport.  An :class:`MPTCPConfig` opens MPTCP, a
-    :class:`TCPConfig` or None plain TCP; ``server_config`` (default:
-    ``config``) configures the listening side."""
-    if server_config is None:
-        server_config = config
+    """Connect ``client`` to ``server``'s primary address, by the same
+    rule as :func:`open_listener`; returns the client's transport."""
     remote = Endpoint(server.primary_address, port)
     if isinstance(config, MPTCPConfig):
-        mptcp_listen(server, port, config=server_config, on_accept=on_accept)
         return mptcp_connect(client, remote, config=config)
-    Listener(server, port, config=server_config, on_accept=on_accept)
     sock = TCPSocket(client, config=config)
     sock.connect(remote)
     return sock
@@ -242,7 +255,8 @@ def run_bulk(
         meter.start()
         state["wire_base"] = wire_payload()
 
-    transport = open_connection(client, server, config, on_accept)
+    open_listener(server, config, on_accept)
+    transport = open_client(client, server, config)
     BulkSenderApp(transport, None)
     net.sim.schedule(warmup, start_meters)
 

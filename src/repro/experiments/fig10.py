@@ -19,41 +19,20 @@ from __future__ import annotations
 
 import time
 
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import (
+    ExperimentResult,
+    PathSpec,
+    build_multipath_network,
+    open_listener,
+)
 from repro.experiments.runner import Point, run_parallel
 from repro.mptcp.connection import MPTCPConfig
-from repro.mptcp.manager import get_manager, make_server_factory
+from repro.mptcp.manager import get_manager
 from repro.mptcp.options import MPCapable
-from repro.net.network import Network
 from repro.net.packet import SYN, Endpoint, Segment
 from repro.stats.metrics import Histogram
-from repro.tcp.listener import Listener
-from repro.tcp.socket import TCPConfig
 
-
-def _make_server(mptcp: bool, preestablished: int, seed: int, key_pool: int = 0):
-    net = Network(seed=seed)
-    client = net.add_host("client", "10.0.0.1")
-    server = net.add_host("server", "10.99.0.1")
-    net.connect(
-        client.interface("10.0.0.1"),
-        server.interface("10.99.0.1"),
-        rate_bps=1e9,
-        delay=0.0001,
-    )
-    if mptcp:
-        config = MPTCPConfig()
-        factory = make_server_factory(server, config)
-        listener = Listener(server, 80, config=config.subflow_tcp_config(), socket_factory=factory)
-        manager = get_manager(server)
-        for index in range(preestablished):
-            key, token = manager.tokens.generate_unique_key()
-            manager.tokens.register(token, object())  # placeholder conn
-        if key_pool:
-            manager.tokens.precompute_keys(key_pool)
-    else:
-        listener = Listener(server, 80)
-    return net, server, listener
+LINK = PathSpec(rate_bps=1e9, rtt=0.0002)
 
 
 def _measure(
@@ -61,9 +40,16 @@ def _measure(
 ) -> tuple[list[float], int]:
     """SYN→SYN/ACK processing times, in seconds (wall clock), and the
     token-table entries the accepts compared (counted, deterministic)."""
-    net, server, listener = _make_server(mptcp, preestablished, seed, key_pool=key_pool)
+    net, _, server = build_multipath_network([LINK], seed=seed)
+    listener = open_listener(server, MPTCPConfig() if mptcp else None, None)
     tokens = get_manager(server).tokens if mptcp else None
-    compared_before = tokens.entries_compared if tokens else 0
+    if tokens is not None:
+        for _ in range(preestablished):
+            _key, token = tokens.generate_unique_key()
+            tokens.register(token, object())  # placeholder conn
+        if key_pool:
+            tokens.precompute_keys(key_pool)
+    compared_before = tokens.entries_compared if tokens is not None else 0
     rng = net.rng.fork("syn-gen")
     delays: list[float] = []
     for attempt in range(attempts):
@@ -87,7 +73,7 @@ def _measure(
         sink = server.connection_sink(syn.dst, syn.src)
         if sink is not None:
             getattr(sink, "connection", sink).abort()
-    return delays, (tokens.entries_compared - compared_before if tokens else 0)
+    return delays, (tokens.entries_compared - compared_before if tokens is not None else 0)
 
 
 def run_fig10(attempts: int = 2000, seed: int = 10, workers: int | None = None) -> ExperimentResult:

@@ -23,99 +23,42 @@ from __future__ import annotations
 
 from repro.apps.bonding import bond_interfaces
 from repro.apps.http import HTTPLoadGenerator, HTTPServerApp
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import (
+    ExperimentResult,
+    PathSpec,
+    build_multipath_network,
+    open_client,
+    open_listener,
+)
 from repro.experiments.runner import Point, run_parallel
-from repro.mptcp.api import connect as mptcp_connect
-from repro.mptcp.api import listen as mptcp_listen
 from repro.mptcp.connection import MPTCPConfig
-from repro.net.network import Network
-from repro.net.packet import Endpoint
-from repro.tcp.listener import Listener
-from repro.tcp.socket import TCPConfig, TCPSocket
 
 LINK_RATE = 40e6
 LINK_DELAY = 0.002
+LINK = PathSpec(rate_bps=LINK_RATE, rtt=2 * LINK_DELAY)
 DEFAULT_SIZES_KB = (4, 10, 30, 60, 100, 150, 200, 300)
+MODES = ("tcp", "bonding", "mptcp")
 
 
-def _run_tcp(size: int, concurrency: int, duration: float, seed: int) -> float:
-    net = Network(seed=seed)
-    client = net.add_host("client", "10.0.0.1")
-    server = net.add_host("server", "10.99.0.1")
-    net.connect(
-        client.interface("10.0.0.1"),
-        server.interface("10.99.0.1"),
-        rate_bps=LINK_RATE,
-        delay=LINK_DELAY,
-    )
+def _run(mode: str, size: int, concurrency: int, duration: float, seed: int) -> float:
+    """Requests/s of ``concurrency`` closed-loop clients in one mode."""
+    config = MPTCPConfig(checksum=False) if mode == "mptcp" else None
+    if mode == "mptcp":  # a subflow per link, one address per link on both sides
+        ends = [("10.0.0.1", "10.99.0.1"), ("10.1.0.1", "10.99.1.1")]
+        net, client, server = build_multipath_network([LINK, LINK], seed, ends)
+    elif mode == "bonding":  # both links between one interface pair
+        net, client, server = build_multipath_network([], seed)
+        link = {"rate_bps": LINK_RATE, "delay": LINK_DELAY}
+        bond_interfaces(
+            net, client, "10.0.0.1", server, "10.99.0.1", links=[link, link], mode="per-flow"
+        )
+    else:
+        net, client, server = build_multipath_network([LINK], seed)
     app = HTTPServerApp()
-    Listener(server, 80, on_accept=app.on_accept)
-
-    def open_transport():
-        sock = TCPSocket(client)
-        sock.connect(Endpoint("10.99.0.1", 80))
-        return sock
-
-    generator = HTTPLoadGenerator(net.sim, open_transport, size, concurrency)
-    generator.start()
-    net.run(until=duration)
-    return generator.requests_per_second()
-
-
-def _run_bonding(size: int, concurrency: int, duration: float, seed: int) -> float:
-    net = Network(seed=seed)
-    client = net.add_host("client")
-    server = net.add_host("server")
-    bond_interfaces(
-        net,
-        client,
-        "10.0.0.1",
-        server,
-        "10.99.0.1",
-        links=[
-            {"rate_bps": LINK_RATE, "delay": LINK_DELAY},
-            {"rate_bps": LINK_RATE, "delay": LINK_DELAY},
-        ],
-        mode="per-flow",
+    open_listener(server, config, app.on_accept)
+    generator = HTTPLoadGenerator(
+        net.sim, lambda: open_client(client, server, config), size, concurrency
     )
-    app = HTTPServerApp()
-    Listener(server, 80, on_accept=app.on_accept)
-
-    def open_transport():
-        sock = TCPSocket(client)
-        sock.connect(Endpoint("10.99.0.1", 80))
-        return sock
-
-    generator = HTTPLoadGenerator(net.sim, open_transport, size, concurrency)
-    generator.start()
-    net.run(until=duration)
-    return generator.requests_per_second()
-
-
-def _run_mptcp(size: int, concurrency: int, duration: float, seed: int) -> float:
-    net = Network(seed=seed)
-    client = net.add_host("client", "10.0.0.1", "10.1.0.1")
-    server = net.add_host("server", "10.99.0.1", "10.99.1.1")
-    net.connect(
-        client.interface("10.0.0.1"),
-        server.interface("10.99.0.1"),
-        rate_bps=LINK_RATE,
-        delay=LINK_DELAY,
-    )
-    net.connect(
-        client.interface("10.1.0.1"),
-        server.interface("10.99.1.1"),
-        rate_bps=LINK_RATE,
-        delay=LINK_DELAY,
-    )
-    config = MPTCPConfig(checksum=False)
-    app = HTTPServerApp()
-    mptcp_listen(server, 80, config=config, on_accept=app.on_accept)
-
-    def open_transport():
-        return mptcp_connect(client, Endpoint("10.99.0.1", 80), config=config)
-
-    generator = HTTPLoadGenerator(net.sim, open_transport, size, concurrency)
     generator.start()
     net.run(until=duration)
     return generator.requests_per_second()
@@ -129,19 +72,19 @@ def run_fig11(
     workers: int | None = None,
 ) -> ExperimentResult:
     result = ExperimentResult("Fig. 11 — HTTP requests/s vs transfer size (100 clients)")
-    modes = (("tcp_rps", _run_tcp), ("bonding_rps", _run_bonding), ("mptcp_rps", _run_mptcp))
     points = [
-        Point(fn, {"size": kb * 1024, "concurrency": concurrency, "duration": duration, "seed": seed})
+        Point(
+            _run,
+            {"mode": mode, "size": kb * 1024, "concurrency": concurrency,
+             "duration": duration, "seed": seed},
+        )
         for kb in sizes_kb
-        for _, fn in modes
+        for mode in MODES
     ]
     outcome = run_parallel("fig11", points, workers=workers)
     values = iter(outcome.values)
     for kb in sizes_kb:
-        row = {"size_kb": kb}
-        for column, _ in modes:
-            row[column] = next(values)
-        result.add(**row)
+        result.add(size_kb=kb, **{f"{mode}_rps": next(values) for mode in MODES})
     outcome.attach(result)
     return result
 

@@ -21,7 +21,8 @@ from repro.experiments.common import (
     ExperimentResult,
     PathSpec,
     build_multipath_network,
-    open_connection,
+    open_client,
+    open_listener,
 )
 from repro.experiments.runner import Point, run_parallel
 from repro.mptcp.connection import MPTCPConfig
@@ -45,7 +46,8 @@ def _run_transfer(mss: int, checksum: bool, transfer_bytes: int, seed: int) -> d
     def on_accept(conn):
         state["rx"] = BulkReceiverApp(conn, meter, expect_bytes=transfer_bytes)
 
-    BulkSenderApp(open_connection(client, server, config, on_accept), transfer_bytes)
+    open_listener(server, config, on_accept)
+    BulkSenderApp(open_client(client, server, config), transfer_bytes)
     net.run(until=10.0)
     receiver = state.get("rx")
     return {

@@ -26,21 +26,8 @@ from repro.tcp.socket import TCPConfig
 DEFAULT_BUFFERS_KB = (100, 200, 400, 600, 800, 1200)
 
 
-def _mptcp_memory_row(label: str, variant: str, buffer_kb: int, duration: float, seed: int) -> dict:
-    config = mptcp_variant_config(variant, buffer_kb * 1024)
-    outcome = run_bulk([WIFI, THREEG], config, duration, seed=seed, sample_memory=True)
-    return {
-        "buffer_kb": buffer_kb,
-        "variant": label,
-        "sender_memory_kb": outcome.tx_memory_avg / 1024,
-        "receiver_memory_kb": outcome.rx_memory_avg / 1024,
-        "goodput_mbps": outcome.goodput_bps / 1e6,
-    }
-
-
-def _tcp_memory_row(label: str, path, buffer_kb: int, duration: float, seed: int) -> dict:
-    config = TCPConfig(snd_buf=buffer_kb * 1024, rcv_buf=buffer_kb * 1024, autotune=True)
-    outcome = run_bulk([path], config, duration, seed=seed, sample_memory=True)
+def _memory_row(label: str, paths, config, buffer_kb: int, duration: float, seed: int) -> dict:
+    outcome = run_bulk(paths, config, duration, seed=seed, sample_memory=True)
     return {
         "buffer_kb": buffer_kb,
         "variant": label,
@@ -59,20 +46,15 @@ def run_fig5(
     result = ExperimentResult("Fig. 5 — memory use vs configured receive buffer")
     points: list[Point] = []
     for kb in buffers_kb:
-        for label, variant in (("mptcp-m123", "m123"), ("mptcp-m1234", "m1234")):
-            points.append(
-                Point(
-                    _mptcp_memory_row,
-                    {"label": label, "variant": variant, "buffer_kb": kb, "duration": duration, "seed": seed},
-                )
-            )
-        for label, path in (("tcp-wifi", WIFI), ("tcp-3g", THREEG)):
-            points.append(
-                Point(
-                    _tcp_memory_row,
-                    {"label": label, "path": path, "buffer_kb": kb, "duration": duration, "seed": seed},
-                )
-            )
+        tcp = TCPConfig(snd_buf=kb * 1024, rcv_buf=kb * 1024, autotune=True)
+        for label, paths, config in (
+            ("mptcp-m123", [WIFI, THREEG], mptcp_variant_config("m123", kb * 1024)),
+            ("mptcp-m1234", [WIFI, THREEG], mptcp_variant_config("m1234", kb * 1024)),
+            ("tcp-wifi", [WIFI], tcp),
+            ("tcp-3g", [THREEG], tcp),
+        ):
+            kwargs = {"label": label, "paths": paths, "config": config, "buffer_kb": kb}
+            points.append(Point(_memory_row, {**kwargs, "duration": duration, "seed": seed}))
     outcome = run_parallel("fig5", points, workers=workers)
     for row in outcome.values:
         result.add(**row)

@@ -19,7 +19,8 @@ from repro.experiments.common import (
     ExperimentResult,
     build_multipath_network,
     mptcp_variant_config,
-    open_connection,
+    open_client,
+    open_listener,
 )
 from repro.experiments.runner import Point, run_parallel
 from repro.tcp.socket import TCPConfig
@@ -36,9 +37,8 @@ def _delays(paths, variant: str, duration: float, seed: int) -> list[float]:
     else:
         config = mptcp_variant_config(variant, BUFFER_BYTES)
     holder: dict = {}
-    transport = open_connection(
-        client, server, config, lambda t: holder["probe"].attach_receiver(t)
-    )
+    open_listener(server, config, lambda t: holder["probe"].attach_receiver(t))
+    transport = open_client(client, server, config)
     probe = holder["probe"] = BlockLatencyProbe(net.sim, transport, block_size=BLOCK)
     net.run(until=duration)
     return probe.delays

@@ -56,8 +56,6 @@ def listen(
     reach a multihomed server's other interfaces.
     """
     config = config or MPTCPConfig()
-    advertised = [ip for ip in host.addresses if ip != host.primary_address]
-    manager = get_manager(host)
-    manager.register_accept_callback(port, on_accept)
-    factory = make_server_factory(host, config, extra_addresses=advertised)
+    get_manager(host).register_accept_callback(port, on_accept)
+    factory = make_server_factory(host, config)
     return Listener(host, port, config=config.subflow_tcp_config(), socket_factory=factory)

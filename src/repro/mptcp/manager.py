@@ -61,13 +61,11 @@ def get_manager(host: Host) -> MPTCPManager:
     return manager
 
 
-def make_server_factory(
-    host: Host,
-    config: MPTCPConfig,
-    extra_addresses: Optional[list[str]] = None,
-):
-    """The SYN-dispatch factory installed into a Listener."""
+def make_server_factory(host: Host, config: MPTCPConfig):
+    """The SYN-dispatch factory installed into a Listener.  Each server
+    connection advertises the host's non-primary addresses."""
     manager = get_manager(host)
+    advertised = [ip for ip in host.addresses if ip != host.primary_address]
 
     def factory(factory_host: Host, syn: Segment, tcp_config: TCPConfig) -> Optional[TCPSocket]:
         join = syn.find_option(MPJoin)
@@ -79,7 +77,7 @@ def make_server_factory(
                 return None
             return connection.adopt_join_syn(syn)
         connection = MPTCPConnection(factory_host, config, role="server")
-        connection.local_extra_addresses = list(extra_addresses or [])
+        connection.local_extra_addresses = list(advertised)
         capable = syn.find_option(MPCapable)
         if capable is None:
             # Plain TCP client (or the option was stripped): fallback

@@ -25,6 +25,12 @@ from repro.sim.shard import (
 )
 
 
+# The label of every network's root stream: ``net.rng`` is
+# ``SeededRNG(seed, RNG_ROOT)``, so a builder can fork the streams of a
+# network it has yet to build.
+RNG_ROOT = "network"
+
+
 def _element_shard_safe(element: Any) -> bool:
     """Cut-placement gate: the class-level ``shard_safe`` declaration
     refined by the instance's ``shard_safe_now()`` hook — both must
@@ -61,7 +67,7 @@ class Network:
             self.sim = ShardedClock(self._shards)
         else:
             self.sim = Simulator()
-        self.rng = SeededRNG(seed, "network")
+        self.rng = SeededRNG(seed, RNG_ROOT)
         self.hosts: dict[str, Host] = {}
         self.paths: list[Path] = []
         self._next_shard = 0

@@ -20,23 +20,26 @@ runs a verified ``TRANSFER``-byte bulk transfer through its middleboxes:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from repro.apps.bonding import BondRoute
 from repro.apps.bulk import run_bulk_transfer
-from repro.mptcp.api import connect as mptcp_connect
-from repro.mptcp.api import listen as mptcp_listen
+from repro.experiments.common import (
+    PathSpec,
+    build_multipath_network,
+    client_ends,
+    open_client,
+    open_listener,
+)
 from repro.mptcp.connection import MPTCPConfig
-from repro.net.network import Network
-from repro.net.packet import Endpoint
+from repro.net.network import RNG_ROOT
 from repro.net.path import FORWARD, REVERSE
+from repro.sim.rng import SeededRNG
 from repro.study.generative import SampledPath
-from repro.tcp.listener import Listener
-from repro.tcp.socket import TCPSocket
 
 RATE = 8e6
-DELAY = 0.015
-QUEUE = 60_000
+LINK = PathSpec(rate_bps=RATE, rtt=0.030, buffer_bytes=60_000)
 TRANSFER = 64 * 1024
 TIMEOUT = 30.0
 
@@ -46,64 +49,53 @@ TIMEOUT = 30.0
 # interactive use even if bytes eventually trickle through.
 SLOWDOWN_BROKEN = 10.0
 
-SERVER = Endpoint("10.9.0.1", 80)
+CLIENT_IP = "10.0.0.1"
+SERVER_IP = "10.9.0.1"
 
 
-def _link(net: Network, client, client_ip, server, server_ip, rate=RATE, elements=None):
-    ends = client.interface(client_ip), server.interface(server_ip)
-    return net.connect(*ends, rate_bps=rate, delay=DELAY, queue_bytes=QUEUE, elements=elements)
+def _middleboxes(path: SampledPath, seed: int, label: str, nat_ip: str, include_nat: bool = True):
+    """The path's middlebox chain, drawing on the stream
+    ``net.rng.fork(label)`` of the network a case builds with ``seed``."""
+    return path.build_elements(SeededRNG(seed, RNG_ROOT).fork(label), nat_ip, include_nat)
 
 
-def _transfer(net: Network, open_transport, accept_transport) -> tuple[object, Optional[float]]:
+def _transfer(
+    net, client, server, config=None, server_config=None
+) -> tuple[object, Optional[float]]:
     """Run one verified transfer: the client transport and, if every
     byte arrived intact, the time it completed (else None)."""
-    result = run_bulk_transfer(net, open_transport, accept_transport, TRANSFER, TIMEOUT, True)
+    result = run_bulk_transfer(
+        net,
+        lambda: open_client(client, server, config),
+        lambda accept: open_listener(server, server_config, accept),
+        TRANSFER,
+        TIMEOUT,
+        True,
+    )
     ok = result["received"] >= TRANSFER and not result["corrupt"]
     return result["transport"], (result["completed_at"] if ok else None)
 
 
-def _tcp_transfer(net: Network, client, server) -> Optional[float]:
-    def open_transport():
-        sock = TCPSocket(client)
-        sock.connect(SERVER)
-        return sock
-
-    return _transfer(net, open_transport, lambda accept: Listener(server, 80, on_accept=accept))[1]
-
-
 def run_tcp(path: SampledPath, seed: int) -> Optional[float]:
     """Plain TCP over the path: its completion time, None if it failed."""
-    net = Network(seed=seed)
-    client = net.add_host("client", "10.0.0.1")
-    server = net.add_host("server", "10.9.0.1")
-    elements = path.build_elements(net.rng.fork(f"mb{path.index}"), "99.0.0.1")
-    _link(net, client, "10.0.0.1", server, "10.9.0.1", elements=elements)
-    return _tcp_transfer(net, client, server)
+    elements = _middleboxes(path, seed, f"mb{path.index}", "99.0.0.1")
+    topology = build_multipath_network([LINK], seed, client_ends(1, SERVER_IP), [elements])
+    return _transfer(*topology)[1]
 
 
 def run_mptcp(path: SampledPath, seed: int) -> dict:
     """MPTCP over the path's topology (see the module docstring)."""
-    net = Network(seed=seed)
+    primary = _middleboxes(path, seed, "mb-primary", "99.0.0.1")
     if path.server_multihomed:
-        client = net.add_host("client", "10.0.0.1")
-        server = net.add_host("server", "10.9.0.1", "10.9.1.1")
+        ends = [(CLIENT_IP, SERVER_IP), (CLIENT_IP, "10.9.1.1")]
+        elements = [primary, _middleboxes(path, seed, "mb-secondary", "99.0.1.1")]
     else:
-        client = net.add_host("client", "10.0.0.1", "10.1.0.1")
-        server = net.add_host("server", "10.9.0.1")
-    primary = path.build_elements(net.rng.fork("mb-primary"), "99.0.0.1")
-    _link(net, client, "10.0.0.1", server, "10.9.0.1", elements=primary)
-    rate = RATE * path.rate_ratio
-    if path.server_multihomed:
-        secondary = path.build_elements(net.rng.fork("mb-secondary"), "99.0.1.1")
-        _link(net, client, "10.0.0.1", server, "10.9.1.1", rate, secondary)
-    else:
-        _link(net, client, "10.1.0.1", server, "10.9.0.1", rate)
+        ends, elements = client_ends(2, SERVER_IP), [primary, None]
+    second = replace(LINK, rate_bps=RATE * path.rate_ratio)
     conn, done = _transfer(
-        net,
-        lambda: mptcp_connect(client, SERVER, config=MPTCPConfig(versions=path.client_versions)),
-        lambda accept: mptcp_listen(
-            server, 80, config=MPTCPConfig(versions=path.server_versions), on_accept=accept
-        ),
+        *build_multipath_network([LINK, second], seed, ends, elements),
+        MPTCPConfig(versions=path.client_versions),
+        MPTCPConfig(versions=path.server_versions),
     )
     multipath = (
         done is not None
@@ -120,23 +112,26 @@ def run_mptcp(path: SampledPath, seed: int) -> dict:
     }
 
 
+def strawman_network(elements, seed: int):
+    """§3's strawman topology: TCP over a round-robin bond of two links
+    between one interface pair, the first carrying ``elements``.
+    Destination-based return routing brings ACKs back over ONE link —
+    the first (the access network the middleboxes live in)."""
+    net, client, server = build_multipath_network(
+        [LINK, LINK], seed, [(CLIENT_IP, SERVER_IP)] * 2, [elements, None]
+    )
+    members = [(path, FORWARD) for path in net.paths]
+    bond = BondRoute(members, name="strawman", reverse_mode="pin-first")
+    client.interface(CLIENT_IP).routes[SERVER_IP] = (bond, FORWARD)  # type: ignore[assignment]
+    server.interface(SERVER_IP).routes[CLIENT_IP] = (bond, REVERSE)  # type: ignore[assignment]
+    return net, client, server
+
+
 def run_strawman(path: SampledPath, seed: int) -> Optional[float]:
     """TCP striped over (profiled path, clean path) with one sequence
     space — §3's strawman: its completion time, None if it failed."""
-    net = Network(seed=seed)
-    client = net.add_host("client", "10.0.0.1")
-    server = net.add_host("server", "10.9.0.1")
-    elements = path.build_elements(net.rng.fork(f"mb{path.index}"), "99.0.0.1", include_nat=False)
-    dirty = _link(net, client, "10.0.0.1", server, "10.9.0.1", elements=elements)
-    clean = _link(net, client, "10.0.0.1", server, "10.9.0.1")
-    # Destination-based return routing: ACKs come back over ONE path —
-    # the profiled one (the access network the middlebox lives in).
-    bond = BondRoute(
-        [(dirty, FORWARD), (clean, FORWARD)], name="strawman", reverse_mode="pin-first"
-    )
-    client.interface("10.0.0.1").routes["10.9.0.1"] = (bond, FORWARD)  # type: ignore[assignment]
-    server.interface("10.9.0.1").routes["10.0.0.1"] = (bond, REVERSE)  # type: ignore[assignment]
-    return _tcp_transfer(net, client, server)
+    elements = _middleboxes(path, seed, f"mb{path.index}", "99.0.0.1", include_nat=False)
+    return _transfer(*strawman_network(elements, seed))[1]
 
 
 def evaluate(path: SampledPath, seed: int, include_strawman: bool) -> dict:

@@ -19,8 +19,8 @@ class RTTEstimator:
     K = 4
 
     __slots__ = (
-        "initial_rto", "min_rto", "max_rto", "granularity", "srtt", "rttvar", "min_rtt",
-        "latest_rtt", "samples", "rto", "smoothed",
+        "min_rto", "max_rto", "granularity", "srtt", "rttvar", "min_rtt", "latest_rtt",
+        "samples", "rto", "smoothed",
     )
 
     def __init__(
@@ -30,7 +30,6 @@ class RTTEstimator:
         max_rto: float = 60.0,
         clock_granularity: float = 0.001,
     ):
-        self.initial_rto = initial_rto
         self.min_rto = min_rto
         self.max_rto = max_rto
         self.granularity = clock_granularity

@@ -9,7 +9,13 @@ import pytest
 
 from repro.apps.bulk import BulkSenderApp
 from repro.check import InvariantOracle
-from repro.experiments.common import PathSpec, build_multipath_network, open_connection
+from repro.experiments.common import (
+    PathSpec,
+    build_multipath_network,
+    client_ends,
+    open_client,
+    open_listener,
+)
 from repro.mptcp.connection import MPTCPConfig
 from repro.net.network import Network
 from repro.sim import gcscope
@@ -73,7 +79,7 @@ def make_tcp_pair(
 ):
     """One client, one server, one path.  Returns (net, client, server)."""
     path = _spec(rate_bps, delay, queue_bytes, loss)
-    return build_multipath_network([path], seed, "10.9.0.1", [elements])
+    return build_multipath_network([path], seed, client_ends(1, "10.9.0.1"), [elements])
 
 
 def make_multipath(
@@ -88,7 +94,8 @@ def make_multipath(
         dict(rate_bps=2e6, delay=0.05, queue_bytes=100_000),
     ]
     specs = [_spec(**params) for params in paths]
-    return build_multipath_network(specs, seed, "10.9.0.1", elements_per_path, shards)
+    ends = client_ends(len(specs), "10.9.0.1")
+    return build_multipath_network(specs, seed, ends, elements_per_path, shards)
 
 
 def random_payload(size: int, seed: int = 0) -> bytes:
@@ -146,7 +153,8 @@ def _transfer(net, client, server, payload, duration, port, config, server_confi
         endpoint.on_data = on_data
         endpoint.on_eof = lambda e: e.close()
 
-    result.client = open_connection(client, server, config, on_accept, port, server_config)
+    open_listener(server, server_config, on_accept, port)
+    result.client = open_client(client, server, config, port)
     result.client.on_error = lambda e, reason: setattr(result, "client_error", reason)
     BulkSenderApp(result.client, payload)
     net.run(until=duration)

@@ -7,11 +7,9 @@ design side by side.
 
 import pytest
 
-from repro.apps.bonding import BondRoute
 from repro.middlebox import AckCoercer, HoleBlocker, SequenceRewriter
-from repro.net.network import Network
-from repro.net.path import FORWARD, REVERSE
 from repro.sim.rng import SeededRNG
+from repro.study.microsim import strawman_network
 
 from conftest import (
     make_multipath,
@@ -22,29 +20,11 @@ from conftest import (
 )
 
 
-def strawman_net(elements, seed=3):
-    """§3's strawman: one TCP sequence space striped over two paths
-    (the profiled one first; ACKs return over it)."""
-    net = Network(seed=seed)
-    client = net.add_host("client", "10.0.0.1")
-    server = net.add_host("server", "10.9.0.1")
-    iface_c = client.interface("10.0.0.1")
-    iface_s = server.interface("10.9.0.1")
-    dirty = net.connect(iface_c, iface_s, rate_bps=8e6, delay=0.015,
-                        queue_bytes=60_000, elements=elements)
-    clean = net.connect(iface_c, iface_s, rate_bps=8e6, delay=0.015,
-                        queue_bytes=60_000)
-    bond = BondRoute([(dirty, FORWARD), (clean, FORWARD)], reverse_mode="pin-first")
-    iface_c.routes["10.9.0.1"] = (bond, FORWARD)
-    iface_s.routes["10.0.0.1"] = (bond, REVERSE)
-    return net, client, server
-
-
 class TestWhyPerSubflowSequenceSpaces:
     """§3.3: striping one sequence space breaks on real paths."""
 
     def test_strawman_broken_by_hole_blocker(self):
-        net, client, server = strawman_net([HoleBlocker()])
+        net, client, server = strawman_network([HoleBlocker()], seed=3)
         payload = random_payload(64_000)
         result = tcp_transfer(net, client, server, payload, duration=20)
         baseline_net, c2, s2 = make_tcp_pair(elements=[HoleBlocker()])
@@ -57,14 +37,14 @@ class TestWhyPerSubflowSequenceSpaces:
         assert broken
 
     def test_strawman_broken_by_ack_coercion(self):
-        net, client, server = strawman_net([AckCoercer(mode="drop")])
+        net, client, server = strawman_network([AckCoercer(mode="drop")], seed=3)
         payload = random_payload(64_000)
         result = tcp_transfer(net, client, server, payload, duration=20)
         assert result.completed_at is None
 
     def test_strawman_scrambled_by_isn_rewriting(self):
         """Two different on-path rewrites of one sequence space."""
-        net, client, server = strawman_net([SequenceRewriter(SeededRNG(5, "x"))])
+        net, client, server = strawman_network([SequenceRewriter(SeededRNG(5, "x"))], seed=3)
         payload = random_payload(64_000)
         result = tcp_transfer(net, client, server, payload, duration=20)
         broken = result.completed_at is None or result.completed_at > 2.0

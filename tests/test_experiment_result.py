@@ -9,8 +9,10 @@ from repro.experiments.common import (
     ExperimentResult,
     PathSpec,
     build_multipath_network,
+    client_ends,
     mptcp_variant_config,
-    open_connection,
+    open_client,
+    open_listener,
 )
 from repro.middlebox import NAT
 from repro.mptcp.connection import MPTCPConfig, MPTCPConnection
@@ -48,18 +50,36 @@ class TestBuildNetwork:
 
     def test_unnamed_path_is_named_by_its_endpoints(self):
         spec = PathSpec(rate_bps=8e6, rtt=0.02, buffer_bytes=80_000)
-        net, _, _ = build_multipath_network([spec], server_ip="10.9.0.1")
+        net, _, _ = build_multipath_network([spec], ends=client_ends(1, "10.9.0.1"))
         assert net.paths[0].name == "10.0.0.1<->10.9.0.1"
 
     def test_elements_land_on_their_path_and_server_ip_is_honoured(self):
         nat = NAT("99.1.0.1")
         net, client, server = build_multipath_network(
-            [WIFI, THREEG], server_ip="10.7.0.1", elements=[[], [nat]]
+            [WIFI, THREEG], ends=client_ends(2, "10.7.0.1"), elements=[[], [nat]]
         )
         assert server.addresses == ["10.7.0.1"]
         assert client.addresses == ["10.0.0.1", "10.1.0.1"]
         assert net.paths[0].elements == []
         assert net.paths[1].elements == [nat]
+
+    def test_server_multihomed_paths_share_one_client_address(self):
+        """§3.2: a single-homed client reaches the server's second
+        address only through ADD_ADDR, and both subflows leave its one
+        interface."""
+        ends = [("10.0.0.1", "10.9.0.1"), ("10.0.0.1", "10.9.1.1")]
+        net, client, server = build_multipath_network([WIFI, THREEG], ends=ends)
+        assert client.addresses == ["10.0.0.1"]
+        assert server.addresses == ["10.9.0.1", "10.9.1.1"]
+        assert [p.name for p in net.paths] == ["wifi", "3g"]
+        open_listener(server, MPTCPConfig(), None)
+        conn = open_client(client, server, MPTCPConfig())
+        net.run(until=2.0)
+        assert "10.9.1.1" in conn.remote_addresses.values()
+        subflows = [s for s in conn.subflows if s.established_at is not None]
+        assert len(subflows) >= 2
+        assert {s.local.ip for s in subflows} == {"10.0.0.1"}
+        assert {s.remote.ip for s in subflows} == {"10.9.0.1", "10.9.1.1"}
 
 
 class TestOpenConnection:
@@ -70,7 +90,8 @@ class TestOpenConnection:
     def test_config_type_picks_the_transport_on_both_sides(self, config, kind):
         net, client, server = build_multipath_network([WIFI, THREEG])
         accepted = []
-        transport = open_connection(client, server, config, accepted.append)
+        open_listener(server, config, accepted.append)
+        transport = open_client(client, server, config)
         net.run(until=1.0)
         assert type(transport) is kind
         assert [type(t) for t in accepted] == [kind]
@@ -83,7 +104,8 @@ class TestOpenConnection:
         def on_accept(sock):
             sock.on_data = lambda s: received.extend(s.read())
 
-        transport = open_connection(client, server, TCPConfig(), on_accept)
+        open_listener(server, TCPConfig(), on_accept)
+        transport = open_client(client, server, TCPConfig())
         closes = []
         close = transport.close
         transport.close = lambda: (closes.append(net.now), close())
@@ -92,6 +114,16 @@ class TestOpenConnection:
         assert bytes(received) == payload
         assert app.done and app.sent == len(payload)
         assert len(closes) == 1
+
+    @pytest.mark.parametrize("config", [TCPConfig(), MPTCPConfig()])
+    def test_one_listener_serves_many_clients(self, config):
+        net, client, server = build_multipath_network([WIFI])
+        accepted = []
+        open_listener(server, config, accepted.append)
+        transports = [open_client(client, server, config) for _ in range(2)]
+        net.run(until=1.0)
+        assert len(accepted) == 2 and accepted[0] is not accepted[1]
+        assert {type(t) for t in accepted + transports} == {type(transports[0])}
 
 
 class TestVariantConfigs:

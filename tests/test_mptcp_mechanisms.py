@@ -7,7 +7,8 @@ from repro.experiments.common import (
     WIFI,
     build_multipath_network,
     mptcp_variant_config,
-    open_connection,
+    open_client,
+    open_listener,
     run_bulk,
 )
 from repro.mptcp.connection import MPTCPConfig, MPTCPConnection
@@ -188,7 +189,8 @@ class TestM4Capping:
         def on_accept(sock):
             sock.on_data = lambda s: meter.add(len(s.read()))
 
-        BulkSenderApp(open_connection(client, server, capped_cfg, on_accept), None)
+        open_listener(server, capped_cfg, on_accept)
+        BulkSenderApp(open_client(client, server, capped_cfg), None)
         net.run(until=15)
         meter.finish()
         assert meter.rate_bps() > 0.85 * plain.goodput_bps
