@@ -68,12 +68,11 @@ SCHEDULE_CALLBACK_ARG = {
     "post_at": 1,
     "call_soon": 0,
     "Timer": 1,
-    "timer": 0,
 }
 ENGINE_PATH_SUFFIX = "repro/sim/engine.py"
 # Process entry points for worker-reachability analysis: the sweep
-# runner's point executor and the shard federation's per-shard worker.
-WORKER_ENTRY_NAMES = frozenset({"_execute_point", "_federation_worker_main"})
+# runner's point executor.
+WORKER_ENTRY_NAMES = frozenset({"_execute_point"})
 
 _KIND_PATTERNS = (
     ("list", re.compile(r"(typing\.)?(List|list|deque|Deque)\b")),

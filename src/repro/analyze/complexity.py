@@ -1,7 +1,7 @@
 """CPX01 — growth-class complexity lint for the event-loop closure.
 
 HOT01 counts *allocations* per event; this pass counts *asymptotics*.
-The federation drives 10^6-path studies, and at that scale one O(n)
+The scale study drives 10^6-path studies, and at that scale one O(n)
 scan per segment is the difference between the paper's figures and a
 hung run — the ns-3 MPTCP models hit exactly that wall, capping
 simulated scale on per-packet linear bookkeeping long before memory ran
@@ -15,8 +15,7 @@ what its size is proportional to:
 * ``SUBFLOWS``    — per-subflow/address state (``_announcements``);
 * ``MAPPINGS``    — DSS-mapping bookkeeping (``_rx_mappings``,
   ``reinject_queue``, the scheduler's ``inflight``);
-* ``SEGMENTS``    — per-outstanding-segment state (``_rtx_queue``,
-  the federation's boundary-message capture);
+* ``SEGMENTS``    — per-outstanding-segment state (``_rtx_queue``);
 * ``BOUNDED``     — size is a small constant by construction; never
   flagged.
 
@@ -29,7 +28,7 @@ call-graph return summaries iterated to the project's bounded
 fixpoint.
 
 Inside the scan scope — the HOT01 ``Simulator.run`` closure plus the
-federation worker closure, confined to the runtime datapath packages —
+sweep-worker closure, confined to the runtime datapath packages —
 the pass flags the classic O(n) idioms:
 
 * ``for``/comprehension sweeps over a collection tagged with an
@@ -75,7 +74,6 @@ SEED_ATTRS: dict[str, tuple[str, str]] = {
     "reinject_queue": ("MAPPINGS", "list"),  # mptcp/scheduler.py
     "_rx_mappings": ("MAPPINGS", "list"),  # mptcp/subflow.py DSS table
     "_announcements": ("SUBFLOWS", "list"),  # mptcp/connection.py
-    "_capture": ("SEGMENTS", "list"),  # sim/shard.py boundary messages
 }
 
 _REDUCERS = frozenset({"min", "max", "sum", "sorted"})
@@ -237,7 +235,7 @@ def _facts(project) -> _Facts:
 
 
 def scope(project) -> set[str]:
-    """The scan scope: the HOT01 event-loop closure plus the federation
+    """The scan scope: the HOT01 event-loop closure plus the sweep-
     worker closure, confined to the runtime datapath packages."""
 
     def build() -> set[str]:

@@ -18,8 +18,7 @@ counts *allocation sites* per function inside it:
 The hot closure is seeded from ``Simulator.run`` itself plus every
 *callback reference* handed to the scheduling API
 (:data:`~repro.analyze.callgraph.SCHEDULE_CALLBACK_ARG`: ``schedule``,
-``post``, ``call_soon``, ``Timer`` constructions, direct or through
-``sim.timer``...): whatever the event loop will invoke is hot, and the
+``post``, ``call_soon``, ``Timer`` constructions...): whatever the event loop will invoke is hot, and the
 forward closure over the project call graph extends that to everything
 it calls inside the runtime packages (:data:`HOT_PACKAGE_TOKENS`).  The
 walk neither adds nor expands a callee outside them, so a datapath call

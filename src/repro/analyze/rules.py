@@ -2,7 +2,7 @@
 EXC01 (silent failure), MUT01 (worker-process state), DOM01 (SSN/DSN
 sequence-domain dataflow), FSM01 (one writer per state machine),
 HOT01 (hot-path allocation budget), CPX01 (growth-class complexity
-budget), FED01 (federation lookahead safety), WVR01 (stale waivers).
+budget), WVR01 (stale waivers).
 
 Each rule is a small class with a ``code``, a human ``title``, a
 ``rationale`` shown by ``--list-rules``, an ``allow`` tuple of path
@@ -749,7 +749,7 @@ class Cpx01GrowthComplexity(BudgetRule):
         "Collections carry growth classes (CONNECTIONS, SUBFLOWS, MAPPINGS, "
         "SEGMENTS, BOUNDED) from a seed table plus '# grows:' annotations, "
         "propagated through assignments and call summaries.  Inside the "
-        "event-loop and federation-worker closures, O(n) idioms over an "
+        "event-loop and sweep-worker closures, O(n) idioms over an "
         "unbounded class — sweeps, list membership, pop(0)/insert(0), "
         "sort/sorted, min/max/sum reductions, remove/index/count — are "
         "checked against src/repro/analyze/complexity_budget.json; "
@@ -772,29 +772,6 @@ class Cpx01GrowthComplexity(BudgetRule):
         from repro.analyze import complexity
 
         return complexity.scan_sites(project, fid)
-
-
-# ---------------------------------------------------------------------------
-# FED01 — conservative-parallel lookahead safety
-# ---------------------------------------------------------------------------
-class Fed01LookaheadSafety(Rule):
-    code = "FED01"
-    title = "cut messages must respect lookahead and the wire codec"
-    rationale = (
-        "The sharded federation is conservative-parallel: a barrier window "
-        "is only safe because every cross-shard message arrives at least "
-        "one cut delay in the future.  add_cut enforces that at runtime "
-        "(it raises on delay <= 0); this pass proves it statically — "
-        "non-positive cut delays, zero-delay scheduling reachable from "
-        "boundary delivery, and cross-shard payloads bypassing "
-        "Segment.to_wire/segment_from_wire are all findings."
-    )
-    needs_project = True
-
-    def check(self, ctx: FileContext, project) -> Iterator[Finding]:
-        from repro.analyze import federation
-
-        yield from federation.check_file(self, ctx, project)
 
 
 # ---------------------------------------------------------------------------
@@ -871,7 +848,6 @@ ALL_RULES: tuple[Rule, ...] = (
     Fsm01SingleWriter(),
     Hot01HotPathAllocations(),
     Cpx01GrowthComplexity(),
-    Fed01LookaheadSafety(),
     Wvr01StaleWaiver(),
 )
 

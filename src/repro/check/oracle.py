@@ -10,8 +10,7 @@ short, conservative table (:meth:`InvariantOracle._host_of`):
 * a ``Link`` method (``_tx_done``: serialisation) touches no socket —
   nothing is checked, not even discovery runs;
 * ``Path._delivered_fwd`` / ``_delivered_rev`` — the ``Host`` that
-  path's ``deliver_fwd`` / ``deliver_rev`` is bound to (a shard cut's
-  ``ShardBoundary.deliver`` is the same bound method);
+  path's ``deliver_fwd`` / ``deliver_rev`` is bound to;
 * a method of an object whose ``.host`` is one of ``network.hosts``
   (socket, subflow and connection timers, ``call_soon`` continuations,
   path managers) — that host;
@@ -250,12 +249,10 @@ class InvariantOracle:
         # Above this many live endpoints on one host its per-event check
         # rotates a fixed budget of them instead of all (see _check_host).
         self.full_sweep_limit = 16
-        # Events finished by completed run() calls, summed over the real
-        # simulators (one per shard) as of the last event: a different
-        # sum means a run() has exited since, i.e. this event is the
-        # first of a new one.
-        shards = network._shards
-        self._sims = [network.sim] if shards is None else shards.sims
+        # Events finished by completed run() calls as of the last event:
+        # a different count means a run() has exited since, i.e. this
+        # event is the first of a new one.
+        self._sim = network.sim
         self._runs_seen = -1
         self._tap = self.trace._tap
         self._tapped_paths = 0
@@ -297,9 +294,7 @@ class InvariantOracle:
         withheld).  Scope the check to the host it belongs to."""
         self.events_checked += 1
         host = None
-        runs = 0
-        for sim in self._sims:
-            runs += sim._events_run
+        runs = self._sim._events_run
         if runs != self._runs_seen:
             self._runs_seen = runs  # first event of a run(): sweep
         elif self.events_checked % AUDIT_PERIOD:

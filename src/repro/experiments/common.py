@@ -125,14 +125,13 @@ def build_multipath_network(
     seed: int = 1,
     ends: Optional[Sequence[tuple[str, str]]] = None,
     elements: Optional[Sequence[Optional[Sequence[PathElement]]]] = None,
-    shards: Optional[int] = None,
 ) -> tuple[Network, Host, Host]:
     """A client and a server joined by one link per path: path i runs
     between the addresses ``ends[i] == (client_ip, server_ip)`` (default
     :func:`client_ends`) and carries the middlebox chain ``elements[i]``.
     Each host's addresses are its ends in first-use order, so an address
     shared by several paths is one interface."""
-    net = Network(seed=seed, shards=shards)
+    net = Network(seed=seed)
     if ends is None:
         ends = client_ends(len(paths))
     client = net.add_host("client", *dict.fromkeys(client_ip for client_ip, _ in ends))

@@ -10,13 +10,11 @@ a pure function of its arguments and seed; worker processes are forked,
 so hashing and imports match the parent exactly).  Every point runs on
 every call: nothing is stored between sweeps.
 
-Environment knobs (CLI users; the API takes explicit arguments too):
+Environment knob (CLI users; the API takes an explicit argument too):
 
 * ``REPRO_WORKERS`` — number of worker processes; ``1`` forces the
   in-process serial path (the debugging fallback), ``0``/unset means
   one per CPU, and a negative or non-integer value is an error.
-* ``REPRO_SHARDS`` — shard count for every Network a point builds (the
-  transparent in-process sharded mode; read by ``repro.sim.shard``).
 """
 
 from __future__ import annotations

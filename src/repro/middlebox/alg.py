@@ -37,8 +37,6 @@ class PayloadModifier(PathElement):
     # The invariant oracle tolerates end-to-end stream differences for
     # endpoints that cannot detect an in-path payload rewrite.
     rewrites_payload = True
-    # Synchronous per-segment rewrite, no timers or clock reads.
-    shard_safe = True
 
     def __init__(
         self,
@@ -92,10 +90,6 @@ class PayloadModifier(PathElement):
                     length_change = len(self.replacement) - len(self.pattern)
                     if length_change != 0:
                         boundary = seq_add(segment.seq, index + len(self.pattern))
-                        # Delta ledger and rewrite budget are consulted by
-                        # both directions through the same instance; the
-                        # merged cut driver is single-process and
-                        # has_cut_elements bars process-per-shard cloning.
                         self._deltas.setdefault(key, []).append((boundary, length_change))
                     self.rewrites += 1
             seen = self._seen.get(key)
@@ -136,9 +130,6 @@ class RetransmissionNormalizer(PathElement):
     ``memcmp`` rather than a memoryview's item-by-item compare.
     """
 
-    # Synchronous per-segment transform, no timers or clock reads.
-    shard_safe = True
-
     def __init__(self, cache_limit: int = 4 * 1024 * 1024, name: str = "Normalizer"):
         super().__init__(name)
         self.cache_limit = cache_limit
@@ -150,8 +141,7 @@ class RetransmissionNormalizer(PathElement):
         if direction != FORWARD or not segment.payload:
             return [(segment, direction)]
         key = (segment.src, segment.dst)
-        # Forward-only payload cache: only FORWARD traffic touches it,
-        # so one shard clock orders every access even on a cut path.
+        # Forward-only payload cache: only FORWARD traffic touches it.
         flow_cache = self._cache.setdefault(key, {})
         cached = flow_cache.get(segment.seq)
         if cached is not None and len(cached) == segment.payload_len:

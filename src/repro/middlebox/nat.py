@@ -18,9 +18,6 @@ from repro.net.path import FORWARD, PathElement
 
 class NAT(PathElement):
     rewrites_addresses = True
-    # Pure synchronous rewriter: no timers, no clock reads, never
-    # changes a segment's direction — legal on a cross-shard path.
-    shard_safe = True
 
     def __init__(self, external_ip: str, base_port: int = 20000, name: str = "NAT"):
         super().__init__(name)
@@ -47,11 +44,6 @@ class NAT(PathElement):
                     # here, §3.2).
                     self.dropped_unsolicited += 1
                     return []
-                # The translation tables are per-flow state both
-                # directions consult through the *same* instance: the
-                # merged cut driver runs one process, and federation
-                # refuses process-per-shard when a cut carries elements
-                # (has_cut_elements), so the maps cannot diverge.
                 port = self._next_port
                 self._next_port += 1
                 translated = self._out[key] = Endpoint(self.external_ip, port)

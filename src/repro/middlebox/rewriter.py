@@ -25,9 +25,6 @@ from repro.sim.rng import SeededRNG
 
 
 class SequenceRewriter(PathElement):
-    # Synchronous per-segment rewrite, no timers or clock reads.
-    shard_safe = True
-
     def __init__(
         self,
         rng: SeededRNG | None = None,
@@ -46,9 +43,6 @@ class SequenceRewriter(PathElement):
         key = (a, b)
         delta = self._deltas.get(key)
         if delta is None:
-            # Both directions consult the same ledger instance; the
-            # merged cut driver is single-process and has_cut_elements
-            # bars process-per-shard cloning.
             delta = self._deltas[key] = self.rng.getrandbits(32)
         return delta
 

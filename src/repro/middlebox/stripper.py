@@ -25,12 +25,6 @@ from repro.net.path import PathElement
 
 
 class OptionStripper(PathElement):
-    # Synchronous same-direction transform.  An activation time means
-    # reading self.sim.now, which is the wrong clock on a cut path's
-    # reverse direction — shard_safe_now() declines cut placement for
-    # those instances; the always-on form is safe.
-    shard_safe = True
-
     def __init__(
         self,
         kinds: Iterable[int] = (KIND_MPTCP,),
@@ -49,9 +43,6 @@ class OptionStripper(PathElement):
         # stripping path: options pass until this (simulated) time.
         self.active_after = active_after
         self.stripped = 0
-
-    def shard_safe_now(self) -> bool:
-        return self.active_after == 0.0
 
     def process(self, segment: Segment, direction: int) -> list[tuple[Segment, int]]:
         if self.direction is not None and direction != self.direction:
@@ -84,9 +75,6 @@ class AddAddrFilter(PathElement):
     whenever the *server* is the multihomed side (§3.2: a NATted client
     cannot be SYNed at, so ADD_ADDR is the only way to use the server's
     second address)."""
-
-    # Synchronous same-direction option filter: no clock, no injection.
-    shard_safe = True
 
     def __init__(self, name: str = "AddAddrFilter"):
         super().__init__(name)

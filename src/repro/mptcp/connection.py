@@ -35,7 +35,7 @@ from repro.tcp.cc import INITIAL_CWND_SEGMENTS
 from repro.tcp.seq import SEQ_MOD, seq_add
 
 _SEQ_HALF = 1 << 31
-from repro.tcp.socket import IDLE_TIMER, TCPConfig
+from repro.tcp.socket import IDLE_TIMER, TCPConfig, require_positive
 from repro.tcp.state import IllegalTransition
 from repro.mptcp.coupled import CoupledGroup, LIAController
 from repro.mptcp.keys import idsn_from_key, token_from_key
@@ -85,6 +85,9 @@ class MPTCPConfig:
     # Path management
     max_subflows: int = 8
     subflow_max_retries: int = 5  # consecutive RTOs before a subflow fails
+
+    def __post_init__(self) -> None:
+        require_positive(self, "snd_buf", "rcv_buf", "max_subflows")
 
     def subflow_tcp_config(self) -> TCPConfig:
         cfg = dataclasses.replace(self.tcp)

@@ -71,12 +71,6 @@ class Link:
         self.rng = rng or SeededRNG(0, name)
         self.name = name
         self.deliver: Callable[[Segment], None] = lambda seg: None
-        # Cut-point hook for sharded topologies: when set, a segment
-        # finishing serialisation is handed to ``remote(arrival_time,
-        # segment)`` — a shard boundary that forwards it to the peer
-        # shard's simulator — instead of being posted on the local
-        # event queue.  None (the default) is the serial fast path.
-        self.remote: Optional[Callable[[float, Segment], None]] = None
         self.stats = LinkStats()
         # Queue entries carry (segment, size): the wire size is computed
         # once at enqueue and threaded through transmit/tx-done so the
@@ -114,10 +108,8 @@ class Link:
         stats.payload_bytes_sent += segment.payload_len
         if self.loss > 0.0 and self.rng.chance(self.loss):
             stats.packets_dropped_loss += 1
-        elif self.remote is None:
-            self.sim.post(self.delay, self.deliver, segment)
         else:
-            self.remote(self.sim.now + self.delay, segment)
+            self.sim.post(self.delay, self.deliver, segment)
         if self._queue:
             next_segment, next_size = self._queue.popleft()
             self._queued_bytes -= next_size

@@ -57,11 +57,6 @@ class Host:
         self.name = name
         self.rng = rng or SeededRNG(0, name)
         self.interfaces: list[Interface] = []
-        # Which shard this host (and therefore its sockets and local
-        # links) lives on; always 0 in a serial network.  Assigned by
-        # Network.add_host and read by Network.connect to decide whether
-        # a new path is local or a cut.
-        self.shard = 0
         # src ip -> owning interface, filled lazily by send().  Safe to
         # cache: interfaces are only ever added (duplicates rejected),
         # never removed or re-addressed.

@@ -52,7 +52,7 @@ class TCPOption:
     All hot-path sizing (``Segment.size_bytes``, link serialisation,
     middlebox option-space checks) reads it; the bytes themselves are
     built by ``encode()``, which on the data path is never called (only
-    traces, checksum rewrites and the shard wire format serialise
+    traces, checksum rewrites and the segment wire codec serialise
     options).  The wire tests enforce ``wire_len == len(encode())`` per
     option type.
     """

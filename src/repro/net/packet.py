@@ -267,17 +267,16 @@ class Segment:
         )
 
     # ------------------------------------------------------------------
-    # Wire format (cross-shard process boundary)
+    # Wire format
     # ------------------------------------------------------------------
     def to_wire(self) -> bytes:
-        """Serialise to the inter-shard wire format.
+        """Serialise to the segment wire format.
 
-        A segment crossing a shard boundary is flattened to real bytes —
-        fixed header, dotted-quad endpoints, the *encoded* option blob
-        and the payload — and rebuilt on the far side with
-        :func:`segment_from_wire`.  Options round-trip through the same
-        codec middleboxes use, so a sharded run exercises exactly the
-        byte constraints a serial run does.
+        The segment is flattened to real bytes — fixed header,
+        dotted-quad endpoints, the *encoded* option blob and the payload
+        — and rebuilt with :func:`segment_from_wire`.  Options go
+        through the same codec middleboxes use, so the bytes obey the
+        same option-space constraints a segment on a path does.
         """
         from repro.net.options import encode_options
 
@@ -320,10 +319,9 @@ class Segment:
 _WIRE_HEADER = struct.Struct(">IIIBBBIIdHI")
 
 # decode_options() resolves option kinds through a registry that the
-# MPTCP module populates on import.  A forked shard worker always has it
-# imported (the topology was built first), but a cold deserialiser —
-# unit tests, tools — may not, and kind 30 would silently downgrade to
-# UnknownOption.  Latched import, checked per call.
+# MPTCP module populates on import.  A cold deserialiser — unit tests,
+# tools — may not have imported it, and kind 30 would silently
+# downgrade to UnknownOption.  Latched import, checked per call.
 _WIRE_DECODERS_READY = False
 
 
@@ -331,14 +329,14 @@ def segment_from_wire(data: bytes) -> Segment:
     """Rebuild a :class:`Segment` from :meth:`Segment.to_wire` bytes.
 
     The payload comes back as plain ``bytes`` (a zero-copy view does not
-    survive a process boundary); options are decoded through the
+    survive serialisation); options are decoded through the
     registered option codecs.  Raises ``ValueError`` on truncation.
     """
     global _WIRE_DECODERS_READY
     if not _WIRE_DECODERS_READY:
         import repro.mptcp.options  # noqa: F401  (registers the kind-30 decoder)
 
-        _WIRE_DECODERS_READY = True  # analyze: ok(MUT01): once-per-process import latch
+        _WIRE_DECODERS_READY = True
     from repro.net.options import decode_options
 
     try:

@@ -35,14 +35,6 @@ class PathElement:
     # Subclasses that rewrite IP addresses (NATs) set this so the
     # topology builder installs wildcard routes for the rewritten side.
     rewrites_addresses = False
-    # A clock-safety declaration, not a purity one: True for
-    # synchronous same-direction transforms — no timers, no self.sim
-    # reads, no opposite-direction injection.  Only such elements may
-    # sit on a cross-shard path, where the two directions execute under
-    # different shard clocks (see Network.connect).  Per-flow state is
-    # fine: a cut carrying elements always runs under the merged
-    # driver, one instance in global time order.  Default: unsafe.
-    shard_safe = False
 
     def __init__(self, name: str = ""):
         self.name = name or type(self).__name__
@@ -59,18 +51,6 @@ class PathElement:
     def sim(self) -> Simulator:
         assert self.path is not None, "element not attached to a path"
         return self.path.sim
-
-    def shard_safe_now(self) -> bool:
-        """Runtime refinement of the class-level ``shard_safe`` promise.
-
-        The class attribute is the declaration; this hook lets a
-        clock-safe class decline cut placement for *this instance's
-        configuration* (e.g. an OptionStripper with a future activation
-        time reads the clock and must be colocated).  Never widen: the
-        cut gate requires the class flag too, so the base implementation
-        anchors on it.
-        """
-        return self.shard_safe
 
     def process(self, segment: Segment, direction: int) -> list[tuple[Segment, int]]:
         """Transform one segment.

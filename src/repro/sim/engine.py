@@ -30,7 +30,6 @@ Design notes
 from __future__ import annotations
 
 import heapq
-from math import inf
 from typing import Any, Callable, Optional
 
 from repro.sim.gcscope import paused
@@ -119,12 +118,6 @@ class Simulator:
         """Relative-time variant of :meth:`post_at` (link transmit/deliver)."""
         self._push(self.now + delay, fn, a0, a1)
 
-    def timer(self, callback: Callable[[], Any]) -> "Timer":
-        """A :class:`Timer` on this simulator.  Code handed a
-        ``Network.sim`` (which may be a ``ShardedClock``) builds its
-        timers here so they land on a real simulator either way."""
-        return Timer(self, callback)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -132,22 +125,14 @@ class Simulator:
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
-        exclusive: bool = False,
     ) -> int:
         """Run events until the queue drains, ``until`` is reached, or
         ``max_events`` events have executed.  Returns the number of
         events executed.  Draining or reaching ``until`` advances the
         clock to ``until`` (never backwards); spending ``max_events``
         leaves it at the last event, and ``max_events=0`` runs nothing.
-
-        ``exclusive=True`` makes ``until`` a strict bound: events *at*
-        ``until`` stay queued (the sharded drivers use this to execute a
-        half-open time window ``[now, until)`` and leave the boundary
-        instant for a later, globally ordered pass).
         """
         global _EVENTS_RUN_TOTAL
-        if exclusive and until is None:
-            raise ValueError("exclusive run requires an explicit until bound")
         if max_events is not None and max_events <= 0:
             if max_events < 0:
                 raise ValueError("max_events must be >= 0, got %r" % max_events)
@@ -160,7 +145,7 @@ class Simulator:
                 while queue:
                     entry = queue[0]
                     time = entry[0]
-                    if until is not None and (time > until or (exclusive and time == until)):
+                    if until is not None and time > until:
                         break
                     pop(queue)
                     fn = entry[2]
@@ -211,24 +196,10 @@ class Simulator:
                 anchor = timer._anchor = (timer._time, timer._seq, _TIMER, timer, None)
                 heapq.heappush(self._queue, anchor)
 
-    def next_event_time(self) -> float:
-        """Time of the earliest event, or ``math.inf`` when nothing is
-        queued; stale timer entries at the head are settled first, so a
-        re-queued timer reports its real deadline.  Does not advance the
-        clock.  The sharded drivers poll this for safe windows."""
-        queue = self._queue
-        while queue:
-            entry = queue[0]
-            if entry[2] is not _TIMER or entry[1] == entry[3]._seq:
-                return entry[0]
-            heapq.heappop(queue)
-            self._settle(entry)
-        return inf
-
     @property
     def pending(self) -> int:
         """Queued events: plain entries plus armed timers' anchors (a heap
-        walk for tests and ``ShardedClock.pending``)."""
+        walk for tests)."""
         return sum(
             1
             for entry in self._queue

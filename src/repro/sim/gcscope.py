@@ -12,8 +12,8 @@ proportional to what was allocated since.  Any loop of short runs (a
 sweep, a test session, a notebook) should sit inside one.
 
 Plain classes, not ``contextlib.contextmanager``: ``Simulator.run``
-enters ``paused()`` once per shard window, and two slot methods are the
-whole cost.
+enters ``paused()`` once per call, and two slot methods are the whole
+cost.
 """
 
 from __future__ import annotations

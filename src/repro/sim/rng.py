@@ -41,18 +41,6 @@ class SeededRNG:
         """An independent stream derived from this one's seed and a label."""
         return SeededRNG(self._derive(self.seed, self.name), name)
 
-    def fork_shard(self, shard: int, name: str = "shard") -> "SeededRNG":
-        """A named per-shard stream: ``fork_shard(k)`` is independent of
-        every other shard's stream and of any plain :meth:`fork`.
-
-        Sharded scenario builders draw per-shard randomness (start
-        offsets, per-flow think times) from these so the draw sequence
-        of one shard never depends on how many other shards exist or in
-        which order they are built — the property that keeps a sharded
-        topology byte-identical when re-run with a different worker
-        layout."""
-        return self.fork(f"{name}:{shard}")
-
     # Thin pass-throughs -------------------------------------------------
     def random(self) -> float:
         return self._random.random()

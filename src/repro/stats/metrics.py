@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional
 
-from repro.sim import Simulator
+from repro.sim import Simulator, Timer
 
 
 class GoodputMeter:
@@ -72,9 +72,7 @@ class MemorySampler:
         self._last_value = 0
         self.peak = 0
         self.samples = 0
-        # sim.timer(), not Timer(sim, ...): a sharded network hands us
-        # its ShardedClock, and the timer must live on a real simulator.
-        self._timer = sim.timer(self._tick)
+        self._timer = Timer(sim, self._tick)
         self._timer.start(0.0)
 
     def _tick(self) -> None:

@@ -44,8 +44,7 @@ Presets:
 
 Every draw for path ``i`` comes from ``SeededRNG(seed, f"scale-path-{i}")``:
 sampling is a pure function of ``(spec, index, seed)``, independent of
-batching, worker count or shard layout — the property the determinism
-tests pin.
+batching or worker count — the property the determinism tests pin.
 """
 
 from __future__ import annotations
@@ -291,7 +290,7 @@ def signature_label(signature: tuple) -> str:
 
 def sample_path(spec: PopulationSpec, index: int, seed: int) -> SampledPath:
     """Draw path ``index`` of the population — a pure function of
-    ``(spec, index, seed)``, whatever batch or shard asks for it."""
+    ``(spec, index, seed)``, whatever batch asks for it."""
     rng = SeededRNG(seed, f"scale-path-{index}")
     as_class = _draw(rng, tuple((cls.weight, cls) for cls in spec.classes))
     mix = as_class.mix

@@ -18,14 +18,12 @@ over real middlebox chains (:mod:`repro.study.microsim`).  Two facts make
    (per-index forked RNG streams), so :func:`sample_counts` cuts the
    sample phase into batches fanned over the sweep engine
    (:mod:`repro.experiments.runner`) — and the resulting counters are
-   independent of batch size, worker count and shard layout.
-   Microsimulations build ordinary :class:`Network` objects, which
-   transparently honour ``REPRO_SHARDS``.
+   independent of batch size and worker count.
 
 Counter totals feed the seeded interval estimators in
 :mod:`repro.stats.bootstrap`, so the report carries bootstrap CIs while
 ``STUDY_scale.json`` stays byte-identical for a fixed seed across runs,
-drivers and partitionings (wall-clock metrics go to ``BENCH_study.json``).
+and drivers (wall-clock metrics go to ``BENCH_study.json``).
 
 Usage::
 
@@ -274,8 +272,8 @@ def run_scale_study(
 
     Returns ``(report, bench)``.  ``report`` is a pure function of
     ``(spec_name, paths, seed, batch-independent inputs)`` — rendering
-    it with sorted keys gives byte-identical JSON across runs, worker
-    counts and shard layouts.  ``bench`` carries the wall-clock numbers
+    it with sorted keys gives byte-identical JSON across runs and worker
+    counts.  ``bench`` carries the wall-clock numbers
     and is *not* deterministic.
     """
     spec = get_spec(spec_name)

@@ -62,6 +62,16 @@ DELAYED_ACK_TIMEOUT = 0.04  # seconds a lone in-order segment waits for its ACK
 MSL = 0.5  # maximum segment lifetime; TIME_WAIT lasts 2 * MSL
 
 
+def require_positive(config: object, *names: str) -> None:
+    """Raise ``ValueError`` naming the first field in ``names`` that is
+    below 1: a zero MSS or buffer would otherwise surface mid-run as a
+    division by zero or a silent stall."""
+    for name in names:
+        value = getattr(config, name)
+        if value < 1:
+            raise ValueError(f"{type(config).__name__}.{name} must be >= 1, got {value!r}")
+
+
 @dataclass(slots=True)
 class TCPConfig:
     """Tunables; defaults mirror a contemporary Linux stack scaled to the
@@ -81,6 +91,9 @@ class TCPConfig:
     cwnd_capping: bool = False
     # Receive/send buffer autotuning (mechanism M3); see repro.tcp.autotune.
     autotune: bool = False
+
+    def __post_init__(self) -> None:
+        require_positive(self, "mss", "snd_buf", "rcv_buf")
 
 
 @dataclass(slots=True)

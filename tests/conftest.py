@@ -56,8 +56,8 @@ def _oracle_everywhere(monkeypatch):
         return
     original_init = Network.__init__
 
-    def init_with_oracle(self, seed: int = 1, shards: int | None = None):
-        original_init(self, seed=seed, shards=shards)
+    def init_with_oracle(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
         InvariantOracle.attach(self)
 
     monkeypatch.setattr(Network, "__init__", init_with_oracle)
@@ -86,7 +86,6 @@ def make_multipath(
     seed: int = 1,
     paths: list[dict] | None = None,
     elements_per_path: list | None = None,
-    shards: int | None = None,
 ):
     """Dual-homed (or more) client and single-address server."""
     paths = paths or [
@@ -95,7 +94,7 @@ def make_multipath(
     ]
     specs = [_spec(**params) for params in paths]
     ends = client_ends(len(specs), "10.9.0.1")
-    return build_multipath_network(specs, seed, ends, elements_per_path, shards)
+    return build_multipath_network(specs, seed, ends, elements_per_path)
 
 
 def random_payload(size: int, seed: int = 0) -> bytes:

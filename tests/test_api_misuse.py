@@ -36,6 +36,10 @@ class TestNetworkMisuse:
         with pytest.raises(RuntimeError):
             _ = host.primary_address
 
+    def test_network_shards_other_than_one_raises(self):
+        with pytest.raises(ValueError, match="shards"):
+            Network(seed=1, shards=2)
+
 
 class TestConnectionMisuse:
     def test_send_on_closed_connection_raises(self):
@@ -138,6 +142,28 @@ class TestListenerConfig:
         for subflow in conn.subflows:
             assert subflow.srtt > 0
             assert subflow.stats.segments_sent > 0
+
+
+class TestConfigRejectsAbsurdValues:
+    """A zero MSS, buffer or subflow cap fails at construction, naming
+    the field, instead of a mid-run ZeroDivisionError or a silent stall."""
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize(
+        "config_class, field_name",
+        [
+            (TCPConfig, "mss"),
+            (TCPConfig, "snd_buf"),
+            (TCPConfig, "rcv_buf"),
+            (MPTCPConfig, "snd_buf"),
+            (MPTCPConfig, "rcv_buf"),
+            (MPTCPConfig, "max_subflows"),
+        ],
+    )
+    def test_field_below_one_raises(self, config_class, field_name, value):
+        with pytest.raises(ValueError, match=rf"{config_class.__name__}\.{field_name}\b"):
+            config_class(**{field_name: value})
+        config_class(**{field_name: 1})  # the smallest legal value builds
 
 
 class TestConfigFieldsAreRead:

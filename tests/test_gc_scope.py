@@ -14,7 +14,6 @@ import pytest
 from repro.experiments.runner import Point, run_parallel
 from repro.sim import gcscope
 from repro.sim.engine import Simulator
-from repro.sim.shard import ShardGroup
 from repro.study.scale import counter_digest, run_scale_study
 
 PAUSE = ["disable", "enable", "collect"]
@@ -88,17 +87,6 @@ class TestNesting:
             assert spy.calls == ["collect", "freeze"]
         assert gc.get_freeze_count() == 0
         assert spy.calls == BATCH
-
-    def test_simulator_run_inside_the_merged_driver(self, spy):
-        group = ShardGroup(2)
-        seen = []
-        for shard, sim in enumerate(group.sims):
-            for k in range(3):
-                sim.schedule(0.1 * k + 0.01 * shard, lambda: seen.append(gc.isenabled()))
-        assert group.run_merged(until=1.0) == 6
-        assert seen == [False] * 6
-        assert spy.calls == PAUSE  # one sweep for many Simulator.run calls
-        assert gc.isenabled()
 
     def test_runner_batch_is_a_noop_inside_the_session_batch(self, spy):
         before = gc.get_freeze_count()
@@ -182,17 +170,16 @@ class TestRunner:
 
 
 def test_scale_study_digest_identical_across_drivers(monkeypatch):
-    """Freezing moves no simulated output: serial in-process, the fork
-    pool and the merged shard driver agree."""
+    """Freezing moves no simulated output: serial in-process and the
+    fork pool agree."""
     digests = {}
     for mode, env in (
         ("serial", {"REPRO_WORKERS": "1"}),
         ("pool", {"REPRO_WORKERS": "2"}),
-        ("shards", {"REPRO_WORKERS": "1", "REPRO_SHARDS": "2"}),
     ):
         with monkeypatch.context() as patch:
             for key, value in env.items():
                 patch.setenv(key, value)
             report, _ = run_scale_study("internet2021", paths=250)
         digests[mode] = counter_digest(report)
-    assert digests["serial"] == digests["pool"] == digests["shards"]
+    assert digests["serial"] == digests["pool"]

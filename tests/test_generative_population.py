@@ -143,19 +143,16 @@ class TestDriverIndependence:
     def _report(self, monkeypatch, **env):
         from repro.study.scale import run_scale_study, render_report
 
-        for key in ("REPRO_WORKERS", "REPRO_SHARDS"):
-            monkeypatch.delenv(key, raising=False)
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
         for key, value in env.items():
             monkeypatch.setenv(key, value)
         report, _bench = run_scale_study("paper2011", paths=60, seed=SEED, batch=17)
         return render_report(report)
 
-    def test_serial_vs_workers_vs_shards(self, monkeypatch):
+    def test_serial_vs_workers(self, monkeypatch):
         serial = self._report(monkeypatch, REPRO_WORKERS="1")
         workers = self._report(monkeypatch, REPRO_WORKERS="2")
-        shards = self._report(monkeypatch, REPRO_WORKERS="1", REPRO_SHARDS="2")
         assert serial == workers
-        assert serial == shards
 
 
 class TestElements:

@@ -1,5 +1,6 @@
 """TCP and MPTCP option wire encodings: round-trips, sizes, budgets,
-and the value-type contract every option and ``Endpoint`` keeps."""
+the segment wire codec, and the value-type contract every option and
+``Endpoint`` keeps."""
 
 import copy
 import dataclasses
@@ -35,7 +36,9 @@ from repro.net.options import (
     fits_option_space,
     options_length,
 )
-from repro.net.packet import Endpoint
+from repro.net.packet import ACK, PSH, SYN, Endpoint, Segment, segment_from_wire
+
+from conftest import random_payload
 
 
 def roundtrip(options):
@@ -322,3 +325,140 @@ class TestValueTypes:
         # A NamedTuple: equal (and hashed equal) to the bare pair.
         assert Endpoint("10.0.0.1", 80) == ("10.0.0.1", 80)
         assert hash(Endpoint("10.0.0.1", 80)) == hash(("10.0.0.1", 80))
+
+
+# ----------------------------------------------------------------------
+# Segment wire codec: Segment.to_wire / segment_from_wire
+# ----------------------------------------------------------------------
+class TestSegmentWire:
+    def test_roundtrip_plain(self):
+        seg = Segment(
+            src=Endpoint("10.0.0.1", 43210),
+            dst=Endpoint("10.9.0.1", 80),
+            seq=12345,
+            ack=67890,
+            flags=SYN | ACK,
+            window=65535,
+            payload=b"",
+        )
+        back = segment_from_wire(seg.to_wire())
+        assert (back.src, back.dst) == (seg.src, seg.dst)
+        assert (back.seq, back.ack, back.flags, back.window) == (
+            seg.seq,
+            seg.ack,
+            seg.flags,
+            seg.window,
+        )
+        assert bytes(back.payload) == b""
+        assert back.options == []
+
+    def test_roundtrip_payload_and_mptcp_options(self):
+        payload = random_payload(1448, seed=3)
+        seg = Segment(
+            src=Endpoint("192.168.100.200", 65535),
+            dst=Endpoint("10.99.0.1", 8080),
+            seq=(1 << 32) - 2,  # near the wrap: the codec must not widen
+            ack=7,
+            flags=PSH | ACK,
+            window=123456 >> 1,
+            payload=payload,
+            options=[
+                MPCapable(sender_key=0xDEADBEEF, receiver_key=0xFEEDFACE),
+                DSS(data_ack=123_456, dsn=999_999, subflow_seq=42, length=1448),
+            ],
+        )
+        back = segment_from_wire(seg.to_wire())
+        assert bytes(back.payload) == payload
+        kinds = [type(opt).__name__ for opt in back.options]
+        assert kinds == ["MPCapable", "DSS"]
+        cap = back.options[0]
+        assert (cap.sender_key, cap.receiver_key) == (0xDEADBEEF, 0xFEEDFACE)
+        dss = back.options[1]
+        assert (dss.dsn, dss.subflow_seq, dss.length, dss.data_ack) == (
+            999_999,
+            42,
+            1448,
+            123_456,
+        )
+        assert back.seq == (1 << 32) - 2
+
+    def test_rejects_truncated_blob(self):
+        seg = Segment(
+            src=Endpoint("10.0.0.1", 1),
+            dst=Endpoint("10.0.0.2", 2),
+            seq=0,
+            ack=0,
+            flags=ACK,
+            window=0,
+            payload=b"hello",
+        )
+        wire = seg.to_wire()
+        with pytest.raises(ValueError):
+            segment_from_wire(wire[:-3])
+        with pytest.raises(ValueError):
+            segment_from_wire(b"\x00" * 4)
+
+    @staticmethod
+    def _segment(payload=b"hello", options=()):
+        return Segment(
+            src=Endpoint("10.0.0.1", 1),
+            dst=Endpoint("10.0.0.2", 2),
+            seq=1,
+            ack=2,
+            flags=ACK,
+            window=3,
+            payload=payload,
+            options=list(options),
+        )
+
+    @pytest.mark.parametrize(
+        "option", [v for v in VALUES if isinstance(v, TCPOption)], ids=lambda v: type(v).__name__
+    )
+    def test_every_option_kind_survives_the_segment_wire(self, option):
+        # Through the framing (blob length in the header) and the
+        # latched decoder registry, not just the bare option codec.
+        wire = self._segment(options=[option]).to_wire()
+        back = segment_from_wire(wire)
+        expected = [] if isinstance(option, NoOperation) else [option]  # padding is dropped
+        assert back.options == expected
+        assert bytes(back.payload) == b"hello"
+        if expected:
+            assert back.to_wire() == wire  # re-encoding is byte-stable
+
+    def test_roundtrip_keeps_created_at_and_payload_length(self):
+        seg = self._segment(payload=b"abc")
+        seg.created_at = 12.375
+        back = segment_from_wire(seg.to_wire())
+        assert back.created_at == 12.375
+        assert back.payload_len == 3
+
+    def test_memoryview_payload_serialises_as_bytes(self):
+        # Sockets hand segments zero-copy views over their send buffer.
+        buffer = b"0123456789"
+        view = memoryview(buffer)[2:7]
+        wire = self._segment(payload=view).to_wire()
+        assert wire == self._segment(payload=b"23456").to_wire()
+        back = segment_from_wire(wire)
+        assert type(back.payload) is bytes and back.payload == b"23456"
+
+    # Header 37 B, "10.0.0.1" and "10.0.0.2" 8 B each, MSS option 4 B,
+    # payload 5 B: 62 B in all.
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            lambda wire: b"",
+            lambda wire: wire[:20],
+            lambda wire: wire[:37],
+            lambda wire: wire[:41],
+            lambda wire: wire[:55],
+            lambda wire: wire[:-1],
+            lambda wire: wire + b"\x00",
+        ],
+        ids=["empty", "mid-header", "header-only", "mid-src-ip", "mid-options", "short-payload",
+             "trailing-byte"],
+    )
+    def test_rejects_every_length_mismatch(self, cut):
+        wire = self._segment(options=[MSSOption(1448)]).to_wire()
+        assert len(wire) == 62
+        with pytest.raises(ValueError):
+            segment_from_wire(cut(wire))

@@ -21,6 +21,7 @@ from repro.mptcp.connection import MPTCPConfig
 from repro.net.faults import Reorderer
 from repro.net.network import Network
 from repro.net.packet import Endpoint
+from repro.sim import Timer
 from repro.sim.rng import SeededRNG
 from repro.stats.metrics import MemorySampler
 from repro.tcp.listener import Listener
@@ -88,20 +89,6 @@ class TestResolverTable:
         assert oracle._host_of(path.link_fwd.deliver) is server
         assert oracle._host_of(path.link_rev.deliver) is client
 
-    def test_shard_cut_delivery_resolves_to_the_receiving_host(self):
-        net = Network(seed=1, shards=2)
-        client = net.add_host("client", "10.0.0.1", shard=0)
-        server = net.add_host("server", "10.9.0.1", shard=1)
-        path = net.connect(
-            client.interface("10.0.0.1"), server.interface("10.9.0.1"),
-            rate_bps=8e6, delay=0.01,
-        )
-        oracle = ensure_oracle(net)
-        boundary_fwd, boundary_rev = path.link_fwd.remote, path.link_rev.remote
-        assert boundary_fwd is not None and boundary_rev is not None  # a real cut
-        assert oracle._host_of(boundary_fwd.deliver) is server
-        assert oracle._host_of(boundary_rev.deliver) is client
-
     def test_endpoint_owned_callbacks_resolve_to_their_host(self):
         net, client, server = make_multipath(seed=2)
         oracle = ensure_oracle(net)
@@ -144,7 +131,7 @@ class TestResolverTable:
         ):
             assert oracle._host_of(unknown) is None, unknown
         # A socket living on some other network's host is not ours.
-        foreign = TCPSocket(Network(seed=9, shards=1).add_host("client", "10.0.0.1"))
+        foreign = TCPSocket(Network(seed=9).add_host("client", "10.0.0.1"))
         assert oracle._host_of(foreign._rto_timer._callback) is None
         # A test that replaces a path's delivery callback gets the sweep.
         net.paths[0].deliver_fwd = lambda segment: None
@@ -247,7 +234,7 @@ class TestDetectionEquivalence:
                 state["sock"] = sock
                 bound = owned_by(sock, swap_last_two)
                 assert oracle._host_of(bound) is client
-                timer = net.sim.timer(bound)
+                timer = Timer(net.sim, bound)
                 timer.start(0.03)
 
             net.sim.schedule(0.05, arm)
@@ -263,8 +250,8 @@ class TestDetectionEquivalence:
             made = []
             original = Network.__init__
 
-            def init(self, seed=1, shards=None):
-                original(self, seed=seed, shards=shards)
+            def init(self, seed=1):
+                original(self, seed=seed)
                 made.append(ensure_oracle(self))
                 if force:
                     hide_owner(self)
@@ -305,7 +292,7 @@ class TestDeferredDetectionBounds:
     def _idle_pair_beside_a_busy_one(self, seed=5):
         """Hosts a-b hold one silent connection; c-d run a bulk transfer
         that (once a test starts it) keeps the clock busy."""
-        net = Network(seed=seed, shards=1)
+        net = Network(seed=seed)
         hosts = {
             name: net.add_host(name, ip)
             for name, ip in (("a", "10.0.0.1"), ("b", "10.0.9.1"),
@@ -438,9 +425,7 @@ class TestDeferredDetectionBounds:
 # ----------------------------------------------------------------------
 class TestScopeCounters:
     def test_two_path_bulk_transfer_is_mostly_skipped_or_scoped(self):
-        # Never sharded: the share of events each scope gets is a
-        # property of the serial engine (every shard window is a run()).
-        net, client, server = make_multipath(seed=4, shards=1)
+        net, client, server = make_multipath(seed=4)
         oracle = ensure_oracle(net)
         payload = random_payload(400_000, seed=4)
         result = mptcp_transfer(net, client, server, payload, duration=60)

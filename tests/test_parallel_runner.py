@@ -12,13 +12,14 @@ import os
 
 import pytest
 
-from repro.experiments import fig3, fig4
+from repro.experiments import fig3, fig4, fig9
 from repro.experiments import runner as sweep_runner
 from repro.experiments.runner import Point, run_parallel
 from repro.sim.engine import Simulator
 
 FIG3_KWARGS = dict(mss_sweep=(1448, 8500), transfer_bytes=128 * 1024)
 FIG4_KWARGS = dict(buffers_kb=(100,), duration=4.0)
+FIG9_KWARGS = dict(buffers_kb=(200,), duration=6.0)
 
 
 def _double(x):
@@ -84,15 +85,22 @@ class TestOrderingAndParallelism:
 
 
 class TestSerialParallelEquivalence:
-    def test_fig3_rows_identical(self):
-        serial = fig3.run_fig3(workers=1, **FIG3_KWARGS)
-        parallel = fig3.run_fig3(workers=3, **FIG3_KWARGS)
+    @pytest.mark.parametrize(
+        "run, kwargs",
+        [
+            (fig3.run_fig3, FIG3_KWARGS),
+            (fig4.run_fig4, FIG4_KWARGS),
+            # Fig. 9's MPTCP point crosses a NAT: its translation table and
+            # port allocator must start from the same state in a worker.
+            (fig9.run_fig9, FIG9_KWARGS),
+        ],
+        ids=["fig3", "fig4", "fig9"],
+    )
+    def test_rows_identical(self, run, kwargs):
+        serial = run(workers=1, **kwargs)
+        parallel = run(workers=3, **kwargs)
+        assert parallel.notes["sweep"]["workers"] > 1
         # repr is byte-exact on every value (incl. float bit patterns).
-        assert repr(serial.rows) == repr(parallel.rows)
-
-    def test_fig4_rows_identical(self):
-        serial = fig4.run_fig4(workers=1, **FIG4_KWARGS)
-        parallel = fig4.run_fig4(workers=3, **FIG4_KWARGS)
         assert repr(serial.rows) == repr(parallel.rows)
 
 

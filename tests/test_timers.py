@@ -10,7 +10,6 @@ a flat list — any divergence in ordering, anchor handling or restart
 semantics shows up as a sequence mismatch.
 """
 
-import math
 import random
 
 import pytest
@@ -312,10 +311,9 @@ def test_overflow_cascades_down_as_time_advances():
     timer.start(deadline)
     sim.schedule(6000.0, lambda: None)
     sim.run(until=7000.0)
-    assert sim.next_event_time() == deadline
     assert timer.running
-    sim.run()
-    assert fired == [deadline]
+    assert sim.run(max_events=1) == 1
+    assert fired == [deadline] and sim.now == deadline
 
 
 def test_restart_across_the_overflow_boundary():
@@ -472,31 +470,24 @@ def test_run_until_between_anchor_and_deadline_resumes():
     assert fired == [("event", 2.5), ("timer", 3.0)]
 
 
-def test_exclusive_window_ends_at_the_deadline():
+def test_one_event_run_lands_on_the_requeued_deadline():
+    # The timer's anchor sits at 1.0 but its deadline is 4.0: a one-event
+    # run settles the stale anchor without counting it or moving the
+    # clock to 1.0, then fires the timer at its real deadline.
     sim = Simulator()
     fired = []
-    timer = Timer(sim, lambda: fired.append(sim.now))
-    timer.start(1.0)
-    timer.restart(3.0)
-    assert sim.run(until=3.0, exclusive=True) == 0
-    assert fired == []
-    assert sim.now == 3.0
-    assert timer.running
-    assert sim.run(until=3.0) == 1
-    assert fired == [3.0]
-
-
-def test_next_event_time_reports_the_requeued_deadline():
-    sim = Simulator()
-    timer = Timer(sim, lambda: None)
+    timer = Timer(sim, lambda: fired.append("timer"))
     timer.start(1.0)
     timer.restart(4.0)
-    sim.schedule(5.0, lambda: None)
-    assert sim.next_event_time() == 4.0
-    assert sim.now == 0.0
+    sim.schedule(5.0, fired.append, "event")
     assert sim.pending == 2
+    assert sim.run(max_events=1) == 1
+    assert (fired, sim.now, sim.pending) == (["timer"], 4.0, 1)
+    # A stopped timer's anchor (at 6.0) is skipped the same way.
+    timer.start(2.0)
     timer.stop()
-    assert sim.next_event_time() == 5.0
     assert sim.pending == 1
-    assert sim.run() == 1
-    assert sim.next_event_time() == math.inf
+    assert sim.run(max_events=1) == 1
+    assert (fired, sim.now, sim.pending) == (["timer", "event"], 5.0, 0)
+    assert sim.run(max_events=1) == 0
+    assert sim.now == 5.0
