@@ -13,7 +13,8 @@ CLI::
     PYTHONPATH=src python -m repro.check.fuzzer --seeds 0:50 --out fuzz-failures
 
 exits non-zero if any seed failed, leaving one ``repro_seed<N>.py`` per
-failure in the output directory.
+failure in the output directory.  Incomplete scenarios (no invariant
+broken, payload short) are counted in the summary, not failed.
 """
 
 from __future__ import annotations
@@ -359,21 +360,23 @@ def emit_repro(
 # Driver
 # ---------------------------------------------------------------------------
 def fuzz(
-    seeds, out_dir: str = "fuzz-failures", verbose: bool = False, scopes: list | None = None
-) -> list[tuple[int, ScenarioOutcome, str]]:
+    seeds, out_dir: str = "fuzz-failures", verbose: bool = False
+) -> tuple[list[tuple[int, ScenarioOutcome, str]], int, list[int]]:
     """Run one scenario per seed; shrink and emit a repro per failure.
-    ``scopes``, if given, accumulates every seed's ``outcome.scopes``."""
+    Returns ``(failures, incomplete, scopes)``, ``scopes`` summed."""
     failures: list = []
+    incomplete = 0
+    scopes = [0, 0, 0]
     for seed in seeds:
         spec = random_scenario(seed)
         outcome = run_scenario(spec)
-        if scopes is not None:
-            for index, count in enumerate(outcome.scopes):
-                scopes[index] += count
+        for index, count in enumerate(outcome.scopes):
+            scopes[index] += count
         if verbose:
             print(f"seed {seed}: {spec.protocol} x{len(spec.paths)} "
                   f"{spec.payload_size}B -> {outcome.describe()}")
         if not outcome.failed:
+            incomplete += not outcome.completed
             continue
         small = shrink(spec)
         final = run_scenario(small)
@@ -383,7 +386,7 @@ def fuzz(
         failures.append((seed, final, path))
         print(f"seed {seed}: FAILURE {final.describe().splitlines()[0]}")
         print(f"  repro: {path}")
-    return failures
+    return failures, incomplete, scopes
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -402,9 +405,8 @@ def main(argv=None) -> int:
     parser.add_argument("--verbose", action="store_true")
     options = parser.parse_args(argv)
     seeds = _parse_seeds(options.seeds)
-    scopes = [0, 0, 0]
-    failures = fuzz(seeds, out_dir=options.out, verbose=options.verbose, scopes=scopes)
-    summary = f"{len(seeds)} scenarios, {len(failures)} failures"
+    failures, incomplete, scopes = fuzz(seeds, out_dir=options.out, verbose=options.verbose)
+    summary = f"{len(seeds)} scenarios, {len(failures)} failures, {incomplete} incomplete"
     if options.verbose and sum(scopes):
         skipped, scoped, swept = (100.0 * n / sum(scopes) for n in scopes)
         summary += (

@@ -11,8 +11,8 @@ means the change altered simulation behaviour).
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/capture_rows.py out.json
-    diff before.json after.json
+    REPRO_WORKERS=1 PYTHONPATH=src python -m repro.check.rows out.json
+    cmp before.json after.json
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ def capture() -> dict:
     from repro.experiments.run_all import FIGURES
 
     out: dict[str, object] = {}
-    for name, module in FIGURES.items():
+    for name, module in FIGURES.items():  # analyze: ok(DET03): registry order; the dump sorts keys
         timed = WALL_CLOCK.get(name, ())
         results = module.run(smoke=True)
         for panel, result in zip(string.ascii_lowercase, results):
-            rows = [{k: v for k, v in row.items() if k not in timed} for row in result.rows]
+            rows = [{k: row[k] for k in sorted(row) if k not in timed} for row in result.rows]
             out[name if len(results) == 1 else name + panel] = rows
     return out
 
@@ -45,7 +45,7 @@ def main() -> None:
     with open(out_path, "w") as fh:
         json.dump(rows, fh, indent=1, sort_keys=True, default=repr)
         fh.write("\n")
-    total = sum(len(v) for v in rows.values())
+    total = sum(len(v) for v in rows.values())  # analyze: ok(DET03): a sum, order-free
     print(f"captured {total} rows from {len(rows)} experiments -> {out_path}")
 
 

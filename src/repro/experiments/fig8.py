@@ -114,7 +114,7 @@ def run_fig8(
 
 def run(smoke: bool = False) -> list[ExperimentResult]:
     # Smoke scale is full scale: the claim names carry both subflow
-    # counts, and these are the rows capture_rows.py pins.
+    # counts, and these are the rows `python -m repro.check.rows` pins.
     return [run_fig8()]
 
 

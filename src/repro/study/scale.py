@@ -22,8 +22,8 @@ over real middlebox chains (:mod:`repro.study.microsim`).  Two facts make
 
 Counter totals feed the seeded interval estimators in
 :mod:`repro.stats.bootstrap`, so the report carries bootstrap CIs while
-``STUDY_scale.json`` stays byte-identical for a fixed seed across runs,
-and drivers (wall-clock metrics go to ``BENCH_study.json``).
+``STUDY_scale.json`` stays byte-identical for a fixed seed across runs
+and drivers (the wall-clock paths/s is printed, never written).
 
 Usage::
 
@@ -379,7 +379,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--strawman", action="store_true", help="also run the §3 strawman")
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--out", default="STUDY_scale.json")
-    parser.add_argument("--bench", default="BENCH_study.json")
     args = parser.parse_args(argv)
 
     report, bench = run_scale_study(
@@ -392,7 +391,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         workers=args.workers,
     )
     FsPath(args.out).write_text(render_report(report))
-    FsPath(args.bench).write_text(json.dumps(bench, sort_keys=True, indent=2) + "\n")
     digest = counter_digest(report)
     print(f"spec={report['spec']} paths={report['paths']} digest={digest}")
     print(

@@ -143,3 +143,23 @@ class TestLinkedIncrease:
         group = CoupledGroup()
         assert group.alpha(0.0) == 1.0
         assert group.total_cwnd() == 0
+
+
+class TestDisjointPaths:
+    def test_coupling_costs_little_on_disjoint_paths(self):
+        """WiFi + 3G share no bottleneck, so LIA still fills both pipes:
+        its goodput stays within a modest factor of uncoupled NewReno's."""
+        from repro.experiments.common import THREEG, WIFI, mptcp_variant_config, run_bulk
+
+        def run(coupled):
+            config = mptcp_variant_config("m12", 512 * 1024)
+            config.coupled_cc = coupled
+            outcome = run_bulk([WIFI, THREEG], config, duration=3)
+            controllers = {type(s.cc) for s in outcome.connection.subflows}
+            return outcome.goodput_bps, controllers
+
+        coupled, coupled_controllers = run(True)
+        uncoupled, uncoupled_controllers = run(False)
+        assert coupled_controllers == {LIAController}
+        assert LIAController not in uncoupled_controllers
+        assert coupled > 0.6 * uncoupled

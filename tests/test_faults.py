@@ -95,6 +95,14 @@ class TestScenarioFuzzer:
             second.received_bytes,
         )
 
+    def test_summary_counts_incomplete_scenarios(self, tmp_path, capsys):
+        """Seed 447 stalls at 36,200 of 65,536 bytes behind a late forward
+        option stripper: the summary counts it, the exit status does not."""
+        from repro.check import fuzzer
+
+        assert fuzzer.main(["--seeds", "447", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == "1 scenarios, 0 failures, 1 incomplete\n"
+
     def test_specs_have_eval_able_reprs(self):
         from repro.check import fuzzer
 

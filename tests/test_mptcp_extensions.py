@@ -3,6 +3,7 @@ MP_FASTCLOSE."""
 
 import pytest
 
+from repro.mptcp import keys
 from repro.mptcp.api import connect, listen
 from repro.mptcp.keys import TokenTable
 from repro.net.packet import Endpoint
@@ -93,6 +94,20 @@ class TestKeyPool:
         table.register(token, "squatter")
         fresh_key, fresh_token = table.generate_unique_key()
         assert fresh_token != token
+
+    def test_pooled_key_skips_the_hash(self, monkeypatch):
+        """§5.2: the pool takes the SHA-1 off the accept path.  A pooled
+        key costs no ``token_from_key`` call; a fresh one costs one."""
+        calls = []
+        real = keys.token_from_key
+        monkeypatch.setattr(keys, "token_from_key", lambda key: calls.append(key) or real(key))
+        table = TokenTable(SeededRNG(4, "pool"))
+        table.precompute_keys(1)
+        calls.clear()
+        table.generate_unique_key()
+        assert calls == []
+        table.generate_unique_key()  # pool drained: hashed on the spot
+        assert len(calls) == 1
 
 
 class TestFastClose:

@@ -9,6 +9,9 @@ The hard guarantees the figure reproductions rely on:
 """
 
 import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -45,6 +48,16 @@ def _counted_sim(x):
 
 def _answer():
     return 42
+
+
+TEST_PID = os.getpid()
+
+
+def _killed_in_worker(x):
+    """Point 1 SIGKILLs the pool worker running it (never this process)."""
+    if x == 1 and os.getpid() != TEST_PID:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x
 
 
 class TestOrderingAndParallelism:
@@ -137,6 +150,31 @@ class TestEveryPointRuns:
         assert second.notes["sweep"]["sim_events"] == first.notes["sweep"]["sim_events"]
         assert repr(second.rows) == repr(first.rows)
         assert second.name == first.name
+
+
+class TestKilledWorker:
+    def test_sigkilled_worker_fails_the_sweep_in_bounded_time(self):
+        """A pool worker killed mid-sweep ends the sweep in
+        ``BrokenProcessPool`` at once, never a hang, and the next sweep
+        gets a fresh pool."""
+
+        def hung(signum, frame):
+            raise TimeoutError("run_parallel hung after a worker was SIGKILLed")
+
+        points = [Point(_killed_in_worker, {"x": x}) for x in range(4)]
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            started = time.monotonic()
+            with pytest.raises(BrokenProcessPool):
+                run_parallel("killed", points, workers=2)
+            elapsed = time.monotonic() - started
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert elapsed < 10
+        after = run_parallel("after", [Point(_double, {"x": x}) for x in range(4)], workers=2)
+        assert after.values == [0, 2, 4, 6] and after.perf.workers == 2
 
 
 class TestSweepAPI:

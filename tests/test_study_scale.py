@@ -155,24 +155,16 @@ class TestIntervals:
 
 
 class TestCLI:
-    def test_main_writes_reports(self, tmp_path, capsys):
-        out = tmp_path / "STUDY_scale.json"
-        bench = tmp_path / "BENCH_study.json"
-        code = main(
-            [
-                "--paths", "40",
-                "--spec", "paper2011",
-                "--seed", str(SEED),
-                "--out", str(out),
-                "--bench", str(bench),
-            ]
-        )
+    def test_main_writes_reports(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main(["--paths", "40", "--spec", "paper2011", "--seed", str(SEED)])
         assert code == 0
-        report = json.loads(out.read_text())
+        # The report is the one file written; wall-clock numbers are printed.
+        assert [p.name for p in tmp_path.iterdir()] == ["STUDY_scale.json"]
+        report = json.loads((tmp_path / "STUDY_scale.json").read_text())
         assert report["paths"] == 40
-        perf = json.loads(bench.read_text())
-        assert perf["paths"] == 40 and perf["total_seconds"] >= 0
-        assert "digest=" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "digest=" in printed and "paths/s=" in printed
 
     def test_unknown_spec_raises(self):
         with pytest.raises(KeyError):
