@@ -1,12 +1,12 @@
 """Static analysis enforcing the determinism & protocol-safety contract.
 
 The simulator's headline property — a run is a pure function of its seed
-— and the sequence-number discipline that :mod:`repro.tcp.seq` provides
+— and the separation of the subflow (SSN) and data (DSN) sequence spaces
 are both *conventions* unless something checks them.  This package is
 that something: an AST-based rule engine (stdlib :mod:`ast` only, no
 third-party dependencies) that scans ``src/`` for the patterns which
-historically break deterministic replay or wrap-around safety, with
-per-rule allowlists for the few modules whose job is to own the
+historically break deterministic replay or mix the two sequence spaces,
+with per-rule allowlists for the few modules whose job is to own the
 exception, and inline waivers for intentional sites.
 
 Run it as a module::
@@ -20,8 +20,7 @@ Waive an intentional finding on its own line::
 
 or waive a rule for a whole file (near the top, with a reason)::
 
-    # analyze: file-ok(SEQ01): internal absolute units, wrap confined to
-    # the _wire_seq/_unit_from_* conversion layer
+    # analyze: file-ok(DET02): this module meters its own wall time
 
 The rules are documented in :mod:`repro.analyze.rules` and in
 ``ARCHITECTURE.md`` ("Static analysis & the determinism contract").

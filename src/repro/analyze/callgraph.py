@@ -1,9 +1,10 @@
 """Approximate project call graph for the reachability-based rules.
 
-DET03 ("iteration order feeds the event path") and MUT01 ("module state
-mutated from sweep workers") are properties of *call-site reachability*,
-not of single statements, so they need a whole-project view.  This
-module builds a deliberately over-approximate call graph:
+DET03 ("iteration order feeds the event path"), HOT01 ("allocation in
+the event loop") and CPX01 ("scans in the event-loop and sweep-worker
+closures") are properties of *call-site reachability*, not of single
+statements, so they need a whole-project view.  This module builds a
+deliberately over-approximate call graph:
 
 * ``name()`` calls resolve to same-module functions, then to
   ``from x import name`` targets;
@@ -28,7 +29,8 @@ Over-approximation errs toward *more* taint, which is the safe
 direction for a determinism linter: a false taint at worst demands a
 waiver comment; a false clean bill would let nondeterminism ship.
 
-Two derived sets feed the rules:
+Two derived sets feed the rules (HOT01 takes its own forward closure
+from ``Simulator.run``):
 
 * :attr:`Project.schedule_tainted` — functions from which a call into
   the :mod:`repro.sim.engine` scheduling API (a call named in
@@ -38,8 +40,8 @@ Two derived sets feed the rules:
 * :attr:`Project.worker_reachable` — the forward closure from the
   ``ProcessPoolExecutor`` fan-out entry points: ``_execute_point`` and
   every function handed to a ``sweep.add(fn, ...)`` call or a
-  ``Point(fn=...)`` construction.  Module-level state mutated here is
-  silently lost (or worse, divergent) across worker processes.
+  ``Point(fn=...)`` construction.  CPX01 measures scans inside it as
+  well as inside the event loop.
 
 The module is also the rules' shared analysis kernel: the one bounded
 summary fixpoint (:meth:`Project.fixpoint`, behind DOM01's domain

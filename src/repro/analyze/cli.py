@@ -135,11 +135,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("--list-rules", action="store_true", help="describe the rules and exit")
     parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="only check files git reports as changed/untracked (the call graph spans every path)",
-    )
-    parser.add_argument(
         "--budget",
         action="store_true",
         help="check the HOT01/CPX01 budget files: fail on slack, dead or over-budget entries",
@@ -155,11 +150,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if options.budget:
             return _check_budgets(options.paths or ["src"], options.write, options.out)
-        report = run_analysis(
-            options.paths or ["src"],
-            rule_codes=options.rules,
-            changed_only=options.changed_only,
-        )
+        report = run_analysis(options.paths or ["src"], rule_codes=options.rules)
     except (FileNotFoundError, KeyError, BudgetError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -17,7 +17,6 @@ import ast
 import io
 import os
 import re
-import subprocess
 import time
 import tokenize
 from dataclasses import dataclass, field, replace
@@ -129,14 +128,6 @@ class Report:
             entry["waived" if finding.waived else "live"] += 1
         return counts
 
-    def budget_line(self) -> str:
-        """One-line ``# analyze: budget`` summary (live/waived per rule)."""
-        parts = [
-            f"{rule}={entry['live']}/{entry['waived']}"
-            for rule, entry in sorted(self.budget().items())
-        ]
-        return "# analyze: budget " + " ".join(parts)
-
     def as_dict(self) -> dict:
         return {
             "clean": self.clean,
@@ -146,7 +137,6 @@ class Report:
             "rules": self.rules,
             "parse_errors": list(self.parse_errors),
             "budget": self.budget(),
-            "budget_line": self.budget_line(),
             "findings": [f.as_dict() for f in self.findings if not f.waived],
             "waived": [f.as_dict() for f in self.findings if f.waived],
         }
@@ -230,40 +220,6 @@ def load_contexts(files: Sequence[Path]) -> tuple[list[FileContext], list[str]]:
     return contexts, parse_errors
 
 
-def git_changed_files(cwd: Optional[str] = None) -> Optional[set[Path]]:
-    """Python files with uncommitted changes (staged, unstaged, or
-    untracked) per ``git status``; None when git is unavailable."""
-    try:
-        proc = subprocess.run(
-            ["git", "status", "--porcelain"],
-            capture_output=True,
-            text=True,
-            check=True,
-            cwd=cwd,
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    root_proc = subprocess.run(
-        ["git", "rev-parse", "--show-toplevel"],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-    )
-    root = Path(root_proc.stdout.strip() or ".")
-    changed: set[Path] = set()
-    for line in proc.stdout.splitlines():
-        if len(line) < 4:
-            continue
-        entry = line[3:]
-        if " -> " in entry:  # rename: the new name is what exists now
-            entry = entry.split(" -> ", 1)[1]
-        entry = entry.strip().strip('"')
-        path = root / entry
-        if path.suffix == ".py" and path.exists():
-            changed.add(path.resolve())
-    return changed
-
-
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
     """Every ``.py`` file under the given files/directories, sorted,
     skipping hidden directories and ``__pycache__``."""
@@ -291,15 +247,8 @@ def run_analysis(
     paths: Sequence[str | Path],
     rule_codes: Optional[Sequence[str]] = None,
     rules: Optional[Sequence] = None,
-    changed_only: bool = False,
 ) -> Report:
-    """Run the selected rules (default: all) over the given paths.
-
-    ``changed_only`` checks and reports only the files git reports as
-    modified or untracked (all of them when git is unavailable); the
-    call graph is still built from every file, so reachability and
-    stale-waiver verdicts match a full scan's.
-    """
+    """Run the selected rules (default: all) over the given paths."""
     from repro.analyze.callgraph import Project
     from repro.analyze.rules import select_rules
 
@@ -310,11 +259,6 @@ def run_analysis(
     active = list(rules) if rules is not None else select_rules(rule_codes)
 
     contexts, parse_errors = load_contexts(list(iter_python_files(paths)))
-    checked = contexts
-    if changed_only:
-        changed = git_changed_files()
-        if changed is not None:
-            checked = [ctx for ctx in contexts if ctx.path in changed]
 
     project = None
     if any(rule.needs_project for rule in active):
@@ -324,7 +268,7 @@ def run_analysis(
     findings: list[Finding] = []
     by_ctx: dict[str, list[Finding]] = {}
     rule_seconds = {rule.code: 0.0 for rule in active}
-    for ctx in checked:
+    for ctx in contexts:
         ctx_findings = by_ctx.setdefault(ctx.posix, [])
         for rule in active:
             if rule.allows(ctx):
@@ -338,7 +282,7 @@ def run_analysis(
                 ctx_findings.append(finding)
             rule_seconds[rule.code] += time.perf_counter() - begin
     # Post-pass (stale-waiver detection needs the full finding set).
-    for ctx in checked:
+    for ctx in contexts:
         for rule in active:
             post = getattr(rule, "post_check", None)
             if post is None or rule.allows(ctx):
@@ -353,7 +297,7 @@ def run_analysis(
     return Report(
         findings=findings,
         parse_errors=parse_errors,
-        files_scanned=len(checked),
+        files_scanned=len(contexts),
         rules=[rule.code for rule in active],
         elapsed_seconds=time.perf_counter() - started,
         rule_seconds=rule_seconds,

@@ -1,8 +1,7 @@
-"""The rule set: DET01/DET02/DET03 (determinism), SEQ01 (wrap safety),
-EXC01 (silent failure), MUT01 (worker-process state), DOM01 (SSN/DSN
-sequence-domain dataflow), FSM01 (one writer per state machine),
-HOT01 (hot-path allocation budget), CPX01 (growth-class complexity
-budget), WVR01 (stale waivers).
+"""The rule set: DET01/DET02/DET03 (determinism), EXC01 (silent
+failure), DOM01 (SSN/DSN sequence-domain dataflow), FSM01 (one writer
+per state machine), HOT01 (hot-path allocation budget), CPX01
+(growth-class complexity budget), WVR01 (stale and orphaned waivers).
 
 Each rule is a small class with a ``code``, a human ``title``, a
 ``rationale`` shown by ``--list-rules``, an ``allow`` tuple of path
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 import ast
 import json
-import re
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -284,11 +282,10 @@ class Det03UnorderedIteration(Rule):
         "elements; when such an order decides what gets scheduled or "
         "emitted first, two runs of the same seed diverge.  Applies to "
         "functions from which sim.engine scheduling calls are reachable; "
-        "iterate sorted(...) or an insertion-ordered structure instead."
+        "iterate sorted(...) or an insertion-ordered structure (a dict, "
+        "whose order Python guarantees) instead."
     )
     needs_project = True
-
-    DICT_VIEWS = frozenset({"values", "keys", "items"})
 
     def check(self, ctx: FileContext, project) -> Iterator[Finding]:
         class_sets = _class_set_attrs(ctx)
@@ -337,21 +334,6 @@ class Det03UnorderedIteration(Rule):
                             "event path; iterate a sorted or insertion-"
                             "ordered collection",
                         )
-                    elif (
-                        isinstance(source, ast.Call)
-                        and isinstance(source.func, ast.Attribute)
-                        and source.func.attr in self.DICT_VIEWS
-                        and not source.args
-                        and isinstance(node, (ast.For, ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp))
-                    ):
-                        yield self.finding(
-                            ctx,
-                            source,
-                            f"iteration over dict .{source.func.attr}() in a "
-                            "function that reaches Simulator.schedule — make "
-                            "the ordering contract explicit (sorted(...)) or "
-                            "waive with the insertion-order rationale",
-                        )
 
 
 def _set_names_in(nodes: Sequence[ast.AST]) -> set[str]:
@@ -387,87 +369,6 @@ def _class_set_attrs(ctx: FileContext) -> dict[str, set[str]]:
         if attrs:
             result[node.name] = attrs
     return result
-
-
-# ---------------------------------------------------------------------------
-# SEQ01 — raw arithmetic on wrapping sequence numbers
-# ---------------------------------------------------------------------------
-class Seq01RawSeqArithmetic(Rule):
-    code = "SEQ01"
-    title = "no raw +/-/< on 32-bit sequence identifiers"
-    rationale = (
-        "TCP sequence numbers and 32-bit DSNs wrap; raw '+', '-' and "
-        "ordering comparisons are wrong near 2^32.  Use seq_add/seq_diff/"
-        "seq_lt/seq_le/seq_gt/seq_ge from repro.tcp.seq.  Modules that "
-        "keep *unwrapped* absolute units internally (and confine wrapping "
-        "to a conversion layer) carry a file-ok(SEQ01) waiver instead."
-    )
-    allow = ("repro/tcp/seq.py",)
-
-    SEQ_NAME = re.compile(
-        r"(?:^|_)(?:seq|dsn|idsn|isn)(?:$|_)"  # any *_seq / dsn* / *isn* component
-        r"|^(?:snd|rcv)_(?:nxt|una|max|adv)$"
-        r"|^data_(?:nxt|una|seq|ack)"
-        r"|^rcv_data_nxt$"
-        r"|^ack$"
-    )
-    # seq-ish spellings that are *lengths or labels*, not sequence numbers
-    EXCLUDED = frozenset(
-        {"seq_space", "seq_len", "seq_mod", "seqs", "seq_unit", "ack_unit"}
-    )
-    ORDERING_OPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
-
-    def _seq_ident(self, expr: ast.expr) -> Optional[str]:
-        name = None
-        if isinstance(expr, ast.Name):
-            name = expr.id
-        elif isinstance(expr, ast.Attribute):
-            name = expr.attr
-        if name is None:
-            return None
-        lowered = name.lower()
-        if lowered in self.EXCLUDED:
-            return None
-        return name if self.SEQ_NAME.search(lowered) else None
-
-    def check(self, ctx: FileContext, project) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
-                ident = self._seq_ident(node.left) or self._seq_ident(node.right)
-                if ident is not None:
-                    op = "+" if isinstance(node.op, ast.Add) else "-"
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"raw '{op}' on sequence identifier '{ident}' — use "
-                        "seq_add/seq_diff from repro.tcp.seq (32-bit wrap)",
-                    )
-            elif isinstance(node, ast.AugAssign) and isinstance(
-                node.op, (ast.Add, ast.Sub)
-            ):
-                ident = self._seq_ident(node.target)
-                if ident is not None:
-                    op = "+=" if isinstance(node.op, ast.Add) else "-="
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"raw '{op}' on sequence identifier '{ident}' — use "
-                        "seq_add from repro.tcp.seq (32-bit wrap)",
-                    )
-            elif isinstance(node, ast.Compare) and any(
-                isinstance(op, self.ORDERING_OPS) for op in node.ops
-            ):
-                for operand in [node.left, *node.comparators]:
-                    ident = self._seq_ident(operand)
-                    if ident is not None:
-                        yield self.finding(
-                            ctx,
-                            node,
-                            f"raw ordering comparison on sequence identifier "
-                            f"'{ident}' — use seq_lt/seq_le/seq_gt/seq_ge "
-                            "from repro.tcp.seq (32-bit wrap)",
-                        )
-                        break
 
 
 # ---------------------------------------------------------------------------
@@ -521,139 +422,6 @@ class Exc01SilentExcept(Rule):
                     f"{label} swallows the error — re-raise, narrow the "
                     "type, or bind and record it (log/result note)",
                 )
-
-
-# ---------------------------------------------------------------------------
-# MUT01 — module-level mutation from pool workers
-# ---------------------------------------------------------------------------
-class Mut01WorkerModuleState(Rule):
-    code = "MUT01"
-    title = "no module-state mutation in ProcessPoolExecutor workers"
-    rationale = (
-        "experiments/runner.py forks points into worker processes; module-"
-        "level state mutated there dies with the worker (or diverges from "
-        "the serial path).  Anything a worker writes must travel through "
-        "its return value."
-    )
-    needs_project = True
-
-    MUTATORS = frozenset(
-        {
-            "append",
-            "extend",
-            "insert",
-            "add",
-            "update",
-            "setdefault",
-            "pop",
-            "popitem",
-            "clear",
-            "remove",
-            "discard",
-            "sort",
-            "reverse",
-            "appendleft",
-            "extendleft",
-        }
-    )
-    MUTABLE_CALLS = frozenset(
-        {"dict", "list", "set", "bytearray", "defaultdict", "deque", "OrderedDict", "Counter"}
-    )
-
-    def _module_mutables(self, ctx: FileContext) -> set[str]:
-        names: set[str] = set()
-        for node in ctx.tree.body:
-            value = None
-            targets: list[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                value, targets = node.value, node.targets
-            elif isinstance(node, ast.AnnAssign):
-                value, targets = node.value, [node.target]
-            if value is None:
-                continue
-            mutable = isinstance(
-                value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
-            ) or (
-                isinstance(value, ast.Call)
-                and isinstance(value.func, ast.Name)
-                and value.func.id in self.MUTABLE_CALLS
-            )
-            if not mutable:
-                continue
-            for target in targets:
-                if isinstance(target, ast.Name) and not target.id.startswith("__"):
-                    names.add(target.id)
-        return names
-
-    def check(self, ctx: FileContext, project) -> Iterator[Finding]:
-        mutables = self._module_mutables(ctx)
-        for fn in _functions(ctx.tree):
-            if project.fid_of(fn) not in project.worker_reachable:
-                continue
-            declared_global: set[str] = set()
-            for node in own_nodes(fn):
-                if isinstance(node, ast.Global):
-                    declared_global.update(node.names)
-            for node in own_nodes(fn):
-                if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                    targets = (
-                        node.targets
-                        if isinstance(node, ast.Assign)
-                        else [node.target]
-                    )
-                    for target in targets:
-                        if target is None:
-                            continue
-                        if (
-                            isinstance(target, ast.Name)
-                            and target.id in declared_global
-                        ):
-                            yield self.finding(
-                                ctx,
-                                node,
-                                f"assignment to module-level '{target.id}' in "
-                                "worker-reachable code — worker writes are "
-                                "lost; return the value instead",
-                            )
-                        elif (
-                            isinstance(target, ast.Subscript)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id in mutables
-                        ):
-                            yield self.finding(
-                                ctx,
-                                node,
-                                f"mutation of module-level '{target.value.id}"
-                                "[...]' in worker-reachable code — worker "
-                                "writes are lost; return the value instead",
-                            )
-                elif isinstance(node, ast.Delete):
-                    for target in node.targets:
-                        if (
-                            isinstance(target, ast.Subscript)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id in mutables
-                        ):
-                            yield self.finding(
-                                ctx,
-                                node,
-                                f"del on module-level '{target.value.id}[...]' "
-                                "in worker-reachable code",
-                            )
-                elif (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in self.MUTATORS
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id in mutables
-                ):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"'{node.func.value.id}.{node.func.attr}(...)' mutates "
-                        "module-level state in worker-reachable code — worker "
-                        "writes are lost; return the value instead",
-                    )
 
 
 # ---------------------------------------------------------------------------
@@ -779,13 +547,15 @@ class Cpx01GrowthComplexity(BudgetRule):
 # ---------------------------------------------------------------------------
 class Wvr01StaleWaiver(Rule):
     code = "WVR01"
-    title = "every waiver must still suppress at least one finding"
+    title = "every waiver must name a rule and still suppress a finding"
     rationale = (
         "An 'ok(RULE)'/'file-ok(RULE)' comment that no longer matches any "
         "finding is dead weight: the code it excused has moved or been "
         "fixed, and the stale waiver would silently excuse the *next* "
-        "violation on that line.  Only waivers for rules active in the "
-        "current run are judged, so partial --rule runs never cry stale."
+        "violation on that line.  Staleness is judged only for rules "
+        "active in the current run, so partial --rule runs never cry "
+        "stale; a waiver naming no rule at all (a typo, or a deleted "
+        "rule) is a finding whichever other rules run."
     )
 
     def check(self, ctx: FileContext, project) -> Iterator[Finding]:
@@ -794,44 +564,25 @@ class Wvr01StaleWaiver(Rule):
     def post_check(
         self, ctx: FileContext, findings: list, active_codes: set
     ) -> Iterator[Finding]:
-        used_line: set[tuple[int, str]] = set()
-        used_file: set[str] = set()
-        for f in findings:
-            if f.waived:
-                if f.rule in ctx.line_waivers.get(f.line, set()):
-                    used_line.add((f.line, f.rule))
-                if f.rule in ctx.file_waivers:
-                    used_file.add(f.rule)
-        for line in sorted(ctx.line_waivers):
-            for rule_code in sorted(ctx.line_waivers[line]):
-                if rule_code not in active_codes or rule_code == self.code:
-                    continue
-                if (line, rule_code) not in used_line:
-                    yield Finding(
-                        path=ctx.display,
-                        line=line,
-                        col=0,
-                        rule=self.code,
-                        message=(
-                            f"stale waiver: ok({rule_code}) on this line "
-                            "suppresses no finding — remove it"
-                        ),
-                    )
-        for rule_code in sorted(ctx.file_waivers):
-            if rule_code not in active_codes or rule_code == self.code:
+        known = active_codes | {rule.code for rule in ALL_RULES}
+        used = {(f.line, f.rule) for f in findings if f.waived}
+        used_in_file = {rule for _, rule in used}
+        waivers = [
+            (line, code, f"ok({code}) on this line", (line, code) in used)
+            for line in sorted(ctx.line_waivers)
+            for code in sorted(ctx.line_waivers[line])
+        ] + [
+            (ctx.file_waiver_lines.get(code, 1), code, f"file-ok({code})", code in used_in_file)
+            for code in sorted(ctx.file_waivers)
+        ]
+        for line, code, label, suppresses in waivers:
+            if code not in known:
+                message = f"orphaned waiver: {label} names no rule — remove it"
+            elif code in active_codes and code != self.code and not suppresses:
+                message = f"stale waiver: {label} suppresses no finding — remove it"
+            else:
                 continue
-            if rule_code not in used_file:
-                line = ctx.file_waiver_lines.get(rule_code, 1)
-                yield Finding(
-                    path=ctx.display,
-                    line=line,
-                    col=0,
-                    rule=self.code,
-                    message=(
-                        f"stale waiver: file-ok({rule_code}) suppresses no "
-                        "finding in this file — remove it"
-                    ),
-                )
+            yield Finding(path=ctx.display, line=line, col=0, rule=self.code, message=message)
 
 
 # ---------------------------------------------------------------------------
@@ -841,9 +592,7 @@ ALL_RULES: tuple[Rule, ...] = (
     Det01Entropy(),
     Det02WallClock(),
     Det03UnorderedIteration(),
-    Seq01RawSeqArithmetic(),
     Exc01SilentExcept(),
-    Mut01WorkerModuleState(),
     Dom01SequenceDomains(),
     Fsm01SingleWriter(),
     Hot01HotPathAllocations(),

@@ -75,9 +75,9 @@ Violations raise :class:`InvariantViolation` with the last segments
 captured by a tail-mode :class:`~repro.net.trace.PacketTrace`.
 """
 
-# analyze: file-ok(SEQ01): the oracle compares the sockets' internal
-# absolute sequence units (never wrapped 32-bit wire values), so plain
-# integer arithmetic is the correct comparison here.
+# The oracle compares the sockets' internal absolute sequence units
+# (never wrapped 32-bit wire values), so plain integer arithmetic is the
+# correct comparison here.
 
 from __future__ import annotations
 
@@ -427,7 +427,7 @@ class InvariantOracle:
         """Run the invariants against the current state of every host
         (``full``: ignoring the rotation budget)."""
         force = full or not self.events_checked % 16
-        for host in self.network.hosts.values():  # analyze: ok(DET03): insertion-ordered dict (add_host order), deterministic iteration
+        for host in self.network.hosts.values():
             scope = self._scopes.get(host)
             if scope is None:
                 scope = self._scopes[host] = _HostScope()

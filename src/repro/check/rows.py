@@ -30,7 +30,7 @@ def capture() -> dict:
     from repro.experiments.run_all import FIGURES
 
     out: dict[str, object] = {}
-    for name, module in FIGURES.items():  # analyze: ok(DET03): registry order; the dump sorts keys
+    for name, module in FIGURES.items():
         timed = WALL_CLOCK.get(name, ())
         results = module.run(smoke=True)
         for panel, result in zip(string.ascii_lowercase, results):
@@ -45,7 +45,7 @@ def main() -> None:
     with open(out_path, "w") as fh:
         json.dump(rows, fh, indent=1, sort_keys=True, default=repr)
         fh.write("\n")
-    total = sum(len(v) for v in rows.values())  # analyze: ok(DET03): a sum, order-free
+    total = sum(len(v) for v in rows.values())
     print(f"captured {total} rows from {len(rows)} experiments -> {out_path}")
 
 

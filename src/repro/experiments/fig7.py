@@ -61,7 +61,7 @@ def run_fig7(
     )
     series = dict(zip(labels, outcome.values))
     outcome.attach(result)
-    for variant, delays in series.items():  # analyze: ok(DET03): insertion-ordered dict, deterministic iteration
+    for variant, delays in series.items():
         if not delays:
             result.add(variant=variant, blocks=0)
             continue
@@ -75,7 +75,7 @@ def run_fig7(
             max_ms=1000 * ordered[-1],
         )
     result.notes["pdfs"] = {
-        variant: _pdf(delays, bin_ms / 1000.0) for variant, delays in series.items()  # analyze: ok(DET03): insertion-ordered dict, deterministic iteration
+        variant: _pdf(delays, bin_ms / 1000.0) for variant, delays in series.items()
     }
     return result
 

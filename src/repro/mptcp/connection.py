@@ -15,10 +15,6 @@ DATA_ACK — this is exactly the deadlock-free semantics the paper
 derives.
 """
 
-# analyze: file-ok(SEQ01): data-level fields (data_una, rcv_data_nxt,
-# data offsets) are absolute unwrapped Python ints; the 32-bit wrap is
-# confined to the tx/rx wire-conversion helpers, which use seq_add.
-
 from __future__ import annotations
 
 import dataclasses

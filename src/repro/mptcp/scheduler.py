@@ -35,8 +35,8 @@ increasing smoothed-RTT order ("send on the lowest-delay link with
 congestion-window space").
 """
 
-# analyze: file-ok(SEQ01): data_nxt/data_una are absolute unwrapped
-# data-stream offsets (Python ints), not 32-bit wire sequence numbers.
+# data_nxt/data_una are absolute unwrapped data-stream offsets (Python
+# ints), not 32-bit wire sequence numbers.
 
 from __future__ import annotations
 

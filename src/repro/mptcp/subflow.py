@@ -369,7 +369,7 @@ class Subflow(TCPSocket):
             return super()._send_window_limit()
         # Subflow-level flow control does not exist: the window is
         # connection-level and enforced by the scheduler's allocation.
-        return self.snd_nxt + (1 << 40)  # analyze: ok(SEQ01): unwrapped internal unit, "infinite" window
+        return self.snd_nxt + (1 << 40)
 
     def _window_to_advertise(self) -> int:
         conn = self.connection
@@ -385,7 +385,7 @@ class Subflow(TCPSocket):
         window = conn.rcv_buf_limit - used
         if window < 0:
             window = 0
-        edge = conn.rcv_data_nxt + window  # analyze: ok(SEQ01): data-level absolute offset, never wraps
+        edge = conn.rcv_data_nxt + window
         if edge > conn.rcv_data_adv_edge:
             conn.rcv_data_adv_edge = edge
         return window
@@ -504,7 +504,7 @@ class Subflow(TCPSocket):
             window = segment.window << (0 if segment.flags & SYN else self.snd_wscale)
             conn.on_data_ack(conn.tx_abs_offset(dss.data_ack), window, self)
         if dss.dsn is not None and dss.subflow_seq is not None and dss.length > 0:
-            ssn_start = dss.subflow_seq - 1  # rel SSN 1 = stream offset 0  # analyze: ok(SEQ01): relative SSN, unwrapped
+            ssn_start = dss.subflow_seq - 1  # rel SSN 1 = stream offset 0
             mapping = RxMapping(
                 ssn_start=ssn_start,
                 data_start=conn.rx_abs_offset(dss.dsn),

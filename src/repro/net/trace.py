@@ -170,7 +170,11 @@ class PacketTrace:
         return out
 
     def format(self, records: Optional[Iterable[TraceRecord]] = None) -> str:
-        return "\n".join(record.format() for record in (records or self.records))
+        """The given records (all of them by default) one per line; an
+        empty selection formats as an empty string."""
+        if records is None:
+            records = self.records
+        return "\n".join(record.format() for record in records)
 
     def __len__(self) -> int:
         return len(self._records if self._ring is None else self._ring)

@@ -91,7 +91,7 @@ class Simulator:
         if not time >= self.now:
             raise ValueError(f"cannot schedule at {time!r}: not at or after now={self.now!r}")
         seq = self._seq
-        self._seq = seq + 1  # analyze: ok(SEQ01): event counter, never wraps
+        self._seq = seq + 1
         heapq.heappush(self._queue, (time, seq, fn, a0, a1))
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
@@ -182,7 +182,7 @@ class Simulator:
                 # Per-process throughput counter: workers meter their own
                 # events and report them through _execute_point's return
                 # value, so a worker-side copy is the intended behaviour.
-                _EVENTS_RUN_TOTAL += executed  # analyze: ok(MUT01): per-process counter, returned by workers
+                _EVENTS_RUN_TOTAL += executed
         return executed
 
     def _settle(self, entry: tuple) -> None:

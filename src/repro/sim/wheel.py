@@ -59,7 +59,7 @@ class Timer:
     def _arm(self, time: float) -> None:
         sim = self._sim
         seq = sim._seq
-        sim._seq = seq + 1  # analyze: ok(SEQ01): event counter, never wraps
+        sim._seq = seq + 1
         self._time = time
         self._seq = seq
         anchor = self._anchor

@@ -7,7 +7,6 @@ from repro.stats.metrics import (
     GoodputMeter,
     Histogram,
     MemorySampler,
-    TimeSeries,
     pdf_from_samples,
 )
 from repro.stats.cpu import CPUCostModel, CPUModelParams
@@ -26,7 +25,6 @@ __all__ = [
     "GoodputMeter",
     "MemorySampler",
     "Histogram",
-    "TimeSeries",
     "pdf_from_samples",
     "CPUCostModel",
     "CPUModelParams",

@@ -158,23 +158,3 @@ def pdf_from_samples(samples: list[float], bin_width: float) -> list[tuple[float
         histogram.add(sample)
     return histogram.pdf()
 
-
-class TimeSeries:
-    """(time, value) recording with summary helpers."""
-
-    def __init__(self) -> None:
-        self.points: list[tuple[float, float]] = []
-
-    def record(self, time: float, value: float) -> None:
-        self.points.append((time, value))
-
-    def values(self) -> list[float]:
-        return [value for _, value in self.points]
-
-    def mean(self) -> float:
-        values = self.values()
-        return sum(values) / len(values) if values else 0.0
-
-    def maximum(self) -> float:
-        values = self.values()
-        return max(values) if values else 0.0

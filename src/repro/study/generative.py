@@ -125,7 +125,7 @@ class BehaviourMix:
         return {
             "strip_syn_options": self.proxy + self.stripper_all,
             "strip_all_options": self.proxy + self.stripper_all,
-            "isn_rewrite": self.proxy + self.isn_only,  # analyze: ok(SEQ01): behaviour-class rate, not a sequence number
+            "isn_rewrite": self.proxy + self.isn_only,
             "hole_block": self.proxy + self.hole_only,
             "ack_mishandle": self.proxy + self.ack_drop + self.ack_correct,
             "nat": self.nat,

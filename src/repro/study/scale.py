@@ -397,7 +397,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         f"signatures={report['population']['distinct_signatures']} "
         f"paths/s={bench['paths_per_sec']}"
     )
-    for name, entry in report["outcomes"].items():  # analyze: ok(DET03): built from sorted keys above
+    for name, entry in report["outcomes"].items():
         print(f"  {name}: {entry['rate']:.4f} ci95={entry['ci95']}")
     return 0
 

@@ -22,10 +22,6 @@ and overrides a small, explicit surface:
   (MPTCP's receive window is connection-level, §3.3.1)
 """
 
-# analyze: file-ok(SEQ01): snd_nxt/rcv_nxt and friends are internal
-# absolute (unwrapped) sequence units; the 32-bit wrap is confined to
-# _wire_seq and the _unit_from_* conversion helpers, which use seq.py.
-
 from __future__ import annotations
 
 from dataclasses import dataclass

@@ -16,7 +16,7 @@ class Node:
             self.sim.schedule(0.0, item)
 
     def kick_dict(self, table: dict) -> None:
-        for value in table.values():  # line 19: DET03 (dict view)
+        for value in table.values():  # fine: dict order is insertion order
             self.sim.schedule(0.0, value)
 
     def kick_sorted(self) -> None:

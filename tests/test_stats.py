@@ -8,7 +8,6 @@ from repro.stats.metrics import (
     GoodputMeter,
     Histogram,
     MemorySampler,
-    TimeSeries,
     pdf_from_samples,
 )
 
@@ -102,19 +101,6 @@ class TestHistogram:
         pdf = pdf_from_samples([0.1, 0.1, 0.9], bin_width=0.5)
         assert len(pdf) == 2
         assert pdf[0][1] == pytest.approx(200 / 3)
-
-
-class TestTimeSeries:
-    def test_mean_and_max(self):
-        series = TimeSeries()
-        series.record(0.0, 1.0)
-        series.record(1.0, 3.0)
-        assert series.mean() == 2.0
-        assert series.maximum() == 3.0
-
-    def test_empty_safe(self):
-        series = TimeSeries()
-        assert series.mean() == 0.0 and series.maximum() == 0.0
 
 
 class TestCPUModel:

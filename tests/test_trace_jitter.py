@@ -28,6 +28,14 @@ class TestPacketTrace:
         text = trace.format()
         assert "SYN" in text and "ms" in text and "10.9.0.1:80" in text
 
+    def test_format_of_an_empty_selection_is_empty(self):
+        net, client, server = make_tcp_pair()
+        trace = PacketTrace.attach_all(net)
+        tcp_transfer(net, client, server, b"hi")
+        assert trace.filter(rst=True) == []
+        assert trace.format(trace.filter(rst=True)) == ""
+        assert trace.format(trace.filter(syn=True)).count("\n") == 1  # SYN, SYN/ACK
+
     def test_limit_drops_excess(self):
         net, client, server = make_tcp_pair()
         trace = PacketTrace.attach_all(net, limit=5)
