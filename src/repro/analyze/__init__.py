@@ -16,11 +16,11 @@ Run it as a module::
 
 Waive an intentional finding on its own line::
 
-    started = time.perf_counter()  # analyze: ok(DET02): wall-clock metering
+    total = dsn_part + ssn_part  # analyze: ok(DOM01): the checksum folds both spaces
 
 or waive a rule for a whole file (near the top, with a reason)::
 
-    # analyze: file-ok(DET02): this module meters its own wall time
+    # analyze: file-ok(DOM01): this module converts between the two spaces
 
 The rules are documented in :mod:`repro.analyze.rules` and in
 ``ARCHITECTURE.md`` ("Static analysis & the determinism contract").

@@ -217,12 +217,13 @@ class Det02WallClock(Rule):
     rationale = (
         "Simulated time is Simulator.now; time.time()/perf_counter()/"
         "datetime.now() readings differ between runs and hosts, so any that "
-        "leak into results break replay.  Wall-clock *display* lives in "
-        "experiments/run_all.py; the CPU cost model in stats/cpu.py is "
-        "simulated time by construction; analyze/ is the linter, not "
-        "simulation code, and times its own rules."
+        "leak into results break replay.  Wall-clock metering (sweep and "
+        "study timings, run_all's total, Fig. 10's measured latency) goes "
+        "through stats/wallclock.py's wall_clock(), a module holding "
+        "nothing else; analyze/ is the linter, not simulation code, and "
+        "times its own rules."
     )
-    allow = ("repro/experiments/run_all.py", "repro/stats/cpu.py", "repro/analyze/")
+    allow = ("repro/stats/wallclock.py", "repro/analyze/")
 
     TIME_ATTRS = frozenset(
         {

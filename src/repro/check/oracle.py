@@ -91,7 +91,6 @@ from repro.net.link import Link
 from repro.net.node import Host
 from repro.net.path import Path
 from repro.net.trace import PacketTrace
-from repro.tcp.cc import NewReno
 from repro.tcp.socket import TCPSocket
 from repro.tcp.state import TCPState
 
@@ -595,17 +594,16 @@ class InvariantOracle:
                     f"{occupancy} bytes buffered > rcv_buf_limit={sock.rcv_buf_limit}",
                 )
             cc = sock.cc
-            if isinstance(cc, NewReno):
-                # The peer's MSS option can clamp the socket's effective
-                # MSS below the controller's (a timeout collapses cwnd to
-                # the *socket* MSS), so the floor is the smaller of the two.
-                floor = min(cc.mss, sock.mss)
-                if cc.cwnd < floor:
-                    self._fail("cc-cwnd-floor", name, f"cwnd={cc.cwnd} < mss={floor}")
-                if cc.ssthresh < 2 * floor:
-                    self._fail(
-                        "cc-ssthresh-floor", name, f"ssthresh={cc.ssthresh} < 2*mss={2 * floor}"
-                    )
+            # The peer's MSS option can clamp the socket's effective
+            # MSS below the controller's (a timeout collapses cwnd to
+            # the *socket* MSS), so the floor is the smaller of the two.
+            floor = min(cc.mss, sock.mss)
+            if cc.cwnd < floor:
+                self._fail("cc-cwnd-floor", name, f"cwnd={cc.cwnd} < mss={floor}")
+            if cc.ssthresh < 2 * floor:
+                self._fail(
+                    "cc-ssthresh-floor", name, f"ssthresh={cc.ssthresh} < 2*mss={2 * floor}"
+                )
 
     def _fail_rtx(self, sock: TCPSocket) -> None:
         """Raise the first violation along a retransmit queue that
@@ -748,7 +746,7 @@ class InvariantOracle:
         active = 0
         for subflow in conn.subflows:
             controller = subflow.cc
-            if not isinstance(controller, NewReno) or not getattr(controller, "active", True):
+            if not getattr(controller, "active", True):
                 continue
             active += 1
             total += controller.cwnd

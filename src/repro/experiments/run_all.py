@@ -17,10 +17,10 @@ Every module in :data:`FIGURES` exposes ``run(smoke=False)`` (a list of
 from __future__ import annotations
 
 import argparse
-import time
 
 from repro.experiments import fig3, fig4, fig5, fig6, fig7, fig8, fig9, fig10, fig11
 from repro.experiments import table_study
+from repro.stats.wallclock import wall_clock
 
 FIGURES = {
     "study": table_study,
@@ -75,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
     unknown = [name for name in args.names if name not in FIGURES]
     if unknown:
         parser.error(f"unknown figure(s): {' '.join(unknown)}")
-    started = time.time()
+    started = wall_clock()
     sections = ["# Full experiment run\n"]
     failed: list[str] = []
     for name in args.names or FIGURES:
@@ -83,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
         print(section, flush=True)
         sections.append(section)
         failed += [f"{name}:{claim}" for claim in failed_claims]
-    summary = f"_total wall time: {time.time() - started:.0f}s; failed claims: {' '.join(failed) or 'none'}_\n"
+    summary = f"_total wall time: {wall_clock() - started:.0f}s; failed claims: {' '.join(failed) or 'none'}_\n"
     print(summary, end="")
     sections.append(summary)
     if args.out:

@@ -20,13 +20,13 @@ Environment knob (CLI users; the API takes an explicit argument too):
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 from repro.sim.engine import events_run_total
 from repro.sim.gcscope import batch
+from repro.stats.wallclock import wall_clock
 
 
 # ----------------------------------------------------------------------
@@ -134,7 +134,7 @@ def run_parallel(
     Results come back as ``outcome.values[i]`` for ``points[i]``
     regardless of which worker finished first.
     """
-    started = time.perf_counter()  # analyze: ok(DET02): wall-clock perf metering only
+    started = wall_clock()
     workers = min(workers if workers is not None else default_workers(), len(points))
     perf = SweepPerf(name=name, points=len(points))
     # Every simulation a point runs ends in a full sweep; inside the
@@ -151,5 +151,5 @@ def run_parallel(
                 pool.shutdown(wait=True)
             perf.workers = workers
     perf.sim_events = sum(events for _, events in results)
-    perf.wall_clock_s = time.perf_counter() - started  # analyze: ok(DET02): wall-clock perf metering only
+    perf.wall_clock_s = wall_clock() - started
     return SweepOutcome(values=[value for value, _ in results], perf=perf)

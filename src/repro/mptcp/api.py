@@ -15,10 +15,12 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.net.node import Host
-from repro.net.packet import Endpoint
+from repro.net.packet import Endpoint, Segment
 from repro.tcp.listener import Listener
+from repro.tcp.socket import TCPConfig, TCPSocket
 from repro.mptcp.connection import MPTCPConfig, MPTCPConnection
-from repro.mptcp.manager import get_manager, make_server_factory
+from repro.mptcp.keys import host_tokens
+from repro.mptcp.options import MPCapable, MPJoin
 
 
 def connect(
@@ -51,11 +53,42 @@ def listen(
 ) -> Listener:
     """Listen for MPTCP (and plain TCP) connections on ``port``.
 
-    The host's non-primary addresses are sent to clients via ADD_ADDR
-    after the handshake — the §3.2 mechanism that lets NATted clients
-    reach a multihomed server's other interfaces.
+    The listener's ``socket_factory`` reproduces the kernel's SYN
+    dispatch:
+
+    * MP_CAPABLE present → new MPTCP connection;
+    * MP_JOIN with a known token → joining subflow (unknown token → the
+      SYN is refused and the host RSTs it);
+    * no MPTCP option (a plain client, or a middlebox stripped the
+      option) → a connection that starts life in fallback mode: the
+      application sees the same object either way, which is the
+      deployability story.
+
+    ``on_accept(connection)`` fires once per connection at
+    establishment, before its ``on_established``.  The host's
+    non-primary addresses are then sent to clients via ADD_ADDR — the
+    §3.2 mechanism that lets NATted clients reach a multihomed server's
+    other interfaces.
     """
     config = config or MPTCPConfig()
-    get_manager(host).register_accept_callback(port, on_accept)
-    factory = make_server_factory(host, config)
+    tokens = host_tokens(host)
+    advertised = [ip for ip in host.addresses if ip != host.primary_address]
+
+    def factory(factory_host: Host, syn: Segment, tcp_config: TCPConfig) -> Optional[TCPSocket]:
+        join = syn.find_option(MPJoin)
+        if join is not None:
+            connection = tokens.lookup(join.token or 0)
+            if connection is None or connection.fallback or connection.closed:
+                # Unknown token: refuse; the host answers with a RST.
+                factory_host._reset_unknown(syn)
+                return None
+            return connection.adopt_join_syn(syn)
+        connection = MPTCPConnection(factory_host, config, role="server", on_accept=on_accept)
+        connection.local_extra_addresses = list(advertised)
+        if syn.find_option(MPCapable) is None:
+            # Plain TCP client (or the option was stripped): fallback
+            # from the start — same connection object for the app.
+            connection.enter_fallback("no MP_CAPABLE in SYN")
+        return connection.adopt_server_syn(syn)
+
     return Listener(host, port, config=config.subflow_tcp_config(), socket_factory=factory)

@@ -19,22 +19,21 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from repro.net.node import Host
 from repro.net.packet import Endpoint
 from repro.net.payload import Buffer
 from repro.sim import Timer
-from repro.tcp.autotune import AUTOTUNE_INITIAL, BufferAutotuner, ThroughputMeter
 from repro.tcp.buffer import ByteStream, ReassemblyQueue
 from repro.tcp.cc import INITIAL_CWND_SEGMENTS
 from repro.tcp.seq import SEQ_MOD, seq_add
 
 _SEQ_HALF = 1 << 31
-from repro.tcp.socket import IDLE_TIMER, TCPConfig, require_positive
+from repro.tcp.socket import AUTOTUNE_INITIAL, IDLE_TIMER, TCPConfig, require_positive
 from repro.tcp.state import IllegalTransition
 from repro.mptcp.coupled import CoupledGroup, LIAController
-from repro.mptcp.keys import idsn_from_key, token_from_key
+from repro.mptcp.keys import host_tokens, idsn_from_key, token_from_key
 from repro.mptcp.ooo import OOOQueue, make_ooo_queue
 from repro.mptcp.options import DSS, AddAddr, FastClose, MPTCPOption, RemoveAddr
 from repro.mptcp.checksum import dss_checksum
@@ -42,11 +41,11 @@ from repro.mptcp.scheduler import Scheduler
 from repro.mptcp.state import TRANSITIONS, MPTCPConnState
 from repro.mptcp.subflow import RxMapping, Subflow
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.mptcp.manager import MPTCPManager
-
 # Floor of the data-level retransmission timer (§3.3.5), in seconds.
 DATA_RTO_MIN = 1.0
+
+# A listener's ``on_accept(connection)``, handed to each server connection.
+AcceptCallback = Callable[["MPTCPConnection"], None]
 
 
 @dataclass
@@ -121,7 +120,7 @@ class MPTCPConnection:
     """One multipath connection, presented to the app like a socket."""
 
     __slots__ = (
-        "host", "sim", "config", "role", "name", "manager", "stats", "local_key", "local_token",
+        "host", "sim", "config", "role", "name", "stats", "local_key", "local_token",
         "remote_key", "remote_token", "local_idsn", "remote_idsn", "checksum_enabled", "subflows",
         "_next_address_id", "_subflow_config", "cc_group", "scheduler", "send_stream", "data_una",
         "data_nxt", "snd_buf_limit", "peer_rwnd_edge", "_close_requested", "_data_recovery_point",
@@ -129,9 +128,9 @@ class MPTCPConnection:
         "reassembly", "ooo_index", "_rx_ready", "_rx_eof", "rcv_data_adv_edge", "peer_data_fin",
         "conn_state", "_dack_option_cache", "negotiated_version", "fallback_reason",
         "_fallback_tx_base", "_mp_fail_pending", "remote_addresses", "local_extra_addresses",
-        "remote_primary", "_announcements", "_data_rtx_timer", "_autotune_timer", "_rx_meter",
-        "_rcv_autotuner", "_snd_autotuner", "on_established", "on_data", "on_eof", "on_close",
-        "on_error", "on_writable", "__dict__", "__weakref__",
+        "remote_primary", "_announcements", "_data_rtx_timer", "_autotune_timer", "_rx_rate",
+        "_rx_mark_time", "_rx_mark_bytes", "_on_accept", "on_established", "on_data", "on_eof",
+        "on_close", "on_error", "on_writable", "__dict__", "__weakref__",
     )
 
     def __init__(
@@ -140,20 +139,19 @@ class MPTCPConnection:
         config: Optional[MPTCPConfig] = None,
         role: str = "client",
         name: str = "",
+        on_accept: Optional[AcceptCallback] = None,
     ):
-        from repro.mptcp.manager import get_manager
-
         self.host = host
         self.sim = host.sim
         self.config = config or MPTCPConfig()
         self.role = role
         self.name = name or f"mptcp-{role}@{host.name}"
-        self.manager: "MPTCPManager" = get_manager(host)
         self.stats = MPTCPStats()
 
         # --- keys / tokens (§3.2, Fig. 10's measured path) -------------
-        self.local_key, self.local_token = self.manager.tokens.generate_unique_key()
-        self.manager.tokens.register(self.local_token, self)
+        tokens = host_tokens(host)
+        self.local_key, self.local_token = tokens.generate_unique_key()
+        tokens.register(self.local_token, self)
         self.remote_key: int = 0
         self.remote_token: int = 0
         self.local_idsn = idsn_from_key(self.local_key)
@@ -212,26 +210,20 @@ class MPTCPConnection:
         self._autotune_timer = Timer(self.sim, self._autotune_tick) if autotune else IDLE_TIMER
 
         # --- autotuning (M3) ---------------------------------------------------
-        self._rx_meter = ThroughputMeter() if autotune else None
-        self._rcv_autotuner: Optional[BufferAutotuner] = None
-        self._snd_autotuner: Optional[BufferAutotuner] = None
+        # The configured buffers become maximums; the effective ones start
+        # small and only grow (_autotune_tick).  The receive side's
+        # delivered-rate EWMA: no rate until the first tick marks a window.
+        self._rx_rate = 0.0
+        self._rx_mark_time: Optional[float] = None
+        self._rx_mark_bytes = 0
         if autotune:
-            initial = min(AUTOTUNE_INITIAL, self.config.rcv_buf)
-            self._rcv_autotuner = BufferAutotuner(
-                initial,
-                self.config.rcv_buf,
-                self._measure_rx,
-                self._apply_rcv_buf,
-            )
-            initial_snd = min(AUTOTUNE_INITIAL, self.config.snd_buf)
-            self._snd_autotuner = BufferAutotuner(
-                initial_snd,
-                self.config.snd_buf,
-                self._measure_tx,
-                self._apply_snd_buf,
-            )
+            self.snd_buf_limit = min(AUTOTUNE_INITIAL, self.config.snd_buf)
+            self.rcv_buf_limit = min(AUTOTUNE_INITIAL, self.config.rcv_buf)
 
         # --- app callbacks -------------------------------------------------------
+        # A listener's accept callback (server side only): fires once, at
+        # establishment, before on_established.
+        self._on_accept = on_accept
         self.on_established: Optional[Callable[["MPTCPConnection"], None]] = None
         self.on_data: Optional[Callable[["MPTCPConnection"], None]] = None
         self.on_eof: Optional[Callable[["MPTCPConnection"], None]] = None
@@ -336,8 +328,8 @@ class MPTCPConnection:
                 self._set_state(MPTCPConnState.M_ESTABLISHED)
             if self.config.autotune:
                 self._autotune_timer.restart(0.1)
-            if self.role == "server":
-                self.manager.notify_accept(self)
+            if self._on_accept is not None:
+                self._on_accept(self)
             if self.on_established is not None:
                 self.on_established(self)
             # Client: grow the mesh (extra local interfaces → new
@@ -532,7 +524,9 @@ class MPTCPConnection:
         return max(0, self.snd_buf_limit - len(self.send_stream))
 
     def read(self, max_bytes: Optional[int] = None) -> bytes:
-        if max_bytes is None or max_bytes >= len(self._rx_ready):
+        """Consume in-order data; ``None`` or a negative ``max_bytes``
+        reads everything, as ``io`` does."""
+        if max_bytes is None or max_bytes < 0 or max_bytes >= len(self._rx_ready):
             data = bytes(self._rx_ready)
             self._rx_ready.clear()
         else:
@@ -1120,7 +1114,7 @@ class MPTCPConnection:
             self._set_state(MPTCPConnState.M_CLOSED)
         self._data_rtx_timer.stop()
         self._autotune_timer.stop()
-        self.manager.tokens.unregister(self.local_token)
+        host_tokens(self.host).unregister(self.local_token)
         if error and self.on_error is not None:
             self.on_error(self, error)
         if self.on_close is not None:
@@ -1152,46 +1146,49 @@ class MPTCPConnection:
                 used += pending.tail - pending.head
         return used
 
-    def _measure_rx(self) -> Optional[tuple[float, float]]:
-        rate = self._rx_meter.update(self.sim.now, self.stats.bytes_delivered)
-        rtt_max = max((s.rtt.smoothed for s in self.alive_subflows()), default=0.0)
-        if rate <= 0 or rtt_max <= 0:
-            return None
-        return rate, rtt_max
-
-    def _measure_tx(self) -> Optional[tuple[float, float]]:
-        """Sender-side demand: the §4.2 formula with per-subflow rates
-        estimated as cwnd_i / srtt_i.  This is what makes M4 (cwnd
-        capping) shrink the *measured* demand: capping keeps both the
-        3G cwnd and RTT_max honest, roughly halving the buffer the
-        formula asks for."""
-        alive = self.alive_subflows()
-        if not alive:
-            return None
-        rtt_max = max(s.rtt.smoothed for s in alive)
-        total_rate = sum(
-            s.cc.cwnd / max(s.rtt.smoothed, 1e-3) for s in alive
-        )
-        if total_rate <= 0 or rtt_max <= 0:
-            return None
-        return total_rate, rtt_max
-
-    def _apply_rcv_buf(self, size: int) -> None:
-        self.rcv_buf_limit = size
-
-    def _apply_snd_buf(self, size: int) -> None:
-        self.snd_buf_limit = size
-        callback = getattr(self, "on_writable", None)  # autotuner runs in __init__
-        if callback is not None and self.send_buffer_room() > 0:
-            callback(self)
-
     def _autotune_tick(self) -> None:
+        """M3 (§4.2): grow each effective buffer, never shrinking it,
+        toward ``2 · Σ throughput_i · RTT_max``, capped by the configured
+        maximum.  Receive side: the delivered rate.  Send side: each
+        subflow's rate estimated as cwnd_i / srtt_i, which is what makes
+        M4 (cwnd capping) shrink the measured demand: capping keeps both
+        the 3G cwnd and RTT_max honest, roughly halving the buffer the
+        formula asks for."""
         if self.closed:
             return
-        if self._rcv_autotuner is not None:
-            self._rcv_autotuner.tick()
-        if self._snd_autotuner is not None:
-            self._snd_autotuner.tick()
+        rtt_max = 0.0
+        tx_rate = 0.0
+        for s in self.alive_subflows():
+            srtt = s.rtt.smoothed
+            if srtt > rtt_max:
+                rtt_max = srtt
+            tx_rate += s.cc.cwnd / max(srtt, 1e-3)
+        now = self.sim.now
+        delivered = self.stats.bytes_delivered
+        if self._rx_mark_time is None:
+            self._rx_mark_time = now
+            self._rx_mark_bytes = delivered
+            rx_rate = 0.0
+        else:
+            elapsed = now - self._rx_mark_time
+            if elapsed > 0:
+                instant = (delivered - self._rx_mark_bytes) / elapsed
+                # EWMA with a half-life of roughly two windows.
+                rate = self._rx_rate
+                self._rx_rate = instant if rate == 0.0 else 0.7 * rate + 0.3 * instant
+                self._rx_mark_time = now
+                self._rx_mark_bytes = delivered
+            rx_rate = self._rx_rate
+        if rx_rate > 0 and rtt_max > 0:
+            needed = int(2 * rx_rate * rtt_max)
+            if needed > self.rcv_buf_limit:
+                self.rcv_buf_limit = min(self.config.rcv_buf, needed)
+        if tx_rate > 0 and rtt_max > 0:
+            needed = int(2 * tx_rate * rtt_max)
+            if needed > self.snd_buf_limit:
+                self.snd_buf_limit = min(self.config.snd_buf, needed)
+                if self.on_writable is not None and self.send_buffer_room() > 0:
+                    self.on_writable(self)
         rtt_max = max((s.rtt.smoothed for s in self.alive_subflows()), default=0.1)
         self._autotune_timer.restart(max(0.05, rtt_max))
         self.kick()

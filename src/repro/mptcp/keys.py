@@ -20,6 +20,7 @@ from repro.sim.rng import SeededRNG
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mptcp.connection import MPTCPConnection
+    from repro.net.node import Host
 
 
 def generate_key(rng: SeededRNG) -> int:
@@ -149,3 +150,15 @@ class TokenTable:
             if entry_token == token:
                 return connection
         return None
+
+
+def host_tokens(host: "Host") -> TokenTable:
+    """The host's one token table, created on first use.  Like a kernel,
+    a host keeps a single table of its established MPTCP connections so
+    MP_JOIN SYNs — which arrive on brand-new five-tuples — can be matched
+    to their connection by token (§3.2)."""
+    tokens = getattr(host, "_mptcp_tokens", None)
+    if tokens is None:
+        tokens = TokenTable(host.rng.fork("mptcp-keys"))
+        host._mptcp_tokens = tokens
+    return tokens

@@ -69,8 +69,7 @@ class Host:
         self._next_port = self.EPHEMERAL_BASE
         self.segments_sent = 0
         self.segments_received = 0
-        # Diagnostics hooks (tests attach here).
-        self.on_send: list[Callable[[Segment], None]] = []
+        # Diagnostics hook (tests attach here).
         self.on_receive: list[Callable[[Segment], None]] = []
 
     # ------------------------------------------------------------------
@@ -133,9 +132,6 @@ class Host:
     def send(self, segment: Segment) -> None:
         """Route a segment out of the interface owning its source address."""
         segment.created_at = self.sim.now
-        if self.on_send:
-            for hook in self.on_send:
-                hook(segment)
         src_ip = segment.src.ip
         interface = self._iface_cache.get(src_ip)
         if interface is None:

@@ -32,9 +32,6 @@ _FLAG_NAMES = [(SYN, "SYN"), (ACK, "ACK"), (FIN, "FIN"), (RST, "RST"), (PSH, "PS
 IP_HEADER_BYTES = 20
 TCP_HEADER_BYTES = 20
 
-# Lazily bound reference to repro.net.options.options_length (circular
-# import: that module imports this one for the option base class).
-_options_length = None
 MAX_OPTION_BYTES = 40  # TCP data-offset field limits options to 40 bytes
 
 SEQ_MOD = 1 << 32
@@ -80,7 +77,6 @@ class Segment:
         "window",
         "payload_len",
         "_options",
-        "_options_len_cache",
         "_payload",
         "_size_cache",
         "created_at",
@@ -106,7 +102,6 @@ class Segment:
         self.flags = flags
         self.window = window
         self._options: list["TCPOption"] = options if options is not None else []
-        self._options_len_cache: Optional[tuple[int, int]] = None
         self._payload: "Buffer" = payload
         # Cached len(payload): links, sockets and the DSS machinery read
         # the payload length several times per hop, and reading it
@@ -124,7 +119,6 @@ class Segment:
     @options.setter
     def options(self, options: list["TCPOption"]) -> None:
         self._options = options
-        self._options_len_cache = None
         self._size_cache = None
 
     @property
@@ -177,46 +171,23 @@ class Segment:
     def end_seq(self) -> int:
         return seq_add(self.seq, self.seq_space)
 
-    def options_length(self) -> int:
-        """Encoded (padded) length of the option list in bytes.
-
-        Cached: links recompute packet sizes on every hop, so encoding
-        the (immutable) options repeatedly dominated the link hot path.
-        Replacing the list (the `options` setter, :meth:`remove_options`)
-        or changing its length in place invalidates the cache.
-        """
-        cache = self._options_len_cache
-        count = len(self._options)
-        if cache is not None and cache[0] == count:
-            return cache[1]
-        global _options_length
-        if _options_length is None:
-            # Imported lazily (repro.net.options imports this module);
-            # bound once instead of re-importing per cache miss.
-            from repro.net.options import options_length
-
-            _options_length = options_length
-        length = _options_length(self._options)
-        self._options_len_cache = (count, length)
-        return length
-
     @property
     def size_bytes(self) -> int:
         """On-the-wire size including IP and TCP headers.
 
-        Cached with the same invalidation discipline as
-        :meth:`options_length`: ``Link.send``, ``tx_time`` and the
-        transmit-done handler each read it per packet, so recomputing
-        the option encoding three times per hop added up.  Assigning
-        ``payload`` or ``options`` invalidates; in-place option-list
-        edits that change its *count* are caught by the count key.
+        Cached: ``Link.send``, ``tx_time`` and the transmit-done handler
+        each read it per packet, so recomputing the option encoding
+        three times per hop added up.  Assigning ``payload`` or
+        ``options`` (the setter, :meth:`remove_options`) invalidates;
+        in-place option-list edits that change its *count* are caught by
+        the count key.
         """
         cache = self._size_cache
         count = len(self._options)
         if cache is not None and cache[0] == count:
             return cache[1]
-        # Inline of options_length(): Link.send reads this once per
-        # transmitted segment, and the method + helper dispatch pair was
+        # Inline of repro.net.options.options_length(): Link.send reads
+        # this once per transmitted segment, and the helper call was
         # measurable at that rate.
         raw = 0
         for option in self._options:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import time
 import zlib
 from collections import Counter
 from pathlib import Path as FsPath
@@ -46,6 +45,7 @@ from repro.stats.bootstrap import (
     histogram_mean,
     wilson_interval,
 )
+from repro.stats.wallclock import wall_clock
 from repro.study.generative import (
     SampledPath,
     get_spec,
@@ -277,10 +277,10 @@ def run_scale_study(
     and is *not* deterministic.
     """
     spec = get_spec(spec_name)
-    started = time.perf_counter()  # analyze: ok(DET02): wall-clock perf metering only
+    started = wall_clock()
     counts, sample_sweep = sample_counts(spec_name, paths, seed, batch, workers)
     signatures = counts.pop("signatures", {})
-    sample_elapsed = time.perf_counter() - started  # analyze: ok(DET02): wall-clock perf metering only
+    sample_elapsed = wall_clock() - started
 
     replicates = max(1, replicates)
     folded, sim_sweep = simulate_signatures(
@@ -333,7 +333,7 @@ def run_scale_study(
         "signatures": {k: per_signature[k] for k in sorted(per_signature)},
     }
 
-    elapsed = time.perf_counter() - started  # analyze: ok(DET02): wall-clock perf metering only
+    elapsed = wall_clock() - started
     bench = {
         "spec": spec.name,
         "paths": paths,

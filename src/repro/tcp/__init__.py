@@ -8,7 +8,7 @@ retransmit/recovery, flow control with zero-window probing, delayed ACKs
 and the full FIN/RST teardown machinery.
 
 :class:`~repro.tcp.socket.TCPSocket` exposes protected hooks
-(`_next_chunk`, `_deliver_payload`, `_ack_options`, ...) that
+(`_pull_new_data`, `_on_in_order_data`, `_ack_options`, ...) that
 :mod:`repro.mptcp` overrides to turn a socket into an MPTCP subflow.
 """
 
@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Any
 from repro.tcp.seq import seq_add, seq_diff, seq_ge, seq_gt, seq_le, seq_lt
 from repro.tcp.rtt import RTTEstimator
 from repro.tcp.buffer import ByteStream, ReassemblyQueue
-from repro.tcp.cc import CongestionController, NewReno
+from repro.tcp.cc import NewReno
 from repro.tcp.state import TCPState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,7 +49,6 @@ __all__ = [
     "RTTEstimator",
     "ByteStream",
     "ReassemblyQueue",
-    "CongestionController",
     "NewReno",
     "TCPState",
     "TCPSocket",

@@ -10,14 +10,12 @@ increase.
 
 from __future__ import annotations
 
-from typing import Optional
-
 # RFC 6928's initial window, in segments.
 INITIAL_CWND_SEGMENTS = 10
 
 
-class CongestionController:
-    """Interface between a TCP socket and its congestion-control law."""
+class NewReno:
+    """Standard NewReno AIMD: +1 MSS per RTT in congestion avoidance."""
 
     __slots__ = ("mss", "cwnd", "ssthresh", "in_slow_start_count", "loss_events", "timeouts")
 
@@ -44,7 +42,7 @@ class CongestionController:
         self.in_slow_start_count += 1
 
     def _congestion_avoidance(self, acked_bytes: int) -> None:
-        raise NotImplementedError
+        self.cwnd += max(1, acked_bytes * self.mss // self.cwnd)
 
     # -- loss ----------------------------------------------------------
     def on_loss_event(self, flight_bytes: int) -> None:
@@ -67,35 +65,3 @@ class CongestionController:
 
     def set_cwnd(self, cwnd: int) -> None:
         self.cwnd = max(self.mss, cwnd)
-
-
-class NewReno(CongestionController):
-    """Standard NewReno AIMD: +1 MSS per RTT in congestion avoidance."""
-
-    __slots__ = ()
-
-    def _congestion_avoidance(self, acked_bytes: int) -> None:
-        self.cwnd += max(1, acked_bytes * self.mss // self.cwnd)
-
-
-class FixedWindow(CongestionController):
-    """A constant window — handy in tests to isolate flow control."""
-
-    __slots__ = ()
-
-    def __init__(self, mss: int, cwnd_bytes: int):
-        super().__init__(mss, initial_cwnd_segments=1)
-        self.cwnd = cwnd_bytes
-        self.ssthresh = cwnd_bytes
-
-    def on_ack(self, acked_bytes: int) -> None:
-        pass
-
-    def _congestion_avoidance(self, acked_bytes: int) -> None:
-        pass
-
-    def on_loss_event(self, flight_bytes: int) -> None:
-        self.loss_events += 1
-
-    def on_timeout(self, flight_bytes: int) -> None:
-        self.timeouts += 1

@@ -15,7 +15,6 @@ and overrides a small, explicit surface:
 
 * ``_pull_new_data``       — where new payload bytes come from
 * ``_on_in_order_data``    — where in-order received bytes go
-* ``_segment_options``     — extra options for outgoing segments
 * ``_syn_options`` etc.    — handshake option hooks
 * ``_process_segment_options`` — incoming option processing
 * ``_send_window_limit`` / ``_window_to_advertise`` — window semantics
@@ -40,9 +39,8 @@ from repro.net.options import (
 from repro.net.packet import ACK, FIN, PSH, RST, SYN, Endpoint, Segment
 from repro.net.payload import Buffer
 from repro.sim import Timer
-from repro.tcp.autotune import AUTOTUNE_INITIAL
 from repro.tcp.buffer import ByteStream, ReassemblyQueue
-from repro.tcp.cc import CongestionController, NewReno
+from repro.tcp.cc import NewReno
 from repro.tcp.rtt import RTTEstimator
 from repro.tcp.rtx import RetransmitQueue
 from repro.tcp.seq import SEQ_MOD
@@ -54,6 +52,9 @@ from repro.tcp.state import TRANSITIONS, IllegalTransition, TCPState
 # running, so stop()/``_seq`` work; the arming site swaps in a real Timer.
 IDLE_TIMER = Timer(None, None)
 
+# Where an autotuned buffer starts (M3), capped by the configured maximum;
+# MPTCPConnection starts its connection-level buffers here too.
+AUTOTUNE_INITIAL = 64 * 1024
 DELAYED_ACK_TIMEOUT = 0.04  # seconds a lone in-order segment waits for its ACK
 MSL = 0.5  # maximum segment lifetime; TIME_WAIT lasts 2 * MSL
 
@@ -82,10 +83,10 @@ class TCPConfig:
     nagle: bool = True
     max_syn_retries: int = 6
     max_retries: int = 15
-    cc_factory: Callable[[int], CongestionController] = NewReno
+    cc_factory: Callable[[int], NewReno] = NewReno
     # Mechanism M4 (§4.2): cap cwnd when smoothed RTT is twice the base RTT.
     cwnd_capping: bool = False
-    # Receive/send buffer autotuning (mechanism M3); see repro.tcp.autotune.
+    # Receive/send buffer autotuning (mechanism M3); see TCPSocket._autotune_tick.
     autotune: bool = False
 
     def __post_init__(self) -> None:
@@ -158,7 +159,7 @@ class TCPSocket:
 
         cfg = self.config
         self.mss = cfg.mss  # effective MSS, clamped by peer's MSS option
-        self.cc: CongestionController = cfg.cc_factory(cfg.mss)
+        self.cc: NewReno = cfg.cc_factory(cfg.mss)
         self.rtt = RTTEstimator()
 
         # --- send side (absolute units; 0 = SYN) -----------------------
@@ -304,8 +305,9 @@ class TCPSocket:
 
     def read(self, max_bytes: Optional[int] = None) -> bytes:
         """Consume in-order received data (frees receive-buffer space and
-        may trigger a window update)."""
-        if max_bytes is None or max_bytes >= len(self._rx_ready):
+        may trigger a window update).  ``None`` or a negative ``max_bytes``
+        reads everything, as ``io`` does."""
+        if max_bytes is None or max_bytes < 0 or max_bytes >= len(self._rx_ready):
             data = bytes(self._rx_ready)
             self._rx_ready.clear()
         else:
@@ -359,11 +361,6 @@ class TCPSocket:
 
     def _handshake_ack_options(self) -> list[TCPOption]:
         """Extra options for the third handshake ACK."""
-        return []
-
-    def _segment_options(self, payload_len: int) -> list[TCPOption]:
-        """Extra options for every outgoing segment after the handshake
-        (a subflow attaches its DSS here when none is sticky)."""
         return []
 
     def _ack_options(self) -> list[TCPOption]:
@@ -1161,12 +1158,11 @@ class TCPSocket:
         start = self.snd_nxt
         end = start + payload_len + (1 if fin else 0)
         flags = ACK | (FIN if fin else 0) | (PSH if payload_len else 0)
-        options = list(sticky_options) + self._segment_options(payload_len)
         segment = self._make_segment(
             flags=flags,
             seq_unit=start,
             payload=payload,
-            options=options,
+            options=sticky_options,
             payload_len=payload_len,
         )
         self.snd_nxt = end

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.experiments.common import open_client, open_listener
 from repro.mptcp.api import connect, listen
 from repro.mptcp.connection import MPTCPConfig, MPTCPConnection
 from repro.net.network import Network
@@ -104,6 +105,23 @@ class TestConnectionMisuse:
         assert server_conn.read(4) == b"abcd"
         assert server_conn.rx_available == 6
         assert server_conn.read() == b"efghij"
+
+    @pytest.mark.parametrize("transport", ["tcp", "mptcp"])
+    def test_negative_read_returns_everything(self, transport):
+        """``read(-1)`` means "all of it", as in ``io``: a negative size
+        must not slice off the last byte and leave it stranded."""
+        net, client, server = make_multipath()
+        config = MPTCPConfig() if transport == "mptcp" else TCPConfig()
+        holder = {}
+        open_listener(server, config, lambda c: holder.update(s=c))
+        conn = open_client(client, server, config)
+        net.run(until=1.0)
+        conn.send(b"abcdef")
+        net.run(until=2.0)
+        server_end = holder["s"]
+        assert server_end.rx_available == 6
+        assert server_end.read(-1) == b"abcdef"
+        assert server_end.rx_available == 0
 
 
 class TestListenerConfig:

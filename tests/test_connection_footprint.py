@@ -31,7 +31,6 @@ from repro.mptcp.api import connect as mptcp_connect
 from repro.mptcp.api import listen as mptcp_listen
 from repro.mptcp.connection import MPTCPConfig, MPTCPConnection, MPTCPStats
 from repro.mptcp.coupled import CoupledGroup, LIAController
-from repro.mptcp.manager import MPTCPManager
 from repro.mptcp.ooo import (
     AllShortcutsQueue,
     OOOQueue,
@@ -45,7 +44,7 @@ from repro.mptcp.scheduler import Batch, Scheduler, SchedulerStats, TxIndex, TxM
 from repro.mptcp.subflow import RxMapping, Subflow
 from repro.net.packet import Endpoint
 from repro.tcp.buffer import ByteStream, ReassemblyQueue
-from repro.tcp.cc import CongestionController, NewReno
+from repro.tcp.cc import NewReno
 from repro.tcp.rtt import RTTEstimator
 from repro.tcp.socket import SocketStats, TCPConfig, TCPSocket
 from repro.tcp.state import TCPState
@@ -67,15 +66,15 @@ ENDPOINT_CLASSES = (TCPSocket, Subflow, MPTCPConnection)
 # What an endpoint owns besides itself; none of these has an instance
 # ``__dict__`` at all (no escape slot).
 HELPER_CLASSES = (
-    ByteStream, ReassemblyQueue, RTTEstimator, CongestionController, NewReno, SocketStats,
+    ByteStream, ReassemblyQueue, RTTEstimator, NewReno, SocketStats,
     TCPConfig, LIAController, CoupledGroup, Scheduler, TxIndex, TxMapping, SchedulerStats, Batch,
     OOOStats, OOOQueue, _LinkedList, RegularQueue, TreeQueue, ShortcutsQueue, AllShortcutsQueue,
     MPTCPStats, RxMapping,
 )
 ESCAPE_SLOTS = {"__dict__", "__weakref__"}
-# Reached from a connection but not owned by it: the host's MPTCP
-# manager and the configuration the application passed in.
-SHARED_CLASSES = (MPTCPManager, MPTCPConfig)
+# Reached from a connection but not owned by it: the configuration the
+# application passed in.
+SHARED_CLASSES = (MPTCPConfig,)
 
 
 # ----------------------------------------------------------------------
@@ -301,7 +300,7 @@ class TestFootprintTripwire:
         idle.stop()  # what teardown does to it: a no-op, not an error
         with pytest.raises(AttributeError):
             idle.start(1.0)  # the placeholder can never be armed by mistake
-        assert conn.scheduler.reinject_queue == () and conn._rx_meter is None
+        assert conn.scheduler.reinject_queue == () and conn._rx_mark_time is None
 
 
 # ----------------------------------------------------------------------
@@ -310,11 +309,11 @@ class TestFootprintTripwire:
 class TestClosedConnectionsAreReleased:
     @pytest.mark.skipif(ORACLE_ENABLED, reason="the oracle keeps every endpoint it has watched")
     def test_served_connections_die_while_the_listener_lives(self):
-        """``Listener.accepted``, ``MPTCPManager.connections`` and
-        ``HTTPServerApp.connections`` used to append every accepted
-        connection and were read by nothing: served through the app's
-        own ``on_accept``, a closed server-side connection and its
-        subflows must be collectable while the listener is still open."""
+        """``Listener.accepted`` and ``HTTPServerApp.connections`` used to
+        append every accepted connection and were read by nothing:
+        served through the app's own ``on_accept``, a closed server-side
+        connection and its subflows must be collectable while the
+        listener is still open."""
         net, client, server = make_multipath(
             seed=3, paths=[dict(rate_bps=40e6, delay=0.002), dict(rate_bps=40e6, delay=0.003)]
         )

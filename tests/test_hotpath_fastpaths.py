@@ -8,7 +8,7 @@ Each optimization has a behavioural contract this file pins down:
   and an armed timer counts once however many heap entries it left;
 * ``ReassemblyQueue.extract_in_order`` drains a 1k-block queue without
   ``pop(0)`` quadratics and returns exactly the contiguous prefix;
-* ``Segment.options_length`` is cached and the cache is invalidated by
+* ``Segment.size_bytes`` is cached and the cache is invalidated by
   every supported mutation path (setter, strip, in-place append) —
   including reading the size *before* stripping.
 """
@@ -214,17 +214,23 @@ class TestByteStreamPeek:
         assert stream.peek(stream.tail - 4, 4) == b"tail"
 
 
-class TestOptionsLengthCache:
-    def _segment(self, options):
+class TestSizeBytesCache:
+    """``Segment.size_bytes`` (what ``Link`` reads per hop) is cached; the
+    cache must follow every way the options can change."""
+
+    HEADERS = 40  # IPv4 + TCP without options
+
+    def _segment(self, options, payload=b""):
         return Segment(
-            Endpoint("10.0.0.1", 1), Endpoint("10.0.0.2", 2), options=options
+            Endpoint("10.0.0.1", 1), Endpoint("10.0.0.2", 2), options=options, payload=payload
         )
 
     def test_cached_value_is_correct(self):
         options = [MSSOption(1460), SACKPermitted()]
-        segment = self._segment(list(options))
-        assert segment.options_length() == options_length(options)
-        assert segment.options_length() == options_length(options)  # cached path
+        segment = self._segment(list(options), payload=b"x" * 100)
+        expected = self.HEADERS + options_length(options) + 100
+        assert segment.size_bytes == expected
+        assert segment.size_bytes == expected  # cached path
 
     def test_strip_after_size_read(self):
         segment = self._segment([MSSOption(1460), TimestampsOption(1, 2)])
@@ -232,24 +238,24 @@ class TestOptionsLengthCache:
         removed = segment.remove_options(TimestampsOption)
         assert removed == 1
         assert segment.size_bytes == fat - 12  # 10B timestamps + 2B pad gone
-        assert segment.options_length() == options_length(segment.options)
+        assert segment.size_bytes == self.HEADERS + options_length(segment.options)
 
     def test_setter_invalidates(self):
         segment = self._segment([MSSOption(1460)])
-        assert segment.options_length() == 4
+        assert segment.size_bytes == self.HEADERS + 4
         segment.options = [MSSOption(1460), TimestampsOption(1, 2)]
-        assert segment.options_length() == options_length(segment.options)
+        assert segment.size_bytes == self.HEADERS + options_length(segment.options)
 
     def test_inplace_append_invalidates(self):
         segment = self._segment([])
-        assert segment.options_length() == 0
+        assert segment.size_bytes == self.HEADERS
         segment.options.append(TimestampsOption(3, 4))
-        assert segment.options_length() == 12
+        assert segment.size_bytes == self.HEADERS + 12
 
     def test_copy_does_not_share_cache_state(self):
         segment = self._segment([MSSOption(1460)])
-        assert segment.size_bytes == 44
+        assert segment.size_bytes == self.HEADERS + 4
         clone = segment.copy()
         clone.options.append(TimestampsOption(5, 6))
-        assert clone.options_length() == 16
-        assert segment.options_length() == 4
+        assert clone.size_bytes == self.HEADERS + 16
+        assert segment.size_bytes == self.HEADERS + 4

@@ -1,25 +1,25 @@
-"""The per-host MPTCP manager and many concurrent connections."""
+"""The per-host MPTCP token table and many concurrent connections."""
 
 import pytest
 
 from repro.mptcp.api import connect, listen
 from repro.mptcp.connection import MPTCPConfig
-from repro.mptcp.manager import get_manager
+from repro.mptcp.keys import host_tokens
 from repro.net.packet import Endpoint
 
 from conftest import make_multipath, random_payload
 
 
-class TestManager:
-    def test_manager_singleton_per_host(self):
+class TestHostTokens:
+    def test_one_token_table_per_host(self):
         net, client, server = make_multipath()
-        assert get_manager(server) is get_manager(server)
-        assert get_manager(server) is not get_manager(client)
+        assert host_tokens(server) is host_tokens(server)
+        assert host_tokens(server) is not host_tokens(client)
 
     def test_tokens_registered_and_released(self):
         net, client, server = make_multipath()
-        manager = get_manager(client)
-        before = len(manager.tokens)
+        tokens = host_tokens(client)
+        before = len(tokens)
         holder = {}
 
         def on_accept(c):
@@ -28,13 +28,13 @@ class TestManager:
 
         listen(server, 80, on_accept=on_accept)
         conn = connect(client, Endpoint("10.9.0.1", 80))
-        assert len(manager.tokens) == before + 1
+        assert len(tokens) == before + 1
         net.run(until=1.0)
         conn.send(b"x")
         conn.close()
         net.run(until=10.0)
         assert conn.closed
-        assert len(manager.tokens) == before  # released on teardown
+        assert len(tokens) == before  # released on teardown
 
     def test_two_listeners_different_ports(self):
         net, client, server = make_multipath()
@@ -94,7 +94,6 @@ class TestConcurrentConnections:
 
     def test_token_uniqueness_under_many_connections(self):
         net, client, server = make_multipath()
-        manager = get_manager(client)
         listen(server, 80)
         tokens = set()
         for _ in range(30):

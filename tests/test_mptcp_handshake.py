@@ -3,13 +3,23 @@ authentication, path management (§3.1, §3.2)."""
 
 import pytest
 
+from repro.experiments.common import open_client, open_listener
 from repro.mptcp.api import connect, listen
 from repro.mptcp.connection import MPTCPConfig
-from repro.mptcp.keys import TokenTable, generate_key, idsn_from_key, join_hmac, token_from_key
+from repro.mptcp.keys import (
+    TokenTable,
+    generate_key,
+    host_tokens,
+    idsn_from_key,
+    join_hmac,
+    token_from_key,
+)
 from repro.mptcp.options import MPCapable, MPJoin
 from repro.mptcp.state import MPTCPConnState
+from repro.net.network import Network
 from repro.net.packet import Endpoint
 from repro.sim.rng import SeededRNG
+from repro.tcp.socket import TCPConfig
 
 from conftest import make_multipath, make_tcp_pair, mptcp_transfer, random_payload
 
@@ -127,6 +137,45 @@ class TestEstablishment:
         net.run(until=2.0)
         assert len(accepted) == 1
 
+    @pytest.mark.parametrize("client_config", [MPTCPConfig(), TCPConfig()], ids=["mp", "plain"])
+    def test_accept_precedes_established_and_add_addr(self, client_config):
+        """``on_accept`` fires once per connection — an MP_CAPABLE one
+        that later gains a joined subflow, and a fallback one whose SYN
+        carried no MP_CAPABLE — before ``on_established``, which comes
+        before the server announces its second address (ADD_ADDR)."""
+        net = Network(seed=4)
+        client = net.add_host("client", "10.0.0.1")
+        server = net.add_host("server", "10.9.0.1", "10.9.1.1")
+        net.connect(client.interface("10.0.0.1"), server.interface("10.9.0.1"),
+                    rate_bps=8e6, delay=0.01)
+        net.connect(client.interface("10.0.0.1"), server.interface("10.9.1.1"),
+                    rate_bps=8e6, delay=0.02)
+        events, accepted = [], []
+
+        def on_accept(conn):
+            accepted.append(conn)
+            events.append("accept")
+            conn.on_established = lambda c: events.append("established")
+            announce = conn.announce_address
+
+            def announce_address(ip):
+                events.append(f"add_addr {ip}")
+                announce(ip)
+
+            conn.announce_address = announce_address
+
+        open_listener(server, MPTCPConfig(), on_accept)
+        open_client(client, server, client_config)
+        net.run(until=2.0)
+        (conn,) = accepted
+        if isinstance(client_config, MPTCPConfig):
+            assert events == ["accept", "established", "add_addr 10.9.1.1"]
+            assert not conn.fallback
+            assert len(conn.subflows) == 2  # the MP_JOIN did not re-fire the accept
+        else:
+            assert events == ["accept", "established"]
+            assert conn.fallback
+
 
 class TestNeverEstablished:
     """A connection whose only subflow dies before the handshake
@@ -149,14 +198,14 @@ class TestNeverEstablished:
         assert conn.conn_state is MPTCPConnState.M_FALLBACK_CLOSED  # ladder dropped MP_CAPABLE
         assert errors == ["all subflows failed (retransmission limit)"]
         assert closes == [conn]
-        assert conn.manager.tokens._count == 0
+        assert host_tokens(conn.host)._count == 0
 
     def test_connection_refused(self):
         conn, errors, closes = self._attempt(blackhole=False, port=81)
         assert conn.conn_state is MPTCPConnState.M_CLOSED
         assert errors == ["all subflows failed (connection refused)"]
         assert closes == [conn]
-        assert conn.manager.tokens._count == 0
+        assert host_tokens(conn.host)._count == 0
 
 
 class TestJoinSecurity:

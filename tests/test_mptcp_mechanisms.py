@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps.bulk import BulkSenderApp
 from repro.experiments.common import (
     THREEG,
     WIFI,
@@ -13,8 +14,7 @@ from repro.experiments.common import (
 )
 from repro.mptcp.connection import MPTCPConfig, MPTCPConnection
 from repro.net.network import Network
-from repro.tcp.autotune import AUTOTUNE_INITIAL
-from repro.tcp.socket import TCPConfig, TCPSocket
+from repro.tcp.socket import AUTOTUNE_INITIAL, IDLE_TIMER, TCPConfig, TCPSocket
 
 from conftest import make_multipath, mptcp_transfer, random_payload
 
@@ -120,7 +120,7 @@ class TestM3Autotuning:
         config = mptcp_variant_config("m123", 1024 * 1024)
         outcome = run_bulk([WIFI, THREEG], config, duration=15)
         conn = outcome.connection
-        assert conn._rcv_autotuner is not None
+        assert conn._autotune_timer is not IDLE_TIMER  # M3 on
         # It started small and grew (server side grows the rcv buffer;
         # client side grows its send buffer).
         assert conn.snd_buf_limit > AUTOTUNE_INITIAL
@@ -135,6 +135,64 @@ class TestM3Autotuning:
         for endpoint in (sock, conn):
             assert endpoint.snd_buf_limit == 64 * 1024
             assert endpoint.rcv_buf_limit == 64 * 1024
+
+    @pytest.mark.parametrize("maximum", [32 * 1024, 160 * 1024, 4 * 1024 * 1024])
+    def test_buffers_start_small_only_grow_and_stay_capped(self, maximum):
+        """M3 on both ends of a real transfer: each effective buffer
+        starts at min(64 KiB, configured), never shrinks, and never
+        passes the configured maximum."""
+        net, client, server = make_multipath(seed=2)
+        config = MPTCPConfig(snd_buf=maximum, rcv_buf=maximum, autotune=True)
+        initial = min(AUTOTUNE_INITIAL, maximum)
+        ends = {}
+        trace = {"client": [], "server": []}
+
+        def sample():
+            for side, conn in ends.items():
+                trace[side].append((conn.snd_buf_limit, conn.rcv_buf_limit))
+            net.sim.schedule(0.01, sample)
+
+        def on_accept(conn):
+            ends["server"] = conn
+            conn.on_data = lambda c: c.read()
+
+        open_listener(server, config, on_accept)
+        ends["client"] = open_client(client, server, config)
+        BulkSenderApp(ends["client"], random_payload(3_000_000))
+        sample()
+        net.run(until=8.0)
+        for side, samples in trace.items():
+            assert samples[0] == (initial, initial), side
+            for earlier, later in zip(samples, samples[1:]):
+                assert later[0] >= earlier[0] and later[1] >= earlier[1], side
+            assert max(max(pair) for pair in samples) <= maximum, side
+        if maximum > AUTOTUNE_INITIAL:
+            assert trace["client"][-1][0] > initial  # the sender's buffer grew
+            assert trace["server"][-1][1] > initial  # and so did the receiver's
+        if maximum == 160 * 1024:
+            assert trace["client"][-1][0] == maximum  # demand exceeds the cap: held there
+
+    def test_receive_rate_is_an_ewma_over_tick_windows(self):
+        """The delivered-rate estimate behind the receive side: the first
+        tick only marks a window, a tick with no elapsed time changes
+        nothing, later windows fold in with weight 0.3."""
+        net = Network()
+        host = net.add_host("h", "10.0.0.1")
+        conn = MPTCPConnection(host, MPTCPConfig(autotune=True), role="client")
+
+        def tick_at(when, delivered):
+            net.run(until=when)
+            conn.stats.bytes_delivered = delivered
+            conn._autotune_tick()
+            conn._autotune_timer.stop()
+            return conn._rx_rate
+
+        assert tick_at(1.0, 500) == 0.0  # first sample: a mark, no rate
+        assert tick_at(2.0, 1_000_500) == 1_000_000.0
+        assert tick_at(2.0, 9_999_999) == 1_000_000.0  # no time passed: unchanged
+        assert tick_at(3.0, 3_000_500) == pytest.approx(0.7 * 1e6 + 0.3 * 2e6)
+        # No subflow means no RTT sample: the buffers stay where they started.
+        assert conn.rcv_buf_limit == conn.snd_buf_limit == AUTOTUNE_INITIAL
 
     def test_autotuned_connection_still_performs(self):
         fixed = run_bulk(

@@ -4,6 +4,8 @@ memory accounting, teardown (§3.3, §3.4)."""
 import pytest
 
 from repro.mptcp.connection import MPTCPConfig, MPTCPConnection
+from repro.mptcp.options import DSS
+from repro.net.path import FORWARD, PathElement
 from repro.tcp.socket import TCPConfig
 
 from conftest import make_multipath, mptcp_transfer, random_payload
@@ -74,6 +76,42 @@ class TestStriping:
         config = MPTCPConfig(checksum=False)
         result = mptcp_transfer(net, client, server, random_payload(200_000), config=config)
         assert result.server.stats.checksums_verified == 0
+
+
+class ClearThenDropFirstData(PathElement):
+    """Empties the first forward data segment's option list in place and
+    drops the segment; records every later copy of the same sequence."""
+
+    def __init__(self):
+        super().__init__("ClearThenDropFirstData")
+        self.dropped_seq = None
+        self.resent = []
+
+    def process(self, segment, direction):
+        if direction != FORWARD or not segment.payload_len:
+            return [(segment, direction)]
+        if self.dropped_seq is None:
+            self.dropped_seq = segment.seq
+            segment.options.clear()
+            return []
+        if segment.seq == self.dropped_seq:
+            self.resent.append(list(segment.options))
+        return [(segment, direction)]
+
+
+class TestDataSegmentOptions:
+    def test_retransmission_keeps_dss_after_in_place_strip(self):
+        """A data segment owns its option list: emptying it on the wire
+        leaves the sender's record intact, so the retransmission still
+        carries its DSS mapping and the connection does not fall back."""
+        tap = ClearThenDropFirstData()
+        net, client, server = make_multipath(elements_per_path=[[tap], []])
+        payload = random_payload(200_000)
+        result = mptcp_transfer(net, client, server, payload)
+        assert bytes(result.received) == payload
+        assert tap.resent, "the dropped segment was never retransmitted"
+        assert any(isinstance(option, DSS) for option in tap.resent[0])
+        assert not result.client.fallback and not result.server.fallback
 
 
 class TestDataAckSemantics:

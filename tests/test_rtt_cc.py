@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.tcp.cc import FixedWindow, NewReno
+from repro.tcp.cc import NewReno
 from repro.tcp.rtt import RTTEstimator
 
 
@@ -108,13 +108,6 @@ class TestNewReno:
         cc.halve()
         assert cc.cwnd == 20_000
         assert cc.ssthresh == 20_000
-
-    def test_fixed_window_never_moves(self):
-        cc = FixedWindow(mss=1000, cwnd_bytes=5000)
-        cc.on_ack(1000)
-        cc.on_loss_event(5000)
-        cc.on_timeout(5000)
-        assert cc.cwnd == 5000
 
 
 class TestCwndValidation:

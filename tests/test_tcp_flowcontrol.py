@@ -1,9 +1,6 @@
-"""Flow control: window advertising, zero-window handling, autotuning."""
-
-import pytest
+"""Flow control: window advertising and zero-window handling."""
 
 from repro.net.packet import Endpoint
-from repro.tcp.autotune import BufferAutotuner, ThroughputMeter
 from repro.tcp.listener import Listener
 from repro.tcp.socket import TCPConfig, TCPSocket
 
@@ -106,57 +103,3 @@ class TestReceiveWindow:
         # Slow start dominates a 2 MB transfer, but even so the average
         # must far exceed the 64KB/60ms = 8.7 Mb/s unscaled-window cap.
         assert rate > 20e6
-
-
-class TestAutotuner:
-    def test_grows_toward_demand(self):
-        demand = {"rate": 1e6, "rtt": 0.1}
-        applied = []
-        tuner = BufferAutotuner(
-            initial=10_000,
-            maximum=500_000,
-            measure=lambda: (demand["rate"], demand["rtt"]),
-            apply=applied.append,
-        )
-        tuner.tick()
-        assert tuner.effective == 200_000  # 2 * rate(B/s) * rtt
-        demand["rate"] = 2e6
-        tuner.tick()
-        assert tuner.effective == 400_000
-        assert applied == [10_000, 200_000, 400_000]
-
-    def test_never_shrinks(self):
-        rates = iter([(1e6, 0.2), (1e5, 0.01)])
-        tuner = BufferAutotuner(10_000, 10**6, lambda: next(rates), lambda b: None)
-        tuner.tick()
-        grown = tuner.effective
-        tuner.tick()
-        assert tuner.effective == grown
-
-    def test_caps_at_maximum(self):
-        tuner = BufferAutotuner(10_000, 50_000, lambda: (1e9, 1.0), lambda b: None)
-        tuner.tick()
-        assert tuner.effective == 50_000
-
-    def test_no_sample_no_change(self):
-        tuner = BufferAutotuner(10_000, 50_000, lambda: None, lambda b: None)
-        assert tuner.tick() == 10_000
-
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            BufferAutotuner(0, 100, lambda: None, lambda b: None)
-        with pytest.raises(ValueError):
-            BufferAutotuner(200, 100, lambda: None, lambda b: None)
-
-    def test_throughput_meter_converges(self):
-        meter = ThroughputMeter()
-        meter.update(0.0, 0)
-        for second in range(1, 20):
-            meter.update(float(second), second * 1_000_000)
-        assert meter.rate == pytest.approx(1_000_000, rel=0.05)
-
-    def test_throughput_meter_ignores_time_reversal(self):
-        meter = ThroughputMeter()
-        meter.update(1.0, 100)
-        rate_before = meter.update(2.0, 200)
-        assert meter.update(2.0, 300) == rate_before
