@@ -69,7 +69,13 @@ def in_hot_scope(posix: str) -> bool:
 
 def allocation_sites(fn: ast.AST) -> list[tuple[ast.AST, str]]:
     sites: list[tuple[ast.AST, str]] = []
-    for node in own_nodes(fn, lambdas=False):
+    nodes = list(own_nodes(fn, lambdas=False))
+    # Annotations are never evaluated (``from __future__ import annotations``).
+    notes = [getattr(node, "annotation", None) for node in nodes] + [getattr(fn, "returns", None)]
+    skip = {id(sub) for note in notes if note for sub in ast.walk(note)}
+    for node in nodes:
+        if id(node) in skip:
+            continue
         if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
             sites.append((node, "comprehension"))
         elif isinstance(node, ast.Lambda):

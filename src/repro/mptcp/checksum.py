@@ -16,27 +16,31 @@ from __future__ import annotations
 from repro.net.payload import Buffer
 
 
+# Shift-add fold widths, widest first: 1,024·2^j bits up to 256 Kibit,
+# which halves a 64 KiB mapping (the most a 16-bit DSS length covers).
+_FOLDS = tuple((width, (1 << width) - 1) for width in (1024 << j for j in range(8, -1, -1)))
+
+
 def ones_complement_sum(data: Buffer) -> int:
-    """16-bit one's-complement sum of ``data`` (padded with a zero byte
-    if odd length), as used by the TCP/IP checksums.
+    """16-bit one's-complement sum of ``data`` (zero-padded to even
+    length), as used by the TCP/IP checksums; any bytes-like object.
 
-    Accepts any bytes-like object, memoryview payloads included, and
-    folds it in C — the hot path (one call per mapped payload when DSS
-    checksums are on) runs no Python frame per byte.
-
-    Implementation: because ``2**16 ≡ 1 (mod 0xFFFF)``, the big-endian
-    integer value of the data is congruent to the sum of its 16-bit
-    words, so the whole fold collapses to one C-level ``int.from_bytes``
-    and one modulo.  The only case the congruence cannot distinguish is
-    a non-zero sum that is a multiple of ``0xFFFF`` — the repeated-fold
-    loop yields ``0xFFFF`` there, never 0, hence the final fix-up.
-    An odd length needs a zero byte appended, which is a left shift.
+    As ``2**16 ≡ 1 (mod 0xFFFF)``, the data's big-endian integer value
+    (one C-level ``int.from_bytes``) is congruent to the sum of its
+    words.  CPython's ``%`` divides once per 30-bit digit, so a long
+    value is first cut down by shift-add folds ``(v >> k) + (v & (2**k
+    - 1))``, ``k`` running down the table of multiples of 16 (``2**k ≡
+    1`` too).  A non-zero value stays non-zero, so a non-zero multiple
+    of ``0xFFFF`` sums to ``0xFFFF``, never 0.
     """
     value = int.from_bytes(data, "big")
     if len(data) & 1:
         value <<= 8  # zero-pad the odd tail byte
     if value == 0:
         return 0
+    for width, mask in _FOLDS:
+        if value.bit_length() > width:
+            value = (value >> width) + (value & mask)
     folded = value % 0xFFFF
     return folded if folded else 0xFFFF
 
@@ -47,12 +51,6 @@ def add_ones_complement(a: int, b: int) -> int:
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return total
-
-
-def payload_sum(payload: Buffer) -> int:
-    """The payload's partial sum — computed once, then combined into
-    both the TCP checksum and the DSS checksum."""
-    return ones_complement_sum(payload)
 
 
 def pseudo_header_sum(dsn: int, subflow_seq: int, length: int) -> int:
@@ -68,15 +66,13 @@ def pseudo_header_sum(dsn: int, subflow_seq: int, length: int) -> int:
     # The checksum folds both sequence spaces into 16-bit words; this
     # is bit-pattern hashing, not sequence arithmetic.
     total = (dsn >> 16) + (dsn & 0xFFFF) + (ssn >> 16) + (ssn & 0xFFFF) + (length & 0xFFFF)  # analyze: ok(DOM01)
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total
+    return add_ones_complement(total >> 16, total & 0xFFFF)
 
 
 def dss_checksum(dsn: int, subflow_seq: int, length: int, payload: Buffer) -> int:
     """Checksum placed in the DSS option: one's complement of the sum of
     the pseudo-header and the mapped payload."""
-    total = add_ones_complement(pseudo_header_sum(dsn, subflow_seq, length), payload_sum(payload))
+    total = add_ones_complement(pseudo_header_sum(dsn, subflow_seq, length), ones_complement_sum(payload))
     return (~total) & 0xFFFF
 
 

@@ -44,9 +44,6 @@ from repro.mptcp.subflow import RxMapping, Subflow
 # Floor of the data-level retransmission timer (§3.3.5), in seconds.
 DATA_RTO_MIN = 1.0
 
-# A listener's ``on_accept(connection)``, handed to each server connection.
-AcceptCallback = Callable[["MPTCPConnection"], None]
-
 
 @dataclass
 class MPTCPConfig:
@@ -139,7 +136,7 @@ class MPTCPConnection:
         config: Optional[MPTCPConfig] = None,
         role: str = "client",
         name: str = "",
-        on_accept: Optional[AcceptCallback] = None,
+        on_accept: Optional[Callable[["MPTCPConnection"], None]] = None,
     ):
         self.host = host
         self.sim = host.sim

@@ -109,6 +109,13 @@ def test_hot01_hot_loop_fixture():
     assert locations(report, waived=True) == [(45, "HOT01")]
 
 
+def test_hot01_skips_annotations():
+    # The lists inside on_event's parameter, return and local
+    # annotations are never built; only its two dict displays count.
+    report = findings_for("hot01_annotations", "HOT01")
+    assert locations(report, waived=False) == [(30, "HOT01"), (31, "HOT01")]
+
+
 def test_hot01_committed_budget_tolerates_sites():
     from repro.analyze.rules import Hot01HotPathAllocations
 
