@@ -1,9 +1,8 @@
 """Approximate project call graph for the reachability-based rules.
 
-DET03 ("iteration order feeds the event path"), HOT01 ("allocation in
-the event loop") and CPX01 ("scans in the event-loop and sweep-worker
-closures") are properties of *call-site reachability*, not of single
-statements, so they need a whole-project view.  This module builds a
+DET03 ("iteration order feeds the event path") is a property of
+*call-site reachability*, not of single statements, so it needs a
+whole-project view, as do DOM01's call summaries.  This module builds a
 deliberately over-approximate call graph:
 
 * ``name()`` calls resolve to same-module functions, then to
@@ -19,9 +18,9 @@ deliberately over-approximate call graph:
   function that defines it — callbacks installed on sockets and timers
   run from the event loop, so this keeps them inside the taint;
 * a lambda assigned to a name is registered as a function under that
-  name, so calls to it (and worker fan-out through it) resolve;
-* ``name = functools.partial(fn, ...)`` records an alias: calling or
-  fanning out ``name`` reaches ``fn``;
+  name, so calls to it resolve;
+* ``name = functools.partial(fn, ...)`` records an alias: calling
+  ``name`` reaches ``fn``;
 * a decorator that is itself a project function gets a call edge to the
   function it decorates (the decorator receives it and may invoke it).
 
@@ -29,26 +28,17 @@ Over-approximation errs toward *more* taint, which is the safe
 direction for a determinism linter: a false taint at worst demands a
 waiver comment; a false clean bill would let nondeterminism ship.
 
-Two derived sets feed the rules (HOT01 takes its own forward closure
-from ``Simulator.run``):
-
-* :attr:`Project.schedule_tainted` — functions from which a call into
-  the :mod:`repro.sim.engine` scheduling API (a call named in
-  :data:`SCHEDULE_CALLBACK_ARG`, or anything defined in
-  ``sim/engine.py``) is reachable.  Iteration order inside these
-  functions can reorder events or packets.
-* :attr:`Project.worker_reachable` — the forward closure from the
-  ``ProcessPoolExecutor`` fan-out entry points: ``_execute_point`` and
-  every function handed to a ``sweep.add(fn, ...)`` call or a
-  ``Point(fn=...)`` construction.  CPX01 measures scans inside it as
-  well as inside the event loop.
+:attr:`Project.schedule_tainted` is the derived set DET03 reads:
+functions from which a call into the :mod:`repro.sim.engine` scheduling
+API (a call named in :data:`SCHEDULE_CALLS`, or anything defined in
+``sim/engine.py``) is reachable.  Iteration order inside these
+functions can reorder events or packets.
 
 The module is also the rules' shared analysis kernel: the one bounded
 summary fixpoint (:meth:`Project.fixpoint`, behind DOM01's domain
-summaries and CPX01's growth-class summaries), the per-project memo for
-derived facts (:meth:`Project.cached`), and the small AST helpers every
-rule walks with (:func:`own_nodes`, :func:`callable_ref`,
-:func:`container_kind`, the :data:`SCHEDULE_CALLBACK_ARG` table).
+summaries), the per-project memo for derived facts
+(:meth:`Project.cached`), and the small AST helpers every rule walks
+with (:func:`own_nodes`, :func:`callable_ref`, :func:`container_kind`).
 """
 
 from __future__ import annotations
@@ -60,21 +50,10 @@ from typing import Callable, Iterator, Optional
 
 from repro.analyze.core import FileContext
 
-# The engine's scheduling API: call name -> index of the callback
-# argument.  A call to any of these seeds DET03's schedule taint, and
-# the callback it hands over seeds HOT01's event-loop closure.
-SCHEDULE_CALLBACK_ARG = {
-    "schedule": 1,
-    "schedule_at": 1,
-    "post": 1,
-    "post_at": 1,
-    "call_soon": 0,
-    "Timer": 1,
-}
+# The engine's scheduling API: a call to any of these seeds DET03's
+# schedule taint.
+SCHEDULE_CALLS = frozenset({"schedule", "schedule_at", "post", "post_at", "call_soon", "Timer"})
 ENGINE_PATH_SUFFIX = "repro/sim/engine.py"
-# Process entry points for worker-reachability analysis: the sweep
-# runner's point executor.
-WORKER_ENTRY_NAMES = frozenset({"_execute_point"})
 
 _KIND_PATTERNS = (
     ("list", re.compile(r"(typing\.)?(List|list|deque|Deque)\b")),
@@ -83,19 +62,14 @@ _KIND_PATTERNS = (
 )
 
 
-def own_nodes(fn: ast.AST, *, lambdas: bool = True) -> Iterator[ast.AST]:
+def own_nodes(fn: ast.AST) -> Iterator[ast.AST]:
     """Walk a function's body without descending into nested defs or
-    classes (those are analysed as functions in their own right), nor
-    into lambdas when ``lambdas`` is false (HOT01 and CPX01 measure a
-    named lambda under its own function id, not in its definer)."""
-    stop: tuple[type, ...] = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    if not lambdas:
-        stop += (ast.Lambda,)
+    classes (those are analysed as functions in their own right)."""
     stack = list(ast.iter_child_nodes(fn))
     while stack:
         node = stack.pop()
         yield node
-        if not isinstance(node, stop):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             stack.extend(ast.iter_child_nodes(node))
 
 
@@ -266,39 +240,11 @@ class _ModuleIndexer(ast.NodeVisitor):
                     receiver = func.value.attr
                 kind = "self" if receiver in ("self", "cls") else "attr"
                 info.calls.append((kind, receiver, func.attr))
-        self._collect_worker_entry(node)
         self.generic_visit(node)
-
-    def _collect_worker_entry(self, node: ast.Call) -> None:
-        """``sweep.add(fn, ...)`` and ``Point(fn=...)`` register worker
-        fan-out targets (the functions a pool will execute)."""
-        func = node.func
-        target: Optional[ast.expr] = None
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in ("add", "submit")
-            and isinstance(func.value, ast.Name)
-            and ("sweep" in func.value.id.lower() or "pool" in func.value.id.lower())
-            and node.args
-        ):
-            target = node.args[0]
-        elif isinstance(func, ast.Name) and func.id == "Point":
-            if node.args:
-                target = node.args[0]
-            for keyword in node.keywords:
-                if keyword.arg == "fn":
-                    target = keyword.value
-        if target is not None and self._is_partial(target):
-            # ``sweep.add(partial(fn, ...))`` fans out to fn.
-            assert isinstance(target, ast.Call)
-            target = target.args[0] if target.args else None
-        ref = callable_ref(target)
-        if ref is not None:
-            self.project.worker_entry_refs.append((self.ctx.posix, dict(self.imports), ref))
 
 
 class Project:
-    """Cross-file index: functions, call edges, and the two taint sets."""
+    """Cross-file index: functions, call edges, and the schedule taint."""
 
     def __init__(self, contexts: list[FileContext]):
         self.contexts: list[FileContext] = list(contexts)
@@ -308,7 +254,6 @@ class Project:
         self.module_functions: dict[tuple[str, str], str] = {}  # (posix, name) -> fid
         self.module_imports: dict[str, dict[str, tuple]] = {}
         self.module_by_dotted: dict[str, str] = {}  # "repro.sim.engine" -> posix
-        self.worker_entry_refs: list[tuple[str, dict, str]] = []
         self.partial_aliases: dict[tuple[str, str], str] = {}  # (posix, name) -> ref
         self.decorator_refs: list[tuple[str, str, str]] = []  # (posix, ref, decorated fid)
         self.class_bases: dict[str, set[str]] = {}  # class name -> base names
@@ -326,7 +271,6 @@ class Project:
         self._descendants = self._class_descendants()
         self._resolve_edges()
         self.schedule_tainted = self._backward_closure(self._schedule_seeds())
-        self.worker_reachable = self._forward_closure(self._worker_seeds())
 
     # -- registration ---------------------------------------------------
     def _register_module_name(self, ctx: FileContext) -> None:
@@ -449,48 +393,12 @@ class Project:
                 seeds.add(fid)
                 continue
             for kind, _receiver, name in info.calls:
-                if kind in ("attr", "self", "name") and name in SCHEDULE_CALLBACK_ARG:
+                if kind in ("attr", "self", "name") and name in SCHEDULE_CALLS:
                     seeds.add(fid)
                     break
         return seeds
 
-    def _worker_seeds(self) -> set[str]:
-        seeds = {
-            fid
-            for fid, info in self.functions.items()
-            if info.name in WORKER_ENTRY_NAMES
-        }
-        for posix, imports, ref in self.worker_entry_refs:
-            if "." in ref:
-                receiver, name = ref.split(".", 1)
-                target = imports.get(receiver)
-                if target is not None and target[0] == "module":
-                    module_posix = self.module_by_dotted.get(target[1])
-                    if module_posix is not None:
-                        fid = self.module_functions.get((module_posix, name))
-                        if fid is not None:
-                            seeds.add(fid)
-            else:
-                seeds.update(self._resolve_name(posix, ref))
-        return seeds
-
     # -- closures -------------------------------------------------------
-    def _forward_closure(
-        self, seeds: set[str], keep: Optional[Callable[[str], bool]] = None
-    ) -> set[str]:
-        """Everything reachable from ``seeds``.  A callee whose file path
-        ``keep`` rejects is neither added nor expanded, so the walk stops
-        at the boundary instead of filtering afterwards."""
-        reached = set(seeds)
-        frontier = list(seeds)
-        while frontier:
-            fid = frontier.pop()
-            for callee in self.callees.get(fid, ()):
-                if callee not in reached and (keep is None or keep(self.functions[callee].posix)):
-                    reached.add(callee)
-                    frontier.append(callee)
-        return reached
-
     def _backward_closure(self, seeds: set[str]) -> set[str]:
         callers: dict[str, set[str]] = {fid: set() for fid in self.functions}
         for fid, callees in self.callees.items():
@@ -509,8 +417,8 @@ class Project:
     # -- derived facts --------------------------------------------------
     def cached(self, key, build: Callable[[], object]):
         """``build()``, computed once per project under ``key``: the
-        rules' closures and summary tables are derived from the whole
-        project, then queried once per checked file."""
+        rules' summary tables are derived from the whole project, then
+        queried once per checked file."""
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]

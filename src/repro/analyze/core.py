@@ -3,10 +3,10 @@
 A :class:`Finding` is one rule violation at one source location.  The
 engine parses every file once and reads its comments in one
 :mod:`tokenize` pass (so a ``#`` inside a string literal is not a
-comment): waivers and the ``# domain:`` / ``# grows:`` annotations all
-come from that pass.  It builds the cross-file
-:class:`~repro.analyze.callgraph.Project` index only when a selected rule
-needs it, and returns a :class:`Report` whose finding order is fully
+comment): waivers and the ``# domain:`` annotations both come from
+that pass.  It builds the cross-file
+:class:`~repro.analyze.callgraph.Project` index only when a selected
+rule needs it, and returns a :class:`Report` whose finding order is fully
 deterministic (sorted by path, line, column, rule) — the linter obeys
 its own contract.
 """
@@ -76,11 +76,10 @@ class FileContext:
     def tag_specs(self, tag: str, values: Mapping[str, str]) -> dict[int, dict[str, str]]:
         """Line -> parsed ``# <tag>: spec`` comment.  A spec is a comma
         list of ``value`` (keyed ``""``) or ``name=value`` parts, each
-        value looked up case-insensitively in ``values``: ``# grows:
-        segments`` -> ``{"": "SEGMENTS"}``, ``# domain: a=ssn,
-        return=dsn`` -> ``{"a": "SSN", "return": "DSN"}``.  Unknown
-        values are dropped: the grammar is advisory, and a typo must not
-        crash the lint."""
+        value looked up case-insensitively in ``values``: ``# domain:
+        dsn`` -> ``{"": "DSN"}``, ``# domain: a=ssn, return=dsn`` ->
+        ``{"a": "SSN", "return": "DSN"}``.  Unknown values are dropped:
+        the grammar is advisory, and a typo must not crash the lint."""
         pattern = re.compile(rf"#\s*{tag}:\s*([A-Za-z0-9_=,\s]+)")
         specs: dict[int, dict[str, str]] = {}
         for lineno, text in self.comments.items():

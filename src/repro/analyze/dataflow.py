@@ -470,9 +470,6 @@ class _SummaryTable:
                     declared=True,
                 )
 
-        # Nested, so the call graph counts it as called by __init__: the
-        # analyzer's own code is part of the project, and the committed
-        # HOT01 closure runs through this edge (see hot_budget.json).
         def infer(fid: str) -> Optional[FunctionSummary]:
             info = project.functions[fid]
             if not isinstance(info.node, (ast.FunctionDef, ast.AsyncFunctionDef)):

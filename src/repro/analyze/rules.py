@@ -1,7 +1,6 @@
 """The rule set: DET01/DET02/DET03 (determinism), EXC01 (silent
 failure), DOM01 (SSN/DSN sequence-domain dataflow), FSM01 (one writer
-per state machine), HOT01 (hot-path allocation budget), CPX01
-(growth-class complexity budget), WVR01 (stale and orphaned waivers).
+per state machine), WVR01 (stale and orphaned waivers).
 
 Each rule is a small class with a ``code``, a human ``title``, a
 ``rationale`` shown by ``--list-rules``, an ``allow`` tuple of path
@@ -9,16 +8,12 @@ suffixes that are exempt by design (the module whose *job* is to own
 the exception; an entry ending in ``/`` exempts a whole package), and
 a ``check`` generator yielding
 :class:`~repro.analyze.core.Finding` objects.  Waivers are applied by
-the engine, not here.  HOT01 and CPX01 are budget rules
-(:class:`BudgetRule`): they count sites per function against a
-committed, ratcheted budget file.
+the engine, not here.
 """
 
 from __future__ import annotations
 
 import ast
-import json
-from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 from repro.analyze.callgraph import container_kind, own_nodes
@@ -53,99 +48,6 @@ class Rule:
             rule=self.code,
             message=message,
         )
-
-
-class BudgetError(Exception):
-    """A committed budget file that is not a ``{"key": count}`` object."""
-
-
-class BudgetRule(Rule):
-    """A rule that counts sites per function against a committed budget
-    (``budget_file`` beside this module, keyed by :meth:`budget_key`).
-
-    Subclasses supply :meth:`scope` (the function ids measured) and
-    :meth:`sites` (one function's ``(node, message)`` pairs).  A function
-    over budget yields one finding per site, so fixes are line-targeted.
-    Sites on waived lines never count against the budget and always
-    yield (the engine marks them waived), so WVR01 sees each waiver
-    suppress a real finding.  ``python -m repro.analyze --budget``
-    compares :meth:`load_budget` with :meth:`measure` so the budget can
-    only ratchet down."""
-
-    needs_project = True
-    budget_file = ""
-    unit = ""  # what one site is, e.g. "scan site"
-    remedy = ""  # how to fix an over-budget function, before "or raise ..."
-
-    def __init__(self, budget_path=None):
-        self.budget_path = (
-            Path(__file__).resolve().parent / self.budget_file
-            if budget_path is None
-            else Path(budget_path)
-        )
-
-    def scope(self, project) -> set[str]:
-        raise NotImplementedError
-
-    def sites(self, project, fid: str) -> list[tuple[ast.AST, str]]:
-        raise NotImplementedError
-
-    def load_budget(self) -> dict[str, int]:
-        """The committed budget; ``{}`` when the file does not exist."""
-        try:
-            raw = json.loads(self.budget_path.read_text(encoding="utf-8"))
-            return {str(key): int(value) for key, value in raw.items()}
-        except FileNotFoundError:
-            return {}
-        except (OSError, ValueError, TypeError, AttributeError) as error:
-            raise BudgetError(
-                f"{self.budget_path}: not a {self.code} budget ({error})"
-            ) from error
-
-    @staticmethod
-    def budget_key(fid: str) -> str:
-        """Stable, machine-independent budget key for a function id."""
-        path, _, qual = fid.partition("::")
-        marker = path.find("/repro/")
-        rel = path[marker + 1 :] if marker != -1 else path.rsplit("/", 1)[-1]
-        return f"{rel}::{qual}"
-
-    def _countable(self, ctx: FileContext, sites: list) -> int:
-        return sum(not ctx.is_waived(self.code, node.lineno) for node, _ in sites)
-
-    def measure(self, project) -> dict[str, int]:
-        """Unwaived site counts per in-scope function (budget-file shape)."""
-        counts: dict[str, int] = {}
-        for fid in self.scope(project):
-            ctx = project.by_posix[project.functions[fid].posix]
-            countable = self._countable(ctx, self.sites(project, fid))
-            if countable:
-                key = self.budget_key(fid)
-                counts[key] = max(counts.get(key, 0), countable)
-        return counts
-
-    def check(self, ctx: FileContext, project) -> Iterator[Finding]:
-        budget = project.cached((self.code, self.budget_path), self.load_budget)
-        in_scope = self.scope(project)
-        for node in ast.walk(ctx.tree):
-            fid = project.fid_of(node)
-            if fid is None or fid not in in_scope:
-                continue
-            sites = self.sites(project, fid)
-            countable = self._countable(ctx, sites)
-            key = self.budget_key(fid)
-            allowed = budget.get(key, 0)
-            label = getattr(node, "name", "<lambda>")
-            for site, what in sites:
-                if countable > allowed or ctx.is_waived(self.code, site.lineno):
-                    yield self.finding(
-                        ctx,
-                        site,
-                        f"{what} in hot-path function '{label}' — {countable} "
-                        f"{self.unit}(s) against a budget of {allowed} ({key}); "
-                        f"{self.remedy} raise the committed budget with the "
-                        "ratchet rationale",
-                    )
 
 
 def _functions(tree: ast.Module) -> Iterator[ast.AST]:
@@ -478,72 +380,6 @@ class Fsm01SingleWriter(Rule):
 
 
 # ---------------------------------------------------------------------------
-# HOT01 — ratcheted hot-path allocation budget
-# ---------------------------------------------------------------------------
-class Hot01HotPathAllocations(BudgetRule):
-    code = "HOT01"
-    title = "hot-path allocation sites stay within the committed budget"
-    rationale = (
-        "The Simulator.run closure (everything the event loop can invoke) "
-        "is the throughput-critical path; comprehensions, lambdas, "
-        "f-strings and container literals/calls inside it are per-event "
-        "churn the flyweight work eliminated, and len(x.payload) pays the "
-        "Segment.payload property frame the cached payload_len does not.  "
-        "Counts are checked against src/repro/analyze/hot_budget.json; "
-        "'python -m repro.analyze --budget' ratchets the budget so it can "
-        "only move down."
-    )
-    budget_file = "hot_budget.json"
-    unit = "allocation site"
-    remedy = "eliminate the allocation or"
-
-    def scope(self, project) -> set[str]:
-        from repro.analyze import hotpath
-
-        return hotpath.closure(project)
-
-    def sites(self, project, fid: str) -> list[tuple[ast.AST, str]]:
-        from repro.analyze import hotpath
-
-        return hotpath.allocation_sites(project.functions[fid].node)
-
-
-# ---------------------------------------------------------------------------
-# CPX01 — growth-class complexity budget
-# ---------------------------------------------------------------------------
-class Cpx01GrowthComplexity(BudgetRule):
-    code = "CPX01"
-    title = "no per-event scans over unbounded-growth state"
-    rationale = (
-        "Collections carry growth classes (CONNECTIONS, SUBFLOWS, MAPPINGS, "
-        "SEGMENTS, BOUNDED) from a seed table plus '# grows:' annotations, "
-        "propagated through assignments and call summaries.  Inside the "
-        "event-loop and sweep-worker closures, O(n) idioms over an "
-        "unbounded class — sweeps, list membership, pop(0)/insert(0), "
-        "sort/sorted, min/max/sum reductions, remove/index/count — are "
-        "checked against src/repro/analyze/complexity_budget.json; "
-        "'python -m repro.analyze --budget' ratchets the budget so the "
-        "scan count can only move down as accesses get indexed."
-    )
-    # The indexed retransmit structure owns its internal scans: its whole
-    # job is to confine them behind an O(log n)/O(1) interface.
-    allow = ("repro/tcp/rtx.py",)
-    budget_file = "complexity_budget.json"
-    unit = "scan site"
-    remedy = "index the access, declare the growth class, or"
-
-    def scope(self, project) -> set[str]:
-        from repro.analyze import complexity
-
-        return complexity.scope(project)
-
-    def sites(self, project, fid: str) -> list[tuple[ast.AST, str]]:
-        from repro.analyze import complexity
-
-        return complexity.scan_sites(project, fid)
-
-
-# ---------------------------------------------------------------------------
 # WVR01 — stale waivers (evaluated by the engine after the other rules)
 # ---------------------------------------------------------------------------
 class Wvr01StaleWaiver(Rule):
@@ -596,8 +432,6 @@ ALL_RULES: tuple[Rule, ...] = (
     Exc01SilentExcept(),
     Dom01SequenceDomains(),
     Fsm01SingleWriter(),
-    Hot01HotPathAllocations(),
-    Cpx01GrowthComplexity(),
     Wvr01StaleWaiver(),
 )
 

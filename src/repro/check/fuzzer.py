@@ -390,21 +390,33 @@ def fuzz(
 
 
 def _parse_seeds(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi)))
-    return [int(part) for part in text.split(",") if part]
+    """``--seeds``: an empty or reversed range, or a non-integer, is a
+    usage error rather than a vacuous run of zero scenarios."""
+    try:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            seeds = list(range(int(lo), int(hi)))
+        else:
+            seeds = [int(part) for part in text.split(",") if part]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a seed range or list: {text!r}") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"no seeds in {text!r}")
+    return seeds
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--seeds", default="0:20", help="range lo:hi (exclusive) or comma list"
+        "--seeds",
+        type=_parse_seeds,
+        default="0:20",
+        help="range lo:hi (exclusive) or comma list",
     )
     parser.add_argument("--out", default="fuzz-failures", help="repro directory")
     parser.add_argument("--verbose", action="store_true")
     options = parser.parse_args(argv)
-    seeds = _parse_seeds(options.seeds)
+    seeds = options.seeds
     failures, incomplete, scopes = fuzz(seeds, out_dir=options.out, verbose=options.verbose)
     summary = f"{len(seeds)} scenarios, {len(failures)} failures, {incomplete} incomplete"
     if options.verbose and sum(scopes):

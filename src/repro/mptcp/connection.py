@@ -360,7 +360,7 @@ class MPTCPConnection:
         primary_local = next(
             (s.local.ip for s in self.subflows if s.local is not None), None
         )
-        local_candidates = list(self.local_extra_addresses)  # grows: bounded
+        local_candidates = list(self.local_extra_addresses)
         if primary_local is not None and primary_local not in local_candidates:
             local_candidates.insert(0, primary_local)
         for local_ip in local_candidates:
@@ -475,7 +475,7 @@ class MPTCPConnection:
         version at or below the initiator's offer, or None when the two
         sets share nothing (the listener then answers without
         MP_CAPABLE and the connection is plain TCP)."""
-        shared = [v for v in self.config.versions if v <= peer_offer]  # grows: bounded
+        shared = [v for v in self.config.versions if v <= peer_offer]
         return max(shared) if shared else None
 
     def tx_wire_dsn(self, offset: int) -> int:
@@ -562,7 +562,10 @@ class MPTCPConnection:
                 subflow.abort()
         self._teardown(error="aborted")
 
-    def on_fastclose(self, subflow: Subflow) -> None:
+    def on_fastclose(self, option: FastClose) -> None:
+        # RFC 6824 §3.5: only an MP_FASTCLOSE carrying our own key closes.
+        if option.receiver_key != self.local_key:
+            return
         for other in list(self.subflows):
             if not other.failed:
                 other.abort()
@@ -633,7 +636,7 @@ class MPTCPConnection:
     def kick(self) -> None:
         """Give every subflow (lowest smoothed RTT first) a chance to
         send — the scheduler's "least congested path" preference."""
-        subs = [s for s in self.subflows if not s.failed and s.state.may_send_data]  # grows: bounded
+        subs = [s for s in self.subflows if not s.failed and s.state.may_send_data]
         if len(subs) == 2:
             # The common two-path case: a stable sort of two elements is
             # a single compare-and-swap, no key lambda needed.

@@ -46,7 +46,7 @@ class CoupledGroup:
     __slots__ = ("controllers", "_alpha_cache", "_alpha_computed_at", "alpha_recompute_interval")
 
     def __init__(self) -> None:
-        self.controllers: list["LIAController"] = []  # grows: bounded
+        self.controllers: list["LIAController"] = []
         self._alpha_cache: Optional[float] = None
         self._alpha_computed_at: float = -1.0
         self.alpha_recompute_interval = 0.01  # seconds of simulated time

@@ -83,12 +83,12 @@ class TxIndex:
     A *run* is a chain of one subflow's mappings, each one's ``end``
     covered by the next; members share the run's ``head``, whose ``skip``
     is the offset past the chain.  Runs never go stale (ARCHITECTURE.md,
-    "CPX01", has the argument)."""
+    "Indexed per-ACK structures", has the argument)."""
 
     __slots__ = ("_by_start", "_span", "_seq")
 
     def __init__(self) -> None:
-        self._by_start: list[TxMapping] = []  # grows: mappings
+        self._by_start: list[TxMapping] = []
         self._span = 0
         self._seq = 0
 
@@ -153,7 +153,7 @@ class TxIndex:
         """Remove and return a failed subflow's mappings."""
         dropped: list[TxMapping] = []
         kept: list[TxMapping] = []
-        for mapping in self._by_start:  # analyze: ok(CPX01): once per subflow failure, not per segment
+        for mapping in self._by_start:
             (dropped if mapping.subflow is subflow else kept).append(mapping)
         self._by_start = kept
         return dropped
@@ -189,10 +189,10 @@ class Scheduler:
 
     def __init__(self, connection: "MPTCPConnection"):
         self.connection = connection
-        self.inflight = TxIndex()  # grows: mappings
+        self.inflight = TxIndex()
         # FIFO of mutable [start, end) ranges, consumed from the front one MSS
         # at a time (a deque: no tail shift) — () until the first reinjection.
-        self.reinject_queue: deque[list[int]] = ()  # grows: mappings
+        self.reinject_queue: deque[list[int]] = ()
         self.batches: dict[int, Batch] = {}  # subflow_id -> Batch
         self.stats = SchedulerStats()
 
@@ -394,7 +394,7 @@ class Scheduler:
         """Queue everything the dead subflow still owed for reinjection."""
         una = self.connection.data_una
         owed = self.inflight.drop_subflow(subflow)
-        ranges = [(max(m.start, una), m.end) for m in owed if m.end > una]  # grows: bounded
+        ranges = [(max(m.start, una), m.end) for m in owed if m.end > una]
         batch = self.batches.pop(subflow.subflow_id, None)
         if batch is not None and batch.remaining > 0:
             ranges.append((batch.cursor, batch.end))

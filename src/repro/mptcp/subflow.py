@@ -131,7 +131,7 @@ class Subflow(TCPSocket):
         # (learned from MP_JOIN); REMOVE_ADDR carries the peer's ids.
         self.peer_address_id: Optional[int] = 0 if kind == self.KIND_INITIAL else None
         # Receive-side mapping machinery.
-        self._rx_mappings: list[RxMapping] = []  # grows: mappings
+        self._rx_mappings: list[RxMapping] = []
         self._rx_pending = ByteStream()
         self.unmapped_bytes_dropped = 0
         self.checksum_failures = 0
@@ -492,7 +492,7 @@ class Subflow(TCPSocket):
             elif cls is MPFail:
                 conn.on_mp_fail(self)
             elif cls is FastClose:
-                conn.on_fastclose(self)
+                conn.on_fastclose(option)
 
     def _process_dss(self, dss: DSS, segment: Segment) -> None:
         self.rx_dss_received += 1

@@ -47,6 +47,7 @@ from repro.stats.bootstrap import (
 )
 from repro.stats.wallclock import wall_clock
 from repro.study.generative import (
+    SPECS,
     SampledPath,
     get_spec,
     sample_path,
@@ -362,16 +363,21 @@ def render_report(report: dict) -> str:
 # ----------------------------------------------------------------------
 
 
+def _population_size(text: str) -> int:
+    paths = int(text)
+    if paths < 1:
+        raise argparse.ArgumentTypeError(f"needs at least 1 path, got {paths}")
+    return paths
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.study.scale",
         description="Run the deployment study over a generative path population.",
     )
-    parser.add_argument("--paths", type=int, default=100_000, help="population size")
+    parser.add_argument("--paths", type=_population_size, default=100_000, help="population size")
     parser.add_argument(
-        "--spec",
-        default="internet2021",
-        help="population spec preset (paper2011, paper2011-port80, internet2021, internet2022)",
+        "--spec", choices=list(SPECS), default="internet2021", help="population spec preset"
     )
     parser.add_argument("--seed", type=int, default=2026)
     parser.add_argument("--batch", type=int, default=20_000, help="sampling batch size")

@@ -1,12 +1,11 @@
 """Indexed retransmit queue: the O(n)-scan sinks of tcp/socket.py.
 
-The retransmit queue is per-outstanding-segment state (CPX01 growth
-class SEGMENTS): at the roadmap's 10^6-connection scale, the three
-linear scans the socket used to run against it per ACK — SACK-block
-marking, first-lost lookup, cumulative-ACK popping — are exactly the
-per-packet bookkeeping that capped the ns-3 MPTCP models.  This module
-confines those scans behind an indexed interface (it carries the CPX01
-``allow`` entry for that reason):
+The retransmit queue holds one entry per outstanding segment, so it
+grows with the window.  The socket asks three questions of it per ACK —
+which segments a SACK block covers, which is the first lost one, and
+which a cumulative ACK releases — and a linear scan per question makes
+each ACK cost O(window).  This module answers them behind an indexed
+interface instead:
 
 * The queue is kept in transmission order, which for a TCP sender *is*
   start order: ``snd_nxt`` only grows, segments are disjoint, and

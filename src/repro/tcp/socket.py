@@ -171,7 +171,7 @@ class TCPSocket:
         self._fin_pending = False
         self._fin_sent = False
         self._fin_unit_sent: Optional[int] = None
-        self._rtx_queue = RetransmitQueue()  # grows: segments
+        self._rtx_queue = RetransmitQueue()
         self._lost_bytes = 0  # sum of seq units in lost, un-resent segments
         self._sacked_bytes = 0
         self._highest_sacked = 0
@@ -1038,7 +1038,7 @@ class TCPSocket:
         # (3 blocks with timestamps, fewer with more options).
         # Every _ack_options implementation returns a fresh list, so it
         # may be extended in place.
-        options: list[TCPOption] = self._ack_options()  # grows: bounded
+        options: list[TCPOption] = self._ack_options()
         if extra_options:
             options.extend(extra_options)
         timestamp_cost = 12 if self.ts_enabled else 0

@@ -20,7 +20,3 @@ def decorated(sim):
 
 
 alias = partial(decorated)
-
-
-def fan_out(sweep, sim):
-    sweep.add(partial(decorated, sim))

@@ -13,17 +13,15 @@ from pathlib import Path
 import pytest
 
 from repro.analyze import run_analysis
-from repro.analyze.callgraph import Project
-from repro.analyze.cli import budget_drift
+from repro.analyze.callgraph import SCHEDULE_CALLS, Project
 from repro.analyze.cli import main as analyze_main
 from repro.analyze.core import (
     iter_python_files,
     load_context,
-    load_contexts,
     parse_waivers,
     read_comments,
 )
-from repro.analyze.rules import BudgetError, Fsm01SingleWriter, rule_by_code
+from repro.analyze.rules import Fsm01SingleWriter
 from repro.check.fuzzer import _payload
 from repro.sim.rng import SeededRNG
 
@@ -87,86 +85,25 @@ def test_det03_flags_sets_in_comprehensions_and_calls_not_dict_views(tmp_path):
     assert locations(report, waived=False) == [(8, "DET03"), (9, "DET03"), (10, "DET03")]
 
 
+def test_every_schedule_call_seeds_the_taint(tmp_path):
+    names = ["Timer", "call_soon", "post", "post_at", "schedule", "schedule_at"]
+    assert sorted(SCHEDULE_CALLS) == names
+    source = tmp_path / "callers.py"
+    source.write_text(
+        "".join(f"def via_{name}(loop):\n    loop.{name}(0.0, None)\n\n\n" for name in names)
+        + "def bystander(loop):\n    loop.cancel(None)\n"
+    )
+    ctx = load_context(source)
+    project = Project([ctx])
+    tainted = {fid.rsplit("::", 1)[1] for fid in project.schedule_tainted}
+    assert tainted == {f"via_{name}" for name in names}
+
+
 def test_exc01_silent_except_fixture():
     report = findings_for("exc01", "EXC01")
     # records() uses the binding and reraises() re-raises: both clean.
     assert locations(report, waived=False) == [(11, "EXC01"), (18, "EXC01")]
     assert locations(report, waived=True) == [(40, "EXC01")]
-
-
-def test_hot01_hot_loop_fixture():
-    report = findings_for("hot01", "HOT01")
-    # cold() allocates freely: it is never reached from Simulator.run.
-    assert locations(report, waived=False) == [
-        (19, "HOT01"),
-        (26, "HOT01"),
-        (27, "HOT01"),
-        (32, "HOT01"),
-        (33, "HOT01"),
-        (39, "HOT01"),
-        (40, "HOT01"),
-    ]
-    assert locations(report, waived=True) == [(45, "HOT01")]
-
-
-def test_hot01_skips_annotations():
-    # The lists inside on_event's parameter, return and local
-    # annotations are never built; only its two dict displays count.
-    report = findings_for("hot01_annotations", "HOT01")
-    assert locations(report, waived=False) == [(30, "HOT01"), (31, "HOT01")]
-
-
-def test_hot01_committed_budget_tolerates_sites():
-    from repro.analyze.rules import Hot01HotPathAllocations
-
-    rule = Hot01HotPathAllocations(budget_path=FIXTURES / "hot01_budget.json")
-    report = run_analysis([FIXTURES / "hot01.py"], rules=[rule])
-    lines = [f.line for f in report.findings if not f.waived]
-    # tick's two sites fit its budget of 2; budgeted (2 > 1) still flags
-    # every site so fixes stay line-targeted.
-    assert 26 not in lines and 27 not in lines
-    assert lines.count(39) == 1 and lines.count(40) == 1
-
-
-def test_cpx01_growth_complexity_fixture():
-    report = findings_for("cpx01", "CPX01")
-    # tally's plain for-loop (untagged state) and cold() stay clean;
-    # dict membership and the bounded tag are exempt by construction.
-    assert locations(report, waived=False) == [
-        (30, "CPX01"),
-        (31, "CPX01"),
-        (35, "CPX01"),
-        (46, "CPX01"),
-        (53, "CPX01"),
-        (59, "CPX01"),
-    ]
-    assert locations(report, waived=True) == [(63, "CPX01")]
-
-
-def test_cpx01_committed_budget_tolerates_sites():
-    from repro.analyze.rules import Cpx01GrowthComplexity
-
-    rule = Cpx01GrowthComplexity(budget_path=FIXTURES / "cpx01_budget.json")
-    report = run_analysis([FIXTURES / "cpx01.py"], rules=[rule])
-    lines = [f.line for f in report.findings if not f.waived]
-    # budgeted's single reduction fits its committed budget of 1; the
-    # unbudgeted functions still flag every site.
-    assert 59 not in lines
-    assert {30, 31, 35, 46, 53} <= set(lines)
-
-
-def test_cpx01_grows_inside_a_string_tags_nothing():
-    report = findings_for("cpx01", "CPX01")
-    # Registry.peers is assigned a string that reads "# grows: connections";
-    # like a waiver, a tag counts only in a real comment token.
-    assert 85 not in [f.line for f in report.findings]
-
-
-def test_cpx01_class_propagates_through_return_summary():
-    report = findings_for("cpx01", "CPX01")
-    summary = next(f for f in report.findings if f.line == 46)
-    # fetch_mappings' "# grows: return=mappings" reaches the caller.
-    assert "MAPPINGS" in summary.message
 
 
 def test_fixture_findings_name_the_fixture_file():
@@ -239,89 +176,9 @@ def test_json_report_budget_summary(tmp_path, capsys):
 
 
 @pytest.fixture(scope="module")
-def src_project():
-    """``src/`` parsed once for the budget tests."""
-    contexts, parse_errors = load_contexts(list(iter_python_files([REPO_ROOT / "src"])))
-    assert not parse_errors
-    return Project(contexts)
-
-
-@pytest.fixture(scope="module")
 def src_report():
     """One full analysis of ``src/``, shared by the meta-tests."""
     return run_analysis([REPO_ROOT / "src"])
-
-
-def test_hot_budget_ratchet_is_tight(src_project):
-    """The committed HOT01 budget must match the measured hot closure:
-    no slack entries, no dead entries (``--budget``'s contract)."""
-    rule = rule_by_code("HOT01")
-    drift = budget_drift(rule.load_budget(), rule.measure(src_project))
-    assert drift == {"slack": {}, "dead": {}, "over": {}}
-
-
-def test_complexity_budget_ratchet_is_tight(src_project):
-    """The committed CPX01 budget must match the measured scan counts:
-    no slack entries, no dead entries (``--budget``'s contract)."""
-    rule = rule_by_code("CPX01")
-    drift = budget_drift(rule.load_budget(), rule.measure(src_project))
-    assert drift == {"slack": {}, "dead": {}, "over": {}}
-
-
-def test_budget_drift_classifies_entries():
-    drift = budget_drift({"a": 2, "b": 1, "gone": 1}, {"a": 1, "b": 3, "c": 1})
-    assert drift == {
-        "slack": {"a": [2, 1]},
-        "dead": {"gone": [1, 0]},
-        "over": {"b": [1, 3], "c": [0, 1]},
-    }
-
-
-def test_cli_budget_exit_codes_and_write(tmp_path, monkeypatch, capsys):
-    tiny = str(FIXTURES / "det01.py")  # measures nothing in either budget
-    # Against the real budgets every committed entry is dead.
-    assert analyze_main(["--budget", tiny]) == 1
-    assert "HOT01 dead entry:" in capsys.readouterr().out
-    for code in ("HOT01", "CPX01"):
-        rule = rule_by_code(code)  # a missing budget file is an empty budget
-        monkeypatch.setattr(rule, "budget_path", tmp_path / rule.budget_file)
-    out = tmp_path / "drift.json"
-    assert analyze_main(["--budget", "--out", str(out), tiny]) == 0
-    assert "budget ratchet: ok" in capsys.readouterr().out
-    assert json.loads(out.read_text()) == {
-        code: {"slack": {}, "dead": {}, "over": {}} for code in ("HOT01", "CPX01")
-    }
-    assert analyze_main(["--budget", "--write", tiny]) == 0
-    assert (tmp_path / "hot_budget.json").read_text() == "{}\n"
-
-
-def test_corrupt_budget_file_is_an_error_naming_it(tmp_path, monkeypatch, capsys):
-    corrupt = tmp_path / "hot_budget.json"
-    corrupt.write_text('{"broken": \n')
-    rule = rule_by_code("HOT01")
-    with pytest.raises(BudgetError, match="hot_budget.json"):
-        run_analysis([FIXTURES / "hot01.py"], rules=[type(rule)(budget_path=corrupt)])
-    # Not an empty budget: that would flag every hot allocation site.
-    monkeypatch.setattr(rule, "budget_path", corrupt)
-    assert analyze_main(["--rule", "HOT01", str(FIXTURES / "hot01.py")]) == 2
-    assert str(corrupt) in capsys.readouterr().err
-    assert analyze_main(["--budget", str(FIXTURES / "hot01.py")]) == 2
-    assert str(corrupt) in capsys.readouterr().err
-
-
-def test_cpx01_sees_the_mapping_tables():
-    """Every MAPPINGS-class collection the CPX01 docstring names is
-    tagged in the real tree.  The scheduler's in-flight table was not
-    (neither seed table nor assignment declared it), so the scale linter
-    never saw its per-segment rescans."""
-    from repro.analyze import complexity
-
-    files = list(iter_python_files([REPO_ROOT / "src" / "repro" / "mptcp"]))
-    contexts, parse_errors = load_contexts(files)
-    assert not parse_errors
-    tags = complexity._facts(Project(contexts)).attr_class
-    for attr in ("inflight", "_by_start", "reinject_queue", "_rx_mappings"):
-        assert tags.get(attr) == "MAPPINGS", attr
 
 
 def test_cli_exit_zero_on_clean_file(tmp_path, capsys):
@@ -343,21 +200,19 @@ def test_cli_exit_two_on_unknown_rule(capsys):
     assert "unknown rule" in capsys.readouterr().err
 
 
+def test_cli_budget_mode_is_gone(capsys):
+    # The HOT01/CPX01 budget ratchet was deleted with its rules.
+    with pytest.raises(SystemExit) as exit_info:
+        analyze_main(["--budget", str(FIXTURES / "det01.py")])
+    assert exit_info.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+
+
 def test_cli_list_rules(capsys):
     assert analyze_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in (
-        "DET01",
-        "DET02",
-        "DET03",
-        "EXC01",
-        "DOM01",
-        "FSM01",
-        "HOT01",
-        "CPX01",
-        "WVR01",
-    ):
-        assert code in out
+    codes = [line.split()[0] for line in out.splitlines() if not line.startswith(" ")]
+    assert codes == ["DET01", "DET02", "DET03", "EXC01", "DOM01", "FSM01", "WVR01"]
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +307,16 @@ def test_wvr01_orphaned_waivers_whichever_rules_run(tmp_path, rules):
     ]
 
 
+def test_wvr01_waivers_for_the_deleted_perf_rules_are_orphaned(tmp_path):
+    # HOT01 and CPX01 are gone; a leftover waiver for either excuses
+    # nothing and must be removed, not carried along.
+    source = tmp_path / "leftovers.py"
+    source.write_text("# analyze: file-ok(CPX01)\nrows = [1]  # analyze: ok(HOT01)\n")
+    report = run_analysis([source])
+    assert locations(report, waived=False) == [(1, "WVR01"), (2, "WVR01")]
+    assert all("orphaned waiver" in f.message for f in report.findings)
+
+
 def test_wvr01_orphaned_waivers_need_wvr01_in_the_run(tmp_path):
     source = tmp_path / "orphans.py"
     source.write_text(_ORPHANS)
@@ -495,13 +360,6 @@ def test_callgraph_partial_alias_resolves(extras_project):
     assert project._resolve_name(ctx.posix, "alias") == [_fid(project, "decorated")]
 
 
-def test_callgraph_partial_worker_entry_unwraps(extras_project):
-    _ctx, project = extras_project
-    # sweep.add(partial(decorated, sim)) fans out to decorated and below.
-    names = {fid.rsplit("::", 1)[1].split(":")[0] for fid in project.worker_reachable}
-    assert {"decorated", "bounce", "kick"} <= names
-
-
 def test_callgraph_decorator_edge(extras_project):
     _ctx, project = extras_project
     traced = _fid(project, "traced")
@@ -520,7 +378,7 @@ def test_report_carries_elapsed_seconds():
 
 
 def test_json_report_times_every_selected_rule(capsys):
-    selected = ["DET02", "DOM01", "HOT01", "WVR01"]
+    selected = ["DET02", "DOM01", "FSM01", "WVR01"]
     argv = [arg for code in selected for arg in ("--rule", code)]
     assert analyze_main(argv + ["--format", "json", str(FIXTURES)]) == 1
     seconds = json.loads(capsys.readouterr().out)["rule_seconds"]

@@ -103,6 +103,16 @@ class TestScenarioFuzzer:
         assert fuzzer.main(["--seeds", "447", "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().out == "1 scenarios, 0 failures, 1 incomplete\n"
 
+    @pytest.mark.parametrize("seeds", ["5:2", "3:3", "abc", "1:x", ",", ""])
+    def test_garbage_seeds_are_a_usage_error(self, seeds, tmp_path, capsys):
+        """A reversed or empty range would run zero scenarios and pass."""
+        from repro.check import fuzzer
+
+        with pytest.raises(SystemExit) as exit_info:
+            fuzzer.main(["--seeds", seeds, "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "--seeds" in capsys.readouterr().err
+
     def test_specs_have_eval_able_reprs(self):
         from repro.check import fuzzer
 

@@ -6,10 +6,12 @@ import pytest
 from repro.mptcp import keys
 from repro.mptcp.api import connect, listen
 from repro.mptcp.keys import TokenTable
+from repro.mptcp.options import FastClose, MPCapable
+from repro.net.path import FORWARD, REVERSE, PathElement
 from repro.net.packet import Endpoint
 from repro.sim.rng import SeededRNG
 
-from conftest import make_multipath, random_payload
+from conftest import make_multipath, mptcp_transfer, random_payload
 
 
 def established_pair(net, client, server):
@@ -110,7 +112,56 @@ class TestKeyPool:
         assert len(calls) == 1
 
 
+class ForgedFastClose(PathElement):
+    """Learns the client's key from its MP_CAPABLE SYN, then adds an
+    MP_FASTCLOSE carrying that key XOR ``flip`` (a different key unless
+    ``flip`` is 0) to one ACK back to the client once the transfer is
+    under way."""
+
+    def __init__(self, after: float, flip: int = 1):
+        super().__init__("ForgedFastClose")
+        self.after = after
+        self.flip = flip
+        self.client_key = None
+        self.forged = 0
+
+    def process(self, segment, direction):
+        if direction == FORWARD and self.client_key is None:
+            for option in segment.options:
+                if isinstance(option, MPCapable):
+                    self.client_key = option.sender_key
+        elif direction == REVERSE and not self.forged and self.sim.now >= self.after:
+            segment = segment.copy()
+            segment.options.append(FastClose(receiver_key=self.client_key ^ self.flip))
+            self.forged += 1
+        return [(segment, direction)]
+
+
 class TestFastClose:
+    def test_fastclose_with_a_wrong_key_is_ignored(self):
+        """RFC 6824 §3.5: only the receiver's own key closes the
+        connection, so a forged MP_FASTCLOSE must not abort a transfer."""
+        forger = ForgedFastClose(after=0.5)
+        net, client, server = make_multipath(elements_per_path=[[forger], []])
+        payload = random_payload(300_000)
+        result = mptcp_transfer(net, client, server, payload)
+        assert forger.forged == 1 and result.completed_at > forger.after
+        assert result.client.local_key == forger.client_key
+        assert result.client_error is None
+        assert bytes(result.received) == payload
+
+    def test_fastclose_with_the_right_key_closes(self):
+        """The same injected option carrying the client's own key does
+        close it, mid-transfer."""
+        forger = ForgedFastClose(after=0.5, flip=0)
+        net, client, server = make_multipath(elements_per_path=[[forger], []])
+        payload = random_payload(300_000)
+        result = mptcp_transfer(net, client, server, payload)
+        assert forger.forged == 1
+        assert result.client_error == "peer fastclose"
+        assert result.client.closed
+        assert result.completed_at is None and len(result.received) < len(payload)
+
     def test_fastclose_aborts_peer(self):
         net, client, server = make_multipath()
         conn, server_conn = established_pair(net, client, server)

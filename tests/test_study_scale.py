@@ -166,6 +166,18 @@ class TestCLI:
         printed = capsys.readouterr().out
         assert "digest=" in printed and "paths/s=" in printed
 
+    @pytest.mark.parametrize(
+        "argv", [["--paths", "-3"], ["--paths", "0"], ["--paths", "x"], ["--spec", "bogus"]]
+    )
+    def test_absurd_input_is_a_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        """No report is written and no traceback escapes: argparse exits 2."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert argv[0] in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_spec_raises(self):
         with pytest.raises(KeyError):
             run_scale_study("nonesuch", paths=10)
