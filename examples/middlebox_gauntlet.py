@@ -9,8 +9,6 @@ Every transfer must complete — that is the §2 deployability bar.
 Run:  python examples/middlebox_gauntlet.py
 """
 
-import random
-
 from repro.middlebox import (
     NAT,
     AckCoercer,
@@ -97,7 +95,7 @@ def run_gauntlet_case(name: str, elements, payload: bytes, expect=None) -> None:
 
 
 def main() -> None:
-    rnd = random.Random(99)
+    rnd = SeededRNG.raw(99, "gauntlet-payload")
     payload = bytes(rnd.getrandbits(8) for _ in range(TRANSFER))
     pattern = payload[200 * 1024 : 200 * 1024 + 12]  # unique, late in stream
 

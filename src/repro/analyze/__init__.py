@@ -4,14 +4,14 @@ The simulator's headline property — a run is a pure function of its seed
 — and the separation of the subflow (SSN) and data (DSN) sequence spaces
 are both *conventions* unless something checks them.  This package is
 that something: an AST-based rule engine (stdlib :mod:`ast` only, no
-third-party dependencies) that scans ``src/`` for the patterns which
-historically break deterministic replay or mix the two sequence spaces,
-with per-rule allowlists for the few modules whose job is to own the
-exception, and inline waivers for intentional sites.
+third-party dependencies) that scans ``src/`` and ``examples/`` for the
+patterns which historically break deterministic replay or mix the two
+sequence spaces, with per-rule allowlists for the few modules whose job
+is to own the exception, and inline waivers for intentional sites.
 
 Run it as a module::
 
-    PYTHONPATH=src python -m repro.analyze src/
+    PYTHONPATH=src python -m repro.analyze src/ examples/
     PYTHONPATH=src python -m repro.analyze --rule DET01 --format json src/
 
 Waive an intentional finding on its own line::

@@ -5,8 +5,8 @@ engine parses every file once and reads its comments in one
 :mod:`tokenize` pass (so a ``#`` inside a string literal is not a
 comment): waivers and the ``# domain:`` annotations both come from
 that pass.  It builds the cross-file
-:class:`~repro.analyze.callgraph.Project` index only when a selected
-rule needs it, and returns a :class:`Report` whose finding order is fully
+:class:`~repro.analyze.dataflow.Project` function index only when a
+selected rule (DOM01) needs it, and returns a :class:`Report` whose finding order is fully
 deterministic (sorted by path, line, column, rule) — the linter obeys
 its own contract.
 """
@@ -106,7 +106,7 @@ class Report:
     rules: list[str]
     elapsed_seconds: float = 0.0
     # Wall time spent inside each rule's check and post-pass.  The
-    # shared parse and call-graph build are in elapsed_seconds only.
+    # shared parse and function-index build are in elapsed_seconds only.
     rule_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -248,7 +248,7 @@ def run_analysis(
     rules: Optional[Sequence] = None,
 ) -> Report:
     """Run the selected rules (default: all) over the given paths."""
-    from repro.analyze.callgraph import Project
+    from repro.analyze.dataflow import Project
     from repro.analyze.rules import select_rules
 
     # Wall-clock, not simulated: this measures the linter itself, and the

@@ -25,10 +25,10 @@ Sources of domain facts, in priority order:
 2. The seed table below: well-known field and variable names from the
    stack (``Segment.seq``, DSS mapping fields, ``snd_nxt``...), plus
    the polymorphic signatures of the :mod:`repro.tcp.seq` helpers.
-3. Function summaries over the project call graph: a function whose
-   ``return`` expressions all evaluate to one non-OPAQUE domain exports
-   it to its callers (iterated to the project's bounded fixpoint, so
-   chains resolve).
+3. Function summaries over the project's function index
+   (:class:`Project`): a function whose ``return`` expressions all
+   evaluate to one non-OPAQUE domain exports it to its callers (iterated
+   to the project's bounded fixpoint, so chains resolve).
 
 The only blessed SSN<->wire / DSN<->wire casts are the
 ``mptcp.connection`` tx/rx wire-DSN mappers and the ``tcp.socket``
@@ -36,13 +36,18 @@ wire-seq helpers; their calls adopt the declared result domain without
 argument complaints.  Everything else that crosses SSN/DSN must carry
 an ``# analyze: ok(DOM01)`` waiver with a rationale (grep the tree for
 the fallback sites — the subflow stream *is* the data stream there).
+
+Call sites resolve through :class:`Project`, the cross-file index of
+functions, methods by name, imports, named lambdas and
+``functools.partial`` aliases, which also runs the bounded summary
+fixpoint: the analyzer's one dataflow kernel.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.analyze.core import FileContext, Finding
 
@@ -442,12 +447,227 @@ class _DomainEval:
 
 
 # ---------------------------------------------------------------------------
+# Project-wide function index: what a called name can resolve to
+# ---------------------------------------------------------------------------
+def callable_ref(expr: Optional[ast.expr]) -> Optional[str]:
+    """``name`` or ``receiver.name`` for a reference
+    :meth:`Project._resolve_ref` can resolve; None for anything else."""
+    if isinstance(expr, ast.Name):
+        return expr.id
+    if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
+        return f"{expr.value.id}.{expr.attr}"
+    return None
+
+
+@dataclass
+class FunctionInfo:
+    """One function, method or named lambda."""
+
+    fid: str  # "<posix path>::Qual.Name"
+    name: str
+    class_name: Optional[str]
+    posix: str
+    node: ast.AST
+
+
+class _ModuleIndexer(ast.NodeVisitor):
+    def __init__(self, ctx: FileContext, project: "Project"):
+        self.ctx = ctx
+        self.project = project
+        self.class_stack: list[str] = []
+        self.func_stack: list[str] = []
+        # local alias -> ("module", dotted) | ("object", module, name)
+        self.imports: dict[str, tuple] = {}
+
+    def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            local = alias.asname or alias.name.split(".")[0]
+            self.imports[local] = ("module", alias.name)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.module:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                self.imports[local] = ("object", node.module, alias.name)
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self.class_stack.append(node.name)
+        self.generic_visit(node)
+        self.class_stack.pop()
+
+    def _register_function(self, node, name: str, fid_suffix: str = "") -> None:
+        """Register ``node`` under ``name`` and visit its body as the
+        current function."""
+        outer = [".".join(self.class_stack)] if self.class_stack else []
+        qualname = ".".join(outer + self.func_stack + [name])
+        self.project.register(
+            FunctionInfo(
+                fid=f"{self.ctx.posix}::{qualname}{fid_suffix}",
+                name=name,
+                class_name=self.class_stack[-1] if self.class_stack else None,
+                posix=self.ctx.posix,
+                node=node,
+            )
+        )
+        self.func_stack.append(name)
+        self.generic_visit(node)
+        self.func_stack.pop()
+
+    def _visit_function(self, node) -> None:
+        self._register_function(node, node.name)
+
+    visit_FunctionDef = _visit_function
+    visit_AsyncFunctionDef = _visit_function
+
+    # -- named lambdas and partials -------------------------------------
+    def _is_partial(self, node: ast.expr) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        if isinstance(func, ast.Name):
+            target = self.imports.get(func.id)
+            return func.id == "partial" or (
+                target is not None
+                and target[0] == "object"
+                and target[1] == "functools"
+                and target[2] == "partial"
+            )
+        return (
+            isinstance(func, ast.Attribute)
+            and func.attr == "partial"
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "functools"
+        )
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        target = node.targets[0] if len(node.targets) == 1 else None
+        if isinstance(node.value, ast.Lambda) and isinstance(target, ast.Name):
+            self._register_function(node.value, target.id, f":{node.value.lineno}")
+            return
+        if self._is_partial(node.value) and isinstance(target, ast.Name):
+            value = node.value
+            assert isinstance(value, ast.Call)
+            if value.args:
+                ref = callable_ref(value.args[0])
+                if ref is not None:
+                    self.project.partial_aliases[(self.ctx.posix, target.id)] = ref
+        self.generic_visit(node)
+
+
+class Project:
+    """Cross-file index of functions and imports, the bounded summary
+    fixpoint over it, and a per-project memo for derived tables."""
+
+    def __init__(self, contexts: list[FileContext]):
+        self.contexts: list[FileContext] = list(contexts)
+        self.functions: dict[str, FunctionInfo] = {}
+        self.methods_by_name: dict[str, list[str]] = {}
+        self.module_functions: dict[tuple[str, str], str] = {}  # (posix, name) -> fid
+        self.module_imports: dict[str, dict[str, tuple]] = {}
+        self.module_by_dotted: dict[str, str] = {}  # "repro.sim.engine" -> posix
+        self.partial_aliases: dict[tuple[str, str], str] = {}  # (posix, name) -> ref
+        self.by_posix: dict[str, FileContext] = {ctx.posix: ctx for ctx in contexts}
+        self._memo: dict = {}
+
+        for ctx in contexts:
+            self._register_module_name(ctx)
+        for ctx in contexts:
+            indexer = _ModuleIndexer(ctx, self)
+            indexer.visit(ctx.tree)
+            self.module_imports[ctx.posix] = indexer.imports
+
+    def _register_module_name(self, ctx: FileContext) -> None:
+        parts = list(ctx.path.parts)
+        if "repro" in parts:
+            dotted = ".".join(parts[parts.index("repro") : ]).removesuffix(".py")
+            dotted = dotted.removesuffix(".__init__")
+            self.module_by_dotted[dotted] = ctx.posix
+
+    def register(self, info: FunctionInfo) -> None:
+        self.functions[info.fid] = info
+        if info.class_name is not None:
+            self.methods_by_name.setdefault(info.name, []).append(info.fid)
+        else:
+            self.module_functions.setdefault((info.posix, info.name), info.fid)
+
+    def _resolve_name(self, posix: str, name: str, _depth: int = 0) -> list[str]:
+        local = self.module_functions.get((posix, name))
+        if local is not None:
+            return [local]
+        target = self.module_imports.get(posix, {}).get(name)
+        if target is not None and target[0] == "object":
+            module_posix = self.module_by_dotted.get(target[1])
+            if module_posix is not None:
+                imported = self.module_functions.get((module_posix, target[2]))
+                if imported is not None:
+                    return [imported]
+        # ``name = functools.partial(fn, ...)``: follow to fn.
+        alias = self.partial_aliases.get((posix, name))
+        if alias is not None and _depth < 4:
+            return self._resolve_ref(posix, alias, _depth + 1)
+        # A class being constructed: treat as calling its __init__.
+        if name and name[0].isupper():
+            return [
+                fid
+                for fid in self.methods_by_name.get("__init__", [])
+                if self.functions[fid].class_name == name
+            ]
+        return []
+
+    def _resolve_ref(self, posix: str, ref: str, _depth: int = 0) -> list[str]:
+        """Resolve a ``name`` or ``receiver.name`` reference string."""
+        if "." not in ref:
+            return self._resolve_name(posix, ref, _depth)
+        receiver, name = ref.split(".", 1)
+        if receiver in ("self", "cls"):
+            return list(self.methods_by_name.get(name, []))
+        target = self.module_imports.get(posix, {}).get(receiver)
+        if target is not None and target[0] == "module":
+            module_posix = self.module_by_dotted.get(target[1])
+            if module_posix is not None:
+                fid = self.module_functions.get((module_posix, name))
+                if fid is not None:
+                    return [fid]
+        return list(self.methods_by_name.get(name, []))
+
+    def cached(self, key, build: Callable[[], object]):
+        """``build()``, computed once per project under ``key``: the
+        summary table is derived from the whole project, then queried
+        once per checked file."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def fixpoint(self, facts: dict, infer: Callable[[str], object], rounds: int = 3) -> dict:
+        """Complete a per-function summary table in place and return it.
+
+        ``facts`` holds the declared summaries (fid -> fact), which stay
+        fixed.  Every other function, in sorted fid order, gets
+        ``infer(fid)`` — typically read off its ``return`` expressions —
+        which may consult ``facts``, so a summary inferred earlier in a
+        round already feeds its callers.  None means "not known yet".
+        Rounds repeat until one adds nothing, at most ``rounds`` times:
+        call chains up to that depth resolve, recursion cannot loop."""
+        for _ in range(rounds):
+            changed = False
+            for fid in sorted(self.functions):
+                if fid not in facts:
+                    fact = infer(fid)
+                    if fact is not None:
+                        facts[fid] = fact
+                        changed = True
+            if not changed:
+                break
+        return facts
+
+
+# ---------------------------------------------------------------------------
 # Project-wide summary table
 # ---------------------------------------------------------------------------
 class _SummaryTable:
     """Declared + inferred function summaries, resolvable from call sites."""
 
-    def __init__(self, project):
+    def __init__(self, project: Project):
         self.project = project
         self._annos = {
             ctx.posix: ctx.tag_specs("domain", _DOMAINS) for ctx in project.contexts
@@ -505,7 +725,7 @@ class _SummaryTable:
         return first
 
 
-def check_file(rule, ctx: FileContext, project) -> Iterator[Finding]:
+def check_file(rule, ctx: FileContext, project: Project) -> Iterator[Finding]:
     """Run the domain interpreter over every function in ``ctx``."""
     table = project.cached("dom-summaries", lambda: _SummaryTable(project))
     annos = table.annotations_for(ctx.posix)

@@ -14,9 +14,9 @@ the engine, not here.
 from __future__ import annotations
 
 import ast
+import re
 from typing import Iterator, Optional, Sequence
 
-from repro.analyze.callgraph import container_kind, own_nodes
 from repro.analyze.core import FileContext, Finding
 
 # ---------------------------------------------------------------------------
@@ -48,12 +48,6 @@ class Rule:
             rule=self.code,
             message=message,
         )
-
-
-def _functions(tree: ast.Module) -> Iterator[ast.AST]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
 
 
 # ---------------------------------------------------------------------------
@@ -175,30 +169,27 @@ class Det02WallClock(Rule):
 
 
 # ---------------------------------------------------------------------------
-# DET03 — unordered iteration feeding the event path
+# DET03 — unordered iteration
 # ---------------------------------------------------------------------------
 class Det03UnorderedIteration(Rule):
     code = "DET03"
-    title = "no unordered iteration reaching the scheduler"
+    title = "no iteration over sets"
     rationale = (
         "set iteration order depends on PYTHONHASHSEED for str/object "
-        "elements; when such an order decides what gets scheduled or "
-        "emitted first, two runs of the same seed diverge.  Applies to "
-        "functions from which sim.engine scheduling calls are reachable; "
-        "iterate sorted(...) or an insertion-ordered structure (a dict, "
-        "whose order Python guarantees) instead."
+        "elements; when such an order decides what gets scheduled, emitted "
+        "or reported first, two runs of the same seed diverge.  Applies to "
+        "every function; iterate sorted(...) or an insertion-ordered "
+        "structure (a dict, whose order Python guarantees) instead.  "
+        "analyze/ is the linter, not simulation code."
     )
-    needs_project = True
+    allow = ("repro/analyze/",)
 
     def check(self, ctx: FileContext, project) -> Iterator[Finding]:
         class_sets = _class_set_attrs(ctx)
         module_sets = _set_names_in(ctx.tree.body)
-        for fn in _functions(ctx.tree):
-            fid = project.fid_of(fn)
-            if fid not in project.schedule_tainted:
-                continue
+        for fn, class_name in _functions(ctx.tree):
             local_sets = _set_names_in(list(own_nodes(fn))) | module_sets
-            attr_sets = class_sets.get(project.functions[fid].class_name, set())
+            attr_sets = class_sets.get(class_name, set())
 
             def set_like(expr: ast.expr) -> Optional[str]:
                 if isinstance(expr, (ast.Set, ast.SetComp)):
@@ -232,11 +223,62 @@ class Det03UnorderedIteration(Rule):
                         yield self.finding(
                             ctx,
                             source,
-                            f"iteration over {described} in a function that "
-                            "reaches Simulator.schedule — order feeds the "
-                            "event path; iterate a sorted or insertion-"
+                            f"iteration over {described} — its order depends "
+                            "on PYTHONHASHSEED; iterate a sorted or insertion-"
                             "ordered collection",
                         )
+
+
+def _functions(node: ast.AST, class_name: Optional[str] = None) -> Iterator[tuple]:
+    """Every function under ``node``, with its innermost enclosing class
+    name (None at module level)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child, class_name
+        yield from _functions(child, child.name if isinstance(child, ast.ClassDef) else class_name)
+
+
+def own_nodes(fn: ast.AST) -> Iterator[ast.AST]:
+    """Walk a function's body without descending into nested defs or
+    classes (those are checked as functions in their own right)."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+_KIND_PATTERNS = (
+    ("list", re.compile(r"(typing\.)?(List|list|deque|Deque)\b")),
+    ("dict", re.compile(r"(typing\.)?(Dict|dict|DefaultDict|defaultdict|Counter|OrderedDict)\b")),
+    ("set", re.compile(r"(typing\.)?(Set|set|FrozenSet|frozenset)\b")),
+)
+
+
+def container_kind(
+    value: Optional[ast.expr], annotation: Optional[ast.expr] = None
+) -> Optional[str]:
+    """``"list"``, ``"dict"`` or ``"set"`` when ``value`` builds that kind
+    of container (a display, a comprehension, a constructor call such as
+    ``deque()``), else when ``annotation`` names one (``list[int]``,
+    ``typing.Set``); None when neither says."""
+    if isinstance(value, (ast.List, ast.ListComp)):
+        return "list"
+    if isinstance(value, (ast.Dict, ast.DictComp)):
+        return "dict"
+    if isinstance(value, (ast.Set, ast.SetComp)):
+        return "set"
+    texts: list[str] = []
+    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
+        texts.append(value.func.id)
+    if annotation is not None:
+        texts.append(ast.unparse(annotation))
+    for text in texts:
+        for kind, pattern in _KIND_PATTERNS:
+            if pattern.match(text):
+                return kind
+    return None
 
 
 def _set_names_in(nodes: Sequence[ast.AST]) -> set[str]:
@@ -338,7 +380,7 @@ class Dom01SequenceDomains(Rule):
         "DSS mappings) are unrelated spaces; the paper's hardest bugs are "
         "values silently crossing between them.  An abstract interpreter "
         "tags every expression {SSN, DSN, LENGTH, OPAQUE} from '# domain:' "
-        "annotations, a seed table, and call-graph summaries, and flags "
+        "annotations, a seed table, and per-function summaries, and flags "
         "cross-domain arithmetic/comparison/assignment/argument-passing.  "
         "The mptcp.connection tx/rx wire-DSN mappers are the only blessed "
         "casts."

@@ -26,7 +26,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.runner import Point, run_parallel
 from repro.mptcp.connection import MPTCPConfig
-from repro.stats.cpu import CPUCostModel
+from repro.stats.cpu import CPUModelParams
 from repro.stats.metrics import GoodputMeter
 from repro.tcp.socket import TCPConfig
 
@@ -73,7 +73,7 @@ def run_fig3(
     result = ExperimentResult(
         "Fig. 3 — MPTCP goodput vs MSS, DSS checksum on/off (10 GbE, CPU-bound)"
     )
-    model = CPUCostModel()
+    model = CPUModelParams()
     grid = [(mss, checksum) for mss in mss_sweep for checksum in (False, True)]
     outcome = run_parallel(
         "fig3",

@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.experiments.common import ExperimentResult, PathSpec, run_bulk
 from repro.experiments.runner import Point, run_parallel
 from repro.mptcp.connection import MPTCPConfig
-from repro.stats.cpu import RECEIVER_PARAMS, CPUCostModel
+from repro.stats.cpu import RECEIVER_PARAMS
 from repro.tcp.socket import TCPConfig
 
 ALGORITHMS = ("regular", "tree", "shortcuts", "allshortcuts")
@@ -54,12 +54,11 @@ def _run(algorithm: str, subflows: int, duration: float, seed: int) -> dict:
     stats = server_conn.ooo_index.stats
     packets = sum(s.stats.segments_received for s in server_conn.subflows)
     payload = server_conn.stats.bytes_delivered
-    model = CPUCostModel(RECEIVER_PARAMS)
     busy = (
-        packets * model.params.per_packet
-        + payload * model.params.per_byte_copy
-        + stats.inserts * model.params.per_ooo_base
-        + stats.ops * model.params.per_ooo_op
+        packets * RECEIVER_PARAMS.per_packet
+        + payload * RECEIVER_PARAMS.per_byte_copy
+        + stats.inserts * RECEIVER_PARAMS.per_ooo_base
+        + stats.ops * RECEIVER_PARAMS.per_ooo_op
     )
     arrival_seconds = payload / (TARGET_ARRIVAL_BPS / 8) if payload else 1.0
     return {
@@ -76,9 +75,8 @@ def _run(algorithm: str, subflows: int, duration: float, seed: int) -> dict:
 def _tcp_baseline() -> float:
     """CPU utilization of plain TCP at the same arrival rate: per-packet
     and copy costs only (in-order fast path, no out-of-order queue)."""
-    model = CPUCostModel(RECEIVER_PARAMS)
     mss = 1448
-    per_byte = model.params.per_packet / mss + model.params.per_byte_copy
+    per_byte = RECEIVER_PARAMS.per_packet / mss + RECEIVER_PARAMS.per_byte_copy
     return 100.0 * per_byte * TARGET_ARRIVAL_BPS / 8
 
 
@@ -130,7 +128,7 @@ def check_claims(results: list[ExperimentResult]) -> dict[str, bool]:
         return rows[0]["utilization_pct"] if rows else 0.0
 
     claims: dict[str, bool] = {}
-    for n in {row["subflows"] for row in result.rows}:
+    for n in sorted({row["subflows"] for row in result.rows}):
         claims[f"shortcuts_beat_regular_{n}sf"] = util(n, "allshortcuts") < util(n, "regular")
         claims[f"tree_beats_regular_{n}sf"] = util(n, "tree") <= util(n, "regular")
     hit = [row["shortcut_hit_rate"] for row in result.rows if row["algorithm"] == "shortcuts"]

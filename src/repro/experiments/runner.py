@@ -14,7 +14,8 @@ Environment knob (CLI users; the API takes an explicit argument too):
 
 * ``REPRO_WORKERS`` — number of worker processes; ``1`` forces the
   in-process serial path (the debugging fallback), ``0``/unset means
-  one per CPU, and a negative or non-integer value is an error.
+  one per CPU, and a negative or non-integer value is an error.  An
+  explicit ``workers=`` argument follows the same rule.
 """
 
 from __future__ import annotations
@@ -69,21 +70,33 @@ class SweepPerf:
         }
 
 
+def require_count(value: int, name: str, minimum: int = 1) -> int:
+    """``value``, if it is at least ``minimum``; else a ValueError that
+    names ``name``.  The one rule for worker, batch and replicate
+    counts: an absurd count is an error, never clamped to a sane one."""
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def worker_count(value: int, name: str = "workers") -> int:
+    """A worker count: ``0`` means one per CPU, a negative one is an
+    error naming ``name``."""
+    return require_count(value, name, minimum=0) or os.cpu_count() or 1
+
+
 def default_workers() -> int:
     """``REPRO_WORKERS`` env override, else one worker per CPU.
 
-    The one parser of the knob: the analyzer's parse pool uses it too.
-    Unset or ``0`` means one per CPU; anything else must be a positive
-    integer.
+    The one parser of the knob; unset counts as ``0``, and the value
+    follows :func:`worker_count`'s rule, as an explicit count does.
     """
     raw = os.environ.get("REPRO_WORKERS", "").strip()
     try:
         value = int(raw) if raw else 0
     except ValueError:
         raise ValueError(f"REPRO_WORKERS must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ValueError(f"REPRO_WORKERS must be >= 0, got {raw!r}")
-    return value or os.cpu_count() or 1
+    return worker_count(value, "REPRO_WORKERS")
 
 
 # ----------------------------------------------------------------------
@@ -132,10 +145,11 @@ def run_parallel(
     """Run every point, in parallel where possible; deterministic order.
 
     Results come back as ``outcome.values[i]`` for ``points[i]``
-    regardless of which worker finished first.
+    regardless of which worker finished first.  ``workers=None`` reads
+    ``REPRO_WORKERS``; an explicit count follows the same rule.
     """
     started = wall_clock()
-    workers = min(workers if workers is not None else default_workers(), len(points))
+    workers = min(default_workers() if workers is None else worker_count(workers), len(points))
     perf = SweepPerf(name=name, points=len(points))
     # Every simulation a point runs ends in a full sweep; inside the
     # batch that sweep walks the point's own garbage, not the whole

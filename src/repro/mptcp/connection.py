@@ -789,15 +789,6 @@ class MPTCPConnection:
     # ==================================================================
     # Receive path
     # ==================================================================
-    def advertise_window(self) -> int:
-        """Connection-level receive window (shared pool headroom)."""
-        used = self.rx_memory_bytes()
-        window = max(0, self.rcv_buf_limit - used)
-        edge = self.rcv_data_nxt + window
-        if edge > self.rcv_data_adv_edge:
-            self.rcv_data_adv_edge = edge
-        return window
-
     def dss_data_ack_option(self) -> DSS:
         # DSS instances are frozen, so the pure-DATA_ACK option for an
         # unchanged rcv_data_nxt can be shared across ACKs (dupacks and

@@ -375,8 +375,10 @@ class Subflow(TCPSocket):
         conn = self.connection
         if conn.conn_state.is_fallback:
             return super()._window_to_advertise()
-        # advertise_window()/rx_memory_bytes(), inlined: recomputed for
-        # every segment any subflow emits.
+        # The connection-level window is the shared receive pool's
+        # headroom: rcv_buf_limit less the bytes held in the ready queue,
+        # the reassembly queue and every live subflow's pending queue.
+        # Recomputed for every segment any subflow emits.
         used = len(conn._rx_ready) + conn.reassembly.buffered_bytes
         for s in conn.subflows:
             if not s.failed:

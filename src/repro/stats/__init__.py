@@ -1,5 +1,5 @@
 """Measurement utilities: goodput/throughput meters, time-weighted
-memory sampling, histogram/PDF helpers, and the CPU cost model used for
+memory sampling, histogram/PDF helpers, and the CPU cost parameters for
 the Fig. 3 (checksum overhead) and Fig. 8 (receive-algorithm load)
 reproductions."""
 
@@ -9,7 +9,7 @@ from repro.stats.metrics import (
     MemorySampler,
     pdf_from_samples,
 )
-from repro.stats.cpu import CPUCostModel, CPUModelParams
+from repro.stats.cpu import CPUModelParams
 from repro.stats.bootstrap import (
     bootstrap_histogram_mean_ci,
     bootstrap_proportion_ci,
@@ -26,6 +26,5 @@ __all__ = [
     "MemorySampler",
     "Histogram",
     "pdf_from_samples",
-    "CPUCostModel",
     "CPUModelParams",
 ]

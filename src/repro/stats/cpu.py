@@ -33,6 +33,14 @@ class CPUModelParams:
     per_ooo_base: float = 0.6e-6  # receive-path bookkeeping per ooo insert
     per_ooo_op: float = 0.05e-6  # one traversal/comparison step
 
+    def cpu_limited_goodput_bps(self, mss: int, checksummed: bool, overhead: int = 52) -> float:
+        """Fig. 3's model: the goodput one CPU-bound core sustains at a
+        given MSS (packet rate = 1 / per-packet cost)."""
+        per_packet_cost = self.per_packet + (mss + overhead) * self.per_byte_copy
+        if checksummed:
+            per_packet_cost += mss * self.per_byte_checksum
+        return mss * 8 / per_packet_cost
+
 
 #: Receiver-side calibration for the Fig. 8 testbed (a different box
 #: than Fig. 3's): plain TCP at 2 Gb/s ≈ 14% of a core.
@@ -43,47 +51,3 @@ RECEIVER_PARAMS = CPUModelParams(
     per_ooo_base=0.6e-6,
     per_ooo_op=0.05e-6,
 )
-
-
-class CPUCostModel:
-    """Accumulates simulated core time for one endpoint."""
-
-    def __init__(self, params: CPUModelParams | None = None):
-        self.params = params or CPUModelParams()
-        self.busy_seconds = 0.0
-        self.packets = 0
-        self.bytes_copied = 0
-        self.bytes_checksummed = 0
-        self.ooo_ops = 0
-
-    # -- charging -------------------------------------------------------
-    def charge_packet(self, payload_bytes: int, checksummed: bool) -> float:
-        cost = self.params.per_packet + payload_bytes * self.params.per_byte_copy
-        if checksummed:
-            cost += payload_bytes * self.params.per_byte_checksum
-            self.bytes_checksummed += payload_bytes
-        self.packets += 1
-        self.bytes_copied += payload_bytes
-        self.busy_seconds += cost
-        return cost
-
-    def charge_ooo_insert(self, ops: int) -> float:
-        cost = self.params.per_ooo_base + ops * self.params.per_ooo_op
-        self.ooo_ops += ops
-        self.busy_seconds += cost
-        return cost
-
-    # -- reading --------------------------------------------------------
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of one core used over ``elapsed`` seconds."""
-        return min(1.0, self.busy_seconds / elapsed) if elapsed > 0 else 0.0
-
-    def cpu_limited_goodput_bps(self, mss: int, checksummed: bool, overhead: int = 52) -> float:
-        """Fig. 3's model: the goodput one CPU-bound core sustains at a
-        given MSS (packet rate = 1 / per-packet cost)."""
-        per_packet_cost = (
-            self.params.per_packet + (mss + overhead) * self.params.per_byte_copy
-        )
-        if checksummed:
-            per_packet_cost += mss * self.params.per_byte_checksum
-        return mss * 8 / per_packet_cost

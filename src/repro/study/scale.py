@@ -37,7 +37,7 @@ import json
 import zlib
 from collections import Counter
 from pathlib import Path as FsPath
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.stats.bootstrap import (
     bootstrap_histogram_mean_ci,
@@ -110,9 +110,9 @@ def sample_counts(
     the merged :func:`count_paths` tables, and the sweep's perf notes."""
     # Imported here: the sweep engine loads multiprocessing, which
     # importers of this module that never sweep should not pay for.
-    from repro.experiments.runner import Point, run_parallel
+    from repro.experiments.runner import Point, require_count, run_parallel
 
-    batch = max(1, batch)
+    require_count(batch, "batch")
     sample_points = [
         Point(
             _sample_batch,
@@ -195,10 +195,10 @@ def simulate_signatures(
     time / MPTCP time, rounded to 0.01) and ``signatures`` (one entry per
     signature label) — and the sweep's perf notes.
     """
-    from repro.experiments.runner import Point, run_parallel
+    from repro.experiments.runner import Point, require_count, run_parallel
 
+    require_count(replicates, "replicates")
     ordered = sorted(signatures.items(), key=lambda item: repr(item[0]))
-    replicates = max(1, replicates)
     sim_points = [
         Point(
             _evaluate_signature,
@@ -283,7 +283,6 @@ def run_scale_study(
     signatures = counts.pop("signatures", {})
     sample_elapsed = wall_clock() - started
 
-    replicates = max(1, replicates)
     folded, sim_sweep = simulate_signatures(
         spec_name, signatures, seed, replicates, include_strawman, workers
     )
@@ -363,11 +362,17 @@ def render_report(report: dict) -> str:
 # ----------------------------------------------------------------------
 
 
-def _population_size(text: str) -> int:
-    paths = int(text)
-    if paths < 1:
-        raise argparse.ArgumentTypeError(f"needs at least 1 path, got {paths}")
-    return paths
+def _at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse type: an integer of at least ``minimum``, so an absurd
+    count is a usage error (exit 2) before anything runs."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return count
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -375,15 +380,19 @@ def main(argv: Optional[list[str]] = None) -> int:
         prog="python -m repro.study.scale",
         description="Run the deployment study over a generative path population.",
     )
-    parser.add_argument("--paths", type=_population_size, default=100_000, help="population size")
+    parser.add_argument("--paths", type=_at_least(1), default=100_000, help="population size")
     parser.add_argument(
         "--spec", choices=list(SPECS), default="internet2021", help="population spec preset"
     )
     parser.add_argument("--seed", type=int, default=2026)
-    parser.add_argument("--batch", type=int, default=20_000, help="sampling batch size")
-    parser.add_argument("--replicates", type=int, default=1, help="microsims per signature")
+    parser.add_argument("--batch", type=_at_least(1), default=20_000, help="sampling batch size")
+    parser.add_argument(
+        "--replicates", type=_at_least(1), default=1, help="microsims per signature"
+    )
     parser.add_argument("--strawman", action="store_true", help="also run the §3 strawman")
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument(
+        "--workers", type=_at_least(0), default=None, help="0 = one per CPU (default: REPRO_WORKERS)"
+    )
     parser.add_argument("--out", default="STUDY_scale.json")
     args = parser.parse_args(argv)
 

@@ -1089,25 +1089,6 @@ class TCPSocket:
         space = self.cc.cwnd + self._recovery_inflation - self._flight_bytes()
         return space if space > 0 else 0
 
-    def cwnd_allows_segment(self) -> bool:
-        """Packet-granularity cwnd test (as Linux does): a full-MSS
-        segment may go whenever flight, in segments, is below cwnd in
-        segments — never fragment a segment to fit a cwnd byte remainder
-        (that is sender-side silly window syndrome)."""
-        mss = self.mss
-        cwnd = self.cc.cwnd + self._recovery_inflation
-        if self._recover is None and self._dupacks:
-            # RFC 3042 limited transmit: the first two dupacks release
-            # one new segment each, keeping the ACK clock alive.
-            cwnd += (2 if self._dupacks > 2 else self._dupacks) * mss
-        cwnd_segments = (cwnd + mss // 2) // mss
-        if cwnd_segments < 1:
-            cwnd_segments = 1
-        flight = self.snd_nxt - self.snd_una - self._lost_bytes - self._sacked_bytes
-        if flight < 0:
-            flight = 0
-        return (flight + mss - 1) // mss < cwnd_segments
-
     def _try_send(self) -> None:
         if self.state in (TCPState.CLOSED, TCPState.SYN_SENT, TCPState.SYN_RCVD):
             return
@@ -1116,8 +1097,13 @@ class TCPSocket:
         mss = self.mss
         half_mss = mss // 2
         while True:
-            # cwnd_allows_segment(), inlined: tested before every segment
-            # this loop emits (and once more to terminate it).
+            # Packet-granularity cwnd (as Linux does): a full-MSS segment
+            # may go while flight, in segments, is below cwnd in segments,
+            # so a cwnd byte remainder never fragments a segment (sender-
+            # side silly window syndrome).  RFC 3042 limited transmit: the
+            # first two dupacks each release one new segment, keeping the
+            # ACK clock alive.  Tested before every segment this loop
+            # emits, and once more to end it.
             cwnd = self.cc.cwnd + self._recovery_inflation
             if self._recover is None and self._dupacks:
                 cwnd += (2 if self._dupacks > 2 else self._dupacks) * mss

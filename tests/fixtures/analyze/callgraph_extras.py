@@ -1,22 +1,12 @@
-"""Callgraph fixture: lambdas, functools.partial, and decorators."""
+"""Function-index fixture: a named lambda and a functools.partial alias."""
 
 from functools import partial
 
 
-def traced(fn):
-    return fn
-
-
 def kick(sim):
-    sim.schedule(0, None)  # analyze: ok(DET03)
+    return sim
 
 
 bounce = lambda sim: kick(sim)  # noqa: E731
 
-
-@traced
-def decorated(sim):
-    bounce(sim)
-
-
-alias = partial(decorated)
+alias = partial(kick)

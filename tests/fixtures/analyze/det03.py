@@ -1,4 +1,4 @@
-"""DET03 fixture: unordered iteration in schedule-tainted functions."""
+"""DET03 fixture: iteration over sets, whatever the function does."""
 
 
 class Node:
@@ -28,5 +28,5 @@ class Node:
             self.sim.schedule(0.0, peer)
 
     def report(self, table: dict) -> list:
-        # fine: this function never reaches the scheduler
+        # fine: dict order is insertion order
         return [value for value in table.values()]

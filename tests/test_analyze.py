@@ -5,6 +5,7 @@ regressions for the determinism fixes that rode along with the linter
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import random
@@ -12,8 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analyze import run_analysis
-from repro.analyze.callgraph import SCHEDULE_CALLS, Project
+from repro.analyze import ALL_RULES, run_analysis
 from repro.analyze.cli import main as analyze_main
 from repro.analyze.core import (
     iter_python_files,
@@ -21,6 +21,7 @@ from repro.analyze.core import (
     parse_waivers,
     read_comments,
 )
+from repro.analyze.dataflow import Project
 from repro.analyze.rules import Fsm01SingleWriter
 from repro.check.fuzzer import _payload
 from repro.sim.rng import SeededRNG
@@ -56,8 +57,8 @@ def test_det02_wallclock_fixture():
 
 def test_det03_unordered_iteration_fixture():
     report = findings_for("det03", "DET03")
-    # kick_dict (dict order is insertion order), kick_sorted (sorted set)
-    # and report (not schedule-tainted) stay clean.
+    # kick_dict and report (dict order is insertion order) and
+    # kick_sorted (sorted set) stay clean.
     assert locations(report, waived=False) == [(10, "DET03"), (15, "DET03")]
     assert locations(report, waived=True) == [(27, "DET03")]
 
@@ -85,18 +86,24 @@ def test_det03_flags_sets_in_comprehensions_and_calls_not_dict_views(tmp_path):
     assert locations(report, waived=False) == [(8, "DET03"), (9, "DET03"), (10, "DET03")]
 
 
-def test_every_schedule_call_seeds_the_taint(tmp_path):
-    names = ["Timer", "call_soon", "post", "post_at", "schedule", "schedule_at"]
-    assert sorted(SCHEDULE_CALLS) == names
-    source = tmp_path / "callers.py"
+def test_det03_flags_sets_in_functions_that_schedule_nothing(tmp_path):
+    # Report and claim code orders its output too: the rule applies to
+    # every function, not only those that reach Simulator.schedule.
+    source = tmp_path / "claims.py"
     source.write_text(
-        "".join(f"def via_{name}(loop):\n    loop.{name}(0.0, None)\n\n\n" for name in names)
-        + "def bystander(loop):\n    loop.cancel(None)\n"
+        "def claims(rows):\n"
+        "    out = {}\n"
+        "    for n in {row['subflows'] for row in rows}:\n"  # line 3
+        "        out[f'claim_{n}'] = True\n"
+        "    return out\n"
     )
-    ctx = load_context(source)
-    project = Project([ctx])
-    tainted = {fid.rsplit("::", 1)[1] for fid in project.schedule_tainted}
-    assert tainted == {f"via_{name}" for name in names}
+    report = run_analysis([source], rule_codes=["DET03"])
+    assert locations(report, waived=False) == [(3, "DET03")]
+
+
+def test_det03_exempts_only_the_analyzer():
+    (det03,) = [rule for rule in ALL_RULES if rule.code == "DET03"]
+    assert det03.allow == ("repro/analyze/",)
 
 
 def test_exc01_silent_except_fixture():
@@ -177,8 +184,9 @@ def test_json_report_budget_summary(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def src_report():
-    """One full analysis of ``src/``, shared by the meta-tests."""
-    return run_analysis([REPO_ROOT / "src"])
+    """One full analysis of ``src/`` and ``examples/`` (CI's lint
+    inputs), shared by the meta-tests."""
+    return run_analysis([REPO_ROOT / "src", REPO_ROOT / "examples"])
 
 
 def test_cli_exit_zero_on_clean_file(tmp_path, capsys):
@@ -330,7 +338,7 @@ def test_wvr01_repo_has_no_stale_waivers(src_report):
 
 
 # ---------------------------------------------------------------------------
-# Callgraph blind spots: lambdas, functools.partial, decorators
+# Function index: named lambdas and functools.partial aliases
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def extras_project():
@@ -349,23 +357,15 @@ def _fid(project, name):
 
 
 def test_callgraph_lambda_is_a_function(extras_project):
-    _ctx, project = extras_project
+    ctx, project = extras_project
     bounce = _fid(project, "bounce")
-    assert bounce in project.schedule_tainted  # bounce -> kick -> schedule
-    assert _fid(project, "kick") in project.callees[bounce]
+    assert isinstance(project.functions[bounce].node, ast.Lambda)
+    assert project._resolve_name(ctx.posix, "bounce") == [bounce]
 
 
 def test_callgraph_partial_alias_resolves(extras_project):
     ctx, project = extras_project
-    assert project._resolve_name(ctx.posix, "alias") == [_fid(project, "decorated")]
-
-
-def test_callgraph_decorator_edge(extras_project):
-    _ctx, project = extras_project
-    traced = _fid(project, "traced")
-    assert _fid(project, "decorated") in project.callees[traced]
-    # and taint flows back through the decorator edge
-    assert traced in project.schedule_tainted
+    assert project._resolve_name(ctx.posix, "alias") == [_fid(project, "kick")]
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,11 @@ class TestOrderingAndParallelism:
         assert os.getpid() not in pids  # ran in workers, not in-process
         assert [x for x, _ in out.values] == list(range(8))
 
+    def test_negative_workers_is_an_error_not_serial(self):
+        # The rule REPRO_WORKERS follows: a negative count names itself.
+        with pytest.raises(ValueError, match="workers must be >= 0, got -2"):
+            run_parallel("t", [Point(_double, {"x": 1})], workers=-2)
+
     def test_workers_one_is_in_process(self):
         out = run_parallel("t", [Point(_record_pid, {"x": 0})], workers=1)
         assert out.values[0][1] == os.getpid()

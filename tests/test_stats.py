@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Simulator
-from repro.stats.cpu import RECEIVER_PARAMS, CPUCostModel, CPUModelParams
+from repro.stats.cpu import RECEIVER_PARAMS, CPUModelParams
 from repro.stats.metrics import (
     GoodputMeter,
     Histogram,
@@ -104,27 +104,8 @@ class TestHistogram:
 
 
 class TestCPUModel:
-    def test_packet_charging_accumulates(self):
-        model = CPUCostModel()
-        cost_plain = model.charge_packet(1448, checksummed=False)
-        cost_checksummed = model.charge_packet(1448, checksummed=True)
-        assert cost_checksummed > cost_plain
-        assert model.packets == 2
-        assert model.bytes_checksummed == 1448
-
-    def test_ooo_charging(self):
-        model = CPUCostModel()
-        cheap = model.charge_ooo_insert(1)
-        expensive = model.charge_ooo_insert(100)
-        assert expensive > cheap
-
-    def test_utilization_capped_at_one(self):
-        model = CPUCostModel()
-        model.busy_seconds = 100.0
-        assert model.utilization(1.0) == 1.0
-
     def test_cpu_limited_goodput_increases_with_mss(self):
-        model = CPUCostModel()
+        model = CPUModelParams()
         assert model.cpu_limited_goodput_bps(8500, False) > model.cpu_limited_goodput_bps(
             1448, False
         )
@@ -133,7 +114,7 @@ class TestCPUModel:
         """Fig. 3's core shape: at small MSS per-packet costs dominate,
         so the checksum's relative cost is small; at jumbo frames it is
         large."""
-        model = CPUCostModel()
+        model = CPUModelParams()
 
         def penalty(mss):
             off = model.cpu_limited_goodput_bps(mss, False)

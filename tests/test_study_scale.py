@@ -11,6 +11,8 @@ from repro.study.scale import (
     main,
     render_report,
     run_scale_study,
+    sample_counts,
+    simulate_signatures,
 )
 
 SEED = 31
@@ -154,6 +156,18 @@ class TestIntervals:
         assert any(float(k) > 1.0 for k in benefit["histogram"])
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: sample_counts("paper2011", 5, SEED, batch=0, workers=1), "batch"),
+        (lambda: simulate_signatures("paper2011", {}, SEED, replicates=0), "replicates"),
+    ],
+)
+def test_counts_below_one_raise_instead_of_clamping(call, name):
+    with pytest.raises(ValueError, match=f"{name} must be >= 1, got 0"):
+        call()
+
+
 class TestCLI:
     def test_main_writes_reports(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -167,7 +181,19 @@ class TestCLI:
         assert "digest=" in printed and "paths/s=" in printed
 
     @pytest.mark.parametrize(
-        "argv", [["--paths", "-3"], ["--paths", "0"], ["--paths", "x"], ["--spec", "bogus"]]
+        "argv",
+        [
+            ["--paths", "-3"],
+            ["--paths", "0"],
+            ["--paths", "x"],
+            ["--spec", "bogus"],
+            # The bad count comes first (the message names it); a tiny
+            # population keeps a run that wrongly goes ahead short.
+            ["--workers", "-2", "--paths", "5"],
+            ["--replicates", "0", "--paths", "5"],
+            ["--replicates", "-1", "--paths", "5"],
+            ["--batch", "0", "--paths", "5"],
+        ],
     )
     def test_absurd_input_is_a_usage_error(self, argv, tmp_path, monkeypatch, capsys):
         """No report is written and no traceback escapes: argparse exits 2."""
