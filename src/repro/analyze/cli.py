@@ -1,6 +1,6 @@
 """Command line front end: ``python -m repro.analyze [opts] paths...``
 
-Exit codes: 0 clean, 1 unwaived findings, 2 bad invocation or
+Exit codes: 0 clean, 1 findings, 2 bad invocation or
 unparseable source.  ``--out FILE`` always writes the JSON report (the
 CI lint job uploads it as an artifact on failure) regardless of the
 console ``--format``.
@@ -17,17 +17,11 @@ from repro.analyze.core import Report, run_analysis
 from repro.analyze.rules import ALL_RULES
 
 
-def _render_text(report: Report, show_waived: bool) -> str:
-    lines: list[str] = []
-    for finding in report.findings:
-        if finding.waived and not show_waived:
-            continue
-        lines.append(finding.format())
-    for error in report.parse_errors:
-        lines.append(error)
-    waived_count = len(report.findings) - len(report.unwaived)
+def _render_text(report: Report) -> str:
+    lines = [finding.format() for finding in report.findings]
+    lines.extend(report.parse_errors)
     lines.append(
-        f"{len(report.unwaived)} finding(s), {waived_count} waived, "
+        f"{len(report.findings)} finding(s), "
         f"{report.files_scanned} file(s) scanned, "
         f"rules: {', '.join(report.rules)}"
     )
@@ -59,9 +53,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", metavar="FILE", help="also write the JSON report here")
-    parser.add_argument(
-        "--show-waived", action="store_true", help="print waived findings too (text mode)"
-    )
     parser.add_argument("--list-rules", action="store_true", help="describe the rules and exit")
     options = parser.parse_args(argv)
 
@@ -82,8 +73,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if options.format == "json":
         print(json.dumps(report.as_dict(), indent=2))
     else:
-        print(_render_text(report, options.show_waived))
+        print(_render_text(report))
 
     if report.parse_errors:
         return 2
-    return 0 if not report.unwaived else 1
+    return 0 if not report.findings else 1

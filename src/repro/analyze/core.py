@@ -1,30 +1,22 @@
-"""Rule engine: file walking, waiver parsing, finding collection.
+"""Rule engine: file walking, parsing, finding collection.
 
 A :class:`Finding` is one rule violation at one source location.  The
-engine parses every file once and reads its comments in one
-:mod:`tokenize` pass (so a ``#`` inside a string literal is not a
-comment): waivers and the ``# domain:`` annotations both come from
-that pass.  It builds the cross-file
-:class:`~repro.analyze.dataflow.Project` function index only when a
-selected rule (DOM01) needs it, and returns a :class:`Report` whose finding order is fully
-deterministic (sorted by path, line, column, rule) — the linter obeys
-its own contract.
+engine parses every file once, runs each selected rule over each file
+its ``allow`` tuple does not exempt, and returns a :class:`Report`
+whose finding order is fully deterministic (sorted by path, line,
+column, rule) — the linter obeys its own contract.  There is no inline
+waiver: a comment excuses nothing, and a rule's allow list is the only
+exemption.
 """
 
 from __future__ import annotations
 
 import ast
-import io
 import os
-import re
 import time
-import tokenize
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
-
-WAIVER_RE = re.compile(r"analyze:\s*(ok|file-ok)\(\s*([A-Z0-9_]+(?:\s*,\s*[A-Z0-9_]+)*)\s*\)")
-
+from typing import Iterable, Iterator, Optional, Sequence
 
 @dataclass(frozen=True, order=True)
 class Finding:
@@ -35,11 +27,9 @@ class Finding:
     col: int
     rule: str
     message: str
-    waived: bool = False
 
     def format(self) -> str:
-        mark = "  [waived]" if self.waived else ""
-        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}{mark}"
+        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
     def as_dict(self) -> dict:
         return {
@@ -48,52 +38,20 @@ class Finding:
             "col": self.col,
             "rule": self.rule,
             "message": self.message,
-            "waived": self.waived,
         }
 
 
 @dataclass
 class FileContext:
-    """One parsed source file, its comments and its waivers."""
+    """One parsed source file."""
 
     path: Path  # resolved absolute path
     display: str  # the path findings print (relative when possible)
     tree: ast.Module
-    comments: dict[int, str] = field(default_factory=dict)  # line -> comment text
-    line_waivers: dict[int, set[str]] = field(default_factory=dict)
-    file_waivers: set[str] = field(default_factory=set)
-    file_waiver_lines: dict[str, int] = field(default_factory=dict)
 
     @property
     def posix(self) -> str:
         return self.path.as_posix()
-
-    def is_waived(self, rule: str, line: int) -> bool:
-        if rule in self.file_waivers:
-            return True
-        return rule in self.line_waivers.get(line, set())
-
-    def tag_specs(self, tag: str, values: Mapping[str, str]) -> dict[int, dict[str, str]]:
-        """Line -> parsed ``# <tag>: spec`` comment.  A spec is a comma
-        list of ``value`` (keyed ``""``) or ``name=value`` parts, each
-        value looked up case-insensitively in ``values``: ``# domain:
-        dsn`` -> ``{"": "DSN"}``, ``# domain: a=ssn, return=dsn`` ->
-        ``{"a": "SSN", "return": "DSN"}``.  Unknown values are dropped:
-        the grammar is advisory, and a typo must not crash the lint."""
-        pattern = re.compile(rf"#\s*{tag}:\s*([A-Za-z0-9_=,\s]+)")
-        specs: dict[int, dict[str, str]] = {}
-        for lineno, text in self.comments.items():
-            match = pattern.search(text)
-            if match is None:
-                continue
-            spec: dict[str, str] = {}
-            for part in match.group(1).split(","):
-                name, _, value = part.rpartition("=")
-                if value.strip().lower() in values:
-                    spec[name.strip()] = values[value.strip().lower()]
-            if spec:
-                specs[lineno] = spec
-        return specs
 
 
 @dataclass
@@ -105,27 +63,13 @@ class Report:
     files_scanned: int
     rules: list[str]
     elapsed_seconds: float = 0.0
-    # Wall time spent inside each rule's check and post-pass.  The
-    # shared parse and function-index build are in elapsed_seconds only.
+    # Wall time spent inside each rule's check.  The shared parse is in
+    # elapsed_seconds only.
     rule_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
-    def unwaived(self) -> list[Finding]:
-        return [f for f in self.findings if not f.waived]
-
-    @property
     def clean(self) -> bool:
-        return not self.unwaived and not self.parse_errors
-
-    def budget(self) -> dict[str, dict[str, int]]:
-        """Per-rule finding counts, live vs waived."""
-        counts: dict[str, dict[str, int]] = {
-            rule: {"live": 0, "waived": 0} for rule in self.rules
-        }
-        for finding in self.findings:
-            entry = counts.setdefault(finding.rule, {"live": 0, "waived": 0})
-            entry["waived" if finding.waived else "live"] += 1
-        return counts
+        return not self.findings and not self.parse_errors
 
     def as_dict(self) -> dict:
         return {
@@ -135,48 +79,8 @@ class Report:
             "rule_seconds": {code: round(t, 4) for code, t in self.rule_seconds.items()},
             "rules": self.rules,
             "parse_errors": list(self.parse_errors),
-            "budget": self.budget(),
-            "findings": [f.as_dict() for f in self.findings if not f.waived],
-            "waived": [f.as_dict() for f in self.findings if f.waived],
+            "findings": [f.as_dict() for f in self.findings],
         }
-
-
-def read_comments(source: str) -> dict[int, str]:
-    """Line -> comment text, from one :mod:`tokenize` pass (a ``#``
-    inside a string literal is not a comment)."""
-    try:
-        return {
-            tok.start[0]: tok.string
-            for tok in tokenize.generate_tokens(io.StringIO(source).readline)
-            if tok.type == tokenize.COMMENT
-        }
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        # Unterminated constructs etc.: fall back to a plain line scan.
-        return {
-            number: line
-            for number, line in enumerate(source.splitlines(), start=1)
-            if "#" in line
-        }
-
-
-def parse_waivers(
-    comments: Mapping[int, str],
-) -> tuple[dict[int, set[str]], set[str], dict[str, int]]:
-    """Map line -> waived rule codes, the file-wide waiver set, and the
-    line each file-wide waiver first appears on (for staleness reports)."""
-    line_waivers: dict[int, set[str]] = {}
-    file_waivers: set[str] = set()
-    file_waiver_lines: dict[str, int] = {}
-    for lineno, text in comments.items():
-        for kind, codes in WAIVER_RE.findall(text):
-            rules = {code.strip() for code in codes.split(",") if code.strip()}
-            if kind == "file-ok":
-                file_waivers |= rules
-                for rule in rules:
-                    file_waiver_lines.setdefault(rule, lineno)
-            else:
-                line_waivers.setdefault(lineno, set()).update(rules)
-    return line_waivers, file_waivers, file_waiver_lines
 
 
 def _display_path(path: Path) -> str:
@@ -190,19 +94,8 @@ def _display_path(path: Path) -> str:
 def load_context(path: Path) -> FileContext:
     """Parse one file; raises SyntaxError for unparseable source."""
     resolved = path.resolve()
-    source = resolved.read_text(encoding="utf-8")
-    tree = ast.parse(source, filename=str(resolved))
-    comments = read_comments(source)
-    line_waivers, file_waivers, file_waiver_lines = parse_waivers(comments)
-    return FileContext(
-        path=resolved,
-        display=_display_path(resolved),
-        tree=tree,
-        comments=comments,
-        line_waivers=line_waivers,
-        file_waivers=file_waivers,
-        file_waiver_lines=file_waiver_lines,
-    )
+    tree = ast.parse(resolved.read_text(encoding="utf-8"), filename=str(resolved))
+    return FileContext(path=resolved, display=_display_path(resolved), tree=tree)
 
 
 def load_contexts(files: Sequence[Path]) -> tuple[list[FileContext], list[str]]:
@@ -248,7 +141,6 @@ def run_analysis(
     rules: Optional[Sequence] = None,
 ) -> Report:
     """Run the selected rules (default: all) over the given paths."""
-    from repro.analyze.dataflow import Project
     from repro.analyze.rules import select_rules
 
     # Wall-clock, not simulated: this measures the linter itself, and the
@@ -259,38 +151,14 @@ def run_analysis(
 
     contexts, parse_errors = load_contexts(list(iter_python_files(paths)))
 
-    project = None
-    if any(rule.needs_project for rule in active):
-        project = Project(contexts)
-
-    active_codes = {rule.code for rule in active}
     findings: list[Finding] = []
-    by_ctx: dict[str, list[Finding]] = {}
     rule_seconds = {rule.code: 0.0 for rule in active}
     for ctx in contexts:
-        ctx_findings = by_ctx.setdefault(ctx.posix, [])
         for rule in active:
             if rule.allows(ctx):
                 continue
             begin = time.perf_counter()
-            for finding in rule.check(ctx, project):
-                finding = replace(
-                    finding, waived=ctx.is_waived(finding.rule, finding.line)
-                )
-                findings.append(finding)
-                ctx_findings.append(finding)
-            rule_seconds[rule.code] += time.perf_counter() - begin
-    # Post-pass (stale-waiver detection needs the full finding set).
-    for ctx in contexts:
-        for rule in active:
-            post = getattr(rule, "post_check", None)
-            if post is None or rule.allows(ctx):
-                continue
-            begin = time.perf_counter()
-            for finding in post(ctx, by_ctx.get(ctx.posix, []), active_codes):
-                findings.append(
-                    replace(finding, waived=ctx.is_waived(finding.rule, finding.line))
-                )
+            findings.extend(rule.check(ctx))
             rule_seconds[rule.code] += time.perf_counter() - begin
     findings.sort()
     return Report(

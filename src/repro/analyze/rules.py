@@ -1,14 +1,13 @@
 """The rule set: DET01/DET02/DET03 (determinism), EXC01 (silent
-failure), DOM01 (SSN/DSN sequence-domain dataflow), FSM01 (one writer
-per state machine), WVR01 (stale and orphaned waivers).
+failure), FSM01 (one writer per state machine).
 
 Each rule is a small class with a ``code``, a human ``title``, a
 ``rationale`` shown by ``--list-rules``, an ``allow`` tuple of path
 suffixes that are exempt by design (the module whose *job* is to own
 the exception; an entry ending in ``/`` exempts a whole package), and
 a ``check`` generator yielding
-:class:`~repro.analyze.core.Finding` objects.  Waivers are applied by
-the engine, not here.
+:class:`~repro.analyze.core.Finding` objects.  The ``allow`` tuple is
+the only exemption: there are no inline waivers.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ class Rule:
     title: str = ""
     rationale: str = ""
     allow: tuple[str, ...] = ()
-    needs_project: bool = False
 
     def allows(self, ctx: FileContext) -> bool:
         # An entry ending in "/" exempts a whole package directory.
@@ -37,7 +35,7 @@ class Rule:
             for entry in self.allow
         )
 
-    def check(self, ctx: FileContext, project) -> Iterator[Finding]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
 
     def finding(self, ctx: FileContext, node: ast.AST, message: str) -> Finding:
@@ -65,7 +63,7 @@ class Det01Entropy(Rule):
 
     BANNED_MODULES = ("random", "uuid", "secrets")
 
-    def check(self, ctx: FileContext, project) -> Iterator[Finding]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -138,7 +136,7 @@ class Det02WallClock(Rule):
     DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
     DATETIME_BASES = frozenset({"datetime", "date"})
 
-    def check(self, ctx: FileContext, project) -> Iterator[Finding]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ImportFrom):
                 if node.module == "time":
@@ -184,7 +182,7 @@ class Det03UnorderedIteration(Rule):
     )
     allow = ("repro/analyze/",)
 
-    def check(self, ctx: FileContext, project) -> Iterator[Finding]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         class_sets = _class_set_attrs(ctx)
         module_sets = _set_names_in(ctx.tree.body)
         for fn, class_name in _functions(ctx.tree):
@@ -347,7 +345,7 @@ class Exc01SilentExcept(Rule):
                 return f"'except {name}'"
         return None
 
-    def check(self, ctx: FileContext, project) -> Iterator[Finding]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.ExceptHandler):
                 continue
@@ -367,31 +365,6 @@ class Exc01SilentExcept(Rule):
                     f"{label} swallows the error — re-raise, narrow the "
                     "type, or bind and record it (log/result note)",
                 )
-
-
-# ---------------------------------------------------------------------------
-# DOM01 — SSN/DSN sequence-domain dataflow
-# ---------------------------------------------------------------------------
-class Dom01SequenceDomains(Rule):
-    code = "DOM01"
-    title = "no mixing of SSN and DSN sequence spaces"
-    rationale = (
-        "Subflow sequence numbers (SSN) and data sequence numbers (DSN in "
-        "DSS mappings) are unrelated spaces; the paper's hardest bugs are "
-        "values silently crossing between them.  An abstract interpreter "
-        "tags every expression {SSN, DSN, LENGTH, OPAQUE} from '# domain:' "
-        "annotations, a seed table, and per-function summaries, and flags "
-        "cross-domain arithmetic/comparison/assignment/argument-passing.  "
-        "The mptcp.connection tx/rx wire-DSN mappers are the only blessed "
-        "casts."
-    )
-    allow = ("repro/tcp/seq.py",)
-    needs_project = True
-
-    def check(self, ctx: FileContext, project) -> Iterator[Finding]:
-        from repro.analyze import dataflow
-
-        yield from dataflow.check_file(self, ctx, project)
 
 
 # ---------------------------------------------------------------------------
@@ -415,53 +388,10 @@ class Fsm01SingleWriter(Rule):
 
         self.machines = statemachine.MACHINES if machines is None else tuple(machines)
 
-    def check(self, ctx: FileContext, project) -> Iterator[Finding]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         from repro.analyze import statemachine
 
         yield from statemachine.check_file(self, ctx)
-
-
-# ---------------------------------------------------------------------------
-# WVR01 — stale waivers (evaluated by the engine after the other rules)
-# ---------------------------------------------------------------------------
-class Wvr01StaleWaiver(Rule):
-    code = "WVR01"
-    title = "every waiver must name a rule and still suppress a finding"
-    rationale = (
-        "An 'ok(RULE)'/'file-ok(RULE)' comment that no longer matches any "
-        "finding is dead weight: the code it excused has moved or been "
-        "fixed, and the stale waiver would silently excuse the *next* "
-        "violation on that line.  Staleness is judged only for rules "
-        "active in the current run, so partial --rule runs never cry "
-        "stale; a waiver naming no rule at all (a typo, or a deleted "
-        "rule) is a finding whichever other rules run."
-    )
-
-    def check(self, ctx: FileContext, project) -> Iterator[Finding]:
-        return iter(())  # the engine's post-pass does the work
-
-    def post_check(
-        self, ctx: FileContext, findings: list, active_codes: set
-    ) -> Iterator[Finding]:
-        known = active_codes | {rule.code for rule in ALL_RULES}
-        used = {(f.line, f.rule) for f in findings if f.waived}
-        used_in_file = {rule for _, rule in used}
-        waivers = [
-            (line, code, f"ok({code}) on this line", (line, code) in used)
-            for line in sorted(ctx.line_waivers)
-            for code in sorted(ctx.line_waivers[line])
-        ] + [
-            (ctx.file_waiver_lines.get(code, 1), code, f"file-ok({code})", code in used_in_file)
-            for code in sorted(ctx.file_waivers)
-        ]
-        for line, code, label, suppresses in waivers:
-            if code not in known:
-                message = f"orphaned waiver: {label} names no rule — remove it"
-            elif code in active_codes and code != self.code and not suppresses:
-                message = f"stale waiver: {label} suppresses no finding — remove it"
-            else:
-                continue
-            yield Finding(path=ctx.display, line=line, col=0, rule=self.code, message=message)
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +402,7 @@ ALL_RULES: tuple[Rule, ...] = (
     Det02WallClock(),
     Det03UnorderedIteration(),
     Exc01SilentExcept(),
-    Dom01SequenceDomains(),
     Fsm01SingleWriter(),
-    Wvr01StaleWaiver(),
 )
 
 

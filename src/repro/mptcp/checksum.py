@@ -65,7 +65,7 @@ def pseudo_header_sum(dsn: int, subflow_seq: int, length: int) -> int:
     ssn = subflow_seq & 0xFFFFFFFF
     # The checksum folds both sequence spaces into 16-bit words; this
     # is bit-pattern hashing, not sequence arithmetic.
-    total = (dsn >> 16) + (dsn & 0xFFFF) + (ssn >> 16) + (ssn & 0xFFFF) + (length & 0xFFFF)  # analyze: ok(DOM01)
+    total = (dsn >> 16) + (dsn & 0xFFFF) + (ssn >> 16) + (ssn & 0xFFFF) + (length & 0xFFFF)
     return add_ones_complement(total >> 16, total & 0xFFFF)
 
 

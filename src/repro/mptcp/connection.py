@@ -1048,7 +1048,7 @@ class MPTCPConnection:
             # Fallback collapses the two sequence spaces: the subflow
             # byte stream IS the data stream, so this one anchor
             # legitimately subtracts SSN from DSN.
-            self._fallback_tx_base = self.data_nxt - (subflow.snd_nxt - 1)  # analyze: ok(DOM01)
+            self._fallback_tx_base = self.data_nxt - (subflow.snd_nxt - 1)
         if self.data_nxt >= self.send_stream.tail:
             self._fallback_close_if_drained()
             return None

@@ -424,7 +424,7 @@ class Subflow(TCPSocket):
             # Concrete option classes are never subclassed, so exact
             # type tests replace isinstance chains on this per-segment
             # path.
-            for option in segment._options:
+            for option in segment.options:
                 if (
                     type(option) is DSS
                     and option.dsn is not None
@@ -456,7 +456,7 @@ class Subflow(TCPSocket):
             # falling back with data held behind a hole, or with
             # subflow bytes still waiting for a mapping, would deliver
             # the raw continuation at the wrong data offset.
-            for option in segment._options:
+            for option in segment.options:
                 if isinstance(option, MPTCPOption):
                     self._rx_optionless_ack_run = 0
                     break

@@ -97,9 +97,6 @@ class Link:
             self.stats.busy_time += tx_time
             self.sim.post(tx_time, self._tx_done, segment, size)
 
-    def tx_time(self, segment: Segment) -> float:
-        return segment.size_bytes * 8 / self.rate_bps
-
     # ------------------------------------------------------------------
     def _tx_done(self, segment: Segment, size: int) -> None:
         stats = self.stats

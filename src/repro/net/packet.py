@@ -76,9 +76,8 @@ class Segment:
         "flags",
         "window",
         "payload_len",
-        "_options",
+        "options",
         "_payload",
-        "_size_cache",
         "created_at",
     )
 
@@ -101,7 +100,7 @@ class Segment:
         self.ack = ack % SEQ_MOD
         self.flags = flags
         self.window = window
-        self._options: list["TCPOption"] = options if options is not None else []
+        self.options: list["TCPOption"] = options if options is not None else []
         self._payload: "Buffer" = payload
         # Cached len(payload): links, sockets and the DSS machinery read
         # the payload length several times per hop, and reading it
@@ -109,17 +108,7 @@ class Segment:
         # that already know the length pass it to skip even the initial
         # len().
         self.payload_len: int = len(payload) if payload_len is None else payload_len
-        self._size_cache: Optional[tuple[int, int]] = None
         self.created_at = created_at
-
-    @property
-    def options(self) -> list["TCPOption"]:
-        return self._options
-
-    @options.setter
-    def options(self, options: list["TCPOption"]) -> None:
-        self._options = options
-        self._size_cache = None
 
     @property
     def payload(self) -> "Buffer":
@@ -129,7 +118,6 @@ class Segment:
     def payload(self, payload: "Buffer") -> None:
         self._payload = payload
         self.payload_len = len(payload)
-        self._size_cache = None
 
     # ------------------------------------------------------------------
     # Flag helpers
@@ -173,30 +161,14 @@ class Segment:
 
     @property
     def size_bytes(self) -> int:
-        """On-the-wire size including IP and TCP headers.
-
-        Cached: ``Link.send``, ``tx_time`` and the transmit-done handler
-        each read it per packet, so recomputing the option encoding
-        three times per hop added up.  Assigning ``payload`` or
-        ``options`` (the setter, :meth:`remove_options`) invalidates;
-        in-place option-list edits that change its *count* are caught by
-        the count key.
-        """
-        cache = self._size_cache
-        count = len(self._options)
-        if cache is not None and cache[0] == count:
-            return cache[1]
+        """On-the-wire size including IP and TCP headers."""
         # Inline of repro.net.options.options_length(): Link.send reads
         # this once per transmitted segment, and the helper call was
         # measurable at that rate.
         raw = 0
-        for option in self._options:
+        for option in self.options:
             raw += option.wire_len
-        size = (
-            IP_HEADER_BYTES + TCP_HEADER_BYTES + (raw + 3) // 4 * 4 + self.payload_len
-        )
-        self._size_cache = (count, size)
-        return size
+        return IP_HEADER_BYTES + TCP_HEADER_BYTES + (raw + 3) // 4 * 4 + self.payload_len
 
     # ------------------------------------------------------------------
     # Option access
@@ -251,7 +223,7 @@ class Segment:
         """
         from repro.net.options import encode_options
 
-        blob = encode_options(self._options)
+        blob = encode_options(self.options)
         payload = self._payload
         if type(payload) is not bytes:
             payload = bytes(payload)

@@ -122,7 +122,7 @@ class PacketTrace:
             ring.append((
                 path.sim.now, path.name, direction,
                 segment.src, segment.dst, segment.seq, segment.ack, segment.flags, segment.window,
-                tuple(segment._options), segment._payload, segment.created_at,
+                tuple(segment.options), segment._payload, segment.created_at,
             ))  # the fields _thaw unpacks, in its order
             return
         if self.limit is not None and len(self._records) >= self.limit:

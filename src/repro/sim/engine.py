@@ -8,8 +8,8 @@ Design notes
   scheduled, which keeps runs reproducible.
 * A plain event is the fire-and-forget tuple ``(time, seq, fn, a0, a1)``.
   Seqs are unique, so comparisons are decided at C speed by the first
-  two elements.  ``schedule``, ``schedule_at``, ``call_soon``, ``post``
-  and ``post_at`` are five spellings of one private push
+  two elements.  ``schedule``, ``schedule_at``, ``call_soon`` and
+  ``post`` are four spellings of one private push
   (:meth:`Simulator._push`), which is also the one place a scheduling
   time is validated.  Up to two positional arguments are inlined into
   the tuple; the rare 3+-argument call rides behind a spreading
@@ -109,13 +109,10 @@ class Simulator:
         """Schedule ``fn(*args)`` at the current time, after pending events."""
         self.schedule_at(self.now, fn, *args)
 
-    def post_at(self, time: float, fn: Callable[..., Any], a0: Any = _NOARG, a1: Any = _NOARG) -> None:
-        """The datapath's spelling: at most two positional arguments,
-        named rather than starred so the call builds no argument tuple."""
-        self._push(time, fn, a0, a1)
-
     def post(self, delay: float, fn: Callable[..., Any], a0: Any = _NOARG, a1: Any = _NOARG) -> None:
-        """Relative-time variant of :meth:`post_at` (link transmit/deliver)."""
+        """The datapath's spelling (link transmit/deliver): at most two
+        positional arguments, named rather than starred so the call
+        builds no argument tuple."""
         self._push(self.now + delay, fn, a0, a1)
 
     # ------------------------------------------------------------------

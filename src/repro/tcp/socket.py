@@ -652,7 +652,7 @@ class TCPSocket:
         # --- timestamps / SACK (one scan for both option kinds) -----------
         ts: Optional[TimestampsOption] = None
         sack: Optional[SACKOption] = None
-        for option in segment._options:
+        for option in segment.options:
             cls = option.__class__
             if cls is TimestampsOption:
                 if ts is None:

@@ -9,7 +9,7 @@ def bad_urandom() -> bytes:
     return os.urandom(8)  # line 9: DET01 (attribute read)
 
 
-import random as rnd  # analyze: ok(DET01): fixture demonstrates a waiver
+import random as rnd  # analyze: ok(DET01): a comment cannot waive — line 12: DET01
 
 
 def fine(rng) -> int:

@@ -13,8 +13,8 @@ def bad_datetime():
     return datetime.now()  # line 13: DET02
 
 
-def waived() -> float:
-    return time.monotonic()  # analyze: ok(DET02): fixture demonstrates a waiver
+def commented() -> float:
+    return time.monotonic()  # analyze: ok(DET02): a comment cannot waive — line 17: DET02
 
 
 def fine(sim) -> float:

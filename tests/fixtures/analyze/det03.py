@@ -23,8 +23,8 @@ class Node:
         for peer in sorted(self.peers):  # fine: explicit ordering
             self.sim.schedule(0.0, peer)
 
-    def waived(self) -> None:
-        for peer in self.peers:  # analyze: ok(DET03): fixture demonstrates a waiver
+    def commented(self) -> None:
+        for peer in self.peers:  # analyze: ok(DET03): a comment cannot waive — line 27: DET03
             self.sim.schedule(0.0, peer)
 
     def report(self, table: dict) -> list:

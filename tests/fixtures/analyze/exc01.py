@@ -34,8 +34,8 @@ def reraises() -> None:
         raise
 
 
-def waived() -> None:
+def commented() -> None:
     try:
         risky()
-    except Exception:  # analyze: ok(EXC01): fixture demonstrates a waiver
+    except Exception:  # analyze: ok(EXC01): a comment cannot waive — line 40: EXC01
         pass

@@ -45,4 +45,4 @@ class Door:
         self.last, self.state = self.state, DoorState.OPEN  # line 45: FSM01
 
     def pried_open(self):
-        self.state = DoorState.OPEN  # analyze: ok(FSM01): fixture waiver demo
+        self.state = DoorState.OPEN  # analyze: ok(FSM01): a comment cannot waive — line 48: FSM01

@@ -5,7 +5,6 @@ regressions for the determinism fixes that rode along with the linter
 
 from __future__ import annotations
 
-import ast
 import hashlib
 import json
 import random
@@ -15,13 +14,7 @@ import pytest
 
 from repro.analyze import ALL_RULES, run_analysis
 from repro.analyze.cli import main as analyze_main
-from repro.analyze.core import (
-    iter_python_files,
-    load_context,
-    parse_waivers,
-    read_comments,
-)
-from repro.analyze.dataflow import Project
+from repro.analyze.core import iter_python_files
 from repro.analyze.rules import Fsm01SingleWriter
 from repro.check.fuzzer import _payload
 from repro.sim.rng import SeededRNG
@@ -36,31 +29,32 @@ def findings_for(fixture: str, *rules: str):
     return report
 
 
-def locations(report, *, waived: bool):
-    return [(f.line, f.rule) for f in report.findings if f.waived is waived]
+def locations(report):
+    """(line, rule) of every finding the report lists (its JSON form,
+    what CI uploads)."""
+    return [(f["line"], f["rule"]) for f in report.as_dict()["findings"]]
 
 
 # ---------------------------------------------------------------------------
-# Per-rule fixtures: exact line/rule findings, negatives implied by exactness
+# Per-rule fixtures: exact line/rule findings, negatives implied by exactness.
+# Each fixture keeps one ``# analyze: ok(RULE)`` comment on a violating
+# line: a comment cannot waive, so that line is a live finding.
 # ---------------------------------------------------------------------------
 def test_det01_entropy_fixture():
     report = findings_for("det01", "DET01")
-    assert locations(report, waived=False) == [(4, "DET01"), (5, "DET01"), (9, "DET01")]
-    assert locations(report, waived=True) == [(12, "DET01")]
+    assert locations(report) == [(4, "DET01"), (5, "DET01"), (9, "DET01"), (12, "DET01")]
 
 
 def test_det02_wallclock_fixture():
     report = findings_for("det02", "DET02")
-    assert locations(report, waived=False) == [(4, "DET02"), (9, "DET02"), (13, "DET02")]
-    assert locations(report, waived=True) == [(17, "DET02")]
+    assert locations(report) == [(4, "DET02"), (9, "DET02"), (13, "DET02"), (17, "DET02")]
 
 
 def test_det03_unordered_iteration_fixture():
     report = findings_for("det03", "DET03")
     # kick_dict and report (dict order is insertion order) and
     # kick_sorted (sorted set) stay clean.
-    assert locations(report, waived=False) == [(10, "DET03"), (15, "DET03")]
-    assert locations(report, waived=True) == [(27, "DET03")]
+    assert locations(report) == [(10, "DET03"), (15, "DET03"), (27, "DET03")]
 
 
 def test_det03_flags_sets_in_comprehensions_and_calls_not_dict_views(tmp_path):
@@ -83,7 +77,7 @@ def test_det03_flags_sets_in_comprehensions_and_calls_not_dict_views(tmp_path):
         "            self.sim.schedule(0.0, value)\n"
     )
     report = run_analysis([source], rule_codes=["DET03"])
-    assert locations(report, waived=False) == [(8, "DET03"), (9, "DET03"), (10, "DET03")]
+    assert locations(report) == [(8, "DET03"), (9, "DET03"), (10, "DET03")]
 
 
 def test_det03_flags_sets_in_functions_that_schedule_nothing(tmp_path):
@@ -98,7 +92,7 @@ def test_det03_flags_sets_in_functions_that_schedule_nothing(tmp_path):
         "    return out\n"
     )
     report = run_analysis([source], rule_codes=["DET03"])
-    assert locations(report, waived=False) == [(3, "DET03")]
+    assert locations(report) == [(3, "DET03")]
 
 
 def test_det03_exempts_only_the_analyzer():
@@ -109,8 +103,7 @@ def test_det03_exempts_only_the_analyzer():
 def test_exc01_silent_except_fixture():
     report = findings_for("exc01", "EXC01")
     # records() uses the binding and reraises() re-raises: both clean.
-    assert locations(report, waived=False) == [(11, "EXC01"), (18, "EXC01")]
-    assert locations(report, waived=True) == [(40, "EXC01")]
+    assert locations(report) == [(11, "EXC01"), (18, "EXC01"), (40, "EXC01")]
 
 
 def test_fixture_findings_name_the_fixture_file():
@@ -124,25 +117,70 @@ def test_rule_selection_restricts_findings():
     assert report.rules == ["EXC01"]
 
 
-# ---------------------------------------------------------------------------
-# Waiver parsing
-# ---------------------------------------------------------------------------
-def test_waiver_in_string_literal_does_not_waive():
-    line_waivers, file_waivers, file_waiver_lines = parse_waivers(
-        read_comments('text = "# analyze: ok(DET01)"\nvalue = 1  # analyze: ok(DET02)\n')
-    )
-    assert line_waivers == {2: {"DET02"}}
-    assert file_waivers == set()
-    assert file_waiver_lines == {}
+# One violating source per rule.  VIOLATION_LINE is the line of its
+# finding once a one-line header comment precedes the source.
+VIOLATIONS = {
+    "DET01": "import random\n",
+    "DET02": "import time\nNOW = time.time()\n",
+    "DET03": "def walk():\n    for peer in {1, 2}:\n        print(peer)\n",
+    "EXC01": "try:\n    pass\nexcept Exception:\n    pass\n",
+}
+VIOLATION_LINE = {"DET01": 2, "DET02": 3, "DET03": 3, "EXC01": 4}
 
 
-def test_file_ok_waiver_covers_every_line():
-    line_waivers, file_waivers, file_waiver_lines = parse_waivers(
-        read_comments("x = 0\n# analyze: file-ok(DET02, DET03): module meters wall time\n")
+@pytest.mark.parametrize("rule", sorted(VIOLATIONS))
+def test_file_ok_comment_exempts_nothing(tmp_path, rule):
+    source = tmp_path / "leftover.py"
+    source.write_text(f"# analyze: file-ok({rule}): a comment cannot waive\n" + VIOLATIONS[rule])
+    assert locations(run_analysis([source], rule_codes=[rule])) == [(VIOLATION_LINE[rule], rule)]
+
+
+@pytest.mark.parametrize("rule", sorted(VIOLATIONS))
+def test_inline_ok_comment_exempts_nothing(tmp_path, rule):
+    lines = ("# header\n" + VIOLATIONS[rule]).splitlines()
+    line = VIOLATION_LINE[rule]
+    lines[line - 1] += f"  # analyze: ok({rule}): a comment cannot waive"
+    source = tmp_path / "inline.py"
+    source.write_text("\n".join(lines) + "\n")
+    assert locations(run_analysis([source], rule_codes=[rule])) == [(line, rule)]
+
+
+def test_waiver_in_string_literal_does_not_waive(tmp_path):
+    source = tmp_path / "literal.py"
+    source.write_text(
+        'NOTE = "# analyze: ok(DET02)"\n'
+        "import time\n"
+        "STAMP = time.time()  # line 3: DET02\n"
     )
-    assert line_waivers == {}
-    assert file_waivers == {"DET02", "DET03"}
-    assert file_waiver_lines == {"DET02": 2, "DET03": 2}
+    assert locations(run_analysis([source], rule_codes=["DET02"])) == [(3, "DET02")]
+
+
+# (rule, a path its allow list exempts, a source that violates the rule)
+ALLOWED = [
+    ("DET01", "repro/sim/rng.py", "import random\n"),
+    ("DET02", "repro/stats/wallclock.py", "import time\nNOW = time.time()\n"),
+    ("DET02", "repro/analyze/timing.py", "import time\nNOW = time.time()\n"),
+    ("DET03", "repro/analyze/walk.py", "def walk():\n    for peer in {1, 2}:\n        print(peer)\n"),
+]
+
+
+@pytest.mark.parametrize("rule, allowed, text", ALLOWED)
+def test_allow_list_is_the_only_exemption(tmp_path, rule, allowed, text):
+    exempt = tmp_path / allowed
+    exempt.parent.mkdir(parents=True)
+    exempt.write_text(text)
+    elsewhere = tmp_path / "repro" / "elsewhere.py"
+    elsewhere.write_text(text)
+    report = run_analysis([exempt, elsewhere], rule_codes=[rule])
+    assert report.files_scanned == 2
+    assert {Path(f.path).name for f in report.findings} == {"elsewhere.py"}
+
+
+def test_findings_are_sorted_by_location(tmp_path):
+    report = run_analysis([FIXTURES])
+    keys = [(f.path, f.line, f.col, f.rule) for f in report.findings]
+    assert keys == sorted(keys)
+    assert len({f.path for f in report.findings}) > 1
 
 
 def test_iter_python_files_is_sorted_and_deduplicated():
@@ -169,24 +207,9 @@ def test_cli_exit_one_and_json_report(tmp_path, capsys):
         (4, "DET01"),
         (5, "DET01"),
         (9, "DET01"),
+        (12, "DET01"),
     ]
-    assert [f["line"] for f in ondisk["waived"]] == [12]
-
-
-def test_json_report_budget_summary(tmp_path, capsys):
-    code = analyze_main(
-        ["--rule", "DET01", "--format", "json", str(FIXTURES / "det01.py")]
-    )
-    assert code == 1
-    report = json.loads(capsys.readouterr().out)
-    assert report["budget"] == {"DET01": {"live": 3, "waived": 1}}
-
-
-@pytest.fixture(scope="module")
-def src_report():
-    """One full analysis of ``src/`` and ``examples/`` (CI's lint
-    inputs), shared by the meta-tests."""
-    return run_analysis([REPO_ROOT / "src", REPO_ROOT / "examples"])
+    assert "waived" not in ondisk and "budget" not in ondisk
 
 
 def test_cli_exit_zero_on_clean_file(tmp_path, capsys):
@@ -203,45 +226,59 @@ def test_cli_exit_two_on_syntax_error(tmp_path, capsys):
     assert "syntax error" in capsys.readouterr().out
 
 
-def test_cli_exit_two_on_unknown_rule(capsys):
-    assert analyze_main(["--rule", "NOPE", str(FIXTURES / "det01.py")]) == 2
+def test_cli_exit_one_on_a_commented_violation(tmp_path, capsys):
+    # What a waiver comment once excused now fails the lint.
+    source = tmp_path / "commented.py"
+    source.write_text("import random  # analyze: ok(DET01): a comment cannot waive\n")
+    assert analyze_main(["--rule", "DET01", str(source)]) == 1
+    assert "1 finding(s)" in capsys.readouterr().out
+
+
+def test_json_report_keys(tmp_path, capsys):
+    assert analyze_main(["--format", "json", str(FIXTURES / "det01.py")]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == {
+        "clean",
+        "files_scanned",
+        "elapsed_seconds",
+        "rule_seconds",
+        "rules",
+        "parse_errors",
+        "findings",
+    }
+    assert all(set(f) == {"path", "line", "col", "rule", "message"} for f in report["findings"])
+
+
+@pytest.mark.parametrize("code", ["NOPE", "DOM01", "WVR01"])
+def test_cli_exit_two_on_unknown_rule(capsys, code):
+    # DOM01 and WVR01 were deleted: a script still naming them fails loudly.
+    assert analyze_main(["--rule", code, str(FIXTURES / "det01.py")]) == 2
     assert "unknown rule" in capsys.readouterr().err
 
 
-def test_cli_budget_mode_is_gone(capsys):
-    # The HOT01/CPX01 budget ratchet was deleted with its rules.
+@pytest.mark.parametrize("flag", ["--budget", "--show-waived"])
+def test_cli_deleted_flags_are_usage_errors(capsys, flag):
+    # The HOT01/CPX01 budget ratchet went with its rules, and there are
+    # no waived findings left to show.
     with pytest.raises(SystemExit) as exit_info:
-        analyze_main(["--budget", str(FIXTURES / "det01.py")])
+        analyze_main([flag, str(FIXTURES / "det01.py")])
     assert exit_info.value.code == 2
-    assert "--budget" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
 
 
 def test_cli_list_rules(capsys):
     assert analyze_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     codes = [line.split()[0] for line in out.splitlines() if not line.startswith(" ")]
-    assert codes == ["DET01", "DET02", "DET03", "EXC01", "DOM01", "FSM01", "WVR01"]
+    assert codes == ["DET01", "DET02", "DET03", "EXC01", "FSM01"]
 
 
-# ---------------------------------------------------------------------------
-# DOM01: sequence-domain dataflow
-# ---------------------------------------------------------------------------
-def test_dom01_sequence_domain_fixture():
-    report = findings_for("dom01", "DOM01")
-    # legal_offset (DSN + LENGTH) and blessed (wire-DSN mapper) stay clean.
-    assert locations(report, waived=False) == [
-        (5, "DOM01"),
-        (10, "DOM01"),
-        (19, "DOM01"),
-        (29, "DOM01"),
-    ]
-    assert locations(report, waived=True) == [(34, "DOM01")]
-
-
-def test_dom01_messages_name_both_domains():
-    report = findings_for("dom01", "DOM01")
-    arith = next(f for f in report.findings if f.line == 5)
-    assert "SSN" in arith.message and "DSN" in arith.message
+def test_cli_list_rules_shows_every_allow_list(capsys):
+    assert analyze_main(["--list-rules"]) == 0
+    out = capsys.readouterr().out
+    for rule in ALL_RULES:
+        if rule.allow:
+            assert f"allowlist: {', '.join(rule.allow)}" in out, rule.code
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +295,12 @@ def test_fsm01_door_fixture():
     assert not report.parse_errors
     # __init__'s initial state, _set_state's store and the setter's
     # callers (open, lock) stay clean.
-    assert [(Path(f.path).name, f.line) for f in report.findings if not f.waived] == [
+    assert [(Path(f["path"]).name, f["line"]) for f in report.as_dict()["findings"]] == [
         ("fsm01.py", 39),  # direct write of a member, bypassing _set_state
         ("fsm01.py", 42),  # direct write of an arbitrary value
         ("fsm01.py", 45),  # write inside a tuple target
+        ("fsm01.py", 48),  # a comment cannot waive
         ("fsm01_foreign.py", 7),  # foreign-layer write
-    ]
-    assert [(Path(f.path).name, f.line) for f in report.findings if f.waived] == [
-        ("fsm01.py", 48)
     ]
     foreign = next(f for f in report.findings if f.path.endswith("fsm01_foreign.py"))
     assert "DoorState.BROKEN" in foreign.message
@@ -282,93 +317,6 @@ def test_fsm01_real_machines_name_their_owners():
 
 
 # ---------------------------------------------------------------------------
-# WVR01: stale waivers
-# ---------------------------------------------------------------------------
-def test_wvr01_stale_waiver_fixture():
-    report = findings_for("wvr01", "DET01", "DET02", "WVR01")
-    assert locations(report, waived=False) == [(2, "WVR01"), (9, "WVR01"), (12, "WVR01")]
-    # the import waiver still suppresses a real DET01 finding: not stale
-    assert locations(report, waived=True) == [(4, "DET01")]
-
-
-def test_wvr01_ignores_waivers_for_inactive_rules():
-    report = findings_for("wvr01", "DET01", "WVR01")
-    # file-ok(DET02) cannot be judged stale when DET02 did not run, but
-    # a waiver naming no rule is orphaned whichever rules run.
-    assert locations(report, waived=False) == [(9, "WVR01"), (12, "WVR01")]
-    orphan = next(f for f in report.findings if f.line == 12)
-    assert "orphaned waiver: ok(XYZ99)" in orphan.message
-
-
-_ORPHANS = "# analyze: file-ok(ZZZ01): a code no rule has\nx = 1  # analyze: ok(QQQ02)\n"
-
-
-@pytest.mark.parametrize("rules", [("WVR01",), ("DET03", "WVR01"), None])
-def test_wvr01_orphaned_waivers_whichever_rules_run(tmp_path, rules):
-    source = tmp_path / "orphans.py"
-    source.write_text(_ORPHANS)
-    report = run_analysis([source], rule_codes=list(rules) if rules else None)
-    assert locations(report, waived=False) == [(1, "WVR01"), (2, "WVR01")]
-    assert [f.message.split(" names")[0] for f in report.findings] == [
-        "orphaned waiver: file-ok(ZZZ01)",
-        "orphaned waiver: ok(QQQ02) on this line",
-    ]
-
-
-def test_wvr01_waivers_for_the_deleted_perf_rules_are_orphaned(tmp_path):
-    # HOT01 and CPX01 are gone; a leftover waiver for either excuses
-    # nothing and must be removed, not carried along.
-    source = tmp_path / "leftovers.py"
-    source.write_text("# analyze: file-ok(CPX01)\nrows = [1]  # analyze: ok(HOT01)\n")
-    report = run_analysis([source])
-    assert locations(report, waived=False) == [(1, "WVR01"), (2, "WVR01")]
-    assert all("orphaned waiver" in f.message for f in report.findings)
-
-
-def test_wvr01_orphaned_waivers_need_wvr01_in_the_run(tmp_path):
-    source = tmp_path / "orphans.py"
-    source.write_text(_ORPHANS)
-    assert run_analysis([source], rule_codes=["DET01"]).findings == []
-
-
-def test_wvr01_repo_has_no_stale_waivers(src_report):
-    report = src_report
-    stale = [f for f in report.findings if f.rule == "WVR01" and not f.waived]
-    assert stale == [], "\n".join(f.format() for f in stale)
-
-
-# ---------------------------------------------------------------------------
-# Function index: named lambdas and functools.partial aliases
-# ---------------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def extras_project():
-    ctx = load_context(FIXTURES / "callgraph_extras.py")
-    return ctx, Project([ctx])
-
-
-def _fid(project, name):
-    matches = [
-        fid
-        for fid in project.functions
-        if fid.endswith(f"::{name}") or f"::{name}:" in fid
-    ]
-    assert len(matches) == 1, (name, matches)
-    return matches[0]
-
-
-def test_callgraph_lambda_is_a_function(extras_project):
-    ctx, project = extras_project
-    bounce = _fid(project, "bounce")
-    assert isinstance(project.functions[bounce].node, ast.Lambda)
-    assert project._resolve_name(ctx.posix, "bounce") == [bounce]
-
-
-def test_callgraph_partial_alias_resolves(extras_project):
-    ctx, project = extras_project
-    assert project._resolve_name(ctx.posix, "alias") == [_fid(project, "kick")]
-
-
-# ---------------------------------------------------------------------------
 # Engine: wall-time reporting
 # ---------------------------------------------------------------------------
 def test_report_carries_elapsed_seconds():
@@ -378,7 +326,7 @@ def test_report_carries_elapsed_seconds():
 
 
 def test_json_report_times_every_selected_rule(capsys):
-    selected = ["DET02", "DOM01", "FSM01", "WVR01"]
+    selected = ["DET02", "DET03", "FSM01"]
     argv = [arg for code in selected for arg in ("--rule", code)]
     assert analyze_main(argv + ["--format", "json", str(FIXTURES)]) == 1
     seconds = json.loads(capsys.readouterr().out)["rule_seconds"]
@@ -389,10 +337,11 @@ def test_json_report_times_every_selected_rule(capsys):
 # ---------------------------------------------------------------------------
 # The meta-test: the repo obeys its own linter
 # ---------------------------------------------------------------------------
-def test_repo_tree_is_clean(src_report):
-    report = src_report
+def test_repo_tree_is_clean():
+    # src/ and examples/: CI's lint inputs.
+    report = run_analysis([REPO_ROOT / "src", REPO_ROOT / "examples"])
     assert report.parse_errors == []
-    assert report.unwaived == [], "\n".join(f.format() for f in report.unwaived)
+    assert report.findings == [], "\n".join(f.format() for f in report.findings)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ Each optimization has a behavioural contract this file pins down:
   and an armed timer counts once however many heap entries it left;
 * ``ReassemblyQueue.extract_in_order`` drains a 1k-block queue without
   ``pop(0)`` quadratics and returns exactly the contiguous prefix;
-* ``Segment.size_bytes`` is cached and the cache is invalidated by
-  every supported mutation path (setter, strip, in-place append) —
-  including reading the size *before* stripping.
+* ``Segment.size_bytes`` follows every supported mutation path
+  (assignment, strip, in-place append) — including reading the size
+  *before* stripping.
 """
 
 import pytest
@@ -214,9 +214,9 @@ class TestByteStreamPeek:
         assert stream.peek(stream.tail - 4, 4) == b"tail"
 
 
-class TestSizeBytesCache:
-    """``Segment.size_bytes`` (what ``Link`` reads per hop) is cached; the
-    cache must follow every way the options can change."""
+class TestSizeBytes:
+    """``Segment.size_bytes`` (what ``Link`` reads per hop) must follow
+    every way the options can change."""
 
     HEADERS = 40  # IPv4 + TCP without options
 
@@ -230,7 +230,7 @@ class TestSizeBytesCache:
         segment = self._segment(list(options), payload=b"x" * 100)
         expected = self.HEADERS + options_length(options) + 100
         assert segment.size_bytes == expected
-        assert segment.size_bytes == expected  # cached path
+        assert segment.size_bytes == expected  # a second read agrees
 
     def test_strip_after_size_read(self):
         segment = self._segment([MSSOption(1460), TimestampsOption(1, 2)])
@@ -259,3 +259,19 @@ class TestSizeBytesCache:
         clone.options.append(TimestampsOption(5, 6))
         assert clone.size_bytes == self.HEADERS + 16
         assert segment.size_bytes == self.HEADERS + 4
+
+    def test_payload_setter_keeps_size_in_step(self):
+        segment = self._segment([MSSOption(1460)], payload=b"x" * 100)
+        assert segment.size_bytes == self.HEADERS + 4 + 100
+        segment.payload = b"y" * 30
+        assert segment.payload_len == 30
+        assert segment.size_bytes == self.HEADERS + 4 + 30
+
+    def test_options_is_a_plain_attribute(self):
+        # No property stands between a reader and the option list: what
+        # was assigned is what is read back.
+        options = [SACKPermitted()]
+        segment = self._segment([])
+        segment.options = options
+        assert segment.options is options
+        assert segment.size_bytes == self.HEADERS + options_length(options)

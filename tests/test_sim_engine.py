@@ -99,7 +99,6 @@ class TestSimulator:
         assert sim.schedule_at(1.0, noop) is None
         assert sim.call_soon(noop) is None
         assert sim.post(1.0, noop) is None
-        assert sim.post_at(1.0, noop) is None
 
     def test_any_argument_count_is_delivered(self):
         sim = Simulator()
@@ -130,12 +129,11 @@ class TestSimulator:
             lambda sim, bad: sim.schedule(bad, lambda: None),
             lambda sim, bad: sim.schedule_at(sim.now + bad, lambda: None),
             lambda sim, bad: sim.post(bad, lambda: None),
-            lambda sim, bad: sim.post_at(sim.now + bad, lambda: None),
             lambda sim, bad: sim.schedule(bad, lambda *a: None, 1, 2, 3),
             lambda sim, bad: Timer(sim, lambda: None).start(bad),
             lambda sim, bad: Timer(sim, lambda: None).restart(bad),
         ],
-        ids=["schedule", "schedule_at", "post", "post_at", "schedule-3args",
+        ids=["schedule", "schedule_at", "post", "schedule-3args",
              "Timer.start", "Timer.restart"],
     )
     def test_every_way_onto_the_clock_refuses_nan_and_the_past(self, arm, bad):
