@@ -247,36 +247,32 @@ def own_nodes(fn: ast.AST) -> Iterator[ast.AST]:
             stack.extend(ast.iter_child_nodes(node))
 
 
-_KIND_PATTERNS = (
-    ("list", re.compile(r"(typing\.)?(List|list|deque|Deque)\b")),
-    ("dict", re.compile(r"(typing\.)?(Dict|dict|DefaultDict|defaultdict|Counter|OrderedDict)\b")),
-    ("set", re.compile(r"(typing\.)?(Set|set|FrozenSet|frozenset)\b")),
+_SET_TYPE = re.compile(r"(typing\.)?(Set|set|FrozenSet|frozenset)\b")
+_OTHER_CONTAINER = re.compile(
+    r"(typing\.)?(List|list|deque|Deque|Dict|dict|DefaultDict|defaultdict|Counter|OrderedDict)\b"
 )
 
 
-def container_kind(
-    value: Optional[ast.expr], annotation: Optional[ast.expr] = None
-) -> Optional[str]:
-    """``"list"``, ``"dict"`` or ``"set"`` when ``value`` builds that kind
-    of container (a display, a comprehension, a constructor call such as
-    ``deque()``), else when ``annotation`` names one (``list[int]``,
-    ``typing.Set``); None when neither says."""
-    if isinstance(value, (ast.List, ast.ListComp)):
-        return "list"
-    if isinstance(value, (ast.Dict, ast.DictComp)):
-        return "dict"
+def builds_set(value: Optional[ast.expr], annotation: Optional[ast.expr] = None) -> bool:
+    """Whether ``value`` builds a set (a display, a comprehension,
+    ``set()``/``frozenset()``), or, when ``value`` says nothing,
+    ``annotation`` names one (``set[int]``, ``typing.Set``).  The value
+    wins: ``x: set = []`` and ``x: set = list()`` are not sets."""
     if isinstance(value, (ast.Set, ast.SetComp)):
-        return "set"
+        return True
+    if isinstance(value, (ast.List, ast.ListComp, ast.Dict, ast.DictComp)):
+        return False
     texts: list[str] = []
     if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
         texts.append(value.func.id)
     if annotation is not None:
         texts.append(ast.unparse(annotation))
     for text in texts:
-        for kind, pattern in _KIND_PATTERNS:
-            if pattern.match(text):
-                return kind
-    return None
+        if _SET_TYPE.match(text):
+            return True
+        if _OTHER_CONTAINER.match(text):
+            return False
+    return False
 
 
 def _set_names_in(nodes: Sequence[ast.AST]) -> set[str]:
@@ -285,7 +281,7 @@ def _set_names_in(nodes: Sequence[ast.AST]) -> set[str]:
     for node in nodes:
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            if container_kind(node.value, getattr(node, "annotation", None)) == "set":
+            if builds_set(node.value, getattr(node, "annotation", None)):
                 names.update(target.id for target in targets if isinstance(target, ast.Name))
     return names
 
@@ -301,7 +297,7 @@ def _class_set_attrs(ctx: FileContext) -> dict[str, set[str]]:
         for sub in ast.walk(node):
             if isinstance(sub, (ast.Assign, ast.AnnAssign)):
                 targets = sub.targets if isinstance(sub, ast.Assign) else [sub.target]
-                if container_kind(sub.value, getattr(sub, "annotation", None)) == "set":
+                if builds_set(sub.value, getattr(sub, "annotation", None)):
                     attrs.update(
                         target.attr
                         for target in targets

@@ -6,11 +6,10 @@ room — so send-buffer bloat shows up as latency, exactly the effect
 that makes TCP-over-WiFi's latency worse than MPTCP+M1,2's in Fig. 7).
 The receiver timestamps the moment the last byte of each block is
 readable.  The distribution of (receive - send) is the figure's PDF.
+The sender never runs out of blocks: a run ends when the simulation does.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.apps.bulk import pattern_bytes
 from repro.stats.metrics import Histogram
@@ -24,26 +23,21 @@ class BlockLatencyProbe:
         sim,
         sender_transport,
         block_size: int = 8 * 1024,
-        total_blocks: Optional[int] = None,
     ):
         self.sim = sim
         self.transport = sender_transport
         self.block_size = block_size
-        self.total_blocks = total_blocks
         self.block_send_times: list[float] = []
         self._sent_bytes = 0
         self._partial = 0  # bytes of the current block already accepted
         self.delays: list[float] = []
         self._received_bytes = 0
-        self.done_sending = False
         sender_transport.on_established = self._pump
         sender_transport.on_writable = self._pump
 
     # -- sender side ----------------------------------------------------
     def _pump(self, _transport=None) -> None:
-        if self.done_sending:
-            return
-        while self.total_blocks is None or len(self.block_send_times) < self.total_blocks:
+        while True:
             if self._partial == 0:
                 # Only start a block if it fits entirely in the buffer:
                 # its timestamp must mean "handed to the transport".
@@ -57,8 +51,6 @@ class BlockLatencyProbe:
             if self._partial < self.block_size:
                 return  # buffer filled mid-block; resume on writable
             self._partial = 0
-        self.done_sending = True
-        self.transport.close()
 
     # -- receiver side ----------------------------------------------------
     def attach_receiver(self, transport) -> None:
@@ -82,9 +74,6 @@ class BlockLatencyProbe:
         for delay in self.delays:
             histogram.add(delay)
         return histogram.pdf()
-
-    def mean_delay(self) -> float:
-        return sum(self.delays) / len(self.delays) if self.delays else 0.0
 
     def percentile(self, q: float) -> float:
         if not self.delays:

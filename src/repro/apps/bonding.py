@@ -4,7 +4,8 @@ Linux's ``balance-rr`` bonding mode sprays packets of a single flow
 across the team's links below TCP — no per-flow hashing, no transport
 awareness.  Here a :class:`BondRoute` stands in for a routing-table
 entry: it owns several real duplex paths between the same two hosts and
-round-robins outgoing segments across them (per direction).
+round-robins forward segments across them.  Reverse segments return
+over the first member, as destination-based routing sends them.
 
 The paper's observation that this works *well* for small files (the
 round-robin spreads load perfectly) but loses to MPTCP for large ones
@@ -24,29 +25,24 @@ from repro.net.path import FORWARD, REVERSE, Path
 
 
 class BondRoute:
-    """A route that round-robins segments over member paths."""
+    """A route that round-robins segments over member paths
+    (``per-packet``) or hashes each flow onto one (``per-flow``)."""
 
     def __init__(
         self,
         paths: Sequence[tuple[Path, int]],
         name: str = "bond",
-        reverse_mode: str = "round-robin",
         mode: str = "per-packet",
     ):
         if not paths:
             raise ValueError("a bond needs at least one member path")
-        if reverse_mode not in ("round-robin", "pin-first"):
-            raise ValueError("reverse_mode must be 'round-robin' or 'pin-first'")
         if mode not in ("per-packet", "per-flow"):
             raise ValueError("mode must be 'per-packet' or 'per-flow'")
         self.members = list(paths)  # (path, direction-when-forward)
         self.name = name
-        self.reverse_mode = reverse_mode
         self.mode = mode
         self._cursor_fwd = 0
-        self._cursor_rev = 0
         self._flow_assignment: dict[tuple, int] = {}
-        self._next_flow = 0
         self.segments_fwd = 0
         self.segments_rev = 0
 
@@ -79,16 +75,8 @@ class BondRoute:
             self.segments_fwd += 1
             path.send(segment, member_direction)
         else:
-            if self.mode == "per-flow":
-                path, member_direction = self.members[self._member_for_flow(segment)]
-                self.segments_rev += 1
-                path.send(segment, -member_direction)
-                return
-            if self.reverse_mode == "pin-first":
-                path, member_direction = self.members[0]
-            else:
-                path, member_direction = self.members[self._cursor_rev]
-                self._cursor_rev = (self._cursor_rev + 1) % len(self.members)
+            member = self._member_for_flow(segment) if self.mode == "per-flow" else 0
+            path, member_direction = self.members[member]
             self.segments_rev += 1
             path.send(segment, -member_direction)
 
@@ -100,12 +88,10 @@ def bond_interfaces(
     host_b: Host,
     ip_b: str,
     links: Sequence[dict],
-    name: str = "bond",
     mode: str = "per-packet",
-    reverse_mode: str = "round-robin",
 ) -> BondRoute:
-    """Create N parallel paths between one interface pair and install a
-    round-robin bond as the route between them.
+    """Create N parallel paths ``bond[i]`` between one interface pair and
+    install a bond as the route between them.
 
     ``links`` is a list of Link keyword-argument dicts (rate_bps, delay,
     queue_bytes, ...), one per member.
@@ -120,9 +106,9 @@ def bond_interfaces(
         iface_b = host_b.add_interface(ip_b)
     members: list[tuple[Path, int]] = []
     for index, kwargs in enumerate(links):
-        path = net.connect(iface_a, iface_b, name=f"{name}[{index}]", **kwargs)
+        path = net.connect(iface_a, iface_b, name=f"bond[{index}]", **kwargs)
         members.append((path, FORWARD))
-    bond = BondRoute(members, name=name, mode=mode, reverse_mode=reverse_mode)
+    bond = BondRoute(members, mode=mode)
     # Override the single-path routes the connects installed.
     iface_a.routes[ip_b] = (bond, FORWARD)  # type: ignore[assignment]
     iface_b.routes[ip_a] = (bond, REVERSE)  # type: ignore[assignment]

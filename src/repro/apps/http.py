@@ -119,19 +119,16 @@ class HTTPLoadGenerator:
         open_transport: Callable[[], object],
         size: int,
         concurrency: int = 100,
-        max_requests: Optional[int] = None,
     ):
         self.sim = sim
         self.open_transport = open_transport
         self.size = size
         self.concurrency = concurrency
-        self.max_requests = max_requests
         self.completed = 0
         self.failed = 0
         self.bytes_received = 0
         self.latencies: list[float] = []
         self.started_at: Optional[float] = None
-        self._launched = 0
 
     def start(self) -> None:
         self.started_at = self.sim.now
@@ -139,9 +136,6 @@ class HTTPLoadGenerator:
             self._launch()
 
     def _launch(self) -> None:
-        if self.max_requests is not None and self._launched >= self.max_requests:
-            return
-        self._launched += 1
         started = self.sim.now
         transport = self.open_transport()
         state = {"received": 0, "header_done": False, "expect": None, "buffer": bytearray()}

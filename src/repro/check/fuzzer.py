@@ -271,11 +271,14 @@ def _replace(spec: ScenarioSpec, **changes) -> ScenarioSpec:
     return fresh
 
 
-def shrink(spec: ScenarioSpec, budget: int = 48) -> ScenarioSpec:
+SHRINK_BUDGET = 48  # scenario runs one shrink may spend
+
+
+def shrink(spec: ScenarioSpec) -> ScenarioSpec:
     """Greedily minimize a failing spec: drop elements one at a time,
     halve the payload, drop whole paths — keeping any change that still
-    fails.  Deterministic, bounded by ``budget`` scenario runs."""
-    runs = {"left": budget}
+    fails.  Deterministic, bounded by ``SHRINK_BUDGET`` scenario runs."""
+    runs = {"left": SHRINK_BUDGET}
 
     def still_fails(candidate: ScenarioSpec) -> bool:
         if runs["left"] <= 0:

@@ -71,8 +71,8 @@ On the host(s) in scope the oracle checks:
   close digest, so the verified prefix of both logs is dropped once it
   passes :data:`LOG_TRIM_BYTES`.
 
-Violations raise :class:`InvariantViolation` with the last segments
-captured by a tail-mode :class:`~repro.net.trace.PacketTrace`.
+Violations raise :class:`InvariantViolation` with the last
+``TRACE_TAIL`` segments, kept by a :class:`~repro.net.trace.PacketTrace`.
 """
 
 # The oracle compares the sockets' internal absolute sequence units
@@ -226,9 +226,11 @@ class InvariantOracle:
     >>> oracle.detach()
     """
 
-    def __init__(self, network: "Network", tail: int = 64):
+    TRACE_TAIL = 64  # segments a violation report carries
+
+    def __init__(self, network: "Network"):
         self.network = network
-        self.trace = PacketTrace(tail=tail)
+        self.trace = PacketTrace(tail=self.TRACE_TAIL)
         self.events_checked = 0
         # How each of those events was scoped: no host could have
         # changed / one host re-checked / every host swept.
@@ -261,8 +263,8 @@ class InvariantOracle:
     # Lifecycle
     # ------------------------------------------------------------------
     @classmethod
-    def attach(cls, network: "Network", tail: int = 64) -> "InvariantOracle":
-        oracle = cls(network, tail=tail)
+    def attach(cls, network: "Network") -> "InvariantOracle":
+        oracle = cls(network)
         if network.sim.post_event is not None:
             raise RuntimeError("simulator already has a post_event hook")
         network.sim.post_event = oracle._post_event

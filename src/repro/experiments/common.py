@@ -86,10 +86,11 @@ class ExperimentResult:
     def column(self, key: str, **filters) -> list:
         return [value for _, value in self.series(key, key, **filters)]
 
-    def format_table(self, columns: Optional[Sequence[str]] = None) -> str:
+    def format_table(self) -> str:
+        """The rows under the first row's columns, one line each."""
         if not self.rows:
             return f"[{self.name}] (no rows)"
-        columns = list(columns or self.rows[0].keys())
+        columns = list(self.rows[0].keys())
         widths = {
             column: max(len(column), *(len(_fmt(row.get(column))) for row in self.rows))
             for column in columns
@@ -179,12 +180,7 @@ def open_client(
 _VARIANTS = ("regular", "m1", "m12", "m123", "m1234")
 
 
-def mptcp_variant_config(
-    variant: str,
-    buffer_bytes: int,
-    checksum: bool = False,
-    ooo_algorithm: str = "allshortcuts",
-) -> MPTCPConfig:
+def mptcp_variant_config(variant: str, buffer_bytes: int) -> MPTCPConfig:
     """Named §4.2 variants, each adding one mechanism to the one before:
 
     * ``regular``  — no receive-buffer mechanisms,
@@ -192,20 +188,21 @@ def mptcp_variant_config(
     * ``m12``      — + penalization,
     * ``m123``     — + buffer autotuning,
     * ``m1234``    — + cwnd capping.
+
+    All run without the DSS checksum, over the ``allshortcuts`` queue.
     """
     if variant not in _VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     level = _VARIANTS.index(variant)
     return MPTCPConfig(
         tcp=TCPConfig(snd_buf=buffer_bytes, rcv_buf=buffer_bytes),
-        checksum=checksum,
+        checksum=False,
         snd_buf=buffer_bytes,
         rcv_buf=buffer_bytes,
         enable_m1=level >= 1,
         enable_m2=level >= 2,
         autotune=level >= 3,
         capping=level >= 4,
-        ooo_algorithm=ooo_algorithm,
     )
 
 

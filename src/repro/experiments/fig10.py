@@ -75,7 +75,7 @@ def _measure(
     return delays, (tokens.entries_compared - compared_before if tokens is not None else 0)
 
 
-def run_fig10(attempts: int = 2000, seed: int = 10, workers: int | None = None) -> ExperimentResult:
+def run_fig10(attempts: int = 2000, seed: int = 10) -> ExperimentResult:
     result = ExperimentResult("Fig. 10 — SYN -> SYN/ACK processing delay (wall clock)")
     configurations = [
         ("tcp", False, 0, 0),
@@ -96,7 +96,6 @@ def run_fig10(attempts: int = 2000, seed: int = 10, workers: int | None = None) 
             )
             for _label, mptcp, preestablished, key_pool in configurations
         ],
-        workers=workers,
     )
     pdfs: dict = {}
     for (label, mptcp, preestablished, key_pool), (delays, compared) in zip(

@@ -69,7 +69,6 @@ def run_fig11(
     concurrency: int = 100,
     duration: float = 10.0,
     seed: int = 11,
-    workers: int | None = None,
 ) -> ExperimentResult:
     result = ExperimentResult("Fig. 11 — HTTP requests/s vs transfer size (100 clients)")
     points = [
@@ -81,7 +80,7 @@ def run_fig11(
         for kb in sizes_kb
         for mode in MODES
     ]
-    outcome = run_parallel("fig11", points, workers=workers)
+    outcome = run_parallel("fig11", points)
     values = iter(outcome.values)
     for kb in sizes_kb:
         result.add(size_kb=kb, **{f"{mode}_rps": next(values) for mode in MODES})

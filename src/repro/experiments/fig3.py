@@ -68,7 +68,6 @@ def run_fig3(
     mss_sweep=DEFAULT_MSS_SWEEP,
     transfer_bytes: int = 2 * 1024 * 1024,
     seed: int = 3,
-    workers: int | None = None,
 ) -> ExperimentResult:
     result = ExperimentResult(
         "Fig. 3 — MPTCP goodput vs MSS, DSS checksum on/off (10 GbE, CPU-bound)"
@@ -84,7 +83,6 @@ def run_fig3(
             )
             for mss, checksum in grid
         ],
-        workers=workers,
     )
     for (mss, checksum), transfer in zip(grid, outcome.values):
         cpu_rate = model.cpu_limited_goodput_bps(mss, checksummed=checksum)

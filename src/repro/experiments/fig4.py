@@ -52,7 +52,6 @@ def run_fig4(
     buffers_kb=DEFAULT_BUFFERS_KB,
     duration: float = 25.0,
     seed: int = 4,
-    workers: int | None = None,
 ) -> ExperimentResult:
     result = ExperimentResult("Fig. 4 — throughput vs receive buffer (WiFi + 3G)")
     points: list[Point] = []
@@ -67,7 +66,7 @@ def run_fig4(
             points.append(
                 Point(_mptcp_row, {"variant": variant, "buffer_kb": kb, "duration": duration, "seed": seed})
             )
-    outcome = run_parallel("fig4", points, workers=workers)
+    outcome = run_parallel("fig4", points)
     for row in outcome.values:
         result.add(**row)
     outcome.attach(result)

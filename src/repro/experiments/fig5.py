@@ -41,7 +41,6 @@ def run_fig5(
     buffers_kb=DEFAULT_BUFFERS_KB,
     duration: float = 25.0,
     seed: int = 5,
-    workers: int | None = None,
 ) -> ExperimentResult:
     result = ExperimentResult("Fig. 5 — memory use vs configured receive buffer")
     points: list[Point] = []
@@ -55,7 +54,7 @@ def run_fig5(
         ):
             kwargs = {"label": label, "paths": paths, "config": config, "buffer_kb": kb}
             points.append(Point(_memory_row, {**kwargs, "duration": duration, "seed": seed}))
-    outcome = run_parallel("fig5", points, workers=workers)
+    outcome = run_parallel("fig5", points)
     for row in outcome.values:
         result.add(**row)
     outcome.attach(result)

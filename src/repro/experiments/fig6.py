@@ -65,7 +65,6 @@ def _run_panel(
     duration: float,
     seed: int,
     warmup: float,
-    workers: int | None,
 ) -> ExperimentResult:
     result = ExperimentResult(title)
     points: list[Point] = []
@@ -86,15 +85,14 @@ def _run_panel(
                      "duration": duration, "seed": seed, "warmup": warmup},
                 )
             )
-    outcome = run_parallel(name, points, workers=workers)
+    outcome = run_parallel(name, points)
     for row in outcome.values:
         result.add(**row)
     outcome.attach(result)
     return result
 
 
-def run_panel_a(buffers_kb=PANEL_A_BUFFERS_KB, duration: float = 30.0, seed: int = 6,
-                workers: int | None = None):
+def run_panel_a(buffers_kb=PANEL_A_BUFFERS_KB, duration: float = 30.0, seed: int = 6):
     """WiFi + lossy 50 kb/s 3G."""
     return _run_panel(
         "fig6a",
@@ -105,12 +103,10 @@ def run_panel_a(buffers_kb=PANEL_A_BUFFERS_KB, duration: float = 30.0, seed: int
         duration,
         seed,
         warmup=2.0,
-        workers=workers,
     )
 
 
-def run_panel_b(buffers_kb=PANEL_BC_BUFFERS_KB, duration: float = 15.0, seed: int = 6,
-                workers: int | None = None):
+def run_panel_b(buffers_kb=PANEL_BC_BUFFERS_KB, duration: float = 15.0, seed: int = 6):
     """Fast + slow wired links (scaled from 1 Gb/s + 100 Mb/s)."""
     return _run_panel(
         "fig6b",
@@ -121,12 +117,10 @@ def run_panel_b(buffers_kb=PANEL_BC_BUFFERS_KB, duration: float = 15.0, seed: in
         duration,
         seed,
         warmup=1.0,
-        workers=workers,
     )
 
 
-def run_panel_c(buffers_kb=PANEL_BC_BUFFERS_KB, duration: float = 15.0, seed: int = 6,
-                workers: int | None = None):
+def run_panel_c(buffers_kb=PANEL_BC_BUFFERS_KB, duration: float = 15.0, seed: int = 6):
     """Three identical links: the mechanisms should not matter."""
     return _run_panel(
         "fig6c",
@@ -137,7 +131,6 @@ def run_panel_c(buffers_kb=PANEL_BC_BUFFERS_KB, duration: float = 15.0, seed: in
         duration,
         seed,
         warmup=1.0,
-        workers=workers,
     )
 
 

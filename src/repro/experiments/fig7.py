@@ -44,9 +44,7 @@ def _delays(paths, variant: str, duration: float, seed: int) -> list[float]:
     return probe.delays
 
 
-def run_fig7(
-    duration: float = 30.0, seed: int = 7, bin_ms: float = 25.0, workers: int | None = None
-) -> ExperimentResult:
+def run_fig7(duration: float = 30.0, seed: int = 7, bin_ms: float = 25.0) -> ExperimentResult:
     result = ExperimentResult("Fig. 7 — app-level block latency PDF (8 KB blocks, 200 KB buffer)")
     labels = ("tcp-wifi", "tcp-3g", "mptcp-regular", "mptcp-m12")
     outcome = run_parallel(
@@ -57,7 +55,6 @@ def run_fig7(
             Point(_delays, {"paths": [WIFI, THREEG], "variant": "regular", "duration": duration, "seed": seed}),
             Point(_delays, {"paths": [WIFI, THREEG], "variant": "m12", "duration": duration, "seed": seed}),
         ],
-        workers=workers,
     )
     series = dict(zip(labels, outcome.values))
     outcome.attach(result)

@@ -80,9 +80,7 @@ def _tcp_baseline() -> float:
     return 100.0 * per_byte * TARGET_ARRIVAL_BPS / 8
 
 
-def run_fig8(
-    subflow_counts=(2, 8), duration: float = 8.0, seed: int = 8, workers: int | None = None
-) -> ExperimentResult:
+def run_fig8(subflow_counts=(2, 8), duration: float = 8.0, seed: int = 8) -> ExperimentResult:
     result = ExperimentResult("Fig. 8 — receiver CPU load by ooo algorithm")
     result.notes["tcp_baseline_pct"] = _tcp_baseline()
     grid = [(subflows, algorithm) for subflows in subflow_counts for algorithm in ALGORITHMS]
@@ -95,7 +93,6 @@ def run_fig8(
             )
             for subflows, algorithm in grid
         ],
-        workers=workers,
     )
     for (subflows, algorithm), run in zip(grid, outcome.values):
         result.add(

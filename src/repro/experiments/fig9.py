@@ -57,8 +57,7 @@ def _mptcp_nat_row(buffer_kb: int, duration: float, seed: int) -> dict:
 
 
 def run_fig9(
-    buffers_kb=DEFAULT_BUFFERS_KB, duration: float = 25.0, seed: int = 9,
-    workers: int | None = None,
+    buffers_kb=DEFAULT_BUFFERS_KB, duration: float = 25.0, seed: int = 9
 ) -> ExperimentResult:
     result = ExperimentResult("Fig. 9 — real-world 3G + capped WiFi (both 2 Mb/s)")
     points: list[Point] = []
@@ -74,7 +73,7 @@ def run_fig9(
         points.append(
             Point(_mptcp_nat_row, {"buffer_kb": kb, "duration": duration, "seed": seed})
         )
-    outcome = run_parallel("fig9", points, workers=workers)
+    outcome = run_parallel("fig9", points)
     for row in outcome.values:
         result.add(**row)
     outcome.attach(result)

@@ -10,12 +10,14 @@ a pure function of its arguments and seed; worker processes are forked,
 so hashing and imports match the parent exactly).  Every point runs on
 every call: nothing is stored between sweeps.
 
-Environment knob (CLI users; the API takes an explicit argument too):
+Environment knob:
 
 * ``REPRO_WORKERS`` — number of worker processes; ``1`` forces the
   in-process serial path (the debugging fallback), ``0``/unset means
-  one per CPU, and a negative or non-integer value is an error.  An
-  explicit ``workers=`` argument follows the same rule.
+  one per CPU, and a negative or non-integer value is an error.  It is
+  the only way to size a figure sweep: the ``run_fig*`` entry points
+  take no worker count.  An explicit ``run_parallel(..., workers=)``
+  (the scale study's ``--workers``) follows the same rule.
 """
 
 from __future__ import annotations

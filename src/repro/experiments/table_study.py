@@ -17,8 +17,6 @@ Reproduces, over the enumerated 142-path population (per port column):
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.common import ExperimentResult
 from repro.study.generative import paper_population
 from repro.study.scale import count_paths, simulate_signatures
@@ -28,7 +26,6 @@ def run_table_study(
     port80: bool = False,
     seed: int = 2012,
     include_strawman: bool = True,
-    workers: Optional[int] = None,
 ) -> ExperimentResult:
     population = paper_population(port80=port80, seed=seed)
     counts = count_paths(population)
@@ -37,7 +34,6 @@ def run_table_study(
         counts["signatures"],
         seed,
         include_strawman=include_strawman,
-        workers=workers,
     )
     n = len(population)
     column = "port 80" if port80 else "other ports"

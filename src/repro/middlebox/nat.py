@@ -18,11 +18,12 @@ from repro.net.path import FORWARD, PathElement
 
 class NAT(PathElement):
     rewrites_addresses = True
+    FIRST_PORT = 20000  # external ports are handed out upward from here
 
-    def __init__(self, external_ip: str, base_port: int = 20000, name: str = "NAT"):
+    def __init__(self, external_ip: str, name: str = "NAT"):
         super().__init__(name)
         self.external_ip = external_ip
-        self._next_port = base_port
+        self._next_port = self.FIRST_PORT
         # Per outbound flow, its translated source (built once per flow).
         self._out: dict[tuple[Endpoint, Endpoint], Endpoint] = {}
         self._back: dict[int, tuple[Endpoint, Endpoint]] = {}

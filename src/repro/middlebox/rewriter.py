@@ -2,8 +2,9 @@
 
 The study found 10% of paths (18% on port 80) rewrite TCP initial
 sequence numbers — typically firewalls "improving" ISN randomization.
-The rewriter adds a per-flow random delta to forward sequence numbers
-and subtracts it from reverse acknowledgments (and reverse SACK blocks).
+The rewriter adds a per-flow random delta to the sequence numbers of
+each flow it sees, in both directions, and subtracts the opposite
+flow's delta from acknowledgments (and SACK blocks).
 MPTCP survives because the DSS mapping carries subflow *offsets*, never
 absolute sequence numbers (§3.3.4); a design that embedded absolute
 subflow sequence numbers would desynchronize here.
@@ -28,12 +29,10 @@ class SequenceRewriter(PathElement):
     def __init__(
         self,
         rng: SeededRNG | None = None,
-        both_directions: bool = True,
         name: str = "SeqRewriter",
     ):
         super().__init__(name)
         self.rng = rng or SeededRNG(0, name)
-        self.both_directions = both_directions
         self._deltas: dict[tuple[Endpoint, Endpoint], int] = {}
         self.rewrites = 0
 
@@ -50,19 +49,17 @@ class SequenceRewriter(PathElement):
         if direction == FORWARD:
             segment.seq = seq_add(segment.seq, self._delta_for(segment.src, segment.dst))
             self.rewrites += 1
-            if self.both_directions:
-                delta = self._deltas.get((segment.dst, segment.src))
-                if delta is not None and segment.flags & ACK:
-                    segment.ack = seq_add(segment.ack, -delta)
-                    self._fix_sack(segment, seq_add, -delta)
+            delta = self._deltas.get((segment.dst, segment.src))
+            if delta is not None and segment.flags & ACK:
+                segment.ack = seq_add(segment.ack, -delta)
+                self._fix_sack(segment, seq_add, -delta)
         else:
             delta = self._deltas.get((segment.dst, segment.src))
             if delta is not None and segment.flags & ACK:
                 segment.ack = seq_add(segment.ack, -delta)
                 self._fix_sack(segment, seq_add, -delta)
                 self.rewrites += 1
-            if self.both_directions:
-                segment.seq = seq_add(segment.seq, self._delta_for(segment.src, segment.dst))
+            segment.seq = seq_add(segment.seq, self._delta_for(segment.src, segment.dst))
         return [(segment, direction)]
 
     @staticmethod

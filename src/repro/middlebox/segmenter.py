@@ -74,16 +74,18 @@ class SegmentSplitter(PathElement):
 class SegmentCoalescer(PathElement):
     """Merge consecutive in-order segments of a flow.
 
-    Holds one segment per flow for up to ``hold_time``; if the next
+    Holds one segment per flow for up to ``HOLD_TIME``; if the next
     segment of that flow continues it contiguously (same flags profile),
     they merge — keeping the *first* segment's options, since two DSS
-    mappings cannot fit the option space.
+    mappings cannot fit the option space.  A merged payload stays within
+    ``MAX_SIZE`` bytes.
     """
+
+    HOLD_TIME = 0.002
+    MAX_SIZE = 64 * 1024
 
     def __init__(
         self,
-        hold_time: float = 0.002,
-        max_size: int = 64 * 1024,
         merge_probability: float = 1.0,
         rng=None,
         name: str = "Coalescer",
@@ -91,8 +93,6 @@ class SegmentCoalescer(PathElement):
         super().__init__(name)
         from repro.sim.rng import SeededRNG
 
-        self.hold_time = hold_time
-        self.max_size = max_size
         self.merge_probability = merge_probability
         self.rng = rng or SeededRNG(0, name)
         self._held: dict[tuple[Endpoint, Endpoint], tuple[Segment, int, Timer]] = {}
@@ -113,7 +113,7 @@ class SegmentCoalescer(PathElement):
             if (
                 contiguous
                 and held_direction == direction
-                and held_segment.payload_len + segment.payload_len <= self.max_size
+                and held_segment.payload_len + segment.payload_len <= self.MAX_SIZE
                 and not held_segment.fin
             ):
                 # Mutation point: coalescing builds new content, so both
@@ -128,7 +128,7 @@ class SegmentCoalescer(PathElement):
                 return []
             self._flush_flow(key)
         timer = Timer(self.sim, partial(self._flush_flow, key))
-        timer.start(self.hold_time)
+        timer.start(self.HOLD_TIME)
         # Held until the timer or the next non-mergeable segment of the
         # flow hands it on via _flush_flow.
         self._held[key] = (segment, direction, timer)

@@ -82,7 +82,7 @@ def listen(
                 # Unknown token: refuse; the host answers with a RST.
                 factory_host._reset_unknown(syn)
                 return None
-            return connection.adopt_join_syn(syn)
+            return connection.adopt_join_syn()
         connection = MPTCPConnection(factory_host, config, role="server", on_accept=on_accept)
         connection.local_extra_addresses = list(advertised)
         if syn.find_option(MPCapable) is None:

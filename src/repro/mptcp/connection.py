@@ -39,7 +39,7 @@ from repro.mptcp.options import DSS, AddAddr, FastClose, MPTCPOption, RemoveAddr
 from repro.mptcp.checksum import dss_checksum
 from repro.mptcp.scheduler import Scheduler
 from repro.mptcp.state import TRANSITIONS, MPTCPConnState
-from repro.mptcp.subflow import RxMapping, Subflow
+from repro.mptcp.subflow import Subflow
 
 # Floor of the data-level retransmission timer (§3.3.5), in seconds.
 DATA_RTO_MIN = 1.0
@@ -135,14 +135,13 @@ class MPTCPConnection:
         host: Host,
         config: Optional[MPTCPConfig] = None,
         role: str = "client",
-        name: str = "",
         on_accept: Optional[Callable[["MPTCPConnection"], None]] = None,
     ):
         self.host = host
         self.sim = host.sim
         self.config = config or MPTCPConfig()
         self.role = role
-        self.name = name or f"mptcp-{role}@{host.name}"
+        self.name = f"mptcp-{role}@{host.name}"
         self.stats = MPTCPStats()
 
         # --- keys / tokens (§3.2, Fig. 10's measured path) -------------
@@ -272,7 +271,7 @@ class MPTCPConnection:
         self.remote_primary = syn_segment.src
         return subflow
 
-    def adopt_join_syn(self, syn_segment) -> Subflow:
+    def adopt_join_syn(self) -> Subflow:
         """Server side: a verified-token MP_JOIN SYN."""
         return self._new_subflow(Subflow.KIND_JOIN)
 
@@ -431,7 +430,6 @@ class MPTCPConnection:
 
         if subflow.state.synchronized and not self.fallback:
             subflow._send_ack(
-                force=True,
                 extra_options=[MPPrio(backup=backup, address_id=subflow.address_id)],
             )
         self.kick()
@@ -456,7 +454,7 @@ class MPTCPConnection:
     def _prompt_announcements(self) -> None:
         for subflow in self.ack_capable_subflows():
             if subflow.established_at is not None:
-                subflow._send_ack(force=True)
+                subflow._send_ack()
 
     # ==================================================================
     # Keys / wire conversions
@@ -556,7 +554,7 @@ class MPTCPConnection:
     def abort(self) -> None:
         """Connection-level abort: MP_FASTCLOSE + RST on all subflows."""
         for subflow in self.alive_subflows():
-            subflow._send_ack(force=True, extra_options=[FastClose(receiver_key=self.remote_key)])
+            subflow._send_ack(extra_options=[FastClose(receiver_key=self.remote_key)])
         for subflow in list(self.subflows):
             if not subflow.failed:
                 subflow.abort()
@@ -652,7 +650,6 @@ class MPTCPConnection:
             if alive:
                 self.note_data_fin_sent()
                 alive[0]._send_ack(
-                    force=True,
                     extra_options=[self.build_dss(None, None, b"", data_fin=True)],
                 )
 
@@ -667,7 +664,7 @@ class MPTCPConnection:
     # ------------------------------------------------------------------
     # DATA_ACK processing (sender side)
     # ------------------------------------------------------------------
-    def on_data_ack(self, ack_offset: int, window_bytes: int, subflow: Subflow) -> None:
+    def on_data_ack(self, ack_offset: int, window_bytes: int) -> None:
         advanced = False
         if ack_offset > self.data_una:
             fin_ack_limit = (
@@ -859,7 +856,7 @@ class MPTCPConnection:
             # Retransmitted DATA_FIN: the ack carrying our cumulative
             # DATA_ACK was lost — re-ack it.
             for subflow in self.ack_capable_subflows():
-                subflow._send_ack(force=True)
+                subflow._send_ack()
             return
         if self.peer_data_fin is None or fin_offset < self.peer_data_fin:
             self.peer_data_fin = fin_offset
@@ -873,7 +870,7 @@ class MPTCPConnection:
             self._rx_eof = True
             # Acknowledge the fin promptly on all subflows.
             for subflow in self.ack_capable_subflows():
-                subflow._send_ack(force=True)
+                subflow._send_ack()
             if self.on_eof is not None:
                 self.on_eof(self)
             self._maybe_finished()
@@ -894,7 +891,7 @@ class MPTCPConnection:
             return
         if previously_open < 2 * mss or growth >= self.rcv_buf_limit // 2:
             for subflow in self.ack_capable_subflows():
-                subflow._send_ack(force=True)
+                subflow._send_ack()
 
     def on_subflow_fin(self, subflow: Subflow) -> None:
         """Subflow-level FIN: "no more data on this subflow" — the
@@ -926,7 +923,7 @@ class MPTCPConnection:
         self._ensure_data_rtx_timer()
         self.kick()
 
-    def on_checksum_failure(self, subflow: Subflow, mapping: RxMapping, payload: Buffer) -> None:
+    def on_checksum_failure(self, subflow: Subflow) -> None:
         """§3.3.6: a content-modifying middlebox struck.  With another
         subflow available, reset this one; otherwise fall back to plain
         TCP and let the middlebox rewrite in peace."""
@@ -944,8 +941,8 @@ class MPTCPConnection:
         pending = subflow._rx_pending
         raw = pending.peek(pending.head, len(pending))
         pending.release_to(pending.tail)
-        self.on_fallback_data(subflow, raw)
-        subflow._send_ack(force=True, extra_options=[self._take_mp_fail()])
+        self.on_fallback_data(raw)
+        subflow._send_ack(extra_options=[self._take_mp_fail()])
 
     def _take_mp_fail(self):
         from repro.mptcp.options import MPFail
@@ -953,7 +950,7 @@ class MPTCPConnection:
         self._mp_fail_pending = False
         return MPFail(dsn=self.rx_wire_dsn(self.rcv_data_nxt))
 
-    def on_mp_fail(self, subflow: Subflow) -> None:
+    def on_mp_fail(self) -> None:
         """Peer detected a checksum failure with a single subflow: stop
         sending mappings; continue as plain TCP."""
         if not self.fallback:
@@ -1008,9 +1005,9 @@ class MPTCPConnection:
         pending = subflow._rx_pending
         raw = pending.peek(pending.head, len(pending))
         pending.release_to(pending.tail)
-        self.on_fallback_data(subflow, raw)
+        self.on_fallback_data(raw)
         if self._mp_fail_pending:
-            subflow._send_ack(force=True, extra_options=[self._take_mp_fail()])
+            subflow._send_ack(extra_options=[self._take_mp_fail()])
         return True
 
     def enter_fallback(self, reason: str) -> None:
@@ -1057,7 +1054,7 @@ class MPTCPConnection:
         self.data_nxt += take
         return (payload, [])
 
-    def on_fallback_acked(self, subflow: Subflow, acked_unit: int) -> None:
+    def on_fallback_acked(self, acked_unit: int) -> None:
         if self._fallback_tx_base is None:
             return
         acked_offset = min(self._fallback_tx_base + acked_unit - 1, self.send_stream.tail)
@@ -1067,7 +1064,7 @@ class MPTCPConnection:
             if self.on_writable is not None and self.send_buffer_room() > 0:
                 self.on_writable(self)
 
-    def on_fallback_data(self, subflow: Subflow, data: Buffer) -> None:
+    def on_fallback_data(self, data: Buffer) -> None:
         if not data:
             return
         self.rcv_data_nxt += len(data)

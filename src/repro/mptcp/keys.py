@@ -127,10 +127,6 @@ class TokenTable:
             key = generate_key(self.rng)
             self._key_pool.append((key, token_from_key(key)))
 
-    @property
-    def pooled_keys(self) -> int:
-        return len(self._key_pool)
-
     def register(self, token: int, connection: "MPTCPConnection") -> None:
         if self._contains(token):
             raise ValueError(f"token {token:#x} already registered")

@@ -121,11 +121,10 @@ class _LinkedList:
         self.length -= 1
 
 
-class RegularQueue(OOOQueue):
-    """Linear scan from the queue head for every insertion — the stock
-    fast-path fallback the paper starts from."""
-
-    name = "regular"
+class _ScanQueue(OOOQueue):
+    """A queue kept as a linked list in ``start`` order: the one head-to-
+    tail insertion scan and the one head-side ``advance`` of the three
+    list-based algorithms."""
 
     __slots__ = ("_list",)
 
@@ -133,18 +132,20 @@ class RegularQueue(OOOQueue):
         super().__init__()
         self._list = _LinkedList()
 
-    def insert(self, start: int, end: int, subflow_id: int) -> None:
-        self.stats.inserts += 1
+    def _scan(self, start: int) -> Optional[_Node]:
+        """The last node starting before ``start`` (None: the new entry
+        goes at the head), counting one op per node visited."""
         node = self._list.head
         previous: Optional[_Node] = None
+        ops = 0
         while node is not None:
-            self.stats.ops += 1
+            ops += 1
             if node.start >= start:
                 break
             previous = node
             node = node.next
-        self._list.insert_after(previous, _Node(start, end))
-        self.stats.max_queue_length = max(self.stats.max_queue_length, self._list.length)
+        self.stats.ops += ops
+        return previous
 
     def advance(self, offset: int) -> None:
         node = self._list.head
@@ -155,6 +156,20 @@ class RegularQueue(OOOQueue):
 
     def __len__(self) -> int:
         return self._list.length
+
+
+class RegularQueue(_ScanQueue):
+    """Linear scan from the queue head for every insertion — the stock
+    fast-path fallback the paper starts from."""
+
+    name = "regular"
+
+    __slots__ = ()
+
+    def insert(self, start: int, end: int, subflow_id: int) -> None:
+        self.stats.inserts += 1
+        self._list.insert_after(self._scan(start), _Node(start, end))
+        self.stats.max_queue_length = max(self.stats.max_queue_length, self._list.length)
 
 
 class TreeQueue(OOOQueue):
@@ -194,7 +209,7 @@ class TreeQueue(OOOQueue):
         return len(self._starts)
 
 
-class ShortcutsQueue(OOOQueue):
+class ShortcutsQueue(_ScanQueue):
     """Per-subflow insertion-point pointers (§4.3).
 
     The sender allocates contiguous-DSN batches to a subflow, so the
@@ -206,51 +221,34 @@ class ShortcutsQueue(OOOQueue):
 
     name = "shortcuts"
 
-    __slots__ = ("_list", "_pointers", "_live")
+    __slots__ = ("_pointers",)
 
     def __init__(self) -> None:
         super().__init__()
-        self._list = _LinkedList()
         self._pointers: dict[int, _Node] = {}
-        self._live: set[_Node] = set()
 
     def insert(self, start: int, end: int, subflow_id: int) -> None:
         self.stats.inserts += 1
         pointer = self._pointers.get(subflow_id)
-        if pointer is not None and pointer in self._live and pointer.end == start:
+        # A node unlinked by advance (or a merge) has no prev and is not
+        # the head, so a pointer at it misses.
+        if (
+            pointer is not None
+            and pointer.end == start
+            and (pointer.prev is not None or pointer is self._list.head)
+        ):
             self.stats.shortcut_hits += 1
             self.stats.ops += 1
-            node = _Node(start, end)
-            self._list.insert_after(pointer, node)
         else:
             self.stats.shortcut_misses += 1
-            scan = self._list.head
-            previous: Optional[_Node] = None
-            while scan is not None:
-                self.stats.ops += 1
-                if scan.start >= start:
-                    break
-                previous = scan
-                scan = scan.next
-            node = _Node(start, end)
-            self._list.insert_after(previous, node)
-        self._live.add(node)
+            pointer = self._scan(start)
+        node = _Node(start, end)
+        self._list.insert_after(pointer, node)
         self._pointers[subflow_id] = node
         self.stats.max_queue_length = max(self.stats.max_queue_length, self._list.length)
 
-    def advance(self, offset: int) -> None:
-        node = self._list.head
-        while node is not None and node.end <= offset:
-            following = node.next
-            self._live.discard(node)
-            self._list.remove(node)
-            node = following
 
-    def __len__(self) -> int:
-        return self._list.length
-
-
-class AllShortcutsQueue(OOOQueue):
+class AllShortcutsQueue(ShortcutsQueue):
     """Shortcuts plus batch grouping (§4.3's final algorithm).
 
     In-sequence segments merge into batch nodes; a shortcut hit extends
@@ -260,20 +258,16 @@ class AllShortcutsQueue(OOOQueue):
 
     name = "allshortcuts"
 
-    __slots__ = ("_list", "_pointers", "_live", "segment_count")
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._list = _LinkedList()  # nodes are batches
-        self._pointers: dict[int, _Node] = {}
-        self._live: set[_Node] = set()
-        self.segment_count = 0
+    __slots__ = ()
 
     def insert(self, start: int, end: int, subflow_id: int) -> None:
         self.stats.inserts += 1
-        self.segment_count += 1
         pointer = self._pointers.get(subflow_id)
-        if pointer is not None and pointer in self._live and pointer.end == start:
+        if (
+            pointer is not None
+            and pointer.end == start
+            and (pointer.prev is not None or pointer is self._list.head)
+        ):
             self.stats.shortcut_hits += 1
             self.stats.ops += 1
             pointer.end = end
@@ -281,14 +275,7 @@ class AllShortcutsQueue(OOOQueue):
             self._maybe_merge_forward(pointer)
             return
         self.stats.shortcut_misses += 1
-        scan = self._list.head
-        previous: Optional[_Node] = None
-        while scan is not None:
-            self.stats.ops += 1  # one step per *batch*, not per segment
-            if scan.start >= start:
-                break
-            previous = scan
-            scan = scan.next
+        previous = self._scan(start)  # one step per *batch*, not per segment
         if previous is not None and previous.end == start:
             previous.end = end
             previous.segments += 1
@@ -297,7 +284,6 @@ class AllShortcutsQueue(OOOQueue):
         else:
             node = _Node(start, end)
             self._list.insert_after(previous, node)
-            self._live.add(node)
             self._maybe_merge_forward(node)
             self._pointers[subflow_id] = node
         self.stats.max_queue_length = max(self.stats.max_queue_length, self._list.length)
@@ -311,22 +297,13 @@ class AllShortcutsQueue(OOOQueue):
             for subflow_id, pointed in list(self._pointers.items()):
                 if pointed is following:
                     self._pointers[subflow_id] = node
-            self._live.discard(following)
             self._list.remove(following)
 
     def advance(self, offset: int) -> None:
-        node = self._list.head
-        while node is not None and node.end <= offset:
-            following = node.next
-            self.segment_count -= node.segments
-            self._live.discard(node)
-            self._list.remove(node)
-            node = following
-        if node is not None and node.start < offset:
-            node.start = offset  # partially consumed batch
-
-    def __len__(self) -> int:
-        return self._list.length
+        super().advance(offset)
+        head = self._list.head
+        if head is not None and head.start < offset:
+            head.start = offset  # partially consumed batch
 
 
 _ALGORITHMS = {

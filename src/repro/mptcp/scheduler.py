@@ -211,7 +211,7 @@ class Scheduler:
             return None  # backups carry data only when nothing else can
 
         chunk = (
-            self._allocate_reinjection(subflow, max_bytes)
+            self._allocate_reinjection(max_bytes)
             if self.reinject_queue
             else None
         )
@@ -269,9 +269,7 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Allocation sources
     # ------------------------------------------------------------------
-    def _allocate_reinjection(
-        self, subflow: "Subflow", max_bytes: int
-    ) -> Optional[tuple[int, bytes, int, bool]]:
+    def _allocate_reinjection(self, max_bytes: int) -> Optional[tuple[int, bytes, int, bool]]:
         conn = self.connection
         while self.reinject_queue:
             entry = self.reinject_queue[0]
@@ -424,6 +422,3 @@ class Scheduler:
                 return  # already queued
         self.reinject_queue = self.reinject_queue or deque()
         self.reinject_queue.append([start, end])
-
-    def tx_inflight_bytes(self) -> int:
-        return sum(m.end - m.start for m in self.inflight)

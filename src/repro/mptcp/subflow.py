@@ -358,7 +358,7 @@ class Subflow(TCPSocket):
         do (§3.3.5) — except in fallback mode, where the subflow ACK is
         all there is."""
         if self.connection.conn_state.is_fallback:
-            self.connection.on_fallback_acked(self, acked_unit)
+            self.connection.on_fallback_acked(acked_unit)
         # Retransmission-queue entries popped by the caller keep holding
         # payload references until data-acked; that is the paper's
         # "data kept in memory until DATA_ACK" behaviour, and the memory
@@ -492,7 +492,7 @@ class Subflow(TCPSocket):
                             sibling.backup = option.backup
                 conn.kick()
             elif cls is MPFail:
-                conn.on_mp_fail(self)
+                conn.on_mp_fail()
             elif cls is FastClose:
                 conn.on_fastclose(option)
 
@@ -504,7 +504,7 @@ class Subflow(TCPSocket):
         if dss.data_ack is not None:
             # _scaled_window(), inlined: runs once per DATA_ACK-bearing segment
             window = segment.window << (0 if segment.flags & SYN else self.snd_wscale)
-            conn.on_data_ack(conn.tx_abs_offset(dss.data_ack), window, self)
+            conn.on_data_ack(conn.tx_abs_offset(dss.data_ack), window)
         if dss.dsn is not None and dss.subflow_seq is not None and dss.length > 0:
             ssn_start = dss.subflow_seq - 1  # rel SSN 1 = stream offset 0
             mapping = RxMapping(
@@ -551,7 +551,7 @@ class Subflow(TCPSocket):
         conn = self.connection
         self.stats.bytes_delivered += len(data)
         if conn.conn_state.is_fallback:
-            conn.on_fallback_data(self, data)
+            conn.on_fallback_data(data)
             return
         self._rx_pending.append(data)
         self._match_mappings()
@@ -597,7 +597,7 @@ class Subflow(TCPSocket):
                 conn.stats.checksum_bytes_rx += mapping.length
                 if not ok:
                     self.checksum_failures += 1
-                    conn.on_checksum_failure(self, mapping, payload)
+                    conn.on_checksum_failure(self)
                     return
                 pending.release_to(mapping.ssn_end)
                 self._remove_mapping(mapping)

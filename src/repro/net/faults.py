@@ -9,7 +9,7 @@ fuzzer (:mod:`repro.check.fuzzer`) can emit self-contained repro scripts.
 * :class:`LinkFlap` — a down/up schedule (mobility, §5.2): while down,
   every segment in both directions is dropped.
 * :class:`GilbertElliottLoss` — bursty loss from the classic two-state
-  Markov model; the good state is (near-)lossless, the bad state drops
+  Markov model; the good state is lossless, the bad state drops
   most segments, so losses cluster the way radio fades do.
 * :class:`Reorderer` — holds a segment and releases it a few segments
   later (load-balanced cores), with a time backstop so the last segment
@@ -28,8 +28,6 @@ from repro.net.packet import Segment
 from repro.net.path import FORWARD, REVERSE, PathElement
 from repro.sim.rng import SeededRNG
 
-BOTH = (FORWARD, REVERSE)
-
 
 class LinkFlap(PathElement):
     """Alternates the path between up and down.
@@ -44,7 +42,6 @@ class LinkFlap(PathElement):
         seed: int = 0,
         up_mean: float = 0.5,
         down_mean: float = 0.05,
-        start_up: bool = True,
         name: str = "LinkFlap",
     ):
         super().__init__(name)
@@ -53,9 +50,8 @@ class LinkFlap(PathElement):
         self.seed = seed
         self.up_mean = up_mean
         self.down_mean = down_mean
-        self.start_up = start_up
         self.rng = SeededRNG(seed, f"flap:{name}")
-        self.up = start_up
+        self.up = True  # the schedule starts with an up dwell
         self.transitions = 0
         self.dropped = 0
         self._next_transition = self._dwell(0.0)
@@ -80,16 +76,15 @@ class LinkFlap(PathElement):
     def __repr__(self) -> str:
         return (
             f"LinkFlap(seed={self.seed}, up_mean={self.up_mean}, "
-            f"down_mean={self.down_mean}, start_up={self.start_up})"
+            f"down_mean={self.down_mean})"
         )
 
 
 class GilbertElliottLoss(PathElement):
     """Burst loss: a two-state (good/bad) Markov chain stepped per segment.
 
-    Defaults target the data direction only, matching the repo's plain
-    lossy links (ACK-path loss is a separate adversity worth its own
-    element instance).
+    It drops in the data direction only, matching the repo's plain
+    lossy links, and the good state never drops.
     """
 
     def __init__(
@@ -97,25 +92,21 @@ class GilbertElliottLoss(PathElement):
         seed: int = 0,
         p_enter_bad: float = 0.005,
         p_exit_bad: float = 0.25,
-        loss_good: float = 0.0,
         loss_bad: float = 0.9,
-        directions: tuple[int, ...] = (FORWARD,),
         name: str = "GilbertElliott",
     ):
         super().__init__(name)
         self.seed = seed
         self.p_enter_bad = p_enter_bad
         self.p_exit_bad = p_exit_bad
-        self.loss_good = loss_good
         self.loss_bad = loss_bad
-        self.directions = tuple(directions)
         self.rng = SeededRNG(seed, f"ge:{name}")
         self.bad = False
         self.dropped = 0
         self.bursts = 0
 
     def process(self, segment: Segment, direction: int) -> list[tuple[Segment, int]]:
-        if direction not in self.directions:
+        if direction != FORWARD:
             return [(segment, direction)]
         if self.bad:
             if self.rng.chance(self.p_exit_bad):
@@ -123,7 +114,7 @@ class GilbertElliottLoss(PathElement):
         elif self.rng.chance(self.p_enter_bad):
             self.bad = True
             self.bursts += 1
-        if self.rng.chance(self.loss_bad if self.bad else self.loss_good):
+        if self.bad and self.rng.chance(self.loss_bad):
             self.dropped += 1
             return []
         return [(segment, direction)]
@@ -131,8 +122,7 @@ class GilbertElliottLoss(PathElement):
     def __repr__(self) -> str:
         return (
             f"GilbertElliottLoss(seed={self.seed}, p_enter_bad={self.p_enter_bad}, "
-            f"p_exit_bad={self.p_exit_bad}, loss_good={self.loss_good}, "
-            f"loss_bad={self.loss_bad}, directions={self.directions})"
+            f"p_exit_bad={self.p_exit_bad}, loss_bad={self.loss_bad})"
         )
 
 
@@ -152,33 +142,30 @@ class Reorderer(PathElement):
     """Reorders by holding a segment until a few later ones have passed.
 
     Count-based release makes the reordering depth explicit and
-    independent of timing; a scheduled time backstop (``max_hold``
+    independent of timing; a scheduled time backstop (``MAX_HOLD``
     seconds) releases a held segment even if the flow goes quiet, so
-    holding the final FIN cannot wedge a connection.
+    holding the final FIN cannot wedge a connection.  Both directions
+    are reordered, each with its own held list.
     """
+
+    MAX_HOLD = 0.05
 
     def __init__(
         self,
         seed: int = 0,
         probability: float = 0.05,
         depth: int = 3,
-        max_hold: float = 0.05,
-        directions: tuple[int, ...] = BOTH,
         name: str = "Reorderer",
     ):
         super().__init__(name)
         self.seed = seed
         self.probability = probability
         self.depth = depth
-        self.max_hold = max_hold
-        self.directions = tuple(directions)
         self.rng = SeededRNG(seed, f"reorder:{name}")
         self.reordered = 0
         self._held: dict[int, list[_Held]] = {FORWARD: [], REVERSE: []}
 
     def process(self, segment: Segment, direction: int) -> list[tuple[Segment, int]]:
-        if direction not in self.directions:
-            return [(segment, direction)]
         # This segment, then every held one whose count ran out.
         out = [(segment, direction)]
         held = self._held[direction]
@@ -193,7 +180,7 @@ class Reorderer(PathElement):
             self.reordered += 1
             entry = _Held(segment, self.rng.randint(1, self.depth))
             self._held[direction].append(entry)
-            self.sim.schedule(self.max_hold, self._backstop, entry, direction)
+            self.sim.schedule(self.MAX_HOLD, self._backstop, entry, direction)
             return out[1:]
         return out
 
@@ -206,7 +193,7 @@ class Reorderer(PathElement):
     def __repr__(self) -> str:
         return (
             f"Reorderer(seed={self.seed}, probability={self.probability}, "
-            f"depth={self.depth}, max_hold={self.max_hold}, directions={self.directions})"
+            f"depth={self.depth})"
         )
 
 
@@ -217,6 +204,7 @@ class Corrupter(PathElement):
     MP_JOIN of a second subflow) can complete before damage begins —
     without it a corrupted-then-fallen-back single subflow legitimately
     delivers the damaged bytes raw, which is TCP behaviour, not a bug.
+    Only the data direction is damaged.
     """
 
     corrupts_payload = True
@@ -226,21 +214,19 @@ class Corrupter(PathElement):
         seed: int = 0,
         probability: float = 0.05,
         active_after: float = 0.0,
-        directions: tuple[int, ...] = (FORWARD,),
         name: str = "Corrupter",
     ):
         super().__init__(name)
         self.seed = seed
         self.probability = probability
         self.active_after = active_after
-        self.directions = tuple(directions)
         self.rng = SeededRNG(seed, f"corrupt:{name}")
         self.corrupted = 0
         self.corrupted_bytes = 0
 
     def process(self, segment: Segment, direction: int) -> list[tuple[Segment, int]]:
         if (
-            direction not in self.directions
+            direction != FORWARD
             or not segment.payload
             or self.sim.now < self.active_after
             or not self.rng.chance(self.probability)
@@ -258,5 +244,5 @@ class Corrupter(PathElement):
     def __repr__(self) -> str:
         return (
             f"Corrupter(seed={self.seed}, probability={self.probability}, "
-            f"active_after={self.active_after}, directions={self.directions})"
+            f"active_after={self.active_after})"
         )

@@ -56,15 +56,13 @@ class Network:
         queue_bytes: Optional[int] = None,
         loss: float = 0.0,
         elements: Optional[Sequence[PathElement]] = None,
-        rate_bps_rev: Optional[float] = None,
-        queue_bytes_rev: Optional[int] = None,
         name: Optional[str] = None,
     ) -> Path:
         """Create a duplex path between two interfaces.
 
-        ``rate_bps``/``queue_bytes``/``loss`` describe the A→B direction;
-        the reverse direction defaults to the same parameters (reverse
-        loss defaults to 0 — the paper's lossy links are data-direction).
+        ``rate_bps``/``delay``/``queue_bytes`` describe both directions;
+        ``loss`` applies to A→B only (the paper's lossy links are
+        data-direction).
         """
         name = name or f"{iface_a.ip}<->{iface_b.ip}"
         sim = self.sim
@@ -79,9 +77,9 @@ class Network:
         )
         link_rev = Link(
             sim,
-            rate_bps_rev if rate_bps_rev is not None else rate_bps,
+            rate_bps,
             delay,
-            queue_bytes_rev if queue_bytes_rev is not None else queue_bytes,
+            queue_bytes,
             0.0,
             rng=self.rng.fork(f"loss:{name}:rev"),
             name=f"{name}:rev",

@@ -180,13 +180,6 @@ class Segment:
                 return option
         return None
 
-    def remove_options(self, option_type: Type["TCPOption"]) -> int:
-        """Strip all options of a type; returns how many were removed."""
-        kept = [option for option in self.options if not isinstance(option, option_type)]
-        removed = len(self.options) - len(kept)
-        self.options = kept
-        return removed
-
     # ------------------------------------------------------------------
     # Copying (middleboxes and retransmissions need deep-enough copies)
     # ------------------------------------------------------------------

@@ -137,9 +137,5 @@ class Path:
     def add_tap(self, tap: Callable[["Path", Segment, int], None]) -> None:
         self.taps.append(tap)
 
-    def base_rtt(self) -> float:
-        """Propagation RTT, excluding serialisation and queueing."""
-        return self.link_fwd.delay + self.link_rev.delay
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Path {self.name} elements={self.elements}>"

@@ -3,6 +3,8 @@
 Attach a :class:`PacketTrace` to any path (or every path of a network)
 and get a time-ordered record of segments with decoded MPTCP options —
 the tool used to debug every middlebox interaction in this repository.
+A trace keeps every segment it sees, or with ``tail=N`` only the last
+``N`` (the invariant oracle's mode).
 
 >>> trace = PacketTrace.attach_all(net)
 >>> ...run...
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.net.packet import Segment, flags_repr
 
@@ -28,7 +30,7 @@ class TraceRecord:
     time: float
     path_name: str
     direction: int
-    segment: Segment  # a copy, frozen at capture time
+    segment: Segment  # rebuilt from the header fields captured
 
     def format(self) -> str:
         seg = self.segment
@@ -55,7 +57,7 @@ class TraceRecord:
 
 
 def _thaw(entry: tuple) -> TraceRecord:
-    """Build the record a tail-mode header tuple stands for."""
+    """Build the record a captured header tuple stands for."""
     time, path_name, direction, src, dst, seq, ack, flags, window, options, payload, created = entry
     segment = Segment(src, dst, seq, ack, flags, window, list(options), payload, created)
     return TraceRecord(time, path_name, direction, segment)
@@ -64,78 +66,49 @@ def _thaw(entry: tuple) -> TraceRecord:
 class PacketTrace:
     """Capture segments crossing one or more paths.
 
-    ``limit`` bounds memory by dropping *new* records once full (the
-    head of the capture is what matters when studying a handshake).
-    ``tail`` instead keeps only the *last* ``tail`` records, discarding
-    the oldest — the mode the invariant oracle uses so a violation
-    report carries the packets leading up to the failure.  It taps every
-    packet and is read only on a failure, so it keeps each packet as one
-    tuple of header fields (sharing the payload and option objects, as
-    :meth:`Segment.copy` does) and builds :attr:`records` on read.
+    Each tap stores one tuple of header fields (sharing the payload and
+    option objects, which are immutable) in a ring; :attr:`records`
+    builds the :class:`TraceRecord` objects on read, so a record shows
+    the segment as it was at capture time.  ``tail=None`` keeps every
+    tap; ``tail=N`` keeps only the last ``N``, discarding the oldest and
+    counting them in ``dropped`` — the mode the invariant oracle uses so
+    a violation report carries the packets leading up to the failure.
     """
 
-    def __init__(self, limit: Optional[int] = 100_000, tail: Optional[int] = None):
-        self._records: list[TraceRecord] = []
-        self._ring: Optional[deque[tuple]] = None if tail is None else deque(maxlen=tail)
-        self.limit = limit
-        self.tail = tail
+    def __init__(self, tail: Optional[int] = None):
+        self._ring: deque[tuple] = deque(maxlen=tail)
         self.dropped = 0
-        self._predicate: Optional[Callable[[Segment], bool]] = None
 
     @property
     def records(self) -> list[TraceRecord]:
         """The captured records, oldest first."""
-        if self._ring is None:
-            return self._records
         return list(map(_thaw, self._ring))
 
     # ------------------------------------------------------------------
     @classmethod
-    def attach(
-        cls, path: "Path", limit: Optional[int] = 100_000, tail: Optional[int] = None
-    ) -> "PacketTrace":
-        trace = cls(limit=limit, tail=tail)
+    def attach(cls, path: "Path") -> "PacketTrace":
+        """A trace of every segment crossing ``path``."""
+        trace = cls()
         path.add_tap(trace._tap)
         return trace
 
     @classmethod
-    def attach_all(
-        cls, network: "Network", limit: Optional[int] = 100_000, tail: Optional[int] = None
-    ) -> "PacketTrace":
-        trace = cls(limit=limit, tail=tail)
+    def attach_all(cls, network: "Network") -> "PacketTrace":
+        """A trace of every segment crossing the network's paths."""
+        trace = cls()
         for path in network.paths:
             path.add_tap(trace._tap)
         return trace
 
-    def set_filter(self, predicate: Callable[[Segment], bool]) -> None:
-        """Capture only segments the predicate accepts."""
-        self._predicate = predicate
-
     def _tap(self, path: "Path", segment: Segment, direction: int) -> None:
-        if self._predicate is not None and not self._predicate(segment):
-            return
         ring = self._ring
-        if ring is not None:
-            # Ring-buffer mode: the deque evicts the oldest entry itself.
-            if len(ring) == ring.maxlen:
-                self.dropped += 1
-            ring.append((
-                path.sim.now, path.name, direction,
-                segment.src, segment.dst, segment.seq, segment.ack, segment.flags, segment.window,
-                tuple(segment.options), segment._payload, segment.created_at,
-            ))  # the fields _thaw unpacks, in its order
-            return
-        if self.limit is not None and len(self._records) >= self.limit:
+        if len(ring) == ring.maxlen:  # full: the deque evicts the oldest itself
             self.dropped += 1
-            return
-        self._records.append(
-            TraceRecord(
-                time=path.sim.now,
-                path_name=path.name,
-                direction=direction,
-                segment=segment.copy(),
-            )
-        )
+        ring.append((
+            path.sim.now, path.name, direction,
+            segment.src, segment.dst, segment.seq, segment.ack, segment.flags, segment.window,
+            tuple(segment.options), segment._payload, segment.created_at,
+        ))  # the fields _thaw unpacks, in its order
 
     # ------------------------------------------------------------------
     def filter(
@@ -177,4 +150,4 @@ class PacketTrace:
         return "\n".join(record.format() for record in records)
 
     def __len__(self) -> int:
-        return len(self._records if self._ring is None else self._ring)
+        return len(self._ring)

@@ -32,7 +32,9 @@ Z_SCORES = {0.90: 1.6448536269514722, 0.95: 1.959963984540054, 0.99: 2.575829303
 # large for every rate the study reports at that scale).
 _EXACT_N = 512
 
-_DEFAULT_RESAMPLES = 800
+# Every bootstrap interval is a 95% one from 800 resamples.
+_CONFIDENCE = 0.95
+_RESAMPLES = 800
 
 
 def z_score(confidence: float) -> float:
@@ -83,12 +85,7 @@ def _percentiles(values: list[float], alpha: float) -> tuple[float, float]:
 
 
 def bootstrap_proportion_ci(
-    successes: int,
-    trials: int,
-    confidence: float = 0.95,
-    resamples: int = _DEFAULT_RESAMPLES,
-    seed: int = 0,
-    name: str = "proportion",
+    successes: int, trials: int, seed: int = 0, name: str = "proportion"
 ) -> tuple[float, float]:
     """Seeded percentile-bootstrap interval for ``successes/trials``."""
     if trials <= 0:
@@ -96,20 +93,16 @@ def bootstrap_proportion_ci(
     if successes in (0, trials):
         # Degenerate resampling distribution; fall back to the score
         # interval, which handles the boundary correctly.
-        return wilson_interval(successes, trials, confidence=min(confidence, 0.99))
+        return wilson_interval(successes, trials, confidence=_CONFIDENCE)
     rng = SeededRNG(seed, f"bootstrap-{name}")
     draws = [
-        _resample_count(rng, successes, trials) / trials for _ in range(resamples)
+        _resample_count(rng, successes, trials) / trials for _ in range(_RESAMPLES)
     ]
-    return _percentiles(draws, 1.0 - confidence)
+    return _percentiles(draws, 1.0 - _CONFIDENCE)
 
 
 def bootstrap_histogram_mean_ci(
-    counts: Mapping[float, int],
-    confidence: float = 0.95,
-    resamples: int = _DEFAULT_RESAMPLES,
-    seed: int = 0,
-    name: str = "histogram",
+    counts: Mapping[float, int], seed: int = 0, name: str = "histogram"
 ) -> Optional[tuple[float, float]]:
     """Bootstrap interval for the mean of a binned distribution.
 
@@ -124,7 +117,7 @@ def bootstrap_histogram_mean_ci(
     rng = SeededRNG(seed, f"bootstrap-{name}")
     bins = sorted(counts.items())
     means = []
-    for _ in range(resamples):
+    for _ in range(_RESAMPLES):
         weighted = 0.0
         drawn = 0
         for value, count in bins:
@@ -132,7 +125,7 @@ def bootstrap_histogram_mean_ci(
             weighted += value * resampled
             drawn += resampled
         means.append(weighted / drawn if drawn else 0.0)
-    return _percentiles(means, 1.0 - confidence)
+    return _percentiles(means, 1.0 - _CONFIDENCE)
 
 
 def histogram_mean(counts: Mapping[float, int]) -> Optional[float]:

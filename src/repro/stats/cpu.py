@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+HEADER_BYTES = 52  # IPv4 + TCP with timestamps: copied with every packet
+
 
 @dataclass
 class CPUModelParams:
@@ -33,10 +35,11 @@ class CPUModelParams:
     per_ooo_base: float = 0.6e-6  # receive-path bookkeeping per ooo insert
     per_ooo_op: float = 0.05e-6  # one traversal/comparison step
 
-    def cpu_limited_goodput_bps(self, mss: int, checksummed: bool, overhead: int = 52) -> float:
+    def cpu_limited_goodput_bps(self, mss: int, checksummed: bool) -> float:
         """Fig. 3's model: the goodput one CPU-bound core sustains at a
-        given MSS (packet rate = 1 / per-packet cost)."""
-        per_packet_cost = self.per_packet + (mss + overhead) * self.per_byte_copy
+        given MSS (packet rate = 1 / per-packet cost).  Each packet also
+        copies its ``HEADER_BYTES`` of headers."""
+        per_packet_cost = self.per_packet + (mss + HEADER_BYTES) * self.per_byte_copy
         if checksummed:
             per_packet_cost += mss * self.per_byte_checksum
         return mss * 8 / per_packet_cost

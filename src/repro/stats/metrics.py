@@ -50,9 +50,6 @@ class GoodputMeter:
         elapsed = self.elapsed
         return self.total_bytes * 8 / elapsed if elapsed > 0 else 0.0
 
-    def rate_mbps(self) -> float:
-        return self.rate_bps() / 1e6
-
 
 class MemorySampler:
     """Time-weighted average (and peak) of a sampled quantity.
@@ -100,11 +97,10 @@ class MemorySampler:
 class Histogram:
     """Fixed-bin histogram; renders the PDFs of Figs. 7 and 10."""
 
-    def __init__(self, bin_width: float, lo: float = 0.0):
+    def __init__(self, bin_width: float):
         if bin_width <= 0:
             raise ValueError("bin_width must be positive")
-        self.bin_width = bin_width
-        self.lo = lo
+        self.bin_width = bin_width  # bin i holds [i * bin_width, (i + 1) * bin_width)
         self.counts: dict[int, int] = {}
         self.total = 0
         self._sum = 0.0
@@ -112,7 +108,7 @@ class Histogram:
         self._max: Optional[float] = None
 
     def add(self, value: float) -> None:
-        index = int(math.floor((value - self.lo) / self.bin_width))
+        index = int(math.floor(value / self.bin_width))
         self.counts[index] = self.counts.get(index, 0) + 1
         self.total += 1
         self._sum += value
@@ -124,7 +120,7 @@ class Histogram:
         if not self.total:
             return []
         return [
-            (self.lo + (index + 0.5) * self.bin_width, 100.0 * count / self.total)
+            ((index + 0.5) * self.bin_width, 100.0 * count / self.total)
             for index, count in sorted(self.counts.items())
         ]
 
@@ -140,8 +136,8 @@ class Histogram:
         for index, count in sorted(self.counts.items()):
             running += count
             if running >= target:
-                return self.lo + (index + 0.5) * self.bin_width
-        return self.lo + (max(self.counts) + 0.5) * self.bin_width
+                return (index + 0.5) * self.bin_width
+        return (max(self.counts) + 0.5) * self.bin_width
 
     @property
     def min(self) -> Optional[float]:

@@ -268,8 +268,9 @@ class SampledPath:
         return tuple(getattr(self, name) for name in _SIGNATURE_FIELDS)
 
     @classmethod
-    def from_signature(cls, signature: tuple, index: int = 0) -> "SampledPath":
-        return cls(index=index, **dict(zip(_SIGNATURE_FIELDS, signature)))
+    def from_signature(cls, signature: tuple) -> "SampledPath":
+        """The path a signature stands for, as path 0."""
+        return cls(index=0, **dict(zip(_SIGNATURE_FIELDS, signature)))
 
 
 _SIGNATURE_FIELDS = tuple(

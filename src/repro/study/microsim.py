@@ -121,7 +121,7 @@ def strawman_network(elements, seed: int):
         [LINK, LINK], seed, [(CLIENT_IP, SERVER_IP)] * 2, [elements, None]
     )
     members = [(path, FORWARD) for path in net.paths]
-    bond = BondRoute(members, name="strawman", reverse_mode="pin-first")
+    bond = BondRoute(members, name="strawman")
     client.interface(CLIENT_IP).routes[SERVER_IP] = (bond, FORWARD)  # type: ignore[assignment]
     server.interface(SERVER_IP).routes[CLIENT_IP] = (bond, REVERSE)  # type: ignore[assignment]
     return net, client, server

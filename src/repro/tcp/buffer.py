@@ -52,11 +52,11 @@ class ByteStream:
 
     __slots__ = ("_chunks", "_chunk_ends", "head", "tail")
 
-    def __init__(self, base: int = 0):
+    def __init__(self):
         self._chunks: list[memoryview] = []  # read-only views over bytes
         self._chunk_ends: list[int] = []  # absolute end offset per chunk
-        self.head = base  # absolute offset of first retained byte
-        self.tail = base  # absolute offset one past the last byte
+        self.head = 0  # absolute offset of first retained byte
+        self.tail = 0  # absolute offset one past the last byte
 
     def append(self, data: Buffer) -> int:
         """Add bytes at the tail; returns the new tail offset.

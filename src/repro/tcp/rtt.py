@@ -17,22 +17,17 @@ class RTTEstimator:
     ALPHA = 1 / 8
     BETA = 1 / 4
     K = 4
+    # RFC 6298's bounds: a 1 s RTO before the first sample, a 200 ms
+    # floor (Linux's TCP_RTO_MIN, below the RFC's 1 s), a 60 s ceiling
+    # and a 1 ms clock tick.
+    INITIAL_RTO = 1.0
+    MIN_RTO = 0.2
+    MAX_RTO = 60.0
+    CLOCK_GRANULARITY = 0.001
 
-    __slots__ = (
-        "min_rto", "max_rto", "granularity", "srtt", "rttvar", "min_rtt", "latest_rtt",
-        "samples", "rto", "smoothed",
-    )
+    __slots__ = ("srtt", "rttvar", "min_rtt", "latest_rtt", "samples", "rto", "smoothed")
 
-    def __init__(
-        self,
-        initial_rto: float = 1.0,
-        min_rto: float = 0.2,
-        max_rto: float = 60.0,
-        clock_granularity: float = 0.001,
-    ):
-        self.min_rto = min_rto
-        self.max_rto = max_rto
-        self.granularity = clock_granularity
+    def __init__(self):
         self.srtt: Optional[float] = None
         self.rttvar: Optional[float] = None
         self.min_rtt: Optional[float] = None
@@ -42,16 +37,16 @@ class RTTEstimator:
         # the send path reads them on every ACK (timer restarts and
         # scheduler ordering), so they are updated once per sample()
         # instead of being recomputed behind a descriptor each read.
-        self.rto = initial_rto
-        self.smoothed = initial_rto  # srtt with a sane pre-sample default
+        self.rto = self.INITIAL_RTO
+        self.smoothed = self.INITIAL_RTO  # srtt with a sane pre-sample default
 
     def sample(self, rtt: float) -> None:
         """Feed one RTT measurement (never from a retransmitted segment —
         Karn's rule is enforced by the caller)."""
         if rtt < 0:
             raise ValueError("negative RTT sample")
-        if rtt < self.granularity:
-            rtt = self.granularity
+        if rtt < self.CLOCK_GRANULARITY:
+            rtt = self.CLOCK_GRANULARITY
         self.latest_rtt = rtt
         self.samples += 1
         if self.min_rtt is None or rtt < self.min_rtt:
@@ -65,16 +60,17 @@ class RTTEstimator:
             self.srtt = (1 - self.ALPHA) * self.srtt + self.ALPHA * rtt
         self.smoothed = self.srtt
         var = self.K * self.rttvar
-        rto = self.srtt + (var if var > self.granularity else self.granularity)
-        if rto < self.min_rto:
-            rto = self.min_rto
-        elif rto > self.max_rto:
-            rto = self.max_rto
+        granularity = self.CLOCK_GRANULARITY
+        rto = self.srtt + (var if var > granularity else granularity)
+        if rto < self.MIN_RTO:
+            rto = self.MIN_RTO
+        elif rto > self.MAX_RTO:
+            rto = self.MAX_RTO
         self.rto = rto
 
     def backoff(self) -> float:
         """Exponential backoff after a retransmission timeout."""
-        self.rto = min(self.max_rto, self.rto * 2)
+        self.rto = min(self.MAX_RTO, self.rto * 2)
         return self.rto
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -44,15 +44,3 @@ def seq_gt(a: int, b: int) -> bool:
 def seq_ge(a: int, b: int) -> bool:
     return seq_diff(a, b) >= 0
 
-
-def seq_max(a: int, b: int) -> int:
-    return a if seq_ge(a, b) else b
-
-
-def seq_min(a: int, b: int) -> int:
-    return a if seq_le(a, b) else b
-
-
-def seq_between(low: int, value: int, high: int) -> bool:
-    """low <= value < high in sequence space."""
-    return seq_le(low, value) and seq_lt(value, high)

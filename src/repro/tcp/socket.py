@@ -369,11 +369,11 @@ class TCPSocket:
 
     def _process_peer_syn_options(self, segment: Segment) -> None:
         """Inspect the peer's SYN (passive side).  Called before SYN/ACK."""
-        self._negotiate_from_syn(segment, passive=True)
+        self._negotiate_from_syn(segment)
 
     def _process_peer_synack_options(self, segment: Segment) -> None:
         """Inspect the peer's SYN/ACK (active side)."""
-        self._negotiate_from_syn(segment, passive=False)
+        self._negotiate_from_syn(segment)
 
     def _process_segment_options(self, segment: Segment) -> None:
         """Called for every post-handshake incoming segment."""
@@ -482,7 +482,7 @@ class TCPSocket:
         options.append(SACKPermitted())
         return options
 
-    def _negotiate_from_syn(self, segment: Segment, passive: bool) -> None:
+    def _negotiate_from_syn(self, segment: Segment) -> None:
         mss_option = segment.find_option(MSSOption)
         if mss_option is not None:
             self.mss = min(self.config.mss, mss_option.mss)
@@ -531,7 +531,7 @@ class TCPSocket:
         rcv_target = int(2 * self._delivery_rate() * srtt)
         if rcv_target > self.rcv_buf_limit:
             self.rcv_buf_limit = min(self.config.rcv_buf, rcv_target)
-            self._send_ack(force=True)  # advertise the grown window
+            self._send_ack()  # advertise the grown window
         self._autotune_timer.restart(max(0.05, srtt))
 
     def _delivery_rate(self) -> float:
@@ -564,7 +564,7 @@ class TCPSocket:
             return
         if self.state is TCPState.TIME_WAIT:
             if segment.fin:
-                self._send_ack(force=True)
+                self._send_ack()
             return
         self._arrives_synchronized(segment)
 
@@ -597,7 +597,7 @@ class TCPSocket:
             # §3.1) so that it precedes any data the app sends from its
             # on_established callback.
             self._rcv_adv_edge = self.rcv_nxt + self._window_to_advertise()
-            self._send_ack(force=True, extra_options=self._handshake_ack_options())
+            self._send_ack(extra_options=self._handshake_ack_options())
             self._establish()
         # (Simultaneous open is not modelled: the paper's scenarios are
         # client/server.)
@@ -634,7 +634,7 @@ class TCPSocket:
             acceptable = True  # old pure ACK: still process the ACK field
         if not acceptable:
             self.stats.zero_window_probes += 1
-            self._send_ack(force=True)
+            self._send_ack()
             return
 
         if self.state is TCPState.SYN_RCVD:
@@ -699,7 +699,7 @@ class TCPSocket:
         ack_unit = self._unit_from_ack(segment.ack)
         if ack_unit > self.snd_nxt:
             # Acks data we never sent ("corrected" by a middlebox?): ignore.
-            self._send_ack(force=True)
+            self._send_ack()
             return
         # Any acceptable ACK is a sign of life: a peer with a closed
         # window keeps acking probes without advancing snd_una.
@@ -731,7 +731,7 @@ class TCPSocket:
                     self._mark_head_lost()
                 else:
                     # NewReno partial ACK: retransmit the next hole.
-                    self._retransmit_head(partial_ack=True)
+                    self._retransmit_head()
                     self._recovery_inflation = max(0, self._recovery_inflation - acked)
             else:
                 self._dupacks = 0
@@ -870,7 +870,7 @@ class TCPSocket:
             self._rtx_queue.note_lost(head)
             self._lost_bytes += head.length
 
-    def _retransmit_head(self, partial_ack: bool = False) -> None:
+    def _retransmit_head(self) -> None:
         if self._rtx_queue:
             self._retransmit_segment(self._rtx_queue[0])
 
@@ -1019,15 +1019,15 @@ class TCPSocket:
     def _schedule_ack(self, immediate: bool) -> None:
         self._ack_pending += 1
         if immediate or not self.config.delayed_ack or self._ack_pending >= 2:
-            self._send_ack(force=True)
+            self._send_ack()
         elif not self._delack_timer.running:
             self._delack_timer.start(DELAYED_ACK_TIMEOUT)
 
     def _on_delack_timeout(self) -> None:
         if self._ack_pending:
-            self._send_ack(force=True)
+            self._send_ack()
 
-    def _send_ack(self, force: bool = False, extra_options: Optional[list[TCPOption]] = None) -> None:
+    def _send_ack(self, extra_options: Optional[list[TCPOption]] = None) -> None:
         if self.state is TCPState.CLOSED or self.remote is None:
             return
         self._ack_pending = 0
@@ -1072,7 +1072,7 @@ class TCPSocket:
         if growth >= 2 * self.mss or (
             growth > 0 and self._last_advertised_window < self.mss
         ):
-            self._send_ack(force=True)
+            self._send_ack()
 
     # ==================================================================
     # Transmission
@@ -1289,7 +1289,7 @@ class TCPSocket:
             payload = self.snd_buf.peek(next_stream, 1)
             self._send_data_segment(payload, 1, [], False)
         else:
-            self._send_ack(force=True)
+            self._send_ack()
         self._check_persist()
 
     def _enter_time_wait(self) -> None:

@@ -30,3 +30,14 @@ class Node:
     def report(self, table: dict) -> list:
         # fine: dict order is insertion order
         return [value for value in table.values()]
+
+    def kick_annotated(self, make) -> None:
+        listed: set = []
+        for item in listed:  # fine: the value is a list, whatever the annotation says
+            self.sim.schedule(0.0, item)
+        built: set = list()
+        for item in built:  # fine: the value's own kind wins here too
+            self.sim.schedule(0.0, item)
+        made: set = make()
+        for item in made:  # line 42: DET03 (the value says nothing; the annotation does)
+            self.sim.schedule(0.0, item)

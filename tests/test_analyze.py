@@ -52,9 +52,10 @@ def test_det02_wallclock_fixture():
 
 def test_det03_unordered_iteration_fixture():
     report = findings_for("det03", "DET03")
-    # kick_dict and report (dict order is insertion order) and
-    # kick_sorted (sorted set) stay clean.
-    assert locations(report) == [(10, "DET03"), (15, "DET03"), (27, "DET03")]
+    # kick_dict and report (dict order is insertion order), kick_sorted
+    # (sorted set) and kick_annotated's list values annotated ``set``
+    # stay clean.
+    assert locations(report) == [(10, "DET03"), (15, "DET03"), (27, "DET03"), (42, "DET03")]
 
 
 def test_det03_flags_sets_in_comprehensions_and_calls_not_dict_views(tmp_path):

@@ -213,3 +213,106 @@ class TestConfigFieldsAreRead:
         read = self._attributes_read()
         unread = [f.name for f in dataclasses.fields(config_class) if f.name not in read]
         assert unread == []
+
+
+class TestParametersAreRead:
+    """A parameter its function never reads is a knob that does nothing:
+    every parameter of every function in ``repro`` must be read in the
+    function's body (a nested function or lambda reading it counts).
+    ``self``/``cls`` and stub bodies (a docstring plus at most one
+    ``pass``, ``...``, ``raise`` or constant ``return``) are exempt.
+    ``ALLOWED`` names the interface signatures that must keep an unread
+    parameter, one reason each."""
+
+    ALLOWED = {
+        ("mptcp/api.py", "listen.factory", "tcp_config"):
+            "a SocketFactory: the listener passes every factory its host, SYN and config",
+        ("tcp/listener.py", "_default_factory", "syn"):
+            "a SocketFactory: the listener passes every factory its host, SYN and config",
+        ("mptcp/ooo.py", "RegularQueue.insert", "subflow_id"):
+            "OOOQueue.insert: only the shortcut queues key on the subflow",
+        ("mptcp/ooo.py", "TreeQueue.insert", "subflow_id"):
+            "OOOQueue.insert: only the shortcut queues key on the subflow",
+        **{
+            ("mptcp/options.py", f"{option}.decode", "flags"):
+                "an option codec: decode(body, flags) whether or not the subtype has flags"
+            for option in ("AddAddr", "RemoveAddr", "MPFail", "FastClose")
+        },
+        ("mptcp/options.py", "DSS.decode", "flags_nibble"):
+            "an option codec: decode(body, flags) whether or not the subtype has flags",
+        ("net/options.py", "_decode_sack_permitted", "body"):
+            "an option codec: every TCP option decoder takes the option body",
+        ("sim/gcscope.py", "paused.__exit__", "exc"): "the context-manager protocol",
+        ("sim/gcscope.py", "batch.__exit__", "exc"): "the context-manager protocol",
+        ("apps/blocks.py", "BlockLatencyProbe._pump", "_transport"):
+            "a transport callback: on_established(t) / on_writable(t)",
+        ("apps/bulk.py", "BulkSenderApp._pump", "_transport"):
+            "a transport callback: on_established(t) / on_writable(t)",
+        ("apps/http.py", "_ServerConnection._send_response.pump", "_t"):
+            "a transport callback: on_writable(t)",
+        ("apps/http.py", "HTTPLoadGenerator._launch.on_error", "reason"):
+            "a transport callback: on_error(t, reason)",
+        ("experiments/fig8.py", "run", "smoke"):
+            "the figure-module interface run(smoke); Fig. 8's smoke scale is its full scale",
+    }
+
+    @staticmethod
+    def _is_stub(function: ast.AST) -> bool:
+        body = function.body
+        if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]  # the docstring
+        if not body:
+            return True
+        if len(body) > 1:
+            return False
+        (statement,) = body
+        return (
+            isinstance(statement, (ast.Pass, ast.Raise))
+            or isinstance(statement, ast.Expr) and isinstance(statement.value, ast.Constant)
+            or isinstance(statement, ast.Return)
+            and (statement.value is None or isinstance(statement.value, ast.Constant))
+        )
+
+    def _unread(self) -> set[tuple[str, str, str]]:
+        root = Path(repro.__file__).parent
+        unread: set[tuple[str, str, str]] = set()
+
+        def visit(node: ast.AST, module: str, scope: str, in_class: bool) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    visit(child, module, f"{scope}{child.name}.", True)
+                elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    qualname = f"{scope}{child.name}"
+                    args = child.args
+                    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                    params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+                    static = any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in child.decorator_list
+                    )
+                    if in_class and not static:
+                        params = params[1:]  # self / cls
+                    if not self._is_stub(child):
+                        read = {
+                            n.id
+                            for statement in child.body
+                            for n in ast.walk(statement)
+                            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                        }
+                        unread.update((module, qualname, p) for p in params if p not in read)
+                    visit(child, module, f"{qualname}.", False)
+                else:
+                    visit(child, module, scope, in_class)
+
+        for path in sorted(root.rglob("*.py")):
+            module = path.relative_to(root).as_posix()
+            visit(ast.parse(path.read_text()), module, "", False)
+        return unread
+
+    def test_every_parameter_is_read(self):
+        unread = self._unread()
+        assert sorted(unread - set(self.ALLOWED)) == []
+
+    def test_every_allowed_parameter_is_still_unread(self):
+        # An entry whose parameter is now read (or gone) excuses nothing.
+        assert sorted(set(self.ALLOWED) - self._unread()) == []

@@ -120,11 +120,13 @@ class TestBlockProbe:
 
         Listener(server, 80, on_accept=on_accept)
         sock = TCPSocket(client)
-        probe = BlockLatencyProbe(net.sim, sock, block_size=8192, total_blocks=50)
+        probe = BlockLatencyProbe(net.sim, sock, block_size=8192)
         holder["probe"] = probe
         sock.connect(Endpoint("10.9.0.1", 80))
-        net.run(until=30)
-        assert len(probe.delays) == 50
+        net.run(until=2)
+        # One delay per block fully read, never more than were stamped;
+        # the rest are still in the buffers when the run ends.
+        assert 50 <= len(probe.delays) < len(probe.block_send_times)
         assert all(delay > 0 for delay in probe.delays)
         assert probe.percentile(50) <= probe.percentile(95)
 
@@ -139,13 +141,13 @@ class TestBlockProbe:
 
         Listener(server, 80, on_accept=on_accept)
         sock = TCPSocket(client)
-        probe = BlockLatencyProbe(net.sim, sock, block_size=8192, total_blocks=100)
+        probe = BlockLatencyProbe(net.sim, sock, block_size=8192)
         holder["probe"] = probe
         sock.connect(Endpoint("10.9.0.1", 80))
-        net.run(until=60)
-        assert len(probe.delays) == 100
+        net.run(until=10)
+        assert len(probe.delays) >= 100
         # At 1 Mb/s an 8 KB block takes ~65 ms on the wire alone.
-        assert probe.mean_delay() > 0.05
+        assert min(probe.delays) > 0.05
 
 
 class TestHTTP:
@@ -164,14 +166,16 @@ class TestHTTP:
             sock.connect(Endpoint("10.9.0.1", 80))
             return sock
 
-        generator = HTTPLoadGenerator(net.sim, open_transport, 30_000, concurrency=1,
-                                      max_requests=1)
+        generator = HTTPLoadGenerator(net.sim, open_transport, 30_000, concurrency=1)
         generator.start()
         net.run(until=10)
-        assert generator.completed == 1
+        # One client fetches one object after another: every request the
+        # server saw but the last (still in flight) completed, whole.
+        assert generator.completed >= 1
         assert generator.failed == 0
-        assert app.requests_served == 1
-        assert generator.bytes_received >= 30_000
+        assert app.requests_served - generator.completed in (0, 1)
+        assert generator.bytes_received >= 30_000 * generator.completed
+        assert len(generator.latencies) == generator.completed
 
     def test_closed_loop_sustains_load(self):
         net, client, server = make_tcp_pair(rate_bps=50e6, delay=0.002)
@@ -228,6 +232,11 @@ class TestBonding:
         for _ in range(10):
             a.send(Segment(Endpoint("10.0.0.1", 1), Endpoint("10.9.0.1", 2), flags=ACK))
         assert counts == [5, 5]
+        # The reverse direction returns over the first member only.
+        for _ in range(10):
+            b.send(Segment(Endpoint("10.9.0.1", 2), Endpoint("10.0.0.1", 1), flags=ACK))
+        assert counts == [15, 5]
+        assert (bond.segments_fwd, bond.segments_rev) == (10, 10)
 
     def test_per_flow_mode_sticks(self):
         net = Network(seed=1)
@@ -288,5 +297,3 @@ class TestBonding:
                            rate_bps=1e6, delay=0.01)
         with pytest.raises(ValueError):
             BondRoute([(path, FORWARD)], mode="banana")
-        with pytest.raises(ValueError):
-            BondRoute([(path, FORWARD)], reverse_mode="banana")

@@ -54,9 +54,12 @@ class TestByteStream:
         stream.release_to(2)  # older ack: ignored
         assert stream.head == 4
 
-    def test_nonzero_base(self):
-        stream = ByteStream(base=100)
+    def test_offsets_stay_absolute_after_release(self):
+        stream = ByteStream()
+        stream.append(b"x" * 100)
+        stream.release_to(100)
         stream.append(b"data")
+        assert (stream.head, stream.tail) == (100, 104)
         assert stream.peek(102, 2) == b"ta"
 
     def test_compaction_preserves_content(self):

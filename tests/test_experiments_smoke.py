@@ -103,8 +103,9 @@ def test_fig7_missing_variant_raises():
         fig7.check_claims([result])
 
 
-def test_fig10_token_compares_are_deterministic():
-    first, second = (fig10.run_fig10(attempts=50, workers=1) for _ in range(2))
+def test_fig10_token_compares_are_deterministic(monkeypatch):
+    monkeypatch.setenv("REPRO_WORKERS", "1")
+    first, second = (fig10.run_fig10(attempts=50) for _ in range(2))
     assert first.column("token_compares") == second.column("token_compares")
     compares = dict(zip(first.column("variant"), first.column("token_compares")))
     assert compares["tcp"] == 0

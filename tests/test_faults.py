@@ -121,6 +121,49 @@ class TestScenarioFuzzer:
         assert clone == spec
 
 
+@pytest.mark.parametrize(
+    "element",
+    [
+        LinkFlap(seed=5, up_mean=0.1, down_mean=0.04),
+        GilbertElliottLoss(seed=9, p_enter_bad=0.05, p_exit_bad=0.3, loss_bad=0.8),
+        Reorderer(seed=2, probability=0.2, depth=3),
+        Corrupter(seed=3, probability=0.5, active_after=1.5),
+    ],
+    ids=lambda element: type(element).__name__,
+)
+def test_fault_repr_rebuilds_the_element(element):
+    from repro.check.fuzzer import ELEMENT_NAMESPACE
+
+    clone = eval(repr(element), dict(ELEMENT_NAMESPACE))
+    assert type(clone) is type(element) and repr(clone) == repr(element)
+
+
+def test_only_the_reorderer_acts_on_the_reverse_direction():
+    from types import SimpleNamespace
+
+    from repro.net.packet import ACK, Endpoint, Segment
+    from repro.net.path import REVERSE
+    from repro.sim import Simulator
+
+    sim = Simulator()
+    sim.schedule(2.0, lambda: None)
+    sim.run()  # past Corrupter's active_after
+    certain = [
+        GilbertElliottLoss(seed=1, p_enter_bad=1.0, loss_bad=1.0),
+        Corrupter(seed=1, probability=1.0),
+        Reorderer(seed=1, probability=1.0, depth=3),
+    ]
+    for element in certain:
+        element.path = SimpleNamespace(sim=sim)
+    segment = Segment(Endpoint("10.9.0.1", 80), Endpoint("10.0.0.1", 5000),
+                      flags=ACK, payload=b"reply")
+    ge, corrupter, reorderer = certain
+    assert ge.process(segment, REVERSE) == [(segment, REVERSE)] and ge.dropped == 0
+    assert corrupter.process(segment, REVERSE) == [(segment, REVERSE)]
+    assert bytes(segment.payload) == b"reply" and corrupter.corrupted == 0
+    assert reorderer.process(segment, REVERSE) == [] and reorderer.reordered == 1
+
+
 class TestFaultBehaviour:
     def test_linkflap_drops_while_down_and_recovers(self):
         flap = LinkFlap(seed=5, up_mean=0.1, down_mean=0.04)

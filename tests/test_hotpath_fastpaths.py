@@ -235,8 +235,8 @@ class TestSizeBytes:
     def test_strip_after_size_read(self):
         segment = self._segment([MSSOption(1460), TimestampsOption(1, 2)])
         fat = segment.size_bytes
-        removed = segment.remove_options(TimestampsOption)
-        assert removed == 1
+        # Strip the way the option-stripping middleboxes do: a new list.
+        segment.options = [o for o in segment.options if not isinstance(o, TimestampsOption)]
         assert segment.size_bytes == fat - 12  # 10B timestamps + 2B pad gone
         assert segment.size_bytes == self.HEADERS + options_length(segment.options)
 

@@ -177,10 +177,16 @@ class TestPath:
         sim.run()
         assert seen == [FORWARD]
 
-    def test_base_rtt(self):
+    def test_round_trip_is_both_delays_plus_serialisation(self):
         sim = Simulator()
         path = make_path(sim, [])
-        assert path.base_rtt() == pytest.approx(0.002)
+        arrivals = []
+        path.deliver_fwd = lambda s: path.send(seg(), -FORWARD)  # echo it back
+        path.deliver_rev = lambda s: arrivals.append(sim.now)
+        path.send(seg(), FORWARD)
+        sim.run()
+        # 1 ms propagation each way plus 8 us per 1000 B at 1 Gb/s.
+        assert arrivals == [pytest.approx(0.002 + 2 * 8e-6)]
 
     def test_deferred_injection_via_inject(self):
         """An element may hold a segment and emit it later (coalescer)."""

@@ -97,7 +97,7 @@ class TestChecksumBoundary:
         checksum_first = dss_checksum(DSN, SSN, len(first), first)
         checksum_second = dss_checksum(DSN + 300, SSN + 300, len(second), second)
 
-        coalescer = SegmentCoalescer(hold_time=0.5)
+        coalescer = SegmentCoalescer()
         coalescer.path = SimpleNamespace(sim=Simulator())
         assert coalescer.process(data_segment(make_payload(first, as_a_view), seq=100), FORWARD) == []
         assert coalescer.process(data_segment(make_payload(second, as_a_view), seq=400), FORWARD) == []
@@ -133,7 +133,7 @@ class TestChecksumBoundary:
         checksum = dss_checksum(DSN, SSN, len(content), content)
         payload = make_payload(content, as_a_view)
 
-        rewriter = SequenceRewriter(both_directions=False)
+        rewriter = SequenceRewriter()
         [(out, _)] = rewriter.process(data_segment(payload), FORWARD)
 
         assert out.payload is payload  # headers rewritten, payload by reference

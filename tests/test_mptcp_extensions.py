@@ -74,9 +74,9 @@ class TestKeyPool:
     def test_pool_consumed_first(self):
         table = TokenTable(SeededRNG(4, "pool"))
         table.precompute_keys(5)
-        assert table.pooled_keys == 5
-        table.generate_unique_key()
-        assert table.pooled_keys == 4
+        assert len(table._key_pool) == 5
+        key, token = table.generate_unique_key()
+        assert len(table._key_pool) == 4 and token == keys.token_from_key(key)
 
     def test_pooled_keys_still_unique(self):
         table = TokenTable(SeededRNG(4, "pool"))

@@ -11,7 +11,7 @@ from conftest import random_payload, tcp_transfer
 
 
 class TestConnect:
-    def test_asymmetric_rates(self):
+    def test_reverse_direction_mirrors_forward(self):
         net = Network(seed=1)
         a = net.add_host("a", "10.0.0.1")
         b = net.add_host("b", "10.9.0.1")
@@ -19,11 +19,11 @@ class TestConnect:
             a.interface("10.0.0.1"),
             b.interface("10.9.0.1"),
             rate_bps=10e6,
-            rate_bps_rev=1e6,
             delay=0.01,
+            queue_bytes=30_000,
         )
-        assert path.link_fwd.rate_bps == 10e6
-        assert path.link_rev.rate_bps == 1e6
+        assert path.link_fwd.rate_bps == path.link_rev.rate_bps == 10e6
+        assert path.link_fwd.queue_bytes == path.link_rev.queue_bytes == 30_000
 
     def test_loss_applies_forward_only_by_default(self):
         net = Network(seed=1)

@@ -114,9 +114,11 @@ class TestSerialParallelEquivalence:
         ],
         ids=["fig3", "fig4", "fig9"],
     )
-    def test_rows_identical(self, run, kwargs):
-        serial = run(workers=1, **kwargs)
-        parallel = run(workers=3, **kwargs)
+    def test_rows_identical(self, run, kwargs, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        serial = run(**kwargs)
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        parallel = run(**kwargs)
         assert parallel.notes["sweep"]["workers"] > 1
         # repr is byte-exact on every value (incl. float bit patterns).
         assert repr(serial.rows) == repr(parallel.rows)
@@ -148,9 +150,10 @@ class TestEveryPointRuns:
             assert out.values == [0, 1, 2, 3]
             assert out.perf.sim_events == 1 + 2 + 3 + 4
 
-    def test_fig3_rerun_resimulates_identically(self):
-        first = fig3.run_fig3(workers=1, **FIG3_KWARGS)
-        second = fig3.run_fig3(workers=1, **FIG3_KWARGS)
+    def test_fig3_rerun_resimulates_identically(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        first = fig3.run_fig3(**FIG3_KWARGS)
+        second = fig3.run_fig3(**FIG3_KWARGS)
         assert first.notes["sweep"]["sim_events"] > 0
         assert second.notes["sweep"]["sim_events"] == first.notes["sweep"]["sim_events"]
         assert repr(second.rows) == repr(first.rows)

@@ -179,7 +179,9 @@ OPS_PER_SEED = 1200  # acceptance: >= 1000 randomized ops per seed
 @pytest.mark.parametrize("seed", [1, 7, 42, 1234])
 def test_bytestream_differential(seed):
     rng = random.Random(seed)
-    stream = ByteStream(base=17)
+    stream = ByteStream()
+    stream.append(bytes(17))
+    stream.release_to(17)  # start the window away from offset 0
     reference = BytesReferenceStream(base=17)
     for _ in range(OPS_PER_SEED):
         op = rng.random()

@@ -37,12 +37,12 @@ class TestRTTEstimator:
         assert est.min_rtt == pytest.approx(0.12)
 
     def test_rto_floor_and_ceiling(self):
-        est = RTTEstimator(min_rto=0.2, max_rto=2.0)
+        est = RTTEstimator()
         est.sample(0.001)
-        assert est.rto == 0.2
-        for _ in range(10):
+        assert est.rto == RTTEstimator.MIN_RTO == 0.2
+        for _ in range(10):  # 0.2 s doubled ten times passes the 60 s cap
             est.backoff()
-        assert est.rto == 2.0
+        assert est.rto == RTTEstimator.MAX_RTO == 60.0
 
     def test_backoff_doubles(self):
         est = RTTEstimator()
@@ -56,8 +56,8 @@ class TestRTTEstimator:
             est.sample(-0.1)
 
     def test_smoothed_default_before_samples(self):
-        est = RTTEstimator(initial_rto=1.0)
-        assert est.smoothed == 1.0
+        est = RTTEstimator()
+        assert est.smoothed == est.rto == RTTEstimator.INITIAL_RTO == 1.0
 
 
 class TestNewReno:

@@ -91,7 +91,7 @@ class TestAllocation:
         scheduler._queue_reinjection(0, 10)
         net.run(until=2.0)
         assert conn.data_una > 10
-        pulled = scheduler._allocate_reinjection(conn.subflows[0], 1448)
+        pulled = scheduler._allocate_reinjection(1448)
         assert pulled is None  # fully clipped, queue drained
         assert not scheduler.reinject_queue
 
@@ -156,7 +156,7 @@ class TestTrailingEdge:
         conn, _ = live_connection(net, client, server)
         conn.send(random_payload(50_000))
         net.run(until=0.05)
-        inflight = conn.scheduler.tx_inflight_bytes()
+        inflight = sum(m.end - m.start for m in conn.scheduler.inflight)
         assert 0 < inflight <= 50_000 * 2  # reinjection can double-count
 
 

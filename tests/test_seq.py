@@ -6,14 +6,11 @@ from hypothesis import strategies as st
 from repro.tcp.seq import (
     SEQ_MOD,
     seq_add,
-    seq_between,
     seq_diff,
     seq_ge,
     seq_gt,
     seq_le,
     seq_lt,
-    seq_max,
-    seq_min,
 )
 
 seq32 = st.integers(min_value=0, max_value=SEQ_MOD - 1)
@@ -41,15 +38,13 @@ class TestBasics:
         assert seq_le(high, high)
         assert seq_ge(low, low)
 
-    def test_between(self):
-        assert seq_between(10, 15, 20)
-        assert not seq_between(10, 20, 20)  # upper bound exclusive
-        assert seq_between(10, 10, 20)  # lower bound inclusive
-        assert seq_between(SEQ_MOD - 5, 2, 10)  # interval across wrap
-
-    def test_min_max(self):
-        assert seq_max(SEQ_MOD - 10, 5) == 5
-        assert seq_min(SEQ_MOD - 10, 5) == SEQ_MOD - 10
+    def test_window_across_wrap(self):
+        # low <= value < high, the window check the socket makes with
+        # seq_le / seq_lt, holds across the wrap.
+        low, high = SEQ_MOD - 5, 10
+        assert seq_le(low, 2) and seq_lt(2, high)
+        assert seq_le(low, low) and not seq_lt(high, high)
+        assert not (seq_le(low, 20) and seq_lt(20, high))
 
 
 class TestProperties:

@@ -33,14 +33,16 @@ class TestGoodputMeter:
         meter = GoodputMeter(Simulator())
         assert meter.rate_bps() == 0.0
 
-    def test_mbps_helper(self):
+    def test_rate_over_the_finished_interval(self):
         sim = Simulator()
         meter = GoodputMeter(sim)
         meter.start()
         meter.add(125_000)
         sim.schedule(1.0, meter.finish)
+        sim.schedule(3.0, lambda: None)  # time after finish() does not count
         sim.run()
-        assert meter.rate_mbps() == pytest.approx(1.0)
+        assert meter.elapsed == 1.0
+        assert meter.rate_bps() == pytest.approx(1e6)
 
 
 class TestMemorySampler:

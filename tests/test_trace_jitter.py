@@ -6,7 +6,7 @@ from repro.middlebox import Duplicator, Jitter
 from repro.net.options import MSSOption, SACKPermitted, WindowScaleOption
 from repro.net.packet import ACK, FIN, SYN, Endpoint, Segment
 from repro.net.path import FORWARD
-from repro.net.trace import PacketTrace
+from repro.net.trace import PacketTrace, TraceRecord
 from repro.sim.rng import SeededRNG
 
 from conftest import make_multipath, make_tcp_pair, mptcp_transfer, random_payload, tcp_transfer
@@ -36,19 +36,14 @@ class TestPacketTrace:
         assert trace.format(trace.filter(rst=True)) == ""
         assert trace.format(trace.filter(syn=True)).count("\n") == 1  # SYN, SYN/ACK
 
-    def test_limit_drops_excess(self):
+    def test_keeps_every_segment(self):
         net, client, server = make_tcp_pair()
-        trace = PacketTrace.attach_all(net, limit=5)
-        tcp_transfer(net, client, server, random_payload(50_000))
-        assert len(trace) == 5
-        assert trace.dropped > 0
-
-    def test_predicate_filter(self):
-        net, client, server = make_tcp_pair()
-        trace = PacketTrace.attach_all(net)
-        trace.set_filter(lambda seg: seg.syn)
-        tcp_transfer(net, client, server, random_payload(20_000))
-        assert all(record.segment.syn for record in trace.records)
+        trace = PacketTrace.attach(net.paths[0])
+        seen = []
+        net.paths[0].add_tap(lambda path, segment, direction: seen.append(segment.seq))
+        tcp_transfer(net, client, server, random_payload(200_000))
+        assert len(trace) == len(seen) > 200 and trace.dropped == 0
+        assert [record.segment.seq for record in trace.records] == seen
 
     def test_option_type_filter_sees_dss(self):
         from repro.mptcp.options import DSS
@@ -65,8 +60,11 @@ class TestPacketTrace:
         trace = PacketTrace.attach_all(net)
         tcp_transfer(net, client, server, b"x" * 100)
         record = trace.records[0]
-        record.segment.options.clear()  # mutating the copy is harmless
-        assert True
+        before = record.format()
+        assert record.segment.options  # the SYN's
+        record.segment.options.clear()  # mutating a record is harmless
+        record.segment.seq += 1
+        assert trace.records[0].format() == before
 
 
 def tap_numbered(trace, path, count, flags=ACK):
@@ -83,7 +81,7 @@ def tap_numbered(trace, path, count, flags=ACK):
 
 
 class TestTailTrace:
-    """Tail mode keeps header tuples and builds records on read: what it
+    """A trace keeps header tuples and builds records on read: what it
     shows must be what a copy taken at capture time would show."""
 
     def test_record_is_frozen_at_capture(self):
@@ -116,27 +114,41 @@ class TestTailTrace:
         assert (len(trace), trace.dropped) == (4, 9)
         assert [record.segment.seq for record in trace.records] == [6, 7, 8, 9]
 
-    def test_limit_mode_is_unchanged(self):
+    def test_unbounded_trace_keeps_every_tap(self):
         net, client, server = make_tcp_pair()
         path = net.paths[0]
-        trace = PacketTrace(limit=3)
+        trace = PacketTrace()
         tap_numbered(trace, path, 2, flags=SYN)
         tap_numbered(trace, path, 5)
-        assert (len(trace), trace.dropped) == (3, 4)
+        assert (len(trace), trace.dropped) == (7, 0)
         assert [r.segment.seq for r in trace.filter(syn=True)] == [0, 1]
-        assert [r.segment.seq for r in trace.filter(syn=False)] == [0]
+        assert [r.segment.seq for r in trace.filter(syn=False)] == [0, 1, 2, 3, 4]
 
-    def test_tail_and_limit_modes_record_the_same_packets(self):
+    def test_records_match_copies_taken_at_capture(self):
         net, client, server = make_multipath()
-        limit = PacketTrace.attach_all(net)
-        tail = PacketTrace.attach_all(net, tail=100_000)
+        trace = PacketTrace.attach_all(net)
+        tail = PacketTrace(tail=100_000)
+        copies = []
+
+        def capture(path, segment, direction):
+            tail._tap(path, segment, direction)
+            copies.append(TraceRecord(path.sim.now, path.name, direction, segment.copy()))
+
+        for path in net.paths:
+            path.add_tap(capture)
         mptcp_transfer(net, client, server, random_payload(30_000))
-        assert len(tail) == len(limit) > 0 and tail.dropped == limit.dropped == 0
-        assert tail.format() == limit.format()
-        for criteria in ({"syn": True}, {"fin": True}, {"payload": True}, {"direction": -1}):
-            assert [r.format() for r in tail.filter(**criteria)] == [
-                r.format() for r in limit.filter(**criteria)
-            ]
+        expected = [record.format() for record in copies]
+        assert [r.format() for r in trace.records] == expected and expected
+        assert [r.format() for r in tail.records] == expected and tail.dropped == 0
+        selections = (
+            ({"syn": True}, lambda r: r.segment.syn),
+            ({"fin": True}, lambda r: r.segment.fin),
+            ({"payload": True}, lambda r: bool(r.segment.payload)),
+            ({"direction": -1}, lambda r: r.direction == -1),
+        )
+        for criteria, keep in selections:
+            want = [r.format() for r in copies if keep(r)]
+            assert [r.format() for r in trace.filter(**criteria)] == want
 
 
 class TestJitter:
