@@ -11,7 +11,9 @@ setter, which is what this pass proves statically: outside the owner's
 * no code in the owner file writes the machine attribute, whatever the
   value, and
 * no code anywhere stores a member of the machine's enum into an
-  attribute — which catches a foreign layer poking ``conn.state``.
+  attribute — which catches a foreign layer poking ``conn.state``.  A
+  member is ``TCPState.CLOSED`` or a constant imported from the enum's
+  module (``from repro.tcp.state import CLOSED``).
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from typing import Iterator
 
 from repro.analyze.core import FileContext, Finding
 
-# (owner file suffix, state enum, machine attribute)
+# (owner file suffix, [module.]state enum, machine attribute)
 MACHINES: tuple[tuple[str, str, str], ...] = (
-    ("repro/tcp/socket.py", "TCPState", "state"),
-    ("repro/mptcp/connection.py", "MPTCPConnState", "conn_state"),
+    ("repro/tcp/socket.py", "repro.tcp.state.TCPState", "state"),
+    ("repro/mptcp/connection.py", "repro.mptcp.state.MPTCPConnState", "conn_state"),
 )
 
 # The functions allowed to write the attribute, inside the owner file.
@@ -53,8 +55,10 @@ def _attribute_stores(tree: ast.AST, exempt: frozenset) -> Iterator[tuple[ast.st
         stack.extend(ast.iter_child_nodes(node))
 
 
-def _enum_member(value: ast.AST, enum: str) -> str | None:
-    """``Enum.MEMBER`` -> ``"MEMBER"``; anything else -> None."""
+def _enum_member(value: ast.AST, enum: str, constants: dict[str, str]) -> str | None:
+    """``Enum.MEMBER`` or an imported member constant -> ``"MEMBER"``; else None."""
+    if isinstance(value, ast.Name):
+        return constants.get(value.id)
     if (
         isinstance(value, ast.Attribute)
         and isinstance(value.value, ast.Name)
@@ -65,12 +69,20 @@ def _enum_member(value: ast.AST, enum: str) -> str | None:
 
 
 def check_file(rule, ctx: FileContext) -> Iterator[Finding]:
-    for owner, enum, attr in rule.machines:
+    for owner, path, attr in rule.machines:
+        module, _, enum = path.rpartition(".")
+        constants = {
+            alias.asname or alias.name: alias.name
+            for node in ast.walk(ctx.tree)
+            if isinstance(node, ast.ImportFrom) and module and node.module == module
+            for alias in node.names
+            if alias.name.isupper() and alias.name != "TRANSITIONS"
+        }
         is_owner = ctx.posix.endswith(owner)
         exempt = WRITERS if is_owner else frozenset()
         for stmt, target in _attribute_stores(ctx.tree, exempt):
             value = getattr(stmt, "value", None)
-            member = _enum_member(value, enum) if value is not None else None
+            member = _enum_member(value, enum, constants) if value is not None else None
             if is_owner and target.attr == attr:
                 yield rule.finding(
                     ctx,

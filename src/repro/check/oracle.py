@@ -92,7 +92,7 @@ from repro.net.node import Host
 from repro.net.path import Path
 from repro.net.trace import PacketTrace
 from repro.tcp.socket import TCPSocket
-from repro.tcp.state import TCPState
+from repro.tcp.state import CLOSED
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network
@@ -104,7 +104,6 @@ AUDIT_PERIOD = 64
 LOG_TRIM_BYTES = 64 * 1024
 # _host_of's answer for an event that touched no endpoint at all.
 _NO_HOST = object()
-_CLOSED = TCPState.CLOSED
 
 
 class InvariantViolation(AssertionError):
@@ -487,7 +486,7 @@ class InvariantOracle:
         done = []
         for watch in targets:
             entity = watch.entity
-            closed = entity.conn_state.is_closed if watch.is_mptcp else entity.state is _CLOSED
+            closed = entity.conn_state.is_closed if watch.is_mptcp else entity.state is CLOSED
             peer = watch.peer
             if peer is None:
                 retire = closed
@@ -496,7 +495,7 @@ class InvariantOracle:
             else:
                 entity = peer.entity
                 retire = closed and (
-                    entity.conn_state.is_closed if peer.is_mptcp else entity.state is _CLOSED
+                    entity.conn_state.is_closed if peer.is_mptcp else entity.state is CLOSED
                 )
             if retire:
                 done.append(watch)

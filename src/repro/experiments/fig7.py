@@ -26,7 +26,6 @@ from repro.experiments.runner import Point, run_parallel
 from repro.tcp.socket import TCPConfig
 
 BUFFER_BYTES = 200 * 1024
-BLOCK = 8 * 1024
 
 
 def _delays(paths, variant: str, duration: float, seed: int) -> list[float]:
@@ -39,7 +38,7 @@ def _delays(paths, variant: str, duration: float, seed: int) -> list[float]:
     holder: dict = {}
     open_listener(server, config, lambda t: holder["probe"].attach_receiver(t))
     transport = open_client(client, server, config)
-    probe = holder["probe"] = BlockLatencyProbe(net.sim, transport, block_size=BLOCK)
+    probe = holder["probe"] = BlockLatencyProbe(net.sim, transport)
     net.run(until=duration)
     return probe.delays
 

@@ -38,7 +38,16 @@ from repro.mptcp.ooo import OOOQueue, make_ooo_queue
 from repro.mptcp.options import DSS, AddAddr, FastClose, MPTCPOption, RemoveAddr
 from repro.mptcp.checksum import dss_checksum
 from repro.mptcp.scheduler import Scheduler
-from repro.mptcp.state import TRANSITIONS, MPTCPConnState
+from repro.mptcp.state import (
+    M_CLOSED,
+    M_ESTABLISHED,
+    M_FALLBACK,
+    M_FALLBACK_CLOSED,
+    M_FALLBACK_INIT,
+    M_INIT,
+    TRANSITIONS,
+    MPTCPConnState,
+)
 from repro.mptcp.subflow import Subflow
 
 # Floor of the data-level retransmission timer (§3.3.5), in seconds.
@@ -185,7 +194,7 @@ class MPTCPConnection:
 
         # --- state ---------------------------------------------------------
         # The initial state; every later write goes through _set_state.
-        self.conn_state = MPTCPConnState.M_INIT
+        self.conn_state = M_INIT
         self._dack_option_cache: Optional[DSS] = None
         # Version agreed during the MP_CAPABLE exchange; None until the
         # handshake resolves it (or forever, when MPTCP fell back).
@@ -316,12 +325,12 @@ class MPTCPConnection:
             # still handshaking: close it immediately.
             self.sim.call_soon(subflow.close)
         if not self.established:
-            if self.conn_state is MPTCPConnState.M_FALLBACK_INIT:
+            if self.conn_state is M_FALLBACK_INIT:
                 # The handshake already dropped to TCP: the subflow comes
                 # up carrying the plain byte stream.
-                self._set_state(MPTCPConnState.M_FALLBACK)
+                self._set_state(M_FALLBACK)
             else:
-                self._set_state(MPTCPConnState.M_ESTABLISHED)
+                self._set_state(M_ESTABLISHED)
             if self.config.autotune:
                 self._autotune_timer.restart(0.1)
             if self._on_accept is not None:
@@ -1018,12 +1027,12 @@ class MPTCPConnection:
             # no stream left to fall back for (a late checksum failure
             # must not resurrect it as "fallback").
             return
-        if self.conn_state is MPTCPConnState.M_ESTABLISHED:
+        if self.conn_state is M_ESTABLISHED:
             # Mid-connection drop: checksum failure or MP_FAIL (§3.3.6).
-            self._set_state(MPTCPConnState.M_FALLBACK)
+            self._set_state(M_FALLBACK)
         else:
             # Handshake-time drop: options never made it (§3.1).
-            self._set_state(MPTCPConnState.M_FALLBACK_INIT)
+            self._set_state(M_FALLBACK_INIT)
         self.fallback_reason = reason
         self.stats.fallbacks += 1
         self._fallback_tx_base = None
@@ -1097,9 +1106,9 @@ class MPTCPConnection:
         if self.closed:
             return
         if self.fallback:
-            self._set_state(MPTCPConnState.M_FALLBACK_CLOSED)
+            self._set_state(M_FALLBACK_CLOSED)
         else:
-            self._set_state(MPTCPConnState.M_CLOSED)
+            self._set_state(M_CLOSED)
         self._data_rtx_timer.stop()
         self._autotune_timer.stop()
         host_tokens(self.host).unregister(self.local_token)

@@ -41,32 +41,29 @@ class MPTCPConnState(enum.Enum):
     is_closed: bool
 
 
-_S = MPTCPConnState
+# Every member as a module constant, in definition order, read instead
+# of ``MPTCPConnState.X`` (see ``repro.tcp.state``: 3.11's
+# ``EnumType.__getattr__`` makes each class attribute read slow).
+M_INIT, M_ESTABLISHED, M_FALLBACK_INIT, M_FALLBACK, M_CLOSED, M_FALLBACK_CLOSED = MPTCPConnState
 
 # Fallback and closure are one-way doors: no row leaves a fallback or a
 # closed state except fallback -> fallback-closed.
 TRANSITIONS = frozenset(
     {
-        (_S.M_INIT, _S.M_ESTABLISHED),  # first subflow completes the MP_CAPABLE handshake
-        (_S.M_INIT, _S.M_FALLBACK_INIT),  # options stripped during the handshake (RFC 6824 §3.1)
-        (_S.M_INIT, _S.M_CLOSED),  # abort before establishment
-        (_S.M_FALLBACK_INIT, _S.M_FALLBACK),  # first subflow up, carrying the plain byte stream
-        (_S.M_FALLBACK_INIT, _S.M_FALLBACK_CLOSED),  # abort while falling back in the handshake
-        (_S.M_ESTABLISHED, _S.M_FALLBACK),  # DSS checksum failure / MP_FAIL (RFC 6824 §3.6)
-        (_S.M_ESTABLISHED, _S.M_CLOSED),  # DATA_FIN exchange complete / teardown
-        (_S.M_FALLBACK, _S.M_FALLBACK_CLOSED),  # subflow FIN teardown of the fallback stream
+        (M_INIT, M_ESTABLISHED),  # first subflow completes the MP_CAPABLE handshake
+        (M_INIT, M_FALLBACK_INIT),  # options stripped during the handshake (RFC 6824 §3.1)
+        (M_INIT, M_CLOSED),  # abort before establishment
+        (M_FALLBACK_INIT, M_FALLBACK),  # first subflow up, carrying the plain byte stream
+        (M_FALLBACK_INIT, M_FALLBACK_CLOSED),  # abort while falling back in the handshake
+        (M_ESTABLISHED, M_FALLBACK),  # DSS checksum failure / MP_FAIL (RFC 6824 §3.6)
+        (M_ESTABLISHED, M_CLOSED),  # DATA_FIN exchange complete / teardown
+        (M_FALLBACK, M_FALLBACK_CLOSED),  # subflow FIN teardown of the fallback stream
     }
 )
 
-_ESTABLISHED = frozenset({MPTCPConnState.M_ESTABLISHED, MPTCPConnState.M_FALLBACK})
-_FALLBACK = frozenset(
-    {
-        MPTCPConnState.M_FALLBACK_INIT,
-        MPTCPConnState.M_FALLBACK,
-        MPTCPConnState.M_FALLBACK_CLOSED,
-    }
-)
-_CLOSED = frozenset({MPTCPConnState.M_CLOSED, MPTCPConnState.M_FALLBACK_CLOSED})
+_ESTABLISHED = frozenset({M_ESTABLISHED, M_FALLBACK})
+_FALLBACK = frozenset({M_FALLBACK_INIT, M_FALLBACK, M_FALLBACK_CLOSED})
+_CLOSED = frozenset({M_CLOSED, M_FALLBACK_CLOSED})
 
 for _state in MPTCPConnState:
     _state.is_established = _state in _ESTABLISHED

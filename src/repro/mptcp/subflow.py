@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.net.node import Host
 from repro.net.options import TCPOption
-from repro.net.packet import SYN, Segment
+from repro.net.packet import FIN, RST, SYN, Segment
 from repro.net.payload import Buffer
 from repro.tcp.buffer import ByteStream
 from repro.tcp.socket import TCPConfig, TCPSocket
@@ -405,7 +405,7 @@ class Subflow(TCPSocket):
     # ==================================================================
     def _process_segment_options(self, segment: Segment) -> None:
         conn = self.connection
-        if not self._rx_first_checked and not segment.syn:
+        if not self._rx_first_checked and not segment.flags & SYN:
             # Symmetric §3.1 rule: if the very first post-handshake
             # segment from the peer carries no MPTCP option, a middlebox
             # strips options from non-SYN segments — drop to TCP.  (A
@@ -435,9 +435,7 @@ class Subflow(TCPSocket):
             else:
                 self._rx_mapless_data_run += 1
         elif (
-            not segment.syn
-            and not segment.fin
-            and not segment.rst
+            not segment.flags & (SYN | FIN | RST)
             and self.is_mptcp
             and self.kind == self.KIND_INITIAL
             and not conn.conn_state.is_fallback

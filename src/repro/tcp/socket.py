@@ -46,7 +46,21 @@ from repro.tcp.rtx import RetransmitQueue
 from repro.tcp.seq import SEQ_MOD
 
 _SEQ_HALF = 1 << 31
-from repro.tcp.state import TRANSITIONS, IllegalTransition, TCPState
+from repro.tcp.state import (
+    CLOSED,
+    CLOSE_WAIT,
+    CLOSING,
+    ESTABLISHED,
+    FIN_WAIT_1,
+    FIN_WAIT_2,
+    LAST_ACK,
+    SYN_RCVD,
+    SYN_SENT,
+    TIME_WAIT,
+    TRANSITIONS,
+    IllegalTransition,
+    TCPState,
+)
 
 # Stands in for the rarely armed timers (persist, TIME_WAIT, autotune): never
 # running, so stop()/``_seq`` work; the arming site swaps in a real Timer.
@@ -152,7 +166,7 @@ class TCPSocket:
         self.sim = host.sim
         self.config = config or TCPConfig()
         self.name = name or f"tcp@{host.name}"
-        self.state = TCPState.CLOSED
+        self.state = CLOSED
         self.local: Optional[Endpoint] = None
         self.remote: Optional[Endpoint] = None
         self.stats = SocketStats()
@@ -257,7 +271,7 @@ class TCPSocket:
         local_port: Optional[int] = None,
     ) -> None:
         """Active open: send a SYN."""
-        if self.state is not TCPState.CLOSED:
+        if self.state is not CLOSED:
             raise RuntimeError(f"connect() in state {self.state}")
         local_ip = local_ip or self.host.primary_address
         local_port = local_port or self.host.allocate_port()
@@ -266,12 +280,12 @@ class TCPSocket:
         self.host.register_connection(self.local, self.remote, self)
         self._registered = True
         self._init_isn()
-        self._set_state(TCPState.SYN_SENT)
+        self._set_state(SYN_SENT)
         self._send_syn()
 
     def accept_syn(self, segment: Segment) -> None:
         """Passive open: adopt an incoming SYN (called via a Listener)."""
-        if self.state is not TCPState.CLOSED:
+        if self.state is not CLOSED:
             raise RuntimeError(f"accept_syn() in state {self.state}")
         self.local = segment.dst
         self.remote = segment.src
@@ -281,13 +295,13 @@ class TCPSocket:
         self._process_peer_syn_options(segment)
         self.irs = segment.seq
         self.rcv_nxt = 1  # consume the SYN
-        self._set_state(TCPState.SYN_RCVD)
+        self._set_state(SYN_RCVD)
         self._send_synack()
 
     def send(self, data: bytes) -> int:
         """Queue application data; returns the number of bytes accepted
         (0 when the send buffer is full — register ``on_writable``)."""
-        if not self.state.may_send_data and self.state is not TCPState.SYN_SENT:
+        if not self.state.may_send_data and self.state is not SYN_SENT:
             raise RuntimeError(f"send() in state {self.state}")
         if self._fin_pending:
             raise RuntimeError("send() after close()")
@@ -327,24 +341,24 @@ class TCPSocket:
 
     def close(self) -> None:
         """No more data from the application; FIN once the buffer drains."""
-        if self.state in (TCPState.CLOSED, TCPState.LISTEN):
+        if self.state is CLOSED:
             self._destroy()
             return
         if self._fin_pending:
             return
         self._fin_pending = True
-        if self.state is TCPState.ESTABLISHED or self.state is TCPState.SYN_RCVD:
-            self._set_state(TCPState.FIN_WAIT_1)
-        elif self.state is TCPState.CLOSE_WAIT:
-            self._set_state(TCPState.LAST_ACK)
-        elif self.state is TCPState.SYN_SENT:
+        if self.state is ESTABLISHED or self.state is SYN_RCVD:
+            self._set_state(FIN_WAIT_1)
+        elif self.state is CLOSE_WAIT:
+            self._set_state(LAST_ACK)
+        elif self.state is SYN_SENT:
             self._destroy()
             return
         self._try_send()
 
     def abort(self) -> None:
         """Send a RST and tear everything down (used for subflow resets)."""
-        if self.state.synchronized or self.state is TCPState.SYN_RCVD:
+        if self.state.synchronized or self.state is SYN_RCVD:
             reset = self._make_segment(flags=RST | ACK, seq_unit=self.snd_nxt)
             self.host.send(reset)
         self._destroy(error="aborted")
@@ -520,7 +534,7 @@ class TCPSocket:
         self._rto_timer.restart(self.rtt.rto)
 
     def _autotune_tick(self) -> None:
-        if self.state is TCPState.CLOSED:
+        if self.state is CLOSED:
             return
         snd_target = 2 * self.cc.cwnd
         if snd_target > self.snd_buf_limit:
@@ -541,7 +555,7 @@ class TCPSocket:
         return self.stats.bytes_delivered / elapsed
 
     def _establish(self) -> None:
-        self._set_state(TCPState.ESTABLISHED)
+        self._set_state(ESTABLISHED)
         self.established_at = self.sim.now
         if self.config.autotune:
             self._autotune_timer.restart(0.05)
@@ -557,12 +571,12 @@ class TCPSocket:
     # ==================================================================
     def segment_arrives(self, segment: Segment) -> None:
         self.stats.segments_received += 1
-        if self.state is TCPState.CLOSED:
+        if self.state is CLOSED:
             return
-        if self.state is TCPState.SYN_SENT:
+        if self.state is SYN_SENT:
             self._arrives_syn_sent(segment)
             return
-        if self.state is TCPState.TIME_WAIT:
+        if self.state is TIME_WAIT:
             if segment.fin:
                 self._send_ack()
             return
@@ -587,7 +601,7 @@ class TCPSocket:
             self.irs = segment.seq
             self.rcv_nxt = 1
             self._process_peer_synack_options(segment)
-            if self.state is TCPState.CLOSED:
+            if self.state is CLOSED:
                 return  # the hook rejected the handshake (bad MP_JOIN)
             self.snd_una = 1
             self._pop_acked_segments(1)
@@ -607,12 +621,12 @@ class TCPSocket:
         # --- RST --------------------------------------------------------
         if flags & RST:
             seq_unit = self._unit_from_seq(segment.seq)
-            if self.rcv_nxt <= seq_unit <= self._rcv_adv_edge or self.state is TCPState.SYN_RCVD:
+            if self.rcv_nxt <= seq_unit <= self._rcv_adv_edge or self.state is SYN_RCVD:
                 self._fail("connection reset")
             return
 
         # --- duplicate SYN (our SYN/ACK was lost) ------------------------
-        if flags & SYN and self.state is TCPState.SYN_RCVD:
+        if flags & SYN and self.state is SYN_RCVD:
             self._send_synack()
             return
 
@@ -637,7 +651,7 @@ class TCPSocket:
             self._send_ack()
             return
 
-        if self.state is TCPState.SYN_RCVD:
+        if self.state is SYN_RCVD:
             if segment.has_ack and self._unit_from_ack(segment.ack) >= 1:
                 self.snd_una = max(self.snd_una, 1)
                 self._pop_acked_segments(self.snd_una)
@@ -669,7 +683,7 @@ class TCPSocket:
         if segment.flags & ACK:
             self._process_ack(segment, ts, sack if self.sack_enabled else None)
 
-        if self.state is TCPState.CLOSED:
+        if self.state is CLOSED:
             return
 
         # --- MPTCP / extension options -------------------------------------
@@ -896,7 +910,7 @@ class TCPSocket:
         flags = ACK
         if sent.syn:
             self.syn_retries += 1
-            if self.state is TCPState.SYN_SENT:
+            if self.state is SYN_SENT:
                 self._send_syn()
                 return
             self._send_synack()
@@ -952,11 +966,11 @@ class TCPSocket:
             return
         if ack_unit < self._fin_unit_sent:
             return
-        if self.state is TCPState.FIN_WAIT_1:
-            self._set_state(TCPState.FIN_WAIT_2)
-        elif self.state is TCPState.CLOSING:
+        if self.state is FIN_WAIT_1:
+            self._set_state(FIN_WAIT_2)
+        elif self.state is CLOSING:
             self._enter_time_wait()
-        elif self.state is TCPState.LAST_ACK:
+        elif self.state is LAST_ACK:
             self._destroy()
 
     # ------------------------------------------------------------------
@@ -1005,12 +1019,12 @@ class TCPSocket:
             return
         self.rcv_nxt += 1
         self._on_peer_fin()
-        if self.state is TCPState.ESTABLISHED:
-            self._set_state(TCPState.CLOSE_WAIT)
-        elif self.state is TCPState.FIN_WAIT_1:
+        if self.state is ESTABLISHED:
+            self._set_state(CLOSE_WAIT)
+        elif self.state is FIN_WAIT_1:
             # Our FIN not yet acked: simultaneous close.
-            self._set_state(TCPState.CLOSING)
-        elif self.state is TCPState.FIN_WAIT_2:
+            self._set_state(CLOSING)
+        elif self.state is FIN_WAIT_2:
             self._enter_time_wait()
 
     # ------------------------------------------------------------------
@@ -1028,7 +1042,7 @@ class TCPSocket:
             self._send_ack()
 
     def _send_ack(self, extra_options: Optional[list[TCPOption]] = None) -> None:
-        if self.state is TCPState.CLOSED or self.remote is None:
+        if self.state is CLOSED or self.remote is None:
             return
         self._ack_pending = 0
         self._delack_timer.stop()
@@ -1065,7 +1079,7 @@ class TCPSocket:
 
     def _maybe_send_window_update(self) -> None:
         """After the app reads, re-advertise if the window grew usefully."""
-        if self.state is TCPState.CLOSED or not self.state.synchronized:
+        if not self.state.synchronized:
             return
         new_window = self._window_to_advertise()
         growth = (self.rcv_nxt + new_window) - self._rcv_adv_edge
@@ -1090,9 +1104,9 @@ class TCPSocket:
         return space if space > 0 else 0
 
     def _try_send(self) -> None:
-        if self.state in (TCPState.CLOSED, TCPState.SYN_SENT, TCPState.SYN_RCVD):
+        if not self.state.synchronized:  # CLOSED, SYN_SENT, SYN_RCVD (no row enters LISTEN)
             return
-        if self.state in (TCPState.TIME_WAIT, TCPState.LAST_ACK) and self._fin_sent:
+        if self._fin_sent and self.state in (TIME_WAIT, LAST_ACK):
             return
         mss = self.mss
         half_mss = mss // 2
@@ -1240,7 +1254,7 @@ class TCPSocket:
         self.stats.timeouts += 1
         limit = (
             self.config.max_syn_retries
-            if self.state in (TCPState.SYN_SENT, TCPState.SYN_RCVD)
+            if self.state in (SYN_SENT, SYN_RCVD)
             else self.config.max_retries
         )
         if self._consecutive_rtos > limit:
@@ -1293,7 +1307,7 @@ class TCPSocket:
         self._check_persist()
 
     def _enter_time_wait(self) -> None:
-        self._set_state(TCPState.TIME_WAIT)
+        self._set_state(TIME_WAIT)
         self._rto_timer.stop()
         self._persist_timer.stop()
         self._time_wait_timer = Timer(self.sim, self._on_time_wait_expired)
@@ -1312,9 +1326,9 @@ class TCPSocket:
         self._destroy(error=reason)
 
     def _destroy(self, error: Optional[str] = None) -> None:
-        if self.state is TCPState.CLOSED:
+        if self.state is CLOSED:
             return  # a socket leaves CLOSED in the call that registers it
-        self._set_state(TCPState.CLOSED)
+        self._set_state(CLOSED)
         if error and not self.error:
             self.error = error
         for timer in (

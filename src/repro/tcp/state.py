@@ -34,6 +34,16 @@ class TCPState(enum.Enum):
     may_send_data: bool  #: the local application may still submit data
 
 
+# Every member as a module constant, in definition order.  On CPython
+# 3.11 ``EnumType`` defines ``__getattr__``, so each ``TCPState.X`` read
+# goes through a Python-level attribute hook (~180 ns against ~20 ns for
+# a global): code outside this module reads these names instead.
+(
+    CLOSED, LISTEN, SYN_SENT, SYN_RCVD, ESTABLISHED, FIN_WAIT_1,
+    FIN_WAIT_2, CLOSING, TIME_WAIT, CLOSE_WAIT, LAST_ACK,
+) = TCPState
+
+
 class IllegalTransition(RuntimeError):
     """A state write whose ``(src, dst)`` pair is not in the machine's
     table.  ``args`` is ``(machine, src, dst)`` — a name and two enum
@@ -45,50 +55,35 @@ class IllegalTransition(RuntimeError):
         return f"{machine}: {src.name} -> {dst.name} is not in the transition table"
 
 
-_S = TCPState
-
 # RFC 793 edges the code never takes, so they are not rows: everything
 # through LISTEN (a Listener adopts each SYN into a fresh CLOSED socket),
 # simultaneous open (SYN_SENT -> SYN_RCVD) and FIN+ACK in one segment
 # (FIN_WAIT_1 -> TIME_WAIT: the ACK is processed first, via FIN_WAIT_2).
 TRANSITIONS = frozenset(
     {
-        (_S.CLOSED, _S.SYN_SENT),  # active OPEN: send SYN
-        (_S.CLOSED, _S.SYN_RCVD),  # a Listener adopts an incoming SYN: send SYN,ACK
-        (_S.SYN_SENT, _S.ESTABLISHED),  # rcv SYN,ACK: send ACK
-        (_S.SYN_RCVD, _S.ESTABLISHED),  # rcv ACK of SYN
-        (_S.SYN_RCVD, _S.FIN_WAIT_1),  # CLOSE during the handshake: send FIN
-        (_S.ESTABLISHED, _S.FIN_WAIT_1),  # CLOSE: send FIN
-        (_S.ESTABLISHED, _S.CLOSE_WAIT),  # rcv FIN: send ACK
-        (_S.FIN_WAIT_1, _S.FIN_WAIT_2),  # rcv ACK of FIN
-        (_S.FIN_WAIT_1, _S.CLOSING),  # rcv FIN: simultaneous close
-        (_S.FIN_WAIT_2, _S.TIME_WAIT),  # rcv FIN: send ACK
-        (_S.CLOSING, _S.TIME_WAIT),  # rcv ACK of FIN
-        (_S.CLOSE_WAIT, _S.LAST_ACK),  # CLOSE: send FIN
+        (CLOSED, SYN_SENT),  # active OPEN: send SYN
+        (CLOSED, SYN_RCVD),  # a Listener adopts an incoming SYN: send SYN,ACK
+        (SYN_SENT, ESTABLISHED),  # rcv SYN,ACK: send ACK
+        (SYN_RCVD, ESTABLISHED),  # rcv ACK of SYN
+        (SYN_RCVD, FIN_WAIT_1),  # CLOSE during the handshake: send FIN
+        (ESTABLISHED, FIN_WAIT_1),  # CLOSE: send FIN
+        (ESTABLISHED, CLOSE_WAIT),  # rcv FIN: send ACK
+        (FIN_WAIT_1, FIN_WAIT_2),  # rcv ACK of FIN
+        (FIN_WAIT_1, CLOSING),  # rcv FIN: simultaneous close
+        (FIN_WAIT_2, TIME_WAIT),  # rcv FIN: send ACK
+        (CLOSING, TIME_WAIT),  # rcv ACK of FIN
+        (CLOSE_WAIT, LAST_ACK),  # CLOSE: send FIN
     }
     # Every other entered state closes through _destroy: ABORT and RST
     # from anywhere, LAST_ACK's ACK of FIN and TIME_WAIT's 2*MSL expiry.
-    | {(state, _S.CLOSED) for state in TCPState if state not in (_S.CLOSED, _S.LISTEN)}
+    | {(state, CLOSED) for state in TCPState if state not in (CLOSED, LISTEN)}
 )
 
-_SYNCHRONIZED = frozenset(
-    {
-        TCPState.ESTABLISHED,
-        TCPState.FIN_WAIT_1,
-        TCPState.FIN_WAIT_2,
-        TCPState.CLOSING,
-        TCPState.TIME_WAIT,
-        TCPState.CLOSE_WAIT,
-        TCPState.LAST_ACK,
-    }
-)
-
-_RECEIVING = frozenset(
-    {TCPState.ESTABLISHED, TCPState.FIN_WAIT_1, TCPState.FIN_WAIT_2}
-)
+_SYNCHRONIZED = frozenset({ESTABLISHED, FIN_WAIT_1, FIN_WAIT_2, CLOSING, TIME_WAIT, CLOSE_WAIT, LAST_ACK})
+_RECEIVING = frozenset({ESTABLISHED, FIN_WAIT_1, FIN_WAIT_2})
 
 for _state in TCPState:
     _state.synchronized = _state in _SYNCHRONIZED
     _state.can_receive_data = _state in _RECEIVING
-    _state.may_send_data = _state in (TCPState.ESTABLISHED, TCPState.CLOSE_WAIT)
+    _state.may_send_data = _state in (ESTABLISHED, CLOSE_WAIT)
 del _state

@@ -46,3 +46,6 @@ class Door:
 
     def pried_open(self):
         self.state = DoorState.OPEN  # analyze: ok(FSM01): a comment cannot waive — line 48: FSM01
+
+
+CLOSED, OPEN, LOCKED, BROKEN = DoorState  # members as module constants

@@ -285,7 +285,7 @@ def test_cli_list_rules_shows_every_allow_list(capsys):
 # ---------------------------------------------------------------------------
 # FSM01: one writer per state machine
 # ---------------------------------------------------------------------------
-DOOR_MACHINE = (("fixtures/analyze/fsm01.py", "DoorState", "state"),)
+DOOR_MACHINE = (("fixtures/analyze/fsm01.py", "tests.fixtures.analyze.fsm01.DoorState", "state"),)
 
 
 def test_fsm01_door_fixture():
@@ -302,9 +302,10 @@ def test_fsm01_door_fixture():
         ("fsm01.py", 45),  # write inside a tuple target
         ("fsm01.py", 48),  # a comment cannot waive
         ("fsm01_foreign.py", 7),  # foreign-layer write
+        ("fsm01_foreign.py", 16),  # foreign write of an imported member constant
     ]
-    foreign = next(f for f in report.findings if f.path.endswith("fsm01_foreign.py"))
-    assert "DoorState.BROKEN" in foreign.message
+    foreign = [f.message for f in report.findings if f.path.endswith("fsm01_foreign.py")]
+    assert "DoorState.BROKEN" in foreign[0] and "DoorState.LOCKED" in foreign[1]
 
 
 def test_fsm01_real_machines_name_their_owners():

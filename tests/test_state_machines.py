@@ -96,6 +96,47 @@ def _illegal_write(label):
 
 
 # ---------------------------------------------------------------------------
+# The rules the hot paths' state tests rest on
+# ---------------------------------------------------------------------------
+def _reachable(table, start):
+    seen, frontier = {start}, [start]
+    while frontier:
+        src = frontier.pop()
+        for row_src, dst in table:
+            if row_src is src and dst not in seen:
+                seen.add(dst)
+                frontier.append(dst)
+    return seen
+
+
+def test_no_tcp_row_enters_listen():
+    assert [row for row in tcp_state.TRANSITIONS if row[1] is TCPState.LISTEN] == []
+
+
+def test_unsynchronized_reachable_states_are_the_handshake():
+    """``_try_send`` tests ``not state.synchronized`` for "CLOSED,
+    SYN_SENT or SYN_RCVD": exact only while no socket reaches LISTEN."""
+    reachable = _reachable(tcp_state.TRANSITIONS, TCPState.CLOSED)
+    assert {state for state in reachable if not state.synchronized} == {
+        TCPState.CLOSED,
+        TCPState.SYN_SENT,
+        TCPState.SYN_RCVD,
+    }
+
+
+@pytest.mark.parametrize(
+    "module, enum", [(tcp_state, TCPState), (mptcp_state, MPTCPConnState)]
+)
+def test_member_constants_are_the_members(module, enum):
+    """Each state module binds every member to a module constant of
+    the member's own name, and binds no other name to a member."""
+    exported = {name: value for name, value in vars(module).items() if isinstance(value, enum)}
+    assert sorted(exported) == sorted(enum.__members__)
+    for name, value in exported.items():
+        assert value is enum[name], name
+
+
+# ---------------------------------------------------------------------------
 # Every table row is taken by a scenario
 # ---------------------------------------------------------------------------
 def _tcp_scenarios():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.packet import Endpoint
+from repro.net.packet import ACK, RST, SEQ_MOD, SYN, Endpoint, Segment
 from repro.tcp.listener import Listener
 from repro.tcp.socket import TCPConfig, TCPSocket
 from repro.tcp.state import TCPState
@@ -81,6 +81,25 @@ class TestHandshake:
         net.run(until=2.0)
         assert errors == ["connection refused"]
         assert sock.state is TCPState.CLOSED
+
+    def test_unacceptable_synack_draws_a_reset(self):
+        """RFC 793: a SYN/ACK whose ACK does not cover our SYN draws one
+        RST with that ACK as its sequence number, and the socket stays in
+        SYN_SENT waiting for the real answer."""
+        net, client, server = make_tcp_pair()
+        sock = TCPSocket(client)
+        sock.connect(Endpoint("10.9.0.1", 80))
+        sent = []
+        client.send = sent.append
+        bad_ack = (sock.iss + 1000) % SEQ_MOD
+        synack = Segment(
+            src=sock.remote, dst=sock.local, seq=777, ack=bad_ack, flags=SYN | ACK, window=1000
+        )
+        sock.segment_arrives(synack)
+        assert [(s.src, s.dst, s.flags, s.seq, s.window) for s in sent] == [
+            (sock.local, sock.remote, RST, bad_ack, 0)
+        ]
+        assert sock.state is TCPState.SYN_SENT
 
     def test_syn_retransmitted_with_backoff(self):
         net, client, server = make_tcp_pair(loss=1.0)  # black hole
