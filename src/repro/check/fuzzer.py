@@ -81,8 +81,8 @@ class ScenarioOutcome:
     completed: bool = False
     received: bytes = b""  # what the server application read, in order
     tolerated: int = 0
-    # Oracle events by scope: (skipped, scoped to one host, swept).
-    scopes: tuple = (0, 0, 0)
+    # Oracle events by scope: (scoped to one host, swept).
+    scopes: tuple = (0, 0)
 
     @property
     def received_bytes(self) -> int:
@@ -158,7 +158,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
     outcome.received = bytes(received)
     if oracle is not None:
         outcome.tolerated = oracle.tolerated_modifications
-        outcome.scopes = (oracle.events_skipped, oracle.events_scoped, oracle.events_swept)
+        outcome.scopes = (oracle.events_scoped, oracle.events_swept)
     return outcome
 
 
@@ -369,7 +369,7 @@ def fuzz(
     Returns ``(failures, incomplete, scopes)``, ``scopes`` summed."""
     failures: list = []
     incomplete = 0
-    scopes = [0, 0, 0]
+    scopes = [0, 0]
     for seed in seeds:
         spec = random_scenario(seed)
         outcome = run_scenario(spec)
@@ -423,9 +423,9 @@ def main(argv=None) -> int:
     failures, incomplete, scopes = fuzz(seeds, out_dir=options.out, verbose=options.verbose)
     summary = f"{len(seeds)} scenarios, {len(failures)} failures, {incomplete} incomplete"
     if options.verbose and sum(scopes):
-        skipped, scoped, swept = (100.0 * n / sum(scopes) for n in scopes)
+        scoped, swept = (100.0 * n / sum(scopes) for n in scopes)
         summary += (
-            f"; {sum(scopes)} oracle events: {skipped:.1f}% skipped (no host), "
+            f"; {sum(scopes)} oracle events: "
             f"{scoped:.1f}% scoped (one host), {swept:.1f}% swept (all)"
         )
     print(summary)

@@ -4,19 +4,19 @@ The unit of work is the **host**.  ``Simulator.post_event`` hands the
 oracle the callable that just ran — never its arguments — and the
 oracle re-checks the endpoints of the one host that callable belongs
 to, because an event can have changed no others: hosts interact only
-through :class:`~repro.net.link.Link` events.  The owner is placed by a
-short, conservative table (:meth:`InvariantOracle._host_of`):
+through packets, and a packet reaches a host only as a delivery event
+that a :class:`~repro.net.link.Link` scheduled when it accepted the
+packet.  The owner is placed by a short, conservative table
+(:meth:`InvariantOracle._host_of`):
 
-* a ``Link`` method (``_tx_done``: serialisation) touches no socket —
-  nothing is checked, not even discovery runs;
-* ``Path._delivered_fwd`` / ``_delivered_rev`` — the ``Host`` that
-  path's ``deliver_fwd`` / ``deliver_rev`` is bound to;
+* a ``Host`` method (``Host.deliver``: what a link schedules) — that
+  host;
 * a method of an object whose ``.host`` is one of ``network.hosts``
   (socket, subflow and connection timers, ``call_soon`` continuations,
   path managers) — that host;
 * **anything else** — a plain function, lambda or ``partial``, the
-  3-argument trampoline, a ``PathElement`` or meter method, a
-  ``deliver_*`` a test replaced — every host, exactly the every-endpoint
+  3-argument trampoline, a ``PathElement`` or meter method, a link
+  ``deliver`` a test replaced — every host, exactly the every-endpoint
   sweep the oracle ran before it scoped.
 
 There is no switch: the full sweep is simply what an owner the table
@@ -87,9 +87,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.mptcp.connection import MPTCPConnection
 from repro.mptcp.subflow import Subflow
-from repro.net.link import Link
 from repro.net.node import Host
-from repro.net.path import Path
 from repro.net.trace import PacketTrace
 from repro.tcp.socket import TCPSocket
 from repro.tcp.state import CLOSED
@@ -102,8 +100,6 @@ if TYPE_CHECKING:  # pragma: no cover
 AUDIT_PERIOD = 64
 # Verified stream-log prefix kept before it is dropped.
 LOG_TRIM_BYTES = 64 * 1024
-# _host_of's answer for an event that touched no endpoint at all.
-_NO_HOST = object()
 
 
 class InvariantViolation(AssertionError):
@@ -231,9 +227,8 @@ class InvariantOracle:
         self.network = network
         self.trace = PacketTrace(tail=self.TRACE_TAIL)
         self.events_checked = 0
-        # How each of those events was scoped: no host could have
-        # changed / one host re-checked / every host swept.
-        self.events_skipped = 0
+        # How each of those events was scoped: one host re-checked /
+        # every host swept.
         self.events_scoped = 0
         self.events_swept = 0
         self.tolerated_modifications = 0
@@ -299,9 +294,6 @@ class InvariantOracle:
             self._runs_seen = runs  # first event of a run(): sweep
         elif self.events_checked % AUDIT_PERIOD:
             host = self._host_of(fn)
-            if host is _NO_HOST:
-                self.events_skipped += 1
-                return
         if len(self.network.paths) != self._tapped_paths:
             self._tap_new_paths()
         if host is None:
@@ -318,21 +310,10 @@ class InvariantOracle:
         self._check_host(scope, False)
 
     def _host_of(self, fn):
-        """The resolver table (module docstring): ``_NO_HOST``, the one
-        :class:`Host` ``fn`` can have touched, or None for *cannot say*."""
+        """The resolver table (module docstring): the one :class:`Host`
+        ``fn`` can have touched, or None for *cannot say*."""
         owner = getattr(fn, "__self__", None)
-        kind = type(owner)
-        if kind is Link:
-            return _NO_HOST
-        if kind is Path:
-            if fn.__func__ is Path._delivered_fwd:
-                host = getattr(owner.deliver_fwd, "__self__", None)
-            elif fn.__func__ is Path._delivered_rev:
-                host = getattr(owner.deliver_rev, "__self__", None)
-            else:
-                return None
-        else:
-            host = getattr(owner, "host", None)
+        host = owner if type(owner) is Host else getattr(owner, "host", None)
         if isinstance(host, Host) and self.network.hosts.get(host.name) is host:
             return host
         return None

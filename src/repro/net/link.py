@@ -9,8 +9,9 @@ are converted with :func:`buffer_bytes_for`.
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.net.packet import Segment
@@ -39,13 +40,19 @@ class LinkStats:
 
 
 class Link:
-    """A serialising FIFO pipe.
+    """A serialising FIFO pipe, kept as a virtual clock.
 
-    ``deliver`` is set by the owning :class:`~repro.net.path.Path`.  The
-    transmitter is modelled explicitly: one packet serialises at a time at
-    ``rate_bps``; completed packets propagate for ``delay`` seconds and may
-    be lost with probability ``loss`` (the radio-loss model used for the
-    lossy-3G experiment of Fig. 6a).
+    ``deliver`` is set by the :class:`~repro.net.network.Network` that
+    builds the link (the receiving ``Host.deliver``).  One packet
+    serialises at a time at ``rate_bps``; a packet may be lost with
+    probability ``loss`` (the radio-loss model used for the lossy-3G
+    experiment of Fig. 6a) and otherwise arrives ``delay`` seconds after
+    its serialisation ends.  Both are fixed the moment the link accepts
+    the packet -- it leaves at ``max(now, free_at) + size * 8 / rate`` --
+    so the delivery is the only event a packet costs.  Accepted packets
+    whose serialisation has not been *settled* wait in ``_pending``;
+    :meth:`send` settles the ones that ended before it, and :attr:`stats`
+    the ones that ended by ``sim.now``.
     """
 
     def __init__(
@@ -71,52 +78,61 @@ class Link:
         self.rng = rng or SeededRNG(0, name)
         self.name = name
         self.deliver: Callable[[Segment], None] = lambda seg: None
-        self.stats = LinkStats()
-        # Queue entries carry (segment, size): the wire size is computed
-        # once at enqueue and threaded through transmit/tx-done so the
-        # per-hop hot path never re-derives it from the option list.
-        self._queue: deque[tuple[Segment, int]] = deque()
-        self._queued_bytes = 0
-        self._busy = False
+        self._stats = LinkStats()
+        # (finish, size, payload_len, lost, tx_time) per accepted segment
+        # not yet settled, oldest first; the head is the one on the wire.
+        # The segment itself rides only on its delivery event.
+        self._pending: deque[tuple[float, int, int, bool, float]] = deque()
+        self._pending_bytes = 0
+        self._free_at = 0.0  # when the last accepted segment finishes
 
     # ------------------------------------------------------------------
     def send(self, segment: Segment) -> None:
         """Offer a segment to the link; drop-tail if the queue is full."""
+        now = self.sim.now
+        pending = self._pending
+        if pending and pending[0][0] < now:
+            self._settle(now)
         size = segment.size_bytes
-        if self._queued_bytes + size > self.queue_bytes and self._busy:
-            self.stats.packets_dropped_queue += 1
-            return
-        if self._busy:
-            self._queue.append((segment, size))
-            self._queued_bytes += size
+        tx_time = size * 8 / self.rate_bps
+        if pending:
+            # Busy: the bytes waiting exclude the segment on the wire.
+            if self._pending_bytes - pending[0][1] + size > self.queue_bytes:
+                self._stats.packets_dropped_queue += 1
+                return
+            finish = self._free_at + tx_time
         else:
-            # Inline of _transmit(): one call per segment offered to an
-            # idle link (the overwhelmingly common case).
-            self._busy = True
-            tx_time = size * 8 / self.rate_bps
-            self.stats.busy_time += tx_time
-            self.sim.post(tx_time, self._tx_done, segment, size)
+            self._stats.busy_time += tx_time  # its serialisation starts now
+            finish = now + tx_time
+        lost = self.loss > 0.0 and self.rng.chance(self.loss)
+        pending.append((finish, size, segment.payload_len, lost, tx_time))
+        self._pending_bytes += size
+        self._free_at = finish
+        if not lost:
+            self.sim._push(finish + self.delay, self.deliver, segment)
 
-    # ------------------------------------------------------------------
-    def _tx_done(self, segment: Segment, size: int) -> None:
-        stats = self.stats
-        stats.packets_sent += 1
-        stats.bytes_sent += size
-        stats.payload_bytes_sent += segment.payload_len
-        if self.loss > 0.0 and self.rng.chance(self.loss):
-            stats.packets_dropped_loss += 1
-        else:
-            self.sim.post(self.delay, self.deliver, segment)
-        if self._queue:
-            next_segment, next_size = self._queue.popleft()
-            self._queued_bytes -= next_size
-            tx_time = next_size * 8 / self.rate_bps
-            self.stats.busy_time += tx_time
-            # post(): in-flight serialisation is never cancelled, so it
-            # needs no Timer.  (_busy is already True on this path.)
-            self.sim.post(tx_time, self._tx_done, next_segment, next_size)
-        else:
-            self._busy = False
+    def _settle(self, before: float) -> None:
+        """Count every pending segment whose serialisation ended strictly
+        before ``before``; each one settled starts the next."""
+        pending = self._pending
+        stats = self._stats
+        while pending and pending[0][0] < before:
+            _, size, payload_len, lost, _ = pending.popleft()
+            self._pending_bytes -= size
+            stats.packets_sent += 1
+            stats.bytes_sent += size
+            stats.payload_bytes_sent += payload_len
+            if lost:
+                stats.packets_dropped_loss += 1
+            if pending:
+                stats.busy_time += pending[0][4]
+
+    @property
+    def stats(self) -> LinkStats:
+        """The counters as of ``sim.now`` inclusive: ``run(until)`` runs
+        the events at ``until``, so a serialisation ending then is done."""
+        self._settle(math.nextafter(self.sim.now, math.inf))
+        return self._stats
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Link {self.name} {self.rate_bps/1e6:.1f}Mbps {self.delay*1000:.0f}ms>"

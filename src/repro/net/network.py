@@ -85,8 +85,8 @@ class Network:
             name=f"{name}:rev",
         )
         path = Path(sim, link_fwd, link_rev, list(elements or []), name=name)
-        path.deliver_fwd = iface_b.host.deliver
-        path.deliver_rev = iface_a.host.deliver
+        link_fwd.deliver = iface_b.host.deliver
+        link_rev.deliver = iface_a.host.deliver
         # Routes: specific address each way, installed on both interfaces.
         iface_a.add_route(iface_b.ip, path, FORWARD)
         iface_b.add_route(iface_a.ip, path, REVERSE)

@@ -172,9 +172,10 @@ class Host:
 
     def _reset_unknown(self, segment: Segment) -> None:
         """RFC 793: a segment to a non-existent connection draws a RST."""
-        if segment.rst:
+        flags = segment.flags
+        if flags & RST:
             return
-        if segment.has_ack:
+        if flags & ACK:
             reset = Segment(
                 src=segment.dst, dst=segment.src, seq=segment.ack, flags=RST, window=0
             )

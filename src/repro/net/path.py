@@ -75,7 +75,8 @@ class PathElement:
 
 
 class Path:
-    """A duplex point-to-point path between two deliver callbacks."""
+    """A duplex point-to-point path: one link each way, whose ``deliver``
+    the :class:`~repro.net.network.Network` points at the far host."""
 
     def __init__(
         self,
@@ -92,10 +93,6 @@ class Path:
         self.elements: list[PathElement] = elements or []
         for index, element in enumerate(self.elements):
             element.attach(self, index)
-        self.deliver_fwd: Callable[[Segment], None] = lambda seg: None
-        self.deliver_rev: Callable[[Segment], None] = lambda seg: None
-        link_fwd.deliver = self._delivered_fwd
-        link_rev.deliver = self._delivered_rev
         # Optional wire taps for tracing; called as tap(path, segment, direction).
         self.taps: list[Callable[["Path", Segment, int], None]] = []
 
@@ -104,6 +101,9 @@ class Path:
         """Entry point used by hosts."""
         for tap in self.taps:
             tap(self, segment, direction)
+        if not self.elements:
+            (self.link_fwd if direction == FORWARD else self.link_rev).send(segment)
+            return
         start = 0 if direction == FORWARD else len(self.elements) - 1
         self._run_pipeline(segment, direction, start)
 
@@ -127,12 +127,6 @@ class Path:
             self.link_fwd.send(segment)
         else:
             self.link_rev.send(segment)
-
-    def _delivered_fwd(self, segment: Segment) -> None:
-        self.deliver_fwd(segment)
-
-    def _delivered_rev(self, segment: Segment) -> None:
-        self.deliver_rev(segment)
 
     def add_tap(self, tap: Callable[["Path", Segment, int], None]) -> None:
         self.taps.append(tap)

@@ -110,9 +110,10 @@ class Simulator:
         self.schedule_at(self.now, fn, *args)
 
     def post(self, delay: float, fn: Callable[..., Any], a0: Any = _NOARG, a1: Any = _NOARG) -> None:
-        """The datapath's spelling (link transmit/deliver): at most two
-        positional arguments, named rather than starred so the call
-        builds no argument tuple."""
+        """At most two positional arguments, named rather than starred so
+        the call builds no argument tuple.  Its last caller is the
+        engine's per-event cost probe in ``perf/``; a link pushes its
+        deliveries through :meth:`_push` directly."""
         self._push(self.now + delay, fn, a0, a1)
 
     # ------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.net.node import Host
-from repro.net.packet import Segment
+from repro.net.packet import ACK, RST, SYN, Segment
 from repro.tcp.socket import TCPConfig, TCPSocket
 
 SocketFactory = Callable[[Host, Segment, TCPConfig], Optional[TCPSocket]]
@@ -45,9 +45,10 @@ class Listener:
     def segment_arrives(self, segment: Segment) -> None:
         if not self._open:
             return
-        if not segment.syn or segment.has_ack or segment.rst:
+        flags = segment.flags
+        if flags & (SYN | ACK | RST) != SYN:
             # Stray non-SYN to the listening port: let the host RST it.
-            if not segment.rst:
+            if not flags & RST:
                 self.host._reset_unknown(segment)
             return
         self.syns_received += 1

@@ -577,19 +577,20 @@ class TCPSocket:
             self._arrives_syn_sent(segment)
             return
         if self.state is TIME_WAIT:
-            if segment.fin:
+            if segment.flags & FIN:
                 self._send_ack()
             return
         self._arrives_synchronized(segment)
 
     def _arrives_syn_sent(self, segment: Segment) -> None:
-        if segment.rst:
-            if segment.has_ack and self._unit_from_ack(segment.ack) == self.snd_nxt:
+        flags = segment.flags
+        if flags & RST:
+            if flags & ACK and self._unit_from_ack(segment.ack) == self.snd_nxt:
                 self._fail("connection refused")
             return
-        if not segment.syn:
+        if not flags & SYN:
             return
-        if segment.has_ack:
+        if flags & ACK:
             ack_unit = self._unit_from_ack(segment.ack)
             if ack_unit != 1:
                 # Unacceptable ACK for our SYN: reset per RFC 793.
@@ -652,7 +653,7 @@ class TCPSocket:
             return
 
         if self.state is SYN_RCVD:
-            if segment.has_ack and self._unit_from_ack(segment.ack) >= 1:
+            if segment.flags & ACK and self._unit_from_ack(segment.ack) >= 1:
                 self.snd_una = max(self.snd_una, 1)
                 self._pop_acked_segments(self.snd_una)
                 self._apply_window_update(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps.blocks import BlockLatencyProbe
+from repro.apps.blocks import BLOCK, BlockLatencyProbe
 from repro.apps.bonding import BondRoute, bond_interfaces
 from repro.apps.bulk import BulkReceiverApp, BulkSenderApp, pattern_bytes
 from repro.apps.http import (
@@ -127,9 +127,9 @@ class TestBlockProbe:
         # One delay per block fully read, never more than were stamped;
         # the rest are still in the buffers when the run ends.
         assert 50 <= len(probe.delays) < len(probe.block_send_times)
-        assert all(delay > 0 for delay in probe.delays)
-        ordered = sorted(probe.delays)
-        assert ordered[round(0.50 * (len(ordered) - 1))] <= ordered[round(0.95 * (len(ordered) - 1))]
+        # Physical floor: a block's bytes serialise at 8 Mb/s and then
+        # cross the 10 ms one-way delay before its last byte is readable.
+        assert min(probe.delays) >= 0.010 + BLOCK * 8 / 8e6
 
     def test_block_timestamp_means_handed_to_transport(self):
         """Blocks are stamped only when the send buffer can take the

@@ -87,6 +87,82 @@ class TestLink:
             Link(Simulator(), rate_bps=0, delay=0.01)
 
 
+# A 1024-byte segment at 2**20 b/s serialises in exactly 2**-7 s, so
+# every time below is a dyadic float and compares with ==.
+RATE = 2.0**20
+TX = 1024 * 8 / RATE
+
+
+class TestTransmitter:
+    """The link as a virtual clock: a segment's departure is fixed when
+    the link accepts it, and its delivery is the one event it costs."""
+
+    def test_back_to_back_arrivals_are_exact(self):
+        sim = Simulator()
+        link = Link(sim, rate_bps=RATE, delay=0.25)
+        arrivals = []
+        link.deliver = lambda s: arrivals.append(sim.now)
+        sim.schedule_at(0.5, lambda: [link.send(seg(1024)) for _ in range(4)])
+        sim.run()
+        assert TX == 2.0**-7
+        assert arrivals == [0.5 + k * TX + 0.25 for k in (1, 2, 3, 4)]
+        assert sim.events_run == 1 + 4  # the offering event plus one delivery each
+
+    @pytest.mark.parametrize("queue_bytes, accepted", [(2000, 3), (1999, 2)])
+    def test_droptail_boundary_excludes_the_segment_on_the_wire(self, queue_bytes, accepted):
+        sim = Simulator()
+        link = Link(sim, rate_bps=1e6, delay=0.0, queue_bytes=queue_bytes)
+        delivered = []
+        link.deliver = delivered.append
+        for _ in range(3):  # one on the wire, then 2000 B waiting
+            link.send(seg(1000))
+        sim.run()
+        assert len(delivered) == accepted
+        assert link.stats.packets_dropped_queue == 3 - accepted
+
+    def test_offer_at_the_end_instant_waits_behind_the_segment_on_the_wire(self):
+        sim = Simulator()
+        link = Link(sim, rate_bps=RATE, delay=0.0, queue_bytes=1024)
+        arrivals = []
+        link.deliver = lambda s: arrivals.append(sim.now)
+        # Scheduled first, so it runs before anything else at TX.
+        sim.schedule_at(TX, lambda: link.send(seg(1024)))
+        link.send(seg(1024))  # on the wire until TX
+        link.send(seg(1024))  # waiting: the queue is exactly full
+        sim.run()
+        # At TX the first is still on the wire, so the second still
+        # waits and the third finds the queue full.
+        assert arrivals == [TX, 2 * TX]
+        assert link.stats.packets_dropped_queue == 1
+
+    def test_stats_settle_through_now_inclusive(self):
+        sim = Simulator()
+        link = Link(sim, rate_bps=RATE, delay=1.0)
+        link.send(seg(1024))
+        link.send(seg(1024))
+        sim.run(until=TX / 2)
+        assert (link.stats.packets_sent, link.stats.busy_time) == (0, TX)
+        sim.run(until=TX)
+        assert (link.stats.packets_sent, link.stats.busy_time) == (1, 2 * TX)
+        sim.run(until=2 * TX)
+        assert link.stats.packets_sent == 2
+
+    def test_simultaneous_deliveries_run_in_acceptance_order(self):
+        sim = Simulator()
+        link_a = Link(sim, rate_bps=RATE, delay=0.1)
+        link_b = Link(sim, rate_bps=RATE, delay=0.1)
+        order = []
+        link_a.deliver = lambda s: order.append(("a", s.seq, sim.now))
+        link_b.deliver = lambda s: order.append(("b", s.seq, sim.now))
+        # b is offered at TX and ends its serialisation at 2 TX, exactly
+        # when a's queued second segment does, but a's was accepted first.
+        sim.schedule_at(TX, lambda: link_b.send(seg(1024, seq=7)))
+        link_a.send(seg(1024, seq=1))
+        link_a.send(seg(1024, seq=2))
+        sim.run()
+        assert order == [("a", 1, TX + 0.1), ("a", 2, 2 * TX + 0.1), ("b", 7, 2 * TX + 0.1)]
+
+
 class Tag(PathElement):
     """Stamps segments so tests can observe traversal order."""
 
@@ -128,7 +204,7 @@ class TestPath:
         log = []
         path = make_path(sim, [Tag("e0", log), Tag("e1", log)])
         received = []
-        path.deliver_fwd = received.append
+        path.link_fwd.deliver = received.append
         path.send(seg(), FORWARD)
         sim.run()
         assert [entry[0] for entry in log] == ["e0", "e1"]
@@ -138,7 +214,7 @@ class TestPath:
         sim = Simulator()
         log = []
         path = make_path(sim, [Tag("e0", log), Tag("e1", log)])
-        path.deliver_rev = lambda s: None
+        path.link_rev.deliver = lambda s: None
         path.send(seg(), REVERSE)
         sim.run()
         assert [entry[0] for entry in log] == ["e1", "e0"]
@@ -147,7 +223,7 @@ class TestPath:
         sim = Simulator()
         path = make_path(sim, [Dropper()])
         received = []
-        path.deliver_fwd = received.append
+        path.link_fwd.deliver = received.append
         path.send(seg(), FORWARD)
         sim.run()
         assert received == []
@@ -157,8 +233,8 @@ class TestPath:
         log = []
         path = make_path(sim, [Tag("before", log), ReverseEcho(), Tag("after", log)])
         fwd, rev = [], []
-        path.deliver_fwd = fwd.append
-        path.deliver_rev = rev.append
+        path.link_fwd.deliver = fwd.append
+        path.link_rev.deliver = rev.append
         path.send(seg(), FORWARD)
         sim.run()
         assert len(fwd) == 1 and len(rev) == 1
@@ -170,7 +246,7 @@ class TestPath:
     def test_taps_see_sent_segments(self):
         sim = Simulator()
         path = make_path(sim, [])
-        path.deliver_fwd = lambda s: None
+        path.link_fwd.deliver = lambda s: None
         seen = []
         path.add_tap(lambda p, s, d: seen.append(d))
         path.send(seg(), FORWARD)
@@ -181,8 +257,8 @@ class TestPath:
         sim = Simulator()
         path = make_path(sim, [])
         arrivals = []
-        path.deliver_fwd = lambda s: path.send(seg(), -FORWARD)  # echo it back
-        path.deliver_rev = lambda s: arrivals.append(sim.now)
+        path.link_fwd.deliver = lambda s: path.send(seg(), -FORWARD)  # echo it back
+        path.link_rev.deliver = lambda s: arrivals.append(sim.now)
         path.send(seg(), FORWARD)
         sim.run()
         # 1 ms propagation each way plus 8 us per 1000 B at 1 Gb/s.
@@ -199,7 +275,7 @@ class TestPath:
 
         path = make_path(sim, [Holder()])
         arrivals = []
-        path.deliver_fwd = lambda s: arrivals.append(sim.now)
+        path.link_fwd.deliver = lambda s: arrivals.append(sim.now)
         path.send(seg(), FORWARD)
         sim.run()
         assert len(arrivals) == 1

@@ -14,7 +14,7 @@ import pytest
 
 from repro.check import InvariantViolation
 from repro.check.fuzzer import random_scenario, run_scenario
-from repro.check.oracle import AUDIT_PERIOD, LOG_TRIM_BYTES, _NO_HOST
+from repro.check.oracle import AUDIT_PERIOD, LOG_TRIM_BYTES
 from repro.middlebox.nat import NAT
 from repro.middlebox.rewriter import SequenceRewriter
 from repro.mptcp.connection import MPTCPConfig
@@ -72,20 +72,31 @@ def open_idle_connections(net, client, server, count, port=90):
 # The resolver table
 # ----------------------------------------------------------------------
 class TestResolverTable:
-    def test_link_events_touch_no_host(self):
+    def test_links_and_paths_schedule_only_host_deliveries(self):
+        """A packet costs one event, its delivery, and that event runs a
+        method of the receiving Host: no Link or Path callable is ever on
+        the heap, so no event is unplaceable for lack of a host."""
         net, client, server = make_tcp_pair(seed=1, elements=[NAT("99.0.0.1")])
-        oracle = ensure_oracle(net)
-        path = net.paths[0]
-        assert oracle._host_of(path.link_fwd._tx_done) is _NO_HOST
-        assert oracle._host_of(path.link_rev._tx_done) is _NO_HOST
+        ensure_oracle(net)
+        attached = net.sim.post_event
+        owners = []
+
+        def hook(fn):
+            owners.append(type(getattr(fn, "__self__", None)).__name__)
+            attached(fn)
+
+        net.sim.post_event = hook
+        result = tcp_transfer(net, client, server, random_payload(20_000, seed=1), duration=20)
+        assert bytes(result.received) == random_payload(20_000, seed=1)
+        assert owners.count("Host") > 0
+        assert "Link" not in owners and "Path" not in owners
 
     def test_path_delivery_resolves_to_the_receiving_host(self):
         net, client, server = make_tcp_pair(seed=1, elements=[NAT("99.0.0.1")])
         oracle = ensure_oracle(net)
         path = net.paths[0]
-        assert oracle._host_of(path._delivered_fwd) is server
-        assert oracle._host_of(path._delivered_rev) is client
-        # What a Link actually posts is the same bound method.
+        # What a Link schedules is the receiving host's bound deliver.
+        assert path.link_fwd.deliver == server.deliver
         assert oracle._host_of(path.link_fwd.deliver) is server
         assert oracle._host_of(path.link_rev.deliver) is client
 
@@ -133,10 +144,10 @@ class TestResolverTable:
         # A socket living on some other network's host is not ours.
         foreign = TCPSocket(Network(seed=9).add_host("client", "10.0.0.1"))
         assert oracle._host_of(foreign._rto_timer._callback) is None
-        # A test that replaces a path's delivery callback gets the sweep.
-        net.paths[0].deliver_fwd = lambda segment: None
-        assert oracle._host_of(net.paths[0]._delivered_fwd) is None
-        assert oracle._host_of(net.paths[0]._delivered_rev) is client
+        # A test that replaces a link's delivery callback gets the sweep.
+        net.paths[0].link_fwd.deliver = lambda segment: None
+        assert oracle._host_of(net.paths[0].link_fwd.deliver) is None
+        assert oracle._host_of(net.paths[0].link_rev.deliver) is client
 
     def test_three_argument_schedule_rides_the_trampoline(self):
         from repro.sim.engine import _spread
@@ -155,7 +166,7 @@ class TestResolverTable:
         net.run(until=1.0)
         assert seen == [_spread]
         assert oracle._host_of(_spread) is None
-        assert (oracle.events_skipped, oracle.events_scoped, oracle.events_swept) == (0, 0, 1)
+        assert (oracle.events_scoped, oracle.events_swept) == (0, 1)
 
 
 # ----------------------------------------------------------------------
@@ -178,7 +189,7 @@ def signature(provoke, force: bool):
     if force:
         assert oracle.events_swept == oracle.events_checked  # the arm is what it claims
     else:
-        assert oracle.events_skipped > 0 or oracle.events_scoped > 0
+        assert oracle.events_scoped > 0
     return (violation.invariant, violation.time, violation.message, oracle.events_checked)
 
 
@@ -381,7 +392,7 @@ class TestDeferredDetectionBounds:
             sent += chunk
             net.run(until=1.5 + round_ * 0.5)
         assert received == sent
-        assert oracle.events_skipped > 0  # Link events were being skipped
+        assert oracle.events_scoped > 0  # deliveries were checked on one host
 
     def test_rotation_reaches_every_endpoint_of_a_crowded_host(self):
         """More live endpoints on one host than full_sweep_limit: the
@@ -424,19 +435,19 @@ class TestDeferredDetectionBounds:
 # Observability tripwire and the bounded logs
 # ----------------------------------------------------------------------
 class TestScopeCounters:
-    def test_two_path_bulk_transfer_is_mostly_skipped_or_scoped(self):
+    def test_two_path_bulk_transfer_is_mostly_scoped(self):
         net, client, server = make_multipath(seed=4)
         oracle = ensure_oracle(net)
         payload = random_payload(400_000, seed=4)
         result = mptcp_transfer(net, client, server, payload, duration=60)
         assert bytes(result.received) == payload
         total = oracle.events_checked
-        assert total > 1_000
-        assert oracle.events_skipped + oracle.events_scoped + oracle.events_swept == total
-        # Half of a bulk transfer's events are link serialisation, and
-        # nearly all the rest belong to exactly one host.  If a refactor
-        # makes owners unresolvable these collapse to 0 % / 100 %.
-        assert oracle.events_skipped >= 0.45 * total
+        assert total > 500  # one event per packet: 716 in all
+        assert oracle.events_scoped + oracle.events_swept == total
+        # Nearly every event of a bulk transfer (deliveries, timers)
+        # belongs to exactly one host.  If a refactor makes owners
+        # unresolvable these collapse to 0 % / 100 %.
+        assert oracle.events_scoped >= 0.9 * total
         assert oracle.events_swept <= 0.05 * total
         assert oracle.events_swept >= total // AUDIT_PERIOD  # the audit ran
 
